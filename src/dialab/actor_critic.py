@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nets
+from . import checkpoint, nets
 from .environment import Transition
 from .nets import (AdadeltaState, FeedForwardNet, clone_net, copy_params,
                    cross_entropy_loss, l2_penalty, log_policy_gradient)
@@ -90,7 +90,7 @@ class ActorCriticAgent:
                                                 eps=config.eps_num)
         self.value_opt = AdadeltaState.for_net(self.value, rho=config.rho,
                                                eps=config.eps_num)
-        self.pool = ReplayPool(config.pool_capacity)
+        self.pool = ReplayPool(config.pool_capacity, n_features)
         self.value_steps = 0
         self.last_value_loss = float("nan")
 
@@ -211,38 +211,17 @@ class ActorCriticAgent:
 
     # -- checkpointing ------------------------------------------------------
 
+    def state(self) -> checkpoint.State:
+        return checkpoint.compose({"value_steps": self.value_steps},
+                                  policy=self.policy.state(),
+                                  value=self.value.state(),
+                                  value_target=self.value_target.state(),
+                                  policy_opt=self.policy_opt.state(),
+                                  value_opt=self.value_opt.state())
+
     def save(self, path: str) -> None:
-        import json
-        arrays = {}
-        named = (("p", self.policy), ("v", self.value), ("vt", self.value_target))
-        for tag, net in named:
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{tag}_w{i}"], arrays[f"{tag}_b{i}"] = w, b
-        for tag, opt in (("po", self.policy_opt), ("vo", self.value_opt)):
-            for i, (gw, gb) in enumerate(opt.acc_grad):
-                arrays[f"{tag}g_w{i}"], arrays[f"{tag}g_b{i}"] = gw, gb
-            for i, (uw, ub) in enumerate(opt.acc_update):
-                arrays[f"{tag}u_w{i}"], arrays[f"{tag}u_b{i}"] = uw, ub
-        meta = json.dumps({"format": "dialab-a2c", "version": 1,
-                           "value_steps": self.value_steps})
-        np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
-                 **arrays)
+        checkpoint.save(path, "actor-critic", self.state())
 
     def load(self, path: str) -> None:
-        import json
-        data = np.load(path)
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format") != "dialab-a2c":
-            raise ValueError(f"{path}: not an actor-critic checkpoint")
-        named = (("p", self.policy), ("v", self.value), ("vt", self.value_target))
-        for tag, net in named:
-            for i in range(len(net.weights)):
-                np.copyto(net.weights[i], data[f"{tag}_w{i}"])
-                np.copyto(net.biases[i], data[f"{tag}_b{i}"])
-        for tag, opt in (("po", self.policy_opt), ("vo", self.value_opt)):
-            for i in range(len(opt.acc_grad)):
-                np.copyto(opt.acc_grad[i][0], data[f"{tag}g_w{i}"])
-                np.copyto(opt.acc_grad[i][1], data[f"{tag}g_b{i}"])
-                np.copyto(opt.acc_update[i][0], data[f"{tag}u_w{i}"])
-                np.copyto(opt.acc_update[i][1], data[f"{tag}u_b{i}"])
-        self.value_steps = int(meta["value_steps"])
+        loaded = checkpoint.load(path, "actor-critic", self.state())
+        self.value_steps = loaded.counters["value_steps"]

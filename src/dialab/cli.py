@@ -17,6 +17,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import harness
 from .harness import ConfigError, ExperimentConfig, load_config
+from .seeding import rng_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +61,7 @@ def cmd_evaluate(args) -> int:
         action_fn = corpus_mod.HandcraftedPolicy(cfg.space)
     elif args.policy == "random":
         action_fn = corpus_mod.RandomPolicy(
-            env.n_actions, corpus_mod_rng(cfg.seed))
+            env.n_actions, rng_stream(cfg.seed, "random-policy"))
     else:
         raise ConfigError(f"unknown policy '{args.policy}'")
     episodes = args.episodes or cfg.eval_episodes
@@ -69,11 +70,6 @@ def cmd_evaluate(args) -> int:
     print(f"success_rate={success:.4f} mean_return={mean_return:.4f} "
           f"mean_length={mean_length:.2f} ({episodes} dialogues)")
     return EXIT_OK
-
-
-def corpus_mod_rng(seed: int):
-    from .seeding import rng_stream
-    return rng_stream(seed, "random-policy")
 
 
 def cmd_pretrain(args) -> int:

@@ -43,7 +43,6 @@ class EnvConfig:
     turn_penalty: float = -0.03
     success_reward: float = 1.0
     failure_reward: float = -1.0
-    gamma: float = 0.99                  # agent-side discount, carried here
     db_size: int = 150
     user: UserConfig = field(default_factory=UserConfig)
     error: ErrorModel = field(default_factory=ErrorModel)
@@ -54,8 +53,6 @@ class EnvConfig:
             raise ValueError(f"unknown action/state space '{self.space}'")
         if self.max_turns <= 0:
             raise ValueError("max_turns must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma={self.gamma} outside [0,1]")
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ updates, so with nu -> 0 the model reproduces dense GP regression.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint
 from .nets import softmax
 
 log = logging.getLogger(__name__)
@@ -65,7 +65,6 @@ class SparseGP:
         self.max_dictionary = max_dictionary
         self.points_b = np.zeros((0, 0))
         self.points_a = np.zeros(0, dtype=np.int64)
-        self.K = np.zeros((0, 0))
         self.Kinv = np.zeros((0, 0))
         self.mu = np.zeros(0)
         self.Sigma = np.zeros((0, 0))
@@ -81,9 +80,7 @@ class SparseGP:
     def k_vec(self, b: np.ndarray, a: int) -> np.ndarray:
         if len(self) == 0:
             return np.zeros(0)
-        d2 = np.sum((self.points_b - b) ** 2, axis=1)
-        base = self.spec.signal_var * np.exp(-d2 / (2.0 * self.spec.length_scale ** 2))
-        return base * (self.points_a == a)
+        return self._base_similarity(b) * (self.points_a == a)
 
     def _base_similarity(self, b: np.ndarray) -> np.ndarray:
         d2 = np.sum((self.points_b - b) ** 2, axis=1)
@@ -105,8 +102,8 @@ class SparseGP:
         residual = float(kpp - kv @ coeffs)
         return residual > self.nu, residual, coeffs
 
-    def _admit(self, b: np.ndarray, a: int, kv: np.ndarray,
-               coeffs: np.ndarray, residual: float) -> None:
+    def _admit(self, b: np.ndarray, a: int, coeffs: np.ndarray,
+               residual: float) -> None:
         n = len(self)
         if n >= self.max_dictionary:
             if not self.alarmed:
@@ -120,7 +117,6 @@ class SparseGP:
             self.points_b = b[None, :]
             self.points_a = np.array([a], dtype=np.int64)
             kpp = self.spec.signal_var + self.jitter
-            self.K = np.array([[kpp]])
             self.Kinv = np.array([[1.0 / kpp]])
             self.mu = np.zeros(1)
             self.Sigma = np.array([[kpp]])
@@ -128,13 +124,6 @@ class SparseGP:
         delta = residual + self.jitter
         self.points_b = np.vstack([self.points_b, b[None, :]])
         self.points_a = np.append(self.points_a, a)
-        kpp = self.spec.signal_var + self.jitter
-        newK = np.zeros((n + 1, n + 1))
-        newK[:n, :n] = self.K
-        newK[:n, n] = kv
-        newK[n, :n] = kv
-        newK[n, n] = kpp
-        self.K = newK
         newKinv = np.zeros((n + 1, n + 1))
         newKinv[:n, :n] = self.Kinv + np.outer(coeffs, coeffs) / delta
         newKinv[:n, n] = -coeffs / delta
@@ -158,8 +147,7 @@ class SparseGP:
         its residual exceeds nu."""
         admit, residual, coeffs = self.admit_test(b, a)
         if admit:
-            self._admit(b, a, self.k_vec(b, a) if len(self) else np.zeros(0),
-                        coeffs, residual)
+            self._admit(b, a, coeffs, residual)
             if len(self) and (self.points_a[-1] == a
                               and np.array_equal(self.points_b[-1], b)):
                 e = np.zeros(len(self))
@@ -221,6 +209,16 @@ class SparseGP:
             out[a] = base[self.points_a == a].sum()
         return out
 
+    def state(self) -> checkpoint.State:
+        return checkpoint.State(
+            {name: getattr(self, name)
+             for name in ("points_b", "points_a", "Kinv", "mu", "Sigma")},
+            spec={**vars(self.spec), "nu": self.nu,
+                  "n_actions": self.n_actions},
+            counters={"updates": self.updates, "alarmed": self.alarmed},
+            shapes={"points_b": ("n", "width"), "points_a": ("n",),
+                    "Kinv": ("n", "n"), "mu": ("n",), "Sigma": ("n", "n")})
+
 
 def select_action_esoftmax(gp: SparseGP, b, epsilon: float,
                            rng: np.random.Generator) -> int:
@@ -266,28 +264,16 @@ class GPSarsaAgent:
         else:
             self._pending = (t.features, t.action, t.reward, t.next_features)
 
+    def state(self) -> checkpoint.State:
+        state = self.gp.state()
+        state.spec["gamma"] = self.gamma
+        return state
+
     def save(self, path: str) -> None:
-        meta = json.dumps({
-            "format": "dialab-gp", "version": 1,
-            "length_scale": self.gp.spec.length_scale,
-            "signal_var": self.gp.spec.signal_var,
-            "noise_var": self.gp.spec.noise_var,
-            "nu": self.gp.nu, "n_actions": self.gp.n_actions,
-            "gamma": self.gamma,
-        })
-        np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
-                 B=self.gp.points_b, A=self.gp.points_a, K=self.gp.K,
-                 Kinv=self.gp.Kinv, mu=self.gp.mu, Sigma=self.gp.Sigma)
+        checkpoint.save(path, "gpsarsa", self.state())
 
     def load(self, path: str) -> None:
-        data = np.load(path)
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format") != "dialab-gp":
-            raise ValueError(f"{path}: not a GP checkpoint")
-        self.gp.points_b = np.array(data["B"], dtype=float)
-        self.gp.points_a = np.array(data["A"], dtype=np.int64)
-        self.gp.K = np.array(data["K"], dtype=float)
-        self.gp.Kinv = np.array(data["Kinv"], dtype=float)
-        self.gp.mu = np.array(data["mu"], dtype=float)
-        self.gp.Sigma = np.array(data["Sigma"], dtype=float)
+        loaded = checkpoint.load(path, "gpsarsa", self.state())
+        for name, value in {**loaded.arrays, **loaded.counters}.items():
+            setattr(self.gp, name, value)
         self.gp._coeffs = None

@@ -135,13 +135,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown space '{self.space}'")
         if self.dialogues < 1 or self.eval_period < 1 or self.eval_episodes < 1:
             raise ConfigError("dialogues/eval_period/eval_episodes must be >= 1")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigError(f"gamma={self.gamma} outside [0,1]")
 
     def env_config(self) -> EnvConfig:
         return EnvConfig(space=self.space, max_turns=self.max_turns,
                          turn_penalty=self.turn_penalty,
                          success_reward=self.success_reward,
                          failure_reward=self.failure_reward,
-                         gamma=self.gamma, db_size=self.db_size,
+                         db_size=self.db_size,
                          user=self.user, error=self.error, goals=self.goals)
 
     def excluded_actions(self) -> tuple:

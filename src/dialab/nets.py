@@ -8,11 +8,12 @@ seed-deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .checkpoint import State
 
 HEADS = ("linear", "softmax", "scalar")
 
@@ -78,6 +79,12 @@ class FeedForwardNet:
 
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+
+    def state(self) -> State:
+        """Live weights and biases, for checkpoints."""
+        return State(named_pairs(zip(self.weights, self.biases)),
+                     spec={"layer_sizes": list(self.layer_sizes),
+                           "head": self.head})
 
     # -- forward -----------------------------------------------------------
 
@@ -150,8 +157,10 @@ def add_grads(a: GradientSet, b: GradientSet) -> GradientSet:
     return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
 
 
-def scale_grads(g: GradientSet, c: float) -> GradientSet:
-    return [(c * w, c * b) for w, b in g]
+def named_pairs(pairs, prefix: str = "") -> dict:
+    """Per-layer (W, b) pairs as ``{prefix}w{i}``/``{prefix}b{i}`` arrays."""
+    return {f"{prefix}{tag}{i}": a for i, pair in enumerate(pairs)
+            for tag, a in zip("wb", pair)}
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +241,11 @@ class AdadeltaState:
         state.acc_update = zero_grads(net)
         return state
 
+    def state(self) -> State:
+        """Live accumulators, for checkpoints."""
+        return State({**named_pairs(self.acc_grad, "grad."),
+                      **named_pairs(self.acc_update, "update.")})
+
 
 def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
                   grads: GradientSet) -> None:
@@ -300,31 +314,3 @@ def finite_difference_grads(objective: Callable[[], float],
                 flat[k] = orig
                 out[k] = (up - down) / (2.0 * h)
     return grads
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_net(net: FeedForwardNet, path: str) -> None:
-    """Versioned binary checkpoint; load(save(net)) reproduces outputs bit-exactly."""
-    arrays = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    meta = json.dumps({"format": "dialab-net", "version": 1,
-                       "layer_sizes": list(net.layer_sizes), "head": net.head})
-    np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
-
-
-def load_net(path: str) -> FeedForwardNet:
-    data = np.load(path)
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    if meta.get("format") != "dialab-net" or meta.get("version") != 1:
-        raise ShapeError(f"{path}: not a recognised net checkpoint")
-    sizes = tuple(meta["layer_sizes"])
-    net = FeedForwardNet(layer_sizes=sizes, head=meta["head"])
-    for i in range(len(sizes) - 1):
-        net.weights.append(np.array(data[f"w{i}"], dtype=float))
-        net.biases.append(np.array(data[f"b{i}"], dtype=float))
-    return net

@@ -26,11 +26,9 @@ class UserConfig:
 
     p_multi_act: float = 0.3
     p_null: float = 0.0
-    p_reqalts_on_bad_offer: float = 0.0  # reserved hook, unused for now
-    max_patience: int | None = None      # reserved; the turn cap lives in the env
 
     def __post_init__(self):
-        for name in ("p_multi_act", "p_null", "p_reqalts_on_bad_offer"):
+        for name in ("p_multi_act", "p_null"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} outside [0,1]")

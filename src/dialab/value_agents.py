@@ -9,13 +9,12 @@ network evaluates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import nets
+from . import checkpoint, nets
 from .environment import Transition
 from .nets import AdadeltaState, FeedForwardNet, clone_net, copy_params
 
@@ -27,12 +26,12 @@ class PoolTooSmall(RuntimeError):
 class ReplayPool:
     """Finite FIFO transition store; inserting past capacity evicts the oldest."""
 
-    def __init__(self, capacity: int = 50000):
+    def __init__(self, capacity: int, n_features: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._features: np.ndarray | None = None
-        self._next_features: np.ndarray | None = None
+        self._features = np.zeros((capacity, n_features))
+        self._next_features = np.zeros((capacity, n_features))
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
         self._terminal = np.zeros(capacity, dtype=bool)
@@ -43,10 +42,6 @@ class ReplayPool:
         return self._size
 
     def add(self, t: Transition) -> None:
-        if self._features is None:
-            dim = len(t.features)
-            self._features = np.zeros((self.capacity, dim))
-            self._next_features = np.zeros((self.capacity, dim))
         i = self._cursor
         self._features[i] = t.features
         self._next_features[i] = t.next_features
@@ -76,26 +71,20 @@ class ReplayPool:
                            bool(self._terminal[i]), False)
                 for i in range(self._size)]
 
+    def state(self) -> checkpoint.State:
+        return checkpoint.State(
+            {"features": self._features, "next_features": self._next_features,
+             "actions": self._actions, "rewards": self._rewards,
+             "terminal": self._terminal},
+            spec={"capacity": self.capacity},
+            counters={"size": self._size, "cursor": self._cursor})
+
     def save(self, path: str) -> None:
-        if self._features is None:
-            np.savez(path, empty=np.array([self.capacity]))
-            return
-        np.savez(path, features=self._features, next_features=self._next_features,
-                 actions=self._actions, rewards=self._rewards,
-                 terminal=self._terminal,
-                 state=np.array([self._size, self._cursor, self.capacity]))
+        checkpoint.save(path, "replay-pool", self.state())
 
     def load(self, path: str) -> None:
-        data = np.load(path)
-        if "empty" in data:
-            return
-        self._features = np.array(data["features"])
-        self._next_features = np.array(data["next_features"])
-        self._actions = np.array(data["actions"])
-        self._rewards = np.array(data["rewards"])
-        self._terminal = np.array(data["terminal"])
-        size, cursor, _ = (int(x) for x in data["state"])
-        self._size, self._cursor = size, cursor
+        counters = checkpoint.load(path, "replay-pool", self.state()).counters
+        self._size, self._cursor = counters["size"], counters["cursor"]
 
 
 def select_action_egreedy(qnet: FeedForwardNet, features: np.ndarray,
@@ -161,7 +150,7 @@ class QAgent:
         self.target = clone_net(self.qnet)
         self.opt = AdadeltaState.for_net(self.qnet, rho=config.rho,
                                          eps=config.eps_num)
-        self.pool = ReplayPool(config.pool_capacity)
+        self.pool = ReplayPool(config.pool_capacity, n_features)
         self.train_steps = 0
         self.last_loss = float("nan")
 
@@ -206,35 +195,15 @@ class QAgent:
 
     # -- checkpointing ------------------------------------------------------
 
+    def state(self) -> checkpoint.State:
+        return checkpoint.compose({"train_steps": self.train_steps},
+                                  q=self.qnet.state(),
+                                  target=self.target.state(),
+                                  opt=self.opt.state())
+
     def save(self, path: str) -> None:
-        arrays = {}
-        for tag, net in (("q", self.qnet), ("t", self.target)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{tag}_w{i}"] = w
-                arrays[f"{tag}_b{i}"] = b
-        for i, (gw, gb) in enumerate(self.opt.acc_grad):
-            arrays[f"og_w{i}"], arrays[f"og_b{i}"] = gw, gb
-        for i, (uw, ub) in enumerate(self.opt.acc_update):
-            arrays[f"ou_w{i}"], arrays[f"ou_b{i}"] = uw, ub
-        meta = json.dumps({"format": "dialab-qagent", "version": 1,
-                           "layer_sizes": list(self.qnet.layer_sizes),
-                           "train_steps": self.train_steps,
-                           "double_dqn": self.config.double_dqn})
-        np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
-                 **arrays)
+        checkpoint.save(path, "qagent", self.state())
 
     def load(self, path: str) -> None:
-        data = np.load(path)
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format") != "dialab-qagent":
-            raise ValueError(f"{path}: not a Q-agent checkpoint")
-        for tag, net in (("q", self.qnet), ("t", self.target)):
-            for i in range(len(net.weights)):
-                np.copyto(net.weights[i], data[f"{tag}_w{i}"])
-                np.copyto(net.biases[i], data[f"{tag}_b{i}"])
-        for i in range(len(self.qnet.weights)):
-            np.copyto(self.opt.acc_grad[i][0], data[f"og_w{i}"])
-            np.copyto(self.opt.acc_grad[i][1], data[f"og_b{i}"])
-            np.copyto(self.opt.acc_update[i][0], data[f"ou_w{i}"])
-            np.copyto(self.opt.acc_update[i][1], data[f"ou_b{i}"])
-        self.train_steps = int(meta["train_steps"])
+        loaded = checkpoint.load(path, "qagent", self.state())
+        self.train_steps = loaded.counters["train_steps"]

@@ -199,7 +199,7 @@ def test_criterion_5_reward_accounting():
 
 
 def test_criterion_6_replay():
-    pool = ReplayPool(capacity=2)
+    pool = ReplayPool(capacity=2, n_features=2)
     mk = lambda r: Transition(np.zeros(2), 0, r, np.zeros(2), False, False)
     pool.add(mk(1.0))
     pool.add(mk(2.0))
@@ -207,7 +207,7 @@ def test_criterion_6_replay():
     kept = sorted(t.reward for t in pool.contents())
     fifo_ok = kept == [2.0, 3.0]
 
-    pool = ReplayPool(capacity=100)
+    pool = ReplayPool(capacity=100, n_features=2)
     for i in range(100):
         pool.add(mk(float(i)))
     rng = RNG(60)

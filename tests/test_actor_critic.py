@@ -207,6 +207,35 @@ class TestValueTrainStep:
                 assert np.isfinite(agent.last_value_loss)
 
 
+class TestCheckpoint:
+    def test_roundtrip_restores_nets_counter_and_accumulators(self, tmp_path):
+        agent = make_agent(target_sync=5)
+        rng = RNG(13)
+        for i in range(40):
+            agent.observe(Transition(RNG(i).normal(size=6), i % 4,
+                                     float(RNG(i).normal()),
+                                     RNG(i + 1).normal(size=6), i % 6 == 0,
+                                     False), rng)
+        path = str(tmp_path / "a2c.npz")
+        agent.save(path)
+        twin = ActorCriticAgent(6, 4, agent.config, RNG(99))
+        twin.load(path)
+        for i in range(10):
+            x = RNG(100 + i).normal(size=6)
+            assert np.array_equal(agent.policy.forward(x),
+                                  twin.policy.forward(x))
+            assert agent.value.forward(x) == twin.value.forward(x)
+            assert agent.value_target.forward(x) == \
+                twin.value_target.forward(x)
+        assert twin.value_steps == agent.value_steps > 0
+        for opt, twin_opt in ((agent.policy_opt, twin.policy_opt),
+                              (agent.value_opt, twin.value_opt)):
+            for acc, twin_acc in ((opt.acc_grad, twin_opt.acc_grad),
+                                  (opt.acc_update, twin_opt.acc_update)):
+                for (w, b), (tw, tb) in zip(acc, twin_acc):
+                    assert np.array_equal(w, tw) and np.array_equal(b, tb)
+
+
 class TestSupervised:
     def test_uniform_start_loss_is_log_11(self):
         agent = make_agent(n_actions=11, l2=0.0)

@@ -78,7 +78,7 @@ class TestAdmission:
                 if any(np.array_equal(b, pb) and a == pa for pb, pa in pts):
                     continue
                 admit, residual, coeffs = gp.admit_test(b, a)
-                gp._admit(b, a, gp.k_vec(b, a), coeffs, residual)
+                gp._admit(b, a, coeffs, residual)
                 pts.append((b, a))
             query_b, query_a = random_summary(rng), int(rng.integers(2))
             _, residual, _ = gp.admit_test(query_b, query_a)

@@ -105,6 +105,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="agent"):
             config_from_dict({"agent": {"hiden": [4]}})
 
+    def test_gamma_range_names_the_field(self):
+        with pytest.raises(ConfigError, match="gamma=1.5"):
+            config_from_dict({"algorithm": "dqn", "gamma": 1.5})
+
     def test_roundtrip(self):
         cfg = config_from_dict({"algorithm": "ddqn", "seed": 11,
                                 "agent": {"minibatch": 16},
@@ -161,17 +165,38 @@ class TestTrainRun:
         r2 = train_run(c2)
         assert [row[:4] for row in r1] == [row[:4] for row in r2]
 
-    def test_resume_reproduces_fresh_run(self, tmp_path):
-        full = smoke_config(tmp_path, out=str(tmp_path / "full"),
-                            dialogues=40)
-        half = smoke_config(tmp_path, out=str(tmp_path / "half"),
-                            dialogues=20)
-        r_full = train_run(full)
-        train_run(half)
-        resumed_cfg = smoke_config(tmp_path, out=str(tmp_path / "half"),
-                                   dialogues=40)
-        r_resumed = train_run(resumed_cfg, resume=True)
+    @pytest.mark.parametrize("algorithm", ["dqn", "da2c", "gpsarsa"])
+    def test_resume_reproduces_fresh_run(self, tmp_path, algorithm):
+        if algorithm == "gpsarsa":
+            def config(out, dialogues):
+                return config_from_dict({
+                    "algorithm": "gpsarsa", "space": "summary", "seed": 1,
+                    "dialogues": dialogues, "eval_period": 20,
+                    "eval_episodes": 8,
+                    "gp": {"nu": 0.3, "max_dictionary": 200},
+                    "out": str(tmp_path / out)})
+            total = 60
+        else:
+            def config(out, dialogues):
+                return smoke_config(tmp_path, algorithm=algorithm,
+                                    out=str(tmp_path / out),
+                                    dialogues=dialogues)
+            total = 40
+        r_full = train_run(config("full", total))
+        train_run(config("half", 20))
+        r_resumed = train_run(config("half", total), resume=True)
         assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
+        # the saved learner state, not just the curve, matches bit for bit
+        for name in ("checkpoint.npz", "pool.npz"):
+            full, half = tmp_path / "full" / name, tmp_path / "half" / name
+            assert full.exists() == half.exists()
+            if not full.exists():
+                continue
+            with np.load(full) as a, np.load(half) as b:
+                assert sorted(a.files) == sorted(b.files)
+                for key in a.files:
+                    assert a[key].dtype == b[key].dtype, (name, key)
+                    assert np.array_equal(a[key], b[key]), (name, key)
 
     def test_config_serialized_verbatim(self, tmp_path):
         cfg = smoke_config(tmp_path)

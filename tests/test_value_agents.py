@@ -68,7 +68,7 @@ class TestEgreedy:
 
 class TestReplayPool:
     def test_capacity_two_fifo(self):
-        pool = ReplayPool(capacity=2)
+        pool = ReplayPool(capacity=2, n_features=4)
         t1, t2, t3 = transition(1), transition(2), transition(3)
         pool.add(t1)
         pool.add(t2)
@@ -77,7 +77,7 @@ class TestReplayPool:
         assert rewards == {round(t2.reward, 9), round(t3.reward, 9)}
 
     def test_size_never_exceeds_capacity(self):
-        pool = ReplayPool(capacity=64)
+        pool = ReplayPool(capacity=64, n_features=4)
         for i in range(100000):
             pool.add(transition(i % 500))
             if i % 9973 == 0:
@@ -86,7 +86,7 @@ class TestReplayPool:
 
     def test_sampling_uniform_chi_square(self):
         # 10^5 draws from a 100-item pool; chi-square at significance 0.01
-        pool = ReplayPool(capacity=100)
+        pool = ReplayPool(capacity=100, n_features=4)
         for i in range(100):
             pool.add(transition(i, reward=i))
         rng = RNG(3)
@@ -101,18 +101,18 @@ class TestReplayPool:
         assert statistic < critical, (statistic, critical)
 
     def test_sampling_small_pool_signals(self):
-        pool = ReplayPool(capacity=10)
+        pool = ReplayPool(capacity=10, n_features=4)
         pool.add(transition(0))
         with pytest.raises(PoolTooSmall):
             pool.sample_indices(5, RNG(0))
 
     def test_save_load_roundtrip(self, tmp_path):
-        pool = ReplayPool(capacity=8)
+        pool = ReplayPool(capacity=8, n_features=4)
         for i in range(12):
             pool.add(transition(i))
         path = str(tmp_path / "pool.npz")
         pool.save(path)
-        restored = ReplayPool(capacity=8)
+        restored = ReplayPool(capacity=8, n_features=4)
         restored.load(path)
         assert len(restored) == len(pool)
         a = sorted(round(t.reward, 9) for t in pool.contents())
