@@ -19,7 +19,7 @@ from . import checkpoint, nets
 from .environment import Transition
 from .nets import (AdadeltaState, FeedForwardNet, clone_net, copy_params,
                    cross_entropy_loss, l2_penalty, log_policy_gradient)
-from .value_agents import ReplayPool
+from .value_agents import ReplayPool, explore
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +56,10 @@ def select_action_policy(pnet: FeedForwardNet, features: np.ndarray,
                          epsilon: float, excluded, rng: np.random.Generator) -> int:
     """With probability epsilon explore uniformly over non-excluded actions,
     otherwise sample from the policy distribution."""
-    n = pnet.n_actions
     if rng.random() < epsilon:
-        allowed = [a for a in range(n) if a not in set(excluded)]
-        return int(allowed[int(rng.integers(len(allowed)))])
+        return explore(pnet.n_actions, excluded, rng)
     probs = pnet.forward(features)
-    return int(rng.choice(n, p=probs))
+    return int(rng.choice(pnet.n_actions, p=probs))
 
 
 def td_advantage(vnet: FeedForwardNet, reward: float, features: np.ndarray,
@@ -93,6 +91,9 @@ class ActorCriticAgent:
         self.pool = ReplayPool(config.pool_capacity, n_features)
         self.value_steps = 0
         self.last_value_loss = float("nan")
+        # supervised targets whose probability was clamped in the
+        # cross-entropy; a diagnostic, not checkpointed
+        self.clamp_count = 0
 
     def begin_episode(self) -> None:
         pass
@@ -119,11 +120,11 @@ class ActorCriticAgent:
         feats, _, rewards, nxt, term = self.pool.batch(idx)
         v_next = self.value_target.forward_batch(nxt)[:, 0]
         targets = rewards + cfg.gamma * (~term) * v_next
-        v = self.value.forward_batch(feats)[:, 0]
-        diff = v - targets
+        v, acts = self.value.forward_train(feats)
+        diff = v[:, 0] - targets
         loss = float(np.mean(diff ** 2))
         grad_out = (2.0 * diff / len(idx))[:, None]
-        grads = self.value.backward_batch(feats, grad_out)
+        grads = self.value.backward_batch(feats, grad_out, acts)
         nets.adadelta_step(self.value_opt, self.value, grads)
         self.value_steps += 1
         if self.value_steps % cfg.target_sync == 0:
@@ -134,30 +135,31 @@ class ActorCriticAgent:
         """Ascend delta * grad log pi(action | features) minus the L2 term."""
         if not np.isfinite(delta):
             raise nets.NonFiniteGradientError("non-finite advantage, step rejected")
-        probs = self.policy.forward(features)
-        grad_logits = -delta * log_policy_gradient(probs, action)
-        grads = self.policy.backward(features, grad_logits)
+        x = np.asarray(features, dtype=float)[None, :]
+        probs, acts = self.policy.forward_train(x)
+        grad_logits = -delta * log_policy_gradient(probs[0], action)
+        grads = self.policy.backward_batch(x, grad_logits[None, :], acts)
         if self.config.l2 > 0:
-            _, l2_grads = l2_penalty(self.policy, self.config.l2)
-            grads = nets.add_grads(grads, l2_grads)
+            nets.add_l2_gradient(grads, self.policy, self.config.l2)
         nets.adadelta_step(self.policy_opt, self.policy, grads)
 
     def supervised_step(self, feats: np.ndarray, actions: np.ndarray) -> float:
         """One cross-entropy (+L2) minibatch on demonstrated actions."""
-        probs = self.policy.forward_batch(feats)
+        probs, acts = self.policy.forward_train(feats)
         n = len(actions)
         losses = 0.0
         grad_out = probs.copy()
         for i, a in enumerate(actions):
-            loss_i, _ = cross_entropy_loss(probs[i], int(a))
+            loss_i, _, clamped = cross_entropy_loss(probs[i], int(a))
             losses += loss_i
+            self.clamp_count += clamped
             grad_out[i, int(a)] -= 1.0
         grad_out /= n
-        grads = self.policy.backward_batch(feats, grad_out)
+        grads = self.policy.backward_batch(feats, grad_out, acts)
         if self.config.l2 > 0:
             penalty, l2_grads = l2_penalty(self.policy, self.config.l2)
             losses += n * penalty
-            grads = nets.add_grads(grads, l2_grads)
+            grads.vector += l2_grads.vector
         nets.adadelta_step(self.policy_opt, self.policy, grads)
         return losses / n
 

@@ -4,6 +4,7 @@ owner's scalars. Loading checks the file against the owner being restored,
 so a checkpoint never loads silently into a model it does not fit."""
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +41,20 @@ def compose(counters: dict, **parts: State) -> State:
 
 
 def save(path: str, kind: str, state: State) -> None:
+    """Write exactly ``path`` (no suffix is added), through a temporary file
+    in the same directory that replaces it only once complete, so a kill
+    mid-write leaves any previous file intact."""
     meta = {"format": FORMAT, "version": VERSION, "kind": kind,
             **state.spec, **state.counters}
     record = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **{META: record}, **state.arrays)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{META: record}, **state.arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load(path: str, kind: str, expected: State) -> State:

@@ -382,7 +382,11 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         schedule_t = state["schedule_t"]
         trained_seconds = state.get("trained_seconds", 0.0)
         agent.load(ckpt_path)
-        if hasattr(agent, "pool") and os.path.exists(pool_path):
+        if hasattr(agent, "pool"):
+            if not os.path.exists(pool_path):
+                raise FileNotFoundError(
+                    f"cannot resume {cfg.out}: replay pool {pool_path} is "
+                    f"missing")
             agent.pool.load(pool_path)
         rows = load_curve(curve_path)
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)

@@ -4,11 +4,17 @@ Fully connected nets with tanh hidden layers and a linear, softmax or scalar
 head; exact backprop; Adadelta without a global learning rate; L2 penalty on
 weights; finite-difference gradient verification. Everything is float64 and
 seed-deterministic.
+
+A net's parameters are one contiguous vector, every layer's W (row-major)
+first and then every b; ``weights[i]`` and ``biases[i]`` are reshaped views
+of it. Gradients and the Adadelta accumulators share that layout, so the
+optimiser, copies and the L2 term each work on whole vectors or one slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,10 +22,6 @@ import numpy as np
 from .checkpoint import State
 
 HEADS = ("linear", "softmax", "scalar")
-
-# gradients are per-layer (dW, db) pairs, shape-congruent with the net
-GradientSet = list
-
 
 class ShapeError(ValueError):
     """Input or parameter shapes disagree with the network architecture."""
@@ -29,32 +31,55 @@ class NonFiniteGradientError(RuntimeError):
     """A NaN/inf gradient reached the optimiser; names the parameter."""
 
 
-# cross-entropy clamp events (probability 0 at the target), readable by tests
-_clamp_warnings = 0
+def layer_views(vector: np.ndarray, layer_sizes: Sequence[int]):
+    """Per-layer W and b views of a flat parameter-layout vector."""
+    shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    bounds = list(accumulate([a * b for a, b in shapes] + [b for _, b in shapes],
+                             initial=0))
+    parts = [vector[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    weights = [p.reshape(shape) for p, shape in zip(parts, shapes)]
+    return weights, parts[len(shapes):]
 
 
-def clamp_warning_count() -> int:
-    return _clamp_warnings
+class GradientSet:
+    """A vector in a net's parameter layout with per-layer ``(W, b)`` views;
+    indexing and iteration give the pairs."""
+
+    def __init__(self, vector: np.ndarray, layer_sizes: Sequence[int]):
+        self.vector = vector
+        self.weights, self.biases = layer_views(vector, layer_sizes)
+
+    def __getitem__(self, i: int):
+        return self.weights[i], self.biases[i]
+
+    def __iter__(self):
+        return zip(self.weights, self.biases)
 
 
-def reset_clamp_warnings() -> None:
-    global _clamp_warnings
-    _clamp_warnings = 0
-
-
-@dataclass
+@dataclass(eq=False)
 class FeedForwardNet:
     """MLP with tanh hidden activations.
 
     ``weights[i]`` has shape (n_in, n_out); the head is applied to the last
     linear output: ``softmax`` normalizes, ``scalar`` returns a float from a
-    single output unit, ``linear`` returns the raw vector.
+    single output unit, ``linear`` returns the raw vector. ``params`` holds
+    every parameter (zeros unless given); ``weights``/``biases`` view it.
     """
 
     layer_sizes: tuple[int, ...]
     head: str
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    params: np.ndarray | None = None
+
+    def __post_init__(self):
+        sizes = self.layer_sizes
+        self.n_weights = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
+        size = self.n_weights + sum(sizes[1:])
+        if self.params is None:
+            self.params = np.zeros(size)
+        elif self.params.shape != (size,):
+            raise ShapeError(f"parameter vector of shape {self.params.shape} "
+                             f"for layer sizes {sizes} ({size})")
+        self.weights, self.biases = layer_views(self.params, sizes)
 
     @classmethod
     def create(cls, n_in: int, n_out: int, hidden: Sequence[int] = (130, 50),
@@ -67,10 +92,9 @@ class FeedForwardNet:
         rng = rng if rng is not None else np.random.default_rng(0)
         sizes = (n_in, *hidden, n_out)
         net = cls(layer_sizes=sizes, head=head)
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            limit = np.sqrt(6.0 / (a + b))
-            net.weights.append(rng.uniform(-limit, limit, size=(a, b)))
-            net.biases.append(np.zeros(b))
+        for w in net.weights:
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         return net
 
     @property
@@ -78,7 +102,7 @@ class FeedForwardNet:
         return self.layer_sizes[-1]
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def state(self) -> State:
         """Live weights and biases, for checkpoints."""
@@ -90,8 +114,7 @@ class FeedForwardNet:
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; x is (batch, n_in), result (batch, n_out)."""
-        out, _ = self._forward_cached(np.asarray(x, dtype=float))
-        return out
+        return self.forward_train(x)[0]
 
     def forward(self, x: np.ndarray):
         out = self.forward_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -99,7 +122,11 @@ class FeedForwardNet:
             return float(out[0])
         return out
 
-    def _forward_cached(self, x: np.ndarray):
+    def forward_train(self, x: np.ndarray):
+        """Batched forward pass that also returns every layer's activations
+        (the input first, the final linear output last) for
+        ``backward_batch``."""
+        x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ShapeError(
                 f"input shape {x.shape} incompatible with n_in={self.layer_sizes[0]}")
@@ -115,23 +142,27 @@ class FeedForwardNet:
 
     # -- backward ----------------------------------------------------------
 
-    def backward_batch(self, x: np.ndarray, grad_out: np.ndarray) -> GradientSet:
+    def backward_batch(self, x: np.ndarray, grad_out: np.ndarray,
+                       activations: list | None = None) -> GradientSet:
         """Exact gradients of ``sum_b objective_b`` for a batch.
 
         ``grad_out`` is the objective's gradient at the final *linear* output
         (the logits for a softmax head), one row per batch element.
+        ``activations``, from ``forward_train(x)`` on the current parameters,
+        saves running the forward pass again.
         """
-        x = np.asarray(x, dtype=float)
+        acts = activations
+        if acts is None:
+            _, acts = self.forward_train(x)
         grad_out = np.asarray(grad_out, dtype=float)
-        _, acts = self._forward_cached(x)
         if grad_out.shape != acts[-1].shape:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != output {acts[-1].shape}")
-        grads: GradientSet = [None] * len(self.weights)
+        grads = GradientSet(np.empty_like(self.params), self.layer_sizes)
         delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[i]
-            grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
+            np.matmul(acts[i].T, delta, out=grads.weights[i])
+            np.sum(delta, axis=0, out=grads.biases[i])
             if i > 0:
                 # tanh'(z) = 1 - a^2 with a the cached activation
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
@@ -149,12 +180,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def zero_grads(net: FeedForwardNet) -> GradientSet:
-    return [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)]
-
-
-def add_grads(a: GradientSet, b: GradientSet) -> GradientSet:
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
+    return GradientSet(np.zeros_like(net.params), net.layer_sizes)
 
 
 def named_pairs(pairs, prefix: str = "") -> dict:
@@ -181,22 +207,18 @@ def mse_loss(prediction, target):
 def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = 1e-12):
     """Categorical cross-entropy against an action index.
 
-    Returns the loss and its gradient at the pre-softmax layer, which is
-    ``probs - onehot(target)``. A zero probability at the target is clamped
-    at ``eps`` and counted.
+    Returns the loss, its gradient at the pre-softmax layer, which is
+    ``probs - onehot(target)``, and whether a probability below ``eps`` at
+    the target was clamped to ``eps``.
     """
-    global _clamp_warnings
     p = np.asarray(probs, dtype=float)
     if not 0 <= target < p.shape[-1]:
         raise ShapeError(f"target index {target} outside {p.shape[-1]} classes")
-    pt = p[target]
-    if pt < eps:
-        _clamp_warnings += 1
-        pt = eps
-    loss = float(-np.log(pt))
+    clamped = bool(p[target] < eps)
+    loss = float(-np.log(eps if clamped else p[target]))
     grad = p.copy()
     grad[target] -= 1.0
-    return loss, grad
+    return loss, grad, clamped
 
 
 def log_policy_gradient(probs: np.ndarray, action: int) -> np.ndarray:
@@ -206,13 +228,20 @@ def log_policy_gradient(probs: np.ndarray, action: int) -> np.ndarray:
     return g
 
 
-def l2_penalty(net: FeedForwardNet, coefficient: float):
-    """Weight-decay penalty ``c * sum(W^2)`` and its gradients (biases excluded)."""
+def add_l2_gradient(grads: GradientSet, net: FeedForwardNet,
+                    coefficient: float) -> None:
+    """Add the gradient of ``c * sum(W^2)`` to ``grads`` in place; the
+    biases, which the penalty excludes, are left as they are."""
     if coefficient < 0:
         raise ValueError("l2 coefficient must be >= 0")
+    grads.vector[:net.n_weights] += 2.0 * coefficient * net.params[:net.n_weights]
+
+
+def l2_penalty(net: FeedForwardNet, coefficient: float):
+    """Weight-decay penalty ``c * sum(W^2)`` and its gradients (biases excluded)."""
+    grads = zero_grads(net)
+    add_l2_gradient(grads, net, coefficient)
     penalty = coefficient * sum(float(np.sum(w ** 2)) for w in net.weights)
-    grads = [(2.0 * coefficient * w, np.zeros_like(b))
-             for w, b in zip(net.weights, net.biases)]
     return penalty, grads
 
 
@@ -226,8 +255,8 @@ class AdadeltaState:
 
     rho: float = 0.95
     eps: float = 1e-6
-    acc_grad: GradientSet = field(default_factory=list)
-    acc_update: GradientSet = field(default_factory=list)
+    acc_grad: GradientSet | None = None
+    acc_update: GradientSet | None = None
 
     @classmethod
     def for_net(cls, net: FeedForwardNet, rho: float = 0.95,
@@ -252,24 +281,42 @@ def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
     """One Adadelta update, in place; no global learning rate.
 
     accumulate E[g^2], scale the step by RMS(prior updates)/RMS(gradients),
-    then accumulate E[dx^2].
+    then accumulate E[dx^2]:
+
+        E[g^2]  <- rho E[g^2] + (1 - rho) g g
+        dx       = -sqrt((E[dx^2] + eps) / (E[g^2] + eps)) g
+        E[dx^2] <- rho E[dx^2] + (1 - rho) dx dx
+        params  += dx
+
+    Each line runs elementwise over the whole parameter vector, mostly in
+    place; products are taken left to right and the sign flip is exact, so
+    the result is bit for bit that of evaluating the lines as written.
     """
+    g = grads.vector
+    if g.shape != net.params.shape:
+        raise ShapeError(f"gradient length {g.shape} != parameters {net.params.shape}")
+    if not np.isfinite(g).all():
+        for i, (gw, gb) in enumerate(grads):
+            for tag, part in (("W", gw), ("b", gb)):
+                if not np.isfinite(part).all():
+                    raise NonFiniteGradientError(
+                        f"non-finite gradient at layer {i} {tag}")
     rho, eps = state.rho, state.eps
-    for i, (gw, gb) in enumerate(grads):
-        for tag, g in (("W", gw), ("b", gb)):
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient at layer {i} {tag}")
-    for i in range(len(net.weights)):
-        for j, (param, g) in enumerate(((net.weights[i], grads[i][0]),
-                                        (net.biases[i], grads[i][1]))):
-            eg = state.acc_grad[i][j]
-            eu = state.acc_update[i][j]
-            eg *= rho
-            eg += (1.0 - rho) * g * g
-            delta = -np.sqrt((eu + eps) / (eg + eps)) * g
-            eu *= rho
-            eu += (1.0 - rho) * delta * delta
-            param += delta
+    eg, eu = state.acc_grad.vector, state.acc_update.vector
+    scratch = np.multiply(g, 1.0 - rho)
+    scratch *= g
+    eg *= rho
+    eg += scratch
+    delta = np.add(eu, eps)
+    delta /= np.add(eg, eps, out=scratch)
+    np.sqrt(delta, out=delta)
+    delta *= g
+    np.negative(delta, out=delta)
+    np.multiply(delta, 1.0 - rho, out=scratch)
+    scratch *= delta
+    eu *= rho
+    eu += scratch
+    net.params += delta
 
 
 def copy_params(src: FeedForwardNet, dst: FeedForwardNet) -> None:
@@ -277,16 +324,12 @@ def copy_params(src: FeedForwardNet, dst: FeedForwardNet) -> None:
         raise ShapeError(
             f"architecture mismatch: {src.layer_sizes}/{src.head} vs "
             f"{dst.layer_sizes}/{dst.head}")
-    for i in range(len(src.weights)):
-        np.copyto(dst.weights[i], src.weights[i])
-        np.copyto(dst.biases[i], src.biases[i])
+    np.copyto(dst.params, src.params)
 
 
 def clone_net(net: FeedForwardNet) -> FeedForwardNet:
-    twin = FeedForwardNet(layer_sizes=net.layer_sizes, head=net.head,
-                          weights=[w.copy() for w in net.weights],
-                          biases=[b.copy() for b in net.biases])
-    return twin
+    return FeedForwardNet(layer_sizes=net.layer_sizes, head=net.head,
+                          params=net.params.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +344,13 @@ def finite_difference_grads(objective: Callable[[], float],
     and re-evaluates ``objective``.
     """
     grads = zero_grads(net)
-    for i in range(len(net.weights)):
-        for j, param in enumerate((net.weights[i], net.biases[i])):
-            flat = param.reshape(-1)
-            out = grads[i][j].reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                up = objective()
-                flat[k] = orig - h
-                down = objective()
-                flat[k] = orig
-                out[k] = (up - down) / (2.0 * h)
+    params = net.params
+    for k in range(params.size):
+        orig = params[k]
+        params[k] = orig + h
+        up = objective()
+        params[k] = orig - h
+        down = objective()
+        params[k] = orig
+        grads.vector[k] = (up - down) / (2.0 * h)
     return grads

@@ -9,6 +9,7 @@ network evaluates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -87,15 +88,26 @@ class ReplayPool:
         self._size, self._cursor = counters["size"], counters["cursor"]
 
 
+@functools.lru_cache(maxsize=64)
+def allowed_actions(n_actions: int, excluded: tuple) -> tuple:
+    """The actions exploration may draw: every action not in ``excluded``."""
+    return tuple(a for a in range(n_actions) if a not in excluded)
+
+
+def explore(n_actions: int, excluded: Sequence[int],
+            rng: np.random.Generator) -> int:
+    """One uniform draw over the non-excluded actions."""
+    allowed = allowed_actions(n_actions, tuple(excluded))
+    return allowed[int(rng.integers(len(allowed)))]
+
+
 def select_action_egreedy(qnet: FeedForwardNet, features: np.ndarray,
                           epsilon: float, excluded: Sequence[int],
                           rng: np.random.Generator) -> int:
     """Uniform over non-excluded actions with probability epsilon, otherwise
     the argmax over all actions; exclusion applies to exploration only."""
-    n = qnet.n_actions
     if rng.random() < epsilon:
-        allowed = [a for a in range(n) if a not in set(excluded)]
-        return int(allowed[int(rng.integers(len(allowed)))])
+        return explore(qnet.n_actions, excluded, rng)
     q = qnet.forward(features)
     return int(np.argmax(q))
 
@@ -180,13 +192,13 @@ class QAgent:
                                   cfg.gamma)
         else:
             targets = dqn_target(rewards, nxt, term, self.target, cfg.gamma)
-        q = self.qnet.forward_batch(feats)
+        q, acts = self.qnet.forward_train(feats)
         rows = np.arange(len(idx))
         diff = q[rows, actions] - targets
         loss = float(np.mean(diff ** 2))
         grad_out = np.zeros_like(q)
         grad_out[rows, actions] = 2.0 * diff / len(idx)
-        grads = self.qnet.backward_batch(feats, grad_out)
+        grads = self.qnet.backward_batch(feats, grad_out, acts)
         nets.adadelta_step(self.opt, self.qnet, grads)
         self.train_steps += 1
         if self.train_steps % cfg.target_sync == 0:

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from dialab import checkpoint
 from dialab.checkpoint import CheckpointError
 from dialab.environment import Transition
 from dialab.value_agents import QAgent, QAgentConfig, ReplayPool
@@ -50,3 +52,54 @@ def test_version_1_file_refused(tmp_path):
     with pytest.raises(CheckpointError,
                        match="version is 1 in the checkpoint, expected 2"):
         agent.load(path)
+
+
+def test_save_writes_exactly_the_given_path(tmp_path):
+    path = tmp_path / "agent"
+    q_agent(hidden=(8, 6)).save(str(path))
+    assert sorted(os.listdir(tmp_path)) == ["agent"]
+    q_agent(hidden=(8, 6), seed=1).load(str(path))
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "agent.npz")
+    saved = q_agent(hidden=(8, 6))
+    saved.save(path)
+
+    def killed(fh, **arrays):
+        fh.write(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checkpoint.np, "savez", killed)
+    with pytest.raises(KeyboardInterrupt):
+        q_agent(hidden=(8, 6), seed=1).save(path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["agent.npz"]
+    restored = q_agent(hidden=(8, 6), seed=1)
+    restored.load(path)
+    assert np.array_equal(restored.qnet.params, saved.qnet.params)
+
+
+def test_per_layer_v2_arrays_load_into_flat_parameters(tmp_path):
+    # the v2 layout names each layer's W and b; they land in the flat
+    # vector as every W, then every b
+    agent = q_agent(hidden=(8, 6))
+    state = agent.state()
+    rng = RNG(5)
+    arrays = {name: rng.normal(size=a.shape) for name, a in state.arrays.items()}
+    meta = json.dumps({"format": "dialab", "version": 2, "kind": "qagent",
+                       **state.spec, "train_steps": 7})
+    path = str(tmp_path / "v2.npz")
+    np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
+             **arrays)
+    agent.load(path)
+    layers = range(3)
+    for prefix, params in (("q.", agent.qnet.params),
+                           ("target.", agent.target.params),
+                           ("opt.grad.", agent.opt.acc_grad.vector),
+                           ("opt.update.", agent.opt.acc_update.vector)):
+        expected = np.concatenate(
+            [arrays[f"{prefix}w{i}"].ravel() for i in layers]
+            + [arrays[f"{prefix}b{i}"] for i in layers])
+        assert np.array_equal(params, expected), prefix
+    assert agent.train_steps == 7

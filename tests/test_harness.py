@@ -198,6 +198,14 @@ class TestTrainRun:
                     assert a[key].dtype == b[key].dtype, (name, key)
                     assert np.array_equal(a[key], b[key]), (name, key)
 
+    def test_resume_refuses_missing_pool(self, tmp_path):
+        # resuming with an empty pool ended at success 0.0 instead of 0.8
+        train_run(smoke_config(tmp_path, dialogues=20))
+        pool = tmp_path / "dqn-run" / "pool.npz"
+        pool.unlink()
+        with pytest.raises(FileNotFoundError, match=str(pool)):
+            train_run(smoke_config(tmp_path, dialogues=40), resume=True)
+
     def test_config_serialized_verbatim(self, tmp_path):
         cfg = smoke_config(tmp_path)
         train_run(cfg)
@@ -324,6 +332,28 @@ class TestCli:
                          "handcrafted", "--episodes", "5"]) == 0
         text = capsys.readouterr().out
         assert "success_rate=" in text
+
+    def test_pretrain_then_evaluate_extensionless_checkpoint(self, tmp_path,
+                                                             capsys):
+        corpus_cfg = tmp_path / "corpus-cfg.json"
+        corpus_cfg.write_text(json.dumps({"algorithm": "tda2c", "seed": 2}))
+        corpus_path = str(tmp_path / "corpus.jsonl")
+        assert cli.main(["generate-corpus", "--config", str(corpus_cfg),
+                         "--n", "10", "--out", corpus_path]) == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": "tda2c", "space": "original", "seed": 2,
+            "agent": {"hidden": [12, 8], "sup_epochs": 1, "batch_sweeps": 1},
+            "pretrain": {"mode": "sup_full_batch", "corpus": corpus_path}}))
+        checkpoint = str(tmp_path / "pre")
+        assert cli.main(["pretrain", "--config", str(path),
+                         "--out", checkpoint]) == 0
+        assert os.path.exists(checkpoint)
+        assert not os.path.exists(checkpoint + ".npz")
+        assert cli.main(["evaluate", "--config", str(path), "--policy",
+                         "agent", "--checkpoint", checkpoint,
+                         "--episodes", "3"]) == 0
+        assert "success_rate=" in capsys.readouterr().out
 
     def test_generate_rate_and_compare(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

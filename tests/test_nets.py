@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dialab import nets
+from dialab.actor_critic import A2CConfig, ActorCriticAgent
 from dialab.nets import (AdadeltaState, FeedForwardNet, NonFiniteGradientError,
                          ShapeError, adadelta_step, clone_net, copy_params,
                          cross_entropy_loss, finite_difference_grads,
@@ -98,7 +99,7 @@ class TestBackward:
         def objective():
             return cross_entropy_loss(net.forward(x), target)[0]
 
-        _, grad_out = cross_entropy_loss(net.forward(x), target)
+        _, grad_out, _ = cross_entropy_loss(net.forward(x), target)
         analytic = net.backward(x, grad_out)
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
@@ -106,7 +107,7 @@ class TestBackward:
     def test_softmax_ce_upstream_is_p_minus_onehot(self):
         net = tiny_net("softmax", n_out=5, seed=10)
         probs = net.forward(np.ones(4))
-        _, grad = cross_entropy_loss(probs, 3)
+        _, grad, _ = cross_entropy_loss(probs, 3)
         expected = probs.copy()
         expected[3] -= 1.0
         assert np.allclose(grad, expected)
@@ -149,23 +150,26 @@ class TestLosses:
 
     def test_cross_entropy_of_uniform_is_log_11(self):
         probs = np.full(11, 1.0 / 11)
-        loss, _ = cross_entropy_loss(probs, 4)
+        loss, _, _ = cross_entropy_loss(probs, 4)
         assert abs(loss - math.log(11)) <= 1e-12
 
     def test_cross_entropy_of_point_mass_is_zero(self):
         probs = np.zeros(5)
         probs[2] = 1.0
-        loss, _ = cross_entropy_loss(probs, 2)
+        loss, _, _ = cross_entropy_loss(probs, 2)
         assert loss == 0.0
 
     def test_zero_probability_clamped_and_counted(self):
-        nets.reset_clamp_warnings()
         probs = np.zeros(3)
         probs[0] = 1.0
-        loss, _ = cross_entropy_loss(probs, 2)
+        loss, _, clamped = cross_entropy_loss(probs, 2)
         assert np.isfinite(loss) and loss > 20
-        assert nets.clamp_warning_count() == 1
-        nets.reset_clamp_warnings()
+        assert clamped
+        # the actor-critic agent owns the count, one per clamped example
+        agent = ActorCriticAgent(4, 3, A2CConfig(hidden=(5,)), RNG(0))
+        agent.policy.biases[-1][:] = [1e4, 0.0, -1e4]
+        agent.supervised_step(np.zeros((2, 4)), np.array([0, 2]))
+        assert agent.clamp_count == 1
 
 
 class TestL2:
@@ -212,7 +216,8 @@ class TestAdadelta:
         # rho=0.95, eps=1e-6, g=1: |dx| = sqrt(eps / (0.05 + eps))
         net = zero_net(n_in=1, n_out=1, hidden=())
         state = AdadeltaState.for_net(net, rho=0.95, eps=1e-6)
-        grads = [(np.array([[1.0]]), np.array([0.0]))]
+        grads = nets.zero_grads(net)
+        grads[0][0][0, 0] = 1.0
         adadelta_step(state, net, grads)
         expected = math.sqrt(1e-6 / (0.05 + 1e-6))
         assert abs(abs(net.weights[0][0, 0]) - expected) <= 1e-15
@@ -225,6 +230,8 @@ class TestAdadelta:
         x_oracle = 0.0
         net = zero_net(n_in=1, n_out=1, hidden=())
         state = AdadeltaState.for_net(net, rho=rho, eps=eps)
+        grads = nets.zero_grads(net)
+        grads[0][0][0, 0] = g
         deltas = []
         for _ in range(500):
             eg = rho * eg + (1 - rho) * g * g
@@ -232,7 +239,7 @@ class TestAdadelta:
             eu = rho * eu + (1 - rho) * dx * dx
             x_oracle += dx
             deltas.append(dx)
-            adadelta_step(state, net, [(np.array([[g]]), np.array([0.0]))])
+            adadelta_step(state, net, grads)
         assert abs(net.weights[0][0, 0] - x_oracle) <= 1e-12
         # update magnitude approaches a steady value, sign stays -sign(g)
         assert all(d < 0 for d in deltas)
@@ -246,8 +253,11 @@ class TestAdadelta:
             net_b = zero_net(n_in=1, n_out=1, hidden=())
             sa = AdadeltaState.for_net(net_a, eps=1e-12)
             sb = AdadeltaState.for_net(net_b, eps=1e-12)
-            adadelta_step(sa, net_a, [(np.array([[g]]), np.array([0.0]))])
-            adadelta_step(sb, net_b, [(np.array([[1000 * g]]), np.array([0.0]))])
+            ga, gb = nets.zero_grads(net_a), nets.zero_grads(net_b)
+            ga[0][0][0, 0] = g
+            gb[0][0][0, 0] = 1000 * g
+            adadelta_step(sa, net_a, ga)
+            adadelta_step(sb, net_b, gb)
             a = net_a.weights[0][0, 0]
             b = net_b.weights[0][0, 0]
             assert abs(a - b) / abs(a) <= 1e-6
@@ -259,6 +269,36 @@ class TestAdadelta:
         grads[1][0][0, 0] = float("nan")
         with pytest.raises(NonFiniteGradientError, match="layer 1 W"):
             adadelta_step(state, net, grads)
+
+
+class TestFlatLayout:
+    def test_weights_then_biases_view_one_vector(self):
+        net = tiny_net(seed=27)
+        flat = np.concatenate([w.ravel() for w in net.weights] + net.biases)
+        assert np.array_equal(net.params, flat)
+        for part in net.weights + net.biases:
+            assert np.shares_memory(part, net.params)
+        net.params[-1] = 5.0
+        assert net.biases[-1][-1] == 5.0
+
+    def test_backward_from_training_forward_is_bit_identical(self):
+        net = tiny_net("softmax", seed=28)
+        x = RNG(29).normal(size=(6, 4))
+        grad_out = RNG(30).normal(size=(6, 3))
+        _, acts = net.forward_train(x)
+        reused = net.backward_batch(x, grad_out, acts)
+        recomputed = net.backward_batch(x, grad_out)
+        assert np.array_equal(reused.vector, recomputed.vector)
+
+    def test_l2_gradient_added_to_weights_only(self):
+        net = tiny_net(seed=31)
+        grads = net.backward(np.ones(4), np.ones(3))
+        before = grads.vector.copy()
+        nets.add_l2_gradient(grads, net, 0.25)
+        n = net.n_weights
+        assert np.array_equal(grads.vector[:n],
+                              before[:n] + 0.5 * net.params[:n])
+        assert np.array_equal(grads.vector[n:], before[n:])
 
 
 class TestCopyAndCheckpoint:
