@@ -11,7 +11,6 @@ the value network on logged transitions before any online interaction.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,37 +18,13 @@ from . import checkpoint, nets
 from .environment import Transition
 from .nets import (AdadeltaState, FeedForwardNet, clone_net, copy_params,
                    cross_entropy_loss, l2_penalty, log_policy_gradient)
-from .value_agents import ReplayPool, explore
+from .value_agents import AgentConfig, ReplayPool, explore
 
 log = logging.getLogger(__name__)
 
 
 class LayoutMismatchError(ValueError):
     """Corpus feature layout disagrees with the agent's expected layout."""
-
-
-@dataclass
-class A2CConfig:
-    gamma: float = 0.99
-    l2: float = 1e-3
-    minibatch: int = 32
-    target_sync: int = 1000
-    pool_capacity: int = 50000
-    warmup: int = 1000
-    excluded_actions: tuple = ()
-    hidden: tuple = (130, 50)
-    rho: float = 0.95
-    eps_num: float = 1e-6
-    sup_epochs: int = 20
-    sup_batch: int = 32
-    sup_holdout: float = 0.1
-    batch_sweeps: int = 4            # passes over the corpus pool for batch RL
-
-    def __post_init__(self):
-        if self.l2 < 0:
-            raise ValueError("l2 coefficient must be >= 0")
-        if not 0.0 <= self.sup_holdout < 1.0:
-            raise ValueError("sup_holdout outside [0,1)")
 
 
 def select_action_policy(pnet: FeedForwardNet, features: np.ndarray,
@@ -75,9 +50,11 @@ def td_advantage(vnet: FeedForwardNet, reward: float, features: np.ndarray,
 class ActorCriticAgent:
     """Policy network (actor) plus value network with target copy (critic)."""
 
-    def __init__(self, n_features: int, n_actions: int, config: A2CConfig,
-                 rng: np.random.Generator):
+    def __init__(self, n_features: int, n_actions: int, config: AgentConfig,
+                 rng: np.random.Generator, gamma: float = 0.99):
         self.config = config
+        self.gamma = gamma
+        self.excluded = tuple(config.excluded or ())
         self.policy = FeedForwardNet.create(n_features, n_actions,
                                             hidden=config.hidden,
                                             head="softmax", rng=rng)
@@ -100,7 +77,7 @@ class ActorCriticAgent:
 
     def select_action(self, features, epsilon, rng) -> int:
         return select_action_policy(self.policy, features, epsilon,
-                                    self.config.excluded_actions, rng)
+                                    self.excluded, rng)
 
     def eval_action(self, features) -> int:
         return int(np.argmax(self.policy.forward(features)))
@@ -110,7 +87,7 @@ class ActorCriticAgent:
         if len(self.pool) >= max(self.config.warmup, self.config.minibatch):
             self.last_value_loss = self.value_train_step(rng)
         delta = td_advantage(self.value, t.reward, t.features,
-                             t.next_features, t.terminal, self.config.gamma)
+                             t.next_features, t.terminal, self.gamma)
         self.policy_gradient_step(t.features, t.action, delta)
 
     def value_train_step(self, rng: np.random.Generator) -> float:
@@ -119,7 +96,7 @@ class ActorCriticAgent:
         idx = self.pool.sample_indices(cfg.minibatch, rng)
         feats, _, rewards, nxt, term = self.pool.batch(idx)
         v_next = self.value_target.forward_batch(nxt)[:, 0]
-        targets = rewards + cfg.gamma * (~term) * v_next
+        targets = rewards + self.gamma * (~term) * v_next
         v, acts = self.value.forward_train(feats)
         diff = v[:, 0] - targets
         loss = float(np.mean(diff ** 2))

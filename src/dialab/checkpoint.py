@@ -6,6 +6,7 @@ so a checkpoint never loads silently into a model it does not fit."""
 import json
 import os
 from dataclasses import dataclass, field
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -40,21 +41,27 @@ def compose(counters: dict, **parts: State) -> State:
     return out
 
 
-def save(path: str, kind: str, state: State) -> None:
-    """Write exactly ``path`` (no suffix is added), through a temporary file
-    in the same directory that replaces it only once complete, so a kill
-    mid-write leaves any previous file intact."""
-    meta = {"format": FORMAT, "version": VERSION, "kind": kind,
-            **state.spec, **state.counters}
-    record = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+def replace_file(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Write exactly ``path`` with ``write(binary_file)``, through a
+    temporary file in the same directory that replaces it only once
+    complete, so a kill mid-write leaves any previous file intact."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{META: record}, **state.arrays)
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save(path: str, kind: str, state: State) -> None:
+    """Write exactly ``path`` (no suffix is added) with ``replace_file``."""
+    meta = {"format": FORMAT, "version": VERSION, "kind": kind,
+            **state.spec, **state.counters}
+    record = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    replace_file(path, lambda fh: np.savez(fh, **{META: record},
+                                           **state.arrays))
 
 
 def load(path: str, kind: str, expected: State) -> State:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -326,11 +326,9 @@ class DialogueEnv:
             self.db_count = count
         return act
 
-    def step(self, action: int) -> tuple[np.ndarray, float, bool, bool]:
-        if not self._active:
-            raise EpisodeStateError("step() outside an active episode")
-        sys_act = self.realize(action)
-        user_acts = usersim.respond(self.user, sys_act, self._rng)
+    def hear(self, sys_act: SystemAct, user_acts: list) -> None:
+        """Pass the user's answer to sys_act through the noisy channel and
+        fold what was heard into the belief."""
         obs = tracker.corrupt(user_acts, self.config.error, self.ontology,
                               self._rng)
         obs = list(obs) + context_evidence(sys_act, obs)
@@ -338,6 +336,12 @@ class DialogueEnv:
         self.last_system_act = sys_act
         self.last_user_acts = user_acts
         self.last_observation = obs
+
+    def step(self, action: int) -> tuple[np.ndarray, float, bool, bool]:
+        if not self._active:
+            raise EpisodeStateError("step() outside an active episode")
+        sys_act = self.realize(action)
+        self.hear(sys_act, usersim.respond(self.user, sys_act, self._rng))
 
         reward = self.config.turn_penalty
         terminal = False
@@ -357,32 +361,42 @@ class DialogueEnv:
         return self.features(), reward, terminal, success
 
 
-def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
-                rng: np.random.Generator) -> EpisodeLog:
-    """Roll one dialogue under a feature -> action policy and log it."""
+def rollout(env: DialogueEnv, policy: Callable[[np.ndarray], int],
+            rng: np.random.Generator) -> Iterator[Transition]:
+    """Roll one dialogue under a feature -> action policy, yielding one
+    Transition per turn; the environment's last_* fields describe the turn
+    just yielded."""
     features = env.reset(rng)
-    log = EpisodeLog(space=env.config.space)
     terminal = False
     while not terminal:
         action = int(policy(features))
         next_features, reward, terminal, success = env.step(action)
+        yield Transition(features, action, reward, next_features, terminal,
+                         success)
+        features = next_features
+
+
+def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
+                rng: np.random.Generator) -> EpisodeLog:
+    """Roll one dialogue under a feature -> action policy and log it."""
+    log = EpisodeLog(space=env.config.space)
+    for t in rollout(env, policy, rng):
         log.records.append(TurnRecord(
             turn=env.belief.turn,
-            features=[float(x) for x in features],
-            action=action,
+            features=[float(x) for x in t.features],
+            action=t.action,
             system_act=env.last_system_act.render(),
             user_acts=[a.render() for a in env.last_user_acts],
             observed=[[[a.render(), float(s)] for a, s in nbest]
                       for nbest in env.last_observation],
-            reward=reward,
-            terminal=terminal,
-            success=success,
+            reward=t.reward,
+            terminal=t.terminal,
+            success=t.success,
         ))
-        log.episode_return += reward
+        log.episode_return += t.reward
         log.length += 1
-        features = next_features
-    log.success = log.records[-1].success
-    log.final_features = [float(x) for x in features]
+    log.success = t.success
+    log.final_features = [float(x) for x in t.next_features]
     return log
 
 

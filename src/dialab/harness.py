@@ -19,16 +19,16 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import tracker, usersim
-from .actor_critic import A2CConfig, ActorCriticAgent
-from .environment import (ORIGINAL_ACTIONS, DialogueEnv, EnvConfig,
-                          Transition, run_episode)
+from .actor_critic import ActorCriticAgent
+from .checkpoint import replace_file
+from .environment import ORIGINAL_ACTIONS, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPSarsaAgent, KernelSpec
-from .ontology import (GoalConfig, Ontology, OntologyError, UserGoal,
-                       default_ontology, generate_db, parse_user_act)
+from .ontology import (GoalConfig, OntologyError, UserGoal, default_ontology,
+                       generate_db, parse_user_act)
 from .seeding import rng_stream
 from .tracker import ErrorModel
 from .usersim import UserConfig
-from .value_agents import QAgent, QAgentConfig
+from .value_agents import AgentConfig, QAgent
 
 log = logging.getLogger(__name__)
 
@@ -68,23 +68,6 @@ def epsilon(schedule: EpsilonSchedule, t: int) -> float:
 
 
 @dataclass(frozen=True)
-class AgentParams:
-    hidden: tuple = (130, 50)
-    minibatch: int = 32
-    target_sync: int = 1000
-    pool_capacity: int = 50000
-    warmup: int = 1000
-    l2: float = 1e-3
-    rho: float = 0.95
-    eps_num: float = 1e-6
-    excluded: tuple | None = None   # None: select-* in original space
-    sup_epochs: int = 20
-    sup_batch: int = 32
-    sup_holdout: float = 0.1
-    batch_sweeps: int = 4
-
-
-@dataclass(frozen=True)
 class GPParams:
     length_scale: float = 3.0
     signal_var: float = 1.0
@@ -106,45 +89,30 @@ class PretrainParams:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(EnvConfig):
+    """One run: the environment's settings (inherited, so a DialogueEnv
+    takes the experiment config itself) plus the learner and the protocol."""
+
     algorithm: str = "dqn"
-    space: str = "original"
     seed: int = 0
     dialogues: int = 1000
     eval_period: int = 100
     eval_episodes: int = 100
     out: str | None = None
-    max_turns: int = 30
-    turn_penalty: float = -0.03
-    success_reward: float = 1.0
-    failure_reward: float = -1.0
     gamma: float = 0.99
-    db_size: int = 150
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
-    user: UserConfig = field(default_factory=UserConfig)
-    error: ErrorModel = field(default_factory=ErrorModel)
-    goals: GoalConfig = field(default_factory=GoalConfig)
-    agent: AgentParams = field(default_factory=AgentParams)
+    agent: AgentConfig = field(default_factory=AgentConfig)
     gp: GPParams = field(default_factory=GPParams)
     pretrain: PretrainParams = field(default_factory=PretrainParams)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm '{self.algorithm}'")
-        if self.space not in ("summary", "original"):
-            raise ConfigError(f"unknown space '{self.space}'")
         if self.dialogues < 1 or self.eval_period < 1 or self.eval_episodes < 1:
             raise ConfigError("dialogues/eval_period/eval_episodes must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma={self.gamma} outside [0,1]")
-
-    def env_config(self) -> EnvConfig:
-        return EnvConfig(space=self.space, max_turns=self.max_turns,
-                         turn_penalty=self.turn_penalty,
-                         success_reward=self.success_reward,
-                         failure_reward=self.failure_reward,
-                         db_size=self.db_size,
-                         user=self.user, error=self.error, goals=self.goals)
 
     def excluded_actions(self) -> tuple:
         if self.agent.excluded is not None:
@@ -160,7 +128,7 @@ _SUBCONFIGS = {
     "user": UserConfig,
     "error": ErrorModel,
     "goals": GoalConfig,
-    "agent": AgentParams,
+    "agent": AgentConfig,
     "gp": GPParams,
     "pretrain": PretrainParams,
 }
@@ -242,31 +210,19 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
 def build_world(cfg: ExperimentConfig):
     ontology = default_ontology()
     db = generate_db(ontology, n=cfg.db_size, rng=rng_stream(cfg.seed, "db"))
-    env = DialogueEnv(ontology, db, cfg.env_config())
+    env = DialogueEnv(ontology, db, cfg)
     return ontology, db, env
 
 
 def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
     rng = rng_stream(cfg.seed, "agent-init")
-    a = cfg.agent
+    agent_cfg = dataclasses.replace(cfg.agent, excluded=cfg.excluded_actions())
     if cfg.algorithm in ("dqn", "ddqn"):
-        qcfg = QAgentConfig(gamma=cfg.gamma, minibatch=a.minibatch,
-                            target_sync=a.target_sync,
-                            pool_capacity=a.pool_capacity, warmup=a.warmup,
-                            double_dqn=(cfg.algorithm == "ddqn"),
-                            excluded_actions=cfg.excluded_actions(),
-                            hidden=a.hidden, rho=a.rho, eps_num=a.eps_num)
-        return QAgent(env.n_features, env.n_actions, qcfg, rng)
+        return QAgent(env.n_features, env.n_actions, agent_cfg, rng,
+                      gamma=cfg.gamma, double_dqn=(cfg.algorithm == "ddqn"))
     if cfg.algorithm in ("da2c", "tda2c"):
-        acfg = A2CConfig(gamma=cfg.gamma, l2=a.l2, minibatch=a.minibatch,
-                         target_sync=a.target_sync,
-                         pool_capacity=a.pool_capacity, warmup=a.warmup,
-                         excluded_actions=cfg.excluded_actions(),
-                         hidden=a.hidden, rho=a.rho, eps_num=a.eps_num,
-                         sup_epochs=a.sup_epochs, sup_batch=a.sup_batch,
-                         sup_holdout=a.sup_holdout,
-                         batch_sweeps=a.batch_sweeps)
-        return ActorCriticAgent(env.n_features, env.n_actions, acfg, rng)
+        return ActorCriticAgent(env.n_features, env.n_actions, agent_cfg, rng,
+                                gamma=cfg.gamma)
     if cfg.algorithm == "gpsarsa":
         spec = KernelSpec(length_scale=cfg.gp.length_scale,
                           signal_var=cfg.gp.signal_var,
@@ -310,10 +266,10 @@ def evaluate(action_fn, env: DialogueEnv, episodes: int, seed: int):
     lengths = np.zeros(episodes)
     successes = np.zeros(episodes, dtype=bool)
     for i in range(episodes):
-        episode_log = run_episode(env, action_fn, rng_stream(seed, "eval", i))
-        returns[i] = episode_log.episode_return
-        lengths[i] = episode_log.length
-        successes[i] = episode_log.success
+        for t in rollout(env, action_fn, rng_stream(seed, "eval", i)):
+            returns[i] += t.reward
+            lengths[i] += 1
+        successes[i] = t.success
     return (float(successes.mean()), float(returns.mean()),
             float(lengths.mean()))
 
@@ -321,14 +277,18 @@ def evaluate(action_fn, env: DialogueEnv, episodes: int, seed: int):
 CURVE_HEADER = "dialogues,success_rate,mean_return,mean_length,wall_clock_s"
 
 
+def _curve_line(row: tuple) -> str:
+    d, s, r, length, w = row
+    # repr keeps floats round-trip exact across save/load/resume
+    return f"{d},{s!r},{r!r},{length!r},{w:.3f}\n"
+
+
 def append_curve_row(path: str, row: tuple) -> None:
     new = not os.path.exists(path)
     with open(path, "a") as fh:
         if new:
             fh.write(CURVE_HEADER + "\n")
-        d, s, r, length, w = row
-        # repr keeps floats round-trip exact across save/load/resume
-        fh.write(f"{d},{s!r},{r!r},{length!r},{w:.3f}\n")
+        fh.write(_curve_line(row))
         fh.flush()
 
 
@@ -368,7 +328,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     pool_path = os.path.join(cfg.out, "pool.npz")
 
     _, _, env = build_world(cfg)
-    eval_env = DialogueEnv(env.ontology, env.db, cfg.env_config())
+    eval_env = DialogueEnv(env.ontology, env.db, cfg)
     agent = build_agent(cfg, env)
 
     start_ep = 0
@@ -388,7 +348,11 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
                     f"cannot resume {cfg.out}: replay pool {pool_path} is "
                     f"missing")
             agent.pool.load(pool_path)
-        rows = load_curve(curve_path)
+        # a kill after an eval row was appended but before state.json was
+        # replaced leaves rows past the saved state; they are trained again
+        rows = [row for row in load_curve(curve_path) if row[0] <= start_ep]
+        text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
+        replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
     else:
         with open(cfg_path, "w") as fh:
@@ -414,19 +378,16 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     if start_ep == 0:
         eval_point(0)
 
+    def policy(features):
+        return agent.select_action(features, epsilon(cfg.epsilon, schedule_t),
+                                   rng)
+
     for ep in range(start_ep + 1, cfg.dialogues + 1):
         rng = rng_stream(cfg.seed, "train", ep)
         t0 = time.perf_counter()
-        features = env.reset(rng)
         agent.begin_episode()
-        terminal = False
-        while not terminal:
-            eps = epsilon(cfg.epsilon, schedule_t)
-            action = agent.select_action(features, eps, rng)
-            next_features, reward, terminal, success = env.step(action)
-            agent.observe(Transition(features, action, reward, next_features,
-                                     terminal, success), rng)
-            features = next_features
+        for t in rollout(env, policy, rng):
+            agent.observe(t, rng)
             if cfg.epsilon.unit == "transition":
                 schedule_t += 1
         if cfg.epsilon.unit == "dialogue":
@@ -438,9 +399,9 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
             agent.save(ckpt_path)
             if hasattr(agent, "pool"):
                 agent.pool.save(pool_path)
-            with open(state_path, "w") as fh:
-                json.dump({"episodes_done": ep, "schedule_t": schedule_t,
-                           "trained_seconds": trained_seconds}, fh)
+            done = json.dumps({"episodes_done": ep, "schedule_t": schedule_t,
+                               "trained_seconds": trained_seconds})
+            replace_file(state_path, lambda fh: fh.write(done.encode()))
     return rows
 
 
@@ -586,23 +547,19 @@ def chat_session(cfg: ExperimentConfig, checkpoint: str | None = None,
     shadow = (usersim.UserState(goal=declared, cfg=cfg.user)
               if declared else None)
 
-    chat_rng = rng_stream(cfg.seed, "chat")
-    env.begin_manual(chat_rng)
+    env.begin_manual(rng_stream(cfg.seed, "chat"))
 
     say("act syntax: inform(food=italian) | request(phone) | affirm | bye; "
         "empty line = null")
     while True:
-        features = env.features()
-        action = int(policy(features))
-        sys_act = env.realize(action)
+        sys_act = env.realize(int(policy(env.features())))
         say(f"system: {sys_act.render()}")
         if shadow is not None and sys_act.act_type == "offer":
             if usersim.check_hangup(shadow, sys_act):
                 say("note: this offer violates the declared goal")
                 shadow.hung_up = True
             else:
-                usersim._handle_offer(shadow, sys_act)
-                shadow.asked = []
+                usersim.receive_offer(shadow, sys_act)
         line = stdin.readline()
         if line == "":
             break
@@ -619,10 +576,7 @@ def chat_session(cfg: ExperimentConfig, checkpoint: str | None = None,
                 if act.act_type == "request" and act.slot not in shadow.received:
                     if act.slot not in shadow.asked:
                         shadow.asked.append(act.slot)
-        obs = tracker.corrupt(acts, cfg.error, env.ontology, chat_rng)
-        from .environment import context_evidence
-        obs = list(obs) + context_evidence(sys_act, obs)
-        env.belief = tracker.update_belief(env.belief, obs, env.db_count)
+        env.hear(sys_act, acts)
         summary = []
         for slot in env.ontology.constraint_slots:
             items = tracker.top_values(env.belief, slot)

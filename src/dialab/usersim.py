@@ -99,26 +99,22 @@ def _next_outstanding_request(state: UserState) -> str | None:
     return None
 
 
-def _handle_offer(state: UserState, sys: SystemAct) -> list[UserAct]:
+def receive_offer(state: UserState, sys: SystemAct) -> None:
+    """Take in an offer that fits the goal: remember the venue, and count as
+    received the requested slots its surface answers and, for a repeated
+    offer, every slot asked since the last one."""
     record = sys.restaurant
     state.offered = record
     payload = sys.payload or {}
-    # the offer surface itself answers name/constraint requests
     for slot in state.goal.requests:
         if slot == "name":
             state.received[slot] = payload["name"]
         elif slot in payload:
             state.received[slot] = payload[slot]
-    # a repeated offer answers whatever was asked since the last one
     if record is not None:
         for slot in state.asked:
             state.received[slot] = record.slot_value(slot)
     state.asked = []
-    nxt = _next_outstanding_request(state)
-    if nxt is None:
-        return [UserAct("thankyou"), UserAct("bye")]
-    state.asked.append(nxt)
-    return [UserAct("request", slot=nxt)]
 
 
 def respond(state: UserState, sys: SystemAct,
@@ -139,7 +135,13 @@ def respond(state: UserState, sys: SystemAct,
 
     acts: list[UserAct]
     if sys.act_type == "offer":
-        acts = _handle_offer(state, sys)
+        receive_offer(state, sys)
+        nxt = _next_outstanding_request(state)
+        if nxt is None:
+            acts = [UserAct("thankyou"), UserAct("bye")]
+        else:
+            state.asked.append(nxt)
+            acts = [UserAct("request", slot=nxt)]
     elif sys.act_type == "request":
         if sys.slot in goal.constraints:
             _pop_pending_inform(state, sys.slot)

@@ -10,7 +10,7 @@ network evaluates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,32 +130,48 @@ def ddqn_target(rewards: np.ndarray, next_features: np.ndarray,
     return rewards + gamma * (~terminal) * picked
 
 
-@dataclass
-class QAgentConfig:
-    gamma: float = 0.99
+@dataclass(frozen=True)
+class AgentConfig:
+    """Network, replay and pretraining settings of the DQN and actor-critic
+    managers: the ``agent`` section of an experiment config."""
+
+    hidden: tuple = (130, 50)
     minibatch: int = 32
     target_sync: int = 1000          # train steps between target copies
     pool_capacity: int = 50000
     warmup: int = 1000               # transitions stored before training starts
-    double_dqn: bool = False
-    excluded_actions: tuple = ()
-    hidden: tuple = (130, 50)
+    l2: float = 1e-3                 # policy-gradient L2 (actor-critic only)
     rho: float = 0.95
     eps_num: float = 1e-6
+    # actions exploration never draws; None leaves the choice to the
+    # harness (select-* in the original space), an agent reads it as ()
+    excluded: tuple | None = None
+    sup_epochs: int = 20
+    sup_batch: int = 32
+    sup_holdout: float = 0.1
+    batch_sweeps: int = 4            # passes over the corpus pool for batch RL
 
     def __post_init__(self):
         if self.target_sync < 1:
-            raise ValueError("target_sync must be >= 1")
+            raise ValueError(f"target_sync={self.target_sync} must be >= 1")
         if self.minibatch < 1:
-            raise ValueError("minibatch must be >= 1")
+            raise ValueError(f"minibatch={self.minibatch} must be >= 1")
+        if self.l2 < 0:
+            raise ValueError(f"l2={self.l2} must be >= 0")
+        if not 0.0 <= self.sup_holdout < 1.0:
+            raise ValueError(f"sup_holdout={self.sup_holdout} outside [0,1)")
 
 
 class QAgent:
     """Online Q-network plus frozen target copy, replay pool and step counter."""
 
-    def __init__(self, n_features: int, n_actions: int, config: QAgentConfig,
-                 rng: np.random.Generator):
+    def __init__(self, n_features: int, n_actions: int, config: AgentConfig,
+                 rng: np.random.Generator, gamma: float = 0.99,
+                 double_dqn: bool = False):
         self.config = config
+        self.gamma = gamma
+        self.double_dqn = double_dqn
+        self.excluded = tuple(config.excluded or ())
         self.qnet = FeedForwardNet.create(n_features, n_actions,
                                           hidden=config.hidden, head="linear",
                                           rng=rng)
@@ -172,7 +188,7 @@ class QAgent:
     def select_action(self, features: np.ndarray, epsilon: float,
                       rng: np.random.Generator) -> int:
         return select_action_egreedy(self.qnet, features, epsilon,
-                                     self.config.excluded_actions, rng)
+                                     self.excluded, rng)
 
     def eval_action(self, features: np.ndarray) -> int:
         return int(np.argmax(self.qnet.forward(features)))
@@ -187,11 +203,11 @@ class QAgent:
         cfg = self.config
         idx = self.pool.sample_indices(cfg.minibatch, rng)
         feats, actions, rewards, nxt, term = self.pool.batch(idx)
-        if cfg.double_dqn:
+        if self.double_dqn:
             targets = ddqn_target(rewards, nxt, term, self.qnet, self.target,
-                                  cfg.gamma)
+                                  self.gamma)
         else:
-            targets = dqn_target(rewards, nxt, term, self.target, cfg.gamma)
+            targets = dqn_target(rewards, nxt, term, self.target, self.gamma)
         q, acts = self.qnet.forward_train(feats)
         rows = np.arange(len(idx))
         diff = q[rows, actions] - targets

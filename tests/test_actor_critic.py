@@ -4,19 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from dialab.actor_critic import (A2CConfig, ActorCriticAgent,
-                                 LayoutMismatchError, select_action_policy,
-                                 td_advantage)
+from dialab.actor_critic import (ActorCriticAgent, LayoutMismatchError,
+                                 select_action_policy, td_advantage)
 from dialab.environment import Transition
 from dialab.nets import FeedForwardNet, NonFiniteGradientError
+from dialab.value_agents import AgentConfig
 
 RNG = np.random.default_rng
 
 
 def make_agent(n_features=6, n_actions=4, **kw):
-    cfg = A2CConfig(hidden=kw.pop("hidden", (10, 8)),
-                    minibatch=kw.pop("minibatch", 4),
-                    warmup=kw.pop("warmup", 4), **kw)
+    cfg = AgentConfig(hidden=kw.pop("hidden", (10, 8)),
+                      minibatch=kw.pop("minibatch", 4),
+                      warmup=kw.pop("warmup", 4), **kw)
     return ActorCriticAgent(n_features, n_actions, cfg, RNG(0))
 
 
@@ -309,7 +309,7 @@ class TestPretrain:
                                 schedule=BlunderSchedule(((1.0, 0.0),)))
         pairs = to_supervised(built)
         agent = ActorCriticAgent(31, 11,
-                                 A2CConfig(hidden=(48, 32), sup_epochs=12),
+                                 AgentConfig(hidden=(48, 32), sup_epochs=12),
                                  RNG(19))
         from dialab.tracker import feature_names
         stats = agent.pretrain(pairs, [], feature_names("original"),

@@ -7,7 +7,7 @@ import pytest
 from dialab import checkpoint
 from dialab.checkpoint import CheckpointError
 from dialab.environment import Transition
-from dialab.value_agents import QAgent, QAgentConfig, ReplayPool
+from dialab.value_agents import AgentConfig, QAgent, ReplayPool
 
 RNG = np.random.default_rng
 
@@ -19,7 +19,7 @@ def transition(i, dim=4):
 
 
 def q_agent(hidden, seed=0):
-    cfg = QAgentConfig(hidden=hidden, minibatch=4, warmup=4)
+    cfg = AgentConfig(hidden=hidden, minibatch=4, warmup=4)
     return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(seed))
 
 

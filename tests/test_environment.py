@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
 from dialab.environment import (ORIGINAL_ACTIONS, SUMMARY_ACTIONS, DialogueEnv,
-                                EnvConfig, EpisodeStateError,
+                                EnvConfig, EpisodeStateError, Transition,
                                 check_reward_decomposition, minmax_slot,
-                                realize_summary_act, run_episode,
+                                realize_summary_act, rollout, run_episode,
                                 understood_constraints)
 from dialab.ontology import (GoalConfig, UserAct, default_ontology,
                              generate_db)
@@ -207,6 +209,22 @@ class TestEpisodes:
         log = run_episode(env, policy, rng_stream(15, "train", 3))
         assert abs(sum(r.reward for r in log.records) - log.episode_return) \
             <= 1e-12
+
+    @pytest.mark.parametrize("space", ["original", "summary"])
+    def test_rollout_yields_the_logged_transitions(self, space):
+        env = make_env(space, noiseless=False)
+        for i in range(20):
+            def policy():
+                return HandcraftedPolicy(space, p_blunder=0.3,
+                                         rng=np.random.default_rng(i))
+            got = list(rollout(env, policy(), rng_stream(19, "train", i)))
+            want = run_episode(env, policy(),
+                               rng_stream(19, "train", i)).transitions()
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                for f in dataclasses.fields(Transition):
+                    assert np.array_equal(getattr(a, f.name),
+                                          getattr(b, f.name)), (i, f.name)
 
     def test_transitions_align_with_features(self):
         env = make_env()

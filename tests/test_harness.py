@@ -2,18 +2,23 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dialab import cli, harness
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
-from dialab.environment import ORIGINAL_ACTIONS
+from dialab.environment import ORIGINAL_ACTIONS, run_episode
 from dialab.harness import (ComparisonReport, ConfigError, EpsilonSchedule,
                             ExperimentConfig, compare_runs, config_from_dict,
                             config_to_dict, epsilon, evaluate, load_config,
                             load_curve, train_run)
+from dialab.seeding import rng_stream
 from dialab.tracker import ErrorModel
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def smoke_config(tmp_path, algorithm="dqn", **over):
@@ -25,6 +30,14 @@ def smoke_config(tmp_path, algorithm="dqn", **over):
     }
     data.update(over)
     return config_from_dict(data)
+
+
+def assert_same_arrays(path_a, path_b):
+    with np.load(path_a) as a, np.load(path_b) as b:
+        assert sorted(a.files) == sorted(b.files)
+        for key in a.files:
+            assert a[key].dtype == b[key].dtype, (path_a, key)
+            assert np.array_equal(a[key], b[key]), (path_a, key)
 
 
 class TestEpsilonSchedule:
@@ -85,10 +98,19 @@ class TestEvaluate:
         assert evaluate(policy, env, 60, seed=9) == \
             evaluate(policy, env, 60, seed=9)
 
+    def test_matches_means_of_logged_episodes(self):
+        cfg = ExperimentConfig(space="original", seed=4)
+        _, _, env = harness.build_world(cfg)
+        policy = HandcraftedPolicy("original")
+        logs = [run_episode(env, policy, rng_stream(4, "eval", i))
+                for i in range(40)]
+        assert evaluate(policy, env, 40, seed=4) == (
+            float(np.mean([x.success for x in logs])),
+            float(np.mean([x.episode_return for x in logs])),
+            float(np.mean([x.length for x in logs])))
+
     def test_training_stream_untouched_by_evaluation(self):
         # interleaving an evaluation must not change training episodes
-        from dialab.environment import run_episode
-        from dialab.seeding import rng_stream
         cfg = ExperimentConfig(space="original", seed=5)
         _, _, env = harness.build_world(cfg)
         policy = HandcraftedPolicy("original")
@@ -108,6 +130,35 @@ class TestConfig:
     def test_gamma_range_names_the_field(self):
         with pytest.raises(ConfigError, match="gamma=1.5"):
             config_from_dict({"algorithm": "dqn", "gamma": 1.5})
+
+    @pytest.mark.parametrize("key, value", [
+        ("minibatch", 0), ("target_sync", 0), ("l2", -1), ("sup_holdout", 1.5)])
+    def test_bad_agent_value_names_the_field(self, key, value):
+        with pytest.raises(ConfigError,
+                           match=f"bad 'agent' section: {key}={value}"):
+            config_from_dict({"algorithm": "dqn", "agent": {key: value}})
+
+    def test_key_layout_held(self):
+        # the README's JSON layout: these sections and keys, no others
+        data = config_to_dict(config_from_dict({}))
+        assert sorted(data) == [
+            "agent", "algorithm", "db_size", "dialogues", "epsilon", "error",
+            "eval_episodes", "eval_period", "failure_reward", "gamma", "goals",
+            "gp", "max_turns", "out", "pretrain", "seed", "space",
+            "success_reward", "turn_penalty", "user"]
+        assert {k: sorted(v) for k, v in data.items()
+                if isinstance(v, dict)} == {
+            "agent": ["batch_sweeps", "eps_num", "excluded", "hidden", "l2",
+                      "minibatch", "pool_capacity", "rho", "sup_batch",
+                      "sup_epochs", "sup_holdout", "target_sync", "warmup"],
+            "epsilon": ["floor", "mode", "rate", "start", "unit"],
+            "error": ["concentration", "nbest_size", "p_confuse", "p_drop"],
+            "goals": ["constraint_probs", "request_count_weights",
+                      "satisfiable_frac"],
+            "gp": ["length_scale", "max_dictionary", "noise_var", "nu",
+                   "signal_var"],
+            "pretrain": ["corpus", "mode"],
+            "user": ["p_multi_act", "p_null"]}
 
     def test_roundtrip(self):
         cfg = config_from_dict({"algorithm": "ddqn", "seed": 11,
@@ -190,13 +241,43 @@ class TestTrainRun:
         for name in ("checkpoint.npz", "pool.npz"):
             full, half = tmp_path / "full" / name, tmp_path / "half" / name
             assert full.exists() == half.exists()
-            if not full.exists():
-                continue
-            with np.load(full) as a, np.load(half) as b:
-                assert sorted(a.files) == sorted(b.files)
-                for key in a.files:
-                    assert a[key].dtype == b[key].dtype, (name, key)
-                    assert np.array_equal(a[key], b[key]), (name, key)
+            if full.exists():
+                assert_same_arrays(full, half)
+
+    def test_resume_after_kill_inside_checkpoint_write(self, tmp_path):
+        # killed after the dialogue-40 eval row reached curve.csv, while the
+        # new checkpoint was still a temporary file: state.json says 20
+        killed = smoke_config(tmp_path, out=str(tmp_path / "killed"))
+        code = """
+import json, os, sys
+from dialab import harness
+replace, checkpoints = os.replace, []
+def replace_or_die(src, dst):
+    if dst.endswith("checkpoint.npz"):
+        checkpoints.append(dst)
+        if len(checkpoints) == 2:
+            os._exit(9)
+    replace(src, dst)
+os.replace = replace_or_die
+harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
+"""
+        paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(config_to_dict(killed))],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 9, proc.stderr
+        curve = os.path.join(killed.out, "curve.csv")
+        assert [row[0] for row in load_curve(curve)] == [0, 20, 40]
+
+        resumed = train_run(killed, resume=True)
+        fresh_cfg = smoke_config(tmp_path, out=str(tmp_path / "fresh"))
+        fresh = [row[:4] for row in train_run(fresh_cfg)]
+        assert [row[:4] for row in resumed] == fresh
+        assert [row[:4] for row in load_curve(curve)] == fresh
+        assert_same_arrays(os.path.join(killed.out, "checkpoint.npz"),
+                           os.path.join(fresh_cfg.out, "checkpoint.npz"))
 
     def test_resume_refuses_missing_pool(self, tmp_path):
         # resuming with an empty pool ended at success 0.0 instead of 0.8
@@ -306,7 +387,19 @@ class TestChat:
                  "inform(pricerange=cheap)"] + ["request(phone)"] + [""] * 10
         verdict, transcript = self.chat(
             tmp_path, lines, goal="area=north food=thai pricerange=cheap phone")
-        assert "verdict" in transcript
+        assert verdict is True
+        assert "verdict: success" in transcript
+
+    def test_goal_verdict_offer_against_declared_goal(self, tmp_path):
+        # the operator's area=south contradicts the declared area=north, so
+        # the offer built from the belief violates the goal
+        lines = ["inform(area=south)", "inform(food=thai)",
+                 "inform(pricerange=cheap)"] + ["request(phone)"] + [""] * 10
+        verdict, transcript = self.chat(
+            tmp_path, lines, goal="area=north food=thai pricerange=cheap phone")
+        assert "note: this offer violates the declared goal" in transcript
+        assert verdict is False
+        assert "verdict: failure" in transcript
 
     def test_ends_on_bye(self, tmp_path):
         _, transcript = self.chat(tmp_path, ["bye"])
@@ -318,6 +411,19 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"algorithm": "nope"}))
         assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("setting", [
+        "agent.minibatch=0", "agent.l2=-1", "agent.sup_holdout=1.5"])
+    def test_bad_agent_value_exits_before_the_run_starts(self, tmp_path,
+                                                         capsys, setting):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "dqn", "dialogues": 2,
+                                    "eval_period": 1, "eval_episodes": 1}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out),
+                         "--set", setting]) == cli.EXIT_CONFIG
+        assert "bad 'agent' section" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_and_evaluate_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dialab import nets
-from dialab.actor_critic import A2CConfig, ActorCriticAgent
+from dialab.actor_critic import ActorCriticAgent
 from dialab.nets import (AdadeltaState, FeedForwardNet, NonFiniteGradientError,
                          ShapeError, adadelta_step, clone_net, copy_params,
                          cross_entropy_loss, finite_difference_grads,
                          l2_penalty, log_policy_gradient, mse_loss, softmax)
+from dialab.value_agents import AgentConfig
 
 RNG = np.random.default_rng
 
@@ -166,7 +167,7 @@ class TestLosses:
         assert np.isfinite(loss) and loss > 20
         assert clamped
         # the actor-critic agent owns the count, one per clamped example
-        agent = ActorCriticAgent(4, 3, A2CConfig(hidden=(5,)), RNG(0))
+        agent = ActorCriticAgent(4, 3, AgentConfig(hidden=(5,)), RNG(0))
         agent.policy.biases[-1][:] = [1e4, 0.0, -1e4]
         agent.supervised_step(np.zeros((2, 4)), np.array([0, 2]))
         assert agent.clamp_count == 1

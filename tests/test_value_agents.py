@@ -4,7 +4,7 @@ from scipy import stats as scipy_stats
 
 from dialab.environment import Transition
 from dialab.nets import FeedForwardNet
-from dialab.value_agents import (PoolTooSmall, QAgent, QAgentConfig,
+from dialab.value_agents import (AgentConfig, PoolTooSmall, QAgent,
                                  ReplayPool, ddqn_target, dqn_target,
                                  select_action_egreedy)
 
@@ -170,8 +170,8 @@ class TestTargets:
 
 class TestTrainStep:
     def make_agent(self, **kw):
-        cfg = QAgentConfig(hidden=(8, 6), minibatch=kw.pop("minibatch", 4),
-                           warmup=kw.pop("warmup", 4), **kw)
+        cfg = AgentConfig(hidden=(8, 6), minibatch=kw.pop("minibatch", 4),
+                          warmup=kw.pop("warmup", 4), **kw)
         return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(8))
 
     def test_target_agrees_after_sync(self):
