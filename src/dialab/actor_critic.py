@@ -196,11 +196,14 @@ class ActorCriticAgent:
                                   value=self.value.state(),
                                   value_target=self.value_target.state(),
                                   policy_opt=self.policy_opt.state(),
-                                  value_opt=self.value_opt.state())
+                                  value_opt=self.value_opt.state(),
+                                  pool=self.pool.state())
 
-    def save(self, path: str) -> None:
-        checkpoint.save(path, "actor-critic", self.state())
+    def save(self, path: str, **run) -> None:
+        checkpoint.save(path, "actor-critic", self.state(), **run)
 
-    def load(self, path: str) -> None:
-        loaded = checkpoint.load(path, "actor-critic", self.state())
+    def load(self, path: str, *run: str) -> dict:
+        loaded = checkpoint.load(path, "actor-critic", self.state(), *run)
         self.value_steps = loaded.counters["value_steps"]
+        self.pool.restore(loaded, "pool.")
+        return loaded.counters

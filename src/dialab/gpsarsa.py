@@ -269,11 +269,13 @@ class GPSarsaAgent:
         state.spec["gamma"] = self.gamma
         return state
 
-    def save(self, path: str) -> None:
-        checkpoint.save(path, "gpsarsa", self.state())
+    def save(self, path: str, **run) -> None:
+        checkpoint.save(path, "gpsarsa", self.state(), **run)
 
-    def load(self, path: str) -> None:
-        loaded = checkpoint.load(path, "gpsarsa", self.state())
+    def load(self, path: str, *run: str) -> dict:
+        loaded = checkpoint.load(path, "gpsarsa", self.state(), *run)
         for name, value in {**loaded.arrays, **loaded.counters}.items():
-            setattr(self.gp, name, value)
+            if name not in run:
+                setattr(self.gp, name, value)
         self.gp._coeffs = None
+        return loaded.counters

@@ -312,7 +312,8 @@ def load_curve(path: str) -> list[tuple]:
 
 def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     """Train one (algorithm, seed) run, evaluating every eval_period
-    dialogues and appending curve rows incrementally. Returns the rows."""
+    dialogues: each eval point appends a curve row, then replaces the
+    run's one snapshot, ``checkpoint.npz``. Returns the rows."""
     if cfg.out is None:
         raise ConfigError("config needs an 'out' directory for training")
     if cfg.algorithm == "tda2c" and cfg.pretrain.mode not in (
@@ -321,11 +322,15 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     if cfg.pretrain.mode != "none" and cfg.algorithm not in ("da2c", "tda2c"):
         raise ConfigError("pretraining applies to the actor-critic algorithms")
     os.makedirs(cfg.out, exist_ok=True)
-    cfg_path = os.path.join(cfg.out, "config.json")
     curve_path = os.path.join(cfg.out, "curve.csv")
-    state_path = os.path.join(cfg.out, "state.json")
     ckpt_path = os.path.join(cfg.out, "checkpoint.npz")
-    pool_path = os.path.join(cfg.out, "pool.npz")
+    resuming = resume and os.path.exists(ckpt_path)
+    for name in os.listdir(cfg.out):
+        # a killed write's temporary file; on a fresh run also an earlier
+        # run's curve and snapshot, in either file layout
+        if name.endswith(".tmp") or not resuming and name in (
+                "curve.csv", "checkpoint.npz", "pool.npz", "state.json"):
+            os.remove(os.path.join(cfg.out, name))
 
     _, _, env = build_world(cfg)
     eval_env = DialogueEnv(env.ontology, env.db, cfg)
@@ -335,34 +340,24 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     schedule_t = 0
     trained_seconds = 0.0
     rows: list[tuple] = []
-    if resume and os.path.exists(state_path):
-        with open(state_path) as fh:
-            state = json.load(fh)
-        start_ep = state["episodes_done"]
-        schedule_t = state["schedule_t"]
-        trained_seconds = state.get("trained_seconds", 0.0)
-        agent.load(ckpt_path)
-        if hasattr(agent, "pool"):
-            if not os.path.exists(pool_path):
-                raise FileNotFoundError(
-                    f"cannot resume {cfg.out}: replay pool {pool_path} is "
-                    f"missing")
-            agent.pool.load(pool_path)
-        # a kill after an eval row was appended but before state.json was
-        # replaced leaves rows past the saved state; they are trained again
+    if resuming:
+        run = agent.load(ckpt_path, "episodes_done", "schedule_t")
+        start_ep, schedule_t = run["episodes_done"], run["schedule_t"]
+        # a kill after an eval row was appended but before the snapshot was
+        # replaced leaves rows past it; they are trained again
         rows = [row for row in load_curve(curve_path) if row[0] <= start_ep]
+        if not rows or rows[-1][0] != start_ep:
+            raise ValueError(f"{curve_path}: no row at dialogue {start_ep}")
+        trained_seconds = rows[-1][4]
         text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
         replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
     else:
-        with open(cfg_path, "w") as fh:
+        with open(os.path.join(cfg.out, "config.json"), "w") as fh:
             json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         with open(os.path.join(cfg.out, "layout.json"), "w") as fh:
             json.dump({"space": cfg.space,
                        "feature_names": tracker.feature_names(cfg.space)}, fh)
-        for path in (curve_path, state_path):
-            if os.path.exists(path):
-                os.remove(path)
         if cfg.algorithm == "tda2c" or cfg.pretrain.mode != "none":
             run_pretraining(cfg, env, agent)
 
@@ -373,7 +368,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
                trained_seconds)
         append_curve_row(curve_path, row)
         rows.append(row)
-        return row
 
     if start_ep == 0:
         eval_point(0)
@@ -396,12 +390,8 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
 
         if ep % cfg.eval_period == 0 or ep == cfg.dialogues:
             eval_point(ep)
-            agent.save(ckpt_path)
-            if hasattr(agent, "pool"):
-                agent.pool.save(pool_path)
-            done = json.dumps({"episodes_done": ep, "schedule_t": schedule_t,
-                               "trained_seconds": trained_seconds})
-            replace_file(state_path, lambda fh: fh.write(done.encode()))
+            # the run's one commit point: learner state and run counters
+            agent.save(ckpt_path, episodes_done=ep, schedule_t=schedule_t)
     return rows
 
 

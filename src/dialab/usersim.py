@@ -142,38 +142,22 @@ def respond(state: UserState, sys: SystemAct,
         else:
             state.asked.append(nxt)
             acts = [UserAct("request", slot=nxt)]
-    elif sys.act_type == "request":
-        if sys.slot in goal.constraints:
+    elif sys.act_type in ("request", "expl-conf", "select"):
+        if sys.slot not in goal.constraints:
+            acts = [UserAct("negate")]
+            pend = _pop_pending_inform(state)
+            if pend is not None:
+                acts.append(pend)
+        elif (sys.act_type == "expl-conf"
+              and sys.value == goal.constraints[sys.slot]):
+            acts = [UserAct("affirm")]
+        else:
+            # the goal's value, after a negate when it corrects a confirm
             _pop_pending_inform(state, sys.slot)
-            acts = [UserAct("inform", slot=sys.slot, value=goal.constraints[sys.slot])]
-        else:
-            acts = [UserAct("negate")]
-            pend = _pop_pending_inform(state)
-            if pend is not None:
-                acts.append(pend)
-    elif sys.act_type == "expl-conf":
-        if sys.slot in goal.constraints:
-            if sys.value == goal.constraints[sys.slot]:
-                acts = [UserAct("affirm")]
-            else:
-                _pop_pending_inform(state, sys.slot)
-                acts = [UserAct("negate"),
-                        UserAct("inform", slot=sys.slot,
-                                value=goal.constraints[sys.slot])]
-        else:
-            acts = [UserAct("negate")]
-            pend = _pop_pending_inform(state)
-            if pend is not None:
-                acts.append(pend)
-    elif sys.act_type == "select":
-        if sys.slot in goal.constraints:
-            _pop_pending_inform(state, sys.slot)
-            acts = [UserAct("inform", slot=sys.slot, value=goal.constraints[sys.slot])]
-        else:
-            acts = [UserAct("negate")]
-            pend = _pop_pending_inform(state)
-            if pend is not None:
-                acts.append(pend)
+            acts = [UserAct("inform", slot=sys.slot,
+                            value=goal.constraints[sys.slot])]
+            if sys.act_type == "expl-conf":
+                acts.insert(0, UserAct("negate"))
     elif sys.act_type == "repeat":
         acts = list(state.last_acts) if state.last_acts else [UserAct("null")]
     elif sys.act_type == "cannothelp":

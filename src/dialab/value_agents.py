@@ -72,20 +72,29 @@ class ReplayPool:
                            bool(self._terminal[i]), False)
                 for i in range(self._size)]
 
+    FIELDS = ("features", "next_features", "actions", "rewards", "terminal")
+
     def state(self) -> checkpoint.State:
+        """The filled rows, as views, with the counters."""
+        arrays = {k: getattr(self, f"_{k}")[:self._size] for k in self.FIELDS}
         return checkpoint.State(
-            {"features": self._features, "next_features": self._next_features,
-             "actions": self._actions, "rewards": self._rewards,
-             "terminal": self._terminal},
-            spec={"capacity": self.capacity},
-            counters={"size": self._size, "cursor": self._cursor})
+            arrays, spec={"capacity": self.capacity},
+            counters={"size": self._size, "cursor": self._cursor},
+            shapes={k: ("size", *a.shape[1:]) for k, a in arrays.items()})
+
+    def restore(self, loaded: checkpoint.State, prefix: str = "") -> None:
+        """Take the counters of a loaded state and copy its rows into the
+        preallocated arrays; ``prefix`` picks the pool out of an agent's."""
+        self._size = loaded.counters[prefix + "size"]
+        self._cursor = loaded.counters[prefix + "cursor"]
+        for k in self.FIELDS:
+            getattr(self, f"_{k}")[:self._size] = loaded.arrays[prefix + k]
 
     def save(self, path: str) -> None:
         checkpoint.save(path, "replay-pool", self.state())
 
     def load(self, path: str) -> None:
-        counters = checkpoint.load(path, "replay-pool", self.state()).counters
-        self._size, self._cursor = counters["size"], counters["cursor"]
+        self.restore(checkpoint.load(path, "replay-pool", self.state()))
 
 
 @functools.lru_cache(maxsize=64)
@@ -227,11 +236,14 @@ class QAgent:
         return checkpoint.compose({"train_steps": self.train_steps},
                                   q=self.qnet.state(),
                                   target=self.target.state(),
-                                  opt=self.opt.state())
+                                  opt=self.opt.state(),
+                                  pool=self.pool.state())
 
-    def save(self, path: str) -> None:
-        checkpoint.save(path, "qagent", self.state())
+    def save(self, path: str, **run) -> None:
+        checkpoint.save(path, "qagent", self.state(), **run)
 
-    def load(self, path: str) -> None:
-        loaded = checkpoint.load(path, "qagent", self.state())
+    def load(self, path: str, *run: str) -> dict:
+        loaded = checkpoint.load(path, "qagent", self.state(), *run)
         self.train_steps = loaded.counters["train_steps"]
+        self.pool.restore(loaded, "pool.")
+        return loaded.counters

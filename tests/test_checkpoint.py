@@ -33,6 +33,40 @@ def test_pool_capacity_mismatch_fails_naming_both(tmp_path):
         ReplayPool(capacity=4, n_features=4).load(path)
 
 
+def test_pool_writes_only_the_filled_rows(tmp_path):
+    pool = ReplayPool(capacity=8, n_features=4)
+    pool.extend([transition(i) for i in range(3)])
+    path = str(tmp_path / "pool.npz")
+    pool.save(path)
+    with np.load(path) as data:
+        assert data["features"].shape == (3, 4)
+        assert data["terminal"].shape == (3,)
+    restored = ReplayPool(capacity=8, n_features=4)
+    restored.extend([transition(i) for i in range(10, 15)])
+    restored.load(path)
+    assert len(restored) == 3
+    for mine, theirs in zip(restored.batch(np.arange(3)),
+                            pool.batch(np.arange(3))):
+        assert np.array_equal(mine, theirs)
+    # the next transition goes to the saved write position
+    restored.add(transition(3))
+    pool.add(transition(3))
+    assert np.array_equal(restored.batch(np.arange(4))[0],
+                          pool.batch(np.arange(4))[0])
+
+
+def test_pool_row_count_must_equal_size(tmp_path):
+    pool = ReplayPool(capacity=8, n_features=4)
+    pool.extend([transition(i) for i in range(3)])
+    state = pool.state()
+    state.counters["size"] = 4
+    path = str(tmp_path / "pool.npz")
+    checkpoint.save(path, "replay-pool", state)
+    with pytest.raises(CheckpointError, match="has shape \\(3, 4\\), "
+                       "expected \\('size', 4\\), where {'size': 4}"):
+        ReplayPool(capacity=8, n_features=4).load(path)
+
+
 def test_architecture_mismatch_fails(tmp_path):
     # a (8, 1) net's arrays would broadcast into an (8, 6) net
     path = str(tmp_path / "agent.npz")
@@ -88,7 +122,7 @@ def test_per_layer_v2_arrays_load_into_flat_parameters(tmp_path):
     rng = RNG(5)
     arrays = {name: rng.normal(size=a.shape) for name, a in state.arrays.items()}
     meta = json.dumps({"format": "dialab", "version": 2, "kind": "qagent",
-                       **state.spec, "train_steps": 7})
+                       **state.spec, **state.counters, "train_steps": 7})
     path = str(tmp_path / "v2.npz")
     np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
              **arrays)

@@ -1,10 +1,11 @@
 """Fixed-seed golden runs: the learners' curves and saved state, bit for bit.
 
-Each short run's curve rows (without wall-clock) are compared by ``repr`` and
-its final checkpoint by a digest of every array, against values recorded
-before the flat-parameter nets landed. A refactor that is meant to keep
-behaviour must keep these; a change that moves them on purpose says why and
-records new values.
+Each short run's curve rows (without wall-clock) are compared by ``repr``,
+against values recorded before the flat-parameter nets landed, and its final
+snapshot by a digest of every array and the ``__meta__`` record, recorded
+when the snapshot took in the replay pool and the run counters. A refactor
+that is meant to keep behaviour must keep these; a change that moves them on
+purpose says why and records new values.
 """
 
 import hashlib
@@ -23,19 +24,19 @@ GOLDEN = {
     "dqn": ([(0, 0.0, -1.0299999999999998, 1.0),
              (20, 0.0, -1.9000000000000008, 30.0),
              (40, 0.8, -0.018000000000000328, 20.6)],
-            "4b3dcc659cfb0c6066c8a317b7d7a2f3bf0be71d9fc9f1e9f0a2d9274f28e5c8"),
+            "05be49227b72eb09533c8c81716ba3afd07c93488bae8cd9a630ee4cdc76a889"),
     "da2c": ([(0, 0.0, -1.0299999999999998, 1.0),
               (20, 0.4, -0.6560000000000002, 15.2),
               (40, 0.0, -1.0630000000000002, 2.1)],
-             "040048ef84dc19b72be46761a0c2d5c15426b14fc90557e2cec6733feb4db9ee"),
+             "8e2d26addbf8c8c04a92735de8ff454057c7d47d761e06896943ce6845f4e08d"),
     "tda2c": ([(0, 0.0, -1.0299999999999998, 1.0),
                (20, 0.0, -1.0630000000000002, 2.1),
                (40, 0.7, 0.259, 4.7)],
-              "1506c832c5e5625f27746de8f4edb74cd969fca0cae2497e827012bd1396ab75"),
+              "1e00b11698590c48b76cf87f94aca35c84d98b03ff7370667f7334b8623b40fe"),
     "gpsarsa": ([(0, 0.0, -1.9000000000000006, 30.0),
                  (20, 0.75, 0.0574999999999998, 14.75),
                  (40, 0.75, 0.20749999999999993, 9.75)],
-                "e6ea5ecfd571cabb4e2b197981eb62fe2c5a393716755c1126054454175e03fa"),
+                "0d97210d0323484ee2e51c1f6781fcd32a0092b5f7db90d8e8c7ba447331a8e8"),
 }
 
 

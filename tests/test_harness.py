@@ -1,3 +1,5 @@
+import dataclasses
+import glob
 import io
 import json
 import math
@@ -8,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from dialab import cli, harness
+from dialab import checkpoint, cli, harness
+from dialab.checkpoint import CheckpointError
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
 from dialab.environment import ORIGINAL_ACTIONS, run_episode
 from dialab.harness import (ComparisonReport, ConfigError, EpsilonSchedule,
@@ -30,6 +33,52 @@ def smoke_config(tmp_path, algorithm="dqn", **over):
     }
     data.update(over)
     return config_from_dict(data)
+
+
+# code run before train_run in a subprocess, exiting with 9 at one point of
+# the dialogue-40 snapshot: after its curve row is appended, halfway through
+# writing its temporary file, when replacing it, and right after replacing it
+KILL_POINTS = {
+    "after-row": """
+append = harness.append_curve_row
+def append_or_die(path, row):
+    append(path, row)
+    if row[0] == 40:
+        os._exit(9)
+harness.append_curve_row = append_or_die
+""",
+    "partial-write": """
+savez, saves = np.savez, []
+def savez_or_die(fh, **arrays):
+    saves.append(fh)
+    if len(saves) == 2:
+        fh.write(b"partial")
+        fh.flush()
+        os._exit(9)
+    savez(fh, **arrays)
+np.savez = savez_or_die
+""",
+    "at-replace": """
+replace, checkpoints = os.replace, []
+def replace_or_die(src, dst):
+    if dst.endswith("checkpoint.npz"):
+        checkpoints.append(dst)
+        if len(checkpoints) == 2:
+            os._exit(9)
+    replace(src, dst)
+os.replace = replace_or_die
+""",
+    "after-replace": """
+replace, checkpoints = os.replace, []
+def replace_then_die(src, dst):
+    replace(src, dst)
+    if dst.endswith("checkpoint.npz"):
+        checkpoints.append(dst)
+        if len(checkpoints) == 2:
+            os._exit(9)
+os.replace = replace_then_die
+""",
+}
 
 
 def assert_same_arrays(path_a, path_b):
@@ -244,21 +293,17 @@ class TestTrainRun:
             if full.exists():
                 assert_same_arrays(full, half)
 
-    def test_resume_after_kill_inside_checkpoint_write(self, tmp_path):
-        # killed after the dialogue-40 eval row reached curve.csv, while the
-        # new checkpoint was still a temporary file: state.json says 20
+    @pytest.mark.parametrize("kill", sorted(KILL_POINTS))
+    def test_resume_after_kill_inside_checkpoint_write(self, tmp_path, kill):
+        # killed around the dialogue-40 eval point, after its row reached
+        # curve.csv: the snapshot on disk is dialogue 20's, or with
+        # "after-replace" dialogue 40's
         killed = smoke_config(tmp_path, out=str(tmp_path / "killed"))
-        code = """
+        code = f"""
 import json, os, sys
+import numpy as np
 from dialab import harness
-replace, checkpoints = os.replace, []
-def replace_or_die(src, dst):
-    if dst.endswith("checkpoint.npz"):
-        checkpoints.append(dst)
-        if len(checkpoints) == 2:
-            os._exit(9)
-    replace(src, dst)
-os.replace = replace_or_die
+{KILL_POINTS[kill]}
 harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
 """
         paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
@@ -270,6 +315,9 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         assert proc.returncode == 9, proc.stderr
         curve = os.path.join(killed.out, "curve.csv")
         assert [row[0] for row in load_curve(curve)] == [0, 20, 40]
+        temporary = os.path.join(killed.out, "*.tmp")
+        assert bool(glob.glob(temporary)) == (kill in ("at-replace",
+                                                       "partial-write"))
 
         resumed = train_run(killed, resume=True)
         fresh_cfg = smoke_config(tmp_path, out=str(tmp_path / "fresh"))
@@ -278,14 +326,57 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         assert [row[:4] for row in load_curve(curve)] == fresh
         assert_same_arrays(os.path.join(killed.out, "checkpoint.npz"),
                            os.path.join(fresh_cfg.out, "checkpoint.npz"))
+        assert not glob.glob(temporary)
 
-    def test_resume_refuses_missing_pool(self, tmp_path):
-        # resuming with an empty pool ended at success 0.0 instead of 0.8
-        train_run(smoke_config(tmp_path, dialogues=20))
-        pool = tmp_path / "dqn-run" / "pool.npz"
-        pool.unlink()
-        with pytest.raises(FileNotFoundError, match=str(pool)):
+    def test_resume_refuses_parent_layout_checkpoint(self, tmp_path):
+        # the older layout kept the pool and the run counters in pool.npz
+        # and state.json; its agent-only checkpoint.npz cannot be resumed
+        cfg = smoke_config(tmp_path, dialogues=20)
+        train_run(cfg)
+        agent = harness.build_agent(cfg, harness.build_world(cfg)[2])
+        old = checkpoint.compose({"train_steps": 0}, q=agent.qnet.state(),
+                                 target=agent.target.state(),
+                                 opt=agent.opt.state())
+        checkpoint.save(os.path.join(cfg.out, "checkpoint.npz"), "qagent",
+                        old)
+        with pytest.raises(CheckpointError, match="pool.capacity"):
             train_run(smoke_config(tmp_path, dialogues=40), resume=True)
+
+    @pytest.mark.parametrize("algorithm", ["dqn", "gpsarsa"])
+    def test_resume_refuses_checkpoint_without_run_counters(self, tmp_path,
+                                                            algorithm):
+        # an agent file without run counters, as `dialab pretrain --out`
+        # writes for the actor-critic agents
+        cfg = smoke_config(tmp_path, algorithm=algorithm, dialogues=20)
+        train_run(cfg)
+        harness.build_agent(cfg, harness.build_world(cfg)[2]).save(
+            os.path.join(cfg.out, "checkpoint.npz"))
+        with pytest.raises(CheckpointError, match="episodes_done"):
+            train_run(dataclasses.replace(cfg, dialogues=40), resume=True)
+
+    def test_finished_run_directory_holds_one_snapshot(self, tmp_path):
+        cfg = smoke_config(tmp_path)
+        train_run(cfg)
+        assert sorted(os.listdir(cfg.out)) == [
+            "checkpoint.npz", "config.json", "curve.csv", "layout.json"]
+
+    def test_fresh_run_clears_the_previous_snapshot(self, tmp_path,
+                                                    monkeypatch):
+        # a fresh run killed before its first eval point must not leave
+        # another run's snapshot for a later --resume to load
+        cfg = smoke_config(tmp_path, dialogues=20)
+        train_run(cfg)
+        for name in ("pool.npz", "state.json", "checkpoint.npz.123.tmp"):
+            (tmp_path / "dqn-run" / name).write_bytes(b"stale")
+
+        def killed(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(harness, "evaluate", killed)
+        with pytest.raises(KeyboardInterrupt):
+            train_run(cfg)
+        assert sorted(os.listdir(cfg.out)) == ["config.json", "layout.json"]
+        monkeypatch.undo()
+        assert [row[0] for row in train_run(cfg, resume=True)] == [0, 20]
 
     def test_config_serialized_verbatim(self, tmp_path):
         cfg = smoke_config(tmp_path)
@@ -438,6 +529,23 @@ class TestCli:
                          "handcrafted", "--episodes", "5"]) == 0
         text = capsys.readouterr().out
         assert "success_rate=" in text
+
+    def test_evaluate_a_training_snapshot(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": "dqn", "space": "original", "seed": 3,
+            "dialogues": 30, "eval_period": 15, "eval_episodes": 6,
+            "agent": {"hidden": [12, 8], "warmup": 20}}))
+        out = str(tmp_path / "run")
+        assert cli.main(["train", "--config", str(path), "--out", out]) == 0
+        assert cli.main(["evaluate", "--config", str(path), "--policy",
+                         "agent", "--checkpoint",
+                         os.path.join(out, "checkpoint.npz"),
+                         "--episodes", "6"]) == 0
+        text = capsys.readouterr().out
+        # the final curve row was evaluated on the same stream
+        final = load_curve(os.path.join(out, "curve.csv"))[-1]
+        assert f"success_rate={final[1]:.4f}" in text
 
     def test_pretrain_then_evaluate_extensionless_checkpoint(self, tmp_path,
                                                              capsys):
