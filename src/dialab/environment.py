@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import tracker, usersim
-from .ontology import (CONSTRAINT_SLOTS, GoalConfig, Ontology, Restaurant,
+from .ontology import (CONSTRAINT_SLOTS, GoalConfig, Ontology, RestaurantDB,
                        SystemAct, UserAct, query, sample_goal)
 from .tracker import BeliefState, ErrorModel
 from .usersim import UserConfig
@@ -173,7 +173,7 @@ def _slot_options(belief: BeliefState, ontology: Ontology,
 
 
 def make_offer(belief: BeliefState, ontology: Ontology,
-               db: Sequence[Restaurant]) -> tuple[SystemAct | None, int]:
+               db: RestaurantDB) -> tuple[SystemAct | None, int]:
     """Query with the understood constraints; offer the first match.
 
     Returns (act, result_count); act is None when nothing matches and the
@@ -191,7 +191,7 @@ def make_offer(belief: BeliefState, ontology: Ontology,
 
 def realize_summary_act(act_type: str, belief: BeliefState,
                         ontology: Ontology,
-                        db: Sequence[Restaurant]) -> tuple[SystemAct, int | None]:
+                        db: RestaurantDB) -> tuple[SystemAct, int | None]:
     """Attach slot/value/payload to a summary act type.
 
     Returns the realized act and, for acts that queried the database, the
@@ -221,7 +221,7 @@ def realize_summary_act(act_type: str, belief: BeliefState,
 
 
 def realize_original_act(name: str, belief: BeliefState, ontology: Ontology,
-                         db: Sequence[Restaurant]) -> tuple[SystemAct, int | None]:
+                         db: RestaurantDB) -> tuple[SystemAct, int | None]:
     if name == "offer":
         act, count = make_offer(belief, ontology, db)
         if act is None:
@@ -259,7 +259,7 @@ def context_evidence(sys: SystemAct, obs) -> list:
 class DialogueEnv:
     """Goal-driven episodic environment; one instance per training loop."""
 
-    def __init__(self, ontology: Ontology, db: Sequence[Restaurant],
+    def __init__(self, ontology: Ontology, db: RestaurantDB,
                  config: EnvConfig):
         self.ontology = ontology
         self.db = db

@@ -13,6 +13,14 @@ measurement of the dictionary values,
 with off-dictionary points replaced by their kernel-space projections. The
 posterior over dictionary values is then maintained exactly with rank-one
 updates, so with nu -> 0 the model reproduces dense GP regression.
+
+No piece of that work is done twice while the dictionary stays the same.
+The rank-one update is applied to ``Sigma`` in place. A transition's next
+point is the following transition's current point, so the last projection
+is kept and reused, and the kernel row that ``q_values`` computes for a
+point is reused when that point is projected. Both are dropped, with the
+per-action index arrays, whenever a point is admitted or a checkpoint is
+loaded; the dictionary changes in no other way.
 """
 
 from __future__ import annotations
@@ -68,9 +76,20 @@ class SparseGP:
         self.Kinv = np.zeros((0, 0))
         self.mu = np.zeros(0)
         self.Sigma = np.zeros((0, 0))
-        self._coeffs: np.ndarray | None = np.zeros(0)
         self.alarmed = False
         self.updates = 0
+        self.forget()
+
+    def forget(self) -> None:
+        """Drop everything derived from the dictionary; it changes only when
+        a point is admitted or a checkpoint is loaded."""
+        self._coeffs: np.ndarray | None = None
+        # (size, features) -> kernel row of the last q_values query
+        self._row: tuple | None = None
+        # (size, action, features) -> projection of the last _phi miss
+        self._proj: tuple | None = None
+        self._action_index = [np.flatnonzero(self.points_a == a)
+                              for a in range(self.n_actions)]
 
     # -- kernel vectors ------------------------------------------------------
 
@@ -80,7 +99,12 @@ class SparseGP:
     def k_vec(self, b: np.ndarray, a: int) -> np.ndarray:
         if len(self) == 0:
             return np.zeros(0)
-        return self._base_similarity(b) * (self.points_a == a)
+        b = np.asarray(b, dtype=float)
+        if self._row is not None and self._row[0] == (len(self), b.tobytes()):
+            base = self._row[1]
+        else:
+            base = self._base_similarity(b)
+        return base * (self.points_a == a)
 
     def _base_similarity(self, b: np.ndarray) -> np.ndarray:
         d2 = np.sum((self.points_b - b) ** 2, axis=1)
@@ -103,7 +127,9 @@ class SparseGP:
         return residual > self.nu, residual, coeffs
 
     def _admit(self, b: np.ndarray, a: int, coeffs: np.ndarray,
-               residual: float) -> None:
+               residual: float) -> bool:
+        """Add (b, a) to the dictionary; False, with a warning the first
+        time, when the dictionary is full."""
         n = len(self)
         if n >= self.max_dictionary:
             if not self.alarmed:
@@ -111,7 +137,7 @@ class SparseGP:
                 log.warning("GP dictionary reached its cap of %d points; "
                             "further points are projected, not admitted",
                             self.max_dictionary)
-            return
+            return False
         b = np.asarray(b, dtype=float)
         if n == 0:
             self.points_b = b[None, :]
@@ -120,7 +146,8 @@ class SparseGP:
             self.Kinv = np.array([[1.0 / kpp]])
             self.mu = np.zeros(1)
             self.Sigma = np.array([[kpp]])
-            return
+            self.forget()
+            return True
         delta = residual + self.jitter
         self.points_b = np.vstack([self.points_b, b[None, :]])
         self.points_a = np.append(self.points_a, a)
@@ -141,22 +168,26 @@ class SparseGP:
         newSigma[n, n] = var_new
         self.Sigma = newSigma
         self.mu = np.append(self.mu, mu_new)
+        self.forget()
+        return True
 
     def _phi(self, b: np.ndarray, a: int) -> np.ndarray:
         """Projection of a point onto the dictionary, admitting it first when
-        its residual exceeds nu."""
+        its residual exceeds nu.
+
+        A transition's next point is the following transition's current
+        point, so the last projection is kept until the dictionary changes;
+        an admitted point's unit vector is not kept, because the same point
+        projected on the grown dictionary is Kinv @ k_vec, not exactly e."""
+        key = (len(self), a, b.tobytes())
+        if self._proj is not None and self._proj[0] == key:
+            return self._proj[1]
         admit, residual, coeffs = self.admit_test(b, a)
-        if admit:
-            self._admit(b, a, coeffs, residual)
-            if len(self) and (self.points_a[-1] == a
-                              and np.array_equal(self.points_b[-1], b)):
-                e = np.zeros(len(self))
-                e[-1] = 1.0
-                return e
-            # dictionary is capped: fall through to the projection
-            coeffs = self.Kinv @ self.k_vec(b, a)
-        if len(coeffs) < len(self):
-            coeffs = np.pad(coeffs, (0, len(self) - len(coeffs)))
+        if admit and self._admit(b, a, coeffs, residual):
+            e = np.zeros(len(self))
+            e[-1] = 1.0
+            return e
+        self._proj = (key, coeffs)
         return coeffs
 
     # -- Bayesian update ----------------------------------------------------
@@ -166,7 +197,7 @@ class SparseGP:
         s = float(u @ s_vec) + self.spec.noise_var
         gain = s_vec / s
         self.mu = self.mu + gain * (y - float(u @ self.mu))
-        self.Sigma = self.Sigma - np.outer(gain, s_vec)
+        self.Sigma -= np.outer(gain, s_vec)
         self.updates += 1
         if self.updates % 512 == 0:
             self.Sigma = 0.5 * (self.Sigma + self.Sigma.T)
@@ -203,10 +234,12 @@ class SparseGP:
         if len(self) == 0:
             return np.zeros(self.n_actions)
         b = np.asarray(b, dtype=float)
-        base = self._base_similarity(b) * self.coefficients()
+        row = self._base_similarity(b)
+        self._row = ((len(self), b.tobytes()), row)
+        base = row * self.coefficients()
         out = np.zeros(self.n_actions)
-        for a in range(self.n_actions):
-            out[a] = base[self.points_a == a].sum()
+        for a, index in enumerate(self._action_index):
+            out[a] = base[index].sum()
         return out
 
     def state(self) -> checkpoint.State:
@@ -277,5 +310,5 @@ class GPSarsaAgent:
         for name, value in {**loaded.arrays, **loaded.counters}.items():
             if name not in run:
                 setattr(self.gp, name, value)
-        self.gp._coeffs = None
+        self.gp.forget()
         return loaded.counters

@@ -6,9 +6,10 @@ feature layout downstream indexes into them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -102,8 +103,27 @@ class Restaurant:
         return getattr(self, slot)
 
 
+class RestaurantDB(tuple):
+    """The database records in order, plus ``index``: for every sorted tuple
+    of (slot, value) constraints that some record matches, the matching
+    records in DB order. The index is built once, with the records; with
+    three constraint slots it has at most 2^3 keys per record."""
+
+    index: dict[tuple[tuple[str, str], ...], list[Restaurant]]
+
+    def __new__(cls, records: Iterable[Restaurant]):
+        db = super().__new__(cls, records)
+        db.index = {}
+        for record in db:
+            pairs = [(s, record.slot_value(s)) for s in sorted(CONSTRAINT_SLOTS)]
+            for k in range(len(pairs) + 1):
+                for key in itertools.combinations(pairs, k):
+                    db.index.setdefault(key, []).append(record)
+        return db
+
+
 def generate_db(ontology: Ontology, n: int = 150,
-                rng: np.random.Generator | None = None) -> list[Restaurant]:
+                rng: np.random.Generator | None = None) -> RestaurantDB:
     """Synthesize a seeded restaurant database of ``n`` records.
 
     Names are unique; constraint values are sampled uniformly from the
@@ -131,16 +151,16 @@ def generate_db(ontology: Ontology, n: int = 150,
             phone=f"01223 {int(rng.integers(100000, 999999))}",
             signature=f"{rng.choice(_NAME_ADJECTIVES)} {rng.choice(_DISHES)}",
         ))
-    return records
+    return RestaurantDB(records)
 
 
-def query(db: Sequence[Restaurant], constraints: Mapping[str, str]) -> list[Restaurant]:
-    """Return exactly the records matching all given constraint values."""
+def query(db: RestaurantDB, constraints: Mapping[str, str]) -> list[Restaurant]:
+    """Return exactly the records matching all given constraint values, in
+    DB order, as a new list."""
     for slot in constraints:
         if slot not in CONSTRAINT_SLOTS:
             raise OntologyError(f"unknown constraint slot '{slot}'")
-    return [r for r in db
-            if all(r.slot_value(s) == v for s, v in constraints.items())]
+    return list(db.index.get(tuple(sorted(constraints.items())), ()))
 
 
 @dataclass(frozen=True)
@@ -190,7 +210,7 @@ class GoalConfig:
                 raise GoalConfigError(f"bad request-count weight {k}: {w}")
 
 
-def sample_goal(ontology: Ontology, db: Sequence[Restaurant],
+def sample_goal(ontology: Ontology, db: RestaurantDB,
                 rng: np.random.Generator, cfg: GoalConfig | None = None) -> UserGoal:
     """Draw a goal; resampled against the DB so a ``satisfiable_frac`` share
     of goals has at least one matching restaurant."""
@@ -387,7 +407,7 @@ def save_db(db: Iterable[Restaurant], path: str) -> None:
             fh.write(json.dumps(r.__dict__, sort_keys=True) + "\n")
 
 
-def load_db(path: str, ontology: Ontology | None = None) -> list[Restaurant]:
+def load_db(path: str, ontology: Ontology | None = None) -> RestaurantDB:
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -404,4 +424,4 @@ def load_db(path: str, ontology: Ontology | None = None) -> list[Restaurant]:
             for slot in ontology.constraint_slots:
                 ontology.check_value(slot, restaurant.slot_value(slot))
         db.append(restaurant)
-    return db
+    return RestaurantDB(db)

@@ -92,6 +92,113 @@ class TestAdmission:
             assert abs(residual - oracle) <= 1e-8
 
 
+class UnmemoisedGP(SparseGP):
+    """The posterior algebra with nothing reused: every kernel row and
+    projection computed afresh, the capped case projected again after the
+    refused admit, and Sigma replaced by a new array on every measurement."""
+
+    def k_vec(self, b, a):
+        if len(self) == 0:
+            return np.zeros(0)
+        return self._base_similarity(b) * (self.points_a == a)
+
+    def _phi(self, b, a):
+        admit, residual, coeffs = self.admit_test(b, a)
+        if admit and self._admit(b, a, coeffs, residual):
+            e = np.zeros(len(self))
+            e[-1] = 1.0
+            return e
+        if admit:
+            coeffs = self.Kinv @ self.k_vec(b, a)
+        return coeffs
+
+    def _measure(self, u, y):
+        s_vec = self.Sigma @ u
+        s = float(u @ s_vec) + self.spec.noise_var
+        gain = s_vec / s
+        self.mu = self.mu + gain * (y - float(u @ self.mu))
+        self.Sigma = self.Sigma - np.outer(gain, s_vec)
+        self.updates += 1
+        if self.updates % 512 == 0:
+            self.Sigma = 0.5 * (self.Sigma + self.Sigma.T)
+        self._coeffs = None
+
+    def q_values(self, b):
+        if len(self) == 0:
+            return np.zeros(self.n_actions)
+        b = np.asarray(b, dtype=float)
+        base = self._base_similarity(b) * self.coefficients()
+        return np.array([base[self.points_a == a].sum()
+                         for a in range(self.n_actions)])
+
+
+class TestProjectionReuse:
+    def test_admitted_point_is_projected_afresh_on_the_grown_dictionary(self):
+        gp = SparseGP(SPEC, n_actions=2, nu=0.1)
+        rng = RNG(30)
+        for _ in range(5):
+            gp._phi(random_summary(rng), int(rng.integers(2)))
+        b = random_summary(rng)
+        n = len(gp)
+        e = gp._phi(b, 1)
+        assert len(gp) == n + 1 and e[-1] == 1.0 and not e[:-1].any()
+        again = gp._phi(b, 1)
+        assert np.array_equal(again, gp.Kinv @ gp.k_vec(b, 1))
+        assert not np.array_equal(again, e)
+        # a projection onto an unchanged dictionary is kept and reused
+        assert gp._phi(b, 1) is again
+
+    def test_stream_across_the_cap_matches_the_unmemoised_reference(self):
+        # on-policy chain: each transition's next point is the following
+        # transition's current point, with a greedy query of it in between
+        def run(gp_cls):
+            gp = gp_cls(SPEC, n_actions=3, nu=0.05, max_dictionary=12)
+            rng = RNG(31)
+            b, a = random_summary(rng), int(rng.integers(3))
+            sizes, q = [], []
+            for t in range(300):
+                terminal = t % 9 == 8
+                b2 = random_summary(rng) if t % 4 else b
+                q.append(gp.q_values(b2))
+                a2 = int(rng.integers(3))
+                gp.sarsa_update(b, a, float(rng.normal()), b2, a2, terminal,
+                                0.95)
+                sizes.append(len(gp))
+                b, a = (random_summary(rng), 0) if terminal else (b2, a2)
+            return gp, sizes, q
+
+        gp, sizes, q = run(SparseGP)
+        ref, ref_sizes, ref_q = run(UnmemoisedGP)
+        assert sizes == ref_sizes and ref.alarmed and gp.alarmed
+        assert sizes.index(12) < 150       # capped for most of the stream
+        assert np.array_equal(np.array(q), np.array(ref_q))
+        for name in ("points_b", "points_a", "Kinv", "mu", "Sigma"):
+            assert np.array_equal(getattr(gp, name), getattr(ref, name)), name
+
+    def test_load_forgets_cached_projections(self, tmp_path):
+        from dialab.environment import Transition
+        agents = [GPSarsaAgent(60, 2, SPEC, nu=0.05, max_dictionary=8)
+                  for _ in range(2)]
+        for seed, agent in enumerate(agents):
+            rng = RNG(40 + seed)
+            for _ in range(20):
+                b = random_summary(rng)
+                agent.observe(Transition(b, int(rng.integers(2)), 1.0, b,
+                                         True, False), rng)
+        probe = random_summary(RNG(42))
+        source, target = agents
+        target.gp.q_values(probe)
+        target.gp._phi(probe, 0)
+        path = str(tmp_path / "gp.npz")
+        source.save(path)
+        target.load(path)
+        assert len(target.gp) == len(source.gp) == 8
+        assert np.array_equal(target.gp.q_values(probe),
+                              source.gp.q_values(probe))
+        assert np.array_equal(target.gp._phi(probe, 0),
+                              source.gp._phi(probe, 0))
+
+
 class TestPosterior:
     def test_fresh_gp_mean_is_zero(self):
         gp = SparseGP(SPEC, n_actions=3)

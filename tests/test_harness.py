@@ -265,15 +265,20 @@ class TestTrainRun:
         r2 = train_run(c2)
         assert [row[:4] for row in r1] == [row[:4] for row in r2]
 
-    @pytest.mark.parametrize("algorithm", ["dqn", "da2c", "gpsarsa"])
+    @pytest.mark.parametrize("algorithm",
+                             ["dqn", "da2c", "gpsarsa", "gpsarsa-capped"])
     def test_resume_reproduces_fresh_run(self, tmp_path, algorithm):
-        if algorithm == "gpsarsa":
+        if algorithm.startswith("gpsarsa"):
+            # capped at 30 points, the dictionary is full before the resume
+            # point, so the resumed run projects onto a loaded dictionary
+            cap = 30 if algorithm == "gpsarsa-capped" else 200
+
             def config(out, dialogues):
                 return config_from_dict({
                     "algorithm": "gpsarsa", "space": "summary", "seed": 1,
                     "dialogues": dialogues, "eval_period": 20,
                     "eval_episodes": 8,
-                    "gp": {"nu": 0.3, "max_dictionary": 200},
+                    "gp": {"nu": 0.3, "max_dictionary": cap},
                     "out": str(tmp_path / out)})
             total = 60
         else:
@@ -284,6 +289,9 @@ class TestTrainRun:
             total = 40
         r_full = train_run(config("full", total))
         train_run(config("half", 20))
+        if algorithm == "gpsarsa-capped":
+            with np.load(tmp_path / "half" / "checkpoint.npz") as half:
+                assert len(half["points_a"]) == cap
         r_resumed = train_run(config("half", total), resume=True)
         assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
         # the saved learner state, not just the curve, matches bit for bit

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,29 @@ class TestQuery:
     def test_unknown_slot_rejected(self, db):
         with pytest.raises(OntologyError):
             query(db, {"postcode": "cb1"})
+
+    @pytest.mark.parametrize("source", ["generated", "reloaded"])
+    def test_index_equals_a_scan_for_every_key(self, tmp_path, ontology, db,
+                                               source):
+        if source == "reloaded":
+            path = tmp_path / "db.jsonl"
+            save_db(db, path)
+            db = load_db(str(path), ontology)
+        slots = ontology.constraint_slots
+        keys = itertools.product(*[(None, *ontology.values[s]) for s in slots])
+        for values in keys:
+            constraints = {s: v for s, v in zip(slots, values) if v is not None}
+            scan = [r for r in db if all(getattr(r, s) == v
+                                         for s, v in constraints.items())]
+            assert query(db, constraints) == scan, constraints
+            reordered = dict(reversed(list(constraints.items())))
+            assert query(db, reordered) == scan, reordered
+        assert len(query(db, {})) == len(db)
+
+    def test_query_returns_a_fresh_list(self, db):
+        first = query(db, {"area": db[0].area})
+        first.clear()
+        assert db[0] in query(db, {"area": db[0].area})
 
     def test_monotone_in_constraints(self, ontology, db):
         # exhaustive: every 1-constraint query dominates its 2-constraint
