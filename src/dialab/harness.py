@@ -75,6 +75,18 @@ class GPParams:
     nu: float = 0.1
     max_dictionary: int = 2000
 
+    def __post_init__(self):
+        self.kernel()
+        if not self.nu >= 0:
+            raise ValueError(f"nu={self.nu} must be >= 0")
+        if self.max_dictionary < 1:
+            raise ValueError(
+                f"max_dictionary={self.max_dictionary} must be >= 1")
+
+    def kernel(self) -> KernelSpec:
+        """The kernel; checks each of its values, naming the field."""
+        return KernelSpec(self.length_scale, self.signal_var, self.noise_var)
+
 
 @dataclass(frozen=True)
 class PretrainParams:
@@ -224,11 +236,8 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
         return ActorCriticAgent(env.n_features, env.n_actions, agent_cfg, rng,
                                 gamma=cfg.gamma)
     if cfg.algorithm == "gpsarsa":
-        spec = KernelSpec(length_scale=cfg.gp.length_scale,
-                          signal_var=cfg.gp.signal_var,
-                          noise_var=cfg.gp.noise_var)
-        return GPSarsaAgent(env.n_features, env.n_actions, spec, nu=cfg.gp.nu,
-                            gamma=cfg.gamma,
+        return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp.kernel(),
+                            nu=cfg.gp.nu, gamma=cfg.gamma,
                             max_dictionary=cfg.gp.max_dictionary)
     raise ConfigError(f"unknown algorithm '{cfg.algorithm}'")
 

@@ -48,8 +48,10 @@ class TestKernel:
             assert eigs.min() >= -1e-9
 
     def test_hyperparameters_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length_scale=0.0 must be > 0"):
             KernelSpec(length_scale=0.0)
+        with pytest.raises(ValueError, match="noise_var=nan must be > 0"):
+            KernelSpec(noise_var=float("nan"))
 
 
 class TestAdmission:
@@ -95,7 +97,8 @@ class TestAdmission:
 class UnmemoisedGP(SparseGP):
     """The posterior algebra with nothing reused: every kernel row and
     projection computed afresh, the capped case projected again after the
-    refused admit, and Sigma replaced by a new array on every measurement."""
+    refused admit, and mu and Sigma replaced by new arrays on every
+    measurement, the rank-one term formed by ``np.outer``."""
 
     def k_vec(self, b, a):
         if len(self) == 0:
@@ -148,32 +151,46 @@ class TestProjectionReuse:
         # a projection onto an unchanged dictionary is kept and reused
         assert gp._phi(b, 1) is again
 
-    def test_stream_across_the_cap_matches_the_unmemoised_reference(self):
+    @pytest.mark.parametrize("steps, width", [
+        (300, None),
+        (1100, None),   # past the 512th and 1024th measurement: symmetrised
+        (300, 31),      # dense float features, original-space width
+    ], ids=["summary-300", "summary-1100", "dense31-300"])
+    def test_stream_across_the_cap_matches_the_unmemoised_reference(
+            self, steps, width):
         # on-policy chain: each transition's next point is the following
-        # transition's current point, with a greedy query of it in between
+        # transition's current point, with a greedy query of it in between;
+        # compared byte for byte, so a -0.0 where the reference has +0.0
+        # (or the reverse) fails too
+        def point(rng):
+            return random_summary(rng) if width is None else rng.random(width)
+
         def run(gp_cls):
             gp = gp_cls(SPEC, n_actions=3, nu=0.05, max_dictionary=12)
             rng = RNG(31)
-            b, a = random_summary(rng), int(rng.integers(3))
+            b, a = point(rng), int(rng.integers(3))
             sizes, q = [], []
-            for t in range(300):
+            for t in range(steps):
                 terminal = t % 9 == 8
-                b2 = random_summary(rng) if t % 4 else b
+                b2 = point(rng) if t % 4 else b
                 q.append(gp.q_values(b2))
                 a2 = int(rng.integers(3))
                 gp.sarsa_update(b, a, float(rng.normal()), b2, a2, terminal,
                                 0.95)
                 sizes.append(len(gp))
-                b, a = (random_summary(rng), 0) if terminal else (b2, a2)
+                b, a = (point(rng), 0) if terminal else (b2, a2)
             return gp, sizes, q
 
         gp, sizes, q = run(SparseGP)
         ref, ref_sizes, ref_q = run(UnmemoisedGP)
         assert sizes == ref_sizes and ref.alarmed and gp.alarmed
         assert sizes.index(12) < 150       # capped for most of the stream
-        assert np.array_equal(np.array(q), np.array(ref_q))
+        assert gp.updates == ref.updates == steps
+        assert np.array(q).tobytes() == np.array(ref_q).tobytes()
         for name in ("points_b", "points_a", "Kinv", "mu", "Sigma"):
-            assert np.array_equal(getattr(gp, name), getattr(ref, name)), name
+            mine, theirs = getattr(gp, name), getattr(ref, name)
+            assert mine.shape == theirs.shape, name
+            assert mine.tobytes() == theirs.tobytes(), name
 
     def test_load_forgets_cached_projections(self, tmp_path):
         from dialab.environment import Transition

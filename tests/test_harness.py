@@ -187,6 +187,15 @@ class TestConfig:
                            match=f"bad 'agent' section: {key}={value}"):
             config_from_dict({"algorithm": "dqn", "agent": {key: value}})
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("max_dictionary", 0, ">= 1"), ("nu", -1, ">= 0"),
+        ("length_scale", 0, "> 0"), ("signal_var", -1.0, "> 0"),
+        ("noise_var", 0.0, "> 0")])
+    def test_bad_gp_value_names_the_field(self, key, value, rule):
+        with pytest.raises(ConfigError, match=(
+                f"bad 'gp' section: {key}={value} must be {rule}$")):
+            config_from_dict({"algorithm": "gpsarsa", "gp": {key: value}})
+
     def test_key_layout_held(self):
         # the README's JSON layout: these sections and keys, no others
         data = config_to_dict(config_from_dict({}))
@@ -522,6 +531,20 @@ class TestCli:
         assert cli.main(["train", "--config", str(path), "--out", str(out),
                          "--set", setting]) == cli.EXIT_CONFIG
         assert "bad 'agent' section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        "gp.max_dictionary=0", "gp.nu=-1", "gp.length_scale=0"])
+    def test_bad_gp_value_exits_before_the_run_starts(self, tmp_path,
+                                                      capsys, setting):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "gpsarsa",
+                                    "space": "summary", "dialogues": 2,
+                                    "eval_period": 1, "eval_episodes": 1}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out),
+                         "--set", setting]) == cli.EXIT_CONFIG
+        assert f"bad 'gp' section: {setting[3:]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_and_evaluate_roundtrip(self, tmp_path, capsys):
