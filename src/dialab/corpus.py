@@ -26,6 +26,9 @@ SCHEMA_VERSION = 1
 
 PROVENANCES = ("handcrafted", "noisy-handcrafted", "agent")
 
+REQUEST_BAR = 0.05
+CONFIRM_THRESHOLD = 0.7
+
 
 class CorpusFormatError(ValueError):
     pass
@@ -64,14 +67,11 @@ class HandcraftedPolicy:
     action is replaced by a uniformly random one.
     """
 
-    def __init__(self, space: str, threshold: float = 0.7,
-                 request_bar: float = 0.05, p_blunder: float = 0.0,
+    def __init__(self, space: str, p_blunder: float = 0.0,
                  rng: np.random.Generator | None = None):
         if space not in ("summary", "original"):
             raise ValueError(f"unknown space '{space}'")
         self.space = space
-        self.threshold = threshold
-        self.request_bar = request_bar
         self.p_blunder = p_blunder
         self.rng = rng
         self.actions = SUMMARY_ACTIONS if space == "summary" else ORIGINAL_ACTIONS
@@ -80,10 +80,10 @@ class HandcraftedPolicy:
         """The blunder-free rule action for one feature vector."""
         if self.space == "original":
             for i, slot in enumerate(CONSTRAINT_SLOTS):
-                if features[2 * i] < self.request_bar:
+                if features[2 * i] < REQUEST_BAR:
                     return self.actions.index(f"request-{slot}")
             for i, slot in enumerate(CONSTRAINT_SLOTS):
-                if features[2 * i] < self.threshold:
+                if features[2 * i] < CONFIRM_THRESHOLD:
                     return self.actions.index(f"expl-conf-{slot}")
             return self.actions.index("offer")
         for i in range(len(CONSTRAINT_SLOTS)):
@@ -166,8 +166,7 @@ def rate(dialogue: CorpusDialogue | EpisodeLog) -> int:
 
 
 def generate_corpus(env: DialogueEnv, n: int, seed: int,
-                    schedule: BlunderSchedule | None = None,
-                    threshold: float = 0.7) -> Corpus:
+                    schedule: BlunderSchedule | None = None) -> Corpus:
     """Run n handcrafted dialogues with per-dialogue blunder rates drawn from
     the schedule; deterministic per seed, parallelizable per dialogue."""
     if n <= 0:
@@ -177,8 +176,8 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
     for i in range(n):
         rng = rng_stream(seed, "corpus", i)
         p_blunder = schedule.draw(rng)
-        policy = HandcraftedPolicy(env.config.space, threshold=threshold,
-                                   p_blunder=p_blunder, rng=rng)
+        policy = HandcraftedPolicy(env.config.space, p_blunder=p_blunder,
+                                   rng=rng)
         log = run_episode(env, policy, rng)
         provenance = "handcrafted" if p_blunder == 0.0 else "noisy-handcrafted"
         dialogues.append(CorpusDialogue(log=log, rating=rate(log),

@@ -9,6 +9,7 @@ and the act-level chat mode.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import logging
 import os
@@ -34,6 +35,7 @@ log = logging.getLogger(__name__)
 
 ALGORITHMS = ("gpsarsa", "dqn", "ddqn", "da2c", "tda2c")
 PRETRAIN_MODES = ("none", "batch", "sup_full_batch", "sup_expert_batch")
+THRESHOLD_FRAC = 0.9
 
 
 class ConfigError(ValueError):
@@ -319,10 +321,22 @@ def load_curve(path: str) -> list[tuple]:
 # the training loop
 
 
+def _require_unchanged(stored, given, key: str = "") -> None:
+    """Raise ConfigError naming the first setting two configs differ in."""
+    if dataclasses.is_dataclass(given):
+        for f in fields(given):
+            _require_unchanged(getattr(stored, f.name), getattr(given, f.name),
+                               f"{key}{f.name}.")
+    elif stored != given:
+        raise ConfigError(f"resume changes {key[:-1]} from {stored!r} to "
+                          f"{given!r}; only dialogues may change")
+
+
 def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     """Train one (algorithm, seed) run, evaluating every eval_period
     dialogues: each eval point appends a curve row, then replaces the
-    run's one snapshot, ``checkpoint.npz``. Returns the rows."""
+    run's one snapshot, ``checkpoint.npz``. Returns the rows. ``resume``
+    continues the run in ``cfg.out``, or returns its rows if finished."""
     if cfg.out is None:
         raise ConfigError("config needs an 'out' directory for training")
     if cfg.algorithm == "tda2c" and cfg.pretrain.mode not in (
@@ -334,13 +348,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     curve_path = os.path.join(cfg.out, "curve.csv")
     ckpt_path = os.path.join(cfg.out, "checkpoint.npz")
     resuming = resume and os.path.exists(ckpt_path)
-    for name in os.listdir(cfg.out):
-        # a killed write's temporary file; on a fresh run also an earlier
-        # run's curve and snapshot, in either file layout
-        if name.endswith(".tmp") or not resuming and name in (
-                "curve.csv", "checkpoint.npz", "pool.npz", "state.json"):
-            os.remove(os.path.join(cfg.out, name))
-
     _, _, env = build_world(cfg)
     eval_env = DialogueEnv(env.ontology, env.db, cfg)
     agent = build_agent(cfg, env)
@@ -350,14 +357,27 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     trained_seconds = 0.0
     rows: list[tuple] = []
     if resuming:
+        with open(os.path.join(cfg.out, "config.json")) as fh:
+            stored = json.load(fh) | {"out": cfg.out, "dialogues": cfg.dialogues}
+        _require_unchanged(config_from_dict(stored), cfg)
         run = agent.load(ckpt_path, "episodes_done", "schedule_t")
         start_ep, schedule_t = run["episodes_done"], run["schedule_t"]
+        if cfg.dialogues < start_ep:
+            raise ConfigError(f"cannot resume {cfg.out} with dialogues="
+                              f"{cfg.dialogues}: its snapshot is at {start_ep}")
         # a kill after an eval row was appended but before the snapshot was
         # replaced leaves rows past it; they are trained again
         rows = [row for row in load_curve(curve_path) if row[0] <= start_ep]
         if not rows or rows[-1][0] != start_ep:
             raise ValueError(f"{curve_path}: no row at dialogue {start_ep}")
         trained_seconds = rows[-1][4]
+    for name in os.listdir(cfg.out):
+        # a killed write's temporary file; on a fresh run also an earlier
+        # run's curve and snapshot, in either file layout
+        if name.endswith(".tmp") or not resuming and name in (
+                "curve.csv", "checkpoint.npz", "pool.npz", "state.json"):
+            os.remove(os.path.join(cfg.out, name))
+    if resuming:
         text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
         replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
@@ -410,14 +430,11 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
 
 @dataclass
 class RunStats:
-    label: str
     seeds: int
     median_to_threshold: float
     min_to_threshold: float
     max_to_threshold: float
-    per_seed: list
     final_success_median: float
-    wall_clock_at: dict
 
 
 @dataclass
@@ -428,82 +445,85 @@ class ComparisonReport:
     def order(self) -> list[str]:
         return sorted(self.stats, key=lambda k: self.stats[k].median_to_threshold)
 
+    def holds_order(self, wanted: list[str]) -> bool:
+        """Whether ``wanted``, then the fastest other label or infinity, have
+        strictly increasing median dialogues-to-threshold."""
+        unknown = [k for k in wanted if k not in self.stats]
+        if unknown:
+            raise ConfigError(f"unknown label(s) {unknown}")
+        chain = [self.stats[k].median_to_threshold for k in wanted]
+        chain.append(min((s.median_to_threshold for k, s in self.stats.items()
+                          if k not in wanted), default=float("inf")))
+        return all(a < b for a, b in zip(chain, chain[1:]))
+
     def format(self) -> str:
         lines = [f"threshold: eval success >= {self.threshold:.3f}"]
         for label in self.order():
             s = self.stats[label]
-            med = ("inf" if np.isinf(s.median_to_threshold)
-                   else f"{s.median_to_threshold:.0f}")
             lines.append(
-                f"  {label}: median dialogues-to-threshold {med} "
+                f"  {label}: median dialogues-to-threshold "
+                f"{s.median_to_threshold:.0f} "
                 f"(min {s.min_to_threshold:.0f}, max {s.max_to_threshold:.0f}; "
                 f"{s.seeds} seeds; final success {s.final_success_median:.3f})")
         return "\n".join(lines)
 
 
-def dialogues_to_threshold(curve: list[tuple], threshold: float) -> float:
-    for row in curve:
-        if row[1] >= threshold:
-            return float(row[0])
-    return float("inf")
+def median_curve(label: str, curves: list[list[tuple]]) -> list[tuple]:
+    """Per eval point of a label's seeds, which must share one eval grid:
+    (dialogues, median, min and max success, median return)."""
+    if not curves or not curves[0]:
+        raise ValueError(f"run '{label}' has no curve rows")
+    if len({tuple(row[0] for row in c) for c in curves}) != 1:
+        raise ValueError(f"run '{label}': seed curves have mismatched "
+                         f"eval grids")
+    table = np.array(curves)        # seeds x eval points x curve columns
+    success, returns = table[:, :, 1], table[:, :, 2]
+    return list(zip([row[0] for row in curves[0]],
+                    np.median(success, axis=0), success.min(axis=0),
+                    success.max(axis=0), np.median(returns, axis=0)))
 
 
-def compare_runs(curves_by_label: dict, threshold: float | None = None,
-                 threshold_frac: float = 0.9) -> ComparisonReport:
-    """Median dialogues-to-threshold per label across seeds.
-
-    With no explicit threshold, uses threshold_frac of the best eval success
-    seen anywhere in the comparison.
-    """
+def compare_runs(curves_by_label: dict,
+                 threshold: float | None = None) -> ComparisonReport:
+    """Median dialogues-to-threshold, the first eval point at or above it,
+    per label across seeds. With no explicit threshold, every label shares
+    THRESHOLD_FRAC of the highest point of any label's median curve, so one
+    lucky seed cannot set it."""
     if len(curves_by_label) < 1:
         raise ValueError("nothing to compare")
-    for label, curves in curves_by_label.items():
-        if not curves:
-            raise ValueError(f"run '{label}' has no seed curves")
-        grids = [tuple(r[0] for r in c) for c in curves]
-        if len(set(grids)) != 1:
-            raise ValueError(f"run '{label}': seed curves have mismatched "
-                             f"eval grids")
-        for c in curves:
-            if not c:
-                raise ValueError(f"run '{label}' has an empty curve")
+    medians = {label: median_curve(label, curves)
+               for label, curves in curves_by_label.items()}
     if threshold is None:
-        best = max(row[1] for curves in curves_by_label.values()
-                   for c in curves for row in c)
-        threshold = threshold_frac * best
+        threshold = THRESHOLD_FRAC * max(row[1] for rows in medians.values()
+                                         for row in rows)
     stats = {}
     for label, curves in curves_by_label.items():
-        reach = [dialogues_to_threshold(c, threshold) for c in curves]
-        finals = [c[-1][1] for c in curves]
-        wall = {}
-        for c in curves:
-            for row in c:
-                wall.setdefault(row[0], []).append(row[4])
+        reach = [next((row[0] for row in c if row[1] >= threshold), np.inf)
+                 for c in curves]
         stats[label] = RunStats(
-            label=label, seeds=len(curves),
+            seeds=len(curves),
             median_to_threshold=float(np.median(reach)),
             min_to_threshold=float(np.min(reach)),
             max_to_threshold=float(np.max(reach)),
-            per_seed=reach,
-            final_success_median=float(np.median(finals)),
-            wall_clock_at={k: float(np.median(v)) for k, v in wall.items()},
+            final_success_median=medians[label][-1][1],
         )
     return ComparisonReport(threshold=threshold, stats=stats)
 
 
-def load_run_curves(run_dir: str) -> list[list[tuple]]:
-    """All seed curves under a run directory (seed-*/curve.csv)."""
-    curves = []
-    for name in sorted(os.listdir(run_dir)):
-        path = os.path.join(run_dir, name, "curve.csv")
-        if os.path.exists(path):
-            curves.append(load_curve(path))
-    if not curves:
-        single = os.path.join(run_dir, "curve.csv")
-        if os.path.exists(single):
-            curves.append(load_curve(single))
-    if not curves:
-        raise ValueError(f"no curve files under {run_dir}")
+def load_runs(specs: list[str]) -> dict:
+    """Each ``LABEL=DIR`` spec's seed curves: every ``DIR/*/curve.csv``,
+    or ``DIR/curve.csv`` for a single run."""
+    curves = {}
+    for spec in specs:
+        label, sep, run_dir = spec.partition("=")
+        if not sep:
+            raise ConfigError(f"run spec '{spec}' is not label=dir")
+        root = glob.escape(run_dir)
+        paths = (sorted(glob.glob(os.path.join(root, "*", "curve.csv")))
+                 or glob.glob(os.path.join(root, "curve.csv")))
+        if not paths:
+            raise ValueError(f"no curve files under {run_dir}")
+        curves[label] = [load_curve(path) for path in paths]
     return curves
 
 

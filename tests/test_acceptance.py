@@ -2,37 +2,26 @@
 
 Criteria 1-6 are exact unit-level oracles, and they are the only tests
 here. The multi-seed trend criteria over desk-scale training runs
-(ROADMAP item 2) are not written yet. The grid helpers at the end of the
-module (``grid_config``, ``run_cached``, ``label_threshold``,
-``median_dialogues_to``) are kept for them but no test uses them for now.
-They cache runs under DIALAB_ACCEPT_DIR (default runs/acceptance), keyed
-by the serialized config, and take the convergence threshold per run
-label as 90% of the peak of the per-grid-point median curve across seeds;
-dialogues-to-threshold is the first eval point at or above it.
+(ROADMAP item 2) are not written yet. They need no grid code of their own:
+each run is ``harness.train_run(cfg, resume=True)``, which trains a run
+once and returns a finished run's curve without training, and each
+ordering is ``harness.compare_runs``, with its one threshold rule.
 """
 
-import json
-import math
-import os
-import shutil
 import time
 
 import numpy as np
-import pytest
 from scipy import stats as scipy_stats
 
 from dialab import harness
-from dialab.corpus import (BlunderSchedule, HandcraftedPolicy, RandomPolicy,
-                           generate_corpus, save_corpus)
-from dialab.environment import (ORIGINAL_ACTIONS, Transition,
-                                check_reward_decomposition, run_episode)
+from dialab.corpus import HandcraftedPolicy, RandomPolicy
+from dialab.environment import (Transition, check_reward_decomposition,
+                                run_episode)
 from dialab.gpsarsa import KernelSpec, SparseGP, kernel
-from dialab.harness import config_from_dict, evaluate, load_curve, train_run
 from dialab.nets import (FeedForwardNet, cross_entropy_loss,
                          finite_difference_grads, l2_penalty,
                          log_policy_gradient, mse_loss)
 from dialab.seeding import rng_stream
-from dialab.tracker import ErrorModel
 from dialab.value_agents import ReplayPool, ddqn_target, dqn_target
 
 RNG = np.random.default_rng
@@ -221,58 +210,3 @@ def test_criterion_6_replay():
     critical = float(scipy_stats.chi2.ppf(0.99, df=99))
     report("6 replay", fifo_ok and statistic < critical,
            f"fifo={kept}, chi2 {statistic:.1f} < {critical:.1f}")
-
-
-# ---------------------------------------------------------------------------
-# grid helpers for the trend criteria (ROADMAP item 2); unused until they
-# are written
-
-ACCEPT_DIR = os.environ.get("DIALAB_ACCEPT_DIR", "runs/acceptance")
-SEEDS = (1, 2, 3, 4, 5)
-
-BASE = {
-    "space": "original",
-    "eval_episodes": 150,
-    "epsilon": {"floor": 0.1},
-}
-
-
-def grid_config(name: str, seed: int, **over) -> harness.ExperimentConfig:
-    data = json.loads(json.dumps(BASE))
-    data.update(json.loads(json.dumps(over)))
-    data["seed"] = seed
-    data["out"] = os.path.join(ACCEPT_DIR, name, f"seed-{seed}")
-    return config_from_dict(data)
-
-
-def run_cached(cfg: harness.ExperimentConfig) -> list:
-    """Train once per (config, seed); reuse finished runs on re-entry."""
-    curve_path = os.path.join(cfg.out, "curve.csv")
-    cfg_path = os.path.join(cfg.out, "config.json")
-    if os.path.exists(curve_path) and os.path.exists(cfg_path):
-        with open(cfg_path) as fh:
-            stored = json.load(fh)
-        if config_from_dict(stored) == cfg:
-            rows = load_curve(curve_path)
-            if rows and rows[-1][0] == cfg.dialogues:
-                return rows
-        shutil.rmtree(cfg.out)
-    elif os.path.exists(cfg.out):
-        shutil.rmtree(cfg.out)
-    return train_run(cfg)
-
-
-def label_threshold(curves: list, frac: float = 0.9) -> float:
-    """frac x the peak of the per-point median curve across seeds."""
-    grid = [r[0] for r in curves[0]]
-    medians = [float(np.median([c[i][1] for c in curves]))
-               for i in range(len(grid))]
-    return frac * max(medians)
-
-
-def median_dialogues_to(curves: list, threshold: float) -> float:
-    reach = []
-    for c in curves:
-        hit = next((row[0] for row in c if row[1] >= threshold), math.inf)
-        reach.append(hit)
-    return float(np.median(reach))

@@ -89,6 +89,23 @@ def assert_same_arrays(path_a, path_b):
             assert np.array_equal(a[key], b[key]), (path_a, key)
 
 
+def directory_bytes(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
+
+
+def write_runs(root, label, *grids_and_success):
+    """A run directory ``root/label`` with one seed curve per (grid,
+    success) pair; returns the ``label=dir`` spec."""
+    for seed, (grid, success) in enumerate(grids_and_success):
+        run_dir = root / label / f"seed-{seed}"
+        run_dir.mkdir(parents=True)
+        with open(run_dir / "curve.csv", "w") as fh:
+            fh.write(harness.CURVE_HEADER + "\n")
+            for d in grid:
+                fh.write(f"{d},{success},0.0,8.0,0.0\n")
+    return f"{label}={root / label}"
+
+
 class TestEpsilonSchedule:
     def test_starts_at_half(self):
         assert epsilon(EpsilonSchedule(), 0) == 0.5
@@ -395,6 +412,42 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         monkeypatch.undo()
         assert [row[0] for row in train_run(cfg, resume=True)] == [0, 20]
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 9), ("eval_episodes", 7), ("gamma", 0.5),
+        ("agent.minibatch", 16), ("epsilon.floor", 0.2)])
+    def test_resume_refuses_a_changed_config(self, tmp_path, key, value):
+        cfg = smoke_config(tmp_path, dialogues=20)
+        train_run(cfg)
+        before = directory_bytes(tmp_path / "dqn-run")
+        # extending the run is allowed; the changed key is not
+        data = config_to_dict(dataclasses.replace(cfg, dialogues=40))
+        *parents, last = key.split(".")
+        node = data
+        for part in parents:
+            node = node[part]
+        old, node[last] = node[last], value
+        with pytest.raises(ConfigError) as refused:
+            train_run(config_from_dict(data), resume=True)
+        assert f"{key} from {old!r} to {value!r}" in str(refused.value)
+        assert directory_bytes(tmp_path / "dqn-run") == before
+
+    def test_finished_run_resumes_as_its_own_cache(self, tmp_path,
+                                                   monkeypatch):
+        cfg = smoke_config(tmp_path)
+        train_run(cfg)
+        rows = load_curve(os.path.join(cfg.out, "curve.csv"))
+        before = directory_bytes(tmp_path / "dqn-run")
+
+        def evaluate(*args):
+            raise AssertionError("a finished run was evaluated again")
+        monkeypatch.setattr(harness, "evaluate", evaluate)
+        assert train_run(cfg, resume=True) == rows
+        assert directory_bytes(tmp_path / "dqn-run") == before
+        # a shorter run is refused, not served the longer curve
+        with pytest.raises(ConfigError, match="dialogues=20"):
+            train_run(dataclasses.replace(cfg, dialogues=20), resume=True)
+        assert directory_bytes(tmp_path / "dqn-run") == before
+
     def test_config_serialized_verbatim(self, tmp_path):
         cfg = smoke_config(tmp_path)
         train_run(cfg)
@@ -438,9 +491,18 @@ class TestCompare:
         assert report.stats["x"].median_to_threshold == 2000
 
     def test_threshold_from_best_fraction(self):
-        report = compare_runs({"only": [self.curve(2000)]}, threshold=None,
-                              threshold_frac=0.9)
+        report = compare_runs({"only": [self.curve(2000)]}, threshold=None)
         assert abs(report.threshold - 0.9 * 0.95) <= 1e-12
+
+    def test_threshold_from_the_best_median_curve(self):
+        # one lucky seed peaks at 0.95; the label's median curve at 0.6
+        lucky = [(d, s, 0.5, 8.0, 0.0) for d, s in ((0, 0.3), (1000, 0.6),
+                                                    (2000, 0.95))]
+        plain = [(d, s, 0.5, 8.0, 0.0) for d, s in ((0, 0.3), (1000, 0.6),
+                                                    (2000, 0.6))]
+        report = compare_runs({"x": [lucky, plain, list(plain)]})
+        assert abs(report.threshold - 0.9 * 0.6) <= 1e-12
+        assert report.stats["x"].median_to_threshold == 1000
 
     def test_never_reaching_is_infinite(self):
         report = compare_runs({"never": [self.curve(99999)]}, threshold=0.9)
@@ -619,6 +681,52 @@ class TestCli:
                          "--threshold", "0.9", "--expect-order", "x"]) == 0
         text = capsys.readouterr().out
         assert "dialogues-to-threshold" in text
+
+    def test_expect_order_fails_on_a_tie_in_either_order(self, tmp_path,
+                                                         capsys):
+        # neither label reaches 0.9: they tie at infinity
+        dqn = write_runs(tmp_path, "dqn", ((0, 1000), 0.5))
+        gp = write_runs(tmp_path, "gp", ((0, 1000), 0.4))
+        for runs in ((dqn, gp), (gp, dqn)):
+            assert cli.main(["compare", *runs, "--threshold", "0.9",
+                             "--expect-order", "dqn,gp"]) == cli.EXIT_CHECK
+        assert "ordering check FAILED" in capsys.readouterr().out
+
+    def test_expect_order_needs_every_named_label_to_reach(self, tmp_path):
+        fast = write_runs(tmp_path, "fast", ((0, 1000), 0.95))
+        never = write_runs(tmp_path, "never", ((0, 1000), 0.5))
+        compare = ["compare", fast, never, "--threshold", "0.9"]
+        assert cli.main([*compare, "--expect-order", "fast"]) == cli.EXIT_OK
+        assert cli.main([*compare, "--expect-order",
+                         "fast,never"]) == cli.EXIT_CHECK
+        assert cli.main([*compare, "--expect-order",
+                         "nope"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("grids", [((0, 100, 200), (0, 100)),
+                                       ((0, 100), (0, 100, 200))])
+    def test_plot_data_rejects_mismatched_seed_grids(self, tmp_path, capsys,
+                                                     grids):
+        spec = write_runs(tmp_path, "y", *((grid, 0.5) for grid in grids))
+        out = tmp_path / "plot.csv"
+        assert cli.main(["plot-data", spec, "--out", str(out)]) == cli.EXIT_RUN
+        assert ("run 'y': seed curves have mismatched eval grids"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_resume_with_a_changed_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": "dqn", "space": "original", "seed": 3,
+            "dialogues": 20, "eval_period": 20, "eval_episodes": 6,
+            "agent": {"hidden": [12, 8], "warmup": 20}}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out",
+                         str(out)]) == cli.EXIT_OK
+        before = directory_bytes(out)
+        assert cli.main(["train", "--config", str(path), "--out", str(out),
+                         "--resume", "--set", "seed=9"]) == cli.EXIT_CONFIG
+        assert "seed from 3 to 9" in capsys.readouterr().err
+        assert directory_bytes(out) == before
 
     def test_plot_data(self, tmp_path):
         run_dir = tmp_path / "runs" / "y" / "seed-0"
