@@ -5,12 +5,12 @@ online RL) training pipeline."""
 
 __version__ = "0.1.0"
 
-from .ontology import Ontology, Restaurant, SystemAct, UserAct, UserGoal
+from .ontology import Restaurant, SystemAct, UserAct, UserGoal
 from .tracker import BeliefState, ErrorModel
 from .environment import DialogueEnv, EnvConfig, Transition
 
 __all__ = [
-    "Ontology", "Restaurant", "SystemAct", "UserAct", "UserGoal",
+    "Restaurant", "SystemAct", "UserAct", "UserGoal",
     "BeliefState", "ErrorModel", "DialogueEnv", "EnvConfig", "Transition",
     "__version__",
 ]

@@ -143,11 +143,10 @@ class ActorCriticAgent:
     # -- two-stage pretraining ---------------------------------------------
 
     def pretrain(self, pairs, transitions, expected_layout, corpus_layout,
-                 rng: np.random.Generator, supervised: bool = True,
-                 batch_rl: bool = True) -> dict:
+                 rng: np.random.Generator) -> dict:
         """Stage 1: supervised epochs over (features, action) pairs.
-        Stage 2: batch value RL over the corpus transitions. No environment
-        interaction happens here.
+        Stage 2: batch value RL over the corpus transitions. An empty list
+        skips its stage. No environment interaction happens here.
         """
         if list(corpus_layout) != list(expected_layout):
             missing = [n for n in expected_layout if n not in corpus_layout]
@@ -162,7 +161,7 @@ class ActorCriticAgent:
             log.warning("pretrain called with an empty corpus; nothing to do")
             return stats
 
-        if supervised and pairs:
+        if pairs:
             feats = np.asarray([p[0] for p in pairs], dtype=float)
             acts = np.asarray([p[1] for p in pairs], dtype=np.int64)
             order = rng.permutation(len(acts))
@@ -178,7 +177,7 @@ class ActorCriticAgent:
                 pred = self.policy.forward_batch(feats[hold]).argmax(axis=1)
                 stats["holdout_accuracy"] = float(np.mean(pred == acts[hold]))
 
-        if batch_rl and transitions:
+        if transitions:
             for t in transitions:
                 self.pool.add(t)
             per_sweep = max(1, len(transitions) // self.config.minibatch)

@@ -64,13 +64,18 @@ class HandcraftedPolicy:
     probability is essentially zero; explicitly confirm slots still below
     the confidence threshold; offer once every slot clears it. Repeated
     offers answer the user's outstanding requests. With p_blunder, a turn's
-    action is replaced by a uniformly random one.
+    action is replaced by a uniformly random one drawn from ``rng``.
     """
 
     def __init__(self, space: str, p_blunder: float = 0.0,
                  rng: np.random.Generator | None = None):
         if space not in ("summary", "original"):
             raise ValueError(f"unknown space '{space}'")
+        if not 0.0 <= p_blunder <= 1.0:
+            raise ValueError(f"p_blunder={p_blunder} outside [0,1]")
+        if p_blunder > 0.0 and rng is None:
+            raise ValueError(f"p_blunder={p_blunder} needs an rng to draw "
+                             f"blunders from")
         self.space = space
         self.p_blunder = p_blunder
         self.rng = rng
@@ -97,8 +102,7 @@ class HandcraftedPolicy:
         return self.actions.index("offer")
 
     def __call__(self, features: np.ndarray) -> int:
-        if self.p_blunder > 0.0 and self.rng is not None \
-                and self.rng.random() < self.p_blunder:
+        if self.p_blunder > 0.0 and self.rng.random() < self.p_blunder:
             return int(self.rng.integers(len(self.actions)))
         return self.decide(features)
 
@@ -235,22 +239,37 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 
 def load_corpus(path: str) -> Corpus:
+    """Read a corpus file; a malformed header or record raises
+    CorpusFormatError naming ``path:line`` and the field at fault."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CorpusFormatError(f"{path}: empty corpus file")
-    head = json.loads(lines[0])
-    if head.get("schema") != CORPUS_SCHEMA or head.get("version") != SCHEMA_VERSION:
-        raise CorpusFormatError(f"{path}: unrecognized corpus header {head!r}")
     dialogues = []
-    for ln in lines[1:]:
-        if not ln.strip():
+    for number, ln in enumerate(lines, 1):
+        if number > 1 and not ln.strip():
             continue
-        rec = json.loads(ln)
-        dialogues.append(CorpusDialogue(log=EpisodeLog.from_dict(rec["log"]),
-                                        rating=rec["rating"],
-                                        provenance=rec["provenance"]))
-    corpus = Corpus(dialogues=dialogues, space=head["space"],
-                    feature_names=head["feature_names"])
+        try:
+            rec = json.loads(ln)
+            if number == 1:
+                if (rec.get("schema"), rec.get("version")) != (
+                        CORPUS_SCHEMA, SCHEMA_VERSION):
+                    raise CorpusFormatError(
+                        f"unrecognized corpus header {rec!r}")
+                space, feature_names = rec["space"], rec["feature_names"]
+            else:
+                dialogues.append(CorpusDialogue(
+                    log=EpisodeLog.from_dict(rec["log"]),
+                    rating=rec["rating"], provenance=rec["provenance"]))
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{number}: not JSON: {exc.msg} "
+                                    f"at column {exc.colno}") from exc
+        except KeyError as exc:
+            raise CorpusFormatError(
+                f"{path}:{number}: missing field {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise CorpusFormatError(f"{path}:{number}: {exc}") from exc
+    corpus = Corpus(dialogues=dialogues, space=space,
+                    feature_names=feature_names)
     _check_layout(corpus)
     return corpus

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import tracker, usersim
-from .ontology import (CONSTRAINT_SLOTS, GoalConfig, Ontology, RestaurantDB,
+from .ontology import (CONSTRAINT_SLOTS, VALUES, GoalConfig, RestaurantDB,
                        SystemAct, UserAct, query, sample_goal)
 from .tracker import BeliefState, ErrorModel
 from .usersim import UserConfig
@@ -157,22 +157,21 @@ def _select_slot(belief: BeliefState) -> str:
     return best_slot
 
 
-def _slot_value(belief: BeliefState, ontology: Ontology, slot: str) -> str:
+def _slot_value(belief: BeliefState, slot: str) -> str:
     items = tracker.top_values(belief, slot)
     if items and items[0][1] > 0.0:
         return items[0][0]
-    return ontology.values[slot][0]
+    return VALUES[slot][0]
 
 
-def _slot_options(belief: BeliefState, ontology: Ontology,
-                  slot: str) -> tuple[str, str]:
+def _slot_options(belief: BeliefState, slot: str) -> tuple[str, str]:
     items = [v for v, m in tracker.top_values(belief, slot) if m > 0.0]
-    fallback = [v for v in ontology.values[slot] if v not in items]
+    fallback = [v for v in VALUES[slot] if v not in items]
     picks = (items + fallback)[:2]
     return (picks[0], picks[1])
 
 
-def make_offer(belief: BeliefState, ontology: Ontology,
+def make_offer(belief: BeliefState,
                db: RestaurantDB) -> tuple[SystemAct | None, int]:
     """Query with the understood constraints; offer the first match.
 
@@ -190,7 +189,6 @@ def make_offer(belief: BeliefState, ontology: Ontology,
 
 
 def realize_summary_act(act_type: str, belief: BeliefState,
-                        ontology: Ontology,
                         db: RestaurantDB) -> tuple[SystemAct, int | None]:
     """Attach slot/value/payload to a summary act type.
 
@@ -202,13 +200,13 @@ def realize_summary_act(act_type: str, belief: BeliefState,
     if act_type == "expl-conf":
         slot = _expl_conf_slot(belief)
         return SystemAct("expl-conf", slot=slot,
-                         value=_slot_value(belief, ontology, slot)), None
+                         value=_slot_value(belief, slot)), None
     if act_type == "select":
         slot = _select_slot(belief)
         return SystemAct("select", slot=slot,
-                         options=_slot_options(belief, ontology, slot)), None
+                         options=_slot_options(belief, slot)), None
     if act_type == "offer":
-        act, count = make_offer(belief, ontology, db)
+        act, count = make_offer(belief, db)
         if act is None:
             return SystemAct("cannothelp"), count
         return act, count
@@ -220,10 +218,10 @@ def realize_summary_act(act_type: str, belief: BeliefState,
     raise ValueError(f"unknown summary act '{act_type}'")
 
 
-def realize_original_act(name: str, belief: BeliefState, ontology: Ontology,
+def realize_original_act(name: str, belief: BeliefState,
                          db: RestaurantDB) -> tuple[SystemAct, int | None]:
     if name == "offer":
-        act, count = make_offer(belief, ontology, db)
+        act, count = make_offer(belief, db)
         if act is None:
             # the original space has no cannothelp; an apology the user
             # treats as a repeat keeps the action set at exactly 11
@@ -236,10 +234,10 @@ def realize_original_act(name: str, belief: BeliefState, ontology: Ontology,
         return SystemAct("request", slot=slot), None
     if kind == "expl-conf":
         return SystemAct("expl-conf", slot=slot,
-                         value=_slot_value(belief, ontology, slot)), None
+                         value=_slot_value(belief, slot)), None
     if kind == "select":
         return SystemAct("select", slot=slot,
-                         options=_slot_options(belief, ontology, slot)), None
+                         options=_slot_options(belief, slot)), None
     raise ValueError(f"unknown original action '{name}'")
 
 
@@ -259,9 +257,7 @@ def context_evidence(sys: SystemAct, obs) -> list:
 class DialogueEnv:
     """Goal-driven episodic environment; one instance per training loop."""
 
-    def __init__(self, ontology: Ontology, db: RestaurantDB,
-                 config: EnvConfig):
-        self.ontology = ontology
+    def __init__(self, db: RestaurantDB, config: EnvConfig):
         self.db = db
         self.config = config
         self.actions = (SUMMARY_ACTIONS if config.space == "summary"
@@ -292,9 +288,9 @@ class DialogueEnv:
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._rng = rng
-        self.goal = sample_goal(self.ontology, self.db, rng, self.config.goals)
+        self.goal = sample_goal(self.db, rng, self.config.goals)
         self.user = usersim.init_user(self.goal, self.config.user, rng)
-        self.belief = tracker.fresh_belief(self.ontology)
+        self.belief = tracker.fresh_belief()
         self.db_count = 0
         self._active = True
         self.last_system_act = None
@@ -307,7 +303,7 @@ class DialogueEnv:
         self._rng = rng
         self.goal = None
         self.user = None
-        self.belief = tracker.fresh_belief(self.ontology)
+        self.belief = tracker.fresh_belief()
         self.db_count = 0
         self._active = True
         return self.features()
@@ -317,11 +313,9 @@ class DialogueEnv:
             raise ValueError(f"action index {action} outside 0..{self.n_actions - 1}")
         name = self.actions[action]
         if self.config.space == "summary":
-            act, count = realize_summary_act(name, self.belief, self.ontology,
-                                             self.db)
+            act, count = realize_summary_act(name, self.belief, self.db)
         else:
-            act, count = realize_original_act(name, self.belief, self.ontology,
-                                              self.db)
+            act, count = realize_original_act(name, self.belief, self.db)
         if count is not None:
             self.db_count = count
         return act
@@ -329,8 +323,7 @@ class DialogueEnv:
     def hear(self, sys_act: SystemAct, user_acts: list) -> None:
         """Pass the user's answer to sys_act through the noisy channel and
         fold what was heard into the belief."""
-        obs = tracker.corrupt(user_acts, self.config.error, self.ontology,
-                              self._rng)
+        obs = tracker.corrupt(user_acts, self.config.error, self._rng)
         obs = list(obs) + context_evidence(sys_act, obs)
         self.belief = tracker.update_belief(self.belief, obs, self.db_count)
         self.last_system_act = sys_act

@@ -24,8 +24,8 @@ from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
 from .environment import ORIGINAL_ACTIONS, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPSarsaAgent, KernelSpec
-from .ontology import (GoalConfig, OntologyError, UserGoal, default_ontology,
-                       generate_db, parse_user_act)
+from .ontology import (CONSTRAINT_SLOTS, VALUES, GoalConfig, OntologyError,
+                       UserGoal, generate_db, parse_user_act)
 from .seeding import rng_stream
 from .tracker import ErrorModel
 from .usersim import UserConfig
@@ -222,10 +222,9 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
 
 
 def build_world(cfg: ExperimentConfig):
-    ontology = default_ontology()
-    db = generate_db(ontology, n=cfg.db_size, rng=rng_stream(cfg.seed, "db"))
-    env = DialogueEnv(ontology, db, cfg)
-    return ontology, db, env
+    """The domain's value lists, the seeded database and an environment."""
+    db = generate_db(n=cfg.db_size, rng=rng_stream(cfg.seed, "db"))
+    return VALUES, db, DialogueEnv(db, cfg)
 
 
 def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
@@ -260,8 +259,7 @@ def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv,
         pairs, transitions,
         expected_layout=tracker.feature_names(cfg.space),
         corpus_layout=loaded.feature_names,
-        rng=rng_stream(cfg.seed, "pretrain"),
-        supervised=(mode != "batch"), batch_rl=True)
+        rng=rng_stream(cfg.seed, "pretrain"))
     stats["mode"] = mode
     log.info("pretraining done: %s", stats)
     return stats
@@ -347,9 +345,11 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     os.makedirs(cfg.out, exist_ok=True)
     curve_path = os.path.join(cfg.out, "curve.csv")
     ckpt_path = os.path.join(cfg.out, "checkpoint.npz")
+    config_path = os.path.join(cfg.out, "config.json")
+    config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
     resuming = resume and os.path.exists(ckpt_path)
     _, _, env = build_world(cfg)
-    eval_env = DialogueEnv(env.ontology, env.db, cfg)
+    eval_env = DialogueEnv(env.db, cfg)
     agent = build_agent(cfg, env)
 
     start_ep = 0
@@ -357,8 +357,10 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     trained_seconds = 0.0
     rows: list[tuple] = []
     if resuming:
-        with open(os.path.join(cfg.out, "config.json")) as fh:
-            stored = json.load(fh) | {"out": cfg.out, "dialogues": cfg.dialogues}
+        with open(config_path) as fh:
+            stored_text = fh.read()
+        stored = json.loads(stored_text) | {"out": cfg.out,
+                                            "dialogues": cfg.dialogues}
         _require_unchanged(config_from_dict(stored), cfg)
         run = agent.load(ckpt_path, "episodes_done", "schedule_t")
         start_ep, schedule_t = run["episodes_done"], run["schedule_t"]
@@ -377,13 +379,14 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         if name.endswith(".tmp") or not resuming and name in (
                 "curve.csv", "checkpoint.npz", "pool.npz", "state.json"):
             os.remove(os.path.join(cfg.out, name))
+    # a resume may extend the run; config.json describes it as now set up
+    if not resuming or stored_text != config_text:
+        replace_file(config_path, lambda fh: fh.write(config_text.encode()))
     if resuming:
         text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
         replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
     else:
-        with open(os.path.join(cfg.out, "config.json"), "w") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         with open(os.path.join(cfg.out, "layout.json"), "w") as fh:
             json.dump({"space": cfg.space,
                        "feature_names": tracker.feature_names(cfg.space)}, fh)
@@ -597,7 +600,7 @@ def chat_session(cfg: ExperimentConfig, checkpoint: str | None = None,
                         shadow.asked.append(act.slot)
         env.hear(sys_act, acts)
         summary = []
-        for slot in env.ontology.constraint_slots:
+        for slot in CONSTRAINT_SLOTS:
             items = tracker.top_values(env.belief, slot)
             if items and items[0][1] > 0.005:
                 summary.append(f"{slot}: ({items[0][0]}, {items[0][1]:.2f})")

@@ -1,7 +1,8 @@
 """Restaurant domain: slots, values, dialogue acts, user goals, and the database.
 
+The domain is fixed: ``CONSTRAINT_SLOTS``, ``REQUEST_SLOTS`` and ``VALUES``.
 Slot and value orderings are canonical and never change at runtime: every
-feature layout downstream indexes into them.
+feature layout and every seeded draw downstream indexes into them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 CONSTRAINT_SLOTS = ("area", "food", "pricerange")
 REQUEST_SLOTS = ("area", "food", "address", "name", "pricerange", "postcode",
                  "signature", "phone")
-# request slots that are informable from a DB record but are not constraints
-RECORD_ONLY_SLOTS = ("address", "postcode", "phone", "signature")
 
 SYSTEM_ACT_TYPES = ("offer", "select", "request", "expl-conf", "repeat",
                     "cannothelp", "confirmdomain")
@@ -25,11 +24,11 @@ USER_ACT_TYPES = ("deny", "null", "reqmore", "confirm", "ack", "affirm",
                   "request", "inform", "thankyou", "repeat", "reqalts",
                   "negate", "bye", "hello", "restart")
 
-ONTOLOGY_SCHEMA = "dialab-ontology"
 DB_SCHEMA = "dialab-restaurant-db"
 SCHEMA_VERSION = 1
 
-_DEFAULT_VALUES = {
+# the ordered value list of each constraint slot
+VALUES = {
     "area": ("centre", "east", "north", "south", "west"),
     "food": ("british", "chinese", "french", "indian", "italian",
              "japanese", "spanish", "thai", "turkish", "vietnamese"),
@@ -47,41 +46,12 @@ _DISHES = ("dumplings", "tagine", "risotto", "noodles", "pie", "curry",
 
 
 class OntologyError(ValueError):
-    """Malformed ontology/database document or domain-rule violation."""
+    """Malformed database document, or a slot, value or act outside the
+    domain."""
 
 
 class GoalConfigError(ValueError):
     """Goal-sampling configuration outside its valid ranges."""
-
-
-@dataclass(frozen=True)
-class Ontology:
-    """Slot inventory plus the ordered value list of each constraint slot."""
-
-    constraint_slots: tuple[str, ...] = CONSTRAINT_SLOTS
-    request_slots: tuple[str, ...] = REQUEST_SLOTS
-    values: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(_DEFAULT_VALUES))
-
-    def __post_init__(self):
-        for slot in self.constraint_slots:
-            vals = self.values.get(slot)
-            if not vals:
-                raise OntologyError(f"no values for slot '{slot}'")
-        shared = set(self.constraint_slots) - set(self.request_slots)
-        if shared:
-            raise OntologyError(
-                f"constraint slots missing from request slots: {sorted(shared)}")
-
-    def check_value(self, slot: str, value: str) -> None:
-        if slot not in self.constraint_slots:
-            raise OntologyError(f"unknown constraint slot '{slot}'")
-        if value not in self.values[slot]:
-            raise OntologyError(f"unknown value '{value}' for slot '{slot}'")
-
-
-def default_ontology() -> Ontology:
-    return Ontology()
 
 
 @dataclass(frozen=True)
@@ -122,12 +92,12 @@ class RestaurantDB(tuple):
         return db
 
 
-def generate_db(ontology: Ontology, n: int = 150,
+def generate_db(n: int = 150,
                 rng: np.random.Generator | None = None) -> RestaurantDB:
     """Synthesize a seeded restaurant database of ``n`` records.
 
-    Names are unique; constraint values are sampled uniformly from the
-    ontology so every value inventory is reachable by queries.
+    Names are unique; constraint values are sampled uniformly from
+    ``VALUES`` so every value is reachable by queries.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     combos = [f"the {a} {b}" for a in _NAME_ADJECTIVES for b in _NAME_NOUNS]
@@ -136,9 +106,9 @@ def generate_db(ontology: Ontology, n: int = 150,
     for i in range(n):
         base = combos[order[i % len(combos)]]
         name = base if i < len(combos) else f"{base} {i // len(combos) + 1}"
-        area = str(rng.choice(ontology.values["area"]))
-        food = str(rng.choice(ontology.values["food"]))
-        price = str(rng.choice(ontology.values["pricerange"]))
+        area = str(rng.choice(VALUES["area"]))
+        food = str(rng.choice(VALUES["food"]))
+        price = str(rng.choice(VALUES["pricerange"]))
         records.append(Restaurant(
             name=name,
             area=area,
@@ -210,20 +180,20 @@ class GoalConfig:
                 raise GoalConfigError(f"bad request-count weight {k}: {w}")
 
 
-def sample_goal(ontology: Ontology, db: RestaurantDB,
+def sample_goal(db: RestaurantDB,
                 rng: np.random.Generator, cfg: GoalConfig | None = None) -> UserGoal:
     """Draw a goal; resampled against the DB so a ``satisfiable_frac`` share
     of goals has at least one matching restaurant."""
     cfg = cfg or GoalConfig()
-    slots = [s for s in ontology.constraint_slots
+    slots = [s for s in CONSTRAINT_SLOTS
              if rng.random() < cfg.constraint_probs.get(s, 0.0)]
     if not slots:
-        slots = [ontology.constraint_slots[int(rng.integers(len(ontology.constraint_slots)))]]
+        slots = [CONSTRAINT_SLOTS[int(rng.integers(len(CONSTRAINT_SLOTS)))]]
 
     must_match = rng.random() < cfg.satisfiable_frac
     constraints: dict[str, str] = {}
     for _ in range(1000):
-        constraints = {s: str(rng.choice(ontology.values[s])) for s in slots}
+        constraints = {s: str(rng.choice(VALUES[s])) for s in slots}
         if not must_match or query(db, constraints):
             break
     else:
@@ -234,9 +204,9 @@ def sample_goal(ontology: Ontology, db: RestaurantDB,
     counts = sorted(cfg.request_count_weights)
     weights = np.array([cfg.request_count_weights[c] for c in counts], dtype=float)
     k = int(rng.choice(counts, p=weights / weights.sum()))
-    k = min(k, len(ontology.request_slots))
-    picked = rng.choice(len(ontology.request_slots), size=k, replace=False)
-    requests = tuple(ontology.request_slots[i] for i in sorted(picked))
+    k = min(k, len(REQUEST_SLOTS))
+    picked = rng.choice(len(REQUEST_SLOTS), size=k, replace=False)
+    requests = tuple(REQUEST_SLOTS[i] for i in sorted(picked))
     return UserGoal(constraints=constraints, requests=requests)
 
 
@@ -341,64 +311,7 @@ def parse_user_act(text: str) -> UserAct:
 
 
 # ---------------------------------------------------------------------------
-# line-delimited file formats (schema-version header + one JSON record/line)
-
-def save_ontology(ontology: Ontology, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": ONTOLOGY_SCHEMA,
-                             "version": SCHEMA_VERSION}) + "\n")
-        fh.write(json.dumps({"record": "slots",
-                             "constraint_slots": list(ontology.constraint_slots),
-                             "request_slots": list(ontology.request_slots)}) + "\n")
-        for slot in ontology.constraint_slots:
-            fh.write(json.dumps({"record": "values", "slot": slot,
-                                 "values": list(ontology.values[slot])}) + "\n")
-
-
-def _read_header(line: str, schema: str, path: str) -> None:
-    try:
-        head = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise OntologyError(f"{path}: header is not valid JSON: {exc}") from exc
-    if head.get("schema") != schema:
-        raise OntologyError(f"{path}: expected schema '{schema}', got {head.get('schema')!r}")
-    if head.get("version") != SCHEMA_VERSION:
-        raise OntologyError(f"{path}: unsupported version {head.get('version')!r}")
-
-
-def load_ontology(path: str) -> Ontology:
-    """Parse an ontology document; errors name the offending field."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise OntologyError(f"{path}: empty document")
-    _read_header(lines[0], ONTOLOGY_SCHEMA, path)
-    constraint: list[str] | None = None
-    request: list[str] | None = None
-    values: dict[str, tuple[str, ...]] = {}
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        kind = rec.get("record")
-        if kind == "slots":
-            constraint = rec.get("constraint_slots")
-            request = rec.get("request_slots")
-        elif kind == "values":
-            slot = rec.get("slot")
-            vals = rec.get("values")
-            if not slot:
-                raise OntologyError(f"{path}: values record missing 'slot'")
-            if not vals:
-                raise OntologyError(f"{path}: no values for slot '{slot}'")
-            values[slot] = tuple(vals)
-        else:
-            raise OntologyError(f"{path}: unknown record kind {kind!r}")
-    if not constraint or not request:
-        raise OntologyError(f"{path}: missing 'slots' record")
-    for slot in constraint:
-        if slot not in values:
-            raise OntologyError(f"{path}: no values for slot '{slot}'")
-    return Ontology(tuple(constraint), tuple(request), values)
-
+# the database document: a schema-version header, then one JSON record a line
 
 def save_db(db: Iterable[Restaurant], path: str) -> None:
     with open(path, "w") as fh:
@@ -407,12 +320,21 @@ def save_db(db: Iterable[Restaurant], path: str) -> None:
             fh.write(json.dumps(r.__dict__, sort_keys=True) + "\n")
 
 
-def load_db(path: str, ontology: Ontology | None = None) -> RestaurantDB:
+def load_db(path: str) -> RestaurantDB:
+    """Read a database document; every record's constraint values must be
+    in ``VALUES``, and an error names the path, the slot and the value."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise OntologyError(f"{path}: empty document")
-    _read_header(lines[0], DB_SCHEMA, path)
+    try:
+        head = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise OntologyError(f"{path}: header is not valid JSON: {exc}") from exc
+    if head.get("schema") != DB_SCHEMA:
+        raise OntologyError(f"{path}: expected schema '{DB_SCHEMA}', got {head.get('schema')!r}")
+    if head.get("version") != SCHEMA_VERSION:
+        raise OntologyError(f"{path}: unsupported version {head.get('version')!r}")
     db = []
     for ln in lines[1:]:
         rec = json.loads(ln)
@@ -420,8 +342,10 @@ def load_db(path: str, ontology: Ontology | None = None) -> RestaurantDB:
             restaurant = Restaurant(**rec)
         except TypeError as exc:
             raise OntologyError(f"{path}: bad restaurant record: {exc}") from exc
-        if ontology is not None:
-            for slot in ontology.constraint_slots:
-                ontology.check_value(slot, restaurant.slot_value(slot))
+        for slot in CONSTRAINT_SLOTS:
+            value = restaurant.slot_value(slot)
+            if value not in VALUES[slot]:
+                raise OntologyError(
+                    f"{path}: unknown value {value!r} for slot '{slot}'")
         db.append(restaurant)
     return RestaurantDB(db)

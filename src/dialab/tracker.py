@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
-                       Ontology, UserAct)
+                       VALUES, UserAct)
 
 G_C = ((1.0, 0.0), (0.8, 0.2), (0.6, 0.2), (0.6, 0.4), (0.4, 0.4))
 G_R = (1.0, 0.8, 0.6, 0.4, 0.0)
@@ -70,16 +70,15 @@ _NO_SLOT_TYPES = ("ack", "affirm", "negate", "thankyou", "repeat", "null",
                   "hello", "deny", "reqmore", "reqalts", "restart", "bye")
 
 
-def _confused_act(act: UserAct, ontology: Ontology,
-                  rng: np.random.Generator) -> UserAct:
+def _confused_act(act: UserAct, rng: np.random.Generator) -> UserAct:
     if act.act_type == "inform":
-        others = [v for v in ontology.values[act.slot] if v != act.value]
+        others = [v for v in VALUES[act.slot] if v != act.value]
         if others:
             return UserAct("inform", slot=act.slot,
                            value=str(others[int(rng.integers(len(others)))]))
         return act
     if act.act_type == "request":
-        others = [s for s in ontology.request_slots if s != act.slot]
+        others = [s for s in REQUEST_SLOTS if s != act.slot]
         return UserAct("request", slot=others[int(rng.integers(len(others)))])
     others = [t for t in _NO_SLOT_TYPES if t != act.act_type]
     return UserAct(others[int(rng.integers(len(others)))])
@@ -93,7 +92,7 @@ def _scores(em: ErrorModel, rng: np.random.Generator) -> list[float]:
     return sorted((float(x) for x in draw), reverse=True)
 
 
-def corrupt(acts: Sequence[UserAct], em: ErrorModel, ontology: Ontology,
+def corrupt(acts: Sequence[UserAct], em: ErrorModel,
             rng: np.random.Generator) -> list[list[tuple[UserAct, float]]]:
     """Corrupt each true act into a scored n-best list.
 
@@ -108,14 +107,14 @@ def corrupt(acts: Sequence[UserAct], em: ErrorModel, ontology: Ontology,
         scores = _scores(em, rng)
         top_correct = rng.random() >= em.p_confuse
         hyps: list[UserAct] = [act if top_correct
-                               else _confused_act(act, ontology, rng)]
+                               else _confused_act(act, rng)]
         attempts = 0
         while len(hyps) < em.nbest_size and attempts < 4 * em.nbest_size:
             attempts += 1
             if act not in hyps:
                 cand = act  # the truth stays reachable lower in the list
             else:
-                cand = _confused_act(act, ontology, rng)
+                cand = _confused_act(act, rng)
             if cand not in hyps:
                 hyps.append(cand)
         observation.append([(h, s) for h, s in zip(hyps, scores) if s > 0.0])
@@ -132,19 +131,16 @@ class BeliefState:
     turn: int = 0
     db_count: int = 0
 
-    def distribution(self, slot: str) -> dict:
-        return self.constraints[slot]
 
-
-def fresh_belief(ontology: Ontology) -> BeliefState:
+def fresh_belief() -> BeliefState:
     constraints = {}
-    for slot in ontology.constraint_slots:
-        dist = {v: 0.0 for v in ontology.values[slot]}
+    for slot in CONSTRAINT_SLOTS:
+        dist = {v: 0.0 for v in VALUES[slot]}
         dist[NOT_MENTIONED] = 1.0
         constraints[slot] = dist
     return BeliefState(
         constraints=constraints,
-        requests={s: 0.0 for s in ontology.request_slots},
+        requests={s: 0.0 for s in REQUEST_SLOTS},
         user_acts={t: 0.0 for t in USER_ACT_TYPES},
     )
 

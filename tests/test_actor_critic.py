@@ -313,5 +313,5 @@ class TestPretrain:
                                  RNG(19))
         from dialab.tracker import feature_names
         stats = agent.pretrain(pairs, [], feature_names("original"),
-                               built.feature_names, RNG(20), batch_rl=False)
+                               built.feature_names, RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

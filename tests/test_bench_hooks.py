@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -49,3 +51,19 @@ def test_benchmark_checker_sees_every_dialogue(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "attempted": 12, "failed": 0, "train_marks": 6, "evaluations": 3}
+
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    WORKLOADS = [w["name"] for w in json.load(fh)["workloads"]]
+
+SETUP = ("import sys; sys.path.insert(0, 'perfbench'); import workload; "
+         "sys.exit(workload.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_benchmark_setup_builds_every_workload(tmp_path, name):
+    # the timed set-up reads the workload's config, build_world's
+    # three-element return and build_agent
+    proc = run_python(SETUP, "setup", name, "1", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0

@@ -85,6 +85,15 @@ class TestRate:
             assert 0.28 <= frac <= 0.38, fracs
 
 
+class TestHandcraftedPolicy:
+    @pytest.mark.parametrize("p_blunder, rng", [
+        (1.0, None), (1.5, np.random.default_rng(0)),
+        (-0.1, np.random.default_rng(0))])
+    def test_rejects_a_blunder_rate_it_cannot_apply(self, p_blunder, rng):
+        with pytest.raises(ValueError, match="p_blunder"):
+            HandcraftedPolicy("original", p_blunder=p_blunder, rng=rng)
+
+
 class TestFilter:
     def test_filtered_subset_has_rating_three(self, small_corpus):
         expert = filter_expert(small_corpus)

@@ -9,24 +9,22 @@ from dialab.environment import (ORIGINAL_ACTIONS, SUMMARY_ACTIONS, DialogueEnv,
                                 check_reward_decomposition, minmax_slot,
                                 realize_summary_act, rollout, run_episode,
                                 understood_constraints)
-from dialab.ontology import (GoalConfig, UserAct, default_ontology,
-                             generate_db)
+from dialab.ontology import GoalConfig, UserAct, generate_db
 from dialab.seeding import rng_stream
 from dialab.tracker import ErrorModel, fresh_belief, update_belief
 from dialab.usersim import UserConfig
 
-ONTO = default_ontology()
-DB = generate_db(ONTO, n=150, rng=np.random.default_rng(7))
+DB = generate_db(n=150, rng=np.random.default_rng(7))
 
 
 def make_env(space="original", noiseless=True, **cfg_kw):
     error = ErrorModel.noiseless() if noiseless else ErrorModel()
     cfg = EnvConfig(space=space, error=error, **cfg_kw)
-    return DialogueEnv(ONTO, DB, cfg)
+    return DialogueEnv(DB, cfg)
 
 
 def belief_with(informs, db_count=0):
-    b = fresh_belief(ONTO)
+    b = fresh_belief()
     obs = [[(UserAct("inform", slot=s, value=v), c)] for s, v, c in informs]
     return update_belief(b, obs, db_count)
 
@@ -105,12 +103,12 @@ class TestRealization:
         b = belief_with([("food", "thai", 0.9), ("area", "north", 0.3),
                          ("pricerange", "cheap", 0.7)])
         assert minmax_slot(b) == "area"
-        act, _ = realize_summary_act("request", b, ONTO, DB)
+        act, _ = realize_summary_act("request", b, DB)
         assert act.act_type == "request" and act.slot == "area"
 
     def test_request_tie_breaks_canonical(self):
-        b = fresh_belief(ONTO)
-        act, _ = realize_summary_act("request", b, ONTO, DB)
+        b = fresh_belief()
+        act, _ = realize_summary_act("request", b, DB)
         assert act.slot == "area"
 
     def test_offer_carries_argmax_values(self):
@@ -118,7 +116,7 @@ class TestRealization:
         b = belief_with([("food", target.food, 0.95),
                          ("area", target.area, 0.95),
                          ("pricerange", target.pricerange, 0.95)])
-        act, count = realize_summary_act("offer", b, ONTO, DB)
+        act, count = realize_summary_act("offer", b, DB)
         assert act.act_type == "offer"
         assert act.payload["food"] == target.food
         assert act.payload["area"] == target.area
@@ -132,32 +130,32 @@ class TestRealization:
     def test_expl_conf_picks_highest_below_confirm_threshold(self):
         b = belief_with([("food", "thai", 0.95), ("area", "north", 0.7),
                          ("pricerange", "cheap", 0.5)])
-        act, _ = realize_summary_act("expl-conf", b, ONTO, DB)
+        act, _ = realize_summary_act("expl-conf", b, DB)
         assert act.slot == "area"
         assert act.value == "north"
 
     def test_select_picks_smallest_gap(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         obs = [[(UserAct("inform", slot="food", value="thai"), 0.5),
                 (UserAct("inform", slot="food", value="indian"), 0.45)],
                [(UserAct("inform", slot="area", value="north"), 0.9)]]
         b = update_belief(b, obs, 0)
         # food gap ~0.275-0.225=0.05... compute: thai 0.5, then indian update:
         # thai*=(1-.45)=.275, indian=.45 -> gap .175; area gap .9; price gap 0
-        act, _ = realize_summary_act("select", b, ONTO, DB)
+        act, _ = realize_summary_act("select", b, DB)
         assert act.act_type == "select" and act.slot == "pricerange"
         assert act.options is not None
 
     def test_empty_db_result_realizes_cannothelp_in_summary(self):
         b = belief_with([("food", "no-such", 0.9)])
-        # value not in ontology is never believed, so force a mismatch combo
+        # value not in VALUES is never believed, so force a mismatch combo
         b2 = belief_with([("food", "vietnamese", 0.9),
                           ("area", "centre", 0.9),
                           ("pricerange", "premium", 0.9)])
         from dialab.ontology import query
         if query(DB, understood_constraints(b2)):
             pytest.skip("sampled db happens to satisfy the combo")
-        act, count = realize_summary_act("offer", b2, ONTO, DB)
+        act, count = realize_summary_act("offer", b2, DB)
         assert act.act_type == "cannothelp"
         assert count == 0
 

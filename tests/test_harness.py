@@ -448,6 +448,17 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
             train_run(dataclasses.replace(cfg, dialogues=20), resume=True)
         assert directory_bytes(tmp_path / "dqn-run") == before
 
+    def test_extending_resume_rewrites_config(self, tmp_path):
+        cfg = smoke_config(tmp_path, dialogues=20)
+        train_run(cfg)
+        extended = dataclasses.replace(cfg, dialogues=40)
+        assert [row[0] for row in train_run(extended, resume=True)] == [
+            0, 20, 40]
+        with open(os.path.join(cfg.out, "config.json")) as fh:
+            stored = json.load(fh)
+        assert stored["dialogues"] == 40
+        assert config_from_dict(stored) == extended
+
     def test_config_serialized_verbatim(self, tmp_path):
         cfg = smoke_config(tmp_path)
         train_run(cfg)
@@ -727,6 +738,18 @@ class TestCli:
                          "--resume", "--set", "seed=9"]) == cli.EXIT_CONFIG
         assert "seed from 3 to 9" in capsys.readouterr().err
         assert directory_bytes(out) == before
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"provenance": "handcrafted", "log": {}}', "missing field 'space'"),
+        ('{"rating": 3,', "not JSON")])
+    def test_rate_rejects_a_malformed_corpus(self, tmp_path, capsys, record,
+                                             message):
+        path = tmp_path / "corpus.jsonl"
+        header = {"schema": "dialab-corpus", "version": 1,
+                  "space": "original", "feature_names": ["f0"]}
+        path.write_text(json.dumps(header) + "\n" + record + "\n")
+        assert cli.main(["rate", "--corpus", str(path)]) == cli.EXIT_RUN
+        assert f"{path}:2: {message}" in capsys.readouterr().err
 
     def test_plot_data(self, tmp_path):
         run_dir = tmp_path / "runs" / "y" / "seed-0"

@@ -5,58 +5,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, GoalConfig,
-                             GoalConfigError, Ontology, OntologyError,
-                             Restaurant, SystemAct, UserAct, default_ontology,
-                             generate_db, load_db, load_ontology, query,
-                             sample_goal, save_db, save_ontology)
+from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, VALUES,
+                             GoalConfig, GoalConfigError, OntologyError,
+                             SystemAct, UserAct, generate_db, load_db, query,
+                             sample_goal, save_db)
 
 
 @pytest.fixture(scope="module")
-def ontology():
-    return default_ontology()
-
-
-@pytest.fixture(scope="module")
-def db(ontology):
-    return generate_db(ontology, n=150, rng=np.random.default_rng(7))
+def db():
+    return generate_db(n=150, rng=np.random.default_rng(7))
 
 
 class TestOntology:
-    def test_constraint_slots(self, ontology):
-        assert ontology.constraint_slots == ("area", "food", "pricerange")
+    def test_constraint_slots(self):
+        assert CONSTRAINT_SLOTS == ("area", "food", "pricerange")
 
-    def test_request_slot_count(self, ontology):
-        assert len(ontology.request_slots) == 8
-        assert set(ontology.request_slots) == {
+    def test_request_slot_count(self):
+        assert len(REQUEST_SLOTS) == 8
+        assert set(REQUEST_SLOTS) == {
             "area", "food", "address", "name", "pricerange", "postcode",
             "signature", "phone"}
 
-    def test_constraint_slots_have_at_least_five_values(self, ontology):
-        for slot in ontology.constraint_slots:
-            assert len(ontology.values[slot]) >= 5
+    def test_constraint_slots_have_at_least_five_values(self):
+        for slot in CONSTRAINT_SLOTS:
+            assert len(VALUES[slot]) >= 5
 
-    def test_missing_value_list_is_parse_error(self, tmp_path):
-        path = tmp_path / "onto.jsonl"
-        save_ontology(default_ontology(), path)
-        lines = path.read_text().splitlines()
-        kept = [ln for ln in lines if '"slot": "food"' not in ln]
-        path.write_text("\n".join(kept) + "\n")
-        with pytest.raises(OntologyError, match="food"):
-            load_ontology(str(path))
-
-    def test_roundtrip(self, tmp_path, ontology):
-        path = tmp_path / "onto.jsonl"
-        save_ontology(ontology, path)
-        loaded = load_ontology(str(path))
-        assert loaded.constraint_slots == ontology.constraint_slots
-        assert loaded.request_slots == ontology.request_slots
-        assert dict(loaded.values) == dict(ontology.values)
-
-    def test_db_roundtrip(self, tmp_path, ontology, db):
+    def test_db_roundtrip(self, tmp_path, db):
         path = tmp_path / "db.jsonl"
         save_db(db, path)
-        assert load_db(str(path), ontology) == db
+        assert load_db(str(path)) == db
+
+    def test_db_value_outside_the_domain_is_rejected(self, tmp_path, db):
+        path = tmp_path / "db.jsonl"
+        save_db(db, path)
+        text = path.read_text()
+        path.write_text(text.replace(f'"food": "{db[0].food}"',
+                                     '"food": "martian"', 1))
+        with pytest.raises(OntologyError) as refused:
+            load_db(str(path))
+        assert str(path) in str(refused.value)
+        assert "'martian' for slot 'food'" in str(refused.value)
 
 
 class TestQuery:
@@ -73,14 +61,13 @@ class TestQuery:
             query(db, {"postcode": "cb1"})
 
     @pytest.mark.parametrize("source", ["generated", "reloaded"])
-    def test_index_equals_a_scan_for_every_key(self, tmp_path, ontology, db,
-                                               source):
+    def test_index_equals_a_scan_for_every_key(self, tmp_path, db, source):
         if source == "reloaded":
             path = tmp_path / "db.jsonl"
             save_db(db, path)
-            db = load_db(str(path), ontology)
-        slots = ontology.constraint_slots
-        keys = itertools.product(*[(None, *ontology.values[s]) for s in slots])
+            db = load_db(str(path))
+        slots = CONSTRAINT_SLOTS
+        keys = itertools.product(*[(None, *VALUES[s]) for s in slots])
         for values in keys:
             constraints = {s: v for s, v in zip(slots, values) if v is not None}
             scan = [r for r in db if all(getattr(r, s) == v
@@ -95,43 +82,43 @@ class TestQuery:
         first.clear()
         assert db[0] in query(db, {"area": db[0].area})
 
-    def test_monotone_in_constraints(self, ontology, db):
+    def test_monotone_in_constraints(self, db):
         # exhaustive: every 1-constraint query dominates its 2-constraint
         # extensions, which dominate the 3-constraint ones
-        for a in ontology.values["area"]:
+        for a in VALUES["area"]:
             base = query(db, {"area": a})
-            for f in ontology.values["food"]:
+            for f in VALUES["food"]:
                 mid = query(db, {"area": a, "food": f})
                 assert len(mid) <= len(base)
-                for p in ontology.values["pricerange"]:
+                for p in VALUES["pricerange"]:
                     assert len(query(db, {"area": a, "food": f,
                                           "pricerange": p})) <= len(mid)
 
 
 class TestGoals:
-    def test_all_constraints_forced(self, ontology, db):
+    def test_all_constraints_forced(self, db):
         cfg = GoalConfig(constraint_probs={s: 1.0 for s in CONSTRAINT_SLOTS})
-        goal = sample_goal(ontology, db, np.random.default_rng(0), cfg)
+        goal = sample_goal(db, np.random.default_rng(0), cfg)
         assert len(goal.constraints) == 3
 
-    def test_same_seed_same_goal(self, ontology, db):
-        g1 = sample_goal(ontology, db, np.random.default_rng(42))
-        g2 = sample_goal(ontology, db, np.random.default_rng(42))
+    def test_same_seed_same_goal(self, db):
+        g1 = sample_goal(db, np.random.default_rng(42))
+        g2 = sample_goal(db, np.random.default_rng(42))
         assert g1 == g2
 
-    def test_satisfiable_goals_match_db(self, ontology, db):
+    def test_satisfiable_goals_match_db(self, db):
         cfg = GoalConfig(satisfiable_frac=1.0)
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            goal = sample_goal(ontology, db, rng, cfg)
+            goal = sample_goal(db, rng, cfg)
             assert query(db, goal.constraints), goal
 
-    def test_goal_values_exist_in_ontology(self, ontology, db):
+    def test_goal_values_exist_in_ontology(self, db):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            goal = sample_goal(ontology, db, rng)
+            goal = sample_goal(db, rng)
             for slot, value in goal.constraints.items():
-                assert value in ontology.values[slot]
+                assert value in VALUES[slot]
 
     def test_bad_probability_rejected(self):
         with pytest.raises(GoalConfigError):
@@ -187,15 +174,14 @@ class TestActWellFormedness:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.data())
 def test_query_monotonicity_property(seed, data):
-    ontology = default_ontology()
-    db = generate_db(ontology, n=60, rng=np.random.default_rng(seed))
+    db = generate_db(n=60, rng=np.random.default_rng(seed))
     slots = list(CONSTRAINT_SLOTS)
     chosen = data.draw(st.lists(st.sampled_from(slots), unique=True,
                                 min_size=1, max_size=3))
     constraints = {}
     prev = len(db)
     for slot in chosen:
-        constraints[slot] = data.draw(st.sampled_from(ontology.values[slot]))
+        constraints[slot] = data.draw(st.sampled_from(VALUES[slot]))
         now = len(query(db, constraints))
         assert now <= prev
         prev = now

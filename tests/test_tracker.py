@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialab.ontology import USER_ACT_TYPES, UserAct, default_ontology
+from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
+                             VALUES, UserAct)
 from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, NOT_MENTIONED,
                             ORIGINAL_LEN, SUMMARY_LEN, BeliefState, ErrorModel,
                             corrupt, feature_names, fresh_belief, nearest_gc,
@@ -11,7 +12,6 @@ from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, NOT_MENTIONED,
                             update_belief, vectorize_original)
 
 RNG = np.random.default_rng
-ONTO = default_ontology()
 
 
 def inform(slot, value):
@@ -28,14 +28,14 @@ def random_belief(rng):
     uniforms = rng.random(64)
     k = 0
     constraints = {}
-    for slot in ONTO.constraint_slots:
-        keys = list(ONTO.values[slot]) + [NOT_MENTIONED]
+    for slot in CONSTRAINT_SLOTS:
+        keys = list(VALUES[slot]) + [NOT_MENTIONED]
         raw = [-np.log(u) for u in uniforms[k:k + len(keys)]]
         k += len(keys)
         total = sum(raw)
         constraints[slot] = {key: x / total for key, x in zip(keys, raw)}
     requests = {}
-    for slot in ONTO.request_slots:
+    for slot in REQUEST_SLOTS:
         requests[slot] = float(uniforms[k])
         k += 1
     acts = {}
@@ -54,7 +54,7 @@ def random_belief(rng):
 def summarize_oracle(belief):
     """Brute-force nearest-grid mapping, enumerated independently."""
     bits = []
-    for slot in ONTO.constraint_slots:
+    for slot in CONSTRAINT_SLOTS:
         dist = belief.constraints[slot]
         masses = sorted((m for v, m in dist.items() if v != NOT_MENTIONED),
                         reverse=True)
@@ -68,7 +68,7 @@ def summarize_oracle(belief):
         block = [0.0] * 5
         block[best] = 1.0
         bits.extend(block)
-    for slot in ONTO.request_slots:
+    for slot in REQUEST_SLOTS:
         p = belief.requests[slot]
         best, best_d = 0, float("inf")
         for i, g in enumerate(G_R):
@@ -86,20 +86,20 @@ def summarize_oracle(belief):
 class TestCorrupt:
     def test_noiseless_channel_is_identity_with_score_one(self):
         acts = [inform("food", "thai"), UserAct("request", slot="phone")]
-        obs = corrupt(acts, ErrorModel.noiseless(), ONTO, RNG(0))
+        obs = corrupt(acts, ErrorModel.noiseless(), RNG(0))
         assert len(obs) == 2
         for nbest, act in zip(obs, acts):
             assert nbest == [(act, 1.0)]
 
     def test_full_drop_gives_empty_observation(self):
         em = ErrorModel(p_drop=1.0)
-        assert corrupt([inform("food", "thai")], em, ONTO, RNG(1)) == []
+        assert corrupt([inform("food", "thai")], em, RNG(1)) == []
 
     def test_scores_positive_and_sum_at_most_one(self):
         em = ErrorModel(p_confuse=0.3, p_drop=0.1, nbest_size=3)
         rng = RNG(2)
         for _ in range(500):
-            for nbest in corrupt([inform("area", "north")], em, ONTO, rng):
+            for nbest in corrupt([inform("area", "north")], em, rng):
                 total = sum(s for _, s in nbest)
                 assert all(s > 0 for _, s in nbest)
                 assert total <= 1.0 + 1e-12
@@ -111,7 +111,7 @@ class TestCorrupt:
         hits = 0
         n = 10000
         for _ in range(n):
-            obs = corrupt([act], em, ONTO, rng)
+            obs = corrupt([act], em, rng)
             top = max(obs[0], key=lambda hs: hs[1])[0]
             hits += (top == act)
         assert abs(hits / n - 0.8) <= 0.02
@@ -119,7 +119,7 @@ class TestCorrupt:
     def test_deterministic_per_seed(self):
         em = ErrorModel()
         acts = [inform("food", "thai")]
-        assert corrupt(acts, em, ONTO, RNG(9)) == corrupt(acts, em, ONTO, RNG(9))
+        assert corrupt(acts, em, RNG(9)) == corrupt(acts, em, RNG(9))
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestCorrupt:
 
 class TestUpdateBelief:
     def test_certain_inform_dominates(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         b2 = update_belief(b, obs_of((inform("food", "thai"), 1.0)), 0)
         p1, _ = top2(b2, "food")
         assert p1 >= 0.99
@@ -138,7 +138,7 @@ class TestUpdateBelief:
                    key=b2.constraints["food"].get) == "thai"
 
     def test_empty_observation_only_advances_turn(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         b1 = update_belief(b, obs_of((inform("area", "north"), 0.6)), 3)
         b2 = update_belief(b1, [], 3)
         assert b2.constraints == b1.constraints
@@ -146,45 +146,45 @@ class TestUpdateBelief:
         assert b2.turn == b1.turn + 1
 
     def test_later_contradiction_wins(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         b = update_belief(b, obs_of((inform("food", "thai"), 0.6)), 0)
         b = update_belief(b, obs_of((inform("food", "indian"), 0.6)), 0)
         dist = b.constraints["food"]
         assert dist["indian"] > dist["thai"]
 
     def test_request_probability_rises_to_max(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         b = update_belief(b, obs_of((UserAct("request", slot="phone"), 0.7)), 0)
         assert b.requests["phone"] == 0.7
         b = update_belief(b, obs_of((UserAct("request", slot="phone"), 0.4)), 0)
         assert b.requests["phone"] == 0.7
 
     def test_act_probabilities_aggregate_scores(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         obs = [[(UserAct("affirm"), 0.5)], [(UserAct("affirm"), 0.3)]]
         b = update_belief(b, obs, 0)
         assert abs(b.user_acts["affirm"] - 0.8) <= 1e-12
 
     def test_db_count_stored(self):
-        b = update_belief(fresh_belief(ONTO), [], 17)
+        b = update_belief(fresh_belief(), [], 17)
         assert b.db_count == 17
 
     def test_normalization_preserved_under_random_updates(self):
         rng = RNG(4)
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         for _ in range(300):
-            slot = str(rng.choice(ONTO.constraint_slots))
-            value = str(rng.choice(ONTO.values[slot]))
+            slot = str(rng.choice(CONSTRAINT_SLOTS))
+            value = str(rng.choice(VALUES[slot]))
             score = float(rng.uniform(0.01, 0.99))
             b = update_belief(b, obs_of((inform(slot, value), score)), 0)
-            for s in ONTO.constraint_slots:
+            for s in CONSTRAINT_SLOTS:
                 assert abs(sum(b.constraints[s].values()) - 1.0) <= 1e-9
 
 
 class TestTop2:
     def test_worked_example(self):
-        b = fresh_belief(ONTO)
-        dist = {v: 0.0 for v in ONTO.values["food"]}
+        b = fresh_belief()
+        dist = {v: 0.0 for v in VALUES["food"]}
         dist["italian"] = 0.85
         dist["indian"] = 0.10
         dist[NOT_MENTIONED] = 0.05
@@ -192,10 +192,10 @@ class TestTop2:
         assert top2(b, "food") == (0.85, 0.10)
 
     def test_fresh_belief_is_zero_zero(self):
-        assert top2(fresh_belief(ONTO), "area") == (0.0, 0.0)
+        assert top2(fresh_belief(), "area") == (0.0, 0.0)
 
     def test_single_mentioned_value(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         b = update_belief(b, obs_of((inform("area", "west"), 0.6)), 0)
         p1, p2 = top2(b, "area")
         assert abs(p1 - 0.6) <= 1e-12 and p2 == 0.0
@@ -246,21 +246,21 @@ class TestSummarize:
 
 class TestVectorizeOriginal:
     def test_fresh_belief_is_zeros(self):
-        vec = vectorize_original(fresh_belief(ONTO))
+        vec = vectorize_original(fresh_belief())
         assert vec.shape == (ORIGINAL_LEN,)
         assert np.all(vec == 0.0)
         assert ORIGINAL_LEN == 31
 
     def test_turn_fifteen_scales_to_half(self):
-        b = fresh_belief(ONTO)
+        b = fresh_belief()
         for _ in range(15):
             b = update_belief(b, [], 0)
         assert vectorize_original(b)[29] == 0.5
 
     def test_db_count_clamped(self):
-        b = update_belief(fresh_belief(ONTO), [], 40)
+        b = update_belief(fresh_belief(), [], 40)
         assert vectorize_original(b)[30] == 1.0
-        b = update_belief(fresh_belief(ONTO), [], DB_COUNT_CAP // 2)
+        b = update_belief(fresh_belief(), [], DB_COUNT_CAP // 2)
         assert vectorize_original(b)[30] == 0.5
 
     def test_layout_matches_manifest(self):

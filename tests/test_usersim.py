@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from dialab.ontology import (Restaurant, SystemAct, UserAct, UserGoal,
-                             default_ontology, generate_db, query)
+from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, VALUES,
+                             Restaurant, SystemAct, UserAct, UserGoal,
+                             generate_db, query)
 from dialab.usersim import (UserConfig, UserSessionError, check_hangup,
                             init_user, is_satisfied, respond)
 
 RNG = np.random.default_rng
-ONTO = default_ontology()
-DB = generate_db(ONTO, n=150, rng=RNG(7))
+DB = generate_db(n=150, rng=RNG(7))
 
 
 def make_goal(constraints=None, requests=("phone", "address")):
@@ -209,13 +209,13 @@ class TestProperties:
         rng = RNG(seed)
         onto_rng = RNG(seed + 1)
         goal_constraints = {
-            "area": str(onto_rng.choice(ONTO.values["area"])),
-            "food": str(onto_rng.choice(ONTO.values["food"])),
-            "pricerange": str(onto_rng.choice(ONTO.values["pricerange"])),
+            "area": str(onto_rng.choice(VALUES["area"])),
+            "food": str(onto_rng.choice(VALUES["food"])),
+            "pricerange": str(onto_rng.choice(VALUES["pricerange"])),
         }
         n_req = 1 + int(onto_rng.integers(4))
         requests = tuple(str(s) for s in onto_rng.choice(
-            ONTO.request_slots, size=n_req, replace=False))
+            REQUEST_SLOTS, size=n_req, replace=False))
         goal = UserGoal(constraints=goal_constraints, requests=requests)
         state = init_user(goal, UserConfig(), rng)
         offer = offer_for(matching_restaurant(goal), goal)
@@ -246,11 +246,11 @@ class TestProperties:
                     break
                 roll = rng.random()
                 if roll < 0.3:
-                    slot = str(rng.choice(ONTO.constraint_slots))
+                    slot = str(rng.choice(CONSTRAINT_SLOTS))
                     sys = SystemAct("request", slot=slot)
                 elif roll < 0.5:
-                    slot = str(rng.choice(ONTO.constraint_slots))
-                    value = str(rng.choice(ONTO.values[slot]))
+                    slot = str(rng.choice(CONSTRAINT_SLOTS))
+                    value = str(rng.choice(VALUES[slot]))
                     sys = SystemAct("expl-conf", slot=slot, value=value)
                 elif roll < 0.7:
                     sys = SystemAct("repeat")
