@@ -10,14 +10,12 @@ RL transitions for the two-stage pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tracker
-from .environment import (ORIGINAL_ACTIONS, SUMMARY_ACTIONS, DialogueEnv,
-                          EpisodeLog, Transition, run_episode)
+from .environment import (SPACES, DialogueEnv, EpisodeLog, Transition,
+                          run_episode)
 from .ontology import CONSTRAINT_SLOTS
 from .seeding import rng_stream
 
@@ -28,6 +26,7 @@ PROVENANCES = ("handcrafted", "noisy-handcrafted", "agent")
 
 REQUEST_BAR = 0.05
 CONFIRM_THRESHOLD = 0.7
+GROUNDED = 0.5
 
 
 class CorpusFormatError(ValueError):
@@ -60,8 +59,9 @@ class Corpus:
 class HandcraftedPolicy:
     """Deterministic rule table over belief features.
 
-    Request each constraint slot (canonical order) while its top-value
-    probability is essentially zero; explicitly confirm slots still below
+    Each constraint slot's top-value probability is read through the
+    space's ``slot_confidence``. Request each slot (canonical order) while
+    that probability is essentially zero; explicitly confirm slots still below
     the confidence threshold; offer once every slot clears it. Repeated
     offers answer the user's outstanding requests. With p_blunder, a turn's
     action is replaced by a uniformly random one drawn from ``rng``.
@@ -69,41 +69,34 @@ class HandcraftedPolicy:
 
     def __init__(self, space: str, p_blunder: float = 0.0,
                  rng: np.random.Generator | None = None):
-        if space not in ("summary", "original"):
-            raise ValueError(f"unknown space '{space}'")
         if not 0.0 <= p_blunder <= 1.0:
             raise ValueError(f"p_blunder={p_blunder} outside [0,1]")
         if p_blunder > 0.0 and rng is None:
             raise ValueError(f"p_blunder={p_blunder} needs an rng to draw "
                              f"blunders from")
-        self.space = space
+        self.space = SPACES[space]
         self.p_blunder = p_blunder
         self.rng = rng
-        self.actions = SUMMARY_ACTIONS if space == "summary" else ORIGINAL_ACTIONS
+        self.request = [self.space.action("request", s)
+                        for s in CONSTRAINT_SLOTS]
+        self.confirm = [self.space.action("expl-conf", s)
+                        for s in CONSTRAINT_SLOTS]
+        self.offer = self.space.action("offer")
 
     def decide(self, features: np.ndarray) -> int:
         """The blunder-free rule action for one feature vector."""
-        if self.space == "original":
-            for i, slot in enumerate(CONSTRAINT_SLOTS):
-                if features[2 * i] < REQUEST_BAR:
-                    return self.actions.index(f"request-{slot}")
-            for i, slot in enumerate(CONSTRAINT_SLOTS):
-                if features[2 * i] < CONFIRM_THRESHOLD:
-                    return self.actions.index(f"expl-conf-{slot}")
-            return self.actions.index("offer")
-        for i in range(len(CONSTRAINT_SLOTS)):
-            block = int(np.argmax(features[5 * i: 5 * i + 5]))
-            if block == 4:
-                return self.actions.index("request")
-        for i in range(len(CONSTRAINT_SLOTS)):
-            block = int(np.argmax(features[5 * i: 5 * i + 5]))
-            if block in (2, 3):
-                return self.actions.index("expl-conf")
-        return self.actions.index("offer")
+        confidence = self.space.slot_confidence(features)
+        for i, p in enumerate(confidence):
+            if p < REQUEST_BAR:
+                return self.request[i]
+        for i, p in enumerate(confidence):
+            if p < CONFIRM_THRESHOLD:
+                return self.confirm[i]
+        return self.offer
 
     def __call__(self, features: np.ndarray) -> int:
         if self.p_blunder > 0.0 and self.rng.random() < self.p_blunder:
-            return int(self.rng.integers(len(self.actions)))
+            return int(self.rng.integers(len(self.space.actions)))
         return self.decide(features)
 
 
@@ -135,15 +128,8 @@ class BlunderSchedule:
 def grounded_fraction(log: EpisodeLog) -> float:
     """Share of constraint slots the final belief pins to a concrete value."""
     final = np.asarray(log.final_features, dtype=float)
-    hits = 0
-    for i in range(len(CONSTRAINT_SLOTS)):
-        if log.space == "original":
-            if final[2 * i] >= 0.5:
-                hits += 1
-        else:
-            if int(np.argmax(final[5 * i: 5 * i + 5])) != 4:
-                hits += 1
-    return hits / len(CONSTRAINT_SLOTS)
+    confidence = SPACES[log.space].slot_confidence(final)
+    return sum(1 for p in confidence if p >= GROUNDED) / len(CONSTRAINT_SLOTS)
 
 
 def count_blunders(log: EpisodeLog) -> int:
@@ -187,7 +173,7 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
         dialogues.append(CorpusDialogue(log=log, rating=rate(log),
                                         provenance=provenance))
     return Corpus(dialogues=dialogues, space=env.config.space,
-                  feature_names=tracker.feature_names(env.config.space))
+                  feature_names=list(env.space.feature_names))
 
 
 def filter_expert(corpus: Corpus) -> Corpus:
@@ -196,17 +182,20 @@ def filter_expert(corpus: Corpus) -> Corpus:
                   space=corpus.space, feature_names=list(corpus.feature_names))
 
 
+def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
+    if d.log.space != space:
+        raise CorpusFormatError(
+            f"mixed feature layouts: dialogue space {d.log.space!r} in a "
+            f"{space!r} corpus")
+    for rec in d.log.records:
+        if len(rec.features) != n_features:
+            raise CorpusFormatError(f"feature length {len(rec.features)} != "
+                                    f"manifest {n_features}")
+
+
 def _check_layout(corpus: Corpus) -> None:
-    want = len(corpus.feature_names)
     for d in corpus.dialogues:
-        if d.log.space != corpus.space:
-            raise CorpusFormatError(
-                f"mixed feature layouts: dialogue space {d.log.space!r} in a "
-                f"{corpus.space!r} corpus")
-        for rec in d.log.records:
-            if len(rec.features) != want:
-                raise CorpusFormatError(
-                    f"feature length {len(rec.features)} != manifest {want}")
+        _check_dialogue(d, corpus.space, len(corpus.feature_names))
 
 
 def to_supervised(corpus: Corpus) -> list[tuple[np.ndarray, int]]:
@@ -257,10 +246,14 @@ def load_corpus(path: str) -> Corpus:
                     raise CorpusFormatError(
                         f"unrecognized corpus header {rec!r}")
                 space, feature_names = rec["space"], rec["feature_names"]
+                if space not in SPACES:
+                    raise CorpusFormatError(f"field 'space': unknown space "
+                                            f"{space!r}")
             else:
                 dialogues.append(CorpusDialogue(
                     log=EpisodeLog.from_dict(rec["log"]),
                     rating=rec["rating"], provenance=rec["provenance"]))
+                _check_dialogue(dialogues[-1], space, len(feature_names))
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"{path}:{number}: not JSON: {exc.msg} "
                                     f"at column {exc.colno}") from exc
@@ -269,7 +262,5 @@ def load_corpus(path: str) -> Corpus:
                 f"{path}:{number}: missing field {exc}") from exc
         except (ValueError, TypeError, AttributeError) as exc:
             raise CorpusFormatError(f"{path}:{number}: {exc}") from exc
-    corpus = Corpus(dialogues=dialogues, space=space,
-                    feature_names=feature_names)
-    _check_layout(corpus)
-    return corpus
+    return Corpus(dialogues=dialogues, space=space,
+                  feature_names=feature_names)

@@ -1,10 +1,12 @@
 """Episodic dialogue environment over belief states.
 
 One step = one exchange: the chosen act is realized into a full system act
-(summary mode adds the slot via the min-max heuristic), the simulated user
-responds, the channel corrupts the response, and the tracker folds it into
-the belief. Rewards follow the normalized scheme: -0.03 per turn, +1 on
-success, -1 on a hang-up or on reaching the turn cap without success.
+through its space's table (the summary space picks the slot, e.g. by the
+min-max heuristic), the simulated user responds, the channel corrupts the
+response, and the tracker folds it into the belief. ``SPACES`` holds one
+record per state/action space. Rewards follow the normalized scheme: -0.03
+per turn, +1 on success, -1 on a hang-up or on reaching the turn cap without
+success.
 """
 
 from __future__ import annotations
@@ -16,18 +18,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import tracker, usersim
-from .ontology import (CONSTRAINT_SLOTS, VALUES, GoalConfig, RestaurantDB,
-                       SystemAct, UserAct, query, sample_goal)
+from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES, VALUES,
+                       GoalConfig, RestaurantDB, SystemAct, UserAct, query,
+                       sample_goal)
 from .tracker import BeliefState, ErrorModel
 from .usersim import UserConfig
-
-SUMMARY_ACTIONS = ("cannothelp", "confirmdomain", "expl-conf", "offer",
-                   "repeat", "request", "select")
-ORIGINAL_ACTIONS = ("offer",
-                    "select-area", "select-food", "select-pricerange",
-                    "request-area", "request-food", "request-pricerange",
-                    "expl-conf-area", "expl-conf-food", "expl-conf-pricerange",
-                    "repeat")
 
 CONFIRM_THRESHOLD = 0.9  # expl-conf targets slots confidently below this
 
@@ -38,7 +33,7 @@ class EpisodeStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvConfig:
-    space: str = "original"              # "summary" or "original"
+    space: str = "original"              # a key of SPACES
     max_turns: int = 30
     turn_penalty: float = -0.03
     success_reward: float = 1.0
@@ -49,7 +44,7 @@ class EnvConfig:
     goals: GoalConfig = field(default_factory=GoalConfig)
 
     def __post_init__(self):
-        if self.space not in ("summary", "original"):
+        if self.space not in SPACES:
             raise ValueError(f"unknown action/state space '{self.space}'")
         if self.max_turns <= 0:
             raise ValueError("max_turns must be positive")
@@ -171,74 +166,110 @@ def _slot_options(belief: BeliefState, slot: str) -> tuple[str, str]:
     return (picks[0], picks[1])
 
 
-def make_offer(belief: BeliefState,
-               db: RestaurantDB) -> tuple[SystemAct | None, int]:
-    """Query with the understood constraints; offer the first match.
+@dataclass(frozen=True)
+class Space:
+    """Everything that differs between two state/action spaces."""
 
-    Returns (act, result_count); act is None when nothing matches and the
-    caller realizes the configured fallback.
-    """
-    constraints = understood_constraints(belief)
-    results = query(db, constraints)
-    if not results:
-        return None, 0
-    record = results[0]
-    payload = {"name": record.name}
-    payload.update(constraints)
-    return SystemAct("offer", payload=payload, restaurant=record), len(results)
+    # action name -> (act type, None | fixed slot | slot chooser); the
+    # order is the agents' action indices
+    acts: dict
+    no_match: str                    # the act an offer without a match realizes
+    feature_names: tuple
+    featurize: Callable[[BeliefState], np.ndarray]
+    # features -> each constraint slot's top-value probability, as the
+    # handcrafted rule and the corpus rating read it
+    slot_confidence: Callable[[np.ndarray], np.ndarray]
+    excluded: tuple = ()             # actions exploration skips by default
+    actions: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "actions", tuple(self.acts))
+
+    def action(self, act_type: str, slot: str | None = None) -> int:
+        """The index of the action realizing ``act_type`` on ``slot``, or
+        of the one that chooses its slot itself."""
+        return next(i for i, (kind, how) in enumerate(self.acts.values())
+                    if kind == act_type and (how == slot or callable(how)))
 
 
-def realize_summary_act(act_type: str, belief: BeliefState,
-                        db: RestaurantDB) -> tuple[SystemAct, int | None]:
-    """Attach slot/value/payload to a summary act type.
+def realize(space: Space, name: str, belief: BeliefState,
+            db: RestaurantDB) -> tuple[SystemAct, int | None]:
+    """Realize the action ``name`` of ``space`` into a full system act.
 
-    Returns the realized act and, for acts that queried the database, the
+    Offer and cannothelp query the DB with the understood constraints; an
+    offer names the first match, or realizes ``space.no_match`` when there
+    is none. Returns the act and, for acts that queried the database, the
     result count (None otherwise).
     """
-    if act_type == "request":
-        return SystemAct("request", slot=minmax_slot(belief)), None
+    act_type, slot = space.acts[name]
+    if callable(slot):
+        slot = slot(belief)
+    if act_type in ("offer", "cannothelp"):
+        constraints = understood_constraints(belief)
+        results = query(db, constraints)
+        if act_type == "offer" and results:
+            payload = {"name": results[0].name, **constraints}
+            act = SystemAct("offer", payload=payload, restaurant=results[0])
+        else:
+            act = SystemAct(space.no_match if act_type == "offer" else act_type)
+        return act, len(results)
     if act_type == "expl-conf":
-        slot = _expl_conf_slot(belief)
-        return SystemAct("expl-conf", slot=slot,
+        return SystemAct(act_type, slot=slot,
                          value=_slot_value(belief, slot)), None
     if act_type == "select":
-        slot = _select_slot(belief)
-        return SystemAct("select", slot=slot,
+        return SystemAct(act_type, slot=slot,
                          options=_slot_options(belief, slot)), None
-    if act_type == "offer":
-        act, count = make_offer(belief, db)
-        if act is None:
-            return SystemAct("cannothelp"), count
-        return act, count
-    if act_type == "cannothelp":
-        constraints = understood_constraints(belief)
-        return SystemAct("cannothelp"), len(query(db, constraints))
-    if act_type in ("repeat", "confirmdomain"):
-        return SystemAct(act_type), None
-    raise ValueError(f"unknown summary act '{act_type}'")
+    return SystemAct(act_type, slot=slot), None
 
 
-def realize_original_act(name: str, belief: BeliefState,
-                         db: RestaurantDB) -> tuple[SystemAct, int | None]:
-    if name == "offer":
-        act, count = make_offer(belief, db)
-        if act is None:
-            # the original space has no cannothelp; an apology the user
-            # treats as a repeat keeps the action set at exactly 11
-            return SystemAct("repeat"), count
-        return act, count
-    if name == "repeat":
-        return SystemAct("repeat"), None
-    kind, slot = name.rsplit("-", 1)
-    if kind == "request":
-        return SystemAct("request", slot=slot), None
-    if kind == "expl-conf":
-        return SystemAct("expl-conf", slot=slot,
-                         value=_slot_value(belief, slot)), None
-    if kind == "select":
-        return SystemAct("select", slot=slot,
-                         options=_slot_options(belief, slot)), None
-    raise ValueError(f"unknown original action '{name}'")
+# the rule's reading of each G_C point: its top-value probability, except
+# that (0.4, 0.4), where no value leads, reads as no value at all
+_GC_CONFIDENCE = np.array([1.0, 0.8, 0.6, 0.6, 0.0])
+
+
+def _summary_confidence(features) -> np.ndarray:
+    blocks = np.asarray(features)[:5 * len(CONSTRAINT_SLOTS)].reshape(-1, 5)
+    return _GC_CONFIDENCE[np.argmax(blocks, axis=1)]
+
+
+# featurizers look the tracker function up at call time, so a wrapper set
+# on the tracker module sees every call
+SPACES = {
+    "summary": Space(
+        acts={"cannothelp": ("cannothelp", None),
+              "confirmdomain": ("confirmdomain", None),
+              "expl-conf": ("expl-conf", _expl_conf_slot),
+              "offer": ("offer", None),
+              "repeat": ("repeat", None),
+              "request": ("request", minmax_slot),
+              "select": ("select", _select_slot)},
+        no_match="cannothelp",
+        feature_names=tuple(
+            [f"constraint.{s}.g{i}" for s in CONSTRAINT_SLOTS for i in range(5)]
+            + [f"request.{s}.g{i}" for s in REQUEST_SLOTS for i in range(5)]
+            + [f"phase.g{i}" for i in range(5)]),
+        featurize=lambda belief: tracker.summarize(belief),
+        slot_confidence=_summary_confidence),
+    "original": Space(
+        acts={"offer": ("offer", None),
+              **{f"{kind}-{slot}": (kind, slot)
+                 for kind in ("select", "request", "expl-conf")
+                 for slot in CONSTRAINT_SLOTS},
+              "repeat": ("repeat", None)},
+        # the original space has no cannothelp; an apology the user treats
+        # as a repeat keeps the action set at exactly 11
+        no_match="repeat",
+        feature_names=tuple(
+            [f"constraint.{s}.top{k}" for s in CONSTRAINT_SLOTS for k in (1, 2)]
+            + [f"request.{s}" for s in REQUEST_SLOTS]
+            + [f"act.{t}" for t in USER_ACT_TYPES]
+            + ["turn_scaled", "db_count_scaled"]),
+        featurize=lambda belief: tracker.vectorize_original(belief),
+        slot_confidence=lambda features: features[:2 * len(CONSTRAINT_SLOTS):2],
+        excluded=tuple(f"select-{s}" for s in CONSTRAINT_SLOTS)),
+}
+SUMMARY_ACTIONS = SPACES["summary"].actions
+ORIGINAL_ACTIONS = SPACES["original"].actions
 
 
 def context_evidence(sys: SystemAct, obs) -> list:
@@ -260,8 +291,8 @@ class DialogueEnv:
     def __init__(self, db: RestaurantDB, config: EnvConfig):
         self.db = db
         self.config = config
-        self.actions = (SUMMARY_ACTIONS if config.space == "summary"
-                        else ORIGINAL_ACTIONS)
+        self.space = SPACES[config.space]
+        self.actions = self.space.actions
         self._rng: np.random.Generator | None = None
         self._active = False
         self.belief: BeliefState | None = None
@@ -278,13 +309,10 @@ class DialogueEnv:
 
     @property
     def n_features(self) -> int:
-        return (tracker.SUMMARY_LEN if self.config.space == "summary"
-                else tracker.ORIGINAL_LEN)
+        return len(self.space.feature_names)
 
     def features(self) -> np.ndarray:
-        if self.config.space == "summary":
-            return tracker.summarize(self.belief)
-        return tracker.vectorize_original(self.belief)
+        return self.space.featurize(self.belief)
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._rng = rng
@@ -311,11 +339,8 @@ class DialogueEnv:
     def realize(self, action: int) -> SystemAct:
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action index {action} outside 0..{self.n_actions - 1}")
-        name = self.actions[action]
-        if self.config.space == "summary":
-            act, count = realize_summary_act(name, self.belief, self.db)
-        else:
-            act, count = realize_original_act(name, self.belief, self.db)
+        act, count = realize(self.space, self.actions[action], self.belief,
+                             self.db)
         if count is not None:
             self.db_count = count
         return act

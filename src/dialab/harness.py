@@ -22,7 +22,7 @@ from . import corpus as corpus_mod
 from . import tracker, usersim
 from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
-from .environment import ORIGINAL_ACTIONS, DialogueEnv, EnvConfig, rollout
+from .environment import SPACES, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPSarsaAgent, KernelSpec
 from .ontology import (CONSTRAINT_SLOTS, VALUES, GoalConfig, OntologyError,
                        UserGoal, generate_db, parse_user_act)
@@ -131,10 +131,8 @@ class ExperimentConfig(EnvConfig):
     def excluded_actions(self) -> tuple:
         if self.agent.excluded is not None:
             return tuple(self.agent.excluded)
-        if self.space == "original":
-            return tuple(ORIGINAL_ACTIONS.index(a) for a in
-                         ("select-area", "select-food", "select-pricerange"))
-        return ()
+        space = SPACES[self.space]
+        return tuple(space.actions.index(a) for a in space.excluded)
 
 
 _SUBCONFIGS = {
@@ -257,7 +255,7 @@ def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv,
     transitions = corpus_mod.to_transitions(loaded)
     stats = agent.pretrain(
         pairs, transitions,
-        expected_layout=tracker.feature_names(cfg.space),
+        expected_layout=env.space.feature_names,
         corpus_layout=loaded.feature_names,
         rng=rng_stream(cfg.seed, "pretrain"))
     stats["mode"] = mode
@@ -389,7 +387,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     else:
         with open(os.path.join(cfg.out, "layout.json"), "w") as fh:
             json.dump({"space": cfg.space,
-                       "feature_names": tracker.feature_names(cfg.space)}, fh)
+                       "feature_names": env.space.feature_names}, fh)
         if cfg.algorithm == "tda2c" or cfg.pretrain.mode != "none":
             run_pretraining(cfg, env, agent)
 

@@ -101,9 +101,6 @@ class FeedForwardNet:
     def n_actions(self) -> int:
         return self.layer_sizes[-1]
 
-    def param_count(self) -> int:
-        return self.params.size
-
     def state(self) -> State:
         """Live weights and biases, for checkpoints."""
         return State(named_pairs(zip(self.weights, self.biases)),

@@ -8,7 +8,6 @@ feature layout and every seeded draw downstream indexes into them.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -23,9 +22,6 @@ SYSTEM_ACT_TYPES = ("offer", "select", "request", "expl-conf", "repeat",
 USER_ACT_TYPES = ("deny", "null", "reqmore", "confirm", "ack", "affirm",
                   "request", "inform", "thankyou", "repeat", "reqalts",
                   "negate", "bye", "hello", "restart")
-
-DB_SCHEMA = "dialab-restaurant-db"
-SCHEMA_VERSION = 1
 
 # the ordered value list of each constraint slot
 VALUES = {
@@ -46,8 +42,7 @@ _DISHES = ("dumplings", "tagine", "risotto", "noodles", "pie", "curry",
 
 
 class OntologyError(ValueError):
-    """Malformed database document, or a slot, value or act outside the
-    domain."""
+    """A malformed goal or act, or a slot or value outside the domain."""
 
 
 class GoalConfigError(ValueError):
@@ -309,43 +304,3 @@ def parse_user_act(text: str) -> UserAct:
         return UserAct(head, slot=inner or None)
     return UserAct(text)
 
-
-# ---------------------------------------------------------------------------
-# the database document: a schema-version header, then one JSON record a line
-
-def save_db(db: Iterable[Restaurant], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": DB_SCHEMA, "version": SCHEMA_VERSION}) + "\n")
-        for r in db:
-            fh.write(json.dumps(r.__dict__, sort_keys=True) + "\n")
-
-
-def load_db(path: str) -> RestaurantDB:
-    """Read a database document; every record's constraint values must be
-    in ``VALUES``, and an error names the path, the slot and the value."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise OntologyError(f"{path}: empty document")
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise OntologyError(f"{path}: header is not valid JSON: {exc}") from exc
-    if head.get("schema") != DB_SCHEMA:
-        raise OntologyError(f"{path}: expected schema '{DB_SCHEMA}', got {head.get('schema')!r}")
-    if head.get("version") != SCHEMA_VERSION:
-        raise OntologyError(f"{path}: unsupported version {head.get('version')!r}")
-    db = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        try:
-            restaurant = Restaurant(**rec)
-        except TypeError as exc:
-            raise OntologyError(f"{path}: bad restaurant record: {exc}") from exc
-        for slot in CONSTRAINT_SLOTS:
-            value = restaurant.slot_value(slot)
-            if value not in VALUES[slot]:
-                raise OntologyError(
-                    f"{path}: unknown value {value!r} for slot '{slot}'")
-        db.append(restaurant)
-    return RestaurantDB(db)

@@ -17,7 +17,7 @@ probabilities, and renders two feature layouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -254,23 +254,3 @@ def vectorize_original(belief: BeliefState) -> np.ndarray:
     vec[i + 1] = min(belief.db_count, DB_COUNT_CAP) / DB_COUNT_CAP
     return vec
 
-
-def feature_names(space: str) -> list[str]:
-    """Ordered feature-name manifest; downstream consumers verify against it."""
-    if space == "summary":
-        names = []
-        for slot in CONSTRAINT_SLOTS:
-            names.extend(f"constraint.{slot}.g{i}" for i in range(5))
-        for slot in REQUEST_SLOTS:
-            names.extend(f"request.{slot}.g{i}" for i in range(5))
-        names.extend(f"phase.g{i}" for i in range(5))
-        return names
-    if space == "original":
-        names = []
-        for slot in CONSTRAINT_SLOTS:
-            names.extend([f"constraint.{slot}.top1", f"constraint.{slot}.top2"])
-        names.extend(f"request.{slot}" for slot in REQUEST_SLOTS)
-        names.extend(f"act.{t}" for t in USER_ACT_TYPES)
-        names.extend(["turn_scaled", "db_count_scaled"])
-        return names
-    raise ValueError(f"unknown feature space '{space}'")

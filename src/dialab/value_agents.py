@@ -152,8 +152,8 @@ class AgentConfig:
     l2: float = 1e-3                 # policy-gradient L2 (actor-critic only)
     rho: float = 0.95
     eps_num: float = 1e-6
-    # actions exploration never draws; None leaves the choice to the
-    # harness (select-* in the original space), an agent reads it as ()
+    # actions exploration never draws; None takes the space's default in
+    # environment.SPACES (select-* in original), an agent reads it as ()
     excluded: tuple | None = None
     sup_epochs: int = 20
     sup_batch: int = 32

@@ -311,7 +311,7 @@ class TestPretrain:
         agent = ActorCriticAgent(31, 11,
                                  AgentConfig(hidden=(48, 32), sup_epochs=12),
                                  RNG(19))
-        from dialab.tracker import feature_names
-        stats = agent.pretrain(pairs, [], feature_names("original"),
+        from dialab.environment import SPACES
+        stats = agent.pretrain(pairs, [], SPACES["original"].feature_names,
                                built.feature_names, RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

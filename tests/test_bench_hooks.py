@@ -24,6 +24,37 @@ def test_benchmark_tracer_instruments_every_hook():
     assert proc.returncode == 0, proc.stderr
 
 
+TRACED_TURNS = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+import spans
+tracer = spans.Tracer()
+spans.instrument(tracer)
+from dialab import harness
+from dialab.seeding import rng_stream
+seen = {}
+for space in ("summary", "original"):
+    _, _, env = harness.build_world(harness.ExperimentConfig(space=space))
+    start = len(tracer.name_id)
+    env.reset(rng_stream(1, "train", 1))
+    env.step(0)
+    names = [tracer.names[i] for i in tracer.name_id[start:]]
+    seen[space] = {n: names.count(n)
+                   for n in ("tracker.featurize", "environment.realize")}
+print(json.dumps(seen))
+"""
+
+
+def test_traced_turns_record_featurize_and_realize():
+    # the tracer rebinds tracker.summarize/vectorize_original where they are
+    # module attributes; a featurizer captured at import time would bypass it
+    proc = run_python(TRACED_TURNS)
+    assert proc.returncode == 0, proc.stderr
+    for space, seen in json.loads(proc.stdout.splitlines()[-1]).items():
+        assert seen["tracker.featurize"] >= 1, space
+        assert seen["environment.realize"] >= 1, space
+
+
 CHECKED_RUN = """
 import json, sys
 sys.path.insert(0, 'perfbench')

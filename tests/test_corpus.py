@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -157,4 +160,32 @@ class TestRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema": "something-else", "version": 1}\n')
         with pytest.raises(CorpusFormatError):
+            load_corpus(str(path))
+
+    def test_unknown_space_rejected_at_the_header(self, tmp_path, noisy_env):
+        path = tmp_path / "bogus.jsonl"
+        save_corpus(generate_corpus(noisy_env, 3, seed=0), path)
+        path.write_text(path.read_text().replace('"space": "original"',
+                                                 '"space": "bogus"'))
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:1: field 'space'")):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("space, features, message", [
+        ("original", [0.0, 0.0], "feature length 2 != manifest 1"),
+        ("summary", [0.0], "mixed feature layouts")])
+    def test_layout_errors_name_the_file_and_line(self, tmp_path, space,
+                                                  features, message):
+        path = tmp_path / "corpus.jsonl"
+        header = {"schema": "dialab-corpus", "version": 1,
+                  "space": "original", "feature_names": ["f0"]}
+        turn = {"turn": 1, "features": features, "action": 0,
+                "system_act": "repeat", "user_acts": [], "observed": [],
+                "reward": -1.03, "terminal": True, "success": False}
+        log = {"space": space, "return": -1.03, "success": False,
+               "length": 1, "final_features": [0.0], "records": [turn]}
+        record = {"rating": 0, "provenance": "handcrafted", "log": log}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:2: {message}")):
             load_corpus(str(path))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
-from dialab.environment import (ORIGINAL_ACTIONS, SUMMARY_ACTIONS, DialogueEnv,
-                                EnvConfig, EpisodeStateError, Transition,
-                                check_reward_decomposition, minmax_slot,
-                                realize_summary_act, rollout, run_episode,
+from dialab.environment import (ORIGINAL_ACTIONS, SPACES, SUMMARY_ACTIONS,
+                                DialogueEnv, EnvConfig, EpisodeStateError,
+                                Transition, check_reward_decomposition,
+                                minmax_slot, realize, rollout, run_episode,
                                 understood_constraints)
 from dialab.ontology import GoalConfig, UserAct, generate_db
 from dialab.seeding import rng_stream
@@ -15,6 +15,7 @@ from dialab.tracker import ErrorModel, fresh_belief, update_belief
 from dialab.usersim import UserConfig
 
 DB = generate_db(n=150, rng=np.random.default_rng(7))
+SUMMARY = SPACES["summary"]
 
 
 def make_env(space="original", noiseless=True, **cfg_kw):
@@ -103,12 +104,12 @@ class TestRealization:
         b = belief_with([("food", "thai", 0.9), ("area", "north", 0.3),
                          ("pricerange", "cheap", 0.7)])
         assert minmax_slot(b) == "area"
-        act, _ = realize_summary_act("request", b, DB)
+        act, _ = realize(SUMMARY, "request", b, DB)
         assert act.act_type == "request" and act.slot == "area"
 
     def test_request_tie_breaks_canonical(self):
         b = fresh_belief()
-        act, _ = realize_summary_act("request", b, DB)
+        act, _ = realize(SUMMARY, "request", b, DB)
         assert act.slot == "area"
 
     def test_offer_carries_argmax_values(self):
@@ -116,7 +117,7 @@ class TestRealization:
         b = belief_with([("food", target.food, 0.95),
                          ("area", target.area, 0.95),
                          ("pricerange", target.pricerange, 0.95)])
-        act, count = realize_summary_act("offer", b, DB)
+        act, count = realize(SUMMARY, "offer", b, DB)
         assert act.act_type == "offer"
         assert act.payload["food"] == target.food
         assert act.payload["area"] == target.area
@@ -130,7 +131,7 @@ class TestRealization:
     def test_expl_conf_picks_highest_below_confirm_threshold(self):
         b = belief_with([("food", "thai", 0.95), ("area", "north", 0.7),
                          ("pricerange", "cheap", 0.5)])
-        act, _ = realize_summary_act("expl-conf", b, DB)
+        act, _ = realize(SUMMARY, "expl-conf", b, DB)
         assert act.slot == "area"
         assert act.value == "north"
 
@@ -142,7 +143,7 @@ class TestRealization:
         b = update_belief(b, obs, 0)
         # food gap ~0.275-0.225=0.05... compute: thai 0.5, then indian update:
         # thai*=(1-.45)=.275, indian=.45 -> gap .175; area gap .9; price gap 0
-        act, _ = realize_summary_act("select", b, DB)
+        act, _ = realize(SUMMARY, "select", b, DB)
         assert act.act_type == "select" and act.slot == "pricerange"
         assert act.options is not None
 
@@ -155,7 +156,7 @@ class TestRealization:
         from dialab.ontology import query
         if query(DB, understood_constraints(b2)):
             pytest.skip("sampled db happens to satisfy the combo")
-        act, count = realize_summary_act("offer", b2, DB)
+        act, count = realize(SUMMARY, "offer", b2, DB)
         assert act.act_type == "cannothelp"
         assert count == 0
 
@@ -164,6 +165,11 @@ class TestRealization:
                                    "offer", "repeat", "request", "select")
         assert ORIGINAL_ACTIONS[0] == "offer"
         assert len(ORIGINAL_ACTIONS) == 11
+        assert ORIGINAL_ACTIONS == (
+            "offer", "select-area", "select-food", "select-pricerange",
+            "request-area", "request-food", "request-pricerange",
+            "expl-conf-area", "expl-conf-food", "expl-conf-pricerange",
+            "repeat")
 
 
 class TestEpisodes:

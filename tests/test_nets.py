@@ -69,7 +69,7 @@ class TestForward:
 
     def test_parameter_count(self):
         net = tiny_net(n_in=4, n_out=3, hidden=(5, 4))
-        assert net.param_count() == (4 + 1) * 5 + (5 + 1) * 4 + (4 + 1) * 3
+        assert net.params.size == (4 + 1) * 5 + (5 + 1) * 4 + (4 + 1) * 3
 
 
 class TestBackward:

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialab.environment import SPACES
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                              VALUES, UserAct)
 from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, NOT_MENTIONED,
                             ORIGINAL_LEN, SUMMARY_LEN, BeliefState, ErrorModel,
-                            corrupt, feature_names, fresh_belief, nearest_gc,
+                            corrupt, fresh_belief, nearest_gc,
                             nearest_gr, summarize, top2, turn_phase,
                             update_belief, vectorize_original)
 
@@ -264,12 +265,12 @@ class TestVectorizeOriginal:
         assert vectorize_original(b)[30] == 0.5
 
     def test_layout_matches_manifest(self):
-        names = feature_names("original")
+        names = SPACES["original"].feature_names
         assert len(names) == ORIGINAL_LEN
         assert names[0] == "constraint.area.top1"
         assert names[29] == "turn_scaled"
         assert names[30] == "db_count_scaled"
-        assert len(feature_names("summary")) == SUMMARY_LEN
+        assert len(SPACES["summary"].feature_names) == SUMMARY_LEN
 
 
 @settings(max_examples=200, deadline=None)
