@@ -16,8 +16,8 @@ import numpy as np
 
 from . import checkpoint, nets
 from .environment import Transition
-from .nets import (AdadeltaState, FeedForwardNet, clone_net, copy_params,
-                   cross_entropy_loss, l2_penalty, log_policy_gradient)
+from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
+                   copy_params, log_policy_gradient)
 from .value_agents import AgentConfig, ReplayPool, explore
 
 log = logging.getLogger(__name__)
@@ -25,6 +25,18 @@ log = logging.getLogger(__name__)
 
 class LayoutMismatchError(ValueError):
     """Corpus feature layout disagrees with the agent's expected layout."""
+
+
+def check_layout(expected_layout, corpus_layout) -> None:
+    """Raise LayoutMismatchError, naming the missing and extra features,
+    unless the corpus's feature names are the expected ones in order."""
+    if list(corpus_layout) != list(expected_layout):
+        missing = [n for n in expected_layout if n not in corpus_layout]
+        extra = [n for n in corpus_layout if n not in expected_layout]
+        raise LayoutMismatchError(
+            f"corpus layout mismatch; missing={missing} extra={extra} "
+            f"(corpus has {len(corpus_layout)} features, expected "
+            f"{len(expected_layout)})")
 
 
 def select_action_policy(pnet: FeedForwardNet, features: np.ndarray,
@@ -124,46 +136,42 @@ class ActorCriticAgent:
         """One cross-entropy (+L2) minibatch on demonstrated actions."""
         probs, acts = self.policy.forward_train(feats)
         n = len(actions)
-        losses = 0.0
+        rows = np.arange(n)
+        target = probs[rows, actions]
+        clamped = target < CE_CLAMP
+        self.clamp_count += int(np.count_nonzero(clamped))
+        losses = float(-np.log(np.where(clamped, CE_CLAMP, target)).sum())
         grad_out = probs.copy()
-        for i, a in enumerate(actions):
-            loss_i, _, clamped = cross_entropy_loss(probs[i], int(a))
-            losses += loss_i
-            self.clamp_count += clamped
-            grad_out[i, int(a)] -= 1.0
+        grad_out[rows, actions] -= 1.0
         grad_out /= n
         grads = self.policy.backward_batch(feats, grad_out, acts)
         if self.config.l2 > 0:
-            penalty, l2_grads = l2_penalty(self.policy, self.config.l2)
-            losses += n * penalty
-            grads.vector += l2_grads.vector
+            nets.add_l2_gradient(grads, self.policy, self.config.l2)
+            weights = self.policy.params[:self.policy.n_weights]
+            losses += n * self.config.l2 * float(weights @ weights)
         nets.adadelta_step(self.policy_opt, self.policy, grads)
         return losses / n
 
     # -- two-stage pretraining ---------------------------------------------
 
-    def pretrain(self, pairs, transitions, expected_layout, corpus_layout,
+    def pretrain(self, data, supervised: np.ndarray | None,
                  rng: np.random.Generator) -> dict:
-        """Stage 1: supervised epochs over (features, action) pairs.
-        Stage 2: batch value RL over the corpus transitions. An empty list
-        skips its stage. No environment interaction happens here.
+        """Two stages over ``data``, the corpus as ``corpus.CorpusArrays``.
+        Stage 1: supervised epochs over the rows the boolean mask
+        ``supervised`` selects (None skips it). Stage 2: every row goes into
+        the replay pool in corpus order, then batch value RL sweeps it. A
+        stage without rows is skipped. No environment interaction happens
+        here.
         """
-        if list(corpus_layout) != list(expected_layout):
-            missing = [n for n in expected_layout if n not in corpus_layout]
-            extra = [n for n in corpus_layout if n not in expected_layout]
-            raise LayoutMismatchError(
-                f"corpus layout mismatch; missing={missing} extra={extra} "
-                f"(corpus has {len(corpus_layout)} features, expected "
-                f"{len(expected_layout)})")
         stats = {"supervised_examples": 0, "holdout_accuracy": None,
                  "value_sweeps": 0}
-        if not pairs and not transitions:
+        if not len(data):
             log.warning("pretrain called with an empty corpus; nothing to do")
             return stats
 
-        if pairs:
-            feats = np.asarray([p[0] for p in pairs], dtype=float)
-            acts = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        if supervised is not None and supervised.any():
+            feats = data.features[supervised]
+            acts = data.actions[supervised]
             order = rng.permutation(len(acts))
             n_hold = int(len(acts) * self.config.sup_holdout)
             hold, train = order[:n_hold], order[n_hold:]
@@ -177,14 +185,12 @@ class ActorCriticAgent:
                 pred = self.policy.forward_batch(feats[hold]).argmax(axis=1)
                 stats["holdout_accuracy"] = float(np.mean(pred == acts[hold]))
 
-        if transitions:
-            for t in transitions:
-                self.pool.add(t)
-            per_sweep = max(1, len(transitions) // self.config.minibatch)
-            for _ in range(self.config.batch_sweeps):
-                for _ in range(per_sweep):
-                    self.last_value_loss = self.value_train_step(rng)
-                stats["value_sweeps"] += 1
+        self.pool.add_rows(data)
+        per_sweep = max(1, len(data) // self.config.minibatch)
+        for _ in range(self.config.batch_sweeps):
+            for _ in range(per_sweep):
+                self.last_value_loss = self.value_train_step(rng)
+            stats["value_sweeps"] += 1
         return stats
 
     # -- checkpointing ------------------------------------------------------

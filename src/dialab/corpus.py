@@ -1,21 +1,25 @@
 """Dialogue-corpus tooling.
 
 Corpora are generated by a handcrafted controller (optionally degraded by
-random action substitutions), rated 0-3 by a deterministic rubric that
-replays the controller's rule table against the logged features, filtered to
-expert subsets, and converted into supervised (features, action) pairs and
-RL transitions for the two-stage pipeline.
+random action substitutions) and rated 0-3 by a deterministic rubric that
+replays the controller's rule table against the logged features. A corpus
+file is one JSON header line and one JSON line per dialogue.
+``CorpusReader`` streams it one dialogue at a time, and ``to_arrays``
+turns any stream of dialogues into per-turn feature, action, reward and
+rating arrays, the input of the two-stage pipeline's pretraining.
+``load_corpus`` reads a whole file into memory for the tools that need
+every dialogue's log, such as re-rating.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .environment import (SPACES, DialogueEnv, EpisodeLog, Transition,
-                          run_episode)
+from .environment import SPACES, DialogueEnv, EpisodeLog, run_episode
 from .ontology import CONSTRAINT_SLOTS
 from .seeding import rng_stream
 
@@ -54,6 +58,9 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.dialogues)
+
+    def __iter__(self) -> Iterator[CorpusDialogue]:
+        return iter(self.dialogues)
 
 
 class HandcraftedPolicy:
@@ -176,44 +183,68 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
                   feature_names=list(env.space.feature_names))
 
 
-def filter_expert(corpus: Corpus) -> Corpus:
-    """The rating-3 subset, order preserved."""
-    return Corpus(dialogues=[d for d in corpus.dialogues if d.rating == 3],
-                  space=corpus.space, feature_names=list(corpus.feature_names))
-
-
 def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
     if d.log.space != space:
         raise CorpusFormatError(
             f"mixed feature layouts: dialogue space {d.log.space!r} in a "
             f"{space!r} corpus")
+    n_actions = len(SPACES[space].actions)
     for rec in d.log.records:
         if len(rec.features) != n_features:
             raise CorpusFormatError(f"feature length {len(rec.features)} != "
                                     f"manifest {n_features}")
+        if not 0 <= rec.action < n_actions:
+            raise CorpusFormatError(f"action {rec.action} outside "
+                                    f"0..{n_actions - 1}")
+    if len(d.log.final_features) != n_features:
+        raise CorpusFormatError(f"final feature length "
+                                f"{len(d.log.final_features)} != manifest "
+                                f"{n_features}")
 
 
-def _check_layout(corpus: Corpus) -> None:
-    for d in corpus.dialogues:
-        _check_dialogue(d, corpus.space, len(corpus.feature_names))
+@dataclass
+class CorpusArrays:
+    """One row per system turn, in corpus order. The first five fields are
+    the replay pool's (``ReplayPool.add_rows`` takes this object)."""
+
+    features: np.ndarray         # T x F
+    next_features: np.ndarray    # the next turn's, or the final belief's
+    actions: np.ndarray          # the logged action, int64
+    rewards: np.ndarray
+    terminal: np.ndarray         # bool
+    rating: np.ndarray           # the turn's dialogue rating, int64
+
+    def __len__(self) -> int:
+        return len(self.actions)
 
 
-def to_supervised(corpus: Corpus) -> list[tuple[np.ndarray, int]]:
-    """One (features, demonstrated action) pair per system turn."""
-    _check_layout(corpus)
-    pairs = []
-    for d in corpus.dialogues:
-        for rec in d.log.records:
-            pairs.append((np.asarray(rec.features, dtype=float), rec.action))
-    return pairs
+def to_arrays(corpus) -> CorpusArrays:
+    """The turns of ``corpus``, a Corpus or a CorpusReader, as arrays.
 
-
-def to_transitions(corpus: Corpus) -> list[Transition]:
-    _check_layout(corpus)
-    out = []
-    for d in corpus.dialogues:
-        out.extend(d.log.transitions())
-    return out
+    Each dialogue becomes small arrays as it arrives, and they are joined
+    once at the end, so a streamed corpus is never held as objects. A
+    dialogue that fails the record checks raises CorpusFormatError.
+    """
+    n_features = len(corpus.feature_names)
+    empty = np.zeros((0, n_features))
+    no_ints = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, no_ints, np.zeros(0), np.zeros(0, dtype=bool),
+              no_ints)]
+    for d in corpus:
+        _check_dialogue(d, corpus.space, n_features)
+        records = d.log.records
+        # row i is turn i's features; the last row is the final belief's
+        feats = np.array([rec.features for rec in records]
+                         + [d.log.final_features], dtype=float)
+        terminal = np.array([rec.terminal for rec in records], dtype=bool)
+        if terminal[:-1].any():
+            raise ValueError("terminal record not last in episode log")
+        parts.append((
+            feats[:-1], feats[1:],
+            np.array([rec.action for rec in records], dtype=np.int64),
+            np.array([rec.reward for rec in records], dtype=float),
+            terminal, np.full(len(records), d.rating, dtype=np.int64)))
+    return CorpusArrays(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
@@ -227,40 +258,67 @@ def save_corpus(corpus: Corpus, path: str) -> None:
                                  "log": d.log.to_dict()}) + "\n")
 
 
-def load_corpus(path: str) -> Corpus:
-    """Read a corpus file; a malformed header or record raises
-    CorpusFormatError naming ``path:line`` and the field at fault."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CorpusFormatError(f"{path}: empty corpus file")
-    dialogues = []
-    for number, ln in enumerate(lines, 1):
-        if number > 1 and not ln.strip():
-            continue
+class CorpusReader:
+    """A corpus file, read one line at a time.
+
+    The header is read and checked on construction, so ``space`` and
+    ``feature_names`` are known before any record is read. Each iteration
+    reads the file afresh and yields one CorpusDialogue per record line. A
+    malformed header or record raises CorpusFormatError naming
+    ``path:line`` and the field at fault.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        with open(path) as fh:
+            header = fh.readline()
+        if not header:
+            raise CorpusFormatError(f"{path}: empty corpus file")
+        self.space, self.feature_names = self._parse(1, header, _header)
+
+    def __iter__(self) -> Iterator[CorpusDialogue]:
+        n_features = len(self.feature_names)
+
+        def dialogue(rec: dict) -> CorpusDialogue:
+            d = CorpusDialogue(log=EpisodeLog.from_dict(rec["log"]),
+                               rating=rec["rating"],
+                               provenance=rec["provenance"])
+            _check_dialogue(d, self.space, n_features)
+            return d
+
+        with open(self.path) as fh:
+            fh.readline()
+            for number, line in enumerate(fh, 2):
+                if line.strip():
+                    yield self._parse(number, line, dialogue)
+
+    def _parse(self, number: int, line: str, build):
+        """``build`` applied to the line's JSON value; any failure is raised
+        as CorpusFormatError naming ``path:number``."""
         try:
-            rec = json.loads(ln)
-            if number == 1:
-                if (rec.get("schema"), rec.get("version")) != (
-                        CORPUS_SCHEMA, SCHEMA_VERSION):
-                    raise CorpusFormatError(
-                        f"unrecognized corpus header {rec!r}")
-                space, feature_names = rec["space"], rec["feature_names"]
-                if space not in SPACES:
-                    raise CorpusFormatError(f"field 'space': unknown space "
-                                            f"{space!r}")
-            else:
-                dialogues.append(CorpusDialogue(
-                    log=EpisodeLog.from_dict(rec["log"]),
-                    rating=rec["rating"], provenance=rec["provenance"]))
-                _check_dialogue(dialogues[-1], space, len(feature_names))
+            return build(json.loads(line.rstrip("\n")))
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{number}: not JSON: {exc.msg} "
-                                    f"at column {exc.colno}") from exc
+            raise CorpusFormatError(f"{self.path}:{number}: not JSON: "
+                                    f"{exc.msg} at column {exc.colno}") from exc
         except KeyError as exc:
             raise CorpusFormatError(
-                f"{path}:{number}: missing field {exc}") from exc
+                f"{self.path}:{number}: missing field {exc}") from exc
         except (ValueError, TypeError, AttributeError) as exc:
-            raise CorpusFormatError(f"{path}:{number}: {exc}") from exc
-    return Corpus(dialogues=dialogues, space=space,
-                  feature_names=feature_names)
+            raise CorpusFormatError(f"{self.path}:{number}: {exc}") from exc
+
+
+def _header(rec: dict) -> tuple[str, list]:
+    if (rec.get("schema"), rec.get("version")) != (CORPUS_SCHEMA,
+                                                   SCHEMA_VERSION):
+        raise CorpusFormatError(f"unrecognized corpus header {rec!r}")
+    space, feature_names = rec["space"], rec["feature_names"]
+    if space not in SPACES:
+        raise CorpusFormatError(f"field 'space': unknown space {space!r}")
+    return space, feature_names
+
+
+def load_corpus(path: str) -> Corpus:
+    """Read a whole corpus file into memory; see CorpusReader."""
+    reader = CorpusReader(path)
+    return Corpus(dialogues=list(reader), space=reader.space,
+                  feature_names=reader.feature_names)

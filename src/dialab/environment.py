@@ -12,7 +12,7 @@ success.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -73,6 +73,9 @@ class TurnRecord:
     success: bool
 
 
+_TURN_FIELDS = tuple(f.name for f in fields(TurnRecord))
+
+
 @dataclass
 class EpisodeLog:
     space: str
@@ -82,24 +85,13 @@ class EpisodeLog:
     length: int = 0
     final_features: list = field(default_factory=list)
 
-    def transitions(self) -> list[Transition]:
-        out = []
-        for i, rec in enumerate(self.records):
-            if rec.terminal and i + 1 < len(self.records):
-                raise ValueError("terminal record not last in episode log")
-            nxt = (self.records[i + 1].features if i + 1 < len(self.records)
-                   else self.final_features)
-            out.append(Transition(np.asarray(rec.features, dtype=float),
-                                  rec.action, rec.reward,
-                                  np.asarray(nxt, dtype=float),
-                                  rec.terminal, rec.success))
-        return out
-
     def to_dict(self) -> dict:
+        """A JSON-ready dict; the records' lists are shared, not copied."""
         return {"space": self.space, "return": self.episode_return,
                 "success": self.success, "length": self.length,
                 "final_features": list(self.final_features),
-                "records": [asdict(r) for r in self.records]}
+                "records": [{name: getattr(r, name) for name in _TURN_FIELDS}
+                            for r in self.records]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import tracker, usersim
-from .actor_critic import ActorCriticAgent
+from .actor_critic import ActorCriticAgent, check_layout
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPSarsaAgent, KernelSpec
@@ -243,21 +243,21 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
 
 def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv,
                     agent: ActorCriticAgent) -> dict:
+    """Pretrain ``agent`` on the configured corpus file, streamed into
+    arrays one dialogue at a time; its header's feature names are checked
+    against the space before any record is read."""
     mode = cfg.pretrain.mode
     if mode == "none":
         return {}
-    loaded = corpus_mod.load_corpus(cfg.pretrain.corpus)
-    if mode == "sup_expert_batch":
-        sup_corpus = corpus_mod.filter_expert(loaded)
-    else:
-        sup_corpus = loaded
-    pairs = corpus_mod.to_supervised(sup_corpus) if mode != "batch" else []
-    transitions = corpus_mod.to_transitions(loaded)
-    stats = agent.pretrain(
-        pairs, transitions,
-        expected_layout=env.space.feature_names,
-        corpus_layout=loaded.feature_names,
-        rng=rng_stream(cfg.seed, "pretrain"))
+    reader = corpus_mod.CorpusReader(cfg.pretrain.corpus)
+    check_layout(env.space.feature_names, reader.feature_names)
+    data = corpus_mod.to_arrays(reader)
+    supervised = None
+    if mode == "sup_full_batch":
+        supervised = np.ones(len(data), dtype=bool)
+    elif mode == "sup_expert_batch":
+        supervised = data.rating == 3
+    stats = agent.pretrain(data, supervised, rng_stream(cfg.seed, "pretrain"))
     stats["mode"] = mode
     log.info("pretraining done: %s", stats)
     return stats
@@ -384,12 +384,8 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
         replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
-    else:
-        with open(os.path.join(cfg.out, "layout.json"), "w") as fh:
-            json.dump({"space": cfg.space,
-                       "feature_names": env.space.feature_names}, fh)
-        if cfg.algorithm == "tda2c" or cfg.pretrain.mode != "none":
-            run_pretraining(cfg, env, agent)
+    elif cfg.algorithm == "tda2c" or cfg.pretrain.mode != "none":
+        run_pretraining(cfg, env, agent)
 
     def eval_point(dialogues_done: int):
         success, mean_return, mean_length = evaluate(

@@ -201,7 +201,11 @@ def mse_loss(prediction, target):
     return loss, 2.0 * diff / diff.size
 
 
-def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = 1e-12):
+# the smallest target probability the cross-entropy takes the log of
+CE_CLAMP = 1e-12
+
+
+def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
     """Categorical cross-entropy against an action index.
 
     Returns the loss, its gradient at the pre-softmax layer, which is

@@ -56,6 +56,17 @@ class ReplayPool:
         for t in transitions:
             self.add(t)
 
+    def add_rows(self, rows) -> None:
+        """Insert ``rows``, an object with one array per name in FIELDS, in
+        order, leaving the pool as one ``add`` per row would."""
+        n = len(rows.actions)
+        keep = min(n, self.capacity)   # earlier rows would be evicted
+        at = (self._cursor + np.arange(n - keep, n)) % self.capacity
+        for k in self.FIELDS:
+            getattr(self, f"_{k}")[at] = getattr(rows, k)[n - keep:]
+        self._cursor = (self._cursor + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
+
     def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         if self._size < batch:
             raise PoolTooSmall(f"pool holds {self._size} < batch {batch}")

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from dialab import nets
 from dialab.actor_critic import (ActorCriticAgent, LayoutMismatchError,
-                                 select_action_policy, td_advantage)
+                                 check_layout, select_action_policy,
+                                 td_advantage)
+from dialab.corpus import Corpus, to_arrays
 from dialab.environment import Transition
 from dialab.nets import FeedForwardNet, NonFiniteGradientError
 from dialab.value_agents import AgentConfig
@@ -248,6 +251,33 @@ class TestSupervised:
         loss = agent.supervised_step(feats, actions)
         assert abs(loss - math.log(11)) <= 0.05
 
+    def test_step_matches_the_per_row_reference(self):
+        # the loop over rows, with l2_penalty's gradient added, is the
+        # reference: same parameters and clamp count bit for bit
+        agent, reference = make_agent(l2=0.01), make_agent(l2=0.01)
+        agent.policy.biases[-1][:] = reference.policy.biases[-1][:] = [
+            40.0, 0.0, 0.0, -40.0]
+        feats = RNG(21).normal(size=(16, 6))
+        actions = RNG(22).integers(0, 4, size=16)
+        for _ in range(5):
+            loss = agent.supervised_step(feats, actions)
+            probs, acts = reference.policy.forward_train(feats)
+            grad_out, total = probs.copy(), 0.0
+            for i, a in enumerate(actions):
+                loss_i, _, clamped = nets.cross_entropy_loss(probs[i], a)
+                total += loss_i
+                reference.clamp_count += clamped
+                grad_out[i, a] -= 1.0
+            grad_out /= len(actions)
+            grads = reference.policy.backward_batch(feats, grad_out, acts)
+            penalty, l2_grads = nets.l2_penalty(reference.policy, 0.01)
+            grads.vector += l2_grads.vector
+            nets.adadelta_step(reference.policy_opt, reference.policy, grads)
+            assert loss == pytest.approx(total / 16 + penalty, rel=1e-12)
+            assert agent.policy.params.tobytes() == \
+                reference.policy.params.tobytes()
+        assert agent.clamp_count == reference.clamp_count > 0
+
     def test_single_example_memorized(self):
         agent = make_agent(l2=0.0)
         x = RNG(15).normal(size=6)[None, :]
@@ -289,29 +319,29 @@ class TestSupervised:
 class TestPretrain:
     def test_empty_corpus_is_noop_with_warning(self, caplog):
         agent = make_agent()
+        empty = to_arrays(Corpus(dialogues=[], space="original",
+                                 feature_names=["f0"]))
         with caplog.at_level(logging.WARNING):
-            stats = agent.pretrain([], [], ["f0"], ["f0"], RNG(17))
+            stats = agent.pretrain(empty, np.ones(0, dtype=bool), RNG(17))
         assert stats["supervised_examples"] == 0
         assert any("empty" in rec.message for rec in caplog.records)
 
     def test_layout_mismatch_refused_with_diff(self):
-        agent = make_agent()
         with pytest.raises(LayoutMismatchError, match="missing"):
-            agent.pretrain([], [], ["f0", "f1"], ["f0", "weird"], RNG(18))
+            check_layout(["f0", "f1"], ["f0", "weird"])
 
     def test_imitation_of_handcrafted_rule(self):
         # corpus from the deterministic controller; >= 95% held-out agreement
         from dialab import harness
-        from dialab.corpus import BlunderSchedule, generate_corpus, to_supervised
+        from dialab.corpus import BlunderSchedule, generate_corpus
         cfg = harness.ExperimentConfig(space="original", seed=5)
         _, _, env = harness.build_world(cfg)
         built = generate_corpus(env, 220, seed=5,
                                 schedule=BlunderSchedule(((1.0, 0.0),)))
-        pairs = to_supervised(built)
+        data = to_arrays(built)
         agent = ActorCriticAgent(31, 11,
-                                 AgentConfig(hidden=(48, 32), sup_epochs=12),
+                                 AgentConfig(hidden=(48, 32), sup_epochs=12,
+                                             batch_sweeps=0),
                                  RNG(19))
-        from dialab.environment import SPACES
-        stats = agent.pretrain(pairs, [], SPACES["original"].feature_names,
-                               built.feature_names, RNG(20))
+        stats = agent.pretrain(data, np.ones(len(data), dtype=bool), RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

@@ -6,9 +6,9 @@ import pytest
 
 from dialab import harness
 from dialab.corpus import (BlunderSchedule, Corpus, CorpusFormatError,
-                           HandcraftedPolicy, count_blunders, filter_expert,
+                           CorpusReader, HandcraftedPolicy, count_blunders,
                            generate_corpus, load_corpus, rate, save_corpus,
-                           to_supervised, to_transitions)
+                           to_arrays)
 from dialab.environment import check_reward_decomposition
 from dialab.tracker import ErrorModel
 
@@ -98,42 +98,54 @@ class TestHandcraftedPolicy:
 
 
 class TestFilter:
+    # the expert subset is the row mask rating == 3 over to_arrays' rows
     def test_filtered_subset_has_rating_three(self, small_corpus):
-        expert = filter_expert(small_corpus)
-        assert all(d.rating == 3 for d in expert.dialogues)
-        assert len(expert) <= len(small_corpus)
+        data = to_arrays(small_corpus)
+        expert = data.rating == 3
+        assert np.all(data.rating[expert] == 3)
+        assert 0 < expert.sum() <= len(data)
 
     def test_order_preserved_and_complement_partitions(self, small_corpus):
-        expert = filter_expert(small_corpus)
-        rest = [d for d in small_corpus.dialogues if d.rating != 3]
-        assert len(expert) + len(rest) == len(small_corpus)
-        it = iter(small_corpus.dialogues)
-        for d in expert.dialogues:
-            while next(it) is not d:
-                pass  # raises StopIteration if order was shuffled
+        data = to_arrays(small_corpus)
+        expert = data.rating == 3
+        assert expert.sum() + (~expert).sum() == len(data)
+        rows = [(rec.features, rec.action) for d in small_corpus.dialogues
+                if d.rating == 3 for rec in d.log.records]
+        assert np.array_equal(data.features[expert],
+                              np.array([f for f, _ in rows]))
+        assert data.actions[expert].tolist() == [a for _, a in rows]
 
     def test_empty_result_allowed(self, noiseless_env):
         built = generate_corpus(noiseless_env, 5, seed=7, schedule=CLEAN)
         for d in built.dialogues:
             d.rating = 1
-        assert len(filter_expert(built)) == 0
+        data = to_arrays(built)
+        assert len(data) > 0 and not np.any(data.rating == 3)
 
 
 class TestConversion:
     def test_pair_and_transition_counts_match_turns(self, small_corpus):
         turns = sum(len(d.log.records) for d in small_corpus.dialogues)
-        assert len(to_supervised(small_corpus)) == turns
-        assert len(to_transitions(small_corpus)) == turns
+        data = to_arrays(small_corpus)
+        assert data.features.shape == data.next_features.shape == (
+            turns, len(small_corpus.feature_names))
+        for column in (data.actions, data.rewards, data.terminal,
+                       data.rating):
+            assert column.shape == (turns,)
+        assert data.terminal.sum() == len(small_corpus)
 
     def test_transition_rewards_resum_to_returns(self, small_corpus):
-        for d in small_corpus.dialogues:
-            total = sum(t.reward for t in d.log.transitions())
-            assert abs(total - d.log.episode_return) <= 1e-9
+        data = to_arrays(small_corpus)
+        ends = np.flatnonzero(data.terminal) + 1
+        for d, rewards in zip(small_corpus.dialogues,
+                              np.split(data.rewards, ends[:-1])):
+            assert abs(rewards.sum() - d.log.episode_return) <= 1e-9
 
     def test_clean_pairs_match_rule_table_everywhere(self, noiseless_env):
         built = generate_corpus(noiseless_env, 40, seed=8, schedule=CLEAN)
         rule = HandcraftedPolicy("original")
-        for feats, action in to_supervised(built):
+        data = to_arrays(built)
+        for feats, action in zip(data.features, data.actions):
             assert rule.decide(feats) == action
 
     def test_mixed_layout_refused(self, small_corpus):
@@ -141,7 +153,34 @@ class TestConversion:
                         space="summary",
                         feature_names=small_corpus.feature_names)
         with pytest.raises(CorpusFormatError, match="mixed"):
-            to_supervised(broken)
+            to_arrays(broken)
+
+    def test_rows_match_the_logged_turns(self, small_corpus):
+        # reference: a loop over every dialogue's turn records
+        data = to_arrays(small_corpus)
+        records = [(d, i) for d in small_corpus.dialogues
+                   for i in range(len(d.log.records))]
+        assert len(data) == len(records)
+        for row, (d, i) in enumerate(records):
+            rec, log = d.log.records[i], d.log
+            nxt = (log.records[i + 1].features if i + 1 < len(log.records)
+                   else log.final_features)
+            assert data.features[row].tolist() == rec.features
+            assert data.next_features[row].tolist() == nxt
+            assert (data.actions[row], data.rewards[row],
+                    data.terminal[row], data.rating[row]) == (
+                        rec.action, rec.reward, rec.terminal, d.rating)
+
+    def test_streamed_file_gives_the_in_memory_arrays(self, tmp_path,
+                                                      small_corpus):
+        path = tmp_path / "c.jsonl"
+        save_corpus(small_corpus, path)
+        streamed, held = to_arrays(CorpusReader(str(path))), to_arrays(
+            small_corpus)
+        for name in ("features", "next_features", "actions", "rewards",
+                     "terminal", "rating"):
+            assert np.array_equal(getattr(streamed, name),
+                                  getattr(held, name)), name
 
 
 class TestRoundTrip:
@@ -177,15 +216,63 @@ class TestRoundTrip:
     def test_layout_errors_name_the_file_and_line(self, tmp_path, space,
                                                   features, message):
         path = tmp_path / "corpus.jsonl"
-        header = {"schema": "dialab-corpus", "version": 1,
-                  "space": "original", "feature_names": ["f0"]}
-        turn = {"turn": 1, "features": features, "action": 0,
-                "system_act": "repeat", "user_acts": [], "observed": [],
-                "reward": -1.03, "terminal": True, "success": False}
-        log = {"space": space, "return": -1.03, "success": False,
-               "length": 1, "final_features": [0.0], "records": [turn]}
-        record = {"rating": 0, "provenance": "handcrafted", "log": log}
-        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        write_one_dialogue(path, space=space, features=features)
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:2: {message}")):
             load_corpus(str(path))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"action": 11}, "action 11 outside 0..10"),
+        ({"action": -1}, "action -1 outside 0..10"),
+        ({"final_features": [0.0, 0.0]},
+         "final feature length 2 != manifest 1")])
+    def test_record_errors_name_the_file_and_line(self, tmp_path, change,
+                                                  message):
+        path = tmp_path / "corpus.jsonl"
+        write_one_dialogue(path, **change)
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:2: {message}")):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty corpus file"), ("\n", ":1: not JSON")])
+    def test_empty_file_and_blank_header_rejected(self, tmp_path, text,
+                                                  message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            CorpusReader(str(path))
+
+    def test_reader_streams_records_after_the_header(self, tmp_path,
+                                                     small_corpus):
+        # the header alone is read up front; a bad record surfaces only
+        # when the stream reaches its line
+        path = tmp_path / "c.jsonl"
+        save_corpus(small_corpus, path)
+        with open(path, "a") as fh:
+            fh.write("\nnot json\n")
+        reader = CorpusReader(str(path))
+        assert reader.feature_names == small_corpus.feature_names
+        stream = iter(reader)
+        for kept in small_corpus.dialogues:
+            assert next(stream).log.to_dict() == kept.log.to_dict()
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:{len(small_corpus) + 3}: "
+                                           f"not JSON")):
+            next(stream)
+
+
+def write_one_dialogue(path, space="original", features=(0.0,), action=0,
+                       final_features=(0.0,)) -> None:
+    """A one-feature, one-turn corpus file, its record built from the
+    arguments."""
+    header = {"schema": "dialab-corpus", "version": 1,
+              "space": "original", "feature_names": ["f0"]}
+    turn = {"turn": 1, "features": list(features), "action": action,
+            "system_act": "repeat", "user_acts": [], "observed": [],
+            "reward": -1.03, "terminal": True, "success": False}
+    log = {"space": space, "return": -1.03, "success": False,
+           "length": 1, "final_features": list(final_features),
+           "records": [turn]}
+    record = {"rating": 0, "provenance": "handcrafted", "log": log}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")

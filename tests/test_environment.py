@@ -1,12 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from dialab.corpus import HandcraftedPolicy, RandomPolicy
+from dialab.corpus import (Corpus, CorpusDialogue, HandcraftedPolicy,
+                           RandomPolicy, to_arrays)
 from dialab.environment import (ORIGINAL_ACTIONS, SPACES, SUMMARY_ACTIONS,
                                 DialogueEnv, EnvConfig, EpisodeStateError,
-                                Transition, check_reward_decomposition,
+                                check_reward_decomposition,
                                 minmax_slot, realize, rollout, run_episode,
                                 understood_constraints)
 from dialab.ontology import GoalConfig, UserAct, generate_db
@@ -22,6 +21,13 @@ def make_env(space="original", noiseless=True, **cfg_kw):
     error = ErrorModel.noiseless() if noiseless else ErrorModel()
     cfg = EnvConfig(space=space, error=error, **cfg_kw)
     return DialogueEnv(DB, cfg)
+
+
+def logged_rows(log):
+    """The log's turns as corpus rows."""
+    return to_arrays(Corpus(dialogues=[CorpusDialogue(log=log, rating=0)],
+                            space=log.space,
+                            feature_names=SPACES[log.space].feature_names))
 
 
 def belief_with(informs, db_count=0):
@@ -216,29 +222,36 @@ class TestEpisodes:
 
     @pytest.mark.parametrize("space", ["original", "summary"])
     def test_rollout_yields_the_logged_transitions(self, space):
+        # a logged dialogue's corpus rows are the transitions rollout gave
         env = make_env(space, noiseless=False)
         for i in range(20):
             def policy():
                 return HandcraftedPolicy(space, p_blunder=0.3,
                                          rng=np.random.default_rng(i))
             got = list(rollout(env, policy(), rng_stream(19, "train", i)))
-            want = run_episode(env, policy(),
-                               rng_stream(19, "train", i)).transitions()
+            log = run_episode(env, policy(), rng_stream(19, "train", i))
+            want = logged_rows(log)
             assert len(got) == len(want)
-            for a, b in zip(got, want):
-                for f in dataclasses.fields(Transition):
-                    assert np.array_equal(getattr(a, f.name),
-                                          getattr(b, f.name)), (i, f.name)
+            for name, column in (
+                    ("features", want.features), ("action", want.actions),
+                    ("reward", want.rewards),
+                    ("next_features", want.next_features),
+                    ("terminal", want.terminal)):
+                assert np.array_equal(
+                    np.array([getattr(t, name) for t in got]), column), (
+                        i, name)
+            assert [t.success for t in got] == [
+                r.success for r in log.records]
 
     def test_transitions_align_with_features(self):
         env = make_env()
         policy = HandcraftedPolicy("original")
         log = run_episode(env, policy, rng_stream(16, "train", 0))
-        ts = log.transitions()
-        assert len(ts) == log.length
-        assert ts[-1].terminal
-        for a, b in zip(ts[:-1], ts[1:]):
-            assert np.array_equal(a.next_features, b.features)
+        rows = logged_rows(log)
+        assert len(rows) == log.length
+        assert rows.terminal[-1] and not rows.terminal[:-1].any()
+        assert np.array_equal(rows.next_features[:-1], rows.features[1:])
+        assert np.array_equal(rows.next_features[-1], log.final_features)
 
     def test_same_seed_same_episode(self):
         env = make_env(noiseless=False)

@@ -6,13 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dialab import checkpoint, cli, harness
+from dialab import corpus as corpus_mod
+from dialab.actor_critic import LayoutMismatchError
 from dialab.checkpoint import CheckpointError
-from dialab.corpus import HandcraftedPolicy, RandomPolicy
+from dialab.corpus import (CorpusReader, HandcraftedPolicy, RandomPolicy,
+                           generate_corpus, save_corpus, to_arrays)
 from dialab.environment import ORIGINAL_ACTIONS, run_episode
 from dialab.harness import (ComparisonReport, ConfigError, EpsilonSchedule,
                             ExperimentConfig, compare_runs, config_from_dict,
@@ -392,7 +396,7 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         cfg = smoke_config(tmp_path)
         train_run(cfg)
         assert sorted(os.listdir(cfg.out)) == [
-            "checkpoint.npz", "config.json", "curve.csv", "layout.json"]
+            "checkpoint.npz", "config.json", "curve.csv"]
 
     def test_fresh_run_clears_the_previous_snapshot(self, tmp_path,
                                                     monkeypatch):
@@ -408,7 +412,7 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         monkeypatch.setattr(harness, "evaluate", killed)
         with pytest.raises(KeyboardInterrupt):
             train_run(cfg)
-        assert sorted(os.listdir(cfg.out)) == ["config.json", "layout.json"]
+        assert sorted(os.listdir(cfg.out)) == ["config.json"]
         monkeypatch.undo()
         assert [row[0] for row in train_run(cfg, resume=True)] == [0, 20]
 
@@ -479,6 +483,74 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         cfg = smoke_config(tmp_path, algorithm="da2c")
         rows = train_run(cfg)
         assert len(rows) == 3
+
+
+class TestPretraining:
+    @pytest.fixture(scope="class")
+    def corpus_file(self, tmp_path_factory):
+        """A 200-dialogue corpus, in memory and saved."""
+        _, _, env = harness.build_world(ExperimentConfig(seed=6))
+        built = generate_corpus(env, 200, seed=6)
+        path = str(tmp_path_factory.mktemp("corpus") / "corpus.jsonl")
+        save_corpus(built, path)
+        return built, path
+
+    @staticmethod
+    def pretrained(corpus_path, mode="sup_full_batch"):
+        cfg = config_from_dict({
+            "algorithm": "tda2c", "seed": 6,
+            "agent": {"hidden": [16, 12], "sup_epochs": 2, "batch_sweeps": 1},
+            "pretrain": {"mode": mode, "corpus": corpus_path}})
+        _, _, env = harness.build_world(cfg)
+        agent = harness.build_agent(cfg, env)
+        return cfg, env, agent
+
+    @pytest.mark.parametrize("mode", ["batch", "sup_full_batch",
+                                      "sup_expert_batch"])
+    def test_file_and_memory_give_the_same_snapshot(self, tmp_path,
+                                                    monkeypatch, corpus_file,
+                                                    mode):
+        built, path = corpus_file
+        snapshots, read = [], []
+        for source in ("file", "memory"):
+            if source == "memory":
+                monkeypatch.setattr(corpus_mod, "CorpusReader",
+                                    lambda path: read.append(path) or built)
+            cfg, env, agent = self.pretrained(path, mode)
+            harness.run_pretraining(cfg, env, agent)
+            snapshot = tmp_path / f"{source}.npz"
+            agent.save(str(snapshot))
+            with np.load(snapshot) as data:
+                snapshots.append({k: data[k].tobytes() for k in data.files})
+        assert read == [path] and snapshots[0] == snapshots[1]
+        assert len(agent.pool) == sum(len(d.log.records)
+                                      for d in built.dialogues)
+
+    def test_layout_checked_before_any_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({
+            "schema": "dialab-corpus", "version": 1, "space": "original",
+            "feature_names": ["f0"]}) + "\nnot json\n")
+        cfg, env, agent = self.pretrained(str(path))
+        with pytest.raises(LayoutMismatchError,
+                           match=r"corpus layout mismatch; missing="):
+            harness.run_pretraining(cfg, env, agent)
+
+    def test_peak_memory_is_a_small_multiple_of_the_arrays(self,
+                                                           corpus_file):
+        # the corpus is streamed into arrays, never held as per-turn
+        # objects: read whole, this corpus peaked at over 6x its arrays
+        _, path = corpus_file
+        data = to_arrays(CorpusReader(path))
+        array_bytes = sum(a.nbytes for a in vars(data).values())
+        cfg, env, agent = self.pretrained(path)
+        tracemalloc.start()
+        try:
+            harness.run_pretraining(cfg, env, agent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * array_bytes, (peak, array_bytes)
 
 
 class TestCompare:

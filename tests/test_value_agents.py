@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -75,6 +77,27 @@ class TestReplayPool:
         pool.add(t3)
         rewards = {round(t.reward, 9) for t in pool.contents()}
         assert rewards == {round(t2.reward, 9), round(t3.reward, 9)}
+
+    @pytest.mark.parametrize("before, rows", [(0, 3), (3, 4), (3, 12)])
+    def test_add_rows_equals_one_add_per_row(self, before, rows):
+        # the per-row add is the reference, across wrap-around and past
+        # a whole capacity of rows
+        ts = [transition(i) for i in range(before + rows)]
+        reference, pool = ReplayPool(5, 4), ReplayPool(5, 4)
+        reference.extend(ts)
+        pool.extend(ts[:before])
+        added = ts[before:]
+        pool.add_rows(SimpleNamespace(
+            features=np.array([t.features for t in added]),
+            next_features=np.array([t.next_features for t in added]),
+            actions=np.array([t.action for t in added]),
+            rewards=np.array([t.reward for t in added]),
+            terminal=np.array([t.terminal for t in added])))
+        assert (len(pool), pool._cursor) == (len(reference),
+                                             reference._cursor)
+        for name in ReplayPool.FIELDS:
+            assert np.array_equal(getattr(pool, f"_{name}"),
+                                  getattr(reference, f"_{name}")), name
 
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
