@@ -170,20 +170,22 @@ class ActorCriticAgent:
             return stats
 
         if supervised is not None and supervised.any():
-            feats = data.features[supervised]
-            acts = data.actions[supervised]
-            order = rng.permutation(len(acts))
-            n_hold = int(len(acts) * self.config.sup_holdout)
-            hold, train = order[:n_hold], order[n_hold:]
+            # indices into data's rows: a masked copy would duplicate them
+            rows = np.flatnonzero(supervised)
+            order = rng.permutation(len(rows))
+            n_hold = int(len(rows) * self.config.sup_holdout)
+            hold, train = rows[order[:n_hold]], rows[order[n_hold:]]
             stats["supervised_examples"] = len(train)
             for _ in range(self.config.sup_epochs):
                 perm = rng.permutation(len(train))
                 for start in range(0, len(perm), self.config.sup_batch):
                     sel = train[perm[start:start + self.config.sup_batch]]
-                    self.supervised_step(feats[sel], acts[sel])
+                    self.supervised_step(data.features[sel], data.actions[sel])
             if len(hold):
-                pred = self.policy.forward_batch(feats[hold]).argmax(axis=1)
-                stats["holdout_accuracy"] = float(np.mean(pred == acts[hold]))
+                pred = self.policy.forward_batch(
+                    data.features[hold]).argmax(axis=1)
+                stats["holdout_accuracy"] = float(
+                    np.mean(pred == data.actions[hold]))
 
         self.pool.add_rows(data)
         per_sweep = max(1, len(data) // self.config.minibatch)

@@ -93,11 +93,10 @@ def cmd_generate_corpus(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    built = corpus_mod.load_corpus(args.corpus)
     hist = {r: 0 for r in (0, 1, 2, 3)}
-    for d in built.dialogues:
+    for d in corpus_mod.CorpusReader(args.corpus):
         hist[corpus_mod.rate(d)] += 1
-    total = len(built)
+    total = sum(hist.values())
     print(f"{total} dialogues; ratings {hist}; "
           f"expert fraction {hist[3] / max(total, 1):.3f}")
     return EXIT_OK

@@ -7,8 +7,8 @@ file is one JSON header line and one JSON line per dialogue.
 ``CorpusReader`` streams it one dialogue at a time, and ``to_arrays``
 turns any stream of dialogues into per-turn feature, action, reward and
 rating arrays, the input of the two-stage pipeline's pretraining.
-``load_corpus`` reads a whole file into memory for the tools that need
-every dialogue's log, such as re-rating.
+``load_corpus`` reads a whole file into memory, for code that needs every
+dialogue at once.
 """
 
 from __future__ import annotations
@@ -134,15 +134,14 @@ class BlunderSchedule:
 
 def grounded_fraction(log: EpisodeLog) -> float:
     """Share of constraint slots the final belief pins to a concrete value."""
-    final = np.asarray(log.final_features, dtype=float)
-    confidence = SPACES[log.space].slot_confidence(final)
+    confidence = SPACES[log.space].slot_confidence(log.final_features)
     return sum(1 for p in confidence if p >= GROUNDED) / len(CONSTRAINT_SLOTS)
 
 
 def count_blunders(log: EpisodeLog) -> int:
     rule = HandcraftedPolicy(log.space)
     return sum(1 for rec in log.records
-               if rec.action != rule.decide(np.asarray(rec.features)))
+               if rec.action != rule.decide(rec.features))
 
 
 def rate(dialogue: CorpusDialogue | EpisodeLog) -> int:
@@ -189,13 +188,17 @@ def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
             f"mixed feature layouts: dialogue space {d.log.space!r} in a "
             f"{space!r} corpus")
     n_actions = len(SPACES[space].actions)
-    for rec in d.log.records:
+    last = len(d.log.records) - 1
+    for i, rec in enumerate(d.log.records):
         if len(rec.features) != n_features:
             raise CorpusFormatError(f"feature length {len(rec.features)} != "
                                     f"manifest {n_features}")
         if not 0 <= rec.action < n_actions:
             raise CorpusFormatError(f"action {rec.action} outside "
                                     f"0..{n_actions - 1}")
+        if rec.terminal and i != last:
+            raise CorpusFormatError(f"field 'terminal': record {i} of "
+                                    f"{last + 1} ends the dialogue early")
     if len(d.log.final_features) != n_features:
         raise CorpusFormatError(f"final feature length "
                                 f"{len(d.log.final_features)} != manifest "
@@ -234,16 +237,14 @@ def to_arrays(corpus) -> CorpusArrays:
         _check_dialogue(d, corpus.space, n_features)
         records = d.log.records
         # row i is turn i's features; the last row is the final belief's
-        feats = np.array([rec.features for rec in records]
-                         + [d.log.final_features], dtype=float)
-        terminal = np.array([rec.terminal for rec in records], dtype=bool)
-        if terminal[:-1].any():
-            raise ValueError("terminal record not last in episode log")
+        feats = np.stack([rec.features for rec in records]
+                         + [d.log.final_features])
         parts.append((
             feats[:-1], feats[1:],
             np.array([rec.action for rec in records], dtype=np.int64),
             np.array([rec.reward for rec in records], dtype=float),
-            terminal, np.full(len(records), d.rating, dtype=np.int64)))
+            np.array([rec.terminal for rec in records], dtype=bool),
+            np.full(len(records), d.rating, dtype=np.int64)))
     return CorpusArrays(*(np.concatenate(column) for column in zip(*parts)))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from sys import intern
 from typing import Callable, Iterator
 
 import numpy as np
@@ -60,17 +61,42 @@ class Transition:
     success: bool
 
 
+def _vector(name: str, values) -> np.ndarray:
+    """``values`` as a float64 vector; a float64 array, such as the one the
+    environment built for the turn, is kept as it is, not copied."""
+    vec = np.asarray(values, dtype=float)
+    if vec.ndim != 1:
+        raise ValueError(f"field {name!r}: not a flat list of numbers")
+    return vec
+
+
 @dataclass
 class TurnRecord:
+    """One logged system turn, in one compact form whether it comes from a
+    rollout or a corpus file: ``features`` is a float64 array, and the
+    rendered act strings are interned, so a repeated act is one string."""
+
     turn: int
-    features: list
+    features: np.ndarray
     action: int
     system_act: str
     user_acts: list
-    observed: list
+    observed: list               # n-best lists of [act, score] pairs
     reward: float
     terminal: bool
     success: bool
+
+    def __post_init__(self):
+        self.features = _vector("features", self.features)
+        self.system_act = intern(self.system_act)
+        self.user_acts = [intern(a) for a in self.user_acts]
+        self.observed = [[[intern(a), s] for a, s in nbest]
+                         for nbest in self.observed]
+
+    def to_dict(self) -> dict:
+        d = {name: getattr(self, name) for name in _TURN_FIELDS}
+        d["features"] = self.features.tolist()
+        return d
 
 
 _TURN_FIELDS = tuple(f.name for f in fields(TurnRecord))
@@ -83,21 +109,24 @@ class EpisodeLog:
     episode_return: float = 0.0
     success: bool = False
     length: int = 0
-    final_features: list = field(default_factory=list)
+    final_features: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        self.final_features = _vector("final_features", self.final_features)
 
     def to_dict(self) -> dict:
-        """A JSON-ready dict; the records' lists are shared, not copied."""
+        """A JSON-ready dict. Feature arrays become fresh lists of floats;
+        the act strings and lists are the records' own, not copies."""
         return {"space": self.space, "return": self.episode_return,
                 "success": self.success, "length": self.length,
-                "final_features": list(self.final_features),
-                "records": [{name: getattr(r, name) for name in _TURN_FIELDS}
-                            for r in self.records]}
+                "final_features": self.final_features.tolist(),
+                "records": [r.to_dict() for r in self.records]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeLog":
         log = cls(space=d["space"], episode_return=d["return"],
                   success=d["success"], length=d["length"],
-                  final_features=list(d["final_features"]))
+                  final_features=d["final_features"])
         log.records = [TurnRecord(**r) for r in d["records"]]
         return log
 
@@ -393,11 +422,11 @@ def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
     for t in rollout(env, policy, rng):
         log.records.append(TurnRecord(
             turn=env.belief.turn,
-            features=[float(x) for x in t.features],
+            features=t.features,
             action=t.action,
             system_act=env.last_system_act.render(),
             user_acts=[a.render() for a in env.last_user_acts],
-            observed=[[[a.render(), float(s)] for a, s in nbest]
+            observed=[[(a.render(), s) for a, s in nbest]
                       for nbest in env.last_observation],
             reward=t.reward,
             terminal=t.terminal,
@@ -406,7 +435,7 @@ def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
         log.episode_return += t.reward
         log.length += 1
     log.success = t.success
-    log.final_features = [float(x) for x in t.next_features]
+    log.final_features = t.next_features
     return log
 
 

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,8 +167,8 @@ class TestConversion:
             rec, log = d.log.records[i], d.log
             nxt = (log.records[i + 1].features if i + 1 < len(log.records)
                    else log.final_features)
-            assert data.features[row].tolist() == rec.features
-            assert data.next_features[row].tolist() == nxt
+            assert data.features[row].tolist() == rec.features.tolist()
+            assert data.next_features[row].tolist() == nxt.tolist()
             assert (data.actions[row], data.rewards[row],
                     data.terminal[row], data.rating[row]) == (
                         rec.action, rec.reward, rec.terminal, d.rating)
@@ -181,6 +183,41 @@ class TestConversion:
                      "terminal", "rating"):
             assert np.array_equal(getattr(streamed, name),
                                   getattr(held, name)), name
+
+
+class TestLogForm:
+    def test_generated_and_reread_logs_share_one_form(self, tmp_path,
+                                                      small_corpus):
+        path = tmp_path / "c.jsonl"
+        save_corpus(small_corpus, path)
+        n_features = len(small_corpus.feature_names)
+        reread = next(iter(CorpusReader(str(path))))
+        for log in (small_corpus.dialogues[0].log, reread.log):
+            for vec in [r.features for r in log.records] + [
+                    log.final_features]:
+                assert isinstance(vec, np.ndarray)
+                assert vec.dtype == np.float64
+                assert vec.shape == (n_features,)
+            for r in log.records:
+                acts = [r.system_act, *r.user_acts,
+                        *(a for nbest in r.observed for a, _ in nbest)]
+                assert all(a is sys.intern(a) for a in acts)
+            as_dict = log.to_dict()
+            assert as_dict == json.loads(json.dumps(as_dict))
+        assert reread.log.to_dict() == small_corpus.dialogues[0].log.to_dict()
+
+    def test_traced_bytes_per_logged_turn(self, noisy_env):
+        # a turn's features as a list of Python floats held about 2.1 KB
+        # a turn; the environment's array and interned acts about 1.2 KB
+        generate_corpus(noisy_env, 50, seed=2)
+        tracemalloc.start()
+        try:
+            built = generate_corpus(noisy_env, 50, seed=2)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        turns = sum(len(d.log.records) for d in built.dialogues)
+        assert held / turns < 1600, held / turns
 
 
 class TestRoundTrip:
@@ -212,7 +249,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("space, features, message", [
         ("original", [0.0, 0.0], "feature length 2 != manifest 1"),
-        ("summary", [0.0], "mixed feature layouts")])
+        ("summary", [0.0], "mixed feature layouts"),
+        ("original", [[0.0]], "field 'features': not a flat list of numbers")])
     def test_layout_errors_name_the_file_and_line(self, tmp_path, space,
                                                   features, message):
         path = tmp_path / "corpus.jsonl"
@@ -233,6 +271,19 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:2: {message}")):
             load_corpus(str(path))
+
+    def test_mid_dialogue_terminal_names_the_file_and_line(self, tmp_path,
+                                                           noisy_env):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_corpus(noisy_env, 3, seed=0), path)
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        assert len(record["log"]["records"]) > 1
+        record["log"]["records"][0]["terminal"] = True
+        path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:2: field 'terminal'")):
+            to_arrays(CorpusReader(str(path)))
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty corpus file"), ("\n", ":1: not JSON")])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 
 from dialab import checkpoint, cli, harness
 from dialab import corpus as corpus_mod
-from dialab.actor_critic import LayoutMismatchError
+from dialab.actor_critic import ActorCriticAgent, LayoutMismatchError
 from dialab.checkpoint import CheckpointError
 from dialab.corpus import (CorpusReader, HandcraftedPolicy, RandomPolicy,
                            generate_corpus, save_corpus, to_arrays)
@@ -526,6 +527,44 @@ class TestPretraining:
         assert len(agent.pool) == sum(len(d.log.records)
                                       for d in built.dialogues)
 
+    @pytest.mark.parametrize("mode", ["sup_full_batch", "sup_expert_batch"])
+    def test_rows_by_index_match_the_masked_copy(self, tmp_path, monkeypatch,
+                                                 corpus_file, mode):
+        pretrain = ActorCriticAgent.pretrain
+
+        def masked_copy(agent, data, supervised, rng):
+            # reference: stage 1 on a masked copy of the selected rows,
+            # then stage 2 as pretrain runs it
+            feats = data.features[supervised]
+            acts = data.actions[supervised]
+            order = rng.permutation(len(acts))
+            n_hold = int(len(acts) * agent.config.sup_holdout)
+            hold, train = order[:n_hold], order[n_hold:]
+            for _ in range(agent.config.sup_epochs):
+                perm = rng.permutation(len(train))
+                for start in range(0, len(perm), agent.config.sup_batch):
+                    sel = train[perm[start:start + agent.config.sup_batch]]
+                    agent.supervised_step(feats[sel], acts[sel])
+            pred = agent.policy.forward_batch(feats[hold]).argmax(axis=1)
+            stats = pretrain(agent, data, None, rng)
+            stats.update(supervised_examples=len(train), holdout_accuracy=float(
+                np.mean(pred == acts[hold])))
+            return stats
+
+        _, path = corpus_file
+        runs = []
+        for method in (pretrain, masked_copy):
+            monkeypatch.setattr(ActorCriticAgent, "pretrain", method)
+            cfg, env, agent = self.pretrained(path, mode)
+            stats = harness.run_pretraining(cfg, env, agent)
+            snapshot = tmp_path / f"{method.__name__}.npz"
+            agent.save(str(snapshot))
+            with np.load(snapshot) as data:
+                runs.append((stats, {k: data[k].tobytes()
+                                     for k in data.files}))
+        assert runs[0][0]["holdout_accuracy"] is not None
+        assert runs[0] == runs[1]
+
     def test_layout_checked_before_any_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({
@@ -751,7 +790,13 @@ class TestCli:
         corpus_path = str(tmp_path / "corpus.jsonl")
         assert cli.main(["generate-corpus", "--config", str(path),
                          "--n", "20", "--out", corpus_path]) == 0
+        generated = capsys.readouterr().out
         assert cli.main(["rate", "--corpus", corpus_path]) == 0
+        rated = capsys.readouterr().out
+        # both print the histogram as "ratings {0: n0, 1: n1, ...}"
+        histogram = re.compile(r"ratings (\{[^}]*\})")
+        assert histogram.search(rated)[1] == histogram.search(generated)[1]
+        assert rated.startswith("20 dialogues; ")
 
         run_dir = tmp_path / "runs" / "x" / "seed-0"
         run_dir.mkdir(parents=True)
