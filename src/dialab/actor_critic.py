@@ -18,7 +18,8 @@ from . import checkpoint, nets
 from .environment import Transition
 from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
                    copy_params, log_policy_gradient)
-from .value_agents import AgentConfig, ReplayPool, explore
+from .value_agents import (AgentConfig, ReplayPool, dqn_target, explore,
+                           regression_step)
 
 log = logging.getLogger(__name__)
 
@@ -84,9 +85,6 @@ class ActorCriticAgent:
         # cross-entropy; a diagnostic, not checkpointed
         self.clamp_count = 0
 
-    def begin_episode(self) -> None:
-        pass
-
     def select_action(self, features, epsilon, rng) -> int:
         return select_action_policy(self.policy, features, epsilon,
                                     self.excluded, rng)
@@ -103,20 +101,13 @@ class ActorCriticAgent:
         self.policy_gradient_step(t.features, t.action, delta)
 
     def value_train_step(self, rng: np.random.Generator) -> float:
-        """DQN-like regression of V toward r + gamma V_target(b')."""
-        cfg = self.config
-        idx = self.pool.sample_indices(cfg.minibatch, rng)
+        """The DQN step on V's one column: V toward r + gamma V_target(b')."""
+        idx = self.pool.sample_indices(self.config.minibatch, rng)
         feats, _, rewards, nxt, term = self.pool.batch(idx)
-        v_next = self.value_target.forward_batch(nxt)[:, 0]
-        targets = rewards + self.gamma * (~term) * v_next
-        v, acts = self.value.forward_train(feats)
-        diff = v[:, 0] - targets
-        loss = float(np.mean(diff ** 2))
-        grad_out = (2.0 * diff / len(idx))[:, None]
-        grads = self.value.backward_batch(feats, grad_out, acts)
-        nets.adadelta_step(self.value_opt, self.value, grads)
+        targets = dqn_target(rewards, nxt, term, self.value_target, self.gamma)
+        loss = regression_step(self.value, self.value_opt, feats, 0, targets)
         self.value_steps += 1
-        if self.value_steps % cfg.target_sync == 0:
+        if self.value_steps % self.config.target_sync == 0:
             copy_params(self.value, self.value_target)
         return loss
 

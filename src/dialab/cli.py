@@ -71,8 +71,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.set)
-    if cfg.algorithm not in ("da2c", "tda2c"):
-        raise ConfigError("pretraining applies to the actor-critic algorithms")
+    harness.check_pretraining(cfg, required=True)
     _, _, env = harness.build_world(cfg)
     agent = harness.build_agent(cfg, env)
     stats = harness.run_pretraining(cfg, env, agent)
@@ -84,11 +83,18 @@ def cmd_pretrain(args) -> int:
 def cmd_generate_corpus(args) -> int:
     cfg = load_config(args.config, args.set)
     _, _, env = harness.build_world(cfg)
-    built = corpus_mod.generate_corpus(env, args.n, seed=cfg.seed)
-    corpus_mod.save_corpus(built, args.out)
-    ratings = [d.rating for d in built.dialogues]
-    hist = {r: ratings.count(r) for r in (0, 1, 2, 3)}
-    print(f"wrote {len(built)} dialogues to {args.out}; ratings {hist}")
+    hist = {r: 0 for r in (0, 1, 2, 3)}
+
+    def counted(dialogues):
+        for d in dialogues:
+            hist[d.rating] += 1
+            yield d
+    # each dialogue is written, then dropped, as it is generated
+    stream = corpus_mod.generate_dialogues(env, args.n, seed=cfg.seed)
+    corpus_mod.save_corpus(corpus_mod.Corpus(
+        counted(stream), cfg.space, list(env.space.feature_names)), args.out)
+    print(f"wrote {sum(hist.values())} dialogues to {args.out}; "
+          f"ratings {hist}")
     return EXIT_OK
 
 

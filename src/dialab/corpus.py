@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EpisodeLog, run_episode
 from .ontology import CONSTRAINT_SLOTS
 from .seeding import rng_stream
@@ -52,7 +53,7 @@ class CorpusDialogue:
 
 @dataclass
 class Corpus:
-    dialogues: list
+    dialogues: list              # or a stream, for save_corpus alone
     space: str
     feature_names: list
 
@@ -161,14 +162,15 @@ def rate(dialogue: CorpusDialogue | EpisodeLog) -> int:
     return 0
 
 
-def generate_corpus(env: DialogueEnv, n: int, seed: int,
-                    schedule: BlunderSchedule | None = None) -> Corpus:
+def generate_dialogues(env: DialogueEnv, n: int, seed: int,
+                       schedule: BlunderSchedule | None = None
+                       ) -> Iterator[CorpusDialogue]:
     """Run n handcrafted dialogues with per-dialogue blunder rates drawn from
-    the schedule; deterministic per seed, parallelizable per dialogue."""
+    the schedule, yielding each rated dialogue as it ends; deterministic per
+    seed, parallelizable per dialogue."""
     if n <= 0:
         raise ValueError("corpus size must be positive")
     schedule = schedule or BlunderSchedule()
-    dialogues = []
     for i in range(n):
         rng = rng_stream(seed, "corpus", i)
         p_blunder = schedule.draw(rng)
@@ -176,10 +178,14 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
                                    rng=rng)
         log = run_episode(env, policy, rng)
         provenance = "handcrafted" if p_blunder == 0.0 else "noisy-handcrafted"
-        dialogues.append(CorpusDialogue(log=log, rating=rate(log),
-                                        provenance=provenance))
-    return Corpus(dialogues=dialogues, space=env.config.space,
-                  feature_names=list(env.space.feature_names))
+        yield CorpusDialogue(log=log, rating=rate(log), provenance=provenance)
+
+
+def generate_corpus(env: DialogueEnv, n: int, seed: int,
+                    schedule: BlunderSchedule | None = None) -> Corpus:
+    """The dialogues of ``generate_dialogues``, all held in memory."""
+    return Corpus(list(generate_dialogues(env, n, seed, schedule)),
+                  env.config.space, list(env.space.feature_names))
 
 
 def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
@@ -249,14 +255,17 @@ def to_arrays(corpus) -> CorpusArrays:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": CORPUS_SCHEMA, "version": SCHEMA_VERSION,
-                             "space": corpus.space,
-                             "feature_names": list(corpus.feature_names)}) + "\n")
+    """Write ``corpus`` one dialogue at a time, so its dialogues may be a
+    stream; ``path`` appears only once the file is complete."""
+    def records():
+        yield {"schema": CORPUS_SCHEMA, "version": SCHEMA_VERSION,
+               "space": corpus.space,
+               "feature_names": list(corpus.feature_names)}
         for d in corpus.dialogues:
-            fh.write(json.dumps({"rating": d.rating,
-                                 "provenance": d.provenance,
-                                 "log": d.log.to_dict()}) + "\n")
+            yield {"rating": d.rating, "provenance": d.provenance,
+                   "log": d.log.to_dict()}
+    replace_file(path, lambda fh: fh.writelines(
+        f"{json.dumps(record)}\n".encode() for record in records()))
 
 
 class CorpusReader:

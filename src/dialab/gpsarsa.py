@@ -13,6 +13,8 @@ measurement of the dictionary values,
 with off-dictionary points replaced by their kernel-space projections. The
 posterior over dictionary values is then maintained exactly with rank-one
 updates, so with nu -> 0 the model reproduces dense GP regression.
+The first point is admitted like any other: on an empty dictionary the
+residual is the prior variance, and bordering gives the 1 x 1 closed form.
 
 No piece of that work is done twice while the dictionary stays the same.
 The rank-one update is applied to ``mu`` and ``Sigma`` in place, its n x n
@@ -70,14 +72,15 @@ class SparseGP:
     """Dictionary of (summary features, action) points plus the posterior
     mean and covariance of their Q values."""
 
-    def __init__(self, spec: KernelSpec, n_actions: int, nu: float = 0.1,
-                 jitter: float = 1e-10, max_dictionary: int = 2000):
+    def __init__(self, spec: KernelSpec, n_features: int, n_actions: int,
+                 nu: float = 0.1, jitter: float = 1e-10,
+                 max_dictionary: int = 2000):
         self.spec = spec
         self.n_actions = n_actions
         self.nu = nu
         self.jitter = jitter
         self.max_dictionary = max_dictionary
-        self.points_b = np.zeros((0, 0))
+        self.points_b = np.zeros((0, n_features))
         self.points_a = np.zeros(0, dtype=np.int64)
         self.Kinv = np.zeros((0, 0))
         self.mu = np.zeros(0)
@@ -103,8 +106,6 @@ class SparseGP:
         return len(self.points_a)
 
     def k_vec(self, b: np.ndarray, a: int) -> np.ndarray:
-        if len(self) == 0:
-            return np.zeros(0)
         b = np.asarray(b, dtype=float)
         if self._row is not None and self._row[0] == (len(self), b.tobytes()):
             base = self._row[1]
@@ -124,56 +125,32 @@ class SparseGP:
         Returns (admit, residual, coefficients); an empty dictionary always
         admits.
         """
-        kpp = self.spec.signal_var
-        if len(self) == 0:
-            return True, kpp, np.zeros(0)
         kv = self.k_vec(b, a)
         coeffs = self.Kinv @ kv
-        residual = float(kpp - kv @ coeffs)
-        return residual > self.nu, residual, coeffs
+        residual = float(self.spec.signal_var - kv @ coeffs)
+        return residual > self.nu or len(self) == 0, residual, coeffs
 
     def _admit(self, b: np.ndarray, a: int, coeffs: np.ndarray,
                residual: float) -> bool:
         """Add (b, a) to the dictionary; False, with a warning the first
         time, when the dictionary is full."""
-        n = len(self)
-        if n >= self.max_dictionary:
+        if len(self) >= self.max_dictionary:
             if not self.alarmed:
                 self.alarmed = True
                 log.warning("GP dictionary reached its cap of %d points; "
                             "further points are projected, not admitted",
                             self.max_dictionary)
             return False
-        b = np.asarray(b, dtype=float)
-        if n == 0:
-            self.points_b = b[None, :]
-            self.points_a = np.array([a], dtype=np.int64)
-            kpp = self.spec.signal_var + self.jitter
-            self.Kinv = np.array([[1.0 / kpp]])
-            self.mu = np.zeros(1)
-            self.Sigma = np.array([[kpp]])
-            self.forget()
-            return True
         delta = residual + self.jitter
-        self.points_b = np.vstack([self.points_b, b[None, :]])
+        self.points_b = np.vstack([self.points_b, np.asarray(b, dtype=float)])
         self.points_a = np.append(self.points_a, a)
-        newKinv = np.zeros((n + 1, n + 1))
-        newKinv[:n, :n] = self.Kinv + np.outer(coeffs, coeffs) / delta
-        newKinv[:n, n] = -coeffs / delta
-        newKinv[n, :n] = -coeffs / delta
-        newKinv[n, n] = 1.0 / delta
-        self.Kinv = newKinv
+        self.Kinv = _border(self.Kinv + np.outer(coeffs, coeffs) / delta,
+                            -coeffs / delta, 1.0 / delta)
         # prior conditional of the new point given the dictionary
-        mu_new = float(coeffs @ self.mu)
         sig_col = self.Sigma @ coeffs
-        var_new = float(coeffs @ sig_col) + delta
-        newSigma = np.zeros((n + 1, n + 1))
-        newSigma[:n, :n] = self.Sigma
-        newSigma[:n, n] = sig_col
-        newSigma[n, :n] = sig_col
-        newSigma[n, n] = var_new
-        self.Sigma = newSigma
-        self.mu = np.append(self.mu, mu_new)
+        self.Sigma = _border(self.Sigma, sig_col,
+                             float(coeffs @ sig_col) + delta)
+        self.mu = np.append(self.mu, float(coeffs @ self.mu))
         self.forget()
         return True
 
@@ -231,14 +208,10 @@ class SparseGP:
 
     def q_mean(self, b, a: int) -> float:
         """Posterior mean at (b, a); zero before any observation."""
-        if len(self) == 0:
-            return 0.0
         return float(self.k_vec(np.asarray(b, dtype=float), a)
                      @ self.coefficients())
 
     def q_values(self, b) -> np.ndarray:
-        if len(self) == 0:
-            return np.zeros(self.n_actions)
         b = np.asarray(b, dtype=float)
         row = self._base_similarity(b)
         self._row = ((len(self), b.tobytes()), row)
@@ -259,6 +232,18 @@ class SparseGP:
                     "Kinv": ("n", "n"), "mu": ("n",), "Sigma": ("n", "n")})
 
 
+def _border(m: np.ndarray, edge: np.ndarray, corner: float) -> np.ndarray:
+    """The symmetric n x n ``m`` grown to (n+1) x (n+1): ``edge`` as its new
+    last row and column, ``corner`` at their crossing."""
+    n = len(m)
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = m
+    out[:n, n] = edge
+    out[n, :n] = edge
+    out[n, n] = corner
+    return out
+
+
 def select_action_esoftmax(gp: SparseGP, b, epsilon: float,
                            rng: np.random.Generator) -> int:
     """Uniform with probability epsilon, else sample the logistic
@@ -276,12 +261,9 @@ class GPSarsaAgent:
     def __init__(self, n_features: int, n_actions: int, spec: KernelSpec,
                  nu: float = 0.1, gamma: float = 0.99,
                  max_dictionary: int = 2000):
-        self.gp = SparseGP(spec, n_actions, nu=nu,
+        self.gp = SparseGP(spec, n_features, n_actions, nu=nu,
                            max_dictionary=max_dictionary)
         self.gamma = gamma
-        self._pending = None
-
-    def begin_episode(self) -> None:
         self._pending = None
 
     def select_action(self, features, epsilon, rng) -> int:

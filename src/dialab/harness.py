@@ -24,11 +24,9 @@ from .actor_critic import ActorCriticAgent, check_layout
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPSarsaAgent, KernelSpec
-from .ontology import (CONSTRAINT_SLOTS, VALUES, GoalConfig, OntologyError,
-                       UserGoal, generate_db, parse_user_act)
+from .ontology import (CONSTRAINT_SLOTS, VALUES, OntologyError, UserGoal,
+                       generate_db, parse_user_act)
 from .seeding import rng_stream
-from .tracker import ErrorModel
-from .usersim import UserConfig
 from .value_agents import AgentConfig, QAgent
 
 log = logging.getLogger(__name__)
@@ -135,49 +133,43 @@ class ExperimentConfig(EnvConfig):
         return tuple(space.actions.index(a) for a in space.excluded)
 
 
-_SUBCONFIGS = {
-    "epsilon": EpsilonSchedule,
-    "user": UserConfig,
-    "error": ErrorModel,
-    "goals": GoalConfig,
-    "agent": AgentConfig,
-    "gp": GPParams,
-    "pretrain": PretrainParams,
-}
-
-
-def _coerce(cls, data: dict, path: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _coerce(cls, data, path: str = ""):
+    """``cls`` from the JSON mapping ``data``, each section in turn; every
+    error is a ConfigError naming the section or dotted key at fault."""
+    where = path or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{where}' must be a mapping")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(known)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}'")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{where}'")
     kwargs = {}
     for key, value in data.items():
-        if isinstance(value, list):
+        f, dotted = known[key], f"{path}.{key}" if path else key
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        if dataclasses.is_dataclass(default):
+            value = _coerce(type(default), value, dotted)
+        elif isinstance(value, dict) != isinstance(default, dict):
+            must = "must" if isinstance(default, dict) else "must not"
+            raise ConfigError(f"'{dotted}' {must} be a mapping, got {value!r}")
+        elif dotted == "goals.request_count_weights":
+            try:    # JSON object keys are strings
+                value = {int(k): float(v) for k, v in value.items()}
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"'{dotted}' must map integer request "
+                                  f"counts to numbers, got {value!r}") from exc
+        elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad '{path}' section: {exc}") from exc
+        raise ConfigError(f"bad '{where}' section: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    kwargs = {}
-    for name, cls in _SUBCONFIGS.items():
-        if name in data:
-            section = data.pop(name)
-            if not isinstance(section, dict):
-                raise ConfigError(f"section '{name}' must be a mapping")
-            if name == "goals" and "request_count_weights" in section:
-                section = dict(section)
-                section["request_count_weights"] = {
-                    int(k): float(v)
-                    for k, v in section["request_count_weights"].items()}
-            kwargs[name] = _coerce(cls, section, name)
-    top = _coerce(ExperimentConfig, data, "config")
-    return dataclasses.replace(top, **kwargs)
+    return _coerce(ExperimentConfig, data)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -199,6 +191,9 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object, not "
+                          f"{type(data).__name__}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not key=value")
@@ -209,8 +204,12 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
             value = raw
         node = data
         parts = key.split(".")
-        for part in parts[:-1]:
+        for i, part in enumerate(parts[:-1]):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override '{item}': '"
+                                  f"{'.'.join(parts[:i + 1])}' is {node!r}, "
+                                  f"not a section")
         node[parts[-1]] = value
     return config_from_dict(data)
 
@@ -241,14 +240,26 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
     raise ConfigError(f"unknown algorithm '{cfg.algorithm}'")
 
 
+def check_pretraining(cfg: ExperimentConfig, required: bool = False) -> None:
+    """The one rule on pretraining: only the actor-critic algorithms take a
+    pretrain mode, tda2c a supervised one; ``required`` refuses none."""
+    mode = cfg.pretrain.mode
+    if (mode != "none" or required) and cfg.algorithm not in ("da2c", "tda2c"):
+        raise ConfigError("pretraining applies to the actor-critic algorithms")
+    if cfg.algorithm == "tda2c" and not mode.startswith("sup_"):
+        raise ConfigError(f"tda2c needs a supervised pretrain.mode, not "
+                          f"{mode!r}")
+    if required and mode == "none":
+        raise ConfigError("pretrain.mode is 'none': nothing to pretrain")
+
+
 def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv,
                     agent: ActorCriticAgent) -> dict:
     """Pretrain ``agent`` on the configured corpus file, streamed into
     arrays one dialogue at a time; its header's feature names are checked
-    against the space before any record is read."""
+    against the space before any record is read. The mode must not be
+    none (see ``check_pretraining``)."""
     mode = cfg.pretrain.mode
-    if mode == "none":
-        return {}
     reader = corpus_mod.CorpusReader(cfg.pretrain.corpus)
     check_layout(env.space.feature_names, reader.feature_names)
     data = corpus_mod.to_arrays(reader)
@@ -335,11 +346,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     continues the run in ``cfg.out``, or returns its rows if finished."""
     if cfg.out is None:
         raise ConfigError("config needs an 'out' directory for training")
-    if cfg.algorithm == "tda2c" and cfg.pretrain.mode not in (
-            "sup_full_batch", "sup_expert_batch"):
-        raise ConfigError("tda2c needs a supervised pretrain mode and corpus")
-    if cfg.pretrain.mode != "none" and cfg.algorithm not in ("da2c", "tda2c"):
-        raise ConfigError("pretraining applies to the actor-critic algorithms")
+    check_pretraining(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     curve_path = os.path.join(cfg.out, "curve.csv")
     ckpt_path = os.path.join(cfg.out, "checkpoint.npz")
@@ -384,7 +391,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
         replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
-    elif cfg.algorithm == "tda2c" or cfg.pretrain.mode != "none":
+    elif cfg.pretrain.mode != "none":
         run_pretraining(cfg, env, agent)
 
     def eval_point(dialogues_done: int):
@@ -405,7 +412,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     for ep in range(start_ep + 1, cfg.dialogues + 1):
         rng = rng_stream(cfg.seed, "train", ep)
         t0 = time.perf_counter()
-        agent.begin_episode()
         for t in rollout(env, policy, rng):
             agent.observe(t, rng)
             if cfg.epsilon.unit == "transition":

@@ -150,6 +150,21 @@ def ddqn_target(rewards: np.ndarray, next_features: np.ndarray,
     return rewards + gamma * (~terminal) * picked
 
 
+def regression_step(net: FeedForwardNet, opt: AdadeltaState,
+                    feats: np.ndarray, columns, targets: np.ndarray) -> float:
+    """One Adadelta step of the mean squared error between ``net``'s output
+    in ``columns`` (one per row, or one for every row) and ``targets``;
+    returns the loss."""
+    out, acts = net.forward_train(feats)
+    rows = np.arange(len(feats))
+    loss, grad = nets.mse_loss(out[rows, columns], targets)
+    grad_out = np.zeros_like(out)
+    grad_out[rows, columns] = grad
+    grads = net.backward_batch(feats, grad_out, acts)
+    nets.adadelta_step(opt, net, grads)
+    return loss
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     """Network, replay and pretraining settings of the DQN and actor-critic
@@ -202,9 +217,6 @@ class QAgent:
         self.train_steps = 0
         self.last_loss = float("nan")
 
-    def begin_episode(self) -> None:
-        pass
-
     def select_action(self, features: np.ndarray, epsilon: float,
                       rng: np.random.Generator) -> int:
         return select_action_egreedy(self.qnet, features, epsilon,
@@ -228,14 +240,7 @@ class QAgent:
                                   self.gamma)
         else:
             targets = dqn_target(rewards, nxt, term, self.target, self.gamma)
-        q, acts = self.qnet.forward_train(feats)
-        rows = np.arange(len(idx))
-        diff = q[rows, actions] - targets
-        loss = float(np.mean(diff ** 2))
-        grad_out = np.zeros_like(q)
-        grad_out[rows, actions] = 2.0 * diff / len(idx)
-        grads = self.qnet.backward_batch(feats, grad_out, acts)
-        nets.adadelta_step(self.opt, self.qnet, grads)
+        loss = regression_step(self.qnet, self.opt, feats, actions, targets)
         self.train_steps += 1
         if self.train_steps % cfg.target_sync == 0:
             copy_params(self.qnet, self.target)

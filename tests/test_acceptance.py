@@ -132,14 +132,14 @@ def test_criterion_4_gp_oracles():
     from test_gpsarsa import random_summary
     spec = KernelSpec(length_scale=3.0, signal_var=1.0, noise_var=0.1)
     # one-point closed form
-    gp = SparseGP(spec, n_actions=3, nu=0.1)
+    gp = SparseGP(spec, 60, n_actions=3, nu=0.1)
     b = random_summary(RNG(40))
     gp.sarsa_update(b, 1, 0.85, b, None, True, 0.99)
     closed = 0.85 * spec.signal_var / (spec.signal_var + spec.noise_var)
     one_point_err = abs(gp.q_mean(b, 1) - closed)
     # twenty points vs dense regression
     rng = RNG(41)
-    gp2 = SparseGP(spec, n_actions=2, nu=1e-12, jitter=1e-12)
+    gp2 = SparseGP(spec, 60, n_actions=2, nu=1e-12, jitter=1e-12)
     pts, rewards = [], []
     while len(pts) < 20:
         bb, aa = random_summary(rng), int(rng.integers(2))

@@ -10,7 +10,7 @@ from dialab.actor_critic import (ActorCriticAgent, LayoutMismatchError,
                                  td_advantage)
 from dialab.corpus import Corpus, to_arrays
 from dialab.environment import Transition
-from dialab.nets import FeedForwardNet, NonFiniteGradientError
+from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
 from dialab.value_agents import AgentConfig
 
 RNG = np.random.default_rng
@@ -186,7 +186,45 @@ class TestPolicyGradientStep:
         assert abs(probs.sum() - 1.0) <= 1e-9
 
 
+def inline_value_train_step(agent, rng):
+    """ActorCriticAgent.value_train_step as written before it shared the DQN
+    regression step: the reference the shared step must match."""
+    cfg = agent.config
+    idx = agent.pool.sample_indices(cfg.minibatch, rng)
+    feats, _, rewards, nxt, term = agent.pool.batch(idx)
+    v_next = agent.value_target.forward_batch(nxt)[:, 0]
+    targets = rewards + agent.gamma * (~term) * v_next
+    v, acts = agent.value.forward_train(feats)
+    diff = v[:, 0] - targets
+    loss = float(np.mean(diff ** 2))
+    grad_out = (2.0 * diff / len(idx))[:, None]
+    grads = agent.value.backward_batch(feats, grad_out, acts)
+    nets.adadelta_step(agent.value_opt, agent.value, grads)
+    agent.value_steps += 1
+    if agent.value_steps % cfg.target_sync == 0:
+        copy_params(agent.value, agent.value_target)
+    return loss
+
+
 class TestValueTrainStep:
+    def test_steps_match_the_inline_reference(self):
+        # the critic's step is the DQN step on column 0 of a one-output net:
+        # value net, target copy, Adadelta accumulators and losses byte for
+        # byte over steps that cross three target syncs
+        runs = []
+        for step in (ActorCriticAgent.value_train_step,
+                     inline_value_train_step):
+            agent = make_agent(target_sync=3)
+            for i in range(12):
+                agent.pool.add(Transition(
+                    RNG(i).normal(size=6), i % 4, float(RNG(i).normal()),
+                    RNG(i + 1).normal(size=6), i % 5 == 0, False))
+            rng = RNG(20)
+            losses = [step(agent, rng) for _ in range(10)]
+            runs.append((losses, {k: v.tobytes() for k, v
+                                  in agent.state().arrays.items()}))
+        assert runs[0] == runs[1]
+
     def test_terminal_only_pool_regresses_to_reward(self):
         agent = make_agent(minibatch=1, warmup=1)
         t = Transition(RNG(10).normal(size=6), 0, 0.6, np.zeros(6), True, True)

@@ -84,6 +84,39 @@ def test_benchmark_checker_sees_every_dialogue(tmp_path):
         "attempted": 12, "failed": 0, "train_marks": 6, "evaluations": 3}
 
 
+TRACED_STEPS = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+import spans
+tracer = spans.Tracer()
+spans.instrument(tracer)
+from dialab import harness
+harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
+step = sys.argv[2]
+print(json.dumps({"steps": tracer.summary()[step]["calls"],
+                  **{child: tracer.calls_under(child, step)
+                     for child in ("nets.backward", "nets.adadelta")}}))
+"""
+
+
+@pytest.mark.parametrize("algorithm, step", [
+    ("dqn", "value_agents.train_step"), ("da2c", "actor_critic.value_step")])
+def test_traced_regression_steps_own_their_backward_and_adadelta(
+        tmp_path, algorithm, step):
+    # the DQN and critic steps share one regression function, which is not
+    # wrapped: its backward pass and Adadelta step must still be charged to
+    # the wrapped step that called it, once per call
+    cfg = {"algorithm": algorithm, "seed": 3, "dialogues": 4,
+           "eval_period": 4, "eval_episodes": 1,
+           "agent": {"hidden": [8], "warmup": 8, "minibatch": 4},
+           "out": str(tmp_path / "run")}
+    proc = run_python(TRACED_STEPS, json.dumps(cfg), step)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["steps"] > 0
+    assert seen["nets.backward"] == seen["nets.adadelta"] == seen["steps"]
+
+
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
     WORKLOADS = [w["name"] for w in json.load(fh)["workloads"]]
 

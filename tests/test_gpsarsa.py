@@ -56,12 +56,12 @@ class TestKernel:
 
 class TestAdmission:
     def test_empty_dictionary_always_admits(self):
-        gp = SparseGP(SPEC, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
         admit, residual, _ = gp.admit_test(random_summary(RNG(2)), 0)
         assert admit and residual == SPEC.signal_var
 
     def test_duplicate_point_rejected(self):
-        gp = SparseGP(SPEC, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
         b = random_summary(RNG(3))
         gp.sarsa_update(b, 1, 0.5, b, None, True, 0.99)
         admit, residual, _ = gp.admit_test(b, 1)
@@ -73,7 +73,7 @@ class TestAdmission:
         # computed densely from the Gram matrix
         for seed in range(20):
             rng = RNG(seed)
-            gp = SparseGP(SPEC, n_actions=2, nu=-1.0, jitter=0.0)
+            gp = SparseGP(SPEC, 60, n_actions=2, nu=-1.0, jitter=0.0)
             pts = []
             while len(gp) < 10:
                 b, a = random_summary(rng), int(rng.integers(2))
@@ -137,7 +137,7 @@ class UnmemoisedGP(SparseGP):
 
 class TestProjectionReuse:
     def test_admitted_point_is_projected_afresh_on_the_grown_dictionary(self):
-        gp = SparseGP(SPEC, n_actions=2, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=2, nu=0.1)
         rng = RNG(30)
         for _ in range(5):
             gp._phi(random_summary(rng), int(rng.integers(2)))
@@ -166,7 +166,8 @@ class TestProjectionReuse:
             return random_summary(rng) if width is None else rng.random(width)
 
         def run(gp_cls):
-            gp = gp_cls(SPEC, n_actions=3, nu=0.05, max_dictionary=12)
+            gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05,
+                        max_dictionary=12)
             rng = RNG(31)
             b, a = point(rng), int(rng.integers(3))
             sizes, q = [], []
@@ -217,14 +218,42 @@ class TestProjectionReuse:
 
 
 class TestPosterior:
+    @pytest.mark.parametrize("spec", [SPEC, KernelSpec(2.0, 0.37, 0.2)])
+    def test_first_point_matches_the_closed_form(self, spec):
+        # the empty dictionary takes the general bordering path; the removed
+        # special case set these values, compared byte for byte
+        gp = SparseGP(spec, 60, n_actions=3, nu=0.1)
+        b = random_summary(RNG(16))
+        e = gp._phi(b, 2)
+        kpp = spec.signal_var + gp.jitter
+        for name, closed in (("Kinv", np.array([[1.0 / kpp]])),
+                             ("Sigma", np.array([[kpp]])),
+                             ("mu", np.zeros(1)),
+                             ("points_a", np.array([2], dtype=np.int64)),
+                             ("points_b", b[None, :])):
+            mine = getattr(gp, name)
+            assert mine.dtype == closed.dtype, name
+            assert mine.shape == closed.shape, name
+            assert mine.tobytes() == closed.tobytes(), name
+        assert e.tolist() == [1.0]
+
+    def test_empty_dictionary_queries_give_zeros(self):
+        gp = SparseGP(SPEC, 60, n_actions=4)
+        b = random_summary(RNG(17))
+        k = gp.k_vec(b, 1)
+        assert k.shape == (0,) and k.dtype == float
+        q = gp.q_values(b)
+        assert q.shape == (4,) and q.dtype == float and not q.any()
+        assert gp.q_mean(b, 3) == 0.0
+
     def test_fresh_gp_mean_is_zero(self):
-        gp = SparseGP(SPEC, n_actions=3)
+        gp = SparseGP(SPEC, 60, n_actions=3)
         for seed in range(5):
             assert gp.q_mean(random_summary(RNG(seed)), seed % 3) == 0.0
 
     def test_one_point_posterior_closed_form(self):
         # single terminal observation: mean = r * s_k^2 / (s_k^2 + s_n^2)
-        gp = SparseGP(SPEC, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
         b = random_summary(RNG(4))
         r = 0.85
         gp.sarsa_update(b, 2, r, b, None, True, 0.99)
@@ -232,7 +261,7 @@ class TestPosterior:
         assert abs(gp.q_mean(b, 2) - expected) <= 1e-6
 
     def test_huge_nu_keeps_dictionary_at_one(self):
-        gp = SparseGP(SPEC, n_actions=3, nu=1e9)
+        gp = SparseGP(SPEC, 60, n_actions=3, nu=1e9)
         rng = RNG(5)
         for i in range(30):
             b = random_summary(rng)
@@ -246,7 +275,7 @@ class TestPosterior:
         # nu -> 0: every point admitted; terminal observations reduce the
         # model to plain GP regression solved densely as the oracle
         rng = RNG(6)
-        gp = SparseGP(SPEC, n_actions=2, nu=1e-12, jitter=1e-12)
+        gp = SparseGP(SPEC, 60, n_actions=2, nu=1e-12, jitter=1e-12)
         pts, rewards = [], []
         while len(pts) < 20:
             b, a = random_summary(rng), int(rng.integers(2))
@@ -269,14 +298,14 @@ class TestPosterior:
             assert abs(gp.q_mean(b, a) - kv @ alpha) <= 1e-5
 
     def test_far_query_reverts_to_prior(self):
-        gp = SparseGP(KernelSpec(length_scale=0.5), n_actions=2, nu=0.01)
+        gp = SparseGP(KernelSpec(length_scale=0.5), 60, n_actions=2, nu=0.01)
         b = np.zeros(60)
         gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
         far = np.full(60, 10.0)
         assert abs(gp.q_mean(far, 0)) <= 1e-6
 
     def test_nonterminal_updates_stay_finite(self):
-        gp = SparseGP(SPEC, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
         rng = RNG(7)
         b = random_summary(rng)
         for i in range(400):
@@ -291,7 +320,7 @@ class TestPosterior:
 
 class TestExploration:
     def test_equal_values_near_uniform(self):
-        gp = SparseGP(SPEC, n_actions=5)
+        gp = SparseGP(SPEC, 60, n_actions=5)
         rng = RNG(8)
         counts = np.zeros(5)
         n = 10000
@@ -301,11 +330,11 @@ class TestExploration:
         assert np.all(np.abs(counts / n - 0.2) <= 0.01)
 
     def test_log_two_gap_gives_two_to_one(self):
-        gp = SparseGP(SPEC, n_actions=2, nu=1e-9, jitter=1e-12)
+        gp = SparseGP(SPEC, 60, n_actions=2, nu=1e-9, jitter=1e-12)
         b = random_summary(RNG(10))
         # pin Q(b,0) ~= ln 2 and Q(b,1) ~= 0 via two exact-ish observations
         scale = (SPEC.signal_var + SPEC.noise_var) / SPEC.signal_var
-        tight = SparseGP(KernelSpec(3.0, 1.0, 1e-9), n_actions=2, nu=1e-9)
+        tight = SparseGP(KernelSpec(3.0, 1.0, 1e-9), 60, n_actions=2, nu=1e-9)
         tight.sarsa_update(b, 0, np.log(2.0), b, None, True, 0.99)
         tight.sarsa_update(b, 1, 0.0, b, None, True, 0.99)
         rng = RNG(11)
@@ -315,7 +344,7 @@ class TestExploration:
         assert abs(hits / n - 2.0 / 3.0) <= 0.02
 
     def test_full_epsilon_uniform_despite_values(self):
-        gp = SparseGP(SPEC, n_actions=4, nu=1e-9)
+        gp = SparseGP(SPEC, 60, n_actions=4, nu=1e-9)
         b = random_summary(RNG(12))
         gp.sarsa_update(b, 0, 5.0, b, None, True, 0.99)
         rng = RNG(13)
@@ -332,7 +361,6 @@ class TestAgentAdapter:
         rng = RNG(14)
         b1, b2 = random_summary(rng), random_summary(rng)
         from dialab.environment import Transition
-        agent.begin_episode()
         agent.observe(Transition(b1, 0, -0.03, b2, False, False), rng)
         assert len(agent.gp) == 0  # waits for the on-policy next action
         agent.select_action(b2, 0.0, rng)

@@ -332,6 +332,26 @@ class TestTrainRun:
             if full.exists():
                 assert_same_arrays(full, half)
 
+    def test_per_dialogue_epsilon_resumes_exactly(self, tmp_path):
+        # epsilon.unit="dialogue": schedule_t counts dialogues, not turns,
+        # and a resumed run continues the count from its snapshot
+        def config(out, dialogues):
+            return smoke_config(tmp_path, out=str(tmp_path / out),
+                                dialogues=dialogues,
+                                epsilon={"unit": "dialogue", "rate": 0.9})
+
+        def schedule_t(out):
+            with np.load(tmp_path / out / "checkpoint.npz") as data:
+                return json.loads(bytes(data["__meta__"]))["schedule_t"]
+        r_full = train_run(config("full", 40))
+        assert schedule_t("full") == 40
+        train_run(config("half", 20))
+        assert schedule_t("half") == 20
+        r_resumed = train_run(config("half", 40), resume=True)
+        assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
+        assert_same_arrays(tmp_path / "full" / "checkpoint.npz",
+                           tmp_path / "half" / "checkpoint.npz")
+
     @pytest.mark.parametrize("kill", sorted(KILL_POINTS))
     def test_resume_after_kill_inside_checkpoint_write(self, tmp_path, kill):
         # killed around the dialogue-40 eval point, after its row reached
@@ -730,6 +750,73 @@ class TestCli:
                          "--set", setting]) == cli.EXIT_CONFIG
         assert f"bad 'gp' section: {setting[3:]}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, setting, named", [
+        ({"gamma": 0.9}, "gamma.x=1", "'gamma'"),
+        ({"agent": {"hidden": [8]}}, "agent.hidden.x=1", "'agent.hidden'"),
+        ({"algorithm": "dqn"}, "gamma.x=1", "'gamma'"),
+        ({"algorithm": "dqn"}, "agent.hidden.x=1", "'agent.hidden'"),
+        ([1, 2], None, "cfg.json"),
+        ({"goals": {"request_count_weights": {"x": 1.0}}}, None,
+         "'goals.request_count_weights'"),
+    ], ids=["into-a-file-value", "into-a-file-list", "value-as-mapping",
+            "list-as-mapping", "list-file", "non-integer-count"])
+    def test_misshapen_config_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     config, setting, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["evaluate", "--config", str(path), "--policy", "handcrafted",
+                "--episodes", "1"] + (["--set", setting] if setting else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["da2c", "tda2c"])
+    def test_pretrain_refuses_mode_none(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": algorithm,
+                                    "agent": {"hidden": [8]}}))
+        out = tmp_path / "pre"
+        assert cli.main(["pretrain", "--config", str(path),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "pretrain.mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_corpus_writes_the_in_memory_corpus(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "dqn", "seed": 4}))
+        out = tmp_path / "streamed.jsonl"
+        assert cli.main(["generate-corpus", "--config", str(path),
+                         "--n", "30", "--out", str(out)]) == cli.EXIT_OK
+        _, _, env = harness.build_world(load_config(str(path)))
+        built = generate_corpus(env, 30, seed=4)
+        save_corpus(built, str(tmp_path / "held.jsonl"))
+        assert out.read_bytes() == (tmp_path / "held.jsonl").read_bytes()
+        ratings = [d.rating for d in built]
+        hist = {r: ratings.count(r) for r in (0, 1, 2, 3)}
+        assert (f"wrote 30 dialogues to {out}; ratings {hist}"
+                in capsys.readouterr().out)
+
+    def test_generate_corpus_memory_does_not_grow_with_n(self, tmp_path):
+        # each dialogue is written as it is generated: held until the
+        # write, the traced peak grew by about 10 KB per dialogue
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "dqn", "seed": 1}))
+
+        def generate(n):
+            return cli.main(["generate-corpus", "--config", str(path),
+                             "--n", str(n), "--out",
+                             str(tmp_path / f"corpus-{n}.jsonl")])
+        assert generate(2) == cli.EXIT_OK      # imports and caches
+        peaks = {}
+        for n in (20, 200):
+            tracemalloc.start()
+            try:
+                assert generate(n) == cli.EXIT_OK
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] - peaks[20] < 200_000, peaks
 
     def test_train_and_evaluate_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

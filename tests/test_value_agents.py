@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from dialab import nets
 from dialab.environment import Transition
-from dialab.nets import FeedForwardNet
+from dialab.nets import FeedForwardNet, copy_params
 from dialab.value_agents import (AgentConfig, PoolTooSmall, QAgent,
                                  ReplayPool, ddqn_target, dqn_target,
                                  select_action_egreedy)
@@ -191,6 +192,31 @@ class TestTargets:
         assert abs(y[0] - 0.9) <= 1e-12
 
 
+def inline_train_step(agent, rng):
+    """QAgent.train_step as written before it shared regression_step with
+    the actor-critic's critic: the reference the shared step must match."""
+    cfg = agent.config
+    idx = agent.pool.sample_indices(cfg.minibatch, rng)
+    feats, actions, rewards, nxt, term = agent.pool.batch(idx)
+    if agent.double_dqn:
+        targets = ddqn_target(rewards, nxt, term, agent.qnet, agent.target,
+                              agent.gamma)
+    else:
+        targets = dqn_target(rewards, nxt, term, agent.target, agent.gamma)
+    q, acts = agent.qnet.forward_train(feats)
+    rows = np.arange(len(idx))
+    diff = q[rows, actions] - targets
+    loss = float(np.mean(diff ** 2))
+    grad_out = np.zeros_like(q)
+    grad_out[rows, actions] = 2.0 * diff / len(idx)
+    grads = agent.qnet.backward_batch(feats, grad_out, acts)
+    nets.adadelta_step(agent.opt, agent.qnet, grads)
+    agent.train_steps += 1
+    if agent.train_steps % cfg.target_sync == 0:
+        copy_params(agent.qnet, agent.target)
+    return loss
+
+
 class TestTrainStep:
     def make_agent(self, **kw):
         cfg = AgentConfig(hidden=(8, 6), minibatch=kw.pop("minibatch", 4),
@@ -251,3 +277,19 @@ class TestTrainStep:
         assert np.array_equal(agent.qnet.forward(x), twin.qnet.forward(x))
         assert np.array_equal(agent.target.forward(x), twin.target.forward(x))
         assert twin.train_steps == agent.train_steps
+
+    @pytest.mark.parametrize("double_dqn", [False, True], ids=["dqn", "ddqn"])
+    def test_steps_match_the_inline_reference(self, double_dqn):
+        # parameters, target copy, Adadelta accumulators and losses byte for
+        # byte over steps that cross three target syncs
+        runs = []
+        for step in (QAgent.train_step, inline_train_step):
+            agent = self.make_agent(target_sync=3)
+            agent.double_dqn = double_dqn
+            for i in range(12):
+                agent.pool.add(transition(i, terminal=i % 5 == 0))
+            rng = RNG(20)
+            losses = [step(agent, rng) for _ in range(10)]
+            runs.append((losses, {k: v.tobytes() for k, v
+                                  in agent.state().arrays.items()}))
+        assert runs[0] == runs[1]
