@@ -1,6 +1,7 @@
 """Advantage actor-critic dialogue managers.
 
-A softmax policy network is trained by ascending the TD-error-weighted
+A softmax policy network, sampled to act (the training loop adds the
+epsilon draw), is trained by ascending the TD-error-weighted
 log-likelihood of the taken action, with L2 regularization keeping the
 effective step bounded. A scalar value network supplies the TD error and is
 itself trained DQN-style with replay and a target copy. The two-stage
@@ -18,8 +19,7 @@ from . import checkpoint, nets
 from .environment import Transition
 from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
                    copy_params, log_policy_gradient)
-from .value_agents import (AgentConfig, ReplayPool, dqn_target, explore,
-                           regression_step)
+from .value_agents import AgentConfig, ReplayPool, dqn_target, regression_step
 
 log = logging.getLogger(__name__)
 
@@ -40,16 +40,6 @@ def check_layout(expected_layout, corpus_layout) -> None:
             f"{len(expected_layout)})")
 
 
-def select_action_policy(pnet: FeedForwardNet, features: np.ndarray,
-                         epsilon: float, excluded, rng: np.random.Generator) -> int:
-    """With probability epsilon explore uniformly over non-excluded actions,
-    otherwise sample from the policy distribution."""
-    if rng.random() < epsilon:
-        return explore(pnet.n_actions, excluded, rng)
-    probs = pnet.forward(features)
-    return int(rng.choice(pnet.n_actions, p=probs))
-
-
 def td_advantage(vnet: FeedForwardNet, reward: float, features: np.ndarray,
                  next_features: np.ndarray, terminal: bool,
                  gamma: float) -> float:
@@ -67,7 +57,6 @@ class ActorCriticAgent:
                  rng: np.random.Generator, gamma: float = 0.99):
         self.config = config
         self.gamma = gamma
-        self.excluded = tuple(config.excluded or ())
         self.policy = FeedForwardNet.create(n_features, n_actions,
                                             hidden=config.hidden,
                                             head="softmax", rng=rng)
@@ -85,9 +74,10 @@ class ActorCriticAgent:
         # cross-entropy; a diagnostic, not checkpointed
         self.clamp_count = 0
 
-    def select_action(self, features, epsilon, rng) -> int:
-        return select_action_policy(self.policy, features, epsilon,
-                                    self.excluded, rng)
+    def act(self, features, rng: np.random.Generator) -> int:
+        """An action drawn from the policy distribution."""
+        probs = self.policy.forward(features)
+        return int(rng.choice(self.policy.n_actions, p=probs))
 
     def eval_action(self, features) -> int:
         return int(np.argmax(self.policy.forward(features)))

@@ -28,6 +28,10 @@ reused, and the kernel row that ``q_values`` computes for a point is
 reused when that point is projected. Both are dropped, with the
 per-action index arrays, whenever a point is admitted or a checkpoint is
 loaded; the dictionary changes in no other way.
+
+``GPSarsaAgent`` adapts the GP to the training loop. Choosing an action
+only reads the posterior; a transition is folded in when the next one is
+observed, which names its on-policy next action.
 """
 
 from __future__ import annotations
@@ -244,19 +248,10 @@ def _border(m: np.ndarray, edge: np.ndarray, corner: float) -> np.ndarray:
     return out
 
 
-def select_action_esoftmax(gp: SparseGP, b, epsilon: float,
-                           rng: np.random.Generator) -> int:
-    """Uniform with probability epsilon, else sample the logistic
-    distribution exp(Q) / sum exp(Q)."""
-    if rng.random() < epsilon:
-        return int(rng.integers(gp.n_actions))
-    probs = softmax(gp.q_values(b))
-    return int(rng.choice(gp.n_actions, p=probs))
-
-
 class GPSarsaAgent:
-    """Training-loop adapter: buffers the pending transition so the update
-    can wait for the on-policy next action."""
+    """Training-loop adapter: acts by sampling softmax(Q) (the training
+    loop adds the epsilon draw) and holds each non-terminal transition back
+    until the next one shows its on-policy next action."""
 
     def __init__(self, n_features: int, n_actions: int, spec: KernelSpec,
                  nu: float = 0.1, gamma: float = 0.99,
@@ -266,24 +261,28 @@ class GPSarsaAgent:
         self.gamma = gamma
         self._pending = None
 
-    def select_action(self, features, epsilon, rng) -> int:
-        action = select_action_esoftmax(self.gp, features, epsilon, rng)
-        if self._pending is not None:
-            b, a, r, b2 = self._pending
-            self.gp.sarsa_update(b, a, r, b2, action, False, self.gamma)
-            self._pending = None
-        return action
+    def act(self, features, rng: np.random.Generator) -> int:
+        """An action drawn from the logistic distribution
+        exp(Q) / sum exp(Q)."""
+        probs = softmax(self.gp.q_values(features))
+        return int(rng.choice(self.gp.n_actions, p=probs))
 
     def eval_action(self, features) -> int:
         return int(np.argmax(self.gp.q_values(features)))
 
     def observe(self, t, rng) -> None:
+        """Fold in the held transition, with ``t.action`` as its next
+        action; then hold ``t``, or fold it in at once if it is terminal."""
+        held, self._pending = self._pending, None
+        if held is not None:
+            self.gp.sarsa_update(held.features, held.action, held.reward,
+                                 held.next_features, t.action, False,
+                                 self.gamma)
         if t.terminal:
             self.gp.sarsa_update(t.features, t.action, t.reward,
                                  t.next_features, None, True, self.gamma)
-            self._pending = None
         else:
-            self._pending = (t.features, t.action, t.reward, t.next_features)
+            self._pending = t
 
     def state(self) -> checkpoint.State:
         state = self.gp.state()

@@ -1,9 +1,10 @@
 """Experiment orchestration.
 
-Owns the annealing schedule, the periodic evaluation protocol (fresh
-exploration-free dialogues on a fixed evaluation stream), the training loop
-shared by all five algorithms, learning-curve files, multi-seed comparison,
-and the act-level chat mode.
+Owns the annealing schedule, the one epsilon-exploration draw every
+algorithm's training turn goes through, the periodic evaluation protocol
+(fresh exploration-free dialogues on a fixed evaluation stream), the
+training loop shared by all five algorithms, learning-curve files,
+multi-seed comparison, and the act-level chat mode.
 """
 
 from __future__ import annotations
@@ -125,12 +126,33 @@ class ExperimentConfig(EnvConfig):
             raise ConfigError("dialogues/eval_period/eval_episodes must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma={self.gamma} outside [0,1]")
+        self.explored_actions()     # checks agent.excluded at load
 
-    def excluded_actions(self) -> tuple:
-        if self.agent.excluded is not None:
-            return tuple(self.agent.excluded)
+    def explored_actions(self) -> tuple:
+        """The actions an epsilon draw picks from: the space's actions
+        minus ``agent.excluded``, or minus the space's default exclusions
+        when that is unset."""
         space = SPACES[self.space]
-        return tuple(space.actions.index(a) for a in space.excluded)
+        actions = range(len(space.actions))
+        excluded = self.agent.excluded
+        if excluded is None:
+            excluded = [space.actions.index(a) for a in space.excluded]
+        elif not isinstance(excluded, (list, tuple)) or not all(
+                type(a) is int and a in actions for a in excluded):
+            raise ConfigError(f"'agent.excluded' must list action indices "
+                              f"0-{len(actions) - 1} of the {self.space} "
+                              f"space, got {excluded!r}")
+        explored = tuple(a for a in actions if a not in excluded)
+        if not explored:
+            raise ConfigError(f"'agent.excluded' leaves no action of the "
+                              f"{self.space} space to explore")
+        return explored
+
+
+# the JSON types a scalar field takes, by the type of its default; a bool is
+# no number here
+SCALAR_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                str: ((str,), "a string")}
 
 
 def _coerce(cls, data, path: str = ""):
@@ -153,6 +175,10 @@ def _coerce(cls, data, path: str = ""):
         elif isinstance(value, dict) != isinstance(default, dict):
             must = "must" if isinstance(default, dict) else "must not"
             raise ConfigError(f"'{dotted}' {must} be a mapping, got {value!r}")
+        elif type(default) in SCALAR_TYPES:
+            types, kind = SCALAR_TYPES[type(default)]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"'{dotted}' must be {kind}, got {value!r}")
         elif dotted == "goals.request_count_weights":
             try:    # JSON object keys are strings
                 value = {int(k): float(v) for k, v in value.items()}
@@ -226,12 +252,11 @@ def build_world(cfg: ExperimentConfig):
 
 def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
     rng = rng_stream(cfg.seed, "agent-init")
-    agent_cfg = dataclasses.replace(cfg.agent, excluded=cfg.excluded_actions())
     if cfg.algorithm in ("dqn", "ddqn"):
-        return QAgent(env.n_features, env.n_actions, agent_cfg, rng,
+        return QAgent(env.n_features, env.n_actions, cfg.agent, rng,
                       gamma=cfg.gamma, double_dqn=(cfg.algorithm == "ddqn"))
     if cfg.algorithm in ("da2c", "tda2c"):
-        return ActorCriticAgent(env.n_features, env.n_actions, agent_cfg, rng,
+        return ActorCriticAgent(env.n_features, env.n_actions, cfg.agent, rng,
                                 gamma=cfg.gamma)
     if cfg.algorithm == "gpsarsa":
         return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp.kernel(),
@@ -328,6 +353,15 @@ def load_curve(path: str) -> list[tuple]:
 # the training loop
 
 
+def behaviour_action(agent, features, epsilon: float, explored: tuple,
+                     rng: np.random.Generator) -> int:
+    """The action a training turn takes: with probability ``epsilon`` a
+    uniform draw from ``explored``, otherwise the agent's own choice."""
+    if rng.random() < epsilon:
+        return explored[int(rng.integers(len(explored)))]
+    return agent.act(features, rng)
+
+
 def _require_unchanged(stored, given, key: str = "") -> None:
     """Raise ConfigError naming the first setting two configs differ in."""
     if dataclasses.is_dataclass(given):
@@ -405,9 +439,11 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     if start_ep == 0:
         eval_point(0)
 
+    explored = cfg.explored_actions()
+
     def policy(features):
-        return agent.select_action(features, epsilon(cfg.epsilon, schedule_t),
-                                   rng)
+        eps = epsilon(cfg.epsilon, schedule_t)
+        return behaviour_action(agent, features, eps, explored, rng)
 
     for ep in range(start_ep + 1, cfg.dialogues + 1):
         rng = rng_stream(cfg.seed, "train", ep)

@@ -1,15 +1,14 @@
 """DQN and DDQN dialogue managers.
 
-Epsilon-greedy control with an exploration-excluded action set, a finite FIFO
-replay pool with uniform minibatch sampling, a periodically synchronized
-target network, and the two bootstrap rules: the standard max-over-target and
-the decoupled variant that lets the online network pick the action the target
-network evaluates.
+Greedy action choice (the training loop adds the epsilon draw), a finite
+FIFO replay pool with uniform minibatch sampling, a periodically
+synchronized target network, and the two bootstrap rules: the standard
+max-over-target and the decoupled variant that lets the online network pick
+the action the target network evaluates.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,30 +107,6 @@ class ReplayPool:
         self.restore(checkpoint.load(path, "replay-pool", self.state()))
 
 
-@functools.lru_cache(maxsize=64)
-def allowed_actions(n_actions: int, excluded: tuple) -> tuple:
-    """The actions exploration may draw: every action not in ``excluded``."""
-    return tuple(a for a in range(n_actions) if a not in excluded)
-
-
-def explore(n_actions: int, excluded: Sequence[int],
-            rng: np.random.Generator) -> int:
-    """One uniform draw over the non-excluded actions."""
-    allowed = allowed_actions(n_actions, tuple(excluded))
-    return allowed[int(rng.integers(len(allowed)))]
-
-
-def select_action_egreedy(qnet: FeedForwardNet, features: np.ndarray,
-                          epsilon: float, excluded: Sequence[int],
-                          rng: np.random.Generator) -> int:
-    """Uniform over non-excluded actions with probability epsilon, otherwise
-    the argmax over all actions; exclusion applies to exploration only."""
-    if rng.random() < epsilon:
-        return explore(qnet.n_actions, excluded, rng)
-    q = qnet.forward(features)
-    return int(np.argmax(q))
-
-
 def dqn_target(rewards: np.ndarray, next_features: np.ndarray,
                terminal: np.ndarray, target_net: FeedForwardNet,
                gamma: float) -> np.ndarray:
@@ -178,8 +153,8 @@ class AgentConfig:
     l2: float = 1e-3                 # policy-gradient L2 (actor-critic only)
     rho: float = 0.95
     eps_num: float = 1e-6
-    # actions exploration never draws; None takes the space's default in
-    # environment.SPACES (select-* in original), an agent reads it as ()
+    # actions the training loop's epsilon draw never picks; None takes the
+    # space's default in environment.SPACES (select-* in original)
     excluded: tuple | None = None
     sup_epochs: int = 20
     sup_batch: int = 32
@@ -206,7 +181,6 @@ class QAgent:
         self.config = config
         self.gamma = gamma
         self.double_dqn = double_dqn
-        self.excluded = tuple(config.excluded or ())
         self.qnet = FeedForwardNet.create(n_features, n_actions,
                                           hidden=config.hidden, head="linear",
                                           rng=rng)
@@ -217,10 +191,9 @@ class QAgent:
         self.train_steps = 0
         self.last_loss = float("nan")
 
-    def select_action(self, features: np.ndarray, epsilon: float,
-                      rng: np.random.Generator) -> int:
-        return select_action_egreedy(self.qnet, features, epsilon,
-                                     self.excluded, rng)
+    def act(self, features: np.ndarray, rng: np.random.Generator) -> int:
+        """The greedy action; ``rng`` is not drawn from."""
+        return self.eval_action(features)
 
     def eval_action(self, features: np.ndarray) -> int:
         return int(np.argmax(self.qnet.forward(features)))

@@ -6,10 +6,10 @@ import pytest
 
 from dialab import nets
 from dialab.actor_critic import (ActorCriticAgent, LayoutMismatchError,
-                                 check_layout, select_action_policy,
-                                 td_advantage)
+                                 check_layout, td_advantage)
 from dialab.corpus import Corpus, to_arrays
 from dialab.environment import Transition
+from dialab.harness import behaviour_action
 from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
 from dialab.value_agents import AgentConfig
 
@@ -44,30 +44,42 @@ class ValueTable:
         return float(self.values @ np.asarray(x))
 
 
+def fixed_policy_agent(logits):
+    """An actor-critic agent whose policy is ``fixed_policy_net(logits)``."""
+    agent = make_agent(n_actions=len(logits))
+    agent.policy = fixed_policy_net(logits)
+    return agent
+
+
+def behave(agent, epsilon, excluded, rng):
+    explored = tuple(a for a in range(agent.policy.n_actions)
+                     if a not in excluded)
+    return behaviour_action(agent, np.zeros(6), epsilon, explored, rng)
+
+
 class TestSelectAction:
     def test_concentrated_policy_dominates(self):
-        net = fixed_policy_net([30.0, 0.0, 0.0])
+        agent = fixed_policy_agent([30.0, 0.0, 0.0])
         rng = RNG(2)
-        hits = sum(select_action_policy(net, np.zeros(6), 0.0, (), rng) == 0
-                   for _ in range(10000))
+        hits = sum(behave(agent, 0.0, (), rng) == 0 for _ in range(10000))
         assert hits >= 9990
 
     def test_uniform_policy_frequencies(self):
-        net = fixed_policy_net([0.0] * 11)
+        agent = fixed_policy_agent([0.0] * 11)
         rng = RNG(3)
         counts = np.zeros(11)
         n = 10000
         for _ in range(n):
-            counts[select_action_policy(net, np.zeros(6), 0.0, (), rng)] += 1
+            counts[behave(agent, 0.0, (), rng)] += 1
         assert np.all(np.abs(counts / n - 1 / 11) <= 0.01)
 
     def test_full_epsilon_ignores_policy(self):
-        net = fixed_policy_net([50.0, 0.0, 0.0, 0.0])
+        agent = fixed_policy_agent([50.0, 0.0, 0.0, 0.0])
         rng = RNG(4)
         counts = np.zeros(4)
         n = 8000
         for _ in range(n):
-            counts[select_action_policy(net, np.zeros(6), 1.0, (0,), rng)] += 1
+            counts[behave(agent, 1.0, (0,), rng)] += 1
         assert counts[0] == 0
         assert np.all(np.abs(counts[1:] / n - 1 / 3) <= 0.02)
 

@@ -117,6 +117,36 @@ def test_traced_regression_steps_own_their_backward_and_adadelta(
     assert seen["nets.backward"] == seen["nets.adadelta"] == seen["steps"]
 
 
+TRACED_GP_UPDATES = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+import spans
+tracer = spans.Tracer()
+spans.instrument(tracer)
+from dialab import harness
+harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
+print(json.dumps({parent: {child: tracer.calls_under(child, parent)
+                           for child in ("gpsarsa.sarsa_update",
+                                         "environment.step")}
+                  for parent in ("harness.train_run", "harness.evaluate")}))
+"""
+
+
+def test_traced_gpsarsa_run_updates_once_per_training_turn(tmp_path):
+    # the benchmark's GP update count is one per training turn: acting must
+    # not update the GP, and evaluation must not either
+    cfg = {"algorithm": "gpsarsa", "space": "summary", "seed": 3,
+           "dialogues": 6, "eval_period": 3, "eval_episodes": 2,
+           "out": str(tmp_path / "run")}
+    proc = run_python(TRACED_GP_UPDATES, json.dumps(cfg))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    train, evaluate = seen["harness.train_run"], seen["harness.evaluate"]
+    assert train["environment.step"] > 0 and evaluate["environment.step"] > 0
+    assert train["gpsarsa.sarsa_update"] == train["environment.step"]
+    assert evaluate["gpsarsa.sarsa_update"] == 0
+
+
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
     WORKLOADS = [w["name"] for w in json.load(fh)["workloads"]]
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dialab.gpsarsa import (GPSarsaAgent, KernelSpec, SparseGP, kernel,
-                            select_action_esoftmax)
+from dialab.environment import Transition
+from dialab.gpsarsa import GPSarsaAgent, KernelSpec, SparseGP, kernel
+from dialab.harness import behaviour_action
 
 RNG = np.random.default_rng
 SPEC = KernelSpec(length_scale=3.0, signal_var=1.0, noise_var=0.1)
@@ -194,7 +195,6 @@ class TestProjectionReuse:
             assert mine.tobytes() == theirs.tobytes(), name
 
     def test_load_forgets_cached_projections(self, tmp_path):
-        from dialab.environment import Transition
         agents = [GPSarsaAgent(60, 2, SPEC, nu=0.05, max_dictionary=8)
                   for _ in range(2)]
         for seed, agent in enumerate(agents):
@@ -318,6 +318,14 @@ class TestPosterior:
         assert np.all(np.isfinite(gp.Sigma))
 
 
+def esoftmax(gp, b, epsilon, rng):
+    """The training loop's action for a GPSarsaAgent acting through ``gp``."""
+    agent = GPSarsaAgent(gp.points_b.shape[1], gp.n_actions, gp.spec)
+    agent.gp = gp
+    return behaviour_action(agent, b, epsilon, tuple(range(gp.n_actions)),
+                            rng)
+
+
 class TestExploration:
     def test_equal_values_near_uniform(self):
         gp = SparseGP(SPEC, 60, n_actions=5)
@@ -326,7 +334,7 @@ class TestExploration:
         n = 10000
         b = random_summary(RNG(9))
         for _ in range(n):
-            counts[select_action_esoftmax(gp, b, 0.0, rng)] += 1
+            counts[esoftmax(gp, b, 0.0, rng)] += 1
         assert np.all(np.abs(counts / n - 0.2) <= 0.01)
 
     def test_log_two_gap_gives_two_to_one(self):
@@ -339,7 +347,7 @@ class TestExploration:
         tight.sarsa_update(b, 1, 0.0, b, None, True, 0.99)
         rng = RNG(11)
         n = 10000
-        hits = sum(select_action_esoftmax(tight, b, 0.0, rng) == 0
+        hits = sum(esoftmax(tight, b, 0.0, rng) == 0
                    for _ in range(n))
         assert abs(hits / n - 2.0 / 3.0) <= 0.02
 
@@ -351,26 +359,26 @@ class TestExploration:
         counts = np.zeros(4)
         n = 8000
         for _ in range(n):
-            counts[select_action_esoftmax(gp, b, 1.0, rng)] += 1
+            counts[esoftmax(gp, b, 1.0, rng)] += 1
         assert np.all(np.abs(counts / n - 0.25) <= 0.02)
 
 
 class TestAgentAdapter:
-    def test_pending_transition_updates_on_next_select(self):
+    def test_pending_transition_updates_on_next_observe(self):
         agent = GPSarsaAgent(60, 3, SPEC, nu=0.1, gamma=0.9)
         rng = RNG(14)
-        b1, b2 = random_summary(rng), random_summary(rng)
-        from dialab.environment import Transition
+        b1, b2, b3 = (random_summary(rng) for _ in range(3))
         agent.observe(Transition(b1, 0, -0.03, b2, False, False), rng)
         assert len(agent.gp) == 0  # waits for the on-policy next action
-        agent.select_action(b2, 0.0, rng)
+        action = agent.act(b2, rng)
+        assert len(agent.gp) == 0  # acting does not update the GP
+        agent.observe(Transition(b2, action, -0.03, b3, False, False), rng)
         assert len(agent.gp) >= 1
 
     def test_terminal_updates_immediately(self):
         agent = GPSarsaAgent(60, 3, SPEC, nu=0.1, gamma=0.9)
         rng = RNG(15)
         b = random_summary(rng)
-        from dialab.environment import Transition
         agent.observe(Transition(b, 1, 1.0, b, True, True), rng)
         assert len(agent.gp) == 1
         assert agent.gp.q_mean(b, 1) > 0.5
@@ -378,7 +386,6 @@ class TestAgentAdapter:
     def test_checkpoint_roundtrip(self, tmp_path):
         agent = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95)
         rng = RNG(16)
-        from dialab.environment import Transition
         for i in range(25):
             b = random_summary(rng)
             agent.observe(Transition(b, int(rng.integers(3)),
@@ -396,7 +403,6 @@ class TestAgentAdapter:
         agent = GPSarsaAgent(60, 2, SPEC, nu=1e-12, gamma=0.9,
                              max_dictionary=10)
         rng = RNG(18)
-        from dialab.environment import Transition
         with caplog.at_level(logging.WARNING):
             for i in range(30):
                 b = random_summary(rng)

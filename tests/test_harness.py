@@ -249,10 +249,11 @@ class TestConfig:
 
     def test_excluded_defaults_by_space(self):
         cfg = config_from_dict({"algorithm": "dqn", "space": "original"})
-        names = [ORIGINAL_ACTIONS[i] for i in cfg.excluded_actions()]
+        names = [a for i, a in enumerate(ORIGINAL_ACTIONS)
+                 if i not in cfg.explored_actions()]
         assert names == ["select-area", "select-food", "select-pricerange"]
         cfg2 = config_from_dict({"algorithm": "dqn", "space": "summary"})
-        assert cfg2.excluded_actions() == ()
+        assert cfg2.explored_actions() == tuple(range(7))
 
     def test_file_loading_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -749,6 +750,31 @@ class TestCli:
         assert cli.main(["train", "--config", str(path), "--out", str(out),
                          "--set", setting]) == cli.EXIT_CONFIG
         assert f"bad 'gp' section: {setting[3:]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, named", [
+        ("agent.excluded=[0,1,2,3,4,5,6,7,8,9,10]",
+         "'agent.excluded' leaves no action"),
+        ("agent.excluded=[99]", "'agent.excluded' must list action indices"),
+        ("agent.excluded=[1.5]", "'agent.excluded' must list action indices"),
+        ("agent.excluded=abc", "'agent.excluded' must list action indices"),
+        ("dialogues=1.5", "'dialogues' must be an integer"),
+        ("seed=1.0", "'seed' must be an integer"),
+        ("eval_period=true", "'eval_period' must be an integer"),
+        ("gamma=abc", "'gamma' must be a number"),
+        ("epsilon.start=false", "'epsilon.start' must be a number"),
+        ("agent.minibatch=x", "'agent.minibatch' must be an integer"),
+        ("space=1", "'space' must be a string")])
+    def test_bad_value_exits_2_naming_the_key_before_the_run_starts(
+            self, tmp_path, capsys, setting, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "dqn", "space": "original",
+                                    "dialogues": 2, "eval_period": 1,
+                                    "eval_episodes": 1}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out),
+                         "--set", setting]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("config, setting, named", [

@@ -7,9 +7,9 @@ from scipy import stats as scipy_stats
 from dialab import nets
 from dialab.environment import Transition
 from dialab.nets import FeedForwardNet, copy_params
+from dialab.harness import behaviour_action
 from dialab.value_agents import (AgentConfig, PoolTooSmall, QAgent,
-                                 ReplayPool, ddqn_target, dqn_target,
-                                 select_action_egreedy)
+                                 ReplayPool, ddqn_target, dqn_target)
 
 RNG = np.random.default_rng
 
@@ -35,37 +35,50 @@ def fixed_output_net(values, n_in=4):
     return net
 
 
+def fixed_output_agent(values):
+    """A QAgent whose Q-network is ``fixed_output_net(values)``."""
+    agent = QAgent(4, len(values), AgentConfig(hidden=(3,)), RNG(0))
+    agent.qnet = fixed_output_net(values)
+    return agent
+
+
+def egreedy(agent, epsilon, excluded, rng):
+    explored = tuple(a for a in range(agent.qnet.n_actions)
+                     if a not in excluded)
+    return behaviour_action(agent, np.zeros(4), epsilon, explored, rng)
+
+
 class TestEgreedy:
     def test_epsilon_zero_is_pure_argmax(self):
-        net = fixed_output_net([0.1, 0.9, 0.5])
+        agent = fixed_output_agent([0.1, 0.9, 0.5])
         for i in range(50):
-            assert select_action_egreedy(net, np.zeros(4), 0.0, (), RNG(i)) == 1
+            assert egreedy(agent, 0.0, (), RNG(i)) == 1
 
     def test_excluded_never_explored_but_still_exploitable(self):
-        net = fixed_output_net([0.1, 0.9, 0.5])
+        agent = fixed_output_agent([0.1, 0.9, 0.5])
         # argmax is action 1 even when 1 is exploration-excluded
-        assert select_action_egreedy(net, np.zeros(4), 0.0, (1,), RNG(0)) == 1
+        assert egreedy(agent, 0.0, (1,), RNG(0)) == 1
 
     def test_full_exploration_respects_exclusions(self):
-        net = fixed_output_net(list(range(11)))
+        agent = fixed_output_agent(list(range(11)))
         excluded = (1, 2, 3)
         rng = RNG(1)
         counts = np.zeros(11)
         n = 10000
         for _ in range(n):
-            a = select_action_egreedy(net, np.zeros(4), 1.0, excluded, rng)
+            a = egreedy(agent, 1.0, excluded, rng)
             counts[a] += 1
         assert counts[1] == counts[2] == counts[3] == 0
         expected = n / 8
         assert np.all(np.abs(counts[counts > 0] - expected) <= 0.02 * n)
 
     def test_full_exploration_uniform_over_11(self):
-        net = fixed_output_net(list(range(11)))
+        agent = fixed_output_agent(list(range(11)))
         rng = RNG(2)
         counts = np.zeros(11)
         n = 10000
         for _ in range(n):
-            counts[select_action_egreedy(net, np.zeros(4), 1.0, (), rng)] += 1
+            counts[egreedy(agent, 1.0, (), rng)] += 1
         assert np.all(np.abs(counts / n - 1 / 11) <= 0.01)
 
 
