@@ -5,13 +5,12 @@ epsilon draw), is trained by ascending the TD-error-weighted
 log-likelihood of the taken action, with L2 regularization keeping the
 effective step bounded. A scalar value network supplies the TD error and is
 itself trained DQN-style with replay and a target copy. The two-stage
-variant first clones demonstrated actions by cross-entropy and batch-trains
-the value network on logged transitions before any online interaction.
+variant first clones demonstrated actions by cross-entropy (``imitate``);
+the batch RL stage that follows, value replay steps over the logged
+transitions, is the harness's pretraining stage shared with DQN.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -20,24 +19,6 @@ from .environment import Transition
 from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
                    copy_params, log_policy_gradient)
 from .value_agents import AgentConfig, ReplayPool, dqn_target, regression_step
-
-log = logging.getLogger(__name__)
-
-
-class LayoutMismatchError(ValueError):
-    """Corpus feature layout disagrees with the agent's expected layout."""
-
-
-def check_layout(expected_layout, corpus_layout) -> None:
-    """Raise LayoutMismatchError, naming the missing and extra features,
-    unless the corpus's feature names are the expected ones in order."""
-    if list(corpus_layout) != list(expected_layout):
-        missing = [n for n in expected_layout if n not in corpus_layout]
-        extra = [n for n in corpus_layout if n not in expected_layout]
-        raise LayoutMismatchError(
-            f"corpus layout mismatch; missing={missing} extra={extra} "
-            f"(corpus has {len(corpus_layout)} features, expected "
-            f"{len(expected_layout)})")
 
 
 def td_advantage(vnet: FeedForwardNet, reward: float, features: np.ndarray,
@@ -133,47 +114,30 @@ class ActorCriticAgent:
         nets.adadelta_step(self.policy_opt, self.policy, grads)
         return losses / n
 
-    # -- two-stage pretraining ---------------------------------------------
-
-    def pretrain(self, data, supervised: np.ndarray | None,
-                 rng: np.random.Generator) -> dict:
-        """Two stages over ``data``, the corpus as ``corpus.CorpusArrays``.
-        Stage 1: supervised epochs over the rows the boolean mask
-        ``supervised`` selects (None skips it). Stage 2: every row goes into
-        the replay pool in corpus order, then batch value RL sweeps it. A
-        stage without rows is skipped. No environment interaction happens
-        here.
-        """
-        stats = {"supervised_examples": 0, "holdout_accuracy": None,
-                 "value_sweeps": 0}
-        if not len(data):
-            log.warning("pretrain called with an empty corpus; nothing to do")
+    def imitate(self, data, rows: np.ndarray,
+                rng: np.random.Generator) -> dict:
+        """The supervised stage of pretraining: ``sup_epochs`` epochs of
+        cross-entropy minibatches over the ``rows`` (indices) of ``data``, a
+        ``corpus.CorpusArrays``, less a random ``sup_holdout`` share on which
+        the agreement with the logged actions is measured. No rows, no
+        draws."""
+        stats = {"supervised_examples": 0, "holdout_accuracy": None}
+        if not len(rows):
             return stats
-
-        if supervised is not None and supervised.any():
-            # indices into data's rows: a masked copy would duplicate them
-            rows = np.flatnonzero(supervised)
-            order = rng.permutation(len(rows))
-            n_hold = int(len(rows) * self.config.sup_holdout)
-            hold, train = rows[order[:n_hold]], rows[order[n_hold:]]
-            stats["supervised_examples"] = len(train)
-            for _ in range(self.config.sup_epochs):
-                perm = rng.permutation(len(train))
-                for start in range(0, len(perm), self.config.sup_batch):
-                    sel = train[perm[start:start + self.config.sup_batch]]
-                    self.supervised_step(data.features[sel], data.actions[sel])
-            if len(hold):
-                pred = self.policy.forward_batch(
-                    data.features[hold]).argmax(axis=1)
-                stats["holdout_accuracy"] = float(
-                    np.mean(pred == data.actions[hold]))
-
-        self.pool.add_rows(data)
-        per_sweep = max(1, len(data) // self.config.minibatch)
-        for _ in range(self.config.batch_sweeps):
-            for _ in range(per_sweep):
-                self.last_value_loss = self.value_train_step(rng)
-            stats["value_sweeps"] += 1
+        order = rng.permutation(len(rows))
+        n_hold = int(len(rows) * self.config.sup_holdout)
+        hold, train = rows[order[:n_hold]], rows[order[n_hold:]]
+        stats["supervised_examples"] = len(train)
+        for _ in range(self.config.sup_epochs):
+            perm = rng.permutation(len(train))
+            for start in range(0, len(perm), self.config.sup_batch):
+                sel = train[perm[start:start + self.config.sup_batch]]
+                self.supervised_step(data.features[sel], data.actions[sel])
+        if len(hold):
+            pred = self.policy.forward_batch(
+                data.features[hold]).argmax(axis=1)
+            stats["holdout_accuracy"] = float(
+                np.mean(pred == data.actions[hold]))
         return stats
 
     # -- checkpointing ------------------------------------------------------

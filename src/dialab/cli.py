@@ -168,7 +168,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("pretrain", help="run the two-stage pretraining only")
+    p = sub.add_parser("pretrain", help="run the pretraining only")
     add_config(p)
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.set_defaults(fn=cmd_pretrain)

@@ -6,7 +6,8 @@ replays the controller's rule table against the logged features. A corpus
 file is one JSON header line and one JSON line per dialogue.
 ``CorpusReader`` streams it one dialogue at a time, and ``to_arrays``
 turns any stream of dialogues into per-turn feature, action, reward and
-rating arrays, the input of the two-stage pipeline's pretraining.
+rating arrays, the input of pretraining; ``check_layout`` compares a
+corpus's feature names with the ones a learner expects.
 ``load_corpus`` reads a whole file into memory, for code that needs every
 dialogue at once.
 """
@@ -266,6 +267,22 @@ def save_corpus(corpus: Corpus, path: str) -> None:
                    "log": d.log.to_dict()}
     replace_file(path, lambda fh: fh.writelines(
         f"{json.dumps(record)}\n".encode() for record in records()))
+
+
+class LayoutMismatchError(ValueError):
+    """Corpus feature layout disagrees with the agent's expected layout."""
+
+
+def check_layout(expected_layout, corpus_layout) -> None:
+    """Raise LayoutMismatchError, naming the missing and extra features,
+    unless the corpus's feature names are the expected ones in order."""
+    if list(corpus_layout) != list(expected_layout):
+        missing = [n for n in expected_layout if n not in corpus_layout]
+        extra = [n for n in corpus_layout if n not in expected_layout]
+        raise LayoutMismatchError(
+            f"corpus layout mismatch; missing={missing} extra={extra} "
+            f"(corpus has {len(corpus_layout)} features, expected "
+            f"{len(expected_layout)})")
 
 
 class CorpusReader:

@@ -1,7 +1,9 @@
 """Experiment orchestration.
 
 Owns the annealing schedule, the one epsilon-exploration draw every
-algorithm's training turn goes through, the periodic evaluation protocol
+algorithm's training turn goes through, the pretraining pipeline (the
+actor-critic's supervised stage, then batch RL through any deep learner's
+own replay step), the periodic evaluation protocol
 (fresh exploration-free dialogues on a fixed evaluation stream), the
 training loop shared by all five algorithms, learning-curve files,
 multi-seed comparison, and the act-level chat mode.
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import tracker, usersim
-from .actor_critic import ActorCriticAgent, check_layout
+from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPSarsaAgent, KernelSpec
@@ -179,12 +181,14 @@ def _coerce(cls, data, path: str = ""):
             types, kind = SCALAR_TYPES[type(default)]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"'{dotted}' must be {kind}, got {value!r}")
-        elif dotted == "goals.request_count_weights":
-            try:    # JSON object keys are strings
-                value = {int(k): float(v) for k, v in value.items()}
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"'{dotted}' must map integer request "
-                                  f"counts to numbers, got {value!r}") from exc
+        elif isinstance(default, dict):
+            value = _mapping(dotted, value)
+        elif isinstance(default, tuple):    # agent.hidden's layer sizes
+            if not isinstance(value, list) or not all(
+                    type(v) is int and v > 0 for v in value):
+                raise ConfigError(f"'{dotted}' must be a list of positive "
+                                  f"integers, got {value!r}")
+            value = tuple(value)
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -192,6 +196,28 @@ def _coerce(cls, data, path: str = ""):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad '{where}' section: {exc}") from exc
+
+
+def _mapping(dotted: str, value: dict) -> dict:
+    """A mapping field's value: request counts read from their JSON keys,
+    which are strings, constraint probabilities keyed by constraint slot,
+    and every value a number."""
+    out = {}
+    for key, v in value.items():
+        if dotted == "goals.request_count_weights":
+            try:
+                key = int(key)
+            except ValueError:
+                raise ConfigError(f"'{dotted}' key {key!r} is not an integer "
+                                  f"request count") from None
+        elif key not in CONSTRAINT_SLOTS:
+            raise ConfigError(f"'{dotted}' key {key!r} is not a constraint "
+                              f"slot: {', '.join(CONSTRAINT_SLOTS)}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"'{dotted}' must map {key!r} to a number, "
+                              f"got {v!r}")
+        out[key] = float(v)
+    return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -266,35 +292,51 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
 
 
 def check_pretraining(cfg: ExperimentConfig, required: bool = False) -> None:
-    """The one rule on pretraining: only the actor-critic algorithms take a
-    pretrain mode, tda2c a supervised one; ``required`` refuses none."""
-    mode = cfg.pretrain.mode
-    if (mode != "none" or required) and cfg.algorithm not in ("da2c", "tda2c"):
-        raise ConfigError("pretraining applies to the actor-critic algorithms")
-    if cfg.algorithm == "tda2c" and not mode.startswith("sup_"):
+    """The one rule on pretraining: gpsarsa takes none, a supervised mode
+    needs an actor-critic, tda2c needs a supervised mode, and ``required``
+    refuses none."""
+    mode, algorithm = cfg.pretrain.mode, cfg.algorithm
+    if algorithm == "gpsarsa" and (mode != "none" or required):
+        raise ConfigError("gpsarsa takes no pretraining")
+    if mode.startswith("sup_") and algorithm not in ("da2c", "tda2c"):
+        raise ConfigError(f"pretrain.mode {mode!r} needs da2c or tda2c")
+    if algorithm == "tda2c" and not mode.startswith("sup_"):
         raise ConfigError(f"tda2c needs a supervised pretrain.mode, not "
                           f"{mode!r}")
     if required and mode == "none":
         raise ConfigError("pretrain.mode is 'none': nothing to pretrain")
 
 
-def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv,
-                    agent: ActorCriticAgent) -> dict:
+def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv, agent) -> dict:
     """Pretrain ``agent`` on the configured corpus file, streamed into
-    arrays one dialogue at a time; its header's feature names are checked
-    against the space before any record is read. The mode must not be
-    none (see ``check_pretraining``)."""
+    arrays after its header's feature names are checked against the space.
+    A supervised mode first runs the actor-critic's ``imitate`` on every
+    row or on the rating-3 rows. Batch RL then puts every row into the
+    replay pool, in order, and sweeps it ``batch_sweeps`` times with the
+    agent's own replay step. Both stages draw from the ``pretrain`` stream;
+    an empty corpus runs neither. See ``check_pretraining`` for the modes."""
     mode = cfg.pretrain.mode
     reader = corpus_mod.CorpusReader(cfg.pretrain.corpus)
-    check_layout(env.space.feature_names, reader.feature_names)
+    corpus_mod.check_layout(env.space.feature_names, reader.feature_names)
     data = corpus_mod.to_arrays(reader)
-    supervised = None
+    rng = rng_stream(cfg.seed, "pretrain")
+    stats = {"supervised_examples": 0, "holdout_accuracy": None,
+             "value_sweeps": 0, "mode": mode}
+    if not len(data):
+        log.warning("pretraining on an empty corpus; nothing to do")
+        return stats
     if mode == "sup_full_batch":
-        supervised = np.ones(len(data), dtype=bool)
+        stats |= agent.imitate(data, np.arange(len(data)), rng)
     elif mode == "sup_expert_batch":
-        supervised = data.rating == 3
-    stats = agent.pretrain(data, supervised, rng_stream(cfg.seed, "pretrain"))
-    stats["mode"] = mode
+        stats |= agent.imitate(data, np.flatnonzero(data.rating == 3), rng)
+    # looked up now, so a wrapper set on the agent's class is what runs
+    replay_step = (agent.train_step if isinstance(agent, QAgent)
+                   else agent.value_train_step)
+    agent.pool.add_rows(data)
+    per_sweep = max(1, len(data) // agent.config.minibatch)
+    for _ in range(agent.config.batch_sweeps * per_sweep):
+        replay_step(rng)
+    stats["value_sweeps"] = agent.config.batch_sweeps
     log.info("pretraining done: %s", stats)
     return stats
 

@@ -159,7 +159,8 @@ class AgentConfig:
     sup_epochs: int = 20
     sup_batch: int = 32
     sup_holdout: float = 0.1
-    batch_sweeps: int = 4            # passes over the corpus pool for batch RL
+    # passes of batch RL (DQN, DDQN and the critic) over the corpus pool
+    batch_sweeps: int = 4
 
     def __post_init__(self):
         if self.target_sync < 1:

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dialab import nets
-from dialab.actor_critic import (ActorCriticAgent, LayoutMismatchError,
-                                 check_layout, td_advantage)
-from dialab.corpus import Corpus, to_arrays
+from dialab import harness, nets
+from dialab.actor_critic import ActorCriticAgent, td_advantage
+from dialab.corpus import (Corpus, LayoutMismatchError, check_layout,
+                           save_corpus, to_arrays)
 from dialab.environment import Transition
 from dialab.harness import behaviour_action
 from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
@@ -367,14 +367,27 @@ class TestSupervised:
 
 
 class TestPretrain:
-    def test_empty_corpus_is_noop_with_warning(self, caplog):
-        agent = make_agent()
-        empty = to_arrays(Corpus(dialogues=[], space="original",
-                                 feature_names=["f0"]))
+    def test_empty_corpus_is_noop_with_warning(self, tmp_path, caplog):
+        cfg = harness.config_from_dict({
+            "algorithm": "tda2c", "agent": {"hidden": [10, 8]},
+            "pretrain": {"mode": "sup_full_batch",
+                         "corpus": str(tmp_path / "empty.jsonl")}})
+        _, _, env = harness.build_world(cfg)
+        save_corpus(Corpus(dialogues=[], space="original",
+                           feature_names=list(env.space.feature_names)),
+                    cfg.pretrain.corpus)
+        agent = harness.build_agent(cfg, env)
         with caplog.at_level(logging.WARNING):
-            stats = agent.pretrain(empty, np.ones(0, dtype=bool), RNG(17))
+            stats = harness.run_pretraining(cfg, env, agent)
         assert stats["supervised_examples"] == 0
         assert any("empty" in rec.message for rec in caplog.records)
+        assert len(agent.pool) == 0 and agent.value_steps == 0
+        # no rows, no supervised draws
+        rng = RNG(17)
+        drawn = rng.bit_generator.state
+        assert agent.imitate(to_arrays(Corpus([], "original", ["f0"])),
+                             np.arange(0), rng)["supervised_examples"] == 0
+        assert rng.bit_generator.state == drawn
 
     def test_layout_mismatch_refused_with_diff(self):
         with pytest.raises(LayoutMismatchError, match="missing"):
@@ -382,7 +395,6 @@ class TestPretrain:
 
     def test_imitation_of_handcrafted_rule(self):
         # corpus from the deterministic controller; >= 95% held-out agreement
-        from dialab import harness
         from dialab.corpus import BlunderSchedule, generate_corpus
         cfg = harness.ExperimentConfig(space="original", seed=5)
         _, _, env = harness.build_world(cfg)
@@ -390,8 +402,7 @@ class TestPretrain:
                                 schedule=BlunderSchedule(((1.0, 0.0),)))
         data = to_arrays(built)
         agent = ActorCriticAgent(31, 11,
-                                 AgentConfig(hidden=(48, 32), sup_epochs=12,
-                                             batch_sweeps=0),
+                                 AgentConfig(hidden=(48, 32), sup_epochs=12),
                                  RNG(19))
-        stats = agent.pretrain(data, np.ones(len(data), dtype=bool), RNG(20))
+        stats = agent.imitate(data, np.arange(len(data)), RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

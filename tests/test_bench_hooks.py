@@ -117,6 +117,45 @@ def test_traced_regression_steps_own_their_backward_and_adadelta(
     assert seen["nets.backward"] == seen["nets.adadelta"] == seen["steps"]
 
 
+TRACED_PRETRAINING = """
+import json, sys
+sys.path.insert(0, 'perfbench')
+import spans
+tracer = spans.Tracer()
+spans.instrument(tracer)
+from dialab import harness
+cfg = harness.config_from_dict(json.loads(sys.argv[1]))
+_, _, env = harness.build_world(cfg)
+agent = harness.build_agent(cfg, env)
+harness.run_pretraining(cfg, env, agent)
+step = sys.argv[2]
+print(json.dumps({"traced": tracer.calls_under(step, "harness.pretrain"),
+                  "taken": getattr(agent, sys.argv[3])}))
+"""
+
+
+@pytest.mark.parametrize("algorithm, mode, step, counter", [
+    ("dqn", "batch", "value_agents.train_step", "train_steps"),
+    ("tda2c", "sup_full_batch", "actor_critic.value_step", "value_steps")])
+def test_traced_pretraining_charges_every_replay_step(tmp_path, algorithm,
+                                                      mode, step, counter):
+    # the batch stage calls the agent's replay step from run_pretraining;
+    # each call must go through the wrapper the tracer set on the class
+    from dialab import harness
+    from dialab.corpus import generate_corpus, save_corpus
+    corpus = str(tmp_path / "corpus.jsonl")
+    save_corpus(generate_corpus(harness.build_world(
+        harness.ExperimentConfig(seed=3))[2], 12, seed=3), corpus)
+    cfg = {"algorithm": algorithm, "seed": 3,
+           "agent": {"hidden": [8], "minibatch": 4, "sup_epochs": 1},
+           "pretrain": {"mode": mode, "corpus": corpus}}
+    proc = run_python(TRACED_PRETRAINING, json.dumps(cfg), step, counter)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["traced"] > 0
+    assert seen["traced"] == seen["taken"]
+
+
 TRACED_GP_UPDATES = """
 import json, sys
 sys.path.insert(0, 'perfbench')

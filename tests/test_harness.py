@@ -14,10 +14,10 @@ import pytest
 
 from dialab import checkpoint, cli, harness
 from dialab import corpus as corpus_mod
-from dialab.actor_critic import ActorCriticAgent, LayoutMismatchError
 from dialab.checkpoint import CheckpointError
-from dialab.corpus import (CorpusReader, HandcraftedPolicy, RandomPolicy,
-                           generate_corpus, save_corpus, to_arrays)
+from dialab.corpus import (CorpusReader, HandcraftedPolicy,
+                           LayoutMismatchError, RandomPolicy, generate_corpus,
+                           save_corpus, to_arrays)
 from dialab.environment import ORIGINAL_ACTIONS, run_episode
 from dialab.harness import (ComparisonReport, ConfigError, EpsilonSchedule,
                             ExperimentConfig, compare_runs, config_from_dict,
@@ -275,11 +275,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tda2c"):
             train_run(cfg)
 
-    def test_pretrain_limited_to_actor_critic(self, tmp_path):
-        cfg = smoke_config(tmp_path, algorithm="dqn",
-                           pretrain={"mode": "batch", "corpus": "x.jsonl"})
-        with pytest.raises(ConfigError, match="actor-critic"):
-            train_run(cfg)
+    # the pretrain modes each algorithm takes: batch RL for every deep
+    # learner, the supervised stage for the actor-critics alone
+    PRETRAIN_RULE = {
+        "gpsarsa": {"none"},
+        "dqn": {"none", "batch"},
+        "ddqn": {"none", "batch"},
+        "da2c": {"none", "batch", "sup_full_batch", "sup_expert_batch"},
+        "tda2c": {"sup_full_batch", "sup_expert_batch"},
+    }
+
+    @pytest.mark.parametrize("mode", harness.PRETRAIN_MODES)
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_pretraining_rule(self, algorithm, mode):
+        cfg = config_from_dict({"algorithm": algorithm, "pretrain": {
+            "mode": mode, "corpus": "x.jsonl"}})
+        for required in (False, True):
+            if (mode in self.PRETRAIN_RULE[algorithm]
+                    and not (required and mode == "none")):
+                harness.check_pretraining(cfg, required)
+            else:
+                with pytest.raises(ConfigError):
+                    harness.check_pretraining(cfg, required)
 
 
 class TestTrainRun:
@@ -327,11 +344,8 @@ class TestTrainRun:
         r_resumed = train_run(config("half", total), resume=True)
         assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
         # the saved learner state, not just the curve, matches bit for bit
-        for name in ("checkpoint.npz", "pool.npz"):
-            full, half = tmp_path / "full" / name, tmp_path / "half" / name
-            assert full.exists() == half.exists()
-            if full.exists():
-                assert_same_arrays(full, half)
+        assert_same_arrays(tmp_path / "full" / "checkpoint.npz",
+                           tmp_path / "half" / "checkpoint.npz")
 
     def test_per_dialogue_epsilon_resumes_exactly(self, tmp_path):
         # epsilon.unit="dialogue": schedule_t counts dialogues, not turns,
@@ -518,14 +532,21 @@ class TestPretraining:
         return built, path
 
     @staticmethod
-    def pretrained(corpus_path, mode="sup_full_batch"):
+    def pretrained(corpus_path, mode="sup_full_batch", algorithm="tda2c"):
         cfg = config_from_dict({
-            "algorithm": "tda2c", "seed": 6,
+            "algorithm": algorithm, "seed": 6,
             "agent": {"hidden": [16, 12], "sup_epochs": 2, "batch_sweeps": 1},
             "pretrain": {"mode": mode, "corpus": corpus_path}})
         _, _, env = harness.build_world(cfg)
         agent = harness.build_agent(cfg, env)
         return cfg, env, agent
+
+    @staticmethod
+    def snapshot(agent, path):
+        """The bytes of each array ``agent`` saves."""
+        agent.save(str(path))
+        with np.load(path) as data:
+            return {k: data[k].tobytes() for k in data.files}
 
     @pytest.mark.parametrize("mode", ["batch", "sup_full_batch",
                                       "sup_expert_batch"])
@@ -540,51 +561,96 @@ class TestPretraining:
                                     lambda path: read.append(path) or built)
             cfg, env, agent = self.pretrained(path, mode)
             harness.run_pretraining(cfg, env, agent)
-            snapshot = tmp_path / f"{source}.npz"
-            agent.save(str(snapshot))
-            with np.load(snapshot) as data:
-                snapshots.append({k: data[k].tobytes() for k in data.files})
+            snapshots.append(self.snapshot(agent, tmp_path / f"{source}.npz"))
         assert read == [path] and snapshots[0] == snapshots[1]
         assert len(agent.pool) == sum(len(d.log.records)
                                       for d in built.dialogues)
 
-    @pytest.mark.parametrize("mode", ["sup_full_batch", "sup_expert_batch"])
-    def test_rows_by_index_match_the_masked_copy(self, tmp_path, monkeypatch,
-                                                 corpus_file, mode):
-        pretrain = ActorCriticAgent.pretrain
-
-        def masked_copy(agent, data, supervised, rng):
-            # reference: stage 1 on a masked copy of the selected rows,
-            # then stage 2 as pretrain runs it
-            feats = data.features[supervised]
-            acts = data.actions[supervised]
-            order = rng.permutation(len(acts))
-            n_hold = int(len(acts) * agent.config.sup_holdout)
-            hold, train = order[:n_hold], order[n_hold:]
+    @staticmethod
+    def pretrain_in_agent(agent, data, supervised, rng):
+        """The two stages as ActorCriticAgent.pretrain ran them before
+        pretraining moved to the harness: the supervised stage on the rows
+        of the boolean mask ``supervised`` (None skips it), then batch
+        value RL over every row."""
+        stats = {"supervised_examples": 0, "holdout_accuracy": None,
+                 "value_sweeps": 0}
+        if not len(data):
+            return stats
+        if supervised is not None and supervised.any():
+            rows = np.flatnonzero(supervised)
+            order = rng.permutation(len(rows))
+            n_hold = int(len(rows) * agent.config.sup_holdout)
+            hold, train = rows[order[:n_hold]], rows[order[n_hold:]]
+            stats["supervised_examples"] = len(train)
             for _ in range(agent.config.sup_epochs):
                 perm = rng.permutation(len(train))
                 for start in range(0, len(perm), agent.config.sup_batch):
                     sel = train[perm[start:start + agent.config.sup_batch]]
-                    agent.supervised_step(feats[sel], acts[sel])
-            pred = agent.policy.forward_batch(feats[hold]).argmax(axis=1)
-            stats = pretrain(agent, data, None, rng)
-            stats.update(supervised_examples=len(train), holdout_accuracy=float(
-                np.mean(pred == acts[hold])))
-            return stats
+                    agent.supervised_step(data.features[sel],
+                                          data.actions[sel])
+            if len(hold):
+                pred = agent.policy.forward_batch(
+                    data.features[hold]).argmax(axis=1)
+                stats["holdout_accuracy"] = float(
+                    np.mean(pred == data.actions[hold]))
+        agent.pool.add_rows(data)
+        per_sweep = max(1, len(data) // agent.config.minibatch)
+        for _ in range(agent.config.batch_sweeps):
+            for _ in range(per_sweep):
+                agent.last_value_loss = agent.value_train_step(rng)
+            stats["value_sweeps"] += 1
+        return stats
 
+    @pytest.mark.parametrize("mode", ["batch", "sup_full_batch",
+                                      "sup_expert_batch"])
+    def test_rows_by_index_match_the_masked_copy(self, tmp_path, corpus_file,
+                                                 mode):
+        # the harness's stages leave the agent as the in-agent pipeline,
+        # given the mode's row mask, did
         _, path = corpus_file
         runs = []
-        for method in (pretrain, masked_copy):
-            monkeypatch.setattr(ActorCriticAgent, "pretrain", method)
+        for source in ("harness", "in-agent"):
             cfg, env, agent = self.pretrained(path, mode)
-            stats = harness.run_pretraining(cfg, env, agent)
-            snapshot = tmp_path / f"{method.__name__}.npz"
-            agent.save(str(snapshot))
-            with np.load(snapshot) as data:
-                runs.append((stats, {k: data[k].tobytes()
-                                     for k in data.files}))
-        assert runs[0][0]["holdout_accuracy"] is not None
+            if source == "harness":
+                stats = harness.run_pretraining(cfg, env, agent)
+            else:
+                data = to_arrays(CorpusReader(path))
+                mask = {"batch": None,
+                        "sup_full_batch": np.ones(len(data), dtype=bool),
+                        "sup_expert_batch": data.rating == 3}[mode]
+                stats = self.pretrain_in_agent(
+                    agent, data, mask, rng_stream(cfg.seed, "pretrain"))
+                stats["mode"] = mode
+            runs.append((stats, self.snapshot(agent,
+                                              tmp_path / f"{source}.npz")))
+        assert (runs[0][0]["holdout_accuracy"] is None) == (mode == "batch")
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("algorithm", ["dqn", "ddqn"])
+    def test_q_agents_take_batch_rl(self, tmp_path, monkeypatch, corpus_file,
+                                    algorithm):
+        built, path = corpus_file
+        data = to_arrays(built)
+        snapshots = []
+        for source in ("file", "memory"):
+            if source == "memory":
+                monkeypatch.setattr(corpus_mod, "CorpusReader",
+                                    lambda path: built)
+            cfg, env, agent = self.pretrained(path, "batch", algorithm)
+            stats = harness.run_pretraining(cfg, env, agent)
+            snapshots.append(self.snapshot(agent, tmp_path / f"{source}.npz"))
+        assert snapshots[0] == snapshots[1]
+        assert stats == {"supervised_examples": 0, "holdout_accuracy": None,
+                         "value_sweeps": 1, "mode": "batch"}
+        # the pool holds the corpus turns in order, swept once
+        assert len(agent.pool) == len(data)
+        pooled = agent.pool.batch(np.arange(len(data)))
+        for got, want in zip(pooled, (data.features, data.actions,
+                                      data.rewards, data.next_features,
+                                      data.terminal)):
+            assert np.array_equal(got, want)
+        assert agent.train_steps == (cfg.agent.batch_sweeps
+                                     * max(1, len(data) // cfg.agent.minibatch))
 
     def test_layout_checked_before_any_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -764,7 +830,16 @@ class TestCli:
         ("gamma=abc", "'gamma' must be a number"),
         ("epsilon.start=false", "'epsilon.start' must be a number"),
         ("agent.minibatch=x", "'agent.minibatch' must be an integer"),
-        ("space=1", "'space' must be a string")])
+        ("space=1", "'space' must be a string"),
+        ("agent.hidden=5", "'agent.hidden' must be a list of positive"),
+        ('agent.hidden=["a"]', "'agent.hidden' must be a list of positive"),
+        ("agent.hidden=[16,0]", "'agent.hidden' must be a list of positive"),
+        ('goals.constraint_probs={"area":"x"}',
+         "'goals.constraint_probs' must map 'area' to a number"),
+        ('goals.constraint_probs={"areaa":1.0}',
+         "'goals.constraint_probs' key 'areaa' is not a constraint slot"),
+        ('goals.request_count_weights={"1":"x"}',
+         "'goals.request_count_weights' must map 1 to a number")])
     def test_bad_value_exits_2_naming_the_key_before_the_run_starts(
             self, tmp_path, capsys, setting, named):
         path = tmp_path / "cfg.json"
@@ -882,20 +957,23 @@ class TestCli:
         corpus_path = str(tmp_path / "corpus.jsonl")
         assert cli.main(["generate-corpus", "--config", str(corpus_cfg),
                          "--n", "10", "--out", corpus_path]) == 0
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "algorithm": "tda2c", "space": "original", "seed": 2,
-            "agent": {"hidden": [12, 8], "sup_epochs": 1, "batch_sweeps": 1},
-            "pretrain": {"mode": "sup_full_batch", "corpus": corpus_path}}))
-        checkpoint = str(tmp_path / "pre")
-        assert cli.main(["pretrain", "--config", str(path),
-                         "--out", checkpoint]) == 0
-        assert os.path.exists(checkpoint)
-        assert not os.path.exists(checkpoint + ".npz")
-        assert cli.main(["evaluate", "--config", str(path), "--policy",
-                         "agent", "--checkpoint", checkpoint,
-                         "--episodes", "3"]) == 0
-        assert "success_rate=" in capsys.readouterr().out
+        for algorithm, mode in (("tda2c", "sup_full_batch"),
+                                ("dqn", "batch")):
+            path = tmp_path / f"{algorithm}.json"
+            path.write_text(json.dumps({
+                "algorithm": algorithm, "space": "original", "seed": 2,
+                "agent": {"hidden": [12, 8], "sup_epochs": 1,
+                          "batch_sweeps": 1},
+                "pretrain": {"mode": mode, "corpus": corpus_path}}))
+            checkpoint = str(tmp_path / f"pre-{algorithm}")
+            assert cli.main(["pretrain", "--config", str(path),
+                             "--out", checkpoint]) == 0
+            assert os.path.exists(checkpoint)
+            assert not os.path.exists(checkpoint + ".npz")
+            assert cli.main(["evaluate", "--config", str(path), "--policy",
+                             "agent", "--checkpoint", checkpoint,
+                             "--episodes", "3"]) == 0
+            assert "success_rate=" in capsys.readouterr().out
 
     def test_generate_rate_and_compare(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
