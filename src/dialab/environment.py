@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import tracker, usersim
-from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES, VALUES,
+from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                        GoalConfig, RestaurantDB, SystemAct, UserAct, query,
                        sample_goal)
 from .tracker import BeliefState, ErrorModel
@@ -136,9 +136,9 @@ def understood_constraints(belief: BeliefState) -> dict[str, str]:
     'not mentioned', with that value."""
     out = {}
     for slot in CONSTRAINT_SLOTS:
-        items = tracker.top_values(belief, slot)
-        if items and items[0][1] > tracker.not_mentioned_mass(belief, slot):
-            out[slot] = items[0][0]
+        p1, _ = tracker.top2(belief, slot)
+        if p1 > tracker.not_mentioned_mass(belief, slot):
+            out[slot] = tracker.ranked_values(belief, slot)[0]
     return out
 
 
@@ -171,20 +171,6 @@ def _select_slot(belief: BeliefState) -> str:
         if p1 - p2 < best_gap:
             best_slot, best_gap = slot, p1 - p2
     return best_slot
-
-
-def _slot_value(belief: BeliefState, slot: str) -> str:
-    items = tracker.top_values(belief, slot)
-    if items and items[0][1] > 0.0:
-        return items[0][0]
-    return VALUES[slot][0]
-
-
-def _slot_options(belief: BeliefState, slot: str) -> tuple[str, str]:
-    items = [v for v, m in tracker.top_values(belief, slot) if m > 0.0]
-    fallback = [v for v in VALUES[slot] if v not in items]
-    picks = (items + fallback)[:2]
-    return (picks[0], picks[1])
 
 
 @dataclass(frozen=True)
@@ -236,10 +222,10 @@ def realize(space: Space, name: str, belief: BeliefState,
         return act, len(results)
     if act_type == "expl-conf":
         return SystemAct(act_type, slot=slot,
-                         value=_slot_value(belief, slot)), None
+                         value=tracker.ranked_values(belief, slot)[0]), None
     if act_type == "select":
-        return SystemAct(act_type, slot=slot,
-                         options=_slot_options(belief, slot)), None
+        return SystemAct(act_type, slot=slot, options=tuple(
+            tracker.ranked_values(belief, slot)[:2])), None
     return SystemAct(act_type, slot=slot), None
 
 

@@ -325,6 +325,10 @@ def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv, agent) -> dict:
     if not len(data):
         log.warning("pretraining on an empty corpus; nothing to do")
         return stats
+    if len(data) < agent.config.minibatch:
+        raise ConfigError(f"{cfg.pretrain.corpus}: {len(data)} turns, fewer "
+                          f"than agent.minibatch={agent.config.minibatch}; "
+                          f"batch RL needs one minibatch")
     if mode == "sup_full_batch":
         stats |= agent.imitate(data, np.arange(len(data)), rng)
     elif mode == "sup_expert_batch":
@@ -423,7 +427,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     if cfg.out is None:
         raise ConfigError("config needs an 'out' directory for training")
     check_pretraining(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
     curve_path = os.path.join(cfg.out, "curve.csv")
     ckpt_path = os.path.join(cfg.out, "checkpoint.npz")
     config_path = os.path.join(cfg.out, "config.json")
@@ -454,6 +457,10 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         if not rows or rows[-1][0] != start_ep:
             raise ValueError(f"{curve_path}: no row at dialogue {start_ep}")
         trained_seconds = rows[-1][4]
+    elif cfg.pretrain.mode != "none":
+        # before any file is written, so a corpus it refuses leaves none
+        run_pretraining(cfg, env, agent)
+    os.makedirs(cfg.out, exist_ok=True)
     for name in os.listdir(cfg.out):
         # a killed write's temporary file; on a fresh run also an earlier
         # run's curve and snapshot, in either file layout
@@ -467,8 +474,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
         replace_file(curve_path, lambda fh: fh.write(text.encode()))
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
-    elif cfg.pretrain.mode != "none":
-        run_pretraining(cfg, env, agent)
 
     def eval_point(dialogues_done: int):
         success, mean_return, mean_length = evaluate(
@@ -679,10 +684,11 @@ def chat_session(cfg: ExperimentConfig, checkpoint: str | None = None,
         env.hear(sys_act, acts)
         summary = []
         for slot in CONSTRAINT_SLOTS:
-            items = tracker.top_values(env.belief, slot)
-            if items and items[0][1] > 0.005:
-                summary.append(f"{slot}: ({items[0][0]}, {items[0][1]:.2f})")
-        wanted = [s for s, p in env.belief.requests.items() if p > 0.1]
+            p1, _ = tracker.top2(env.belief, slot)
+            if p1 > 0.005:
+                value = tracker.ranked_values(env.belief, slot)[0]
+                summary.append(f"{slot}: ({value}, {p1:.2f})")
+        wanted = tracker.requested(env.belief, 0.1)
         say("belief: " + ("; ".join(summary) if summary else "(empty)")
             + (f" | requested: {', '.join(wanted)}" if wanted else ""))
         if any(a.act_type == "bye" for a in acts):

@@ -23,7 +23,8 @@ USER_ACT_TYPES = ("deny", "null", "reqmore", "confirm", "ack", "affirm",
                   "request", "inform", "thankyou", "repeat", "reqalts",
                   "negate", "bye", "hello", "restart")
 
-# the ordered value list of each constraint slot
+# the ordered value list of each constraint slot, kept alphabetical: the
+# belief ranks tied values by their position here, which must be by name
 VALUES = {
     "area": ("centre", "east", "north", "south", "west"),
     "food": ("british", "chinese", "french", "indian", "italian",

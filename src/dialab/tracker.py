@@ -3,7 +3,11 @@
 The channel corrupts true user acts into scored n-best hypothesis lists. The
 tracker accumulates that evidence into per-slot value distributions (each with
 an explicit unmentioned mass), request probabilities, and per-turn user-act
-probabilities, and renders two feature layouts:
+probabilities. The belief keeps them as lists in one fixed layout: a slot's
+masses in ``VALUES[slot]`` order with the unmentioned mass last, requests in
+``REQUEST_SLOTS`` order, user acts in ``USER_ACT_TYPES`` order. Other modules
+read it only through ``top2``, ``not_mentioned_mass``, ``ranked_values`` and
+``requested``. The tracker renders two feature layouts:
 
 * summary: 60 binary features, 12 one-hot blocks of length 5. Three constraint
   blocks quantize each slot's top-two value probabilities onto the grid G_C;
@@ -28,7 +32,6 @@ from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
 G_C = ((1.0, 0.0), (0.8, 0.2), (0.6, 0.2), (0.6, 0.4), (0.4, 0.4))
 G_R = (1.0, 0.8, 0.6, 0.4, 0.0)
 
-NOT_MENTIONED = "__not_mentioned__"
 SUMMARY_BLOCKS = len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS) + 1
 SUMMARY_LEN = SUMMARY_BLOCKS * 5
 ORIGINAL_LEN = 2 * len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS) + len(USER_ACT_TYPES) + 2
@@ -123,25 +126,31 @@ def corrupt(acts: Sequence[UserAct], em: ErrorModel,
 
 @dataclass(frozen=True)
 class BeliefState:
-    """Tracked dialogue state; a value object, updates return new instances."""
+    """Tracked dialogue state; a value object. Each constraint slot's masses
+    are a list in ``VALUES[slot]`` order with the unmentioned mass last;
+    requests and this turn's user acts are lists in ``REQUEST_SLOTS`` and
+    ``USER_ACT_TYPES`` order. Updates return new instances that share the
+    lists they leave alone, so no list changes in place."""
 
-    constraints: dict            # slot -> {value|NOT_MENTIONED: mass}
-    requests: dict               # request slot -> probability
-    user_acts: dict              # act type -> probability this turn
+    constraints: dict            # slot -> [mass per value..., unmentioned]
+    requests: list               # probability per request slot
+    user_acts: list              # probability per user act type this turn
     turn: int = 0
     db_count: int = 0
 
 
+_VALUE_INDEX = {s: {v: i for i, v in enumerate(VALUES[s])}
+                for s in CONSTRAINT_SLOTS}
+_REQUEST_INDEX = {s: i for i, s in enumerate(REQUEST_SLOTS)}
+_ACT_INDEX = {t: i for i, t in enumerate(USER_ACT_TYPES)}
+
+
 def fresh_belief() -> BeliefState:
-    constraints = {}
-    for slot in CONSTRAINT_SLOTS:
-        dist = {v: 0.0 for v in VALUES[slot]}
-        dist[NOT_MENTIONED] = 1.0
-        constraints[slot] = dist
     return BeliefState(
-        constraints=constraints,
-        requests={s: 0.0 for s in REQUEST_SLOTS},
-        user_acts={t: 0.0 for t in USER_ACT_TYPES},
+        constraints={s: [0.0] * len(VALUES[s]) + [1.0]
+                     for s in CONSTRAINT_SLOTS},
+        requests=[0.0] * len(REQUEST_SLOTS),
+        user_acts=[0.0] * len(USER_ACT_TYPES),
     )
 
 
@@ -150,50 +159,57 @@ def update_belief(belief: BeliefState, obs: Observation,
     """Fold one turn of scored hypotheses into the belief.
 
     An inform(s, v) hypothesis with score c rescales the slot distribution by
-    (1 - c) and adds c at v, which keeps it normalized. request(s) hypotheses
-    raise the request probability toward max(old, c). The user-act vector is
-    set to this turn's aggregated hypothesis scores.
+    (1 - c) and adds c at v, which keeps it normalized; a value outside
+    ``VALUES[s]`` is ignored. request(s) hypotheses raise the request
+    probability toward max(old, c). The user-act vector is set to this
+    turn's aggregated hypothesis scores.
     """
-    constraints = {s: dict(d) for s, d in belief.constraints.items()}
-    requests = dict(belief.requests)
-    acts = {t: 0.0 for t in USER_ACT_TYPES}
+    constraints = dict(belief.constraints)
+    requests = list(belief.requests)
+    acts = [0.0] * len(USER_ACT_TYPES)
     for nbest in obs:
         for act, score in nbest:
-            acts[act.act_type] = min(1.0, acts[act.act_type] + score)
-            if act.act_type == "inform" and act.slot in constraints:
-                dist = constraints[act.slot]
-                if act.value in dist:
-                    for key in dist:
-                        dist[key] *= (1.0 - score)
-                    dist[act.value] += score
-            elif act.act_type == "request" and act.slot in requests:
-                requests[act.slot] = max(requests[act.slot], score)
+            a = _ACT_INDEX[act.act_type]
+            acts[a] = min(1.0, acts[a] + score)
+            if act.act_type == "inform":
+                v = _VALUE_INDEX[act.slot].get(act.value)
+                if v is not None:
+                    dist = [m * (1.0 - score) for m in constraints[act.slot]]
+                    dist[v] += score
+                    constraints[act.slot] = dist
+            elif act.act_type == "request":
+                r = _REQUEST_INDEX[act.slot]
+                requests[r] = max(requests[r], score)
     for slot, dist in constraints.items():
-        total = sum(dist.values())
-        if total <= 0.0:
+        if sum(dist) <= 0.0:
             raise RuntimeError(f"belief for slot '{slot}' lost all mass")
     return BeliefState(constraints=constraints, requests=requests,
                        user_acts=acts, turn=belief.turn + 1,
                        db_count=int(db_count))
 
 
-def top_values(belief: BeliefState, slot: str) -> list[tuple[str, float]]:
-    """Values of a constraint slot by decreasing mass, unmentioned excluded."""
-    dist = belief.constraints[slot]
-    items = [(v, m) for v, m in dist.items() if v != NOT_MENTIONED]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return items
+def ranked_values(belief: BeliefState, slot: str) -> list[str]:
+    """A constraint slot's values by decreasing mass. The sort is stable and
+    ``VALUES[slot]`` is alphabetical, so ties go by name."""
+    masses = belief.constraints[slot]
+    order = sorted(range(len(masses) - 1), key=lambda i: -masses[i])
+    return [VALUES[slot][i] for i in order]
 
 
 def top2(belief: BeliefState, slot: str) -> tuple[float, float]:
-    items = top_values(belief, slot)
-    p1 = items[0][1] if items else 0.0
-    p2 = items[1][1] if len(items) > 1 else 0.0
+    """The two largest value masses of a constraint slot."""
+    *_, p2, p1 = sorted(belief.constraints[slot][:-1])
     return (p1, p2)
 
 
 def not_mentioned_mass(belief: BeliefState, slot: str) -> float:
-    return belief.constraints[slot][NOT_MENTIONED]
+    return belief.constraints[slot][-1]
+
+
+def requested(belief: BeliefState, threshold: float) -> list[str]:
+    """Request slots whose probability exceeds ``threshold``, in
+    ``REQUEST_SLOTS`` order."""
+    return [s for s, p in zip(REQUEST_SLOTS, belief.requests) if p > threshold]
 
 
 def nearest_gc(p1: float, p2: float) -> int:
@@ -221,36 +237,19 @@ def turn_phase(turn: int) -> int:
 
 def summarize(belief: BeliefState) -> np.ndarray:
     """60-bit summary vector; exactly one bit set per 5-wide block."""
+    hot = [nearest_gc(*top2(belief, s)) for s in CONSTRAINT_SLOTS]
+    hot += [nearest_gr(p) for p in belief.requests]
+    hot.append(turn_phase(belief.turn))
     vec = np.zeros(SUMMARY_LEN)
-    block = 0
-    for slot in CONSTRAINT_SLOTS:
-        p1, p2 = top2(belief, slot)
-        vec[block * 5 + nearest_gc(p1, p2)] = 1.0
-        block += 1
-    for slot in REQUEST_SLOTS:
-        vec[block * 5 + nearest_gr(belief.requests[slot])] = 1.0
-        block += 1
-    vec[block * 5 + turn_phase(belief.turn)] = 1.0
+    vec[[5 * block + i for block, i in enumerate(hot)]] = 1.0
     return vec
 
 
 def vectorize_original(belief: BeliefState) -> np.ndarray:
     """31 features: 6 constraint top-two probs, 8 request probs, 15 user-act
     probs, then scaled turn and DB-result count."""
-    vec = np.zeros(ORIGINAL_LEN)
-    i = 0
-    for slot in CONSTRAINT_SLOTS:
-        p1, p2 = top2(belief, slot)
-        vec[i] = p1
-        vec[i + 1] = p2
-        i += 2
-    for slot in REQUEST_SLOTS:
-        vec[i] = belief.requests[slot]
-        i += 1
-    for act_type in USER_ACT_TYPES:
-        vec[i] = belief.user_acts[act_type]
-        i += 1
-    vec[i] = min(belief.turn / TURN_SCALE, 1.0)
-    vec[i + 1] = min(belief.db_count, DB_COUNT_CAP) / DB_COUNT_CAP
-    return vec
-
+    feats = [p for s in CONSTRAINT_SLOTS for p in top2(belief, s)]
+    return np.array(feats + belief.requests + belief.user_acts
+                    + [min(belief.turn / TURN_SCALE, 1.0),
+                       min(belief.db_count, DB_COUNT_CAP) / DB_COUNT_CAP],
+                    dtype=float)

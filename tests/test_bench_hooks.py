@@ -40,19 +40,21 @@ for space in ("summary", "original"):
     env.step(0)
     names = [tracer.names[i] for i in tracer.name_id[start:]]
     seen[space] = {n: names.count(n)
-                   for n in ("tracker.featurize", "environment.realize")}
+                   for n in ("tracker.featurize", "environment.realize",
+                             "tracker.update_belief", "tracker.corrupt")}
 print(json.dumps(seen))
 """
 
 
 def test_traced_turns_record_featurize_and_realize():
-    # the tracer rebinds tracker.summarize/vectorize_original where they are
-    # module attributes; a featurizer captured at import time would bypass it
+    # the tracer rebinds the tracker's functions where they are module
+    # attributes; a function captured at import time would bypass it
     proc = run_python(TRACED_TURNS)
     assert proc.returncode == 0, proc.stderr
     for space, seen in json.loads(proc.stdout.splitlines()[-1]).items():
-        assert seen["tracker.featurize"] >= 1, space
-        assert seen["environment.realize"] >= 1, space
+        for name in ("tracker.featurize", "environment.realize",
+                     "tracker.update_belief", "tracker.corrupt"):
+            assert seen[name] >= 1, (space, name)
 
 
 CHECKED_RUN = """

@@ -784,6 +784,25 @@ class TestChat:
         _, transcript = self.chat(tmp_path, ["bye"])
         assert transcript.count("system:") == 1
 
+    def test_noisy_transcript_matches_the_record(self):
+        # the default noisy channel in the summary space: the belief lines,
+        # requested slots and expl-conf values are pinned byte for byte,
+        # and the out-of-domain pizza never enters the belief
+        lines = ["inform(food=italian)", "request(phone)", "inform(food=pizza)",
+                 "inform(area=north); request(address)", "", "affirm",
+                 "inform(pricerange=cheap)", "negate; inform(food=thai)",
+                 "request(postcode); request(phone)", "bye"]
+        cfg = config_from_dict({"algorithm": "dqn", "space": "summary",
+                                "seed": 0})
+        out = io.StringIO()
+        harness.chat_session(cfg, checkpoint=None,
+                             stdin=io.StringIO("\n".join(lines)), stdout=out)
+        with open(os.path.join(ROOT, "tests", "data",
+                               "chat_transcript.txt")) as fh:
+            recorded = fh.read()
+        assert "| requested: " in recorded and "pizza" not in recorded
+        assert out.getvalue() == recorded
+
 
 class TestCli:
     def test_config_error_exit_code(self, tmp_path):
@@ -881,6 +900,36 @@ class TestCli:
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert "pretrain.mode" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_corpus_below_one_minibatch_exits_2_before_any_file(self, tmp_path,
+                                                               capsys):
+        corpus_cfg = tmp_path / "corpus-cfg.json"
+        corpus_cfg.write_text(json.dumps({"algorithm": "tda2c", "seed": 2}))
+        corpus_path = str(tmp_path / "one.jsonl")
+        assert cli.main(["generate-corpus", "--config", str(corpus_cfg),
+                         "--n", "1", "--out", corpus_path]) == cli.EXIT_OK
+        turns = len(to_arrays(CorpusReader(corpus_path)))
+        minibatch = harness.AgentConfig().minibatch
+        assert 0 < turns < minibatch
+        capsys.readouterr()
+        for command, algorithm, mode in (("pretrain", "dqn", "batch"),
+                                         ("train", "tda2c", "sup_full_batch")):
+            path = tmp_path / f"{algorithm}.json"
+            path.write_text(json.dumps({
+                "algorithm": algorithm, "seed": 2, "dialogues": 2,
+                "pretrain": {"mode": mode, "corpus": corpus_path}}))
+            out = tmp_path / command
+            if command == "train":
+                out.mkdir()          # a fresh run directory stays empty
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(out)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert corpus_path in err and f"{turns} turns" in err, err
+            assert f"agent.minibatch={minibatch}" in err, err
+            if command == "train":
+                assert os.listdir(out) == []
+            else:
+                assert not out.exists()
 
     def test_generate_corpus_writes_the_in_memory_corpus(self, tmp_path,
                                                          capsys):

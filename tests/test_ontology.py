@@ -30,6 +30,12 @@ class TestOntology:
         for slot in CONSTRAINT_SLOTS:
             assert len(VALUES[slot]) >= 5
 
+    def test_values_are_alphabetical(self):
+        # the belief tracker breaks ties between equal masses by position
+        # in VALUES; that is by name only while each list is sorted
+        for slot in CONSTRAINT_SLOTS:
+            assert list(VALUES[slot]) == sorted(VALUES[slot]), slot
+
 
 class TestQuery:
     def test_empty_constraints_return_everything(self, db):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from dialab.environment import SPACES
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                              VALUES, UserAct)
-from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, NOT_MENTIONED,
-                            ORIGINAL_LEN, SUMMARY_LEN, BeliefState, ErrorModel,
-                            corrupt, fresh_belief, nearest_gc,
-                            nearest_gr, summarize, top2, turn_phase,
-                            update_belief, vectorize_original)
+from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, ORIGINAL_LEN, SUMMARY_LEN,
+                            BeliefState, ErrorModel, corrupt, fresh_belief,
+                            nearest_gc, nearest_gr, not_mentioned_mass,
+                            ranked_values, requested, summarize, top2,
+                            turn_phase, update_belief, vectorize_original)
 
 RNG = np.random.default_rng
 
@@ -24,24 +24,32 @@ def obs_of(*scored_acts):
     return [[(a, s)] for a, s in scored_acts]
 
 
+def mass(belief, slot, value):
+    return belief.constraints[slot][VALUES[slot].index(value)]
+
+
+def request_p(belief, slot):
+    return belief.requests[REQUEST_SLOTS.index(slot)]
+
+
 def random_belief(rng):
     """A syntactically valid belief with random distributions."""
     uniforms = rng.random(64)
     k = 0
     constraints = {}
     for slot in CONSTRAINT_SLOTS:
-        keys = list(VALUES[slot]) + [NOT_MENTIONED]
-        raw = [-np.log(u) for u in uniforms[k:k + len(keys)]]
-        k += len(keys)
+        n = len(VALUES[slot]) + 1  # the values, then the unmentioned mass
+        raw = [-np.log(u) for u in uniforms[k:k + n]]
+        k += n
         total = sum(raw)
-        constraints[slot] = {key: x / total for key, x in zip(keys, raw)}
-    requests = {}
+        constraints[slot] = [x / total for x in raw]
+    requests = []
     for slot in REQUEST_SLOTS:
-        requests[slot] = float(uniforms[k])
+        requests.append(float(uniforms[k]))
         k += 1
-    acts = {}
+    acts = []
     for t in USER_ACT_TYPES:
-        acts[t] = float(uniforms[k])
+        acts.append(float(uniforms[k]))
         k += 1
     return BeliefState(
         constraints=constraints,
@@ -56,9 +64,7 @@ def summarize_oracle(belief):
     """Brute-force nearest-grid mapping, enumerated independently."""
     bits = []
     for slot in CONSTRAINT_SLOTS:
-        dist = belief.constraints[slot]
-        masses = sorted((m for v, m in dist.items() if v != NOT_MENTIONED),
-                        reverse=True)
+        masses = sorted(belief.constraints[slot][:-1], reverse=True)
         p1 = masses[0] if masses else 0.0
         p2 = masses[1] if len(masses) > 1 else 0.0
         best, best_d = 0, float("inf")
@@ -69,8 +75,7 @@ def summarize_oracle(belief):
         block = [0.0] * 5
         block[best] = 1.0
         bits.extend(block)
-    for slot in REQUEST_SLOTS:
-        p = belief.requests[slot]
+    for p in belief.requests:
         best, best_d = 0, float("inf")
         for i, g in enumerate(G_R):
             if abs(p - g) < best_d:
@@ -135,36 +140,34 @@ class TestUpdateBelief:
         b2 = update_belief(b, obs_of((inform("food", "thai"), 1.0)), 0)
         p1, _ = top2(b2, "food")
         assert p1 >= 0.99
-        assert max(b2.constraints["food"],
-                   key=b2.constraints["food"].get) == "thai"
+        assert ranked_values(b2, "food")[0] == "thai"
 
     def test_empty_observation_only_advances_turn(self):
         b = fresh_belief()
         b1 = update_belief(b, obs_of((inform("area", "north"), 0.6)), 3)
         b2 = update_belief(b1, [], 3)
         assert b2.constraints == b1.constraints
-        assert all(v == 0.0 for v in b2.user_acts.values())
+        assert all(v == 0.0 for v in b2.user_acts)
         assert b2.turn == b1.turn + 1
 
     def test_later_contradiction_wins(self):
         b = fresh_belief()
         b = update_belief(b, obs_of((inform("food", "thai"), 0.6)), 0)
         b = update_belief(b, obs_of((inform("food", "indian"), 0.6)), 0)
-        dist = b.constraints["food"]
-        assert dist["indian"] > dist["thai"]
+        assert mass(b, "food", "indian") > mass(b, "food", "thai")
 
     def test_request_probability_rises_to_max(self):
         b = fresh_belief()
         b = update_belief(b, obs_of((UserAct("request", slot="phone"), 0.7)), 0)
-        assert b.requests["phone"] == 0.7
+        assert request_p(b, "phone") == 0.7
         b = update_belief(b, obs_of((UserAct("request", slot="phone"), 0.4)), 0)
-        assert b.requests["phone"] == 0.7
+        assert request_p(b, "phone") == 0.7
 
     def test_act_probabilities_aggregate_scores(self):
         b = fresh_belief()
         obs = [[(UserAct("affirm"), 0.5)], [(UserAct("affirm"), 0.3)]]
         b = update_belief(b, obs, 0)
-        assert abs(b.user_acts["affirm"] - 0.8) <= 1e-12
+        assert abs(b.user_acts[USER_ACT_TYPES.index("affirm")] - 0.8) <= 1e-12
 
     def test_db_count_stored(self):
         b = update_belief(fresh_belief(), [], 17)
@@ -179,16 +182,15 @@ class TestUpdateBelief:
             score = float(rng.uniform(0.01, 0.99))
             b = update_belief(b, obs_of((inform(slot, value), score)), 0)
             for s in CONSTRAINT_SLOTS:
-                assert abs(sum(b.constraints[s].values()) - 1.0) <= 1e-9
+                assert abs(sum(b.constraints[s]) - 1.0) <= 1e-9
 
 
 class TestTop2:
     def test_worked_example(self):
         b = fresh_belief()
-        dist = {v: 0.0 for v in VALUES["food"]}
-        dist["italian"] = 0.85
-        dist["indian"] = 0.10
-        dist[NOT_MENTIONED] = 0.05
+        dist = [0.0] * len(VALUES["food"]) + [0.05]
+        dist[VALUES["food"].index("italian")] = 0.85
+        dist[VALUES["food"].index("indian")] = 0.10
         b.constraints["food"] = dist
         assert top2(b, "food") == (0.85, 0.10)
 
@@ -200,6 +202,44 @@ class TestTop2:
         b = update_belief(b, obs_of((inform("area", "west"), 0.6)), 0)
         p1, p2 = top2(b, "area")
         assert abs(p1 - 0.6) <= 1e-12 and p2 == 0.0
+
+
+class TestRanking:
+    def test_fresh_belief_ranks_in_values_order(self):
+        b = fresh_belief()
+        for slot in CONSTRAINT_SLOTS:
+            assert ranked_values(b, slot) == list(VALUES[slot])
+            assert not_mentioned_mass(b, slot) == 1.0
+
+    def test_ties_go_by_name(self):
+        b = update_belief(fresh_belief(), obs_of((inform("food", "thai"), 0.3)),
+                          0)
+        b.constraints["food"][VALUES["food"].index("chinese")] = mass(
+            b, "food", "thai")
+        ranking = ranked_values(b, "food")
+        assert ranking[:2] == ["chinese", "thai"]
+        assert ranking[2:] == [v for v in VALUES["food"]
+                               if v not in ("chinese", "thai")]
+
+    def test_unmentioned_mass_is_what_informs_leave(self):
+        b = update_belief(fresh_belief(), obs_of((inform("area", "west"), 0.6)),
+                          0)
+        assert not_mentioned_mass(b, "area") == 1.0 * (1.0 - 0.6)
+        assert ranked_values(b, "area")[0] == "west"
+
+    def test_out_of_domain_inform_is_ignored(self):
+        b = update_belief(fresh_belief(), obs_of((inform("food", "pizza"), 0.9)),
+                          0)
+        assert b.constraints == fresh_belief().constraints
+        assert b.user_acts[USER_ACT_TYPES.index("inform")] == 0.9
+
+    def test_requested_keeps_request_slot_order(self):
+        b = update_belief(fresh_belief(),
+                          obs_of((UserAct("request", slot="phone"), 0.7),
+                                 (UserAct("request", slot="address"), 0.05),
+                                 (UserAct("request", slot="area"), 0.5)), 0)
+        assert requested(b, 0.1) == ["area", "phone"]
+        assert requested(b, 0.0) == ["area", "address", "phone"]
 
 
 class TestSummarize:
