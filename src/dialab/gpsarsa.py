@@ -17,17 +17,24 @@ The first point is admitted like any other: on an empty dictionary the
 residual is the prior variance, and bordering gives the 1 x 1 closed form.
 
 No piece of that work is done twice while the dictionary stays the same.
-The rank-one update is applied to ``mu`` and ``Sigma`` in place, its n x n
-term formed by ``np.einsum("i,j->ij", ...)``: about twice as fast as
-``np.outer`` and bit-identical to it, since each entry is the same one
-rounded product added to a zeroed output, which can only turn a -0.0
-product into +0.0 and so changes a difference only where ``Sigma`` holds
-a -0.0, which no update writes. A transition's next point is the
-following transition's current point, so the last projection is kept and
-reused, and the kernel row that ``q_values`` computes for a point is
-reused when that point is projected. Both are dropped, with the
-per-action index arrays, whenever a point is admitted or a checkpoint is
-loaded; the dictionary changes in no other way.
+A transition's next point is the following transition's current point, so
+the last projection is kept and reused, and the kernel row that
+``q_values`` computes for a point is reused when that point is projected.
+Both are dropped, with the per-action index arrays, whenever a point is
+admitted or a checkpoint is loaded; the dictionary changes in no other way.
+
+A measurement updates ``mu`` at once but defers its rank-one covariance
+term ``s s^T / (u^T s + noise)``: the term is kept as one row of a pending
+factor ``w`` (``s`` scaled by the root of its denominator), and ``s`` is
+read through it as ``Sigma @ u - w^T (w @ u)``, so every measurement sees
+the exact posterior. The pending rows are folded into ``Sigma`` with one
+``Sigma -= w^T w`` when ``FOLD`` of them have gathered, before an admit
+borders ``Sigma``, and in ``state()``, which every checkpoint and every
+reader of the saved state goes through. numpy forms ``w^T w`` as a
+symmetric rank-k product, so ``Sigma`` stays exactly symmetric. A saved
+checkpoint holds no pending rows and loading one drops any, so a resumed
+run folds at the same measurements as the run that saved it and matches
+it bit for bit.
 
 ``GPSarsaAgent`` adapts the GP to the training loop. Choosing an action
 only reads the posterior; a transition is folded in when the next one is
@@ -45,6 +52,8 @@ from . import checkpoint
 from .nets import softmax
 
 log = logging.getLogger(__name__)
+
+FOLD = 32   # pending rank-one covariance terms folded into Sigma at once
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,8 @@ class SparseGP:
 
     def forget(self) -> None:
         """Drop everything derived from the dictionary; it changes only when
-        a point is admitted or a checkpoint is loaded."""
+        a point is admitted or a checkpoint is loaded, and both fold the
+        pending covariance terms first."""
         self._coeffs: np.ndarray | None = None
         # (size, features) -> kernel row of the last q_values query
         self._row: tuple | None = None
@@ -103,6 +113,9 @@ class SparseGP:
         self._proj: tuple | None = None
         self._action_index = [np.flatnonzero(self.points_a == a)
                               for a in range(self.n_actions)]
+        # covariance terms not yet subtracted from Sigma, one row each
+        self._w = np.empty((FOLD, len(self)))
+        self._n_pending = 0
 
     # -- kernel vectors ------------------------------------------------------
 
@@ -145,6 +158,7 @@ class SparseGP:
                             "further points are projected, not admitted",
                             self.max_dictionary)
             return False
+        self._fold()
         delta = residual + self.jitter
         self.points_b = np.vstack([self.points_b, np.asarray(b, dtype=float)])
         self.points_a = np.append(self.points_a, a)
@@ -181,14 +195,26 @@ class SparseGP:
 
     def _measure(self, u: np.ndarray, y: float) -> None:
         s_vec = self.Sigma @ u
+        if self._n_pending:
+            w = self._w[:self._n_pending]
+            s_vec -= w.T @ (w @ u)
         s = float(u @ s_vec) + self.spec.noise_var
         gain = s_vec / s
         self.mu += gain * (y - float(u @ self.mu))
-        self.Sigma -= np.einsum("i,j->ij", gain, s_vec)
+        self._w[self._n_pending] = s_vec / np.sqrt(s)
+        self._n_pending += 1
         self.updates += 1
-        if self.updates % 512 == 0:
-            self.Sigma = 0.5 * (self.Sigma + self.Sigma.T)
+        if self._n_pending == FOLD:
+            self._fold()
         self._coeffs = None
+
+    def _fold(self) -> None:
+        """Subtract the pending covariance terms from Sigma in one
+        symmetric product."""
+        if self._n_pending:
+            w = self._w[:self._n_pending]
+            self.Sigma -= w.T @ w
+            self._n_pending = 0
 
     def sarsa_update(self, b, a: int, reward: float, next_b, next_a: int | None,
                      terminal: bool, gamma: float) -> None:
@@ -210,11 +236,6 @@ class SparseGP:
             self._coeffs = self.Kinv @ self.mu
         return self._coeffs
 
-    def q_mean(self, b, a: int) -> float:
-        """Posterior mean at (b, a); zero before any observation."""
-        return float(self.k_vec(np.asarray(b, dtype=float), a)
-                     @ self.coefficients())
-
     def q_values(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         row = self._base_similarity(b)
@@ -226,6 +247,7 @@ class SparseGP:
         return out
 
     def state(self) -> checkpoint.State:
+        self._fold()
         return checkpoint.State(
             {name: getattr(self, name)
              for name in ("points_b", "points_a", "Kinv", "mu", "Sigma")},

@@ -129,14 +129,14 @@ def test_criterion_3_ddqn_dominance():
 
 
 def test_criterion_4_gp_oracles():
-    from test_gpsarsa import random_summary
+    from test_gpsarsa import q_mean, random_summary
     spec = KernelSpec(length_scale=3.0, signal_var=1.0, noise_var=0.1)
     # one-point closed form
     gp = SparseGP(spec, 60, n_actions=3, nu=0.1)
     b = random_summary(RNG(40))
     gp.sarsa_update(b, 1, 0.85, b, None, True, 0.99)
     closed = 0.85 * spec.signal_var / (spec.signal_var + spec.noise_var)
-    one_point_err = abs(gp.q_mean(b, 1) - closed)
+    one_point_err = abs(q_mean(gp, b, 1) - closed)
     # twenty points vs dense regression
     rng = RNG(41)
     gp2 = SparseGP(spec, 60, n_actions=2, nu=1e-12, jitter=1e-12)
@@ -157,7 +157,8 @@ def test_criterion_4_gp_oracles():
     for probe_seed in range(20):
         bb, aa = random_summary(RNG(500 + probe_seed)), probe_seed % 2
         kv = np.array([kernel(spec, bb, aa, b2, a2) for b2, a2 in pts])
-        dense_err = max(dense_err, abs(gp2.q_mean(bb, aa) - float(kv @ alpha)))
+        dense_err = max(dense_err,
+                        abs(q_mean(gp2, bb, aa) - float(kv @ alpha)))
     report("4 gp-oracles", one_point_err <= 1e-6 and dense_err <= 1e-5,
            f"1-point err {one_point_err:.1e}, dense err {dense_err:.1e}")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dialab.environment import Transition
-from dialab.gpsarsa import GPSarsaAgent, KernelSpec, SparseGP, kernel
+from dialab.gpsarsa import FOLD, GPSarsaAgent, KernelSpec, SparseGP, kernel
 from dialab.harness import behaviour_action
 
 RNG = np.random.default_rng
@@ -15,6 +15,11 @@ def random_summary(rng):
     for block in range(12):
         vec[block * 5 + int(rng.integers(5))] = 1.0
     return vec
+
+
+def q_mean(gp, b, a):
+    """Posterior mean of ``gp`` at (b, a); zero before any observation."""
+    return float(gp.k_vec(np.asarray(b, dtype=float), a) @ gp.coefficients())
 
 
 class TestKernel:
@@ -97,9 +102,8 @@ class TestAdmission:
 
 class UnmemoisedGP(SparseGP):
     """The posterior algebra with nothing reused: every kernel row and
-    projection computed afresh, the capped case projected again after the
-    refused admit, and mu and Sigma replaced by new arrays on every
-    measurement, the rank-one term formed by ``np.outer``."""
+    projection computed afresh, and the capped case projected again after
+    the refused admit."""
 
     def k_vec(self, b, a):
         if len(self) == 0:
@@ -116,6 +120,20 @@ class UnmemoisedGP(SparseGP):
             coeffs = self.Kinv @ self.k_vec(b, a)
         return coeffs
 
+    def q_values(self, b):
+        if len(self) == 0:
+            return np.zeros(self.n_actions)
+        b = np.asarray(b, dtype=float)
+        base = self._base_similarity(b) * self.coefficients()
+        return np.array([base[self.points_a == a].sum()
+                         for a in range(self.n_actions)])
+
+
+class EagerGP(SparseGP):
+    """The covariance update applied at every measurement: mu and Sigma
+    replaced by new arrays, the rank-one term formed by ``np.outer`` and
+    Sigma symmetrised every 512 measurements."""
+
     def _measure(self, u, y):
         s_vec = self.Sigma @ u
         s = float(u @ s_vec) + self.spec.noise_var
@@ -127,13 +145,28 @@ class UnmemoisedGP(SparseGP):
             self.Sigma = 0.5 * (self.Sigma + self.Sigma.T)
         self._coeffs = None
 
-    def q_values(self, b):
-        if len(self) == 0:
-            return np.zeros(self.n_actions)
-        b = np.asarray(b, dtype=float)
-        base = self._base_similarity(b) * self.coefficients()
-        return np.array([base[self.points_a == a].sum()
-                         for a in range(self.n_actions)])
+
+def chain(gp_cls, steps, width=None, cap=12):
+    """An on-policy stream through a fresh ``gp_cls``: each transition's
+    next point is the following transition's current point, with a greedy
+    query of it in between. Returns the GP, its size after every step and
+    every query's Q values."""
+    def point(rng):
+        return random_summary(rng) if width is None else rng.random(width)
+
+    gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05, max_dictionary=cap)
+    rng = RNG(31)
+    b, a = point(rng), int(rng.integers(3))
+    sizes, q = [], []
+    for t in range(steps):
+        terminal = t % 9 == 8
+        b2 = point(rng) if t % 4 else b
+        q.append(gp.q_values(b2))
+        a2 = int(rng.integers(3))
+        gp.sarsa_update(b, a, float(rng.normal()), b2, a2, terminal, 0.95)
+        sizes.append(len(gp))
+        b, a = (point(rng), 0) if terminal else (b2, a2)
+    return gp, sizes, q
 
 
 class TestProjectionReuse:
@@ -154,45 +187,23 @@ class TestProjectionReuse:
 
     @pytest.mark.parametrize("steps, width", [
         (300, None),
-        (1100, None),   # past the 512th and 1024th measurement: symmetrised
+        (1100, None),   # past the 512th and 1024th measurement
         (300, 31),      # dense float features, original-space width
     ], ids=["summary-300", "summary-1100", "dense31-300"])
     def test_stream_across_the_cap_matches_the_unmemoised_reference(
             self, steps, width):
-        # on-policy chain: each transition's next point is the following
-        # transition's current point, with a greedy query of it in between;
         # compared byte for byte, so a -0.0 where the reference has +0.0
         # (or the reverse) fails too
-        def point(rng):
-            return random_summary(rng) if width is None else rng.random(width)
-
-        def run(gp_cls):
-            gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05,
-                        max_dictionary=12)
-            rng = RNG(31)
-            b, a = point(rng), int(rng.integers(3))
-            sizes, q = [], []
-            for t in range(steps):
-                terminal = t % 9 == 8
-                b2 = point(rng) if t % 4 else b
-                q.append(gp.q_values(b2))
-                a2 = int(rng.integers(3))
-                gp.sarsa_update(b, a, float(rng.normal()), b2, a2, terminal,
-                                0.95)
-                sizes.append(len(gp))
-                b, a = (point(rng), 0) if terminal else (b2, a2)
-            return gp, sizes, q
-
-        gp, sizes, q = run(SparseGP)
-        ref, ref_sizes, ref_q = run(UnmemoisedGP)
+        gp, sizes, q = chain(SparseGP, steps, width)
+        ref, ref_sizes, ref_q = chain(UnmemoisedGP, steps, width)
         assert sizes == ref_sizes and ref.alarmed and gp.alarmed
         assert sizes.index(12) < 150       # capped for most of the stream
         assert gp.updates == ref.updates == steps
         assert np.array(q).tobytes() == np.array(ref_q).tobytes()
+        mine, theirs = gp.state().arrays, ref.state().arrays
         for name in ("points_b", "points_a", "Kinv", "mu", "Sigma"):
-            mine, theirs = getattr(gp, name), getattr(ref, name)
-            assert mine.shape == theirs.shape, name
-            assert mine.tobytes() == theirs.tobytes(), name
+            assert mine[name].shape == theirs[name].shape, name
+            assert mine[name].tobytes() == theirs[name].tobytes(), name
 
     def test_load_forgets_cached_projections(self, tmp_path):
         agents = [GPSarsaAgent(60, 2, SPEC, nu=0.05, max_dictionary=8)
@@ -215,6 +226,73 @@ class TestProjectionReuse:
                               source.gp.q_values(probe))
         assert np.array_equal(target.gp._phi(probe, 0),
                               source.gp._phi(probe, 0))
+
+
+class TestDeferredCovariance:
+    @pytest.mark.parametrize("steps, width, cap", [
+        (300, None, 12),
+        (1100, None, 12),
+        (300, 31, 12),
+        (3000, None, 200),
+    ], ids=["summary-300", "summary-1100", "dense31-300",
+            "summary-3000-cap200"])
+    def test_stream_matches_the_eager_reference(self, steps, width, cap):
+        # folding the covariance terms in batches moves only the last bits
+        gp, sizes, q = chain(SparseGP, steps, width, cap)
+        ref, ref_sizes, ref_q = chain(EagerGP, steps, width, cap)
+        assert sizes == ref_sizes and sizes[-1] == cap
+        mine, theirs = gp.state().arrays, ref.state().arrays
+        for name in ("points_b", "points_a", "Kinv"):
+            assert mine[name].tobytes() == theirs[name].tobytes(), name
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        assert close(mine["mu"], theirs["mu"])
+        assert close(mine["Sigma"], theirs["Sigma"])
+        assert close(np.array(q), np.array(ref_q))
+
+    def test_folds_match_dense_gp_regression(self):
+        # nu ~ 0: each of 100 distinct points is admitted on its first
+        # terminal observation; two more passes observe them again with no
+        # admit, so 200 measurements cross six full folds. The oracle is
+        # the dense posterior K - K H' (H K H' + noise I)^-1 H K, with H
+        # selecting each observation's point: K - K (K + noise I)^-1 K
+        # after the first pass.
+        rng = RNG(60)
+        gp = SparseGP(SPEC, 60, n_actions=2, nu=1e-8, jitter=1e-12)
+        pts = []
+        while len(pts) < 100:
+            b, a = random_summary(rng), int(rng.integers(2))
+            if not any(np.array_equal(b, pb) and a == pa for pb, pa in pts):
+                pts.append((b, a))
+        seen, rewards = [], []
+        for order in (range(100), rng.permutation(100), rng.permutation(100)):
+            for i in order:
+                r = float(rng.normal())
+                gp.sarsa_update(pts[i][0], pts[i][1], r, pts[i][0], None,
+                                True, 0.99)
+                seen.append(i)
+                rewards.append(r)
+        assert len(gp) == 100 and gp.updates == 300
+        gram = np.array([[kernel(SPEC, b1, a1, b2, a2) for b2, a2 in pts]
+                         for b1, a1 in pts])
+        h = np.eye(100)[seen]
+        joint = h @ gram @ h.T + SPEC.noise_var * np.eye(300)
+        sigma = gram - gram @ h.T @ np.linalg.solve(joint, h @ gram)
+        alpha = h.T @ np.linalg.solve(joint, np.array(rewards))
+        assert np.abs(gp.state().arrays["Sigma"] - sigma).max() <= 1e-8
+        probes = pts + [(random_summary(RNG(700 + i)), i % 2)
+                        for i in range(20)]
+        for b, a in probes:
+            kv = np.array([kernel(SPEC, b, a, b2, a2) for b2, a2 in pts])
+            assert abs(q_mean(gp, b, a) - kv @ alpha) <= 1e-8
+
+    @pytest.mark.parametrize("cap", [12, 200])
+    def test_sigma_stays_exactly_symmetric(self, cap):
+        gp, _, _ = chain(SparseGP, 1100, cap=cap)
+        sigma = gp.state().arrays["Sigma"]
+        assert np.array_equal(sigma, sigma.T)
 
 
 class TestPosterior:
@@ -244,12 +322,12 @@ class TestPosterior:
         assert k.shape == (0,) and k.dtype == float
         q = gp.q_values(b)
         assert q.shape == (4,) and q.dtype == float and not q.any()
-        assert gp.q_mean(b, 3) == 0.0
+        assert q_mean(gp, b, 3) == 0.0
 
     def test_fresh_gp_mean_is_zero(self):
         gp = SparseGP(SPEC, 60, n_actions=3)
         for seed in range(5):
-            assert gp.q_mean(random_summary(RNG(seed)), seed % 3) == 0.0
+            assert q_mean(gp, random_summary(RNG(seed)), seed % 3) == 0.0
 
     def test_one_point_posterior_closed_form(self):
         # single terminal observation: mean = r * s_k^2 / (s_k^2 + s_n^2)
@@ -258,7 +336,7 @@ class TestPosterior:
         r = 0.85
         gp.sarsa_update(b, 2, r, b, None, True, 0.99)
         expected = r * SPEC.signal_var / (SPEC.signal_var + SPEC.noise_var)
-        assert abs(gp.q_mean(b, 2) - expected) <= 1e-6
+        assert abs(q_mean(gp, b, 2) - expected) <= 1e-6
 
     def test_huge_nu_keeps_dictionary_at_one(self):
         gp = SparseGP(SPEC, 60, n_actions=3, nu=1e9)
@@ -291,18 +369,18 @@ class TestPosterior:
                                 np.array(rewards))
         for b, a in pts:
             kv = np.array([kernel(SPEC, b, a, b2, a2) for b2, a2 in pts])
-            assert abs(gp.q_mean(b, a) - kv @ alpha) <= 1e-5
+            assert abs(q_mean(gp, b, a) - kv @ alpha) <= 1e-5
         for seed in range(10):
             b, a = random_summary(RNG(100 + seed)), seed % 2
             kv = np.array([kernel(SPEC, b, a, b2, a2) for b2, a2 in pts])
-            assert abs(gp.q_mean(b, a) - kv @ alpha) <= 1e-5
+            assert abs(q_mean(gp, b, a) - kv @ alpha) <= 1e-5
 
     def test_far_query_reverts_to_prior(self):
         gp = SparseGP(KernelSpec(length_scale=0.5), 60, n_actions=2, nu=0.01)
         b = np.zeros(60)
         gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
         far = np.full(60, 10.0)
-        assert abs(gp.q_mean(far, 0)) <= 1e-6
+        assert abs(q_mean(gp, far, 0)) <= 1e-6
 
     def test_nonterminal_updates_stay_finite(self):
         gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
@@ -381,7 +459,7 @@ class TestAgentAdapter:
         b = random_summary(rng)
         agent.observe(Transition(b, 1, 1.0, b, True, True), rng)
         assert len(agent.gp) == 1
-        assert agent.gp.q_mean(b, 1) > 0.5
+        assert q_mean(agent.gp, b, 1) > 0.5
 
     def test_checkpoint_roundtrip(self, tmp_path):
         agent = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95)
@@ -396,7 +474,51 @@ class TestAgentAdapter:
         twin.load(path)
         b = random_summary(RNG(17))
         for a in range(3):
-            assert agent.gp.q_mean(b, a) == twin.gp.q_mean(b, a)
+            assert q_mean(agent.gp, b, a) == q_mean(twin.gp, b, a)
+
+    def test_checkpoint_between_folds_resumes_bit_for_bit(self, tmp_path):
+        # saved with covariance terms pending; loaded into a fresh agent and
+        # into one holding pending terms of its own, both then follow the
+        # saving agent through a shared stream byte for byte
+        def stream(seed, turns):
+            rng = RNG(seed)
+            b = random_summary(rng)
+            for t in range(turns):
+                terminal = t % 6 == 5 or t == turns - 1
+                b2 = random_summary(rng)
+                yield Transition(b, int(rng.integers(3)),
+                                 float(rng.normal()), b2, terminal, False)
+                b = random_summary(rng) if terminal else b2
+
+        def agent(*feeds):
+            out = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95,
+                               max_dictionary=8)
+            for seed, turns in feeds:
+                for t in stream(seed, turns):
+                    out.observe(t, None)
+            return out
+
+        source, busy = agent((50, 45)), agent((51, 40))
+        for gp in (source.gp, busy.gp):
+            assert gp.updates % FOLD and gp._n_pending
+        path = str(tmp_path / "gp.npz")
+        source.save(path)
+        fresh = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95,
+                             max_dictionary=8)
+        fresh.load(path)
+        busy.load(path)
+        for t in stream(52, 100):
+            q = [a.gp.q_values(t.features).tobytes()
+                 for a in (source, fresh, busy)]
+            assert q[0] == q[1] == q[2]
+            for a in (source, fresh, busy):
+                a.observe(t, None)
+        want = source.state()
+        for twin in (fresh, busy):
+            got = twin.state()
+            assert got.counters == want.counters
+            for name, value in want.arrays.items():
+                assert got.arrays[name].tobytes() == value.tobytes(), name
 
     def test_dictionary_cap_alarms_and_stops_growth(self, caplog):
         import logging
