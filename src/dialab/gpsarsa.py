@@ -36,6 +36,19 @@ checkpoint holds no pending rows and loading one drops any, so a resumed
 run folds at the same measurements as the run that saved it and matches
 it bit for bit.
 
+Two shortcuts follow from the kernel's form. On the summary space every
+feature is 0 or 1, so |b1 - b2|^2 is the number of bits in which the two
+vectors differ: a binary GP keeps each dictionary point as a ``uint64``
+bit mask, and a kernel row is a lookup, by ``bitwise_count`` of the XOR,
+in a table of ``signal_var * exp(-d2 / (2 l^2))`` over d2 = 0..n_features.
+That table is built with the float path's expression on the same exact
+integers, so every row is byte-identical to it; the masks are derived from
+``points_b``, so checkpoints do not change. The delta kernel over actions
+makes ``Kinv`` block-diagonal by action: a projection's coefficients and
+``Kinv @ mu`` are computed with one contiguous block per action, and a
+query point's coefficients are zero outside its action's block. ``Kinv``
+itself stays the full matrix, which bordering grows and checkpoints save.
+
 ``GPSarsaAgent`` adapts the GP to the training loop. Choosing an action
 only reads the posterior; a transition is folded in when the next one is
 observed, which names its on-policy next action.
@@ -68,27 +81,27 @@ class KernelSpec:
                 raise ValueError(f"{name}={value} must be > 0")
 
 
-def kernel(spec: KernelSpec, b1: np.ndarray, a1: int, b2: np.ndarray,
-           a2: int) -> float:
-    """sigma_k^2 * exp(-|b1-b2|^2 / (2 l^2)) * [a1 == a2]."""
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    if b1.shape != b2.shape:
-        raise ValueError(f"feature layouts differ: {b1.shape} vs {b2.shape}")
-    if a1 != a2:
-        return 0.0
-    d2 = float(np.sum((b1 - b2) ** 2))
-    return spec.signal_var * np.exp(-d2 / (2.0 * spec.length_scale ** 2))
-
-
 class SparseGP:
     """Dictionary of (summary features, action) points plus the posterior
-    mean and covariance of their Q values."""
+    mean and covariance of their Q values. A ``binary`` GP takes only
+    features that are exactly 0.0 or 1.0, at most 64 of them, and compares
+    them as bit masks."""
 
     def __init__(self, spec: KernelSpec, n_features: int, n_actions: int,
                  nu: float = 0.1, jitter: float = 1e-10,
-                 max_dictionary: int = 2000):
+                 max_dictionary: int = 2000, binary: bool = False):
+        if binary and n_features > 64:
+            raise ValueError(f"a binary GP packs its features into 64 bits; "
+                             f"got {n_features} features")
         self.spec = spec
+        # a binary GP's bit weights, and its kernel at each squared distance
+        # 0..n_features by the float path's expression
+        self._weights = self._table = None
+        if binary:
+            self._weights = np.uint64(1) << np.arange(n_features,
+                                                      dtype=np.uint64)
+            d2 = np.arange(n_features + 1, dtype=float)
+            self._table = spec.signal_var * np.exp(-d2 / (2.0 * spec.length_scale ** 2))
         self.n_actions = n_actions
         self.nu = nu
         self.jitter = jitter
@@ -113,6 +126,11 @@ class SparseGP:
         self._proj: tuple | None = None
         self._action_index = [np.flatnonzero(self.points_a == a)
                               for a in range(self.n_actions)]
+        # Kinv is block-diagonal by action; one contiguous block each
+        self._blocks = [self.Kinv[np.ix_(index, index)]
+                        for index in self._action_index]
+        self._bits = (None if self._weights is None
+                      else self._pack(self.points_b))
         # covariance terms not yet subtracted from Sigma, one row each
         self._w = np.empty((FOLD, len(self)))
         self._n_pending = 0
@@ -122,17 +140,30 @@ class SparseGP:
     def __len__(self) -> int:
         return len(self.points_a)
 
-    def k_vec(self, b: np.ndarray, a: int) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if self._row is not None and self._row[0] == (len(self), b.tobytes()):
-            base = self._row[1]
-        else:
-            base = self._base_similarity(b)
-        return base * (self.points_a == a)
+    def _pack(self, b: np.ndarray) -> np.ndarray:
+        """Each 0/1 feature vector as one ``uint64`` bit mask."""
+        ones = b == 1.0
+        if np.count_nonzero(ones != b):
+            raise ValueError("a binary GP takes features of exactly 0.0 or "
+                             "1.0")
+        return ones @ self._weights
+
+    def _similarity(self, b: np.ndarray) -> np.ndarray:
+        """The kernel row of ``b`` over the dictionary, action aside."""
+        if self._bits is None:
+            return self._base_similarity(b)
+        return self._table[np.bitwise_count(self._bits ^ self._pack(b))]
 
     def _base_similarity(self, b: np.ndarray) -> np.ndarray:
         d2 = np.sum((self.points_b - b) ** 2, axis=1)
         return self.spec.signal_var * np.exp(-d2 / (2.0 * self.spec.length_scale ** 2))
+
+    def _row_of(self, b: np.ndarray) -> np.ndarray:
+        """``_similarity(b)``, kept from the last ``q_values`` query when
+        that was of ``b`` on this dictionary."""
+        if self._row is not None and self._row[0] == (len(self), b.tobytes()):
+            return self._row[1]
+        return self._similarity(b)
 
     # -- sparsification -----------------------------------------------------
 
@@ -142,9 +173,12 @@ class SparseGP:
         Returns (admit, residual, coefficients); an empty dictionary always
         admits.
         """
-        kv = self.k_vec(b, a)
-        coeffs = self.Kinv @ kv
-        residual = float(self.spec.signal_var - kv @ coeffs)
+        index = self._action_index[a]
+        kv = self._row_of(b)[index]
+        block = self._blocks[a] @ kv
+        residual = float(self.spec.signal_var - kv @ block)
+        coeffs = np.zeros(len(self))
+        coeffs[index] = block
         return residual > self.nu or len(self) == 0, residual, coeffs
 
     def _admit(self, b: np.ndarray, a: int, coeffs: np.ndarray,
@@ -179,7 +213,8 @@ class SparseGP:
         A transition's next point is the following transition's current
         point, so the last projection is kept until the dictionary changes;
         an admitted point's unit vector is not kept, because the same point
-        projected on the grown dictionary is Kinv @ k_vec, not exactly e."""
+        projected on the grown dictionary is ``admit_test``'s coefficients,
+        not exactly e."""
         key = (len(self), a, b.tobytes())
         if self._proj is not None and self._proj[0] == key:
             return self._proj[1]
@@ -232,13 +267,16 @@ class SparseGP:
     # -- queries -------------------------------------------------------------
 
     def coefficients(self) -> np.ndarray:
+        """``Kinv @ mu``, one action block at a time."""
         if self._coeffs is None:
-            self._coeffs = self.Kinv @ self.mu
+            self._coeffs = np.empty(len(self))
+            for index, block in zip(self._action_index, self._blocks):
+                self._coeffs[index] = block @ self.mu[index]
         return self._coeffs
 
     def q_values(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        row = self._base_similarity(b)
+        row = self._similarity(b)
         self._row = ((len(self), b.tobytes()), row)
         base = row * self.coefficients()
         out = np.zeros(self.n_actions)
@@ -277,9 +315,9 @@ class GPSarsaAgent:
 
     def __init__(self, n_features: int, n_actions: int, spec: KernelSpec,
                  nu: float = 0.1, gamma: float = 0.99,
-                 max_dictionary: int = 2000):
+                 max_dictionary: int = 2000, binary: bool = False):
         self.gp = SparseGP(spec, n_features, n_actions, nu=nu,
-                           max_dictionary=max_dictionary)
+                           max_dictionary=max_dictionary, binary=binary)
         self.gamma = gamma
         self._pending = None
 
@@ -320,4 +358,5 @@ class GPSarsaAgent:
             if name not in run:
                 setattr(self.gp, name, value)
         self.gp.forget()
+        self._pending = None
         return loaded.counters

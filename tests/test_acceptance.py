@@ -17,7 +17,7 @@ from dialab import harness
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
 from dialab.environment import (Transition, check_reward_decomposition,
                                 run_episode)
-from dialab.gpsarsa import KernelSpec, SparseGP, kernel
+from dialab.gpsarsa import KernelSpec, SparseGP
 from dialab.nets import (FeedForwardNet, cross_entropy_loss,
                          finite_difference_grads, l2_penalty,
                          log_policy_gradient, mse_loss)
@@ -129,7 +129,7 @@ def test_criterion_3_ddqn_dominance():
 
 
 def test_criterion_4_gp_oracles():
-    from test_gpsarsa import q_mean, random_summary
+    from test_gpsarsa import kernel, q_mean, random_summary
     spec = KernelSpec(length_scale=3.0, signal_var=1.0, noise_var=0.1)
     # one-point closed form
     gp = SparseGP(spec, 60, n_actions=3, nu=0.1)

@@ -8,9 +8,13 @@ gpsarsa curve was recorded before the GP kept and reused its projections,
 so it checks that reuse at the dictionary cap. The two gpsarsa snapshot
 digests were recorded again when the GP began to fold its covariance terms
 into ``Sigma`` in batches, which moves the last bits of ``mu`` and
-``Sigma`` but no curve row. A refactor that is meant to keep behaviour must
-keep these; a change that moves them on purpose says why and records new
-values.
+``Sigma`` but no curve row. They were recorded once more when the GP's
+projections and ``Kinv @ mu`` began to take one action block of ``Kinv``
+at a time: that reorders their sums, so the last bits of ``mu``, ``Sigma``
+and ``Kinv`` move but no curve row does (gpsarsa ``f0f784dd...`` ->
+``c036d579...``, gpsarsa-capped ``2b43ccb5...`` -> ``2f263ae6...``). A
+refactor that is meant to keep behaviour must keep these; a change that
+moves them on purpose says why and records new values.
 """
 
 import hashlib
@@ -41,13 +45,13 @@ GOLDEN = {
     "gpsarsa": ([(0, 0.0, -1.9000000000000006, 30.0),
                  (20, 0.75, 0.0574999999999998, 14.75),
                  (40, 0.75, 0.20749999999999993, 9.75)],
-                "f0f784dd90fff802ce0de1c8a85a03b1c7e998e2294f36c708b33ecd98a794bb"),
+                "c036d5795dd095aebcef669932c77f8d9173277a9677505d7a0525c06f13a2e9"),
     # the gpsarsa run with its dictionary capped at 40 points, so the last
     # half of the run projects onto a full dictionary
     "gpsarsa-capped": ([(0, 0.0, -1.9000000000000006, 30.0),
                         (20, 0.625, -0.23750000000000018, 16.25),
                         (40, 0.5, -0.48375000000000024, 16.125)],
-                       "2b43ccb50e6751c57fb23cad3e7744719f565ac703629269c44f00c689f96867"),
+                       "2f263ae62fcfed6237378194a1a0945bc047e552bc8c33a35b4338f2db6f7341"),
 }
 
 

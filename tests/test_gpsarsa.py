@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dialab import harness
 from dialab.environment import Transition
-from dialab.gpsarsa import FOLD, GPSarsaAgent, KernelSpec, SparseGP, kernel
+from dialab.gpsarsa import FOLD, GPSarsaAgent, KernelSpec, SparseGP
 from dialab.harness import behaviour_action
 
 RNG = np.random.default_rng
@@ -17,9 +18,27 @@ def random_summary(rng):
     return vec
 
 
+def kernel(spec: KernelSpec, b1: np.ndarray, a1: int, b2: np.ndarray,
+           a2: int) -> float:
+    """sigma_k^2 * exp(-|b1-b2|^2 / (2 l^2)) * [a1 == a2]."""
+    b1 = np.asarray(b1, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    if b1.shape != b2.shape:
+        raise ValueError(f"feature layouts differ: {b1.shape} vs {b2.shape}")
+    if a1 != a2:
+        return 0.0
+    d2 = float(np.sum((b1 - b2) ** 2))
+    return spec.signal_var * np.exp(-d2 / (2.0 * spec.length_scale ** 2))
+
+
+def k_vec(gp, b, a):
+    """Kernel row of (b, a) over ``gp``'s dictionary."""
+    return gp._similarity(np.asarray(b, dtype=float)) * (gp.points_a == a)
+
+
 def q_mean(gp, b, a):
     """Posterior mean of ``gp`` at (b, a); zero before any observation."""
-    return float(gp.k_vec(np.asarray(b, dtype=float), a) @ gp.coefficients())
+    return float(k_vec(gp, b, a) @ gp.coefficients())
 
 
 class TestKernel:
@@ -105,10 +124,8 @@ class UnmemoisedGP(SparseGP):
     projection computed afresh, and the capped case projected again after
     the refused admit."""
 
-    def k_vec(self, b, a):
-        if len(self) == 0:
-            return np.zeros(0)
-        return self._base_similarity(b) * (self.points_a == a)
+    def _row_of(self, b):
+        return self._similarity(b)
 
     def _phi(self, b, a):
         admit, residual, coeffs = self.admit_test(b, a)
@@ -117,14 +134,14 @@ class UnmemoisedGP(SparseGP):
             e[-1] = 1.0
             return e
         if admit:
-            coeffs = self.Kinv @ self.k_vec(b, a)
+            coeffs = self.admit_test(b, a)[2]
         return coeffs
 
     def q_values(self, b):
         if len(self) == 0:
             return np.zeros(self.n_actions)
         b = np.asarray(b, dtype=float)
-        base = self._base_similarity(b) * self.coefficients()
+        base = self._similarity(b) * self.coefficients()
         return np.array([base[self.points_a == a].sum()
                          for a in range(self.n_actions)])
 
@@ -146,15 +163,33 @@ class EagerGP(SparseGP):
         self._coeffs = None
 
 
+class FullProductGP(SparseGP):
+    """Projections and ``Kinv @ mu`` as products with the full n x n
+    ``Kinv``, not one action block at a time."""
+
+    def admit_test(self, b, a):
+        kv = self._row_of(b) * (self.points_a == a)
+        coeffs = self.Kinv @ kv
+        residual = float(self.spec.signal_var - kv @ coeffs)
+        return residual > self.nu or len(self) == 0, residual, coeffs
+
+    def coefficients(self):
+        if self._coeffs is None:
+            self._coeffs = self.Kinv @ self.mu
+        return self._coeffs
+
+
 def chain(gp_cls, steps, width=None, cap=12):
     """An on-policy stream through a fresh ``gp_cls``: each transition's
     next point is the following transition's current point, with a greedy
-    query of it in between. Returns the GP, its size after every step and
-    every query's Q values."""
+    query of it in between. Summary points go to a binary GP, dense ones
+    of ``width`` features to a float one. Returns the GP, its size after
+    every step and every query's Q values."""
     def point(rng):
         return random_summary(rng) if width is None else rng.random(width)
 
-    gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05, max_dictionary=cap)
+    gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05, max_dictionary=cap,
+                binary=width is None)
     rng = RNG(31)
     b, a = point(rng), int(rng.integers(3))
     sizes, q = [], []
@@ -180,7 +215,10 @@ class TestProjectionReuse:
         e = gp._phi(b, 1)
         assert len(gp) == n + 1 and e[-1] == 1.0 and not e[:-1].any()
         again = gp._phi(b, 1)
-        assert np.array_equal(again, gp.Kinv @ gp.k_vec(b, 1))
+        index = np.flatnonzero(gp.points_a == 1)
+        fresh = np.zeros(len(gp))
+        fresh[index] = gp.Kinv[np.ix_(index, index)] @ k_vec(gp, b, 1)[index]
+        assert np.array_equal(again, fresh)
         assert not np.array_equal(again, e)
         # a projection onto an unchanged dictionary is kept and reused
         assert gp._phi(b, 1) is again
@@ -295,6 +333,108 @@ class TestDeferredCovariance:
         assert np.array_equal(sigma, sigma.T)
 
 
+class CheckedRowGP(SparseGP):
+    """Every kernel row checked, byte for byte, against the float path."""
+
+    rows = 0
+
+    def _similarity(self, b):
+        row = super()._similarity(b)
+        assert row.tobytes() == self._base_similarity(b).tobytes()
+        self.rows += 1
+        return row
+
+
+class TestBitCountKernel:
+    def test_row_equals_the_float_row_at_every_distance(self):
+        # points with the first d bits set, d = 0..60: from the all-zeros
+        # and the all-ones query they lie at every distance 0..60
+        for spec in (SPEC, KernelSpec(0.7, 2.3, 0.1)):
+            gp = SparseGP(spec, 60, n_actions=1, binary=True)
+            gp.points_b = np.tril(np.ones((61, 60)), -1)
+            gp.points_a = np.zeros(61, dtype=np.int64)
+            gp.Kinv = np.eye(61)
+            gp.forget()
+            rng = RNG(70)
+            queries = [np.zeros(60), np.ones(60)]
+            queries += [random_summary(rng) for _ in range(20)]
+            queries += [(rng.random(60) < 0.5).astype(float)
+                        for _ in range(20)]
+            for q in queries:
+                row = gp._similarity(q)
+                assert row.tobytes() == gp._base_similarity(q).tobytes()
+            distances = np.abs(gp.points_b - queries[0]).sum(axis=1)
+            assert distances.tolist() == list(range(61))
+
+    @pytest.mark.parametrize("steps, cap", [(300, 12), (1100, 200)])
+    def test_rows_of_a_one_hot_stream_equal_the_float_rows(self, steps, cap):
+        gp, _, _ = chain(CheckedRowGP, steps, cap=cap)
+        assert gp._bits is not None and gp.rows > steps
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 1.0 + 1e-15,
+                                       float("nan"), float("inf")])
+    def test_entry_other_than_zero_or_one_is_refused(self, value):
+        gp = SparseGP(SPEC, 60, n_actions=3, binary=True)
+        b = random_summary(RNG(71))
+        gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
+        bad = b.copy()
+        bad[7] = value
+        for call in (lambda: gp.q_values(bad),
+                     lambda: gp.sarsa_update(bad, 1, 0.0, b, None, True, 0.9),
+                     lambda: gp.sarsa_update(b, 0, 0.0, bad, 2, False, 0.9)):
+            with pytest.raises(ValueError, match="exactly 0.0 or 1.0"):
+                call()
+        assert len(gp) == 1 and gp.updates == 1
+
+    def test_more_than_64_features_are_refused(self):
+        SparseGP(SPEC, 64, n_actions=2, binary=True)
+        with pytest.raises(ValueError, match="64 bits; got 65 features"):
+            SparseGP(SPEC, 65, n_actions=2, binary=True)
+
+    @pytest.mark.parametrize("space, binary", [("summary", True),
+                                               ("original", False)])
+    def test_only_the_summary_space_gp_is_binary(self, space, binary):
+        cfg = harness.config_from_dict({"algorithm": "gpsarsa",
+                                        "space": space, "seed": 1})
+        _, _, env = harness.build_world(cfg)
+        gp = harness.build_agent(cfg, env).gp
+        assert (gp._bits is not None) == binary
+
+
+class TestActionBlocks:
+    @pytest.mark.parametrize("steps, cap", [(1100, 12), (3000, 200)])
+    def test_kinv_is_zero_off_the_action_blocks(self, steps, cap):
+        gp, sizes, _ = chain(SparseGP, steps, cap=cap)
+        assert sizes[-1] == cap
+        kinv, actions = gp.state().arrays["Kinv"], gp.points_a
+        off_block = actions[:, None] != actions[None, :]
+        assert off_block.sum() > cap and np.all(kinv[off_block] == 0.0)
+
+    @pytest.mark.parametrize("steps, width, cap", [
+        (300, None, 12),
+        (1100, None, 12),
+        (300, 31, 12),
+        (3000, None, 200),
+    ], ids=["summary-300", "summary-1100", "dense31-300",
+            "summary-3000-cap200"])
+    def test_stream_matches_the_full_product_reference(self, steps, width,
+                                                       cap):
+        # the block products reorder sums, so only the last bits move
+        gp, sizes, q = chain(SparseGP, steps, width, cap)
+        ref, ref_sizes, ref_q = chain(FullProductGP, steps, width, cap)
+        assert sizes == ref_sizes and sizes[-1] == cap
+        mine, theirs = gp.state().arrays, ref.state().arrays
+        for name in ("points_b", "points_a"):
+            assert mine[name].tobytes() == theirs[name].tobytes(), name
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for name in ("mu", "Sigma", "Kinv"):
+            assert close(mine[name], theirs[name]), name
+        assert close(np.array(q), np.array(ref_q))
+
+
 class TestPosterior:
     @pytest.mark.parametrize("spec", [SPEC, KernelSpec(2.0, 0.37, 0.2)])
     def test_first_point_matches_the_closed_form(self, spec):
@@ -318,7 +458,7 @@ class TestPosterior:
     def test_empty_dictionary_queries_give_zeros(self):
         gp = SparseGP(SPEC, 60, n_actions=4)
         b = random_summary(RNG(17))
-        k = gp.k_vec(b, 1)
+        k = k_vec(gp, b, 1)
         assert k.shape == (0,) and k.dtype == float
         q = gp.q_values(b)
         assert q.shape == (4,) and q.dtype == float and not q.any()
@@ -475,6 +615,32 @@ class TestAgentAdapter:
         b = random_summary(RNG(17))
         for a in range(3):
             assert q_mean(agent.gp, b, a) == q_mean(twin.gp, b, a)
+
+    def test_load_drops_the_held_transition(self, tmp_path):
+        # an agent holding a non-terminal transition back, then loading a
+        # checkpoint, follows a fresh agent that loaded the same file
+        def agent():
+            return GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95)
+
+        rng = RNG(19)
+        source = agent()
+        b = random_summary(rng)
+        source.observe(Transition(b, 0, 1.0, b, True, False), None)
+        path = str(tmp_path / "gp.npz")
+        source.save(path)
+        held, fresh = agent(), agent()
+        held.observe(Transition(random_summary(rng), 1, -0.03,
+                                random_summary(rng), False, False), None)
+        last = Transition(random_summary(rng), 2, 1.0, random_summary(rng),
+                          True, False)
+        for twin in (held, fresh):
+            twin.load(path)
+            twin.observe(last, None)
+        assert held.gp.updates == fresh.gp.updates == 2
+        assert len(held.gp) == len(fresh.gp) == 2
+        want = fresh.state().arrays
+        for name, value in held.state().arrays.items():
+            assert value.tobytes() == want[name].tobytes(), name
 
     def test_checkpoint_between_folds_resumes_bit_for_bit(self, tmp_path):
         # saved with covariance terms pending; loaded into a fresh agent and
