@@ -187,7 +187,6 @@ class Space:
     # handcrafted rule and the corpus rating read it
     slot_confidence: Callable[[np.ndarray], np.ndarray]
     excluded: tuple = ()             # actions exploration skips by default
-    binary_features: bool = False    # every feature is exactly 0.0 or 1.0
     actions: tuple = field(init=False)
 
     def __post_init__(self):
@@ -257,8 +256,7 @@ SPACES = {
             + [f"request.{s}.g{i}" for s in REQUEST_SLOTS for i in range(5)]
             + [f"phase.g{i}" for i in range(5)]),
         featurize=lambda belief: tracker.summarize(belief),
-        slot_confidence=_summary_confidence,
-        binary_features=True),
+        slot_confidence=_summary_confidence),
     "original": Space(
         acts={"offer": ("offer", None),
               **{f"{kind}-{slot}": (kind, slot)

@@ -36,18 +36,24 @@ checkpoint holds no pending rows and loading one drops any, so a resumed
 run folds at the same measurements as the run that saved it and matches
 it bit for bit.
 
-Two shortcuts follow from the kernel's form. On the summary space every
-feature is 0 or 1, so |b1 - b2|^2 is the number of bits in which the two
-vectors differ: a binary GP keeps each dictionary point as a ``uint64``
-bit mask, and a kernel row is a lookup, by ``bitwise_count`` of the XOR,
-in a table of ``signal_var * exp(-d2 / (2 l^2))`` over d2 = 0..n_features.
-That table is built with the float path's expression on the same exact
-integers, so every row is byte-identical to it; the masks are derived from
-``points_b``, so checkpoints do not change. The delta kernel over actions
-makes ``Kinv`` block-diagonal by action: a projection's coefficients and
-``Kinv @ mu`` are computed with one contiguous block per action, and a
-query point's coefficients are zero outside its action's block. ``Kinv``
-itself stays the full matrix, which bordering grows and checkpoints save.
+Two shortcuts follow from the kernel's form. Between two vectors whose
+features are all exactly 0 or 1, as on the summary space, |b1 - b2|^2 is
+the number of bits in which they differ. While every dictionary point is
+such a vector of at most 64 features, the GP keeps each as a ``uint64``
+bit mask, and the kernel row of a 0/1 query is a lookup, by
+``bitwise_count`` of the XOR, in a table of ``signal_var * exp(-d2 /
+(2 l^2))`` over d2 = 0..n_features. That table is built with the float
+path's expression on the same exact integers, so every row is
+byte-identical to the float row, and which path runs never changes a
+result; any other query, or a dictionary holding any other point, takes
+the float path. The masks are derived from ``points_b``, so checkpoints do
+not change.
+
+The delta kernel over actions makes ``Kinv`` block-diagonal by action: a
+projection's coefficients and ``Kinv @ mu`` are computed with one
+contiguous block per action, and a query point's coefficients are zero
+outside its action's block. ``Kinv`` itself stays the full matrix, which
+bordering grows and checkpoints save.
 
 ``GPSarsaAgent`` adapts the GP to the training loop. Choosing an action
 only reads the posterior; a transition is folded in when the next one is
@@ -83,25 +89,21 @@ class KernelSpec:
 
 class SparseGP:
     """Dictionary of (summary features, action) points plus the posterior
-    mean and covariance of their Q values. A ``binary`` GP takes only
-    features that are exactly 0.0 or 1.0, at most 64 of them, and compares
-    them as bit masks."""
+    mean and covariance of their Q values."""
 
     def __init__(self, spec: KernelSpec, n_features: int, n_actions: int,
                  nu: float = 0.1, jitter: float = 1e-10,
-                 max_dictionary: int = 2000, binary: bool = False):
-        if binary and n_features > 64:
-            raise ValueError(f"a binary GP packs its features into 64 bits; "
-                             f"got {n_features} features")
+                 max_dictionary: int = 2000):
         self.spec = spec
-        # a binary GP's bit weights, and its kernel at each squared distance
-        # 0..n_features by the float path's expression
-        self._weights = self._table = None
-        if binary:
+        # bit weights that pack 0/1 features into one uint64, and the kernel
+        # at each squared distance 0..n_features by the float path's
+        # expression
+        self._weights = None
+        if n_features <= 64:
             self._weights = np.uint64(1) << np.arange(n_features,
                                                       dtype=np.uint64)
-            d2 = np.arange(n_features + 1, dtype=float)
-            self._table = spec.signal_var * np.exp(-d2 / (2.0 * spec.length_scale ** 2))
+        d2 = np.arange(n_features + 1, dtype=float)
+        self._table = spec.signal_var * np.exp(-d2 / (2.0 * spec.length_scale ** 2))
         self.n_actions = n_actions
         self.nu = nu
         self.jitter = jitter
@@ -129,8 +131,8 @@ class SparseGP:
         # Kinv is block-diagonal by action; one contiguous block each
         self._blocks = [self.Kinv[np.ix_(index, index)]
                         for index in self._action_index]
-        self._bits = (None if self._weights is None
-                      else self._pack(self.points_b))
+        # every dictionary point as a bit mask, while all of them are 0/1
+        self._bits = self._pack(self.points_b)
         # covariance terms not yet subtracted from Sigma, one row each
         self._w = np.empty((FOLD, len(self)))
         self._n_pending = 0
@@ -140,19 +142,23 @@ class SparseGP:
     def __len__(self) -> int:
         return len(self.points_a)
 
-    def _pack(self, b: np.ndarray) -> np.ndarray:
-        """Each 0/1 feature vector as one ``uint64`` bit mask."""
+    def _pack(self, b: np.ndarray) -> np.ndarray | None:
+        """``b``'s 0/1 feature vectors as ``uint64`` bit masks; None when an
+        entry is not exactly 0.0 or 1.0, or there are over 64 features."""
+        if self._weights is None:
+            return None
         ones = b == 1.0
         if np.count_nonzero(ones != b):
-            raise ValueError("a binary GP takes features of exactly 0.0 or "
-                             "1.0")
+            return None
         return ones @ self._weights
 
     def _similarity(self, b: np.ndarray) -> np.ndarray:
         """The kernel row of ``b`` over the dictionary, action aside."""
-        if self._bits is None:
-            return self._base_similarity(b)
-        return self._table[np.bitwise_count(self._bits ^ self._pack(b))]
+        if self._bits is not None:
+            mask = self._pack(b)
+            if mask is not None:
+                return self._table[np.bitwise_count(self._bits ^ mask)]
+        return self._base_similarity(b)
 
     def _base_similarity(self, b: np.ndarray) -> np.ndarray:
         d2 = np.sum((self.points_b - b) ** 2, axis=1)
@@ -315,9 +321,9 @@ class GPSarsaAgent:
 
     def __init__(self, n_features: int, n_actions: int, spec: KernelSpec,
                  nu: float = 0.1, gamma: float = 0.99,
-                 max_dictionary: int = 2000, binary: bool = False):
+                 max_dictionary: int = 2000):
         self.gp = SparseGP(spec, n_features, n_actions, nu=nu,
-                           max_dictionary=max_dictionary, binary=binary)
+                           max_dictionary=max_dictionary)
         self.gamma = gamma
         self._pending = None
 

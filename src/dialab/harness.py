@@ -287,8 +287,7 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
     if cfg.algorithm == "gpsarsa":
         return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp.kernel(),
                             nu=cfg.gp.nu, gamma=cfg.gamma,
-                            max_dictionary=cfg.gp.max_dictionary,
-                            binary=env.space.binary_features)
+                            max_dictionary=cfg.gp.max_dictionary)
     raise ConfigError(f"unknown algorithm '{cfg.algorithm}'")
 
 

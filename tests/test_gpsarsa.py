@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dialab import harness
 from dialab.environment import Transition
 from dialab.gpsarsa import FOLD, GPSarsaAgent, KernelSpec, SparseGP
 from dialab.harness import behaviour_action
@@ -182,14 +181,13 @@ class FullProductGP(SparseGP):
 def chain(gp_cls, steps, width=None, cap=12):
     """An on-policy stream through a fresh ``gp_cls``: each transition's
     next point is the following transition's current point, with a greedy
-    query of it in between. Summary points go to a binary GP, dense ones
-    of ``width`` features to a float one. Returns the GP, its size after
-    every step and every query's Q values."""
+    query of it in between. Summary points by default, or dense points of
+    ``width`` features. Returns the GP, its size after every step and every
+    query's Q values."""
     def point(rng):
         return random_summary(rng) if width is None else rng.random(width)
 
-    gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05, max_dictionary=cap,
-                binary=width is None)
+    gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05, max_dictionary=cap)
     rng = RNG(31)
     b, a = point(rng), int(rng.integers(3))
     sizes, q = [], []
@@ -350,11 +348,12 @@ class TestBitCountKernel:
         # points with the first d bits set, d = 0..60: from the all-zeros
         # and the all-ones query they lie at every distance 0..60
         for spec in (SPEC, KernelSpec(0.7, 2.3, 0.1)):
-            gp = SparseGP(spec, 60, n_actions=1, binary=True)
+            gp = SparseGP(spec, 60, n_actions=1)
             gp.points_b = np.tril(np.ones((61, 60)), -1)
             gp.points_a = np.zeros(61, dtype=np.int64)
             gp.Kinv = np.eye(61)
             gp.forget()
+            assert gp._bits is not None
             rng = RNG(70)
             queries = [np.zeros(60), np.ones(60)]
             queries += [random_summary(rng) for _ in range(20)]
@@ -373,32 +372,50 @@ class TestBitCountKernel:
 
     @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 1.0 + 1e-15,
                                        float("nan"), float("inf")])
-    def test_entry_other_than_zero_or_one_is_refused(self, value):
-        gp = SparseGP(SPEC, 60, n_actions=3, binary=True)
-        b = random_summary(RNG(71))
-        gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
+    def test_query_with_another_entry_takes_the_float_path(self, value):
+        # never packed as the nearest bit pattern; the row is the float row
+        gp = CheckedRowGP(SPEC, 60, n_actions=3)
+        rng = RNG(71)
+        for _ in range(5):
+            b = random_summary(rng)
+            gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
+        assert len(gp) == 5 and gp._bits is not None
         bad = b.copy()
         bad[7] = value
-        for call in (lambda: gp.q_values(bad),
-                     lambda: gp.sarsa_update(bad, 1, 0.0, b, None, True, 0.9),
-                     lambda: gp.sarsa_update(b, 0, 0.0, bad, 2, False, 0.9)):
-            with pytest.raises(ValueError, match="exactly 0.0 or 1.0"):
-                call()
-        assert len(gp) == 1 and gp.updates == 1
+        assert gp._pack(bad) is None
+        rows = gp.rows
+        gp.q_values(bad)
+        assert gp.rows == rows + 1 and gp._bits is not None
 
-    def test_more_than_64_features_are_refused(self):
-        SparseGP(SPEC, 64, n_actions=2, binary=True)
-        with pytest.raises(ValueError, match="64 bits; got 65 features"):
-            SparseGP(SPEC, 65, n_actions=2, binary=True)
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 1.0 + 1e-15])
+    def test_admitting_another_entry_ends_the_bit_masks(self, value):
+        gp = CheckedRowGP(SPEC, 60, n_actions=3)
+        rng = RNG(72)
+        for _ in range(5):
+            b = random_summary(rng)
+            gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
+        bad = random_summary(rng)
+        bad[7] = value
+        gp.sarsa_update(bad, 1, 0.0, bad, None, True, 0.9)
+        assert len(gp) == 6 and gp._bits is None
+        for _ in range(5):
+            gp.q_values(random_summary(rng))
+        gp.q_values(bad)
+        # a loaded dictionary is checked afresh
+        gp.points_b, gp.points_a = gp.points_b[:5], gp.points_a[:5]
+        gp.forget()
+        assert gp._bits is not None
 
-    @pytest.mark.parametrize("space, binary", [("summary", True),
-                                               ("original", False)])
-    def test_only_the_summary_space_gp_is_binary(self, space, binary):
-        cfg = harness.config_from_dict({"algorithm": "gpsarsa",
-                                        "space": space, "seed": 1})
-        _, _, env = harness.build_world(cfg)
-        gp = harness.build_agent(cfg, env).gp
-        assert (gp._bits is not None) == binary
+    @pytest.mark.parametrize("width", [64, 65])
+    def test_only_up_to_64_features_are_packed(self, width):
+        gp = CheckedRowGP(SPEC, width, n_actions=2)
+        rng = RNG(73)
+        for _ in range(10):
+            b = (rng.random(width) < 0.5).astype(float)
+            gp.sarsa_update(b, int(rng.integers(2)), 1.0, b, None, True, 0.9)
+            gp.q_values((rng.random(width) < 0.5).astype(float))
+        assert len(gp) > 1 and gp.rows >= 20
+        assert (gp._bits is not None) == (width <= 64)
 
 
 class TestActionBlocks:
