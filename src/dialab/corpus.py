@@ -4,10 +4,11 @@ Corpora are generated by a handcrafted controller (optionally degraded by
 random action substitutions) and rated 0-3 by a deterministic rubric that
 replays the controller's rule table against the logged features. A corpus
 file is one JSON header line and one JSON line per dialogue.
-``CorpusReader`` streams it one dialogue at a time, and ``to_arrays``
-turns any stream of dialogues into per-turn feature, action, reward and
-rating arrays, the input of pretraining; ``check_layout`` compares a
-corpus's feature names with the ones a learner expects.
+``CorpusReader`` streams it one dialogue at a time and is the one place
+a record is checked. ``to_arrays`` turns a reader's dialogues, or a
+generated corpus's, into per-turn feature, action, reward and rating
+arrays, the input of pretraining; ``check_layout`` compares a corpus's
+feature names with the ones a learner expects.
 ``load_corpus`` reads a whole file into memory, for code that needs every
 dialogue at once.
 """
@@ -229,11 +230,13 @@ class CorpusArrays:
 
 
 def to_arrays(corpus) -> CorpusArrays:
-    """The turns of ``corpus``, a Corpus or a CorpusReader, as arrays.
+    """The turns of ``corpus``, a CorpusReader or a generated Corpus, as
+    arrays.
 
     Each dialogue becomes small arrays as it arrives, and they are joined
-    once at the end, so a streamed corpus is never held as objects. A
-    dialogue that fails the record checks raises CorpusFormatError.
+    once at the end, so a streamed corpus is never held as objects. The
+    records are not checked again: the reader checks each one it yields,
+    and a generated corpus holds only dialogues its own environment ran.
     """
     n_features = len(corpus.feature_names)
     empty = np.zeros((0, n_features))
@@ -241,7 +244,6 @@ def to_arrays(corpus) -> CorpusArrays:
     parts = [(empty, empty, no_ints, np.zeros(0), np.zeros(0, dtype=bool),
               no_ints)]
     for d in corpus:
-        _check_dialogue(d, corpus.space, n_features)
         records = d.log.records
         # row i is turn i's features; the last row is the final belief's
         feats = np.stack([rec.features for rec in records]

@@ -11,7 +11,6 @@ success.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from sys import intern
 from typing import Callable, Iterator
@@ -49,6 +48,8 @@ class EnvConfig:
             raise ValueError(f"unknown action/state space '{self.space}'")
         if self.max_turns <= 0:
             raise ValueError("max_turns must be positive")
+        if self.db_size < 1:
+            raise ValueError(f"db_size={self.db_size} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -423,11 +424,3 @@ def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
     log.success = t.success
     log.final_features = t.next_features
     return log
-
-
-def check_reward_decomposition(log: EpisodeLog, cfg: EnvConfig) -> bool:
-    """Every episode return must equal length * turn_penalty plus the
-    terminal bonus: +1 on success, -1 on timeout or hang-up."""
-    bonus = cfg.success_reward if log.success else cfg.failure_reward
-    expected = log.length * cfg.turn_penalty + bonus
-    return math.isclose(log.episode_return, expected, abs_tol=1e-9)

@@ -76,25 +76,35 @@ FOLD = 32   # pending rank-one covariance terms folded into Sigma at once
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class GPConfig:
+    """The ``gp`` config section: the kernel, the admission threshold nu and
+    the dictionary cap."""
+
     length_scale: float = 3.0
     signal_var: float = 1.0
     noise_var: float = 0.1
+    nu: float = 0.1
+    max_dictionary: int = 2000
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        for name in ("length_scale", "signal_var", "noise_var"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name}={value} must be > 0")
+        if not self.nu >= 0:
+            raise ValueError(f"nu={self.nu} must be >= 0")
+        if self.max_dictionary < 1:
+            raise ValueError(
+                f"max_dictionary={self.max_dictionary} must be >= 1")
 
 
 class SparseGP:
     """Dictionary of (summary features, action) points plus the posterior
     mean and covariance of their Q values."""
 
-    def __init__(self, spec: KernelSpec, n_features: int, n_actions: int,
-                 nu: float = 0.1, jitter: float = 1e-10,
-                 max_dictionary: int = 2000):
-        self.spec = spec
+    def __init__(self, config: GPConfig, n_features: int, n_actions: int,
+                 jitter: float = 1e-10):
+        self.config = config
         # bit weights that pack 0/1 features into one uint64, and the kernel
         # at each squared distance 0..n_features by the float path's
         # expression
@@ -103,11 +113,10 @@ class SparseGP:
             self._weights = np.uint64(1) << np.arange(n_features,
                                                       dtype=np.uint64)
         d2 = np.arange(n_features + 1, dtype=float)
-        self._table = spec.signal_var * np.exp(-d2 / (2.0 * spec.length_scale ** 2))
+        self._table = config.signal_var * np.exp(
+            -d2 / (2.0 * config.length_scale ** 2))
         self.n_actions = n_actions
-        self.nu = nu
         self.jitter = jitter
-        self.max_dictionary = max_dictionary
         self.points_b = np.zeros((0, n_features))
         self.points_a = np.zeros(0, dtype=np.int64)
         self.Kinv = np.zeros((0, 0))
@@ -142,6 +151,10 @@ class SparseGP:
     def __len__(self) -> int:
         return len(self.points_a)
 
+    @property
+    def max_dictionary(self) -> int:
+        return self.config.max_dictionary
+
     def _pack(self, b: np.ndarray) -> np.ndarray | None:
         """``b``'s 0/1 feature vectors as ``uint64`` bit masks; None when an
         entry is not exactly 0.0 or 1.0, or there are over 64 features."""
@@ -162,7 +175,8 @@ class SparseGP:
 
     def _base_similarity(self, b: np.ndarray) -> np.ndarray:
         d2 = np.sum((self.points_b - b) ** 2, axis=1)
-        return self.spec.signal_var * np.exp(-d2 / (2.0 * self.spec.length_scale ** 2))
+        c = self.config
+        return c.signal_var * np.exp(-d2 / (2.0 * c.length_scale ** 2))
 
     def _row_of(self, b: np.ndarray) -> np.ndarray:
         """``_similarity(b)``, kept from the last ``q_values`` query when
@@ -182,10 +196,10 @@ class SparseGP:
         index = self._action_index[a]
         kv = self._row_of(b)[index]
         block = self._blocks[a] @ kv
-        residual = float(self.spec.signal_var - kv @ block)
+        residual = float(self.config.signal_var - kv @ block)
         coeffs = np.zeros(len(self))
         coeffs[index] = block
-        return residual > self.nu or len(self) == 0, residual, coeffs
+        return residual > self.config.nu or len(self) == 0, residual, coeffs
 
     def _admit(self, b: np.ndarray, a: int, coeffs: np.ndarray,
                residual: float) -> bool:
@@ -239,7 +253,7 @@ class SparseGP:
         if self._n_pending:
             w = self._w[:self._n_pending]
             s_vec -= w.T @ (w @ u)
-        s = float(u @ s_vec) + self.spec.noise_var
+        s = float(u @ s_vec) + self.config.noise_var
         gain = s_vec / s
         self.mu += gain * (y - float(u @ self.mu))
         self._w[self._n_pending] = s_vec / np.sqrt(s)
@@ -292,11 +306,13 @@ class SparseGP:
 
     def state(self) -> checkpoint.State:
         self._fold()
+        spec = {**vars(self.config), "n_actions": self.n_actions}
+        # the cap limits growth, not the posterior a checkpoint holds
+        del spec["max_dictionary"]
         return checkpoint.State(
             {name: getattr(self, name)
              for name in ("points_b", "points_a", "Kinv", "mu", "Sigma")},
-            spec={**vars(self.spec), "nu": self.nu,
-                  "n_actions": self.n_actions},
+            spec=spec,
             counters={"updates": self.updates, "alarmed": self.alarmed},
             shapes={"points_b": ("n", "width"), "points_a": ("n",),
                     "Kinv": ("n", "n"), "mu": ("n",), "Sigma": ("n", "n")})
@@ -319,11 +335,9 @@ class GPSarsaAgent:
     loop adds the epsilon draw) and holds each non-terminal transition back
     until the next one shows its on-policy next action."""
 
-    def __init__(self, n_features: int, n_actions: int, spec: KernelSpec,
-                 nu: float = 0.1, gamma: float = 0.99,
-                 max_dictionary: int = 2000):
-        self.gp = SparseGP(spec, n_features, n_actions, nu=nu,
-                           max_dictionary=max_dictionary)
+    def __init__(self, n_features: int, n_actions: int, config: GPConfig,
+                 gamma: float = 0.99):
+        self.gp = SparseGP(config, n_features, n_actions)
         self.gamma = gamma
         self._pending = None
 

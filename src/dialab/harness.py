@@ -26,7 +26,7 @@ from . import tracker, usersim
 from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EnvConfig, rollout
-from .gpsarsa import GPSarsaAgent, KernelSpec
+from .gpsarsa import GPConfig, GPSarsaAgent
 from .ontology import (CONSTRAINT_SLOTS, VALUES, OntologyError, UserGoal,
                        generate_db, parse_user_act)
 from .seeding import rng_stream
@@ -58,6 +58,12 @@ class EpsilonSchedule:
             raise ConfigError(f"unknown epsilon unit '{self.unit}'")
         if not 0.0 <= self.floor <= self.start <= 1.0:
             raise ConfigError("need 0 <= floor <= start <= 1")
+        if self.mode == "geometric" and not 0.0 <= self.rate <= 1.0:
+            raise ConfigError(f"rate={self.rate} outside [0,1] for a "
+                              f"geometric schedule")
+        if self.mode == "linear" and not self.rate >= 0.0:
+            raise ConfigError(f"rate={self.rate} must be >= 0 for a linear "
+                              f"schedule")
 
 
 def epsilon(schedule: EpsilonSchedule, t: int) -> float:
@@ -68,27 +74,6 @@ def epsilon(schedule: EpsilonSchedule, t: int) -> float:
     else:
         value = schedule.start - schedule.rate * t
     return max(schedule.floor, value)
-
-
-@dataclass(frozen=True)
-class GPParams:
-    length_scale: float = 3.0
-    signal_var: float = 1.0
-    noise_var: float = 0.1
-    nu: float = 0.1
-    max_dictionary: int = 2000
-
-    def __post_init__(self):
-        self.kernel()
-        if not self.nu >= 0:
-            raise ValueError(f"nu={self.nu} must be >= 0")
-        if self.max_dictionary < 1:
-            raise ValueError(
-                f"max_dictionary={self.max_dictionary} must be >= 1")
-
-    def kernel(self) -> KernelSpec:
-        """The kernel; checks each of its values, naming the field."""
-        return KernelSpec(self.length_scale, self.signal_var, self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,7 @@ class ExperimentConfig(EnvConfig):
     gamma: float = 0.99
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     agent: AgentConfig = field(default_factory=AgentConfig)
-    gp: GPParams = field(default_factory=GPParams)
+    gp: GPConfig = field(default_factory=GPConfig)
     pretrain: PretrainParams = field(default_factory=PretrainParams)
 
     def __post_init__(self):
@@ -285,9 +270,8 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
         return ActorCriticAgent(env.n_features, env.n_actions, cfg.agent, rng,
                                 gamma=cfg.gamma)
     if cfg.algorithm == "gpsarsa":
-        return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp.kernel(),
-                            nu=cfg.gp.nu, gamma=cfg.gamma,
-                            max_dictionary=cfg.gp.max_dictionary)
+        return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp,
+                            gamma=cfg.gamma)
     raise ConfigError(f"unknown algorithm '{cfg.algorithm}'")
 
 

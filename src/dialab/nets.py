@@ -2,8 +2,7 @@
 
 Fully connected nets with tanh hidden layers and a linear, softmax or scalar
 head; exact backprop; Adadelta without a global learning rate; L2 penalty on
-weights; finite-difference gradient verification. Everything is float64 and
-seed-deterministic.
+weights. Everything is float64 and seed-deterministic.
 
 A net's parameters are one contiguous vector, every layer's W (row-major)
 first and then every b; ``weights[i]`` and ``biases[i]`` are reshaped views
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -165,10 +164,6 @@ class FeedForwardNet:
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
         return grads
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> GradientSet:
-        return self.backward_batch(np.asarray(x, dtype=float)[None, :],
-                                   np.asarray(grad_out, dtype=float)[None, :])
-
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
@@ -205,23 +200,6 @@ def mse_loss(prediction, target):
 CE_CLAMP = 1e-12
 
 
-def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
-    """Categorical cross-entropy against an action index.
-
-    Returns the loss, its gradient at the pre-softmax layer, which is
-    ``probs - onehot(target)``, and whether a probability below ``eps`` at
-    the target was clamped to ``eps``.
-    """
-    p = np.asarray(probs, dtype=float)
-    if not 0 <= target < p.shape[-1]:
-        raise ShapeError(f"target index {target} outside {p.shape[-1]} classes")
-    clamped = bool(p[target] < eps)
-    loss = float(-np.log(eps if clamped else p[target]))
-    grad = p.copy()
-    grad[target] -= 1.0
-    return loss, grad, clamped
-
-
 def log_policy_gradient(probs: np.ndarray, action: int) -> np.ndarray:
     """Gradient of ``log pi(action)`` at the pre-softmax layer: onehot - probs."""
     g = -np.asarray(probs, dtype=float).copy()
@@ -236,14 +214,6 @@ def add_l2_gradient(grads: GradientSet, net: FeedForwardNet,
     if coefficient < 0:
         raise ValueError("l2 coefficient must be >= 0")
     grads.vector[:net.n_weights] += 2.0 * coefficient * net.params[:net.n_weights]
-
-
-def l2_penalty(net: FeedForwardNet, coefficient: float):
-    """Weight-decay penalty ``c * sum(W^2)`` and its gradients (biases excluded)."""
-    grads = zero_grads(net)
-    add_l2_gradient(grads, net, coefficient)
-    penalty = coefficient * sum(float(np.sum(w ** 2)) for w in net.weights)
-    return penalty, grads
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +232,6 @@ class AdadeltaState:
     @classmethod
     def for_net(cls, net: FeedForwardNet, rho: float = 0.95,
                 eps: float = 1e-6) -> "AdadeltaState":
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"rho={rho} outside (0,1)")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         state = cls(rho=rho, eps=eps)
         state.acc_grad = zero_grads(net)
         state.acc_update = zero_grads(net)
@@ -331,27 +297,3 @@ def copy_params(src: FeedForwardNet, dst: FeedForwardNet) -> None:
 def clone_net(net: FeedForwardNet) -> FeedForwardNet:
     return FeedForwardNet(layer_sizes=net.layer_sizes, head=net.head,
                           params=net.params.copy())
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def finite_difference_grads(objective: Callable[[], float],
-                            net: FeedForwardNet, h: float = 1e-5) -> GradientSet:
-    """Central-difference gradients of a scalar closure over every parameter.
-
-    Independent oracle for the analytic backprop: it only perturbs parameters
-    and re-evaluates ``objective``.
-    """
-    grads = zero_grads(net)
-    params = net.params
-    for k in range(params.size):
-        orig = params[k]
-        params[k] = orig + h
-        up = objective()
-        params[k] = orig - h
-        down = objective()
-        params[k] = orig
-        grads.vector[k] = (up - down) / (2.0 * h)
-    return grads

@@ -174,6 +174,10 @@ class GoalConfig:
         for k, w in self.request_count_weights.items():
             if k < 1 or w < 0:
                 raise GoalConfigError(f"bad request-count weight {k}: {w}")
+        if not sum(self.request_count_weights.values()) > 0:
+            raise GoalConfigError(
+                f"request_count_weights={dict(self.request_count_weights)} "
+                f"has no positive weight")
 
 
 def sample_goal(db: RestaurantDB,

@@ -60,13 +60,8 @@ class ErrorModel:
             raise ValueError(f"p_drop={self.p_drop} outside [0,1]")
         if self.nbest_size < 1:
             raise ValueError("nbest_size must be >= 1")
-        if self.concentration <= 0:
+        if not self.concentration > 0:
             raise ValueError("concentration must be positive")
-
-    @classmethod
-    def noiseless(cls) -> "ErrorModel":
-        return cls(p_confuse=0.0, p_drop=0.0, nbest_size=1,
-                   concentration=float("inf"))
 
 
 _NO_SLOT_TYPES = ("ack", "affirm", "negate", "thankyou", "repeat", "null",

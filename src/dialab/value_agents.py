@@ -10,7 +10,6 @@ the action the target network evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +50,6 @@ class ReplayPool:
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def extend(self, transitions: Sequence[Transition]) -> None:
-        for t in transitions:
-            self.add(t)
-
     def add_rows(self, rows) -> None:
         """Insert ``rows``, an object with one array per name in FIELDS, in
         order, leaving the pool as one ``add`` per row would."""
@@ -74,13 +69,6 @@ class ReplayPool:
     def batch(self, idx: np.ndarray):
         return (self._features[idx], self._actions[idx], self._rewards[idx],
                 self._next_features[idx], self._terminal[idx])
-
-    def contents(self) -> list[Transition]:
-        return [Transition(self._features[i].copy(), int(self._actions[i]),
-                           float(self._rewards[i]),
-                           self._next_features[i].copy(),
-                           bool(self._terminal[i]), False)
-                for i in range(self._size)]
 
     FIELDS = ("features", "next_features", "actions", "rewards", "terminal")
 
@@ -163,12 +151,22 @@ class AgentConfig:
     batch_sweeps: int = 4
 
     def __post_init__(self):
-        if self.target_sync < 1:
-            raise ValueError(f"target_sync={self.target_sync} must be >= 1")
-        if self.minibatch < 1:
-            raise ValueError(f"minibatch={self.minibatch} must be >= 1")
-        if self.l2 < 0:
+        for name, low in (("target_sync", 1), ("minibatch", 1),
+                          ("sup_batch", 1), ("sup_epochs", 0),
+                          ("batch_sweeps", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name}={value} must be >= {low}")
+        if self.pool_capacity < self.minibatch:
+            # the pool could never fill a minibatch
+            raise ValueError(f"pool_capacity={self.pool_capacity} must be "
+                             f">= minibatch={self.minibatch}")
+        if not self.l2 >= 0:
             raise ValueError(f"l2={self.l2} must be >= 0")
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"rho={self.rho} outside (0,1)")
+        if not self.eps_num > 0:
+            raise ValueError(f"eps_num={self.eps_num} must be > 0")
         if not 0.0 <= self.sup_holdout < 1.0:
             raise ValueError(f"sup_holdout={self.sup_holdout} outside [0,1)")
 

@@ -9,20 +9,20 @@ ordering is ``harness.compare_runs``, with its one threshold rule.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from dialab import harness
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
-from dialab.environment import (Transition, check_reward_decomposition,
-                                run_episode)
-from dialab.gpsarsa import KernelSpec, SparseGP
-from dialab.nets import (FeedForwardNet, cross_entropy_loss,
-                         finite_difference_grads, l2_penalty,
-                         log_policy_gradient, mse_loss)
+from dialab.environment import Transition, run_episode
+from dialab.gpsarsa import GPConfig, SparseGP
+from dialab.nets import FeedForwardNet, log_policy_gradient, mse_loss
 from dialab.seeding import rng_stream
 from dialab.value_agents import ReplayPool, ddqn_target, dqn_target
+from reference import (check_reward_decomposition, cross_entropy_loss,
+                       finite_difference_grads, l2_penalty)
 
 RNG = np.random.default_rng
 
@@ -74,26 +74,27 @@ def test_criterion_2_gradient_suite():
     x, target = RNG(2).normal(size=5), RNG(3).normal(size=3)
     _, grad_out = mse_loss(net.forward(x), target)
     worst = max(worst, _max_rel(
-        net.backward(x, grad_out),
+        net.backward_batch(x[None], grad_out[None]),
         finite_difference_grads(lambda: mse_loss(net.forward(x), target)[0],
                                 net)))
     # cross-entropy on softmax head
     net2 = FeedForwardNet.create(5, 4, hidden=(6, 5), head="softmax", rng=RNG(4))
     _, ce_grad, _ = cross_entropy_loss(net2.forward(x), 2)
     worst = max(worst, _max_rel(
-        net2.backward(x, ce_grad),
+        net2.backward_batch(x[None], ce_grad[None]),
         finite_difference_grads(
             lambda: cross_entropy_loss(net2.forward(x), 2)[0], net2)))
     # log-policy gradient
     worst = max(worst, _max_rel(
-        net2.backward(x, log_policy_gradient(net2.forward(x), 1)),
+        net2.backward_batch(x[None],
+                            log_policy_gradient(net2.forward(x), 1)[None]),
         finite_difference_grads(
             lambda: float(np.log(net2.forward(x)[1])), net2)))
     # scalar head value loss
     net3 = FeedForwardNet.create(5, 1, hidden=(6, 5), head="scalar", rng=RNG(5))
     _, vg = mse_loss(net3.forward(x), 0.4)
     worst = max(worst, _max_rel(
-        net3.backward(x, np.atleast_1d(vg)),
+        net3.backward_batch(x[None], np.atleast_1d(vg)[None]),
         finite_difference_grads(lambda: mse_loss(net3.forward(x), 0.4)[0],
                                 net3)))
     # l2 penalty
@@ -130,16 +131,16 @@ def test_criterion_3_ddqn_dominance():
 
 def test_criterion_4_gp_oracles():
     from test_gpsarsa import kernel, q_mean, random_summary
-    spec = KernelSpec(length_scale=3.0, signal_var=1.0, noise_var=0.1)
+    spec = GPConfig(length_scale=3.0, signal_var=1.0, noise_var=0.1)
     # one-point closed form
-    gp = SparseGP(spec, 60, n_actions=3, nu=0.1)
+    gp = SparseGP(spec, 60, n_actions=3)
     b = random_summary(RNG(40))
     gp.sarsa_update(b, 1, 0.85, b, None, True, 0.99)
     closed = 0.85 * spec.signal_var / (spec.signal_var + spec.noise_var)
     one_point_err = abs(q_mean(gp, b, 1) - closed)
     # twenty points vs dense regression
     rng = RNG(41)
-    gp2 = SparseGP(spec, 60, n_actions=2, nu=1e-12, jitter=1e-12)
+    gp2 = SparseGP(replace(spec, nu=1e-12), 60, n_actions=2, jitter=1e-12)
     pts, rewards = [], []
     while len(pts) < 20:
         bb, aa = random_summary(rng), int(rng.integers(2))
@@ -194,7 +195,7 @@ def test_criterion_6_replay():
     pool.add(mk(1.0))
     pool.add(mk(2.0))
     pool.add(mk(3.0))
-    kept = sorted(t.reward for t in pool.contents())
+    kept = sorted(pool.state().arrays["rewards"].tolist())
     fifo_ok = kept == [2.0, 3.0]
 
     pool = ReplayPool(capacity=100, n_features=2)

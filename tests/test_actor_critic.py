@@ -12,6 +12,8 @@ from dialab.environment import Transition
 from dialab.harness import behaviour_action
 from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
 from dialab.value_agents import AgentConfig
+from reference import (cross_entropy_loss, finite_difference_grads,
+                       l2_penalty)
 
 RNG = np.random.default_rng
 
@@ -171,7 +173,8 @@ class TestPolicyGradientStep:
         x = RNG(8).normal(size=6)
         action = 0
         probs = agent.policy.forward(x)
-        ascent = agent.policy.backward(x, log_policy_gradient(probs, action))
+        ascent = agent.policy.backward_batch(
+            x[None], log_policy_gradient(probs, action)[None])
         before = [w.copy() for w in agent.policy.weights] + \
                  [b.copy() for b in agent.policy.biases]
         agent.policy_gradient_step(x, action, 1.0)
@@ -314,13 +317,13 @@ class TestSupervised:
             probs, acts = reference.policy.forward_train(feats)
             grad_out, total = probs.copy(), 0.0
             for i, a in enumerate(actions):
-                loss_i, _, clamped = nets.cross_entropy_loss(probs[i], a)
+                loss_i, _, clamped = cross_entropy_loss(probs[i], a)
                 total += loss_i
                 reference.clamp_count += clamped
                 grad_out[i, a] -= 1.0
             grad_out /= len(actions)
             grads = reference.policy.backward_batch(feats, grad_out, acts)
-            penalty, l2_grads = nets.l2_penalty(reference.policy, 0.01)
+            penalty, l2_grads = l2_penalty(reference.policy, 0.01)
             grads.vector += l2_grads.vector
             nets.adadelta_step(reference.policy_opt, reference.policy, grads)
             assert loss == pytest.approx(total / 16 + penalty, rel=1e-12)
@@ -339,7 +342,6 @@ class TestSupervised:
         assert agent.policy.forward(x[0])[2] >= 0.99
 
     def test_supervised_gradient_matches_finite_differences(self):
-        from dialab.nets import cross_entropy_loss, finite_difference_grads
         agent = make_agent(l2=0.0, hidden=(5, 4))
         net = agent.policy
         feats = RNG(16).normal(size=(3, 6))

@@ -16,6 +16,7 @@ from dialab.seeding import rng_stream
 from dialab.tracker import (DB_COUNT_CAP, ORIGINAL_LEN, SUMMARY_LEN,
                             TURN_SCALE, ErrorModel, nearest_gc, nearest_gr,
                             turn_phase)
+from reference import noiseless_channel
 
 DB = generate_db(n=40, rng=np.random.default_rng(11))
 
@@ -216,7 +217,7 @@ def check_turn(env, old):
 @pytest.mark.parametrize("error", [
     ErrorModel(),
     ErrorModel(p_confuse=0.4, p_drop=0.1, nbest_size=3, concentration=2.0),
-    ErrorModel.noiseless()], ids=["default", "noisy3", "noiseless"])
+    noiseless_channel()], ids=["default", "noisy3", "noiseless"])
 @pytest.mark.parametrize("space", ["summary", "original"])
 def test_every_turn_matches_the_dict_tracker(space, error):
     env = DialogueEnv(DB, EnvConfig(space=space, error=error))

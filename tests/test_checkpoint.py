@@ -25,7 +25,8 @@ def q_agent(hidden, seed=0):
 
 def test_pool_capacity_mismatch_fails_naming_both(tmp_path):
     pool = ReplayPool(capacity=8, n_features=4)
-    pool.extend([transition(i) for i in range(12)])
+    for i in range(12):
+        pool.add(transition(i))
     path = str(tmp_path / "pool.npz")
     pool.save(path)
     with pytest.raises(CheckpointError,
@@ -35,14 +36,16 @@ def test_pool_capacity_mismatch_fails_naming_both(tmp_path):
 
 def test_pool_writes_only_the_filled_rows(tmp_path):
     pool = ReplayPool(capacity=8, n_features=4)
-    pool.extend([transition(i) for i in range(3)])
+    for i in range(3):
+        pool.add(transition(i))
     path = str(tmp_path / "pool.npz")
     pool.save(path)
     with np.load(path) as data:
         assert data["features"].shape == (3, 4)
         assert data["terminal"].shape == (3,)
     restored = ReplayPool(capacity=8, n_features=4)
-    restored.extend([transition(i) for i in range(10, 15)])
+    for i in range(10, 15):
+        restored.add(transition(i))
     restored.load(path)
     assert len(restored) == 3
     for mine, theirs in zip(restored.batch(np.arange(3)),
@@ -57,7 +60,8 @@ def test_pool_writes_only_the_filled_rows(tmp_path):
 
 def test_pool_row_count_must_equal_size(tmp_path):
     pool = ReplayPool(capacity=8, n_features=4)
-    pool.extend([transition(i) for i in range(3)])
+    for i in range(3):
+        pool.add(transition(i))
     state = pool.state()
     state.counters["size"] = 4
     path = str(tmp_path / "pool.npz")

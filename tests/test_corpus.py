@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from dialab import harness
-from dialab.corpus import (BlunderSchedule, Corpus, CorpusFormatError,
+from dialab.corpus import (BlunderSchedule, CorpusFormatError,
                            CorpusReader, HandcraftedPolicy, count_blunders,
                            generate_corpus, load_corpus, rate, save_corpus,
                            to_arrays)
-from dialab.environment import check_reward_decomposition
-from dialab.tracker import ErrorModel
+from reference import check_reward_decomposition, noiseless_channel
 
 CLEAN = BlunderSchedule(((1.0, 0.0),))
 
@@ -20,7 +19,7 @@ CLEAN = BlunderSchedule(((1.0, 0.0),))
 @pytest.fixture(scope="module")
 def noiseless_env():
     cfg = harness.ExperimentConfig(space="original", seed=1,
-                                   error=ErrorModel.noiseless())
+                                   error=noiseless_channel())
     return harness.build_world(cfg)[2]
 
 
@@ -149,13 +148,6 @@ class TestConversion:
         data = to_arrays(built)
         for feats, action in zip(data.features, data.actions):
             assert rule.decide(feats) == action
-
-    def test_mixed_layout_refused(self, small_corpus):
-        broken = Corpus(dialogues=small_corpus.dialogues,
-                        space="summary",
-                        feature_names=small_corpus.feature_names)
-        with pytest.raises(CorpusFormatError, match="mixed"):
-            to_arrays(broken)
 
     def test_rows_match_the_logged_turns(self, small_corpus):
         # reference: a loop over every dialogue's turn records

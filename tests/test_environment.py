@@ -5,20 +5,20 @@ from dialab.corpus import (Corpus, CorpusDialogue, HandcraftedPolicy,
                            RandomPolicy, to_arrays)
 from dialab.environment import (ORIGINAL_ACTIONS, SPACES, SUMMARY_ACTIONS,
                                 DialogueEnv, EnvConfig, EpisodeStateError,
-                                check_reward_decomposition,
                                 minmax_slot, realize, rollout, run_episode,
                                 understood_constraints)
 from dialab.ontology import GoalConfig, UserAct, generate_db
 from dialab.seeding import rng_stream
 from dialab.tracker import ErrorModel, fresh_belief, update_belief
 from dialab.usersim import UserConfig
+from reference import check_reward_decomposition, noiseless_channel
 
 DB = generate_db(n=150, rng=np.random.default_rng(7))
 SUMMARY = SPACES["summary"]
 
 
 def make_env(space="original", noiseless=True, **cfg_kw):
-    error = ErrorModel.noiseless() if noiseless else ErrorModel()
+    error = noiseless_channel() if noiseless else ErrorModel()
     cfg = EnvConfig(space=space, error=error, **cfg_kw)
     return DialogueEnv(DB, cfg)
 

@@ -8,7 +8,7 @@ import pytest
 from dialab import harness
 from dialab.actor_critic import ActorCriticAgent
 from dialab.environment import ORIGINAL_ACTIONS, rollout
-from dialab.gpsarsa import GPSarsaAgent, KernelSpec
+from dialab.gpsarsa import GPConfig, GPSarsaAgent
 from dialab.harness import ExperimentConfig, behaviour_action
 from dialab.nets import softmax
 from dialab.seeding import rng_stream
@@ -74,7 +74,7 @@ EXCLUDED = (1, 2, 3)
 
 def trained_gp_agent():
     """A GP agent over 7 actions whose Q values differ between actions."""
-    agent = GPSarsaAgent(N_FEATURES, 7, KernelSpec(), nu=0.05)
+    agent = GPSarsaAgent(N_FEATURES, 7, GPConfig(nu=0.05))
     rng = RNG(5)
     for _ in range(30):
         b = rng.random(N_FEATURES)
@@ -122,8 +122,7 @@ def test_observe_time_update_matches_select_time_update():
     cfg = ExperimentConfig(algorithm="gpsarsa", space="summary", seed=4)
     _, _, env = harness.build_world(cfg)
     explored = cfg.explored_actions()
-    old, new = (cls(env.n_features, env.n_actions, cfg.gp.kernel(),
-                    nu=cfg.gp.nu, gamma=cfg.gamma)
+    old, new = (cls(env.n_features, env.n_actions, cfg.gp, gamma=cfg.gamma)
                 for cls in (SelectTimeAdapter, GPSarsaAgent))
     eps = 0.3
     turns = 0

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dialab.environment import Transition
-from dialab.gpsarsa import FOLD, GPSarsaAgent, KernelSpec, SparseGP
+from dialab.gpsarsa import FOLD, GPConfig, GPSarsaAgent, SparseGP
 from dialab.harness import behaviour_action
 
 RNG = np.random.default_rng
-SPEC = KernelSpec(length_scale=3.0, signal_var=1.0, noise_var=0.1)
+SPEC = GPConfig(length_scale=3.0, signal_var=1.0, noise_var=0.1)
 
 
 def random_summary(rng):
@@ -17,7 +19,7 @@ def random_summary(rng):
     return vec
 
 
-def kernel(spec: KernelSpec, b1: np.ndarray, a1: int, b2: np.ndarray,
+def kernel(spec: GPConfig, b1: np.ndarray, a1: int, b2: np.ndarray,
            a2: int) -> float:
     """sigma_k^2 * exp(-|b1-b2|^2 / (2 l^2)) * [a1 == a2]."""
     b1 = np.asarray(b1, dtype=float)
@@ -73,19 +75,19 @@ class TestKernel:
 
     def test_hyperparameters_validated(self):
         with pytest.raises(ValueError, match="length_scale=0.0 must be > 0"):
-            KernelSpec(length_scale=0.0)
+            GPConfig(length_scale=0.0)
         with pytest.raises(ValueError, match="noise_var=nan must be > 0"):
-            KernelSpec(noise_var=float("nan"))
+            GPConfig(noise_var=float("nan"))
 
 
 class TestAdmission:
     def test_empty_dictionary_always_admits(self):
-        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3)
         admit, residual, _ = gp.admit_test(random_summary(RNG(2)), 0)
         assert admit and residual == SPEC.signal_var
 
     def test_duplicate_point_rejected(self):
-        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3)
         b = random_summary(RNG(3))
         gp.sarsa_update(b, 1, 0.5, b, None, True, 0.99)
         admit, residual, _ = gp.admit_test(b, 1)
@@ -97,7 +99,7 @@ class TestAdmission:
         # computed densely from the Gram matrix
         for seed in range(20):
             rng = RNG(seed)
-            gp = SparseGP(SPEC, 60, n_actions=2, nu=-1.0, jitter=0.0)
+            gp = SparseGP(replace(SPEC, nu=0.0), 60, n_actions=2, jitter=0.0)
             pts = []
             while len(gp) < 10:
                 b, a = random_summary(rng), int(rng.integers(2))
@@ -152,7 +154,7 @@ class EagerGP(SparseGP):
 
     def _measure(self, u, y):
         s_vec = self.Sigma @ u
-        s = float(u @ s_vec) + self.spec.noise_var
+        s = float(u @ s_vec) + self.config.noise_var
         gain = s_vec / s
         self.mu = self.mu + gain * (y - float(u @ self.mu))
         self.Sigma = self.Sigma - np.outer(gain, s_vec)
@@ -169,8 +171,8 @@ class FullProductGP(SparseGP):
     def admit_test(self, b, a):
         kv = self._row_of(b) * (self.points_a == a)
         coeffs = self.Kinv @ kv
-        residual = float(self.spec.signal_var - kv @ coeffs)
-        return residual > self.nu or len(self) == 0, residual, coeffs
+        residual = float(self.config.signal_var - kv @ coeffs)
+        return residual > self.config.nu or len(self) == 0, residual, coeffs
 
     def coefficients(self):
         if self._coeffs is None:
@@ -187,7 +189,8 @@ def chain(gp_cls, steps, width=None, cap=12):
     def point(rng):
         return random_summary(rng) if width is None else rng.random(width)
 
-    gp = gp_cls(SPEC, width or 60, n_actions=3, nu=0.05, max_dictionary=cap)
+    gp = gp_cls(replace(SPEC, nu=0.05, max_dictionary=cap), width or 60,
+                n_actions=3)
     rng = RNG(31)
     b, a = point(rng), int(rng.integers(3))
     sizes, q = [], []
@@ -204,7 +207,7 @@ def chain(gp_cls, steps, width=None, cap=12):
 
 class TestProjectionReuse:
     def test_admitted_point_is_projected_afresh_on_the_grown_dictionary(self):
-        gp = SparseGP(SPEC, 60, n_actions=2, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=2)
         rng = RNG(30)
         for _ in range(5):
             gp._phi(random_summary(rng), int(rng.integers(2)))
@@ -242,7 +245,7 @@ class TestProjectionReuse:
             assert mine[name].tobytes() == theirs[name].tobytes(), name
 
     def test_load_forgets_cached_projections(self, tmp_path):
-        agents = [GPSarsaAgent(60, 2, SPEC, nu=0.05, max_dictionary=8)
+        agents = [GPSarsaAgent(60, 2, replace(SPEC, nu=0.05, max_dictionary=8))
                   for _ in range(2)]
         for seed, agent in enumerate(agents):
             rng = RNG(40 + seed)
@@ -296,7 +299,7 @@ class TestDeferredCovariance:
         # selecting each observation's point: K - K (K + noise I)^-1 K
         # after the first pass.
         rng = RNG(60)
-        gp = SparseGP(SPEC, 60, n_actions=2, nu=1e-8, jitter=1e-12)
+        gp = SparseGP(replace(SPEC, nu=1e-8), 60, n_actions=2, jitter=1e-12)
         pts = []
         while len(pts) < 100:
             b, a = random_summary(rng), int(rng.integers(2))
@@ -347,7 +350,7 @@ class TestBitCountKernel:
     def test_row_equals_the_float_row_at_every_distance(self):
         # points with the first d bits set, d = 0..60: from the all-zeros
         # and the all-ones query they lie at every distance 0..60
-        for spec in (SPEC, KernelSpec(0.7, 2.3, 0.1)):
+        for spec in (SPEC, GPConfig(0.7, 2.3, 0.1)):
             gp = SparseGP(spec, 60, n_actions=1)
             gp.points_b = np.tril(np.ones((61, 60)), -1)
             gp.points_a = np.zeros(61, dtype=np.int64)
@@ -453,11 +456,11 @@ class TestActionBlocks:
 
 
 class TestPosterior:
-    @pytest.mark.parametrize("spec", [SPEC, KernelSpec(2.0, 0.37, 0.2)])
+    @pytest.mark.parametrize("spec", [SPEC, GPConfig(2.0, 0.37, 0.2)])
     def test_first_point_matches_the_closed_form(self, spec):
         # the empty dictionary takes the general bordering path; the removed
         # special case set these values, compared byte for byte
-        gp = SparseGP(spec, 60, n_actions=3, nu=0.1)
+        gp = SparseGP(spec, 60, n_actions=3)
         b = random_summary(RNG(16))
         e = gp._phi(b, 2)
         kpp = spec.signal_var + gp.jitter
@@ -488,7 +491,7 @@ class TestPosterior:
 
     def test_one_point_posterior_closed_form(self):
         # single terminal observation: mean = r * s_k^2 / (s_k^2 + s_n^2)
-        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3)
         b = random_summary(RNG(4))
         r = 0.85
         gp.sarsa_update(b, 2, r, b, None, True, 0.99)
@@ -496,7 +499,7 @@ class TestPosterior:
         assert abs(q_mean(gp, b, 2) - expected) <= 1e-6
 
     def test_huge_nu_keeps_dictionary_at_one(self):
-        gp = SparseGP(SPEC, 60, n_actions=3, nu=1e9)
+        gp = SparseGP(replace(SPEC, nu=1e9), 60, n_actions=3)
         rng = RNG(5)
         for i in range(30):
             b = random_summary(rng)
@@ -510,7 +513,7 @@ class TestPosterior:
         # nu -> 0: every point admitted; terminal observations reduce the
         # model to plain GP regression solved densely as the oracle
         rng = RNG(6)
-        gp = SparseGP(SPEC, 60, n_actions=2, nu=1e-12, jitter=1e-12)
+        gp = SparseGP(replace(SPEC, nu=1e-12), 60, n_actions=2, jitter=1e-12)
         pts, rewards = [], []
         while len(pts) < 20:
             b, a = random_summary(rng), int(rng.integers(2))
@@ -533,14 +536,14 @@ class TestPosterior:
             assert abs(q_mean(gp, b, a) - kv @ alpha) <= 1e-5
 
     def test_far_query_reverts_to_prior(self):
-        gp = SparseGP(KernelSpec(length_scale=0.5), 60, n_actions=2, nu=0.01)
+        gp = SparseGP(GPConfig(length_scale=0.5, nu=0.01), 60, n_actions=2)
         b = np.zeros(60)
         gp.sarsa_update(b, 0, 1.0, b, None, True, 0.99)
         far = np.full(60, 10.0)
         assert abs(q_mean(gp, far, 0)) <= 1e-6
 
     def test_nonterminal_updates_stay_finite(self):
-        gp = SparseGP(SPEC, 60, n_actions=3, nu=0.1)
+        gp = SparseGP(SPEC, 60, n_actions=3)
         rng = RNG(7)
         b = random_summary(rng)
         for i in range(400):
@@ -555,7 +558,7 @@ class TestPosterior:
 
 def esoftmax(gp, b, epsilon, rng):
     """The training loop's action for a GPSarsaAgent acting through ``gp``."""
-    agent = GPSarsaAgent(gp.points_b.shape[1], gp.n_actions, gp.spec)
+    agent = GPSarsaAgent(gp.points_b.shape[1], gp.n_actions, gp.config)
     agent.gp = gp
     return behaviour_action(agent, b, epsilon, tuple(range(gp.n_actions)),
                             rng)
@@ -573,11 +576,11 @@ class TestExploration:
         assert np.all(np.abs(counts / n - 0.2) <= 0.01)
 
     def test_log_two_gap_gives_two_to_one(self):
-        gp = SparseGP(SPEC, 60, n_actions=2, nu=1e-9, jitter=1e-12)
+        gp = SparseGP(replace(SPEC, nu=1e-9), 60, n_actions=2, jitter=1e-12)
         b = random_summary(RNG(10))
         # pin Q(b,0) ~= ln 2 and Q(b,1) ~= 0 via two exact-ish observations
         scale = (SPEC.signal_var + SPEC.noise_var) / SPEC.signal_var
-        tight = SparseGP(KernelSpec(3.0, 1.0, 1e-9), 60, n_actions=2, nu=1e-9)
+        tight = SparseGP(GPConfig(3.0, 1.0, 1e-9, nu=1e-9), 60, n_actions=2)
         tight.sarsa_update(b, 0, np.log(2.0), b, None, True, 0.99)
         tight.sarsa_update(b, 1, 0.0, b, None, True, 0.99)
         rng = RNG(11)
@@ -587,7 +590,7 @@ class TestExploration:
         assert abs(hits / n - 2.0 / 3.0) <= 0.02
 
     def test_full_epsilon_uniform_despite_values(self):
-        gp = SparseGP(SPEC, 60, n_actions=4, nu=1e-9)
+        gp = SparseGP(replace(SPEC, nu=1e-9), 60, n_actions=4)
         b = random_summary(RNG(12))
         gp.sarsa_update(b, 0, 5.0, b, None, True, 0.99)
         rng = RNG(13)
@@ -600,7 +603,7 @@ class TestExploration:
 
 class TestAgentAdapter:
     def test_pending_transition_updates_on_next_observe(self):
-        agent = GPSarsaAgent(60, 3, SPEC, nu=0.1, gamma=0.9)
+        agent = GPSarsaAgent(60, 3, SPEC, gamma=0.9)
         rng = RNG(14)
         b1, b2, b3 = (random_summary(rng) for _ in range(3))
         agent.observe(Transition(b1, 0, -0.03, b2, False, False), rng)
@@ -611,7 +614,7 @@ class TestAgentAdapter:
         assert len(agent.gp) >= 1
 
     def test_terminal_updates_immediately(self):
-        agent = GPSarsaAgent(60, 3, SPEC, nu=0.1, gamma=0.9)
+        agent = GPSarsaAgent(60, 3, SPEC, gamma=0.9)
         rng = RNG(15)
         b = random_summary(rng)
         agent.observe(Transition(b, 1, 1.0, b, True, True), rng)
@@ -619,7 +622,7 @@ class TestAgentAdapter:
         assert q_mean(agent.gp, b, 1) > 0.5
 
     def test_checkpoint_roundtrip(self, tmp_path):
-        agent = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95)
+        agent = GPSarsaAgent(60, 3, replace(SPEC, nu=0.05), gamma=0.95)
         rng = RNG(16)
         for i in range(25):
             b = random_summary(rng)
@@ -627,7 +630,7 @@ class TestAgentAdapter:
                                      float(rng.normal()), b, True, False), rng)
         path = str(tmp_path / "gp.npz")
         agent.save(path)
-        twin = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95)
+        twin = GPSarsaAgent(60, 3, replace(SPEC, nu=0.05), gamma=0.95)
         twin.load(path)
         b = random_summary(RNG(17))
         for a in range(3):
@@ -637,7 +640,7 @@ class TestAgentAdapter:
         # an agent holding a non-terminal transition back, then loading a
         # checkpoint, follows a fresh agent that loaded the same file
         def agent():
-            return GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95)
+            return GPSarsaAgent(60, 3, replace(SPEC, nu=0.05), gamma=0.95)
 
         rng = RNG(19)
         source = agent()
@@ -674,8 +677,8 @@ class TestAgentAdapter:
                 b = random_summary(rng) if terminal else b2
 
         def agent(*feeds):
-            out = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95,
-                               max_dictionary=8)
+            out = GPSarsaAgent(60, 3, replace(SPEC, nu=0.05, max_dictionary=8),
+                               gamma=0.95)
             for seed, turns in feeds:
                 for t in stream(seed, turns):
                     out.observe(t, None)
@@ -686,8 +689,8 @@ class TestAgentAdapter:
             assert gp.updates % FOLD and gp._n_pending
         path = str(tmp_path / "gp.npz")
         source.save(path)
-        fresh = GPSarsaAgent(60, 3, SPEC, nu=0.05, gamma=0.95,
-                             max_dictionary=8)
+        fresh = GPSarsaAgent(60, 3, replace(SPEC, nu=0.05, max_dictionary=8),
+                             gamma=0.95)
         fresh.load(path)
         busy.load(path)
         for t in stream(52, 100):
@@ -705,8 +708,8 @@ class TestAgentAdapter:
 
     def test_dictionary_cap_alarms_and_stops_growth(self, caplog):
         import logging
-        agent = GPSarsaAgent(60, 2, SPEC, nu=1e-12, gamma=0.9,
-                             max_dictionary=10)
+        agent = GPSarsaAgent(60, 2, replace(SPEC, nu=1e-12, max_dictionary=10),
+                             gamma=0.9)
         rng = RNG(18)
         with caplog.at_level(logging.WARNING):
             for i in range(30):

@@ -24,7 +24,7 @@ from dialab.harness import (ComparisonReport, ConfigError, EpsilonSchedule,
                             config_to_dict, epsilon, evaluate, load_config,
                             load_curve, train_run)
 from dialab.seeding import rng_stream
-from dialab.tracker import ErrorModel
+from reference import noiseless_channel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -144,7 +144,7 @@ class TestEpsilonSchedule:
 class TestEvaluate:
     def test_handcrafted_noiseless_is_perfect(self):
         cfg = ExperimentConfig(space="original", seed=2,
-                               error=ErrorModel.noiseless())
+                               error=noiseless_channel())
         _, _, env = harness.build_world(cfg)
         success, mean_return, mean_length = evaluate(
             HandcraftedPolicy("original"), env, 200, seed=2)
@@ -811,7 +811,10 @@ class TestCli:
         assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("setting", [
-        "agent.minibatch=0", "agent.l2=-1", "agent.sup_holdout=1.5"])
+        "agent.minibatch=0", "agent.l2=-1", "agent.sup_holdout=1.5",
+        "agent.pool_capacity=10", "agent.rho=0", "agent.rho=1",
+        "agent.eps_num=0", "agent.sup_batch=0", "agent.sup_epochs=-1",
+        "agent.batch_sweeps=-1"])
     def test_bad_agent_value_exits_before_the_run_starts(self, tmp_path,
                                                          capsys, setting):
         path = tmp_path / "cfg.json"
@@ -820,7 +823,7 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(path), "--out", str(out),
                          "--set", setting]) == cli.EXIT_CONFIG
-        assert "bad 'agent' section" in capsys.readouterr().err
+        assert f"bad 'agent' section: {setting[6:]}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", [
@@ -858,7 +861,19 @@ class TestCli:
         ('goals.constraint_probs={"areaa":1.0}',
          "'goals.constraint_probs' key 'areaa' is not a constraint slot"),
         ('goals.request_count_weights={"1":"x"}',
-         "'goals.request_count_weights' must map 1 to a number")])
+         "'goals.request_count_weights' must map 1 to a number"),
+        ("agent.l2=NaN", "bad 'agent' section: l2=nan must be >= 0"),
+        ("db_size=0", "bad 'config' section: db_size=0 must be >= 1"),
+        ("error.concentration=NaN",
+         "bad 'error' section: concentration must be positive"),
+        ('goals.request_count_weights={"1":0,"2":0}',
+         "bad 'goals' section: request_count_weights={1: 0.0, 2: 0.0} has "
+         "no positive weight"),
+        ("epsilon.rate=-0.5", "bad 'epsilon' section: rate=-0.5 outside "
+         "[0,1] for a geometric schedule"),
+        ("epsilon.rate=1.5", "bad 'epsilon' section: rate=1.5 outside [0,1]"),
+        ('epsilon={"mode":"linear","rate":-1}',
+         "bad 'epsilon' section: rate=-1 must be >= 0 for a linear")])
     def test_bad_value_exits_2_naming_the_key_before_the_run_starts(
             self, tmp_path, capsys, setting, named):
         path = tmp_path / "cfg.json"

@@ -7,9 +7,10 @@ from dialab import nets
 from dialab.actor_critic import ActorCriticAgent
 from dialab.nets import (AdadeltaState, FeedForwardNet, NonFiniteGradientError,
                          ShapeError, adadelta_step, clone_net, copy_params,
-                         cross_entropy_loss, finite_difference_grads,
-                         l2_penalty, log_policy_gradient, mse_loss, softmax)
+                         log_policy_gradient, mse_loss, softmax)
 from dialab.value_agents import AgentConfig
+from reference import (cross_entropy_loss, finite_difference_grads,
+                       l2_penalty)
 
 RNG = np.random.default_rng
 
@@ -75,7 +76,7 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         net = tiny_net(seed=2)
-        grads = net.backward(np.ones(4), np.zeros(3))
+        grads = net.backward_batch(np.ones((1, 4)), np.zeros((1, 3)))
         for gw, gb in grads:
             assert np.all(gw == 0.0) and np.all(gb == 0.0)
 
@@ -88,7 +89,7 @@ class TestBackward:
             return mse_loss(net.forward(x), target)[0]
 
         _, grad_out = mse_loss(net.forward(x), target)
-        analytic = net.backward(x, grad_out)
+        analytic = net.backward_batch(x[None], grad_out[None])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -101,7 +102,7 @@ class TestBackward:
             return cross_entropy_loss(net.forward(x), target)[0]
 
         _, grad_out, _ = cross_entropy_loss(net.forward(x), target)
-        analytic = net.backward(x, grad_out)
+        analytic = net.backward_batch(x[None], grad_out[None])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -121,7 +122,8 @@ class TestBackward:
         def objective():
             return float(np.log(net.forward(x)[action]))
 
-        analytic = net.backward(x, log_policy_gradient(net.forward(x), action))
+        analytic = net.backward_batch(
+            x[None], log_policy_gradient(net.forward(x), action)[None])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -133,14 +135,14 @@ class TestBackward:
             return mse_loss(net.forward(x), 0.7)[0]
 
         _, grad_out = mse_loss(net.forward(x), 0.7)
-        analytic = net.backward(x, np.atleast_1d(grad_out))
+        analytic = net.backward_batch(x[None], np.atleast_1d(grad_out)[None])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_upstream_shape_mismatch_raises(self):
         net = tiny_net()
         with pytest.raises(ShapeError):
-            net.backward(np.ones(4), np.zeros(2))
+            net.backward_batch(np.ones((1, 4)), np.zeros((1, 2)))
 
 
 class TestLosses:
@@ -293,7 +295,7 @@ class TestFlatLayout:
 
     def test_l2_gradient_added_to_weights_only(self):
         net = tiny_net(seed=31)
-        grads = net.backward(np.ones(4), np.ones(3))
+        grads = net.backward_batch(np.ones((1, 4)), np.ones((1, 3)))
         before = grads.vector.copy()
         nets.add_l2_gradient(grads, net, 0.25)
         n = net.n_weights

@@ -11,6 +11,7 @@ from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, ORIGINAL_LEN, SUMMARY_LEN,
                             nearest_gc, nearest_gr, not_mentioned_mass,
                             ranked_values, requested, summarize, top2,
                             turn_phase, update_belief, vectorize_original)
+from reference import noiseless_channel
 
 RNG = np.random.default_rng
 
@@ -92,7 +93,7 @@ def summarize_oracle(belief):
 class TestCorrupt:
     def test_noiseless_channel_is_identity_with_score_one(self):
         acts = [inform("food", "thai"), UserAct("request", slot="phone")]
-        obs = corrupt(acts, ErrorModel.noiseless(), RNG(0))
+        obs = corrupt(acts, noiseless_channel(), RNG(0))
         assert len(obs) == 2
         for nbest, act in zip(obs, acts):
             assert nbest == [(act, 1.0)]

@@ -89,7 +89,7 @@ class TestReplayPool:
         pool.add(t1)
         pool.add(t2)
         pool.add(t3)
-        rewards = {round(t.reward, 9) for t in pool.contents()}
+        rewards = {round(r, 9) for r in pool.state().arrays["rewards"]}
         assert rewards == {round(t2.reward, 9), round(t3.reward, 9)}
 
     @pytest.mark.parametrize("before, rows", [(0, 3), (3, 4), (3, 12)])
@@ -98,8 +98,10 @@ class TestReplayPool:
         # a whole capacity of rows
         ts = [transition(i) for i in range(before + rows)]
         reference, pool = ReplayPool(5, 4), ReplayPool(5, 4)
-        reference.extend(ts)
-        pool.extend(ts[:before])
+        for t in ts:
+            reference.add(t)
+        for t in ts[:before]:
+            pool.add(t)
         added = ts[before:]
         pool.add_rows(SimpleNamespace(
             features=np.array([t.features for t in added]),
@@ -152,8 +154,8 @@ class TestReplayPool:
         restored = ReplayPool(capacity=8, n_features=4)
         restored.load(path)
         assert len(restored) == len(pool)
-        a = sorted(round(t.reward, 9) for t in pool.contents())
-        b = sorted(round(t.reward, 9) for t in restored.contents())
+        a = sorted(round(r, 9) for r in pool.state().arrays["rewards"])
+        b = sorted(round(r, 9) for r in restored.state().arrays["rewards"])
         assert a == b
 
 
