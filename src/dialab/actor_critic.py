@@ -5,9 +5,10 @@ epsilon draw), is trained by ascending the TD-error-weighted
 log-likelihood of the taken action, with L2 regularization keeping the
 effective step bounded. A scalar value network supplies the TD error and is
 itself trained DQN-style with replay and a target copy. The two-stage
-variant first clones demonstrated actions by cross-entropy (``imitate``);
-the batch RL stage that follows, value replay steps over the logged
-transitions, is the harness's pretraining stage shared with DQN.
+variant first clones demonstrated actions by cross-entropy (``imitate``)
+on the logged turns the harness stored in the replay pool; the batch RL
+stage that follows, value replay steps over those turns, is the harness's
+pretraining stage shared with DQN.
 """
 
 from __future__ import annotations
@@ -114,16 +115,16 @@ class ActorCriticAgent:
         nets.adadelta_step(self.policy_opt, self.policy, grads)
         return losses / n
 
-    def imitate(self, data, rows: np.ndarray,
-                rng: np.random.Generator) -> dict:
+    def imitate(self, rows: np.ndarray, rng: np.random.Generator) -> dict:
         """The supervised stage of pretraining: ``sup_epochs`` epochs of
-        cross-entropy minibatches over the ``rows`` (indices) of ``data``, a
-        ``corpus.CorpusArrays``, less a random ``sup_holdout`` share on which
-        the agreement with the logged actions is measured. No rows, no
-        draws."""
+        cross-entropy minibatches over the ``rows`` (indices) of the replay
+        pool, less a random ``sup_holdout`` share on which the agreement
+        with the logged actions is measured. No rows, no draws."""
         stats = {"supervised_examples": 0, "holdout_accuracy": None}
         if not len(rows):
             return stats
+        features = self.pool.rows("features")
+        actions = self.pool.rows("actions")
         order = rng.permutation(len(rows))
         n_hold = int(len(rows) * self.config.sup_holdout)
         hold, train = rows[order[:n_hold]], rows[order[n_hold:]]
@@ -132,12 +133,10 @@ class ActorCriticAgent:
             perm = rng.permutation(len(train))
             for start in range(0, len(perm), self.config.sup_batch):
                 sel = train[perm[start:start + self.config.sup_batch]]
-                self.supervised_step(data.features[sel], data.actions[sel])
+                self.supervised_step(features[sel], actions[sel])
         if len(hold):
-            pred = self.policy.forward_batch(
-                data.features[hold]).argmax(axis=1)
-            stats["holdout_accuracy"] = float(
-                np.mean(pred == data.actions[hold]))
+            pred = self.policy.forward_batch(features[hold]).argmax(axis=1)
+            stats["holdout_accuracy"] = float(np.mean(pred == actions[hold]))
         return stats
 
     # -- checkpointing ------------------------------------------------------

@@ -59,14 +59,36 @@ def replace_file(path: str, write: Callable[[BinaryIO], object]) -> None:
             os.remove(tmp)
 
 
+def write_npz(fh: BinaryIO, arrays: dict) -> None:
+    """Write ``arrays`` to ``fh`` as the bytes ``np.savez`` writes: one
+    stored (uncompressed) zip64 member ``<name>.npy`` per array, in order.
+    A contiguous array's buffer goes into its member as it is, where
+    ``np.savez`` first copies it with ``tobytes``; any other array is
+    copied once."""
+    import zipfile
+    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for name, array in arrays.items():
+            array = np.asanyarray(array)
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                # the header marks a Fortran-ordered array, whose buffer
+                # is then written in its own order
+                if array.flags.f_contiguous and not array.flags.c_contiguous:
+                    array = array.T
+                member.write(np.ascontiguousarray(array).reshape(-1)
+                             .view(np.uint8))
+
+
 def save(path: str, kind: str, state: State, **run) -> None:
     """Write exactly ``path`` (no suffix is added) with ``replace_file``;
     ``run`` adds a training run's counters to the owner's."""
     meta = {"format": FORMAT, "version": VERSION, "kind": kind,
             **state.spec, **state.counters, **run}
     record = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    replace_file(path, lambda fh: np.savez(fh, **{META: record},
-                                           **state.arrays))
+    replace_file(path, lambda fh: write_npz(fh, {META: record,
+                                                 **state.arrays}))
 
 
 def load(path: str, kind: str, expected: State, *run: str) -> State:

@@ -5,10 +5,10 @@ random action substitutions) and rated 0-3 by a deterministic rubric that
 replays the controller's rule table against the logged features. A corpus
 file is one JSON header line and one JSON line per dialogue.
 ``CorpusReader`` streams it one dialogue at a time and is the one place
-a record is checked. ``to_arrays`` turns a reader's dialogues, or a
-generated corpus's, into per-turn feature, action, reward and rating
-arrays, the input of pretraining; ``check_layout`` compares a corpus's
-feature names with the ones a learner expects.
+a record is checked. ``fill_pool`` stores a reader's dialogues, or a
+generated corpus's, in a learner's replay pool, the input of pretraining;
+``check_layout`` compares a corpus's feature names with the ones a learner
+expects.
 ``load_corpus`` reads a whole file into memory, for code that needs every
 dialogue at once.
 """
@@ -213,48 +213,38 @@ def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
                                 f"{n_features}")
 
 
-@dataclass
-class CorpusArrays:
-    """One row per system turn, in corpus order. The first five fields are
-    the replay pool's (``ReplayPool.add_rows`` takes this object)."""
+class CorpusTooLong(ValueError):
+    """A corpus has more turns than the replay pool it fills has rows."""
 
-    features: np.ndarray         # T x F
-    next_features: np.ndarray    # the next turn's, or the final belief's
-    actions: np.ndarray          # the logged action, int64
-    rewards: np.ndarray
-    terminal: np.ndarray         # bool
-    rating: np.ndarray           # the turn's dialogue rating, int64
-
-    def __len__(self) -> int:
-        return len(self.actions)
+    def __init__(self, turns: int, capacity: int):
+        super().__init__(f"{turns} turns, more than the pool's {capacity} "
+                         f"rows")
+        self.turns = turns
 
 
-def to_arrays(corpus) -> CorpusArrays:
-    """The turns of ``corpus``, a CorpusReader or a generated Corpus, as
-    arrays.
+def fill_pool(corpus, pool) -> np.ndarray:
+    """Store the turns of ``corpus``, a CorpusReader or a generated Corpus,
+    in the empty replay ``pool``, in order, and return each turn's dialogue
+    rating (int64).
 
-    Each dialogue becomes small arrays as it arrives, and they are joined
-    once at the end, so a streamed corpus is never held as objects. The
-    records are not checked again: the reader checks each one it yields,
-    and a generated corpus holds only dialogues its own environment ran.
+    Each dialogue goes straight into the pool's rows as it arrives, so a
+    streamed corpus is held nowhere else. The records are not checked
+    again: the reader checks each one it yields, and a generated corpus
+    holds only dialogues its own environment ran. A corpus with more turns
+    than the pool has rows raises CorpusTooLong, with its turn count, once
+    every dialogue has been read.
     """
-    n_features = len(corpus.feature_names)
-    empty = np.zeros((0, n_features))
-    no_ints = np.zeros(0, dtype=np.int64)
-    parts = [(empty, empty, no_ints, np.zeros(0), np.zeros(0, dtype=bool),
-              no_ints)]
+    ratings, lengths, turns = [], [], 0
     for d in corpus:
-        records = d.log.records
-        # row i is turn i's features; the last row is the final belief's
-        feats = np.stack([rec.features for rec in records]
-                         + [d.log.final_features])
-        parts.append((
-            feats[:-1], feats[1:],
-            np.array([rec.action for rec in records], dtype=np.int64),
-            np.array([rec.reward for rec in records], dtype=float),
-            np.array([rec.terminal for rec in records], dtype=bool),
-            np.full(len(records), d.rating, dtype=np.int64)))
-    return CorpusArrays(*(np.concatenate(column) for column in zip(*parts)))
+        ratings.append(d.rating)
+        lengths.append(len(d.log.records))
+        turns += lengths[-1]
+        if turns <= pool.capacity:
+            pool.add_log(d.log)
+    if turns > pool.capacity:
+        raise CorpusTooLong(turns, pool.capacity)
+    return np.repeat(np.array(ratings, dtype=np.int64),
+                     np.array(lengths, dtype=np.int64))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -11,6 +11,7 @@ success.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from sys import intern
 from typing import Callable, Iterator
@@ -50,6 +51,10 @@ class EnvConfig:
             raise ValueError("max_turns must be positive")
         if self.db_size < 1:
             raise ValueError(f"db_size={self.db_size} must be >= 1")
+        for name in ("turn_penalty", "success_reward", "failure_reward"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ observed, which names its on-policy next action.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,10 @@ class GPConfig:
                 raise ValueError(f"{name}={value} must be > 0")
         if not self.nu >= 0:
             raise ValueError(f"nu={self.nu} must be >= 0")
+        for name in ("length_scale", "signal_var", "noise_var", "nu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
         if self.max_dictionary < 1:
             raise ValueError(
                 f"max_dictionary={self.max_dictionary} must be >= 1")

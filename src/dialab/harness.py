@@ -15,6 +15,7 @@ import dataclasses
 import glob
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -58,6 +59,8 @@ class EpsilonSchedule:
             raise ConfigError(f"unknown epsilon unit '{self.unit}'")
         if not 0.0 <= self.floor <= self.start <= 1.0:
             raise ConfigError("need 0 <= floor <= start <= 1")
+        if not math.isfinite(self.rate):
+            raise ConfigError(f"rate={self.rate} must be finite")
         if self.mode == "geometric" and not 0.0 <= self.rate <= 1.0:
             raise ConfigError(f"rate={self.rate} outside [0,1] for a "
                               f"geometric schedule")
@@ -292,36 +295,40 @@ def check_pretraining(cfg: ExperimentConfig, required: bool = False) -> None:
 
 
 def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv, agent) -> dict:
-    """Pretrain ``agent`` on the configured corpus file, streamed into
-    arrays after its header's feature names are checked against the space.
-    A supervised mode first runs the actor-critic's ``imitate`` on every
-    row or on the rating-3 rows. Batch RL then puts every row into the
-    replay pool, in order, and sweeps it ``batch_sweeps`` times with the
+    """Pretrain ``agent`` on the configured corpus file, streamed straight
+    into its replay pool, in order, after its header's feature names are
+    checked against the space. A supervised mode first runs the
+    actor-critic's ``imitate`` on every stored turn or on the rating-3
+    ones. Batch RL then sweeps the pool ``batch_sweeps`` times with the
     agent's own replay step. Both stages draw from the ``pretrain`` stream;
     an empty corpus runs neither. See ``check_pretraining`` for the modes."""
-    mode = cfg.pretrain.mode
-    reader = corpus_mod.CorpusReader(cfg.pretrain.corpus)
+    mode, path = cfg.pretrain.mode, cfg.pretrain.corpus
+    reader = corpus_mod.CorpusReader(path)
     corpus_mod.check_layout(env.space.feature_names, reader.feature_names)
-    data = corpus_mod.to_arrays(reader)
+    try:
+        rating = corpus_mod.fill_pool(reader, agent.pool)
+    except corpus_mod.CorpusTooLong as exc:
+        raise ConfigError(f"{path}: {exc.turns} turns, more than "
+                          f"agent.pool_capacity={agent.config.pool_capacity}"
+                          f"; batch RL would lose the oldest") from None
     rng = rng_stream(cfg.seed, "pretrain")
     stats = {"supervised_examples": 0, "holdout_accuracy": None,
              "value_sweeps": 0, "mode": mode}
-    if not len(data):
+    if not len(rating):
         log.warning("pretraining on an empty corpus; nothing to do")
         return stats
-    if len(data) < agent.config.minibatch:
-        raise ConfigError(f"{cfg.pretrain.corpus}: {len(data)} turns, fewer "
-                          f"than agent.minibatch={agent.config.minibatch}; "
+    if len(rating) < agent.config.minibatch:
+        raise ConfigError(f"{path}: {len(rating)} turns, fewer than "
+                          f"agent.minibatch={agent.config.minibatch}; "
                           f"batch RL needs one minibatch")
     if mode == "sup_full_batch":
-        stats |= agent.imitate(data, np.arange(len(data)), rng)
+        stats |= agent.imitate(np.arange(len(rating)), rng)
     elif mode == "sup_expert_batch":
-        stats |= agent.imitate(data, np.flatnonzero(data.rating == 3), rng)
+        stats |= agent.imitate(np.flatnonzero(rating == 3), rng)
     # looked up now, so a wrapper set on the agent's class is what runs
     replay_step = (agent.train_step if isinstance(agent, QAgent)
                    else agent.value_train_step)
-    agent.pool.add_rows(data)
-    per_sweep = max(1, len(data) // agent.config.minibatch)
+    per_sweep = max(1, len(rating) // agent.config.minibatch)
     for _ in range(agent.config.batch_sweeps * per_sweep):
         replay_step(rng)
     stats["value_sweeps"] = agent.config.batch_sweeps

@@ -8,6 +8,7 @@ feature layout and every seeded draw downstream indexes into them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -88,6 +89,12 @@ class RestaurantDB(tuple):
         return db
 
 
+def _pick(values: tuple, rng: np.random.Generator) -> str:
+    """A uniform draw from ``values``, the one ``rng.choice(values)`` makes,
+    without building an array of ``values`` first."""
+    return values[int(rng.integers(len(values)))]
+
+
 def generate_db(n: int = 150,
                 rng: np.random.Generator | None = None) -> RestaurantDB:
     """Synthesize a seeded restaurant database of ``n`` records.
@@ -102,20 +109,21 @@ def generate_db(n: int = 150,
     for i in range(n):
         base = combos[order[i % len(combos)]]
         name = base if i < len(combos) else f"{base} {i // len(combos) + 1}"
-        area = str(rng.choice(VALUES["area"]))
-        food = str(rng.choice(VALUES["food"]))
-        price = str(rng.choice(VALUES["pricerange"]))
+        area = _pick(VALUES["area"], rng)
+        food = _pick(VALUES["food"], rng)
+        price = _pick(VALUES["pricerange"], rng)
         records.append(Restaurant(
             name=name,
             area=area,
             food=food,
             pricerange=price,
-            address=f"{int(rng.integers(1, 99))} {rng.choice(_STREETS)}",
+            address=f"{int(rng.integers(1, 99))} {_pick(_STREETS, rng)}",
             postcode=f"cb{int(rng.integers(1, 6))} {int(rng.integers(1, 10))}"
                      f"{chr(97 + int(rng.integers(0, 26)))}"
                      f"{chr(97 + int(rng.integers(0, 26)))}",
             phone=f"01223 {int(rng.integers(100000, 999999))}",
-            signature=f"{rng.choice(_NAME_ADJECTIVES)} {rng.choice(_DISHES)}",
+            signature=f"{_pick(_NAME_ADJECTIVES, rng)} "
+                      f"{_pick(_DISHES, rng)}",
         ))
     return RestaurantDB(records)
 
@@ -172,7 +180,7 @@ class GoalConfig:
         if not 0.0 <= self.satisfiable_frac <= 1.0:
             raise GoalConfigError(f"satisfiable_frac={self.satisfiable_frac} outside [0,1]")
         for k, w in self.request_count_weights.items():
-            if k < 1 or w < 0:
+            if k < 1 or not 0 <= w < math.inf:
                 raise GoalConfigError(f"bad request-count weight {k}: {w}")
         if not sum(self.request_count_weights.values()) > 0:
             raise GoalConfigError(
@@ -193,7 +201,7 @@ def sample_goal(db: RestaurantDB,
     must_match = rng.random() < cfg.satisfiable_frac
     constraints: dict[str, str] = {}
     for _ in range(1000):
-        constraints = {s: str(rng.choice(VALUES[s])) for s in slots}
+        constraints = {s: _pick(VALUES[s], rng) for s in slots}
         if not must_match or query(db, constraints):
             break
     else:

@@ -9,6 +9,7 @@ the action the target network evaluates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,27 @@ class ReplayPool:
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def add_rows(self, rows) -> None:
-        """Insert ``rows``, an object with one array per name in FIELDS, in
-        order, leaving the pool as one ``add`` per row would."""
-        n = len(rows.actions)
-        keep = min(n, self.capacity)   # earlier rows would be evicted
-        at = (self._cursor + np.arange(n - keep, n)) % self.capacity
-        for k in self.FIELDS:
-            getattr(self, f"_{k}")[at] = getattr(rows, k)[n - keep:]
-        self._cursor = (self._cursor + n) % self.capacity
-        self._size = min(self._size + n, self.capacity)
+    def add_log(self, log) -> None:
+        """Store the turns of ``log``, an EpisodeLog, after the stored rows,
+        as one ``add`` per turn would: turn i's next features are turn
+        i+1's, or the final belief's. Raises ValueError, storing nothing,
+        unless every turn fits without evicting a row."""
+        records, i = log.records, self._size
+        n = len(records)
+        if i + n > self.capacity:
+            raise ValueError(f"{n} turns do not fit: the pool holds {i} of "
+                             f"{self.capacity} rows")
+        if not n:
+            return
+        np.stack([rec.features for rec in records],
+                 out=self._features[i:i + n])
+        self._next_features[i:i + n - 1] = self._features[i + 1:i + n]
+        self._next_features[i + n - 1] = log.final_features
+        self._actions[i:i + n] = [rec.action for rec in records]
+        self._rewards[i:i + n] = [rec.reward for rec in records]
+        self._terminal[i:i + n] = [rec.terminal for rec in records]
+        self._size += n
+        self._cursor = self._size % self.capacity
 
     def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         if self._size < batch:
@@ -72,9 +84,13 @@ class ReplayPool:
 
     FIELDS = ("features", "next_features", "actions", "rewards", "terminal")
 
+    def rows(self, name: str) -> np.ndarray:
+        """The stored rows of the field ``name``, one of FIELDS, as a view."""
+        return getattr(self, f"_{name}")[:self._size]
+
     def state(self) -> checkpoint.State:
         """The filled rows, as views, with the counters."""
-        arrays = {k: getattr(self, f"_{k}")[:self._size] for k in self.FIELDS}
+        arrays = {k: self.rows(k) for k in self.FIELDS}
         return checkpoint.State(
             arrays, spec={"capacity": self.capacity},
             counters={"size": self._size, "cursor": self._cursor},
@@ -167,6 +183,10 @@ class AgentConfig:
             raise ValueError(f"rho={self.rho} outside (0,1)")
         if not self.eps_num > 0:
             raise ValueError(f"eps_num={self.eps_num} must be > 0")
+        for name in ("l2", "eps_num"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
         if not 0.0 <= self.sup_holdout < 1.0:
             raise ValueError(f"sup_holdout={self.sup_holdout} outside [0,1)")
 

@@ -5,14 +5,21 @@ module itself (pytest collects ``test_*.py`` only)."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from dialab.corpus import fill_pool
 from dialab.environment import EnvConfig, EpisodeLog
 from dialab.nets import (CE_CLAMP, FeedForwardNet, GradientSet, ShapeError,
                          add_l2_gradient, zero_grads)
+from dialab.ontology import (_DISHES, _NAME_ADJECTIVES, _NAME_NOUNS,
+                             _STREETS, CONSTRAINT_SLOTS, REQUEST_SLOTS,
+                             VALUES, GoalConfig, Restaurant, RestaurantDB,
+                             UserGoal, query)
 from dialab.tracker import ErrorModel
+from dialab.value_agents import ReplayPool
 
 
 def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
@@ -72,3 +79,79 @@ def noiseless_channel() -> ErrorModel:
     """A channel that passes every user act through unchanged."""
     return ErrorModel(p_confuse=0.0, p_drop=0.0, nbest_size=1,
                       concentration=float("inf"))
+
+
+@dataclass
+class PooledTurns:
+    """A corpus's turns as ``fill_pool`` stores them: the five replay-pool
+    fields, row for row, and each turn's dialogue rating."""
+
+    features: np.ndarray
+    next_features: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    terminal: np.ndarray
+    rating: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+
+def pooled_turns(corpus) -> PooledTurns:
+    """``fill_pool`` on ``corpus`` into a pool with a row for every turn."""
+    turns = sum(len(d.log.records) for d in corpus)
+    pool = ReplayPool(max(1, turns), len(corpus.feature_names))
+    rating = fill_pool(corpus, pool)
+    return PooledTurns(**{k: pool.rows(k) for k in ReplayPool.FIELDS},
+                       rating=rating)
+
+
+def generate_db_by_choice(n: int, rng: np.random.Generator) -> RestaurantDB:
+    """``ontology.generate_db`` as it drew before: ``rng.choice`` on each
+    tuple of values."""
+    combos = [f"the {a} {b}" for a in _NAME_ADJECTIVES for b in _NAME_NOUNS]
+    order = rng.permutation(len(combos))
+    records = []
+    for i in range(n):
+        base = combos[order[i % len(combos)]]
+        name = base if i < len(combos) else f"{base} {i // len(combos) + 1}"
+        area = str(rng.choice(VALUES["area"]))
+        food = str(rng.choice(VALUES["food"]))
+        price = str(rng.choice(VALUES["pricerange"]))
+        records.append(Restaurant(
+            name=name, area=area, food=food, pricerange=price,
+            address=f"{int(rng.integers(1, 99))} {rng.choice(_STREETS)}",
+            postcode=f"cb{int(rng.integers(1, 6))} {int(rng.integers(1, 10))}"
+                     f"{chr(97 + int(rng.integers(0, 26)))}"
+                     f"{chr(97 + int(rng.integers(0, 26)))}",
+            phone=f"01223 {int(rng.integers(100000, 999999))}",
+            signature=f"{rng.choice(_NAME_ADJECTIVES)} {rng.choice(_DISHES)}",
+        ))
+    return RestaurantDB(records)
+
+
+def sample_goal_by_choice(db: RestaurantDB, rng: np.random.Generator,
+                          cfg: GoalConfig) -> UserGoal:
+    """``ontology.sample_goal`` as it drew before: ``rng.choice`` on each
+    tuple of constraint values."""
+    slots = [s for s in CONSTRAINT_SLOTS
+             if rng.random() < cfg.constraint_probs.get(s, 0.0)]
+    if not slots:
+        slots = [CONSTRAINT_SLOTS[int(rng.integers(len(CONSTRAINT_SLOTS)))]]
+    must_match = rng.random() < cfg.satisfiable_frac
+    constraints: dict[str, str] = {}
+    for _ in range(1000):
+        constraints = {s: str(rng.choice(VALUES[s])) for s in slots}
+        if not must_match or query(db, constraints):
+            break
+    else:
+        record = db[int(rng.integers(len(db)))]
+        constraints = {s: record.slot_value(s) for s in slots}
+    counts = sorted(cfg.request_count_weights)
+    weights = np.array([cfg.request_count_weights[c] for c in counts],
+                       dtype=float)
+    k = int(rng.choice(counts, p=weights / weights.sum()))
+    k = min(k, len(REQUEST_SLOTS))
+    picked = rng.choice(len(REQUEST_SLOTS), size=k, replace=False)
+    requests = tuple(REQUEST_SLOTS[i] for i in sorted(picked))
+    return UserGoal(constraints=constraints, requests=requests)

@@ -7,7 +7,7 @@ import pytest
 from dialab import harness, nets
 from dialab.actor_critic import ActorCriticAgent, td_advantage
 from dialab.corpus import (Corpus, LayoutMismatchError, check_layout,
-                           save_corpus, to_arrays)
+                           fill_pool, save_corpus)
 from dialab.environment import Transition
 from dialab.harness import behaviour_action
 from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
@@ -387,8 +387,7 @@ class TestPretrain:
         # no rows, no supervised draws
         rng = RNG(17)
         drawn = rng.bit_generator.state
-        assert agent.imitate(to_arrays(Corpus([], "original", ["f0"])),
-                             np.arange(0), rng)["supervised_examples"] == 0
+        assert agent.imitate(np.arange(0), rng)["supervised_examples"] == 0
         assert rng.bit_generator.state == drawn
 
     def test_layout_mismatch_refused_with_diff(self):
@@ -402,9 +401,9 @@ class TestPretrain:
         _, _, env = harness.build_world(cfg)
         built = generate_corpus(env, 220, seed=5,
                                 schedule=BlunderSchedule(((1.0, 0.0),)))
-        data = to_arrays(built)
         agent = ActorCriticAgent(31, 11,
                                  AgentConfig(hidden=(48, 32), sup_epochs=12),
                                  RNG(19))
-        stats = agent.imitate(data, np.arange(len(data)), RNG(20))
+        fill_pool(built, agent.pool)
+        stats = agent.imitate(np.arange(len(agent.pool)), RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

@@ -104,11 +104,11 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     saved = q_agent(hidden=(8, 6))
     saved.save(path)
 
-    def killed(fh, **arrays):
+    def killed(fh, arrays):
         fh.write(b"partial")
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(checkpoint.np, "savez", killed)
+    monkeypatch.setattr(checkpoint, "write_npz", killed)
     with pytest.raises(KeyboardInterrupt):
         q_agent(hidden=(8, 6), seed=1).save(path)
     monkeypatch.undo()
@@ -116,6 +116,27 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     restored = q_agent(hidden=(8, 6), seed=1)
     restored.load(path)
     assert np.array_equal(restored.qnet.params, saved.qnet.params)
+
+
+def test_written_bytes_are_np_savez_bytes(tmp_path):
+    # np.savez is the reference, on a seekable file as a snapshot is
+    # written, for each kind of array a snapshot could hold
+    rng = RNG(3)
+    square = rng.normal(size=(6, 5))
+    arrays = {"__meta__": np.frombuffer(b'{"kind": "x"}', dtype=np.uint8),
+              "empty": np.zeros((0, 4)), "empty_bool": np.zeros(0, bool),
+              "strided": square[::2, 1::2], "fortran": np.asfortranarray(square),
+              "bool": rng.random(7) > 0.5, "int": np.arange(-4, 9),
+              "float": square, "scalar": np.float64(2.5),
+              "rows": square[1:4]}
+    assert not arrays["strided"].flags.c_contiguous
+    for name, write in (("reference", lambda fh: np.savez(fh, **arrays)),
+                        ("written", lambda fh: checkpoint.write_npz(fh,
+                                                                   arrays))):
+        with open(tmp_path / name, "wb") as fh:
+            write(fh)
+    assert ((tmp_path / "written").read_bytes()
+            == (tmp_path / "reference").read_bytes())
 
 
 def test_per_layer_v2_arrays_load_into_flat_parameters(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 
 from dialab import harness
 from dialab.corpus import (BlunderSchedule, CorpusFormatError,
-                           CorpusReader, HandcraftedPolicy, count_blunders,
-                           generate_corpus, load_corpus, rate, save_corpus,
-                           to_arrays)
-from reference import check_reward_decomposition, noiseless_channel
+                           CorpusReader, CorpusTooLong, HandcraftedPolicy,
+                           count_blunders, fill_pool, generate_corpus,
+                           load_corpus, rate, save_corpus)
+from dialab.value_agents import ReplayPool
+from reference import (check_reward_decomposition, noiseless_channel,
+                       pooled_turns)
 
 CLEAN = BlunderSchedule(((1.0, 0.0),))
 
@@ -99,15 +101,15 @@ class TestHandcraftedPolicy:
 
 
 class TestFilter:
-    # the expert subset is the row mask rating == 3 over to_arrays' rows
+    # the expert subset is the row mask rating == 3 over the pooled rows
     def test_filtered_subset_has_rating_three(self, small_corpus):
-        data = to_arrays(small_corpus)
+        data = pooled_turns(small_corpus)
         expert = data.rating == 3
         assert np.all(data.rating[expert] == 3)
         assert 0 < expert.sum() <= len(data)
 
     def test_order_preserved_and_complement_partitions(self, small_corpus):
-        data = to_arrays(small_corpus)
+        data = pooled_turns(small_corpus)
         expert = data.rating == 3
         assert expert.sum() + (~expert).sum() == len(data)
         rows = [(rec.features, rec.action) for d in small_corpus.dialogues
@@ -120,14 +122,14 @@ class TestFilter:
         built = generate_corpus(noiseless_env, 5, seed=7, schedule=CLEAN)
         for d in built.dialogues:
             d.rating = 1
-        data = to_arrays(built)
+        data = pooled_turns(built)
         assert len(data) > 0 and not np.any(data.rating == 3)
 
 
 class TestConversion:
     def test_pair_and_transition_counts_match_turns(self, small_corpus):
         turns = sum(len(d.log.records) for d in small_corpus.dialogues)
-        data = to_arrays(small_corpus)
+        data = pooled_turns(small_corpus)
         assert data.features.shape == data.next_features.shape == (
             turns, len(small_corpus.feature_names))
         for column in (data.actions, data.rewards, data.terminal,
@@ -136,7 +138,7 @@ class TestConversion:
         assert data.terminal.sum() == len(small_corpus)
 
     def test_transition_rewards_resum_to_returns(self, small_corpus):
-        data = to_arrays(small_corpus)
+        data = pooled_turns(small_corpus)
         ends = np.flatnonzero(data.terminal) + 1
         for d, rewards in zip(small_corpus.dialogues,
                               np.split(data.rewards, ends[:-1])):
@@ -145,13 +147,13 @@ class TestConversion:
     def test_clean_pairs_match_rule_table_everywhere(self, noiseless_env):
         built = generate_corpus(noiseless_env, 40, seed=8, schedule=CLEAN)
         rule = HandcraftedPolicy("original")
-        data = to_arrays(built)
+        data = pooled_turns(built)
         for feats, action in zip(data.features, data.actions):
             assert rule.decide(feats) == action
 
     def test_rows_match_the_logged_turns(self, small_corpus):
         # reference: a loop over every dialogue's turn records
-        data = to_arrays(small_corpus)
+        data = pooled_turns(small_corpus)
         records = [(d, i) for d in small_corpus.dialogues
                    for i in range(len(d.log.records))]
         assert len(data) == len(records)
@@ -169,12 +171,29 @@ class TestConversion:
                                                       small_corpus):
         path = tmp_path / "c.jsonl"
         save_corpus(small_corpus, path)
-        streamed, held = to_arrays(CorpusReader(str(path))), to_arrays(
+        streamed, held = pooled_turns(CorpusReader(str(path))), pooled_turns(
             small_corpus)
         for name in ("features", "next_features", "actions", "rewards",
                      "terminal", "rating"):
             assert np.array_equal(getattr(streamed, name),
                                   getattr(held, name)), name
+
+    def test_pool_of_exactly_the_turns_is_filled_to_the_last_row(
+            self, small_corpus):
+        data = pooled_turns(small_corpus)
+        pool = ReplayPool(len(data), len(small_corpus.feature_names))
+        fill_pool(small_corpus, pool)
+        assert (len(pool), pool._cursor) == (len(data), 0)
+        assert np.array_equal(pool.rows("next_features"), data.next_features)
+
+    def test_longer_corpus_than_the_pool_names_its_turn_count(self,
+                                                              small_corpus):
+        turns = len(pooled_turns(small_corpus))
+        pool = ReplayPool(turns - 1, len(small_corpus.feature_names))
+        with pytest.raises(CorpusTooLong, match=f"^{turns} turns, more than "
+                           f"the pool's {turns - 1} rows$") as caught:
+            fill_pool(small_corpus, pool)
+        assert caught.value.turns == turns
 
 
 class TestLogForm:
@@ -275,7 +294,7 @@ class TestRoundTrip:
         path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:2: field 'terminal'")):
-            to_arrays(CorpusReader(str(path)))
+            pooled_turns(CorpusReader(str(path)))
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty corpus file"), ("\n", ":1: not JSON")])

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from dialab.corpus import (Corpus, CorpusDialogue, HandcraftedPolicy,
-                           RandomPolicy, to_arrays)
+                           RandomPolicy)
 from dialab.environment import (ORIGINAL_ACTIONS, SPACES, SUMMARY_ACTIONS,
                                 DialogueEnv, EnvConfig, EpisodeStateError,
                                 minmax_slot, realize, rollout, run_episode,
                                 understood_constraints)
-from dialab.ontology import GoalConfig, UserAct, generate_db
+from dialab.ontology import UserAct, generate_db
 from dialab.seeding import rng_stream
 from dialab.tracker import ErrorModel, fresh_belief, update_belief
-from dialab.usersim import UserConfig
-from reference import check_reward_decomposition, noiseless_channel
+from reference import (check_reward_decomposition, noiseless_channel,
+                       pooled_turns)
 
 DB = generate_db(n=150, rng=np.random.default_rng(7))
 SUMMARY = SPACES["summary"]
@@ -24,10 +24,10 @@ def make_env(space="original", noiseless=True, **cfg_kw):
 
 
 def logged_rows(log):
-    """The log's turns as corpus rows."""
-    return to_arrays(Corpus(dialogues=[CorpusDialogue(log=log, rating=0)],
-                            space=log.space,
-                            feature_names=SPACES[log.space].feature_names))
+    """The log's turns as the replay pool stores them."""
+    return pooled_turns(Corpus(
+        dialogues=[CorpusDialogue(log=log, rating=0)], space=log.space,
+        feature_names=SPACES[log.space].feature_names))
 
 
 def belief_with(informs, db_count=0):

@@ -16,15 +16,14 @@ from dialab import checkpoint, cli, harness
 from dialab import corpus as corpus_mod
 from dialab.checkpoint import CheckpointError
 from dialab.corpus import (CorpusReader, HandcraftedPolicy,
-                           LayoutMismatchError, RandomPolicy, generate_corpus,
-                           save_corpus, to_arrays)
-from dialab.environment import ORIGINAL_ACTIONS, run_episode
-from dialab.harness import (ComparisonReport, ConfigError, EpsilonSchedule,
-                            ExperimentConfig, compare_runs, config_from_dict,
-                            config_to_dict, epsilon, evaluate, load_config,
-                            load_curve, train_run)
+                           LayoutMismatchError, generate_corpus, save_corpus)
+from dialab.environment import ORIGINAL_ACTIONS, Transition, run_episode
+from dialab.harness import (ConfigError, EpsilonSchedule, ExperimentConfig,
+                            compare_runs, config_from_dict, config_to_dict,
+                            epsilon, evaluate, load_config, load_curve,
+                            train_run)
 from dialab.seeding import rng_stream
-from reference import noiseless_channel
+from reference import noiseless_channel, pooled_turns
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -53,15 +52,16 @@ def append_or_die(path, row):
 harness.append_curve_row = append_or_die
 """,
     "partial-write": """
-savez, saves = np.savez, []
-def savez_or_die(fh, **arrays):
+from dialab import checkpoint
+write_npz, saves = checkpoint.write_npz, []
+def write_npz_or_die(fh, arrays):
     saves.append(fh)
     if len(saves) == 2:
         fh.write(b"partial")
         fh.flush()
         os._exit(9)
-    savez(fh, **arrays)
-np.savez = savez_or_die
+    write_npz(fh, arrays)
+checkpoint.write_npz = write_npz_or_die
 """,
     "at-replace": """
 replace, checkpoints = os.replace, []
@@ -571,7 +571,7 @@ class TestPretraining:
         """The two stages as ActorCriticAgent.pretrain ran them before
         pretraining moved to the harness: the supervised stage on the rows
         of the boolean mask ``supervised`` (None skips it), then batch
-        value RL over every row."""
+        value RL over every row, each added to the pool on its own."""
         stats = {"supervised_examples": 0, "holdout_accuracy": None,
                  "value_sweeps": 0}
         if not len(data):
@@ -593,7 +593,9 @@ class TestPretraining:
                     data.features[hold]).argmax(axis=1)
                 stats["holdout_accuracy"] = float(
                     np.mean(pred == data.actions[hold]))
-        agent.pool.add_rows(data)
+        for row in zip(data.features, data.actions, data.rewards,
+                       data.next_features, data.terminal):
+            agent.pool.add(Transition(*row, success=False))
         per_sweep = max(1, len(data) // agent.config.minibatch)
         for _ in range(agent.config.batch_sweeps):
             for _ in range(per_sweep):
@@ -614,7 +616,7 @@ class TestPretraining:
             if source == "harness":
                 stats = harness.run_pretraining(cfg, env, agent)
             else:
-                data = to_arrays(CorpusReader(path))
+                data = pooled_turns(CorpusReader(path))
                 mask = {"batch": None,
                         "sup_full_batch": np.ones(len(data), dtype=bool),
                         "sup_expert_batch": data.rating == 3}[mode]
@@ -630,7 +632,7 @@ class TestPretraining:
     def test_q_agents_take_batch_rl(self, tmp_path, monkeypatch, corpus_file,
                                     algorithm):
         built, path = corpus_file
-        data = to_arrays(built)
+        data = pooled_turns(built)
         snapshots = []
         for source in ("file", "memory"):
             if source == "memory":
@@ -664,10 +666,12 @@ class TestPretraining:
 
     def test_peak_memory_is_a_small_multiple_of_the_arrays(self,
                                                            corpus_file):
-        # the corpus is streamed into arrays, never held as per-turn
-        # objects: read whole, this corpus peaked at over 6x its arrays
+        # the corpus goes straight into the agent's preallocated pool, never
+        # held as per-turn objects or as arrays beside it: the traced peak
+        # is 0.19x the pooled arrays (1.8x when arrays were built and then
+        # copied in), and one copy of the feature columns alone is 0.48x
         _, path = corpus_file
-        data = to_arrays(CorpusReader(path))
+        data = pooled_turns(CorpusReader(path))
         array_bytes = sum(a.nbytes for a in vars(data).values())
         cfg, env, agent = self.pretrained(path)
         tracemalloc.start()
@@ -676,7 +680,7 @@ class TestPretraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * array_bytes, (peak, array_bytes)
+        assert peak < array_bytes / 4, (peak, array_bytes)
 
 
 class TestCompare:
@@ -873,7 +877,28 @@ class TestCli:
          "[0,1] for a geometric schedule"),
         ("epsilon.rate=1.5", "bad 'epsilon' section: rate=1.5 outside [0,1]"),
         ('epsilon={"mode":"linear","rate":-1}',
-         "bad 'epsilon' section: rate=-1 must be >= 0 for a linear")])
+         "bad 'epsilon' section: rate=-1 must be >= 0 for a linear"),
+        ("turn_penalty=NaN",
+         "bad 'config' section: turn_penalty=nan must be finite"),
+        ("success_reward=Infinity",
+         "bad 'config' section: success_reward=inf must be finite"),
+        ("failure_reward=-Infinity",
+         "bad 'config' section: failure_reward=-inf must be finite"),
+        ("agent.l2=Infinity",
+         "bad 'agent' section: l2=inf must be finite"),
+        ("agent.eps_num=Infinity",
+         "bad 'agent' section: eps_num=inf must be finite"),
+        ("gp.nu=Infinity", "bad 'gp' section: nu=inf must be finite"),
+        ("gp.length_scale=Infinity",
+         "bad 'gp' section: length_scale=inf must be finite"),
+        ("gp.signal_var=Infinity",
+         "bad 'gp' section: signal_var=inf must be finite"),
+        ("gp.noise_var=Infinity",
+         "bad 'gp' section: noise_var=inf must be finite"),
+        ('goals.request_count_weights={"1":Infinity}',
+         "bad 'goals' section: bad request-count weight 1: inf"),
+        ('epsilon={"mode":"linear","rate":Infinity}',
+         "bad 'epsilon' section: rate=inf must be finite")])
     def test_bad_value_exits_2_naming_the_key_before_the_run_starts(
             self, tmp_path, capsys, setting, named):
         path = tmp_path / "cfg.json"
@@ -923,7 +948,7 @@ class TestCli:
         corpus_path = str(tmp_path / "one.jsonl")
         assert cli.main(["generate-corpus", "--config", str(corpus_cfg),
                          "--n", "1", "--out", corpus_path]) == cli.EXIT_OK
-        turns = len(to_arrays(CorpusReader(corpus_path)))
+        turns = len(pooled_turns(CorpusReader(corpus_path)))
         minibatch = harness.AgentConfig().minibatch
         assert 0 < turns < minibatch
         capsys.readouterr()
@@ -941,6 +966,36 @@ class TestCli:
             err = capsys.readouterr().err
             assert corpus_path in err and f"{turns} turns" in err, err
             assert f"agent.minibatch={minibatch}" in err, err
+            if command == "train":
+                assert os.listdir(out) == []
+            else:
+                assert not out.exists()
+
+    def test_corpus_longer_than_the_pool_exits_2_before_any_file(
+            self, tmp_path, capsys):
+        corpus_cfg = tmp_path / "corpus-cfg.json"
+        corpus_cfg.write_text(json.dumps({"algorithm": "tda2c", "seed": 2}))
+        corpus_path = str(tmp_path / "three.jsonl")
+        assert cli.main(["generate-corpus", "--config", str(corpus_cfg),
+                         "--n", "3", "--out", corpus_path]) == cli.EXIT_OK
+        turns = len(pooled_turns(CorpusReader(corpus_path)))
+        capacity = turns - 1
+        capsys.readouterr()
+        for command, algorithm, mode in (("pretrain", "dqn", "batch"),
+                                         ("train", "tda2c", "sup_full_batch")):
+            path = tmp_path / f"{algorithm}.json"
+            path.write_text(json.dumps({
+                "algorithm": algorithm, "seed": 2, "dialogues": 2,
+                "agent": {"minibatch": 1, "pool_capacity": capacity},
+                "pretrain": {"mode": mode, "corpus": corpus_path}}))
+            out = tmp_path / command
+            if command == "train":
+                out.mkdir()          # a fresh run directory stays empty
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(out)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{corpus_path}: {turns} turns, more than " \
+                f"agent.pool_capacity={capacity}" in err, err
             if command == "train":
                 assert os.listdir(out) == []
             else:

@@ -72,6 +72,22 @@ class TestForward:
         net = tiny_net(n_in=4, n_out=3, hidden=(5, 4))
         assert net.params.size == (4 + 1) * 5 + (5 + 1) * 4 + (4 + 1) * 3
 
+    @pytest.mark.parametrize("head, n_out", [("linear", 11), ("softmax", 11),
+                                             ("scalar", 1)])
+    @pytest.mark.parametrize("rows", [1, 32])
+    def test_forward_batch_is_the_training_pass_bit_for_bit(self, head,
+                                                           n_out, rows):
+        # the training pass, which keeps every activation, is the reference
+        net = FeedForwardNet.create(31, n_out, hidden=(130, 50), head=head)
+        net.params[:] = RNG(4).normal(size=net.params.size) * 0.2  # biases too
+        x = RNG(rows).normal(size=(rows, 31)) * 3
+        kept = x.copy()
+        got = net.forward_batch(x)
+        want = net.forward_train(x)[0]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(x, kept)      # the input is not written
+
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):

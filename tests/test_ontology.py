@@ -8,12 +8,30 @@ from hypothesis import strategies as st
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, VALUES,
                              GoalConfig, GoalConfigError, OntologyError,
                              Restaurant, RestaurantDB, SystemAct, UserAct,
-                             generate_db, query, sample_goal)
+                             _pick, generate_db, query, sample_goal)
+from reference import generate_db_by_choice, sample_goal_by_choice
 
 
 @pytest.fixture(scope="module")
 def db():
     return generate_db(n=150, rng=np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("size", [5, 8, 10, 12])
+def test_index_draw_is_the_choice_draw(size):
+    # every tuple the DB and goals draw from has one of these lengths
+    values = tuple(f"v{i}" for i in range(size))
+    rng, reference = np.random.default_rng(size), np.random.default_rng(size)
+    for _ in range(20000):
+        assert _pick(values, rng) == str(reference.choice(values))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_db_is_the_choice_draws(seed):
+    db = generate_db(n=150, rng=np.random.default_rng(seed))
+    reference = generate_db_by_choice(150, np.random.default_rng(seed))
+    assert list(db) == list(reference)
 
 
 class TestOntology:
@@ -108,6 +126,18 @@ class TestGoals:
             goal = sample_goal(db, rng)
             for slot, value in goal.constraints.items():
                 assert value in VALUES[slot]
+
+    def test_goals_are_the_choice_draws(self, db):
+        # the draws by rng.choice on each tuple of values are the reference,
+        # as is the rng state each goal leaves
+        for cfg in (GoalConfig(), GoalConfig(satisfiable_frac=1.0)):
+            rng, reference = (np.random.default_rng(11),
+                              np.random.default_rng(11))
+            for _ in range(300):
+                assert sample_goal(db, rng, cfg) == sample_goal_by_choice(
+                    db, reference, cfg)
+                assert (rng.bit_generator.state
+                        == reference.bit_generator.state)
 
     def test_bad_probability_rejected(self):
         with pytest.raises(GoalConfigError):

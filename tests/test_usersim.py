@@ -3,7 +3,7 @@ import pytest
 
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, VALUES,
                              Restaurant, SystemAct, UserAct, UserGoal,
-                             generate_db, query)
+                             generate_db)
 from dialab.usersim import (UserConfig, UserSessionError, check_hangup,
                             init_user, is_satisfied, respond)
 

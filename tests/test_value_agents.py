@@ -92,28 +92,52 @@ class TestReplayPool:
         rewards = {round(r, 9) for r in pool.state().arrays["rewards"]}
         assert rewards == {round(t2.reward, 9), round(t3.reward, 9)}
 
-    @pytest.mark.parametrize("before, rows", [(0, 3), (3, 4), (3, 12)])
-    def test_add_rows_equals_one_add_per_row(self, before, rows):
-        # the per-row add is the reference, across wrap-around and past
-        # a whole capacity of rows
-        ts = [transition(i) for i in range(before + rows)]
+    @staticmethod
+    def logged(before, turns, seed=0):
+        """``before`` unrelated transitions, then a logged dialogue of
+        ``turns`` turns and the transitions its turns are."""
+        rng = RNG(seed)
+        feats = rng.normal(size=(turns + 1, 4))
+        records = [SimpleNamespace(features=feats[k], action=k % 3,
+                                   reward=float(rng.normal()),
+                                   terminal=k == turns - 1)
+                   for k in range(turns)]
+        log = SimpleNamespace(records=records, final_features=feats[turns])
+        ts = [Transition(r.features, r.action, r.reward, feats[k + 1],
+                         r.terminal, False) for k, r in enumerate(records)]
+        return [transition(i) for i in range(before)], log, ts
+
+    @pytest.mark.parametrize("before, turns", [(0, 3), (3, 2), (0, 5),
+                                               (2, 0)])
+    def test_add_log_equals_one_add_per_row(self, before, turns):
+        # the per-row add is the reference, up to a full pool
+        earlier, log, ts = self.logged(before, turns)
         reference, pool = ReplayPool(5, 4), ReplayPool(5, 4)
-        for t in ts:
+        for t in earlier + ts:
             reference.add(t)
-        for t in ts[:before]:
+        for t in earlier:
             pool.add(t)
-        added = ts[before:]
-        pool.add_rows(SimpleNamespace(
-            features=np.array([t.features for t in added]),
-            next_features=np.array([t.next_features for t in added]),
-            actions=np.array([t.action for t in added]),
-            rewards=np.array([t.reward for t in added]),
-            terminal=np.array([t.terminal for t in added])))
+        pool.add_log(log)
         assert (len(pool), pool._cursor) == (len(reference),
                                              reference._cursor)
         for name in ReplayPool.FIELDS:
             assert np.array_equal(getattr(pool, f"_{name}"),
                                   getattr(reference, f"_{name}")), name
+
+    @pytest.mark.parametrize("before, turns", [(3, 3), (0, 6), (5, 1)])
+    def test_add_log_that_would_evict_stores_nothing(self, before, turns):
+        earlier, log, _ = self.logged(before, turns)
+        pool = ReplayPool(5, 4)
+        for t in earlier:
+            pool.add(t)
+        kept = {name: getattr(pool, f"_{name}").copy()
+                for name in ReplayPool.FIELDS}
+        with pytest.raises(ValueError, match=f"{turns} turns do not fit: "
+                           f"the pool holds {before} of 5 rows"):
+            pool.add_log(log)
+        assert (len(pool), pool._cursor) == (before, before % 5)
+        for name in ReplayPool.FIELDS:
+            assert np.array_equal(getattr(pool, f"_{name}"), kept[name])
 
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
