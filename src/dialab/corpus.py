@@ -213,27 +213,21 @@ def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
                                 f"{n_features}")
 
 
-class CorpusTooLong(ValueError):
-    """A corpus has more turns than the replay pool it fills has rows."""
-
-    def __init__(self, turns: int, capacity: int):
-        super().__init__(f"{turns} turns, more than the pool's {capacity} "
-                         f"rows")
-        self.turns = turns
-
-
 def fill_pool(corpus, pool) -> np.ndarray:
     """Store the turns of ``corpus``, a CorpusReader or a generated Corpus,
     in the empty replay ``pool``, in order, and return each turn's dialogue
-    rating (int64).
+    rating (int64), one per turn of the corpus.
 
     Each dialogue goes straight into the pool's rows as it arrives, so a
     streamed corpus is held nowhere else. The records are not checked
     again: the reader checks each one it yields, and a generated corpus
-    holds only dialogues its own environment ran. A corpus with more turns
-    than the pool has rows raises CorpusTooLong, with its turn count, once
-    every dialogue has been read.
+    holds only dialogues its own environment ran. The whole corpus is
+    read, but a dialogue is stored only while every turn so far fits, so a
+    result longer than ``pool.capacity`` means the corpus does not fit.
     """
+    if len(pool):
+        raise ValueError(f"fill_pool needs an empty pool; it holds "
+                         f"{len(pool)} rows")
     ratings, lengths, turns = [], [], 0
     for d in corpus:
         ratings.append(d.rating)
@@ -241,8 +235,6 @@ def fill_pool(corpus, pool) -> np.ndarray:
         turns += lengths[-1]
         if turns <= pool.capacity:
             pool.add_log(d.log)
-    if turns > pool.capacity:
-        raise CorpusTooLong(turns, pool.capacity)
     return np.repeat(np.array(ratings, dtype=np.int64),
                      np.array(lengths, dtype=np.int64))
 

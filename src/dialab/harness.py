@@ -305,12 +305,11 @@ def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv, agent) -> dict:
     mode, path = cfg.pretrain.mode, cfg.pretrain.corpus
     reader = corpus_mod.CorpusReader(path)
     corpus_mod.check_layout(env.space.feature_names, reader.feature_names)
-    try:
-        rating = corpus_mod.fill_pool(reader, agent.pool)
-    except corpus_mod.CorpusTooLong as exc:
-        raise ConfigError(f"{path}: {exc.turns} turns, more than "
+    rating = corpus_mod.fill_pool(reader, agent.pool)
+    if len(rating) > agent.pool.capacity:
+        raise ConfigError(f"{path}: {len(rating)} turns, more than "
                           f"agent.pool_capacity={agent.config.pool_capacity}"
-                          f"; batch RL would lose the oldest") from None
+                          f"; batch RL would lose the oldest")
     rng = rng_stream(cfg.seed, "pretrain")
     stats = {"supervised_examples": 0, "holdout_accuracy": None,
              "value_sweeps": 0, "mode": mode}

@@ -109,23 +109,8 @@ class FeedForwardNet:
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Batched forward pass; x is (batch, n_in), result (batch, n_out).
-
-        The ufuncs of ``forward_train``, in the same order, each layer's
-        applied in place to that layer's product, so the result is bit for
-        bit ``forward_train(x)[0]`` and no activation is kept."""
-        a = self._input(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w
-            a += b
-            if i != last:
-                np.tanh(a, out=a)
-        if self.head == "softmax":
-            a -= a.max(axis=-1, keepdims=True)
-            np.exp(a, out=a)
-            a /= a.sum(axis=-1, keepdims=True)
-        return a
+        """Batched forward pass; x is (batch, n_in), result (batch, n_out)."""
+        return self.forward_train(x)[0]
 
     def forward(self, x: np.ndarray):
         out = self.forward_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -137,7 +122,10 @@ class FeedForwardNet:
         """Batched forward pass that also returns every layer's activations
         (the input first, the final linear output last) for
         ``backward_batch``."""
-        x = self._input(x)
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ShapeError(
+                f"input shape {x.shape} incompatible with n_in={self.layer_sizes[0]}")
         activations = [x]
         a = x
         last = len(self.weights) - 1
@@ -147,13 +135,6 @@ class FeedForwardNet:
             activations.append(a)
         out = softmax(a) if self.head == "softmax" else a
         return out, activations
-
-    def _input(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise ShapeError(
-                f"input shape {x.shape} incompatible with n_in={self.layer_sizes[0]}")
-        return x
 
     # -- backward ----------------------------------------------------------
 

@@ -54,13 +54,10 @@ class ReplayPool:
     def add_log(self, log) -> None:
         """Store the turns of ``log``, an EpisodeLog, after the stored rows,
         as one ``add`` per turn would: turn i's next features are turn
-        i+1's, or the final belief's. Raises ValueError, storing nothing,
-        unless every turn fits without evicting a row."""
+        i+1's, or the final belief's. Every turn must fit in the free rows:
+        nothing is evicted."""
         records, i = log.records, self._size
         n = len(records)
-        if i + n > self.capacity:
-            raise ValueError(f"{n} turns do not fit: the pool holds {i} of "
-                             f"{self.capacity} rows")
         if not n:
             return
         np.stack([rec.features for rec in records],

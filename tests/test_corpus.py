@@ -8,7 +8,7 @@ import pytest
 
 from dialab import harness
 from dialab.corpus import (BlunderSchedule, CorpusFormatError,
-                           CorpusReader, CorpusTooLong, HandcraftedPolicy,
+                           CorpusReader, HandcraftedPolicy,
                            count_blunders, fill_pool, generate_corpus,
                            load_corpus, rate, save_corpus)
 from dialab.value_agents import ReplayPool
@@ -186,14 +186,29 @@ class TestConversion:
         assert (len(pool), pool._cursor) == (len(data), 0)
         assert np.array_equal(pool.rows("next_features"), data.next_features)
 
-    def test_longer_corpus_than_the_pool_names_its_turn_count(self,
-                                                              small_corpus):
-        turns = len(pooled_turns(small_corpus))
-        pool = ReplayPool(turns - 1, len(small_corpus.feature_names))
-        with pytest.raises(CorpusTooLong, match=f"^{turns} turns, more than "
-                           f"the pool's {turns - 1} rows$") as caught:
+    def test_longer_corpus_than_the_pool_is_counted_but_not_stored(
+            self, small_corpus):
+        # every turn is rated; the pool keeps the dialogues that fit whole,
+        # in order, and nothing after the first that does not
+        data = pooled_turns(small_corpus)
+        first = len(small_corpus.dialogues[0].log.records)
+        pool = ReplayPool(len(data) - 1, len(small_corpus.feature_names))
+        rating = fill_pool(small_corpus, pool)
+        assert np.array_equal(rating, data.rating)
+        assert first <= len(pool) < len(data)
+        for name in ReplayPool.FIELDS:
+            assert np.array_equal(pool.rows(name),
+                                  getattr(data, name)[:len(pool)]), name
+
+    def test_pool_holding_rows_is_refused_unchanged(self, small_corpus):
+        pool = ReplayPool(1000, len(small_corpus.feature_names))
+        fill_pool(small_corpus, pool)
+        held = {name: pool.rows(name).copy() for name in ReplayPool.FIELDS}
+        with pytest.raises(ValueError, match=f"^fill_pool needs an empty "
+                           f"pool; it holds {len(pool)} rows$"):
             fill_pool(small_corpus, pool)
-        assert caught.value.turns == turns
+        for name in ReplayPool.FIELDS:
+            assert np.array_equal(pool.rows(name), held[name]), name
 
 
 class TestLogForm:

@@ -668,8 +668,9 @@ class TestPretraining:
                                                            corpus_file):
         # the corpus goes straight into the agent's preallocated pool, never
         # held as per-turn objects or as arrays beside it: the traced peak
-        # is 0.19x the pooled arrays (1.8x when arrays were built and then
-        # copied in), and one copy of the feature columns alone is 0.48x
+        # is 0.27x the pooled arrays, most of it the supervised holdout's
+        # forward pass (1.8x when arrays were built and then copied in),
+        # and one copy of the feature columns alone is 0.48x
         _, path = corpus_file
         data = pooled_turns(CorpusReader(path))
         array_bytes = sum(a.nbytes for a in vars(data).values())
@@ -680,7 +681,7 @@ class TestPretraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < array_bytes / 4, (peak, array_bytes)
+        assert peak < array_bytes / 3, (peak, array_bytes)
 
 
 class TestCompare:

@@ -124,21 +124,6 @@ class TestReplayPool:
             assert np.array_equal(getattr(pool, f"_{name}"),
                                   getattr(reference, f"_{name}")), name
 
-    @pytest.mark.parametrize("before, turns", [(3, 3), (0, 6), (5, 1)])
-    def test_add_log_that_would_evict_stores_nothing(self, before, turns):
-        earlier, log, _ = self.logged(before, turns)
-        pool = ReplayPool(5, 4)
-        for t in earlier:
-            pool.add(t)
-        kept = {name: getattr(pool, f"_{name}").copy()
-                for name in ReplayPool.FIELDS}
-        with pytest.raises(ValueError, match=f"{turns} turns do not fit: "
-                           f"the pool holds {before} of 5 rows"):
-            pool.add_log(log)
-        assert (len(pool), pool._cursor) == (before, before % 5)
-        for name in ReplayPool.FIELDS:
-            assert np.array_equal(getattr(pool, f"_{name}"), kept[name])
-
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
         for i in range(100000):
