@@ -125,9 +125,8 @@ class ActorCriticAgent:
             return stats
         features = self.pool.rows("features")
         actions = self.pool.rows("actions")
-        order = rng.permutation(len(rows))
         n_hold = int(len(rows) * self.config.sup_holdout)
-        hold, train = rows[order[:n_hold]], rows[order[n_hold:]]
+        hold, train = np.split(rows[rng.permutation(len(rows))], [n_hold])
         stats["supervised_examples"] = len(train)
         for _ in range(self.config.sup_epochs):
             perm = rng.permutation(len(train))
@@ -156,5 +155,5 @@ class ActorCriticAgent:
     def load(self, path: str, *run: str) -> dict:
         loaded = checkpoint.load(path, "actor-critic", self.state(), *run)
         self.value_steps = loaded.counters["value_steps"]
-        self.pool.restore(loaded, "pool.")
+        self.pool.restore(loaded, path, "pool.")
         return loaded.counters

@@ -221,8 +221,17 @@ class SparseGP:
         delta = residual + self.jitter
         self.points_b = np.vstack([self.points_b, np.asarray(b, dtype=float)])
         self.points_a = np.append(self.points_a, a)
-        self.Kinv = _border(self.Kinv + np.outer(coeffs, coeffs) / delta,
-                            -coeffs / delta, 1.0 / delta)
+        # Kinv + outer(c, c) / delta written straight into the top-left
+        # block of the grown inverse, with no n x n temporary
+        n = len(coeffs)
+        kinv = np.empty((n + 1, n + 1))
+        top = kinv[:n, :n]
+        np.multiply.outer(coeffs, coeffs, out=top)
+        top /= delta
+        top += self.Kinv
+        kinv[:n, n] = kinv[n, :n] = -coeffs / delta
+        kinv[n, n] = 1.0 / delta
+        self.Kinv = kinv
         # prior conditional of the new point given the dictionary
         sig_col = self.Sigma @ coeffs
         self.Sigma = _border(self.Sigma, sig_col,

@@ -130,8 +130,11 @@ class FeedForwardNet:
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            a = z if i == last else np.tanh(z)
+            # a @ w + b, then tanh, each into the layer's one new array
+            a = a @ w
+            a += b
+            if i != last:
+                np.tanh(a, out=a)
             activations.append(a)
         out = softmax(a) if self.head == "softmax" else a
         return out, activations
@@ -166,9 +169,11 @@ class FeedForwardNet:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the same ufuncs in the same order, into one new array
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def zero_grads(net: FeedForwardNet) -> GradientSet:

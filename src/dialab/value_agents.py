@@ -23,31 +23,59 @@ class PoolTooSmall(RuntimeError):
     """Sampling was requested before the pool held a full minibatch."""
 
 
+# rows of next states computed at a time when a pool is saved
+BLOCK_ROWS = 4096
+
+
 class ReplayPool:
-    """Finite FIFO transition store; inserting past capacity evicts the oldest."""
+    """Finite FIFO transition store; inserting past capacity evicts the oldest.
+
+    Each state is stored once. Slot i's next state is the state in the
+    following slot, ``(i + 1) % capacity``, wherever the two are equal bit
+    for bit, as they are within a dialogue. Every other next state is held
+    in a side store, as its float64 bytes keyed by slot, about one entry
+    per dialogue: the newest slot's, which always has one, a terminal
+    turn's final belief, and any break in the chain. States are compared
+    by their bytes, never with ``==``, which takes -0.0 for 0.0 and no NaN
+    for itself.
+    """
 
     def __init__(self, capacity: int, n_features: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._features = np.zeros((capacity, n_features))
-        self._next_features = np.zeros((capacity, n_features))
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
         self._terminal = np.zeros(capacity, dtype=bool)
+        self._side: dict[int, bytes] = {}
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
 
+    def _as_row(self, state) -> bytes:
+        """The bytes of ``state`` as a stored row holds it."""
+        row = np.empty_like(self._features[0])
+        row[:] = state
+        return row.tobytes()
+
+    def _chain(self, i: int) -> None:
+        """Slot i was just written after the newest slot: drop that slot's
+        side entry if slot i now holds the same state."""
+        newest = (i - 1) % self.capacity
+        if self._side.get(newest) == self._features[i].tobytes():
+            del self._side[newest]
+
     def add(self, t: Transition) -> None:
         i = self._cursor
         self._features[i] = t.features
-        self._next_features[i] = t.next_features
         self._actions[i] = t.action
         self._rewards[i] = t.reward
         self._terminal[i] = t.terminal
+        self._chain(i)
+        self._side[i] = self._as_row(t.next_features)
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -62,11 +90,11 @@ class ReplayPool:
             return
         np.stack([rec.features for rec in records],
                  out=self._features[i:i + n])
-        self._next_features[i:i + n - 1] = self._features[i + 1:i + n]
-        self._next_features[i + n - 1] = log.final_features
         self._actions[i:i + n] = [rec.action for rec in records]
         self._rewards[i:i + n] = [rec.reward for rec in records]
         self._terminal[i:i + n] = [rec.terminal for rec in records]
+        self._chain(i)
+        self._side[i + n - 1] = self._as_row(log.final_features)
         self._size += n
         self._cursor = self._size % self.capacity
 
@@ -75,37 +103,89 @@ class ReplayPool:
             raise PoolTooSmall(f"pool holds {self._size} < batch {batch}")
         return rng.choice(self._size, size=batch, replace=False)
 
+    def _next(self, idx: np.ndarray, out: np.ndarray | None = None):
+        """The next states of the slots ``idx``, in ``out`` or a new array:
+        the states of slots ``(idx + 1) % capacity``, each replaced by its
+        side entry where the slot has one."""
+        out = self._features.take(idx + 1, axis=0, out=out, mode="wrap")
+        for k, i in enumerate(idx.tolist()):
+            held = self._side.get(i)
+            if held is not None:
+                out[k] = np.frombuffer(held)
+        return out
+
     def batch(self, idx: np.ndarray):
         return (self._features[idx], self._actions[idx], self._rewards[idx],
-                self._next_features[idx], self._terminal[idx])
+                self._next(idx), self._terminal[idx])
 
     FIELDS = ("features", "next_features", "actions", "rewards", "terminal")
 
     def rows(self, name: str) -> np.ndarray:
-        """The stored rows of the field ``name``, one of FIELDS, as a view."""
+        """The stored rows of the field ``name``, one of FIELDS: a view, or
+        for next_features a new array."""
+        if name == "next_features":
+            return self._next(np.arange(self._size))
         return getattr(self, f"_{name}")[:self._size]
 
+    def _next_blocks(self):
+        """The next states of the filled slots, in blocks of up to
+        BLOCK_ROWS rows that share one buffer."""
+        buffer = np.empty((min(BLOCK_ROWS, self._size),
+                           self._features.shape[1]))
+        for lo in range(0, self._size, BLOCK_ROWS):
+            idx = np.arange(lo, min(lo + BLOCK_ROWS, self._size))
+            yield self._next(idx, buffer[:len(idx)])
+
     def state(self) -> checkpoint.State:
-        """The filled rows, as views, with the counters."""
-        arrays = {k: self.rows(k) for k in self.FIELDS}
+        """The filled rows, as views, with the counters; the next states are
+        written in blocks of BLOCK_ROWS rows, never built whole."""
+        nxt = checkpoint.RowBlocks((self._size, self._features.shape[1]),
+                                   self._features.dtype, self._next_blocks)
+        arrays = {k: nxt if k == "next_features" else self.rows(k)
+                  for k in self.FIELDS}
         return checkpoint.State(
             arrays, spec={"capacity": self.capacity},
             counters={"size": self._size, "cursor": self._cursor},
             shapes={k: ("size", *a.shape[1:]) for k, a in arrays.items()})
 
-    def restore(self, loaded: checkpoint.State, prefix: str = "") -> None:
-        """Take the counters of a loaded state and copy its rows into the
-        preallocated arrays; ``prefix`` picks the pool out of an agent's."""
-        self._size = loaded.counters[prefix + "size"]
-        self._cursor = loaded.counters[prefix + "cursor"]
+    def restore(self, loaded: checkpoint.State, path: str,
+                prefix: str = "") -> None:
+        """Take the counters of a loaded state, copy its rows into the
+        preallocated arrays and hold the next states that the following
+        slot does not; ``path`` names the file and ``prefix`` picks the
+        pool out of an agent's."""
+        size, cursor = (loaded.counters[prefix + k] for k in ("size",
+                                                               "cursor"))
+        if size > self.capacity:
+            raise checkpoint.CheckpointError(
+                f"{path}: {prefix}size={size} exceeds the capacity "
+                f"{self.capacity}")
+        if not 0 <= cursor < self.capacity or (cursor != size
+                                               and size < self.capacity):
+            raise checkpoint.CheckpointError(
+                f"{path}: {prefix}cursor={cursor} does not fit {prefix}size="
+                f"{size} and capacity {self.capacity}: it must equal the "
+                f"size until the pool is full, and then lie in "
+                f"[0, {self.capacity})")
+        self._size, self._cursor = size, cursor
         for k in self.FIELDS:
-            getattr(self, f"_{k}")[:self._size] = loaded.arrays[prefix + k]
+            if k != "next_features":
+                getattr(self, f"_{k}")[:size] = loaded.arrays[prefix + k]
+        nxt = np.asarray(loaded.arrays[prefix + "next_features"], dtype=float)
+        newest = (cursor - 1) % self.capacity
+        self._side = {}
+        for i, row in enumerate(nxt):
+            held = row.tobytes()
+            following = self._features[(i + 1) % self.capacity]
+            if i == newest or held != following.tobytes():
+                self._side[i] = held
 
     def save(self, path: str) -> None:
         checkpoint.save(path, "replay-pool", self.state())
 
     def load(self, path: str) -> None:
-        self.restore(checkpoint.load(path, "replay-pool", self.state()))
+        self.restore(checkpoint.load(path, "replay-pool", self.state()),
+                     path)
 
 
 def dqn_target(rewards: np.ndarray, next_features: np.ndarray,
@@ -250,5 +330,5 @@ class QAgent:
     def load(self, path: str, *run: str) -> dict:
         loaded = checkpoint.load(path, "qagent", self.state(), *run)
         self.train_steps = loaded.counters["train_steps"]
-        self.pool.restore(loaded, "pool.")
+        self.pool.restore(loaded, path, "pool.")
         return loaded.counters

@@ -10,8 +10,9 @@ from typing import Callable
 
 import numpy as np
 
+from dialab import checkpoint
 from dialab.corpus import fill_pool
-from dialab.environment import EnvConfig, EpisodeLog
+from dialab.environment import EnvConfig, EpisodeLog, Transition
 from dialab.nets import (CE_CLAMP, FeedForwardNet, GradientSet, ShapeError,
                          add_l2_gradient, zero_grads)
 from dialab.ontology import (_DISHES, _NAME_ADJECTIVES, _NAME_NOUNS,
@@ -19,7 +20,7 @@ from dialab.ontology import (_DISHES, _NAME_ADJECTIVES, _NAME_NOUNS,
                              VALUES, GoalConfig, Restaurant, RestaurantDB,
                              UserGoal, query)
 from dialab.tracker import ErrorModel
-from dialab.value_agents import ReplayPool
+from dialab.value_agents import PoolTooSmall, ReplayPool
 
 
 def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
@@ -155,3 +156,99 @@ def sample_goal_by_choice(db: RestaurantDB, rng: np.random.Generator,
     picked = rng.choice(len(REQUEST_SLOTS), size=k, replace=False)
     requests = tuple(REQUEST_SLOTS[i] for i in sorted(picked))
     return UserGoal(constraints=constraints, requests=requests)
+
+
+class TwoArrayPool:
+    """``value_agents.ReplayPool`` as it stored every state twice, in a
+    features and a next-features array; the oracle of the one-array pool.
+
+    Finite FIFO transition store; inserting past capacity evicts the oldest."""
+
+    def __init__(self, capacity: int, n_features: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._features = np.zeros((capacity, n_features))
+        self._next_features = np.zeros((capacity, n_features))
+        self._actions = np.zeros(capacity, dtype=np.int64)
+        self._rewards = np.zeros(capacity)
+        self._terminal = np.zeros(capacity, dtype=bool)
+        self._size = 0
+        self._cursor = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, t: Transition) -> None:
+        i = self._cursor
+        self._features[i] = t.features
+        self._next_features[i] = t.next_features
+        self._actions[i] = t.action
+        self._rewards[i] = t.reward
+        self._terminal[i] = t.terminal
+        self._cursor = (self._cursor + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def add_log(self, log) -> None:
+        """Store the turns of ``log``, an EpisodeLog, after the stored rows,
+        as one ``add`` per turn would: turn i's next features are turn
+        i+1's, or the final belief's. Every turn must fit in the free rows:
+        nothing is evicted."""
+        records, i = log.records, self._size
+        n = len(records)
+        if not n:
+            return
+        np.stack([rec.features for rec in records],
+                 out=self._features[i:i + n])
+        self._next_features[i:i + n - 1] = self._features[i + 1:i + n]
+        self._next_features[i + n - 1] = log.final_features
+        self._actions[i:i + n] = [rec.action for rec in records]
+        self._rewards[i:i + n] = [rec.reward for rec in records]
+        self._terminal[i:i + n] = [rec.terminal for rec in records]
+        self._size += n
+        self._cursor = self._size % self.capacity
+
+    def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
+        if self._size < batch:
+            raise PoolTooSmall(f"pool holds {self._size} < batch {batch}")
+        return rng.choice(self._size, size=batch, replace=False)
+
+    def batch(self, idx: np.ndarray):
+        return (self._features[idx], self._actions[idx], self._rewards[idx],
+                self._next_features[idx], self._terminal[idx])
+
+    FIELDS = ("features", "next_features", "actions", "rewards", "terminal")
+
+    def rows(self, name: str) -> np.ndarray:
+        """The stored rows of the field ``name``, one of FIELDS, as a view."""
+        return getattr(self, f"_{name}")[:self._size]
+
+    def state(self) -> checkpoint.State:
+        """The filled rows, as views, with the counters."""
+        arrays = {k: self.rows(k) for k in self.FIELDS}
+        return checkpoint.State(
+            arrays, spec={"capacity": self.capacity},
+            counters={"size": self._size, "cursor": self._cursor},
+            shapes={k: ("size", *a.shape[1:]) for k, a in arrays.items()})
+
+    def restore(self, loaded: checkpoint.State, prefix: str = "") -> None:
+        """Take the counters of a loaded state and copy its rows into the
+        preallocated arrays; ``prefix`` picks the pool out of an agent's."""
+        self._size = loaded.counters[prefix + "size"]
+        self._cursor = loaded.counters[prefix + "cursor"]
+        for k in self.FIELDS:
+            getattr(self, f"_{k}")[:self._size] = loaded.arrays[prefix + k]
+
+    def save(self, path: str) -> None:
+        checkpoint.save(path, "replay-pool", self.state())
+
+    def load(self, path: str) -> None:
+        self.restore(checkpoint.load(path, "replay-pool", self.state()))
+
+
+def state_bytes(state: checkpoint.State) -> dict:
+    """The bytes of each array of ``state``; a RowBlocks column's are its
+    blocks' bytes in order, the bytes a snapshot holds."""
+    return {name: b"".join(block.tobytes() for block in array.blocks())
+            if isinstance(array, checkpoint.RowBlocks) else array.tobytes()
+            for name, array in state.arrays.items()}

@@ -13,7 +13,7 @@ from dialab.harness import behaviour_action
 from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
 from dialab.value_agents import AgentConfig
 from reference import (cross_entropy_loss, finite_difference_grads,
-                       l2_penalty)
+                       l2_penalty, state_bytes)
 
 RNG = np.random.default_rng
 
@@ -236,8 +236,7 @@ class TestValueTrainStep:
                     RNG(i + 1).normal(size=6), i % 5 == 0, False))
             rng = RNG(20)
             losses = [step(agent, rng) for _ in range(10)]
-            runs.append((losses, {k: v.tobytes() for k, v
-                                  in agent.state().arrays.items()}))
+            runs.append((losses, state_bytes(agent.state())))
         assert runs[0] == runs[1]
 
     def test_terminal_only_pool_regresses_to_reward(self):

@@ -1,13 +1,19 @@
 import json
 import os
+import re
+import time
+import tracemalloc
+import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dialab import checkpoint
+from dialab import checkpoint, value_agents
 from dialab.checkpoint import CheckpointError
 from dialab.environment import Transition
 from dialab.value_agents import AgentConfig, QAgent, ReplayPool
+from reference import TwoArrayPool
 
 RNG = np.random.default_rng
 
@@ -21,6 +27,14 @@ def transition(i, dim=4):
 def q_agent(hidden, seed=0):
     cfg = AgentConfig(hidden=hidden, minibatch=4, warmup=4)
     return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(seed))
+
+
+@pytest.fixture
+def frozen_zip_clock(monkeypatch):
+    # a zip member records the time it was written; pin it so two
+    # snapshots written in different seconds can be compared byte for byte
+    monkeypatch.setattr(zipfile, "time", SimpleNamespace(
+        time=lambda: 0.0, localtime=time.localtime))
 
 
 def test_pool_capacity_mismatch_fails_naming_both(tmp_path):
@@ -118,7 +132,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     assert np.array_equal(restored.qnet.params, saved.qnet.params)
 
 
-def test_written_bytes_are_np_savez_bytes(tmp_path):
+def test_written_bytes_are_np_savez_bytes(tmp_path, frozen_zip_clock):
     # np.savez is the reference, on a seekable file as a snapshot is
     # written, for each kind of array a snapshot could hold
     rng = RNG(3)
@@ -162,3 +176,116 @@ def test_per_layer_v2_arrays_load_into_flat_parameters(tmp_path):
             + [arrays[f"{prefix}b{i}"] for i in layers])
         assert np.array_equal(params, expected), prefix
     assert agent.train_steps == 7
+
+
+def dialogues(pools, n_dialogues, turns=5, dim=4, seed=0):
+    """Feed ``n_dialogues`` chained dialogues of ``turns`` turns, each
+    ending in a final belief of its own, one ``add`` a turn."""
+    rng = RNG(seed)
+    for _ in range(n_dialogues):
+        states = rng.normal(size=(turns + 1, dim))
+        for k in range(turns):
+            t = Transition(states[k], k % 3, float(rng.normal()),
+                           states[k + 1], k == turns - 1, False)
+            for pool in pools:
+                pool.add(t)
+
+
+@pytest.mark.parametrize("block_rows", [2, 4096])
+@pytest.mark.parametrize("n_dialogues", [0, 3, 9], ids=["empty", "partly",
+                                                       "wrapped"])
+def test_pool_snapshot_is_the_two_array_pools_bytes(
+        tmp_path, monkeypatch, frozen_zip_clock, block_rows, n_dialogues):
+    # the next states are written in blocks, in the layout the two-array
+    # pool wrote; 9 dialogues of 5 turns wrap a pool of 32 rows
+    monkeypatch.setattr(value_agents, "BLOCK_ROWS", block_rows)
+    pool, oracle = ReplayPool(32, 4), TwoArrayPool(32, 4)
+    dialogues([pool, oracle], n_dialogues)
+    mine, theirs = str(tmp_path / "mine.npz"), str(tmp_path / "theirs.npz")
+    pool.save(mine)
+    oracle.save(theirs)
+    with open(mine, "rb") as a, open(theirs, "rb") as b:
+        assert a.read() == b.read()
+    # either snapshot restores the same rows, and the pool goes on as the
+    # two-array pool does
+    for path in (mine, theirs):
+        restored, oracle = ReplayPool(32, 4), TwoArrayPool(32, 4)
+        restored.load(path)
+        oracle.load(theirs)
+        for more in (0, 2):
+            dialogues([restored, oracle], more, seed=7)
+            idx = np.arange(len(oracle))
+            for got, want in zip(restored.batch(idx), oracle.batch(idx)):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_pool_saves_next_states_without_the_whole_column(tmp_path):
+    # 4000 logged dialogues of 10 turns fill the pool, each ending in a
+    # final belief of its own that the side store holds
+    capacity, n, turns = 40000, 16, 10
+    column = capacity * n * 8
+    pool = ReplayPool(capacity, n)
+    states = RNG(1).normal(size=(capacity // turns, turns + 1, n))
+    for dialogue in states:
+        records = [SimpleNamespace(features=f, action=0, reward=0.0,
+                                   terminal=False) for f in dialogue[:-1]]
+        pool.add_log(SimpleNamespace(records=records,
+                                     final_features=dialogue[-1]))
+    path = str(tmp_path / "pool.npz")
+    tracemalloc.start()
+    try:
+        pool.save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < column / 4, (peak, column)
+    with np.load(path) as data:
+        assert np.array_equal(data["next_features"],
+                              states[:, 1:].reshape(capacity, n))
+
+
+@pytest.mark.parametrize("size, cursor, field", [
+    (3, 7, "cursor"), (3, 12, "cursor"), (3, -1, "cursor"),
+    (3, 2, "cursor"), (8, 8, "cursor"), (0, 1, "cursor")])
+def test_pool_counters_outside_the_pool_are_refused(tmp_path, size, cursor,
+                                                    field):
+    pool = ReplayPool(capacity=8, n_features=4)
+    for i in range(size):
+        pool.add(transition(i))
+    state = pool.state()
+    state.counters["cursor"] = cursor
+    path = str(tmp_path / "pool.npz")
+    checkpoint.save(path, "replay-pool", state)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: {field}={cursor} "
+                                       "does not fit")):
+        ReplayPool(capacity=8, n_features=4).load(path)
+
+
+def test_pool_size_above_capacity_is_refused(tmp_path):
+    oracle = TwoArrayPool(capacity=10, n_features=4)
+    for i in range(10):
+        oracle.add(transition(i))
+    state = oracle.state()
+    state.spec["capacity"] = 8
+    state.counters["cursor"] = 0
+    path = str(tmp_path / "pool.npz")
+    checkpoint.save(path, "replay-pool", state)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: size=10 exceeds the "
+                                       "capacity 8")):
+        ReplayPool(capacity=8, n_features=4).load(path)
+
+
+def test_agent_pool_counters_are_checked_at_load(tmp_path):
+    agent = q_agent(hidden=(8, 6))
+    for i in range(3):
+        agent.pool.add(transition(i))
+    state = agent.state()
+    state.counters["pool.cursor"] = 7
+    path = str(tmp_path / "agent.npz")
+    checkpoint.save(path, "qagent", state)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: pool.cursor=7 does not "
+                                       "fit pool.size=3")):
+        q_agent(hidden=(8, 6)).load(path)

@@ -668,9 +668,10 @@ class TestPretraining:
                                                            corpus_file):
         # the corpus goes straight into the agent's preallocated pool, never
         # held as per-turn objects or as arrays beside it: the traced peak
-        # is 0.27x the pooled arrays, most of it the supervised holdout's
-        # forward pass (1.8x when arrays were built and then copied in),
-        # and one copy of the feature columns alone is 0.48x
+        # is 0.31x the pooled arrays, most of it the supervised holdout's
+        # forward pass and the pool's one held final belief per dialogue
+        # (0.08x; 1.8x when arrays were built and then copied in), and one
+        # copy of the feature columns alone is 0.48x
         _, path = corpus_file
         data = pooled_turns(CorpusReader(path))
         array_bytes = sum(a.nbytes for a in vars(data).values())

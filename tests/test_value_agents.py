@@ -1,7 +1,12 @@
+import os
+import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dialab import nets
@@ -10,6 +15,7 @@ from dialab.nets import FeedForwardNet, copy_params
 from dialab.harness import behaviour_action
 from dialab.value_agents import (AgentConfig, PoolTooSmall, QAgent,
                                  ReplayPool, ddqn_target, dqn_target)
+from reference import TwoArrayPool, state_bytes
 
 RNG = np.random.default_rng
 
@@ -121,8 +127,8 @@ class TestReplayPool:
         assert (len(pool), pool._cursor) == (len(reference),
                                              reference._cursor)
         for name in ReplayPool.FIELDS:
-            assert np.array_equal(getattr(pool, f"_{name}"),
-                                  getattr(reference, f"_{name}")), name
+            assert (pool.rows(name).tobytes()
+                    == reference.rows(name).tobytes()), name
 
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
@@ -166,6 +172,188 @@ class TestReplayPool:
         a = sorted(round(r, 9) for r in pool.state().arrays["rewards"])
         b = sorted(round(r, 9) for r in restored.state().arrays["rewards"])
         assert a == b
+
+
+# feature rows whose bits collide often: -0.0 against 0.0, and NaNs with
+# different payloads, which == would mistake for equal or unequal rows
+_BITS = (0.0, -0.0, 1.0, float("nan"),
+         np.frombuffer(np.uint64(0xFFF8000000000001).tobytes())[0])
+STATES = [np.array([a, b]) for a in _BITS for b in _BITS]
+
+# a stream of pool inputs: ("turn", next state, terminal) continues from the
+# current state; ("jump", state) breaks the chain, so the next turn is an
+# unrelated transition; ("log", states) adds a logged dialogue through its
+# states when it fits in the free rows
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("turn"), st.integers(0, len(STATES) - 1),
+              st.booleans()),
+    st.tuples(st.just("jump"), st.integers(0, len(STATES) - 1)),
+    st.tuples(st.just("log"), st.lists(st.integers(0, len(STATES) - 1),
+                                       min_size=1, max_size=5))),
+    max_size=30)
+
+
+def feed(pools, ops):
+    """Apply ``ops`` to every pool in ``pools``, yielding after each."""
+    state = STATES[0]
+    for k, op in enumerate(ops):
+        if op[0] == "turn":
+            t = Transition(state, k % 3, float(k), STATES[op[1]], op[2],
+                           False)
+            for pool in pools:
+                pool.add(t)
+            state = STATES[op[1]]
+        elif op[0] == "jump":
+            state = STATES[op[1]]
+        elif len(pools[0]) + len(op[1]) <= pools[0].capacity:
+            states = [state] + [STATES[i] for i in op[1]]
+            records = [SimpleNamespace(features=f, action=j % 3,
+                                       reward=float(-j), terminal=False)
+                       for j, f in enumerate(states[:-1])]
+            log = SimpleNamespace(records=records,
+                                  final_features=states[-1])
+            for pool in pools:
+                pool.add_log(log)
+            state = states[-1]
+        yield
+
+
+def assert_same_rows(pool, oracle):
+    """``pool`` and ``oracle`` hold the same rows, bit for bit, through
+    ``batch`` over every filled slot and ``rows`` of every field."""
+    assert len(pool) == len(oracle)
+    idx = np.arange(len(oracle))
+    for name, mine, theirs in zip(ReplayPool.FIELDS, pool.batch(idx),
+                                  oracle.batch(idx)):
+        assert mine.tobytes() == theirs.tobytes(), name
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+    for name in ReplayPool.FIELDS:
+        assert pool.rows(name).tobytes() == oracle.rows(name).tobytes(), name
+
+
+class TestOneArrayPool:
+    """The pool that stores each state once against the pool that stored
+    every next state too (``reference.TwoArrayPool``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.sampled_from([1, 2, 5]), ops=_OPS)
+    def test_every_batch_and_row_is_the_two_array_pools(self, capacity, ops):
+        pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
+        for _ in feed([pool, oracle], ops):
+            assert_same_rows(pool, oracle)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    def test_final_belief_equal_to_the_next_state(self, capacity):
+        # a terminal turn whose final belief is the next dialogue's first
+        # state, and one whose final belief differs only in the sign of a
+        # zero or the payload of a NaN
+        ops = [("turn", 6, False), ("turn", 7, True), ("turn", 3, False),
+               ("turn", 8, True), ("jump", 9), ("turn", 19, True),
+               ("jump", 24), ("turn", 5, False), ("turn", 0, True),
+               ("jump", 5)] * 2 + [("turn", 1, False)]
+        pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
+        for _ in feed([pool, oracle], ops):
+            assert_same_rows(pool, oracle)
+
+    def test_unrelated_transitions_wrap_around(self):
+        pool, oracle = ReplayPool(5, 4), TwoArrayPool(5, 4)
+        for i in range(13):
+            for p in (pool, oracle):
+                p.add(transition(i, terminal=i % 4 == 0))
+            assert_same_rows(pool, oracle)
+
+    def test_batch_gathers_sampled_slots(self):
+        # slots drawn in any order and across the wrap
+        pool, oracle = ReplayPool(7, 2), TwoArrayPool(7, 2)
+        ops = [("turn", k % 25, k % 4 == 3) for k in range(3, 20)]
+        for _ in feed([pool, oracle], ops):
+            pass
+        idx = np.array([6, 0, 3, 5, 1])
+        for mine, theirs in zip(pool.batch(idx), oracle.batch(idx)):
+            assert mine.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.sampled_from([1, 2, 5]), ops=_OPS, more=_OPS)
+    def test_snapshot_restores_the_same_pool(self, capacity, ops, more):
+        # the held next states are derived again from the saved column,
+        # and the pool goes on as the two-array pool does
+        pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
+        for _ in feed([pool, oracle], ops):
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pool.npz")
+            pool.save(path)
+            restored = ReplayPool(capacity, 2)
+            restored.load(path)
+        assert_same_rows(restored, oracle)
+        for _ in feed([restored, oracle], more):
+            assert_same_rows(restored, oracle)
+
+    @pytest.mark.parametrize("logged", [False, True], ids=["add", "add_log"])
+    @pytest.mark.parametrize("chained", [False, True],
+                             ids=["dialogues", "one-chain"])
+    def test_holds_a_next_state_only_where_the_chain_breaks(self, logged,
+                                                            chained):
+        # within a dialogue a next state is the following row's state, so
+        # only each dialogue's final belief is held beside the rows; where
+        # each dialogue starts from the last one's final belief, only the
+        # newest row's next state is
+        capacity, n, turns = 2000, 31, 10
+        pool, rng = ReplayPool(capacity, n), RNG(0)
+        state = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            for _ in range(capacity // turns):
+                states = rng.normal(size=(turns + 1, n))
+                if chained:
+                    states[0] = state
+                ts = [Transition(states[k], 0, 0.0, states[k + 1],
+                                 k == turns - 1, False) for k in range(turns)]
+                if logged:
+                    pool.add_log(SimpleNamespace(records=ts,
+                                                 final_features=states[-1]))
+                else:
+                    for t in ts:
+                        pool.add(t)
+                state = states[-1].copy()
+                del states, ts
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        breaks = 1 if chained else capacity // turns
+        assert held < 2 * breaks * n * 8 + 4096, held
+
+    @pytest.mark.parametrize("capacity", [4, 5])
+    def test_restore_tells_equal_values_from_equal_bits(self, tmp_path,
+                                                        capacity):
+        # a next state of 0.0s before a row of -0.0 and 0.0, and of one NaN
+        # before a row with another NaN: equal values, unequal bits
+        ops = [("jump", 12), ("turn", 0, False), ("jump", 5),
+               ("turn", 17, False), ("jump", 22), ("turn", 12, False),
+               ("turn", 0, True)]
+        pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
+        for _ in feed([pool, oracle], ops):
+            pass
+        path = str(tmp_path / "pool.npz")
+        pool.save(path)
+        restored = ReplayPool(capacity, 2)
+        restored.load(path)
+        for _ in feed([restored, oracle], ops):
+            assert_same_rows(restored, oracle)
+
+    def test_allocates_one_feature_array(self):
+        capacity, n = 20000, 31
+        column = capacity * n * 8
+        tracemalloc.start()
+        try:
+            pool = ReplayPool(capacity, n)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 0
+        # one capacity x n float array, and 17 bytes a slot for the action,
+        # reward and terminal flag
+        assert column <= allocated < column + 20 * capacity + 65536
 
 
 class TestTargets:
@@ -314,6 +502,5 @@ class TestTrainStep:
                 agent.pool.add(transition(i, terminal=i % 5 == 0))
             rng = RNG(20)
             losses = [step(agent, rng) for _ in range(10)]
-            runs.append((losses, {k: v.tobytes() for k, v
-                                  in agent.state().arrays.items()}))
+            runs.append((losses, state_bytes(agent.state())))
         assert runs[0] == runs[1]
