@@ -6,7 +6,7 @@ so a checkpoint never loads silently into a model it does not fit."""
 import json
 import os
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -59,46 +59,26 @@ def replace_file(path: str, write: Callable[[BinaryIO], object]) -> None:
             os.remove(tmp)
 
 
-@dataclass(frozen=True)
-class RowBlocks:
-    """An array that is written without ever being held whole: its
-    ``shape`` and ``dtype``, and ``blocks()``, which yields its rows in
-    order as consecutive C-ordered blocks. A block may be overwritten by
-    the next one, so each is written before the next is asked for."""
-
-    shape: tuple
-    dtype: np.dtype
-    blocks: Callable[[], Iterable[np.ndarray]]
-
-
 def write_npz(fh: BinaryIO, arrays: dict) -> None:
     """Write ``arrays`` to ``fh`` as the bytes ``np.savez`` writes: one
-    stored (uncompressed) zip64 member ``<name>.npy`` per array, in order.
-    Each array goes into its member block by block after the npy header: a
-    RowBlocks as its own blocks, any other array as its only block. A
-    contiguous block's buffer is written as it is, where ``np.savez`` first
-    copies the array with ``tobytes``; any other block is copied once."""
+    stored (uncompressed) zip64 member ``<name>.npy`` per array, in order:
+    its npy header, then its buffer. A contiguous array's buffer is written
+    as it is, where ``np.savez`` first copies the array with ``tobytes``;
+    any other array is copied once."""
     import zipfile
     with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
                          allowZip64=True) as zf:
         for name, array in arrays.items():
-            if isinstance(array, RowBlocks):
-                header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
-                          "fortran_order": False, "shape": array.shape}
-                blocks = array.blocks()
-            else:
-                array = np.asanyarray(array)
-                header = np.lib.format.header_data_from_array_1_0(array)
-                # the header marks a Fortran-ordered array, whose buffer
-                # is then written in its own order
-                if array.flags.f_contiguous and not array.flags.c_contiguous:
-                    array = array.T
-                blocks = (array,)
+            array = np.asanyarray(array)
+            header = np.lib.format.header_data_from_array_1_0(array)
+            # the header marks a Fortran-ordered array, whose buffer is
+            # then written in its own order
+            if array.flags.f_contiguous and not array.flags.c_contiguous:
+                array = array.T
             with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(member, header)
-                for block in blocks:
-                    member.write(np.ascontiguousarray(block).reshape(-1)
-                                 .view(np.uint8))
+                member.write(np.ascontiguousarray(array).reshape(-1)
+                             .view(np.uint8))
 
 
 def save(path: str, kind: str, state: State, **run) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -35,6 +36,12 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None) -> ExperimentConfig:
     return cfg
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag}={value} must be >= 1")
+    return value
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     cfg = _resolve_out(cfg, args.out)
@@ -47,6 +54,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.set)
+    episodes = (cfg.eval_episodes if args.episodes is None
+                else _at_least_one("--episodes", args.episodes))
     _, _, env = harness.build_world(cfg)
     if args.policy == "agent":
         agent = harness.build_agent(cfg, env)
@@ -61,7 +70,6 @@ def cmd_evaluate(args) -> int:
             env.n_actions, rng_stream(cfg.seed, "random-policy"))
     else:
         raise ConfigError(f"unknown policy '{args.policy}'")
-    episodes = args.episodes or cfg.eval_episodes
     success, mean_return, mean_length = harness.evaluate(
         action_fn, env, episodes, cfg.seed)
     print(f"success_rate={success:.4f} mean_return={mean_return:.4f} "
@@ -81,6 +89,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_generate_corpus(args) -> int:
+    _at_least_one("--n", args.n)
     cfg = load_config(args.config, args.set)
     _, _, env = harness.build_world(cfg)
     hist = {r: 0 for r in (0, 1, 2, 3)}
@@ -109,6 +118,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold={args.threshold} must be finite")
     report = harness.compare_runs(harness.load_runs(args.runs),
                                   threshold=args.threshold)
     print(report.format())

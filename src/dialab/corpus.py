@@ -195,9 +195,18 @@ def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
         raise CorpusFormatError(
             f"mixed feature layouts: dialogue space {d.log.space!r} in a "
             f"{space!r} corpus")
+    records = d.log.records
+    if not records:
+        raise CorpusFormatError("field 'records': a dialogue with no turns")
+    if d.log.length != len(records):
+        raise CorpusFormatError(f"field 'length': {d.log.length} != "
+                                f"{len(records)} turns")
+    if d.log.success != records[-1].success:
+        raise CorpusFormatError(f"field 'success': {d.log.success} != the "
+                                f"last turn's {records[-1].success}")
     n_actions = len(SPACES[space].actions)
-    last = len(d.log.records) - 1
-    for i, rec in enumerate(d.log.records):
+    last = len(records) - 1
+    for i, rec in enumerate(records):
         if len(rec.features) != n_features:
             raise CorpusFormatError(f"feature length {len(rec.features)} != "
                                     f"manifest {n_features}")

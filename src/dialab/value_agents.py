@@ -23,10 +23,6 @@ class PoolTooSmall(RuntimeError):
     """Sampling was requested before the pool held a full minibatch."""
 
 
-# rows of next states computed at a time when a pool is saved
-BLOCK_ROWS = 4096
-
-
 class ReplayPool:
     """Finite FIFO transition store; inserting past capacity evicts the oldest.
 
@@ -103,11 +99,11 @@ class ReplayPool:
             raise PoolTooSmall(f"pool holds {self._size} < batch {batch}")
         return rng.choice(self._size, size=batch, replace=False)
 
-    def _next(self, idx: np.ndarray, out: np.ndarray | None = None):
-        """The next states of the slots ``idx``, in ``out`` or a new array:
-        the states of slots ``(idx + 1) % capacity``, each replaced by its
-        side entry where the slot has one."""
-        out = self._features.take(idx + 1, axis=0, out=out, mode="wrap")
+    def _next(self, idx: np.ndarray) -> np.ndarray:
+        """The next states of the slots ``idx``: the states of slots
+        ``(idx + 1) % capacity``, each replaced by its side entry where the
+        slot has one."""
+        out = self._features.take(idx + 1, axis=0, mode="wrap")
         for k, i in enumerate(idx.tolist()):
             held = self._side.get(i)
             if held is not None:
@@ -118,67 +114,61 @@ class ReplayPool:
         return (self._features[idx], self._actions[idx], self._rewards[idx],
                 self._next(idx), self._terminal[idx])
 
-    FIELDS = ("features", "next_features", "actions", "rewards", "terminal")
+    FIELDS = ("features", "actions", "rewards", "terminal")
 
     def rows(self, name: str) -> np.ndarray:
-        """The stored rows of the field ``name``, one of FIELDS: a view, or
-        for next_features a new array."""
-        if name == "next_features":
-            return self._next(np.arange(self._size))
+        """The stored rows of the field ``name``, one of FIELDS, as a view."""
         return getattr(self, f"_{name}")[:self._size]
 
-    def _next_blocks(self):
-        """The next states of the filled slots, in blocks of up to
-        BLOCK_ROWS rows that share one buffer."""
-        buffer = np.empty((min(BLOCK_ROWS, self._size),
-                           self._features.shape[1]))
-        for lo in range(0, self._size, BLOCK_ROWS):
-            idx = np.arange(lo, min(lo + BLOCK_ROWS, self._size))
-            yield self._next(idx, buffer[:len(idx)])
-
     def state(self) -> checkpoint.State:
-        """The filled rows, as views, with the counters; the next states are
-        written in blocks of BLOCK_ROWS rows, never built whole."""
-        nxt = checkpoint.RowBlocks((self._size, self._features.shape[1]),
-                                   self._features.dtype, self._next_blocks)
-        arrays = {k: nxt if k == "next_features" else self.rows(k)
-                  for k in self.FIELDS}
+        """The filled rows, as views, and the side store: its slots in
+        ascending order and their next states, one row each."""
+        arrays = {k: self.rows(k) for k in self.FIELDS}
+        shapes = {k: ("size", *a.shape[1:]) for k, a in arrays.items()}
+        n, slots = self._features.shape[1], sorted(self._side)
+        arrays.update(held_slots=np.array(slots, dtype=np.int64),
+                      held_next=np.frombuffer(b"".join(
+                          map(self._side.get, slots))).reshape(len(slots), n))
+        shapes.update(held_slots=("held",), held_next=("held", n))
         return checkpoint.State(
             arrays, spec={"capacity": self.capacity},
             counters={"size": self._size, "cursor": self._cursor},
-            shapes={k: ("size", *a.shape[1:]) for k, a in arrays.items()})
+            shapes=shapes)
 
     def restore(self, loaded: checkpoint.State, path: str,
                 prefix: str = "") -> None:
         """Take the counters of a loaded state, copy its rows into the
-        preallocated arrays and hold the next states that the following
-        slot does not; ``path`` names the file and ``prefix`` picks the
-        pool out of an agent's."""
+        preallocated arrays and its held next states into the side store;
+        ``path`` names the file and ``prefix`` picks the pool out of an
+        agent's."""
+        def refuse(what: str):
+            raise checkpoint.CheckpointError(f"{path}: {prefix}{what}")
+
         size, cursor = (loaded.counters[prefix + k] for k in ("size",
                                                                "cursor"))
         if size > self.capacity:
-            raise checkpoint.CheckpointError(
-                f"{path}: {prefix}size={size} exceeds the capacity "
-                f"{self.capacity}")
+            refuse(f"size={size} exceeds the capacity {self.capacity}")
         if not 0 <= cursor < self.capacity or (cursor != size
                                                and size < self.capacity):
-            raise checkpoint.CheckpointError(
-                f"{path}: {prefix}cursor={cursor} does not fit {prefix}size="
-                f"{size} and capacity {self.capacity}: it must equal the "
-                f"size until the pool is full, and then lie in "
-                f"[0, {self.capacity})")
+            refuse(f"cursor={cursor} does not fit {prefix}size={size} and "
+                   f"capacity {self.capacity}: it must equal the size until "
+                   f"the pool is full, and then lie in [0, {self.capacity})")
+        slots = loaded.arrays[prefix + "held_slots"]
+        newest = (cursor - 1) % self.capacity
+        if slots.size and slots.dtype.kind != "i":
+            refuse(f"held_slots are {slots.dtype}, not signed integers")
+        if np.any(np.diff(slots) <= 0):
+            refuse("held_slots are not strictly increasing")
+        if len(slots) and not (slots[0] >= 0 and slots[-1] < size):
+            refuse(f"held_slots lie outside [0, {size})")
+        if size and newest not in slots:
+            refuse(f"held_slots leave out the newest slot {newest}")
         self._size, self._cursor = size, cursor
         for k in self.FIELDS:
-            if k != "next_features":
-                getattr(self, f"_{k}")[:size] = loaded.arrays[prefix + k]
-        nxt = np.asarray(loaded.arrays[prefix + "next_features"], dtype=float)
-        newest = (cursor - 1) % self.capacity
-        self._side = {}
-        for i, row in enumerate(nxt):
-            held = row.tobytes()
-            following = self._features[(i + 1) % self.capacity]
-            if i == newest or held != following.tobytes():
-                self._side[i] = held
+            getattr(self, f"_{k}")[:size] = loaded.arrays[prefix + k]
+        held = np.asarray(loaded.arrays[prefix + "held_next"], dtype=float)
+        self._side = {i: row.tobytes() for i, row in zip(slots.tolist(),
+                                                         held)}
 
     def save(self, path: str) -> None:
         checkpoint.save(path, "replay-pool", self.state())

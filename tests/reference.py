@@ -104,6 +104,7 @@ def pooled_turns(corpus) -> PooledTurns:
     pool = ReplayPool(max(1, turns), len(corpus.feature_names))
     rating = fill_pool(corpus, pool)
     return PooledTurns(**{k: pool.rows(k) for k in ReplayPool.FIELDS},
+                       next_features=pool.batch(np.arange(len(pool)))[3],
                        rating=rating)
 
 
@@ -247,8 +248,5 @@ class TwoArrayPool:
 
 
 def state_bytes(state: checkpoint.State) -> dict:
-    """The bytes of each array of ``state``; a RowBlocks column's are its
-    blocks' bytes in order, the bytes a snapshot holds."""
-    return {name: b"".join(block.tobytes() for block in array.blocks())
-            if isinstance(array, checkpoint.RowBlocks) else array.tobytes()
-            for name, array in state.arrays.items()}
+    """The bytes of each array of ``state``."""
+    return {name: array.tobytes() for name, array in state.arrays.items()}

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dialab import checkpoint, value_agents
+from dialab import checkpoint
 from dialab.checkpoint import CheckpointError
 from dialab.environment import Transition
 from dialab.value_agents import AgentConfig, QAgent, ReplayPool
@@ -191,32 +191,26 @@ def dialogues(pools, n_dialogues, turns=5, dim=4, seed=0):
                 pool.add(t)
 
 
-@pytest.mark.parametrize("block_rows", [2, 4096])
 @pytest.mark.parametrize("n_dialogues", [0, 3, 9], ids=["empty", "partly",
                                                        "wrapped"])
-def test_pool_snapshot_is_the_two_array_pools_bytes(
-        tmp_path, monkeypatch, frozen_zip_clock, block_rows, n_dialogues):
-    # the next states are written in blocks, in the layout the two-array
-    # pool wrote; 9 dialogues of 5 turns wrap a pool of 32 rows
-    monkeypatch.setattr(value_agents, "BLOCK_ROWS", block_rows)
+def test_pool_snapshot_restores_the_two_array_pool(tmp_path, n_dialogues):
+    # the snapshot holds each dialogue's final belief beside the rows, and
+    # the restored pool goes on as the two-array pool does; 9 dialogues of
+    # 5 turns wrap a pool of 32 rows
     pool, oracle = ReplayPool(32, 4), TwoArrayPool(32, 4)
     dialogues([pool, oracle], n_dialogues)
-    mine, theirs = str(tmp_path / "mine.npz"), str(tmp_path / "theirs.npz")
-    pool.save(mine)
-    oracle.save(theirs)
-    with open(mine, "rb") as a, open(theirs, "rb") as b:
-        assert a.read() == b.read()
-    # either snapshot restores the same rows, and the pool goes on as the
-    # two-array pool does
-    for path in (mine, theirs):
-        restored, oracle = ReplayPool(32, 4), TwoArrayPool(32, 4)
-        restored.load(path)
-        oracle.load(theirs)
-        for more in (0, 2):
-            dialogues([restored, oracle], more, seed=7)
-            idx = np.arange(len(oracle))
-            for got, want in zip(restored.batch(idx), oracle.batch(idx)):
-                assert got.tobytes() == want.tobytes()
+    path = str(tmp_path / "pool.npz")
+    pool.save(path)
+    with np.load(path) as data:
+        assert "next_features" not in data.files
+        assert len(data["held_slots"]) == min(n_dialogues, 7)
+    restored = ReplayPool(32, 4)
+    restored.load(path)
+    for more in (0, 2):
+        dialogues([restored, oracle], more, seed=7)
+        idx = np.arange(len(oracle))
+        for got, want in zip(restored.batch(idx), oracle.batch(idx)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_pool_saves_next_states_without_the_whole_column(tmp_path):
@@ -240,8 +234,50 @@ def test_pool_saves_next_states_without_the_whole_column(tmp_path):
         tracemalloc.stop()
     assert peak < column / 4, (peak, column)
     with np.load(path) as data:
-        assert np.array_equal(data["next_features"],
-                              states[:, 1:].reshape(capacity, n))
+        assert np.array_equal(data["held_slots"],
+                              np.arange(turns - 1, capacity, turns))
+        assert np.array_equal(data["held_next"], states[:, -1])
+    restored = ReplayPool(capacity, n)
+    restored.load(path)
+    assert np.array_equal(restored.batch(np.arange(capacity))[3],
+                          states[:, 1:].reshape(capacity, n))
+
+
+@pytest.mark.parametrize("n_dialogues, slots, message", [
+    (1, [1, 4, 2], "are not strictly increasing"),
+    (1, [1, 1, 4], "are not strictly increasing"),
+    (1, [-1, 1, 4], "lie outside [0, 5)"),
+    (1, [1, 4, 5], "lie outside [0, 5)"),
+    (0, [0], "lie outside [0, 0)"),
+    (1, [0, 1, 3], "leave out the newest slot 4"),
+    (1, [1.0, 3.0, 4.0], "are float64, not signed integers"),
+    (1, np.array([1, 3, 4], dtype=np.uint8),
+     "are uint8, not signed integers")])
+def test_pool_held_slots_no_pool_could_hold_are_refused(
+        tmp_path, n_dialogues, slots, message):
+    pool = ReplayPool(capacity=8, n_features=4)
+    dialogues([pool], n_dialogues)
+    state = pool.state()
+    state.arrays["held_slots"] = np.array(slots)
+    state.arrays["held_next"] = np.zeros((len(slots), 4))
+    path = str(tmp_path / "pool.npz")
+    checkpoint.save(path, "replay-pool", state)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: held_slots {message}")):
+        ReplayPool(capacity=8, n_features=4).load(path)
+
+
+def test_agent_held_arrays_of_unequal_length_are_refused(tmp_path):
+    agent = q_agent(hidden=(8, 6))
+    dialogues([agent.pool], 2)
+    state = agent.state()
+    state.arrays["pool.held_next"] = np.zeros((3, 4))
+    path = str(tmp_path / "agent.npz")
+    checkpoint.save(path, "qagent", state)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: array 'pool.held_next' has shape (3, 4), expected "
+            f"('pool.held', 4), where {{'pool.held': 2}}")):
+        q_agent(hidden=(8, 6)).load(path)
 
 
 @pytest.mark.parametrize("size, cursor, field", [
@@ -263,10 +299,10 @@ def test_pool_counters_outside_the_pool_are_refused(tmp_path, size, cursor,
 
 
 def test_pool_size_above_capacity_is_refused(tmp_path):
-    oracle = TwoArrayPool(capacity=10, n_features=4)
+    pool = ReplayPool(capacity=10, n_features=4)
     for i in range(10):
-        oracle.add(transition(i))
-    state = oracle.state()
+        pool.add(transition(i))
+    state = pool.state()
     state.spec["capacity"] = 8
     state.counters["cursor"] = 0
     path = str(tmp_path / "pool.npz")

@@ -184,7 +184,8 @@ class TestConversion:
         pool = ReplayPool(len(data), len(small_corpus.feature_names))
         fill_pool(small_corpus, pool)
         assert (len(pool), pool._cursor) == (len(data), 0)
-        assert np.array_equal(pool.rows("next_features"), data.next_features)
+        assert np.array_equal(pool.batch(np.arange(len(pool)))[3],
+                              data.next_features)
 
     def test_longer_corpus_than_the_pool_is_counted_but_not_stored(
             self, small_corpus):
@@ -310,6 +311,25 @@ class TestRoundTrip:
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:2: field 'terminal'")):
             pooled_turns(CorpusReader(str(path)))
+
+    @pytest.mark.parametrize("field, change", [
+        ("records", lambda log: log.update(records=[])),
+        ("length", lambda log: log.update(length=99)),
+        ("success", lambda log: log.update(success=not log["success"]))])
+    def test_record_inconsistent_with_its_turns_is_refused(
+            self, tmp_path, noisy_env, field, change):
+        # a rating is read from the record's success, so a record that
+        # disagrees with its own turns would be rated as another dialogue
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_corpus(noisy_env, 3, seed=0), path)
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        assert record["log"]["length"] == len(record["log"]["records"]) != 99
+        change(record["log"])
+        path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:2: field '{field}'")):
+            load_corpus(str(path))
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty corpus file"), ("\n", ":1: not JSON")])

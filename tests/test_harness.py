@@ -91,7 +91,8 @@ def assert_same_arrays(path_a, path_b):
         assert sorted(a.files) == sorted(b.files)
         for key in a.files:
             assert a[key].dtype == b[key].dtype, (path_a, key)
-            assert np.array_equal(a[key], b[key]), (path_a, key)
+            assert a[key].shape == b[key].shape, (path_a, key)
+            assert a[key].tobytes() == b[key].tobytes(), (path_a, key)
 
 
 def directory_bytes(path):
@@ -315,8 +316,12 @@ class TestTrainRun:
         assert [row[:4] for row in r1] == [row[:4] for row in r2]
 
     @pytest.mark.parametrize("algorithm",
-                             ["dqn", "da2c", "gpsarsa", "gpsarsa-capped"])
+                             ["dqn", "dqn-wrapped", "da2c", "tda2c",
+                              "gpsarsa", "gpsarsa-capped"])
     def test_resume_reproduces_fresh_run(self, tmp_path, algorithm):
+        # dqn-wrapped: a 64-row pool, wrapped before the resume point;
+        # tda2c: a pool filled from a corpus, each dialogue's final belief
+        # held beside its rows
         if algorithm.startswith("gpsarsa"):
             # capped at 30 points, the dictionary is full before the resume
             # point, so the resumed run projects onto a loaded dictionary
@@ -331,16 +336,34 @@ class TestTrainRun:
                     "out": str(tmp_path / out)})
             total = 60
         else:
+            over = {}
+            if algorithm == "dqn-wrapped":
+                over["agent"] = {"hidden": [16, 12], "warmup": 30,
+                                 "target_sync": 50, "pool_capacity": 64}
+            elif algorithm == "tda2c":
+                corpus = str(tmp_path / "corpus.jsonl")
+                env = harness.build_world(smoke_config(tmp_path))[2]
+                save_corpus(generate_corpus(env, 30, seed=3), corpus)
+                over["agent"] = {"hidden": [16, 12], "sup_epochs": 2}
+                over["pretrain"] = {"mode": "sup_full_batch",
+                                    "corpus": corpus}
+
             def config(out, dialogues):
-                return smoke_config(tmp_path, algorithm=algorithm,
+                return smoke_config(tmp_path,
+                                    algorithm=algorithm.split("-")[0],
                                     out=str(tmp_path / out),
-                                    dialogues=dialogues)
+                                    dialogues=dialogues, **over)
             total = 40
         r_full = train_run(config("full", total))
         train_run(config("half", 20))
-        if algorithm == "gpsarsa-capped":
-            with np.load(tmp_path / "half" / "checkpoint.npz") as half:
+        with np.load(tmp_path / "half" / "checkpoint.npz") as half:
+            if algorithm == "gpsarsa-capped":
                 assert len(half["points_a"]) == cap
+            meta = json.loads(bytes(half["__meta__"]))
+            if algorithm == "dqn-wrapped":
+                assert meta["pool.size"] == 64 and meta["pool.cursor"] > 0
+            if algorithm == "tda2c":
+                assert len(half["pool.held_slots"]) >= 30
         r_resumed = train_run(config("half", total), resume=True)
         assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
         # the saved learner state, not just the curve, matches bit for bit
@@ -415,6 +438,27 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
                         old)
         with pytest.raises(CheckpointError, match="pool.capacity"):
             train_run(smoke_config(tmp_path, dialogues=40), resume=True)
+
+    def test_resume_refuses_previous_pool_layout(self, tmp_path):
+        # the previous layout wrote the pool's next states as a
+        # pool.next_features column, with no held slots
+        cfg = smoke_config(tmp_path, dialogues=20)
+        train_run(cfg)
+        path = os.path.join(cfg.out, "checkpoint.npz")
+        agent = harness.build_agent(cfg, harness.build_world(cfg)[2])
+        agent.load(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files
+                      if not k.startswith("pool.held_")}
+        arrays["pool.next_features"] = agent.pool.batch(
+            np.arange(len(agent.pool)))[3]
+        checkpoint.replace_file(
+            path, lambda fh: checkpoint.write_npz(fh, arrays))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: missing counters []; arrays [")) as refused:
+            train_run(smoke_config(tmp_path, dialogues=40), resume=True)
+        assert "'pool.next_features'" in str(refused.value)
+        assert "'pool.held_slots'" in str(refused.value)
 
     @pytest.mark.parametrize("algorithm", ["dqn", "gpsarsa"])
     def test_resume_refuses_checkpoint_without_run_counters(self, tmp_path,
@@ -1121,6 +1165,32 @@ class TestCli:
                          "--threshold", "0.9", "--expect-order", "x"]) == 0
         text = capsys.readouterr().out
         assert "dialogues-to-threshold" in text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--policy", "handcrafted", "--episodes", "0"],
+         "--episodes=0 must be >= 1"),
+        (["evaluate", "--policy", "random", "--episodes", "-3"],
+         "--episodes=-3 must be >= 1"),
+        (["generate-corpus", "--n", "0"], "--n=0 must be >= 1"),
+        (["compare", "--threshold", "nan"], "--threshold=nan must be finite"),
+        (["compare", "--threshold", "inf"], "--threshold=inf must be finite")],
+        ids=["episodes-0", "episodes-negative", "n-0", "threshold-nan",
+             "threshold-inf"])
+    def test_bad_number_flag_exits_2_naming_it(self, tmp_path, capsys, argv,
+                                               message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"algorithm": "dqn", "seed": 1}))
+        out = tmp_path / "corpus.jsonl"
+        if argv[0] == "compare":
+            argv = [*argv, write_runs(tmp_path, "x", ((0, 1000), 0.95))]
+        else:
+            argv = [*argv, "--config", str(config)]
+        if argv[0] == "generate-corpus":
+            argv = [*argv, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_expect_order_fails_on_a_tie_in_either_order(self, tmp_path,
                                                          capsys):

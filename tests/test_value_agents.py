@@ -218,13 +218,17 @@ def feed(pools, ops):
         yield
 
 
+# the fields of ReplayPool.batch, in its order
+BATCH = ("features", "actions", "rewards", "next_features", "terminal")
+
+
 def assert_same_rows(pool, oracle):
     """``pool`` and ``oracle`` hold the same rows, bit for bit, through
     ``batch`` over every filled slot and ``rows`` of every field."""
     assert len(pool) == len(oracle)
     idx = np.arange(len(oracle))
-    for name, mine, theirs in zip(ReplayPool.FIELDS, pool.batch(idx),
-                                  oracle.batch(idx)):
+    for name, mine, theirs in zip(BATCH, pool.batch(idx), oracle.batch(idx),
+                                  strict=True):
         assert mine.tobytes() == theirs.tobytes(), name
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
     for name in ReplayPool.FIELDS:
@@ -275,8 +279,8 @@ class TestOneArrayPool:
     @settings(max_examples=200, deadline=None)
     @given(capacity=st.sampled_from([1, 2, 5]), ops=_OPS, more=_OPS)
     def test_snapshot_restores_the_same_pool(self, capacity, ops, more):
-        # the held next states are derived again from the saved column,
-        # and the pool goes on as the two-array pool does
+        # the snapshot holds the side store, and the restored pool goes on
+        # as the two-array pool does
         pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
         for _ in feed([pool, oracle], ops):
             pass
