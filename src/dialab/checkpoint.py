@@ -5,6 +5,7 @@ so a checkpoint never loads silently into a model it does not fit."""
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable
 
@@ -65,7 +66,6 @@ def write_npz(fh: BinaryIO, arrays: dict) -> None:
     its npy header, then its buffer. A contiguous array's buffer is written
     as it is, where ``np.savez`` first copies the array with ``tobytes``;
     any other array is copied once."""
-    import zipfile
     with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
                          allowZip64=True) as zf:
         for name, array in arrays.items():
@@ -97,20 +97,34 @@ def load(path: str, kind: str, expected: State, *run: str) -> State:
     counter, the run counters named in ``run``, and every array by name and
     exact shape; other meta keys are ignored. Arrays of a fixed shape are
     copied into the live ones; the owner takes the others. Returns the
-    file's state, ``run``'s counters included."""
+    file's state, ``run``'s counters included. A file that is not a whole,
+    readable npz (cut short, corrupted, or of another kind) is refused
+    too, as is every misfit, with a ``CheckpointError`` naming ``path``."""
     def fail(what: str):
         raise CheckpointError(f"{path}: {what}")
 
-    with np.load(path) as data:
-        if META not in data.files:
-            fail(f"no {META} record; not a version-{VERSION} dialab checkpoint")
-        meta = json.loads(bytes(data[META]).decode())
-        for key, want in (("version", VERSION), ("format", FORMAT),
-                          ("kind", kind), *expected.spec.items()):
-            if meta.get(key) != json.loads(json.dumps(want)):
-                fail(f"{key} is {meta.get(key)!r} in the checkpoint, "
-                     f"expected {want!r}")
-        arrays = {name: data[name] for name in data.files if name != META}
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            fail("not an npz archive; the file is cut short, damaged or "
+                 "not a checkpoint")
+        fh.seek(0)
+        try:
+            with np.load(fh) as data:
+                if META not in data.files:
+                    fail(f"no {META} record; not a version-{VERSION} "
+                         "dialab checkpoint")
+                meta = json.loads(bytes(data[META]).decode())
+                for key, want in (("version", VERSION), ("format", FORMAT),
+                                  ("kind", kind), *expected.spec.items()):
+                    if meta.get(key) != json.loads(json.dumps(want)):
+                        fail(f"{key} is {meta.get(key)!r} in the checkpoint, "
+                             f"expected {want!r}")
+                arrays = {name: data[name] for name in data.files
+                          if name != META}
+        except CheckpointError:
+            raise
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise CheckpointError(f"{path}: damaged: {exc}") from exc
     names = [*expected.counters, *run]
     missing = [k for k in names if k not in meta]
     if missing or arrays.keys() != expected.arrays.keys():

@@ -220,6 +220,11 @@ def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
         raise CorpusFormatError(f"final feature length "
                                 f"{len(d.log.final_features)} != manifest "
                                 f"{n_features}")
+    # last: rate reads the features and actions checked above
+    rating = rate(d)
+    if d.rating != rating:
+        raise CorpusFormatError(f"field 'rating': {d.rating} != the "
+                                f"dialogue's rating {rating}")
 
 
 def fill_pool(corpus, pool) -> np.ndarray:

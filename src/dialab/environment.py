@@ -281,8 +281,6 @@ SPACES = {
         slot_confidence=lambda features: features[:2 * len(CONSTRAINT_SLOTS):2],
         excluded=tuple(f"select-{s}" for s in CONSTRAINT_SLOTS)),
 }
-SUMMARY_ACTIONS = SPACES["summary"].actions
-ORIGINAL_ACTIONS = SPACES["original"].actions
 
 
 def context_evidence(sys: SystemAct, obs) -> list:

@@ -6,8 +6,9 @@ weights. Everything is float64 and seed-deterministic.
 
 A net's parameters are one contiguous vector, every layer's W (row-major)
 first and then every b; ``weights[i]`` and ``biases[i]`` are reshaped views
-of it. Gradients and the Adadelta accumulators share that layout, so the
-optimiser, copies and the L2 term each work on whole vectors or one slice.
+of it. Gradients and the Adadelta accumulators are vectors in that layout,
+so the optimiser, copies, the L2 term and checkpoints each work on whole
+vectors or one slice; ``layer_views`` gives any of them per layer.
 """
 
 from __future__ import annotations
@@ -38,21 +39,6 @@ def layer_views(vector: np.ndarray, layer_sizes: Sequence[int]):
     parts = [vector[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     weights = [p.reshape(shape) for p, shape in zip(parts, shapes)]
     return weights, parts[len(shapes):]
-
-
-class GradientSet:
-    """A vector in a net's parameter layout with per-layer ``(W, b)`` views;
-    indexing and iteration give the pairs."""
-
-    def __init__(self, vector: np.ndarray, layer_sizes: Sequence[int]):
-        self.vector = vector
-        self.weights, self.biases = layer_views(vector, layer_sizes)
-
-    def __getitem__(self, i: int):
-        return self.weights[i], self.biases[i]
-
-    def __iter__(self):
-        return zip(self.weights, self.biases)
 
 
 @dataclass(eq=False)
@@ -101,8 +87,8 @@ class FeedForwardNet:
         return self.layer_sizes[-1]
 
     def state(self) -> State:
-        """Live weights and biases, for checkpoints."""
-        return State(named_pairs(zip(self.weights, self.biases)),
+        """The live parameter vector, for checkpoints."""
+        return State({"params": self.params},
                      spec={"layer_sizes": list(self.layer_sizes),
                            "head": self.head})
 
@@ -142,8 +128,9 @@ class FeedForwardNet:
     # -- backward ----------------------------------------------------------
 
     def backward_batch(self, x: np.ndarray, grad_out: np.ndarray,
-                       activations: list | None = None) -> GradientSet:
-        """Exact gradients of ``sum_b objective_b`` for a batch.
+                       activations: list | None = None) -> np.ndarray:
+        """Exact gradients of ``sum_b objective_b`` for a batch, as one
+        vector in the parameter layout.
 
         ``grad_out`` is the objective's gradient at the final *linear* output
         (the logits for a softmax head), one row per batch element.
@@ -157,11 +144,12 @@ class FeedForwardNet:
         if grad_out.shape != acts[-1].shape:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != output {acts[-1].shape}")
-        grads = GradientSet(np.empty_like(self.params), self.layer_sizes)
+        grads = np.empty_like(self.params)
+        grad_w, grad_b = layer_views(grads, self.layer_sizes)
         delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[i].T, delta, out=grads.weights[i])
-            np.sum(delta, axis=0, out=grads.biases[i])
+            np.matmul(acts[i].T, delta, out=grad_w[i])
+            np.sum(delta, axis=0, out=grad_b[i])
             if i > 0:
                 # tanh'(z) = 1 - a^2 with a the cached activation
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
@@ -174,16 +162,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def zero_grads(net: FeedForwardNet) -> GradientSet:
-    return GradientSet(np.zeros_like(net.params), net.layer_sizes)
-
-
-def named_pairs(pairs, prefix: str = "") -> dict:
-    """Per-layer (W, b) pairs as ``{prefix}w{i}``/``{prefix}b{i}`` arrays."""
-    return {f"{prefix}{tag}{i}": a for i, pair in enumerate(pairs)
-            for tag, a in zip("wb", pair)}
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +190,13 @@ def log_policy_gradient(probs: np.ndarray, action: int) -> np.ndarray:
     return g
 
 
-def add_l2_gradient(grads: GradientSet, net: FeedForwardNet,
+def add_l2_gradient(grads: np.ndarray, net: FeedForwardNet,
                     coefficient: float) -> None:
     """Add the gradient of ``c * sum(W^2)`` to ``grads`` in place; the
     biases, which the penalty excludes, are left as they are."""
     if coefficient < 0:
         raise ValueError("l2 coefficient must be >= 0")
-    grads.vector[:net.n_weights] += 2.0 * coefficient * net.params[:net.n_weights]
+    grads[:net.n_weights] += 2.0 * coefficient * net.params[:net.n_weights]
 
 
 # ---------------------------------------------------------------------------
@@ -227,29 +205,27 @@ def add_l2_gradient(grads: GradientSet, net: FeedForwardNet,
 
 @dataclass
 class AdadeltaState:
-    """Decaying accumulators of squared gradients and squared updates."""
+    """Decaying accumulators of squared gradients and squared updates, each
+    a vector in the net's parameter layout."""
 
     rho: float = 0.95
     eps: float = 1e-6
-    acc_grad: GradientSet | None = None
-    acc_update: GradientSet | None = None
+    acc_grad: np.ndarray | None = None
+    acc_update: np.ndarray | None = None
 
     @classmethod
     def for_net(cls, net: FeedForwardNet, rho: float = 0.95,
                 eps: float = 1e-6) -> "AdadeltaState":
-        state = cls(rho=rho, eps=eps)
-        state.acc_grad = zero_grads(net)
-        state.acc_update = zero_grads(net)
-        return state
+        return cls(rho=rho, eps=eps, acc_grad=np.zeros_like(net.params),
+                   acc_update=np.zeros_like(net.params))
 
     def state(self) -> State:
         """Live accumulators, for checkpoints."""
-        return State({**named_pairs(self.acc_grad, "grad."),
-                      **named_pairs(self.acc_update, "update.")})
+        return State({"grad": self.acc_grad, "update": self.acc_update})
 
 
 def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
-                  grads: GradientSet) -> None:
+                  g: np.ndarray) -> None:
     """One Adadelta update, in place; no global learning rate.
 
     accumulate E[g^2], scale the step by RMS(prior updates)/RMS(gradients),
@@ -264,17 +240,16 @@ def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
     place; products are taken left to right and the sign flip is exact, so
     the result is bit for bit that of evaluating the lines as written.
     """
-    g = grads.vector
     if g.shape != net.params.shape:
         raise ShapeError(f"gradient length {g.shape} != parameters {net.params.shape}")
     if not np.isfinite(g).all():
-        for i, (gw, gb) in enumerate(grads):
-            for tag, part in (("W", gw), ("b", gb)):
+        for i, pair in enumerate(zip(*layer_views(g, net.layer_sizes))):
+            for tag, part in zip("Wb", pair):
                 if not np.isfinite(part).all():
                     raise NonFiniteGradientError(
                         f"non-finite gradient at layer {i} {tag}")
     rho, eps = state.rho, state.eps
-    eg, eu = state.acc_grad.vector, state.acc_update.vector
+    eg, eu = state.acc_grad, state.acc_update
     scratch = np.multiply(g, 1.0 - rho)
     scratch *= g
     eg *= rho

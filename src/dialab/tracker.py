@@ -34,7 +34,6 @@ G_R = (1.0, 0.8, 0.6, 0.4, 0.0)
 
 SUMMARY_BLOCKS = len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS) + 1
 SUMMARY_LEN = SUMMARY_BLOCKS * 5
-ORIGINAL_LEN = 2 * len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS) + len(USER_ACT_TYPES) + 2
 TURN_SCALE = 30
 DB_COUNT_CAP = 20
 PHASE_TURNS = 6  # turns per dialogue-phase bucket in the last summary block

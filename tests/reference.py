@@ -12,15 +12,21 @@ import numpy as np
 
 from dialab import checkpoint
 from dialab.corpus import fill_pool
-from dialab.environment import EnvConfig, EpisodeLog, Transition
-from dialab.nets import (CE_CLAMP, FeedForwardNet, GradientSet, ShapeError,
-                         add_l2_gradient, zero_grads)
+from dialab.environment import SPACES, EnvConfig, EpisodeLog, Transition
+from dialab.nets import CE_CLAMP, FeedForwardNet, ShapeError, add_l2_gradient
 from dialab.ontology import (_DISHES, _NAME_ADJECTIVES, _NAME_NOUNS,
                              _STREETS, CONSTRAINT_SLOTS, REQUEST_SLOTS,
-                             VALUES, GoalConfig, Restaurant, RestaurantDB,
-                             UserGoal, query)
+                             USER_ACT_TYPES, VALUES, GoalConfig, Restaurant,
+                             RestaurantDB, UserGoal, query)
 from dialab.tracker import ErrorModel
 from dialab.value_agents import PoolTooSmall, ReplayPool
+
+ORIGINAL_ACTIONS = SPACES["original"].actions
+# the original space's feature vector: the top two belief values of each
+# constraint slot, one mass per request slot and user act type, then the
+# scaled turn and DB count
+ORIGINAL_LEN = (2 * len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS)
+                + len(USER_ACT_TYPES) + 2)
 
 
 def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
@@ -41,21 +47,23 @@ def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
 
 
 def l2_penalty(net: FeedForwardNet, coefficient: float):
-    """Weight-decay penalty ``c * sum(W^2)`` and its gradients (biases excluded)."""
-    grads = zero_grads(net)
+    """Weight-decay penalty ``c * sum(W^2)`` and its gradient vector, in the
+    parameter layout (biases excluded)."""
+    grads = np.zeros_like(net.params)
     add_l2_gradient(grads, net, coefficient)
     penalty = coefficient * sum(float(np.sum(w ** 2)) for w in net.weights)
     return penalty, grads
 
 
 def finite_difference_grads(objective: Callable[[], float],
-                            net: FeedForwardNet, h: float = 1e-5) -> GradientSet:
-    """Central-difference gradients of a scalar closure over every parameter.
+                            net: FeedForwardNet, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradients of a scalar closure over every parameter,
+    as one vector in the parameter layout.
 
     Independent oracle for the analytic backprop: it only perturbs parameters
     and re-evaluates ``objective``.
     """
-    grads = zero_grads(net)
+    grads = np.zeros_like(net.params)
     params = net.params
     for k in range(params.size):
         orig = params[k]
@@ -64,7 +72,7 @@ def finite_difference_grads(objective: Callable[[], float],
         params[k] = orig - h
         down = objective()
         params[k] = orig
-        grads.vector[k] = (up - down) / (2.0 * h)
+        grads[k] = (up - down) / (2.0 * h)
     return grads
 
 

@@ -13,10 +13,10 @@ from dialab.environment import CONFIRM_THRESHOLD, DialogueEnv, EnvConfig
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                              VALUES, SystemAct, generate_db, query)
 from dialab.seeding import rng_stream
-from dialab.tracker import (DB_COUNT_CAP, ORIGINAL_LEN, SUMMARY_LEN,
+from dialab.tracker import (DB_COUNT_CAP, SUMMARY_LEN,
                             TURN_SCALE, ErrorModel, nearest_gc, nearest_gr,
                             turn_phase)
-from reference import noiseless_channel
+from reference import ORIGINAL_LEN, noiseless_channel
 
 DB = generate_db(n=40, rng=np.random.default_rng(11))
 

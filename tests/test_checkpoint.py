@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from dialab import checkpoint
+from dialab.actor_critic import ActorCriticAgent
 from dialab.checkpoint import CheckpointError
 from dialab.environment import Transition
+from dialab.nets import layer_views
 from dialab.value_agents import AgentConfig, QAgent, ReplayPool
 from reference import TwoArrayPool
 
@@ -106,6 +108,29 @@ def test_version_1_file_refused(tmp_path):
         agent.load(path)
 
 
+def flip_middle_byte(data):
+    data = bytearray(data)
+    data[len(data) // 2] ^= 0xFF
+    return bytes(data)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: data[:len(data) // 2], "not an npz archive"),
+    (lambda data: data[:-10], "not an npz archive"),
+    (lambda data: b"", "not an npz archive"),
+    (lambda data: b"text, not a checkpoint\n", "not an npz archive"),
+    (flip_middle_byte, "damaged: Bad CRC-32")],
+    ids=["half", "cut-10", "empty", "text", "flipped-byte"])
+def test_unreadable_file_is_refused_naming_the_path(tmp_path, damage,
+                                                    message):
+    path = tmp_path / "agent.npz"
+    q_agent(hidden=(8, 6)).save(str(path))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: {message}")):
+        q_agent(hidden=(8, 6)).load(str(path))
+
+
 def test_save_writes_exactly_the_given_path(tmp_path):
     path = tmp_path / "agent"
     q_agent(hidden=(8, 6)).save(str(path))
@@ -153,29 +178,65 @@ def test_written_bytes_are_np_savez_bytes(tmp_path, frozen_zip_clock):
             == (tmp_path / "reference").read_bytes())
 
 
-def test_per_layer_v2_arrays_load_into_flat_parameters(tmp_path):
-    # the v2 layout names each layer's W and b; they land in the flat
-    # vector as every W, then every b
+def ac_agent(hidden, seed=0):
+    cfg = AgentConfig(hidden=hidden, minibatch=4, warmup=4, target_sync=5)
+    return ActorCriticAgent(n_features=4, n_actions=3, config=cfg,
+                            rng=RNG(seed))
+
+
+# each agent's nets and Adadelta optimisers by snapshot part, as attributes
+AGENTS = {"dqn": (q_agent, {"q": "qnet", "target": "target"}, {"opt": "opt"}),
+          "actor-critic": (ac_agent, {"policy": "policy", "value": "value",
+                                      "value_target": "value_target"},
+                           {"policy_opt": "policy_opt",
+                            "value_opt": "value_opt"})}
+
+
+@pytest.mark.parametrize("kind", sorted(AGENTS))
+def test_snapshot_holds_each_net_and_optimiser_as_one_vector(tmp_path, kind):
+    make, nets_, opts = AGENTS[kind]
+    agent = make(hidden=(8, 6))
+    rng = RNG(1)
+    for i in range(12):
+        agent.observe(transition(i), rng)
+    vectors = {f"{part}.params": getattr(agent, attr).params
+               for part, attr in nets_.items()}
+    for part, attr in opts.items():
+        opt = getattr(agent, attr)
+        vectors.update({f"{part}.grad": opt.acc_grad,
+                        f"{part}.update": opt.acc_update})
+    path = str(tmp_path / "agent.npz")
+    agent.save(path)
+    with np.load(path) as data:
+        held = {n for n in data.files if not n.startswith(("pool.", "__"))}
+    assert held == vectors.keys()
+    fresh = make(hidden=(8, 6), seed=1)
+    fresh.load(path)
+    restored = fresh.state().arrays
+    for name, vector in vectors.items():
+        assert np.any(vector != 0), name
+        assert restored[name].shape == vector.shape, name
+        assert restored[name].tobytes() == vector.tobytes(), name
+
+
+def test_per_layer_arrays_are_refused_naming_the_path(tmp_path):
+    # the layout that stored each layer's W and b as q.w0, q.b0, ...
     agent = q_agent(hidden=(8, 6))
     state = agent.state()
-    rng = RNG(5)
-    arrays = {name: rng.normal(size=a.shape) for name, a in state.arrays.items()}
-    meta = json.dumps({"format": "dialab", "version": 2, "kind": "qagent",
-                       **state.spec, **state.counters, "train_steps": 7})
-    path = str(tmp_path / "v2.npz")
-    np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
-             **arrays)
-    agent.load(path)
-    layers = range(3)
-    for prefix, params in (("q.", agent.qnet.params),
-                           ("target.", agent.target.params),
-                           ("opt.grad.", agent.opt.acc_grad.vector),
-                           ("opt.update.", agent.opt.acc_update.vector)):
-        expected = np.concatenate(
-            [arrays[f"{prefix}w{i}"].ravel() for i in layers]
-            + [arrays[f"{prefix}b{i}"] for i in layers])
-        assert np.array_equal(params, expected), prefix
-    assert agent.train_steps == 7
+    for part, prefix in (("q.params", "q."), ("target.params", "target."),
+                         ("opt.grad", "opt.grad."),
+                         ("opt.update", "opt.update.")):
+        weights, biases = layer_views(state.arrays.pop(part),
+                                      agent.qnet.layer_sizes)
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            state.arrays.update({f"{prefix}w{i}": w, f"{prefix}b{i}": b})
+    path = str(tmp_path / "per-layer.npz")
+    checkpoint.save(path, "qagent", state)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: missing counters []; arrays [")) as refused:
+        q_agent(hidden=(8, 6)).load(path)
+    assert "'q.w0'" in str(refused.value)
+    assert "'q.params'" in str(refused.value)
 
 
 def dialogues(pools, n_dialogues, turns=5, dim=4, seed=0):

@@ -68,8 +68,9 @@ class TestRate:
             assert rate(d) == rate(d) == d.rating
 
     def test_timeout_with_nothing_grounded_rates_zero(self, noiseless_env):
-        from dialab.environment import ORIGINAL_ACTIONS, run_episode
+        from dialab.environment import run_episode
         from dialab.seeding import rng_stream
+        from reference import ORIGINAL_ACTIONS
         repeat = ORIGINAL_ACTIONS.index("repeat")
         log = run_episode(noiseless_env, lambda f: repeat,
                           rng_stream(5, "train", 0))
@@ -313,19 +314,22 @@ class TestRoundTrip:
             pooled_turns(CorpusReader(str(path)))
 
     @pytest.mark.parametrize("field, change", [
-        ("records", lambda log: log.update(records=[])),
-        ("length", lambda log: log.update(length=99)),
-        ("success", lambda log: log.update(success=not log["success"]))])
+        ("records", lambda rec: rec["log"].update(records=[])),
+        ("length", lambda rec: rec["log"].update(length=99)),
+        ("success", lambda rec: rec["log"].update(
+            success=not rec["log"]["success"])),
+        ("rating", lambda rec: rec.update(rating=(rec["rating"] + 1) % 4))])
     def test_record_inconsistent_with_its_turns_is_refused(
             self, tmp_path, noisy_env, field, change):
         # a rating is read from the record's success, so a record that
-        # disagrees with its own turns would be rated as another dialogue
+        # disagrees with its own turns would be rated as another dialogue;
+        # and a stored rating other than the record's own would be imitated
         path = tmp_path / "corpus.jsonl"
         save_corpus(generate_corpus(noisy_env, 3, seed=0), path)
         header, first, *rest = path.read_text().splitlines(keepends=True)
         record = json.loads(first)
         assert record["log"]["length"] == len(record["log"]["records"]) != 99
-        change(record["log"])
+        change(record)
         path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:2: field '{field}'")):

@@ -3,15 +3,14 @@ import pytest
 
 from dialab.corpus import (Corpus, CorpusDialogue, HandcraftedPolicy,
                            RandomPolicy)
-from dialab.environment import (ORIGINAL_ACTIONS, SPACES, SUMMARY_ACTIONS,
-                                DialogueEnv, EnvConfig, EpisodeStateError,
-                                minmax_slot, realize, rollout, run_episode,
-                                understood_constraints)
+from dialab.environment import (SPACES, DialogueEnv, EnvConfig,
+                                EpisodeStateError, minmax_slot, realize,
+                                rollout, run_episode, understood_constraints)
 from dialab.ontology import UserAct, generate_db
 from dialab.seeding import rng_stream
 from dialab.tracker import ErrorModel, fresh_belief, update_belief
-from reference import (check_reward_decomposition, noiseless_channel,
-                       pooled_turns)
+from reference import (ORIGINAL_ACTIONS, check_reward_decomposition,
+                       noiseless_channel, pooled_turns)
 
 DB = generate_db(n=150, rng=np.random.default_rng(7))
 SUMMARY = SPACES["summary"]
@@ -167,8 +166,9 @@ class TestRealization:
         assert count == 0
 
     def test_summary_action_order_fixed(self):
-        assert SUMMARY_ACTIONS == ("cannothelp", "confirmdomain", "expl-conf",
-                                   "offer", "repeat", "request", "select")
+        assert SPACES["summary"].actions == (
+            "cannothelp", "confirmdomain", "expl-conf", "offer", "repeat",
+            "request", "select")
         assert ORIGINAL_ACTIONS[0] == "offer"
         assert len(ORIGINAL_ACTIONS) == 11
         assert ORIGINAL_ACTIONS == (

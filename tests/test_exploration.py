@@ -7,12 +7,13 @@ import pytest
 
 from dialab import harness
 from dialab.actor_critic import ActorCriticAgent
-from dialab.environment import ORIGINAL_ACTIONS, rollout
+from dialab.environment import rollout
 from dialab.gpsarsa import GPConfig, GPSarsaAgent
 from dialab.harness import ExperimentConfig, behaviour_action
 from dialab.nets import softmax
 from dialab.seeding import rng_stream
 from dialab.value_agents import AgentConfig, QAgent
+from reference import ORIGINAL_ACTIONS
 
 RNG = np.random.default_rng
 EPSILONS = (0.0, 0.3, 1.0)

@@ -19,8 +19,15 @@ column it holds ``pool.held_slots`` and ``pool.held_next``, the next states
 that the following slot does not hold (one a dialogue), and every other
 array is unchanged bit for bit (dqn ``05be4922...`` -> ``9bced126...``,
 da2c ``8e2d26ad...`` -> ``4b1fed08...``, tda2c ``1e00b116...`` ->
-``be67236c...``). A refactor that is meant to keep behaviour must keep these; a change that
-moves them on purpose says why and records new values.
+``be67236c...``). They were recorded once more when each net and each
+Adadelta optimiser took one array in the snapshot, the vector it holds in
+memory (``<part>.params``, ``<part>.grad``, ``<part>.update``), in place
+of per-layer ``w{i}``/``b{i}`` arrays: each vector is those arrays' values,
+every W then every b, bit for bit, and every other array and the meta
+record are unchanged (dqn ``9bced126...`` -> ``db2452ed...``, da2c
+``4b1fed08...`` -> ``818b53a0...``, tda2c ``be67236c...`` ->
+``eba6fc7f...``). A refactor that is meant to keep behaviour must keep
+these; a change that moves them on purpose says why and records new values.
 """
 
 import hashlib
@@ -39,15 +46,15 @@ GOLDEN = {
     "dqn": ([(0, 0.0, -1.0299999999999998, 1.0),
              (20, 0.0, -1.9000000000000008, 30.0),
              (40, 0.8, -0.018000000000000328, 20.6)],
-            "9bced1267e8218305617fa51fee25d356630b8d6519a493ae6aa65c2bef23f95"),
+            "db2452edc8d05f6c99e16daf3f956cb35b2f0286f67e3d2eee48c63233d2063c"),
     "da2c": ([(0, 0.0, -1.0299999999999998, 1.0),
               (20, 0.4, -0.6560000000000002, 15.2),
               (40, 0.0, -1.0630000000000002, 2.1)],
-             "4b1fed0839c9f65e9a6d50f67180adbe9406ee3b9b091aa1629eaeec29f3023f"),
+             "818b53a0efae04a8f364f9fa1cd47e1e402beb418d5ad75f41f79a5aeefd3865"),
     "tda2c": ([(0, 0.0, -1.0299999999999998, 1.0),
                (20, 0.0, -1.0630000000000002, 2.1),
                (40, 0.7, 0.259, 4.7)],
-              "be67236c7a07e2ce60be251d2359c749bd466c9ec1ca0d2dd951d6aefb4c45e3"),
+              "eba6fc7ff9f6e242881adc241a916c03487e88d93e122f30c6783d02dbad071b"),
     "gpsarsa": ([(0, 0.0, -1.9000000000000006, 30.0),
                  (20, 0.75, 0.0574999999999998, 14.75),
                  (40, 0.75, 0.20749999999999993, 9.75)],

@@ -17,13 +17,13 @@ from dialab import corpus as corpus_mod
 from dialab.checkpoint import CheckpointError
 from dialab.corpus import (CorpusReader, HandcraftedPolicy,
                            LayoutMismatchError, generate_corpus, save_corpus)
-from dialab.environment import ORIGINAL_ACTIONS, Transition, run_episode
+from dialab.environment import Transition, run_episode
 from dialab.harness import (ConfigError, EpsilonSchedule, ExperimentConfig,
                             compare_runs, config_from_dict, config_to_dict,
                             epsilon, evaluate, load_config, load_curve,
                             train_run)
 from dialab.seeding import rng_stream
-from reference import noiseless_channel, pooled_turns
+from reference import ORIGINAL_ACTIONS, noiseless_channel, pooled_turns
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -1114,6 +1114,38 @@ class TestCli:
         # the final curve row was evaluated on the same stream
         final = load_curve(os.path.join(out, "curve.csv"))[-1]
         assert f"success_rate={final[1]:.4f}" in text
+
+    @staticmethod
+    def truncated_run(tmp_path):
+        """A trained run's config and its snapshot cut to half its length."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": "dqn", "space": "original", "seed": 3,
+            "dialogues": 20, "eval_period": 20, "eval_episodes": 4,
+            "agent": {"hidden": [12, 8], "warmup": 20}}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out",
+                         str(out)]) == cli.EXIT_OK
+        snapshot = out / "checkpoint.npz"
+        data = snapshot.read_bytes()
+        snapshot.write_bytes(data[:len(data) // 2])
+        return path, out, snapshot
+
+    def test_evaluate_a_truncated_snapshot_exits_3(self, tmp_path, capsys):
+        path, _, snapshot = self.truncated_run(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(path), "--checkpoint",
+                         str(snapshot), "--episodes", "2"]) == cli.EXIT_RUN
+        assert f"run error: {snapshot}: not an npz archive" in \
+            capsys.readouterr().err
+
+    def test_resume_from_a_truncated_snapshot_exits_3(self, tmp_path, capsys):
+        path, out, snapshot = self.truncated_run(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(path), "--out", str(out),
+                         "--resume", "--set", "dialogues=40"]) == cli.EXIT_RUN
+        assert f"run error: {snapshot}: not an npz archive" in \
+            capsys.readouterr().err
 
     def test_pretrain_then_evaluate_extensionless_checkpoint(self, tmp_path,
                                                              capsys):

@@ -7,7 +7,7 @@ from dialab import nets
 from dialab.actor_critic import ActorCriticAgent
 from dialab.nets import (AdadeltaState, FeedForwardNet, NonFiniteGradientError,
                          ShapeError, adadelta_step, clone_net, copy_params,
-                         log_policy_gradient, mse_loss, softmax)
+                         layer_views, log_policy_gradient, mse_loss, softmax)
 from dialab.value_agents import AgentConfig
 from reference import (cross_entropy_loss, finite_difference_grads,
                        l2_penalty)
@@ -28,12 +28,13 @@ def zero_net(head="linear", n_in=4, n_out=3, hidden=(5, 4)):
 
 
 def max_rel_error(analytic, numeric):
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def weights_of(vector, net):
+    """Per-layer W views of a vector in ``net``'s parameter layout."""
+    return layer_views(vector, net.layer_sizes)[0]
 
 
 class TestForward:
@@ -93,8 +94,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         net = tiny_net(seed=2)
         grads = net.backward_batch(np.ones((1, 4)), np.zeros((1, 3)))
-        for gw, gb in grads:
-            assert np.all(gw == 0.0) and np.all(gb == 0.0)
+        assert grads.shape == net.params.shape and np.all(grads == 0.0)
 
     def test_mse_gradient_matches_finite_differences(self):
         net = tiny_net("linear", seed=5)
@@ -196,14 +196,14 @@ class TestL2:
         net = tiny_net(seed=4)
         penalty, grads = l2_penalty(net, 0.0)
         assert penalty == 0.0
-        assert all(np.all(gw == 0) for gw, _ in grads)
+        assert np.all(grads == 0)
 
     def test_single_weight_arithmetic(self):
         net = zero_net(n_in=1, n_out=1, hidden=())
         net.weights[0][0, 0] = 2.0
         penalty, grads = l2_penalty(net, 0.5)
         assert penalty == 2.0
-        assert grads[0][0][0, 0] == 2.0  # 2 * 0.5 * 2.0
+        assert weights_of(grads, net)[0][0, 0] == 2.0  # 2 * 0.5 * 2.0
 
     def test_biases_excluded_and_gradient_matches_fd(self):
         net = tiny_net(seed=15)
@@ -216,27 +216,29 @@ class TestL2:
         _, analytic = l2_penalty(net, 0.3)
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
-        assert all(np.all(gb == 0) for _, gb in analytic)
+        assert all(np.all(gb == 0)
+                   for gb in layer_views(analytic, net.layer_sizes)[1])
 
 
 class TestAdadelta:
     def test_zero_gradient_zero_update_accumulators_decay(self):
         net = tiny_net(seed=17)
         state = AdadeltaState.for_net(net)
-        for i in range(len(net.weights)):
-            state.acc_grad[i][0][:] = 1.0
+        acc_weights = weights_of(state.acc_grad, net)
+        for w in acc_weights:
+            w[:] = 1.0
         before = [w.copy() for w in net.weights]
-        adadelta_step(state, net, nets.zero_grads(net))
+        adadelta_step(state, net, np.zeros_like(net.params))
         for w, b in zip(net.weights, before):
             assert np.array_equal(w, b)
-        assert np.allclose(state.acc_grad[0][0], 0.95)
+        assert np.allclose(acc_weights[0], 0.95)
 
     def test_first_step_magnitude_formula(self):
         # rho=0.95, eps=1e-6, g=1: |dx| = sqrt(eps / (0.05 + eps))
         net = zero_net(n_in=1, n_out=1, hidden=())
         state = AdadeltaState.for_net(net, rho=0.95, eps=1e-6)
-        grads = nets.zero_grads(net)
-        grads[0][0][0, 0] = 1.0
+        grads = np.zeros_like(net.params)
+        weights_of(grads, net)[0][0, 0] = 1.0
         adadelta_step(state, net, grads)
         expected = math.sqrt(1e-6 / (0.05 + 1e-6))
         assert abs(abs(net.weights[0][0, 0]) - expected) <= 1e-15
@@ -249,8 +251,8 @@ class TestAdadelta:
         x_oracle = 0.0
         net = zero_net(n_in=1, n_out=1, hidden=())
         state = AdadeltaState.for_net(net, rho=rho, eps=eps)
-        grads = nets.zero_grads(net)
-        grads[0][0][0, 0] = g
+        grads = np.zeros_like(net.params)
+        weights_of(grads, net)[0][0, 0] = g
         deltas = []
         for _ in range(500):
             eg = rho * eg + (1 - rho) * g * g
@@ -272,9 +274,9 @@ class TestAdadelta:
             net_b = zero_net(n_in=1, n_out=1, hidden=())
             sa = AdadeltaState.for_net(net_a, eps=1e-12)
             sb = AdadeltaState.for_net(net_b, eps=1e-12)
-            ga, gb = nets.zero_grads(net_a), nets.zero_grads(net_b)
-            ga[0][0][0, 0] = g
-            gb[0][0][0, 0] = 1000 * g
+            ga, gb = np.zeros_like(net_a.params), np.zeros_like(net_b.params)
+            weights_of(ga, net_a)[0][0, 0] = g
+            weights_of(gb, net_b)[0][0, 0] = 1000 * g
             adadelta_step(sa, net_a, ga)
             adadelta_step(sb, net_b, gb)
             a = net_a.weights[0][0, 0]
@@ -284,9 +286,13 @@ class TestAdadelta:
     def test_non_finite_gradient_rejected_with_location(self):
         net = tiny_net(seed=18)
         state = AdadeltaState.for_net(net)
-        grads = nets.zero_grads(net)
-        grads[1][0][0, 0] = float("nan")
+        grads = np.zeros_like(net.params)
+        weights_of(grads, net)[1][0, 0] = float("nan")
         with pytest.raises(NonFiniteGradientError, match="layer 1 W"):
+            adadelta_step(state, net, grads)
+        grads[:] = 0.0
+        layer_views(grads, net.layer_sizes)[1][2][-1] = float("inf")
+        with pytest.raises(NonFiniteGradientError, match="layer 2 b"):
             adadelta_step(state, net, grads)
 
 
@@ -307,17 +313,16 @@ class TestFlatLayout:
         _, acts = net.forward_train(x)
         reused = net.backward_batch(x, grad_out, acts)
         recomputed = net.backward_batch(x, grad_out)
-        assert np.array_equal(reused.vector, recomputed.vector)
+        assert np.array_equal(reused, recomputed)
 
     def test_l2_gradient_added_to_weights_only(self):
         net = tiny_net(seed=31)
         grads = net.backward_batch(np.ones((1, 4)), np.ones((1, 3)))
-        before = grads.vector.copy()
+        before = grads.copy()
         nets.add_l2_gradient(grads, net, 0.25)
         n = net.n_weights
-        assert np.array_equal(grads.vector[:n],
-                              before[:n] + 0.5 * net.params[:n])
-        assert np.array_equal(grads.vector[n:], before[n:])
+        assert np.array_equal(grads[:n], before[:n] + 0.5 * net.params[:n])
+        assert np.array_equal(grads[n:], before[n:])
 
 
 class TestCopyAndCheckpoint:

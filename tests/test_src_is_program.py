@@ -1,10 +1,12 @@
 """``src/dialab`` holds only the program: every function, method and class
-it defines is used somewhere in ``src/dialab`` itself.
+it defines, and every name a module assigns at its top level, is used
+somewhere in ``src/dialab`` itself.
 
-A definition counts as used when some ``Name``, ``Attribute`` or import in
-the package names it; the search goes by name, so a method shares its use
-with any other attribute of that name. Code that only tests call belongs in
-``tests/`` (the test oracles are in ``tests/reference.py``).
+A definition counts as used when some ``Name`` read, ``Attribute`` or
+import in the package names it; the search goes by name, so a method
+shares its use with any other attribute of that name. Code that only
+tests call belongs in ``tests/`` (the test oracles are in
+``tests/reference.py``).
 """
 
 import ast
@@ -29,17 +31,32 @@ def _trees():
                 yield name, ast.parse(fh.read(), path)
 
 
+def _module_names(tree):
+    """The names a module assigns at its top level, with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
 def unused_definitions() -> dict:
-    """Each non-dunder definition no name in the package uses, by name, with
-    the file and line that define it."""
+    """Each non-dunder definition or module-level name no name in the
+    package uses, by name, with the file and line that define it."""
     defined, used = {}, set()
     for name, tree in _trees():
+        for k, line in _module_names(tree):
+            defined.setdefault(k, f"{name}:{line}")
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defined.setdefault(node.name, f"{name}:{node.lineno}")
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from dialab.environment import SPACES
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                              VALUES, UserAct)
-from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, ORIGINAL_LEN, SUMMARY_LEN,
+from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, SUMMARY_LEN,
                             BeliefState, ErrorModel, corrupt, fresh_belief,
                             nearest_gc, nearest_gr, not_mentioned_mass,
                             ranked_values, requested, summarize, top2,
                             turn_phase, update_belief, vectorize_original)
-from reference import noiseless_channel
+from reference import ORIGINAL_LEN, noiseless_channel
 
 RNG = np.random.default_rng
 
