@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import harness
@@ -117,38 +118,44 @@ def cmd_rate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    if args.threshold is not None and not math.isfinite(args.threshold):
-        raise ConfigError(f"--threshold={args.threshold} must be finite")
-    report = harness.compare_runs(harness.load_runs(args.runs),
-                                  threshold=args.threshold)
-    print(report.format())
-    if args.expect_order:
-        wanted = args.expect_order.split(",")
-        if not report.holds_order(wanted):
-            print(f"ordering check FAILED: {wanted} not strictly fastest")
-            return EXIT_CHECK
+def cmd_report(args) -> int:
+    threshold = args.threshold
+    # the range test also refuses nan and inf
+    if threshold is not None and not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"--threshold={threshold} must be in (0, 1]")
+    wanted = args.expect_order.split(",") if args.expect_order else []
+    for label in wanted:
+        if wanted.count(label) > 1:
+            raise ConfigError(f"--expect-order names '{label}' twice")
+    runs = harness.load_runs(args.runs)
+    curves = {label: harness.median_curve(label, seed_curves)
+              for label, seed_curves in runs.items()}
+    threshold, reach = harness.compare_runs(runs, threshold)
+    holds = harness.holds_order(reach, wanted) if wanted else None
+
+    print(f"threshold: eval success >= {threshold:.3f}")
+    for label in sorted(reach, key=lambda k: np.median(reach[k])):
+        r = reach[label]
+        print(f"  {label}: median dialogues-to-threshold {np.median(r):.0f} "
+              f"(min {min(r):.0f}, max {max(r):.0f}; {len(r)} seeds; "
+              f"final success {curves[label][-1][1]:.3f})")
+        print("    dialogues  success    min    max  return")
+        for d, success, lo, hi, ret in curves[label]:
+            print(f"    {d:9d}  {success:7.3f} {lo:6.3f} {hi:6.3f} {ret:7.3f}")
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write("label,dialogues,success_median,success_min,"
+                     "success_max,return_median\n")
+            for label, rows in curves.items():
+                for d, *values in rows:
+                    fh.write(f"{label},{d},"
+                             + ",".join(f"{v:.6f}" for v in values) + "\n")
+        print(f"median curves -> {args.csv}")
+    if holds is False:
+        print(f"ordering check FAILED: {wanted} not strictly fastest")
+        return EXIT_CHECK
+    if holds:
         print("ordering check passed")
-    return EXIT_OK
-
-
-def cmd_chat(args) -> int:
-    cfg = load_config(args.config, args.set)
-    harness.chat_session(cfg, checkpoint=args.checkpoint, goal=args.goal)
-    return EXIT_OK
-
-
-def cmd_plot_data(args) -> int:
-    rows = [(label, row) for label, curves in
-            harness.load_runs(args.runs).items()
-            for row in harness.median_curve(label, curves)]
-    with open(args.out, "w") as fh:
-        fh.write("label,dialogues,success_median,success_min,success_max,"
-                 "return_median\n")
-        for label, (d, *values) in rows:
-            fh.write(f"{label},{d}," + ",".join(f"{v:.6f}" for v in values)
-                     + "\n")
-    print(f"plot data -> {args.out}")
     return EXIT_OK
 
 
@@ -194,22 +201,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.set_defaults(fn=cmd_rate)
 
-    p = sub.add_parser("compare", help="median dialogues-to-threshold report")
+    p = sub.add_parser("report", help="median curves and dialogues-to-"
+                                      "threshold of multi-seed runs")
     p.add_argument("runs", nargs="+", metavar="LABEL=DIR")
     p.add_argument("--threshold", type=float)
     p.add_argument("--expect-order", help="comma-separated fastest-first labels")
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("chat", help="act-level interactive session")
-    add_config(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--goal", help="e.g. 'food=italian area=north phone address'")
-    p.set_defaults(fn=cmd_chat)
-
-    p = sub.add_parser("plot-data", help="aggregate curves into plot-ready CSV")
-    p.add_argument("runs", nargs="+", metavar="LABEL=DIR")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_plot_data)
+    p.add_argument("--csv", metavar="OUT", help="write the median curves as CSV")
+    p.set_defaults(fn=cmd_report)
     return parser
 
 

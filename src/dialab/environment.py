@@ -337,16 +337,6 @@ class DialogueEnv:
         self.last_observation = []
         return self.features()
 
-    def begin_manual(self, rng: np.random.Generator) -> np.ndarray:
-        """Channel+tracker session without a simulated user (chat mode)."""
-        self._rng = rng
-        self.goal = None
-        self.user = None
-        self.belief = tracker.fresh_belief()
-        self.db_count = 0
-        self._active = True
-        return self.features()
-
     def realize(self, action: int) -> SystemAct:
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action index {action} outside 0..{self.n_actions - 1}")

@@ -5,8 +5,8 @@ algorithm's training turn goes through, the pretraining pipeline (the
 actor-critic's supervised stage, then batch RL through any deep learner's
 own replay step), the periodic evaluation protocol
 (fresh exploration-free dialogues on a fixed evaluation stream), the
-training loop shared by all five algorithms, learning-curve files,
-multi-seed comparison, and the act-level chat mode.
+training loop shared by all five algorithms, learning-curve files, and
+multi-seed comparison.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import tracker, usersim
 from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPConfig, GPSarsaAgent
-from .ontology import (CONSTRAINT_SLOTS, VALUES, OntologyError, UserGoal,
-                       generate_db, parse_user_act)
+from .ontology import CONSTRAINT_SLOTS, VALUES, generate_db
 from .seeding import rng_stream
 from .value_agents import AgentConfig, QAgent
 
@@ -504,46 +502,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
 # comparison
 
 
-@dataclass
-class RunStats:
-    seeds: int
-    median_to_threshold: float
-    min_to_threshold: float
-    max_to_threshold: float
-    final_success_median: float
-
-
-@dataclass
-class ComparisonReport:
-    threshold: float
-    stats: dict
-
-    def order(self) -> list[str]:
-        return sorted(self.stats, key=lambda k: self.stats[k].median_to_threshold)
-
-    def holds_order(self, wanted: list[str]) -> bool:
-        """Whether ``wanted``, then the fastest other label or infinity, have
-        strictly increasing median dialogues-to-threshold."""
-        unknown = [k for k in wanted if k not in self.stats]
-        if unknown:
-            raise ConfigError(f"unknown label(s) {unknown}")
-        chain = [self.stats[k].median_to_threshold for k in wanted]
-        chain.append(min((s.median_to_threshold for k, s in self.stats.items()
-                          if k not in wanted), default=float("inf")))
-        return all(a < b for a, b in zip(chain, chain[1:]))
-
-    def format(self) -> str:
-        lines = [f"threshold: eval success >= {self.threshold:.3f}"]
-        for label in self.order():
-            s = self.stats[label]
-            lines.append(
-                f"  {label}: median dialogues-to-threshold "
-                f"{s.median_to_threshold:.0f} "
-                f"(min {s.min_to_threshold:.0f}, max {s.max_to_threshold:.0f}; "
-                f"{s.seeds} seeds; final success {s.final_success_median:.3f})")
-        return "\n".join(lines)
-
-
 def median_curve(label: str, curves: list[list[tuple]]) -> list[tuple]:
     """Per eval point of a label's seeds, which must share one eval grid:
     (dialogues, median, min and max success, median return)."""
@@ -560,30 +518,35 @@ def median_curve(label: str, curves: list[list[tuple]]) -> list[tuple]:
 
 
 def compare_runs(curves_by_label: dict,
-                 threshold: float | None = None) -> ComparisonReport:
-    """Median dialogues-to-threshold, the first eval point at or above it,
-    per label across seeds. With no explicit threshold, every label shares
-    THRESHOLD_FRAC of the highest point of any label's median curve, so one
-    lucky seed cannot set it."""
+                 threshold: float | None = None) -> tuple[float, dict]:
+    """The threshold and, per label, each seed's dialogues-to-threshold:
+    its first eval point at or above the threshold, or infinity. With no
+    explicit threshold, every label shares THRESHOLD_FRAC of the highest
+    point of any label's median curve, so one lucky seed cannot set it."""
     if len(curves_by_label) < 1:
         raise ValueError("nothing to compare")
-    medians = {label: median_curve(label, curves)
-               for label, curves in curves_by_label.items()}
+    medians = [median_curve(label, curves)
+               for label, curves in curves_by_label.items()]
     if threshold is None:
-        threshold = THRESHOLD_FRAC * max(row[1] for rows in medians.values()
+        threshold = THRESHOLD_FRAC * max(row[1] for rows in medians
                                          for row in rows)
-    stats = {}
-    for label, curves in curves_by_label.items():
-        reach = [next((row[0] for row in c if row[1] >= threshold), np.inf)
-                 for c in curves]
-        stats[label] = RunStats(
-            seeds=len(curves),
-            median_to_threshold=float(np.median(reach)),
-            min_to_threshold=float(np.min(reach)),
-            max_to_threshold=float(np.max(reach)),
-            final_success_median=medians[label][-1][1],
-        )
-    return ComparisonReport(threshold=threshold, stats=stats)
+    reach = {label: [next((row[0] for row in c if row[1] >= threshold),
+                          math.inf) for c in curves]
+             for label, curves in curves_by_label.items()}
+    return threshold, reach
+
+
+def holds_order(reach: dict, wanted: list[str]) -> bool:
+    """Whether ``wanted``, then the fastest other label or infinity, have
+    strictly increasing median dialogues-to-threshold."""
+    unknown = [k for k in wanted if k not in reach]
+    if unknown:
+        raise ConfigError(f"unknown label(s) {unknown}")
+    median = {k: float(np.median(r)) for k, r in reach.items()}
+    chain = [median[k] for k in wanted]
+    chain.append(min((m for k, m in median.items() if k not in wanted),
+                     default=math.inf))
+    return all(a < b for a, b in zip(chain, chain[1:]))
 
 
 def load_runs(specs: list[str]) -> dict:
@@ -594,6 +557,10 @@ def load_runs(specs: list[str]) -> dict:
         label, sep, run_dir = spec.partition("=")
         if not sep:
             raise ConfigError(f"run spec '{spec}' is not label=dir")
+        if not label:
+            raise ConfigError(f"run spec '{spec}' has an empty label")
+        if label in curves:
+            raise ConfigError(f"run spec '{spec}' repeats label '{label}'")
         root = glob.escape(run_dir)
         paths = (sorted(glob.glob(os.path.join(root, "*", "curve.csv")))
                  or glob.glob(os.path.join(root, "curve.csv")))
@@ -601,92 +568,3 @@ def load_runs(specs: list[str]) -> dict:
             raise ValueError(f"no curve files under {run_dir}")
         curves[label] = [load_curve(path) for path in paths]
     return curves
-
-
-# ---------------------------------------------------------------------------
-# act-level chat
-
-
-def _parse_goal(text: str) -> UserGoal:
-    constraints = {}
-    requests = []
-    for token in text.replace(",", " ").split():
-        if "=" in token:
-            slot, value = token.split("=", 1)
-            constraints[slot] = value
-        else:
-            requests.append(token)
-    return UserGoal(constraints=constraints, requests=tuple(requests))
-
-
-def chat_session(cfg: ExperimentConfig, checkpoint: str | None = None,
-                 stdin=None, stdout=None, goal: str | None = None) -> bool:
-    """Interactive act-level loop; returns the success verdict (False when no
-    goal was declared)."""
-    import sys
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-
-    def say(text):
-        stdout.write(text + "\n")
-
-    _, db, env = build_world(cfg)
-    if checkpoint:
-        agent = build_agent(cfg, env)
-        agent.load(checkpoint)
-        policy = agent.eval_action
-    else:
-        policy = corpus_mod.HandcraftedPolicy(cfg.space)
-
-    declared = _parse_goal(goal) if goal else None
-    shadow = (usersim.UserState(goal=declared, cfg=cfg.user)
-              if declared else None)
-
-    env.begin_manual(rng_stream(cfg.seed, "chat"))
-
-    say("act syntax: inform(food=italian) | request(phone) | affirm | bye; "
-        "empty line = null")
-    while True:
-        sys_act = env.realize(int(policy(env.features())))
-        say(f"system: {sys_act.render()}")
-        if shadow is not None and sys_act.act_type == "offer":
-            if usersim.check_hangup(shadow, sys_act):
-                say("note: this offer violates the declared goal")
-                shadow.hung_up = True
-            else:
-                usersim.receive_offer(shadow, sys_act)
-        line = stdin.readline()
-        if line == "":
-            break
-        acts = []
-        try:
-            for part in line.strip().split(";"):
-                acts.append(parse_user_act(part))
-        except OntologyError as exc:
-            say(f"could not parse that ({exc}); the turn was not consumed")
-            say("act syntax: inform(food=italian) | request(phone) | affirm | bye")
-            continue
-        if shadow is not None:
-            for act in acts:
-                if act.act_type == "request" and act.slot not in shadow.received:
-                    if act.slot not in shadow.asked:
-                        shadow.asked.append(act.slot)
-        env.hear(sys_act, acts)
-        summary = []
-        for slot in CONSTRAINT_SLOTS:
-            p1, _ = tracker.top2(env.belief, slot)
-            if p1 > 0.005:
-                value = tracker.ranked_values(env.belief, slot)[0]
-                summary.append(f"{slot}: ({value}, {p1:.2f})")
-        wanted = tracker.requested(env.belief, 0.1)
-        say("belief: " + ("; ".join(summary) if summary else "(empty)")
-            + (f" | requested: {', '.join(wanted)}" if wanted else ""))
-        if any(a.act_type == "bye" for a in acts):
-            break
-        if env.belief.turn >= cfg.max_turns:
-            say("turn cap reached")
-            break
-    verdict = bool(shadow is not None and usersim.is_satisfied(shadow))
-    if declared is not None:
-        say(f"verdict: {'success' if verdict else 'failure'}")
-    return verdict

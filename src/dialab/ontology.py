@@ -298,22 +298,3 @@ class UserAct:
         if self.act_type == "confirm":
             return f"confirm({self.slot}={self.value})"
         return self.act_type
-
-
-def parse_user_act(text: str) -> UserAct:
-    """Parse the documented act syntax, e.g. ``inform(food=italian)``."""
-    text = text.strip()
-    if not text:
-        return UserAct("null")
-    if "(" in text:
-        if not text.endswith(")"):
-            raise OntologyError(f"unbalanced parentheses in act '{text}'")
-        head, inner = text[:-1].split("(", 1)
-        head = head.strip()
-        inner = inner.strip()
-        if "=" in inner:
-            slot, value = (p.strip() for p in inner.split("=", 1))
-            return UserAct(head, slot=slot, value=value)
-        return UserAct(head, slot=inner or None)
-    return UserAct(text)
-

@@ -6,8 +6,8 @@ an explicit unmentioned mass), request probabilities, and per-turn user-act
 probabilities. The belief keeps them as lists in one fixed layout: a slot's
 masses in ``VALUES[slot]`` order with the unmentioned mass last, requests in
 ``REQUEST_SLOTS`` order, user acts in ``USER_ACT_TYPES`` order. Other modules
-read it only through ``top2``, ``not_mentioned_mass``, ``ranked_values`` and
-``requested``. The tracker renders two feature layouts:
+read it only through ``top2``, ``not_mentioned_mass`` and ``ranked_values``.
+The tracker renders two feature layouts:
 
 * summary: 60 binary features, 12 one-hot blocks of length 5. Three constraint
   blocks quantize each slot's top-two value probabilities onto the grid G_C;
@@ -198,12 +198,6 @@ def top2(belief: BeliefState, slot: str) -> tuple[float, float]:
 
 def not_mentioned_mass(belief: BeliefState, slot: str) -> float:
     return belief.constraints[slot][-1]
-
-
-def requested(belief: BeliefState, threshold: float) -> list[str]:
-    """Request slots whose probability exceeds ``threshold``, in
-    ``REQUEST_SLOTS`` order."""
-    return [s for s, p in zip(REQUEST_SLOTS, belief.requests) if p > threshold]
 
 
 def nearest_gc(p1: float, p2: float) -> int:

@@ -1,11 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1-6 are exact unit-level oracles, and they are the only tests
-here. The multi-seed trend criteria over desk-scale training runs
-(ROADMAP item 2) are not written yet. They need no grid code of their own:
-each run is ``harness.train_run(cfg, resume=True)``, which trains a run
-once and returns a finished run's curve without training, and each
-ordering is ``harness.compare_runs``, with its one threshold rule.
+here. The multi-seed trend criteria over desk-scale training runs are
+not written yet. They need no grid code of their own: each run is
+``harness.train_run(cfg, resume=True)``, which trains a run once and
+returns a finished run's curve without training, and each ordering is
+``harness.holds_order`` over the dialogues-to-threshold that
+``harness.compare_runs`` gives with its one threshold rule.
 """
 
 import time

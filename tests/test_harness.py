@@ -1,6 +1,6 @@
+import argparse
 import dataclasses
 import glob
-import io
 import json
 import math
 import os
@@ -735,23 +735,29 @@ class TestCompare:
                 for d in grid]
 
     def test_ordering_by_median(self):
-        report = compare_runs({
+        _, reach = compare_runs({
             "fast": [self.curve(3000), self.curve(3000), self.curve(2000)],
             "slow": [self.curve(5000), self.curve(5000), self.curve(4000)],
         }, threshold=0.9)
-        assert report.order() == ["fast", "slow"]
-        assert report.stats["fast"].median_to_threshold == 3000
-        assert report.stats["slow"].median_to_threshold == 5000
+        assert reach == {"fast": [3000, 3000, 2000],
+                         "slow": [5000, 5000, 4000]}
+        assert harness.holds_order(reach, ["fast", "slow"])
+        assert not harness.holds_order(reach, ["slow"])
 
     def test_median_rule_on_disagreeing_seeds(self):
-        report = compare_runs({
+        _, reach = compare_runs({
             "x": [self.curve(1000), self.curve(5000), self.curve(2000)],
+            "y": [self.curve(3000)],
         }, threshold=0.9)
-        assert report.stats["x"].median_to_threshold == 2000
+        # x's seeds reach at 1000, 5000 and 2000: its median, 2000, is
+        # faster than y's 3000 though its slowest seed is not
+        assert reach["x"] == [1000, 5000, 2000]
+        assert harness.holds_order(reach, ["x", "y"])
 
     def test_threshold_from_best_fraction(self):
-        report = compare_runs({"only": [self.curve(2000)]}, threshold=None)
-        assert abs(report.threshold - 0.9 * 0.95) <= 1e-12
+        threshold, _ = compare_runs({"only": [self.curve(2000)]},
+                                    threshold=None)
+        assert abs(threshold - 0.9 * 0.95) <= 1e-12
 
     def test_threshold_from_the_best_median_curve(self):
         # one lucky seed peaks at 0.95; the label's median curve at 0.6
@@ -759,13 +765,14 @@ class TestCompare:
                                                     (2000, 0.95))]
         plain = [(d, s, 0.5, 8.0, 0.0) for d, s in ((0, 0.3), (1000, 0.6),
                                                     (2000, 0.6))]
-        report = compare_runs({"x": [lucky, plain, list(plain)]})
-        assert abs(report.threshold - 0.9 * 0.6) <= 1e-12
-        assert report.stats["x"].median_to_threshold == 1000
+        threshold, reach = compare_runs({"x": [lucky, plain, list(plain)]})
+        assert abs(threshold - 0.9 * 0.6) <= 1e-12
+        assert reach["x"] == [1000, 1000, 1000]
 
     def test_never_reaching_is_infinite(self):
-        report = compare_runs({"never": [self.curve(99999)]}, threshold=0.9)
-        assert math.isinf(report.stats["never"].median_to_threshold)
+        _, reach = compare_runs({"never": [self.curve(99999)]}, threshold=0.9)
+        assert math.isinf(reach["never"][0])
+        assert not harness.holds_order(reach, ["never"])
 
     def test_mismatched_grids_rejected(self):
         broken = [self.curve(1000), self.curve(1000, grid=(0, 500))]
@@ -775,83 +782,6 @@ class TestCompare:
     def test_empty_runs_rejected(self):
         with pytest.raises(ValueError):
             compare_runs({"x": []}, threshold=0.9)
-
-    def test_format_mentions_every_label(self):
-        report = compare_runs({"a": [self.curve(1000)],
-                               "b": [self.curve(2000)]}, threshold=0.9)
-        text = report.format()
-        assert "a:" in text and "b:" in text
-
-
-class TestChat:
-    def chat(self, tmp_path, lines, goal=None):
-        cfg = config_from_dict({
-            "algorithm": "dqn", "space": "original", "seed": 0,
-            "error": {"p_confuse": 0.0, "p_drop": 0.0, "nbest_size": 1,
-                      "concentration": 1e18}})
-        out = io.StringIO()
-        verdict = harness.chat_session(cfg, checkpoint=None,
-                                       stdin=io.StringIO("\n".join(lines)),
-                                       stdout=out, goal=goal)
-        return verdict, out.getvalue()
-
-    def test_inform_pins_belief(self, tmp_path):
-        _, transcript = self.chat(tmp_path,
-                                  ["inform(food=italian)", "bye"])
-        assert "food: (italian, 1.00)" in transcript
-
-    def test_empty_line_is_null_act(self, tmp_path):
-        _, transcript = self.chat(tmp_path, ["", "bye"])
-        assert "belief: (empty)" in transcript
-
-    def test_unparseable_act_keeps_turn(self, tmp_path):
-        _, transcript = self.chat(tmp_path,
-                                  ["inform(food=", "inform(food=thai)", "bye"])
-        assert "not consumed" in transcript
-        assert "food: (thai, 1.00)" in transcript
-
-    def test_goal_verdict_success(self, tmp_path):
-        # the handcrafted policy drives; the operator answers truthfully
-        lines = ["inform(area=north)", "inform(food=thai)",
-                 "inform(pricerange=cheap)"] + ["request(phone)"] + [""] * 10
-        verdict, transcript = self.chat(
-            tmp_path, lines, goal="area=north food=thai pricerange=cheap phone")
-        assert verdict is True
-        assert "verdict: success" in transcript
-
-    def test_goal_verdict_offer_against_declared_goal(self, tmp_path):
-        # the operator's area=south contradicts the declared area=north, so
-        # the offer built from the belief violates the goal
-        lines = ["inform(area=south)", "inform(food=thai)",
-                 "inform(pricerange=cheap)"] + ["request(phone)"] + [""] * 10
-        verdict, transcript = self.chat(
-            tmp_path, lines, goal="area=north food=thai pricerange=cheap phone")
-        assert "note: this offer violates the declared goal" in transcript
-        assert verdict is False
-        assert "verdict: failure" in transcript
-
-    def test_ends_on_bye(self, tmp_path):
-        _, transcript = self.chat(tmp_path, ["bye"])
-        assert transcript.count("system:") == 1
-
-    def test_noisy_transcript_matches_the_record(self):
-        # the default noisy channel in the summary space: the belief lines,
-        # requested slots and expl-conf values are pinned byte for byte,
-        # and the out-of-domain pizza never enters the belief
-        lines = ["inform(food=italian)", "request(phone)", "inform(food=pizza)",
-                 "inform(area=north); request(address)", "", "affirm",
-                 "inform(pricerange=cheap)", "negate; inform(food=thai)",
-                 "request(postcode); request(phone)", "bye"]
-        cfg = config_from_dict({"algorithm": "dqn", "space": "summary",
-                                "seed": 0})
-        out = io.StringIO()
-        harness.chat_session(cfg, checkpoint=None,
-                             stdin=io.StringIO("\n".join(lines)), stdout=out)
-        with open(os.path.join(ROOT, "tests", "data",
-                               "chat_transcript.txt")) as fh:
-            recorded = fh.read()
-        assert "| requested: " in recorded and "pizza" not in recorded
-        assert out.getvalue() == recorded
 
 
 class TestCli:
@@ -1172,7 +1102,7 @@ class TestCli:
                              "--episodes", "3"]) == 0
             assert "success_rate=" in capsys.readouterr().out
 
-    def test_generate_rate_and_compare(self, tmp_path, capsys):
+    def test_generate_rate_and_report(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"algorithm": "dqn", "seed": 1}))
         corpus_path = str(tmp_path / "corpus.jsonl")
@@ -1191,12 +1121,31 @@ class TestCli:
         with open(run_dir / "curve.csv", "w") as fh:
             fh.write(harness.CURVE_HEADER + "\n")
             fh.write("0,0.2,0.0,10.0,0.0\n1000,0.95,0.5,8.0,1.0\n")
-        assert cli.main(["compare", f"x={tmp_path / 'runs' / 'x'}",
-                         "--threshold", "0.9"]) == 0
-        assert cli.main(["compare", f"x={tmp_path / 'runs' / 'x'}",
+        assert cli.main(["report", f"x={tmp_path / 'runs' / 'x'}",
                          "--threshold", "0.9", "--expect-order", "x"]) == 0
-        text = capsys.readouterr().out
-        assert "dialogues-to-threshold" in text
+        assert capsys.readouterr().out == (
+            "threshold: eval success >= 0.900\n"
+            "  x: median dialogues-to-threshold 1000 (min 1000, max 1000; "
+            "1 seeds; final success 0.950)\n"
+            "    dialogues  success    min    max  return\n"
+            "            0    0.200  0.200  0.200   0.000\n"
+            "         1000    0.950  0.950  0.950   0.500\n"
+            "ordering check passed\n")
+
+    def test_report_prints_every_label_fastest_first(self, tmp_path, capsys):
+        slow = write_runs(tmp_path, "slow", ((0, 100, 200), 0.5),
+                          ((0, 100, 200), 0.5))
+        fast = write_runs(tmp_path, "fast", ((0, 100, 200), 0.95))
+        assert cli.main(["report", slow, fast,
+                         "--threshold", "0.9"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        labels = [ln.split(":")[0].strip() for ln in lines
+                  if "dialogues-to-threshold" in ln]
+        assert labels == ["fast", "slow"]
+        assert "(min inf, max inf; 2 seeds; final success 0.500)" in \
+            lines[6]
+        # a header and one row per eval point under each label
+        assert len(lines) == 1 + 2 * (2 + 3)
 
     @pytest.mark.parametrize("argv, message", [
         (["evaluate", "--policy", "handcrafted", "--episodes", "0"],
@@ -1204,16 +1153,21 @@ class TestCli:
         (["evaluate", "--policy", "random", "--episodes", "-3"],
          "--episodes=-3 must be >= 1"),
         (["generate-corpus", "--n", "0"], "--n=0 must be >= 1"),
-        (["compare", "--threshold", "nan"], "--threshold=nan must be finite"),
-        (["compare", "--threshold", "inf"], "--threshold=inf must be finite")],
+        (["report", "--threshold", "nan"], "--threshold=nan must be in (0, 1]"),
+        (["report", "--threshold", "inf"], "--threshold=inf must be in (0, 1]"),
+        (["report", "--threshold", "1.5"], "--threshold=1.5 must be in (0, 1]"),
+        (["report", "--threshold", "0"], "--threshold=0.0 must be in (0, 1]"),
+        (["report", "--expect-order", "x,x"],
+         "--expect-order names 'x' twice")],
         ids=["episodes-0", "episodes-negative", "n-0", "threshold-nan",
-             "threshold-inf"])
+             "threshold-inf", "threshold-above-1", "threshold-0",
+             "order-repeats-a-label"])
     def test_bad_number_flag_exits_2_naming_it(self, tmp_path, capsys, argv,
                                                message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"algorithm": "dqn", "seed": 1}))
         out = tmp_path / "corpus.jsonl"
-        if argv[0] == "compare":
+        if argv[0] == "report":
             argv = [*argv, write_runs(tmp_path, "x", ((0, 1000), 0.95))]
         else:
             argv = [*argv, "--config", str(config)]
@@ -1230,27 +1184,42 @@ class TestCli:
         dqn = write_runs(tmp_path, "dqn", ((0, 1000), 0.5))
         gp = write_runs(tmp_path, "gp", ((0, 1000), 0.4))
         for runs in ((dqn, gp), (gp, dqn)):
-            assert cli.main(["compare", *runs, "--threshold", "0.9",
+            assert cli.main(["report", *runs, "--threshold", "0.9",
                              "--expect-order", "dqn,gp"]) == cli.EXIT_CHECK
         assert "ordering check FAILED" in capsys.readouterr().out
 
     def test_expect_order_needs_every_named_label_to_reach(self, tmp_path):
         fast = write_runs(tmp_path, "fast", ((0, 1000), 0.95))
         never = write_runs(tmp_path, "never", ((0, 1000), 0.5))
-        compare = ["compare", fast, never, "--threshold", "0.9"]
-        assert cli.main([*compare, "--expect-order", "fast"]) == cli.EXIT_OK
-        assert cli.main([*compare, "--expect-order",
+        report = ["report", fast, never, "--threshold", "0.9"]
+        assert cli.main([*report, "--expect-order", "fast"]) == cli.EXIT_OK
+        assert cli.main([*report, "--expect-order",
                          "fast,never"]) == cli.EXIT_CHECK
-        assert cli.main([*compare, "--expect-order",
+        assert cli.main([*report, "--expect-order",
                          "nope"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("labels, fault", [
+        (("x", "x"), "repeats label 'x'"), (("",), "has an empty label")],
+        ids=["repeated-label", "empty-label"])
+    def test_bad_run_spec_exits_2_naming_it(self, tmp_path, capsys, labels,
+                                            fault):
+        specs = []
+        for label, name in zip(labels, "ab"):
+            write_runs(tmp_path, name, ((0, 100), 0.5))
+            specs.append(f"{label}={tmp_path / name}")
+        assert cli.main(["report", *specs]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: run spec '{specs[-1]}' "
+                                f"{fault}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("grids", [((0, 100, 200), (0, 100)),
                                        ((0, 100), (0, 100, 200))])
-    def test_plot_data_rejects_mismatched_seed_grids(self, tmp_path, capsys,
-                                                     grids):
+    def test_report_csv_rejects_mismatched_seed_grids(self, tmp_path, capsys,
+                                                      grids):
         spec = write_runs(tmp_path, "y", *((grid, 0.5) for grid in grids))
         out = tmp_path / "plot.csv"
-        assert cli.main(["plot-data", spec, "--out", str(out)]) == cli.EXIT_RUN
+        assert cli.main(["report", spec, "--csv", str(out)]) == cli.EXIT_RUN
         assert ("run 'y': seed curves have mismatched eval grids"
                 in capsys.readouterr().err)
         assert not out.exists()
@@ -1282,13 +1251,28 @@ class TestCli:
         assert cli.main(["rate", "--corpus", str(path)]) == cli.EXIT_RUN
         assert f"{path}:2: {message}" in capsys.readouterr().err
 
-    def test_plot_data(self, tmp_path):
-        run_dir = tmp_path / "runs" / "y" / "seed-0"
-        run_dir.mkdir(parents=True)
-        with open(run_dir / "curve.csv", "w") as fh:
-            fh.write(harness.CURVE_HEADER + "\n")
-            fh.write("0,0.2,0.0,10.0,0.0\n")
-        out = str(tmp_path / "plot.csv")
-        assert cli.main(["plot-data", f"y={tmp_path / 'runs' / 'y'}",
-                         "--out", out]) == 0
-        assert "success_median" in open(out).read()
+    def test_report_csv(self, tmp_path):
+        for seed, success in enumerate((0.2, 0.5, 0.25)):
+            run_dir = tmp_path / "runs" / "y" / f"seed-{seed}"
+            run_dir.mkdir(parents=True)
+            with open(run_dir / "curve.csv", "w") as fh:
+                fh.write(harness.CURVE_HEADER + "\n")
+                fh.write(f"0,{success},{-success},10.0,0.0\n")
+        out = tmp_path / "plot.csv"
+        assert cli.main(["report", f"y={tmp_path / 'runs' / 'y'}",
+                         "--csv", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"label,dialogues,success_median,success_min,success_max,"
+            b"return_median\n"
+            b"y,0,0.250000,0.200000,0.500000,-0.250000\n")
+
+    def test_readme_cli_block_lists_every_subcommand(self):
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            readme = fh.read()
+        block = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1]
+        block = block.split("```", 1)[0]
+        listed = {ln.split()[1] for ln in block.splitlines()
+                  if ln.startswith("dialab ")}
+        subparsers = next(a for a in cli.make_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert listed == set(subparsers.choices)

@@ -9,7 +9,7 @@ from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
 from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, SUMMARY_LEN,
                             BeliefState, ErrorModel, corrupt, fresh_belief,
                             nearest_gc, nearest_gr, not_mentioned_mass,
-                            ranked_values, requested, summarize, top2,
+                            ranked_values, summarize, top2,
                             turn_phase, update_belief, vectorize_original)
 from reference import ORIGINAL_LEN, noiseless_channel
 
@@ -233,14 +233,6 @@ class TestRanking:
                           0)
         assert b.constraints == fresh_belief().constraints
         assert b.user_acts[USER_ACT_TYPES.index("inform")] == 0.9
-
-    def test_requested_keeps_request_slot_order(self):
-        b = update_belief(fresh_belief(),
-                          obs_of((UserAct("request", slot="phone"), 0.7),
-                                 (UserAct("request", slot="address"), 0.05),
-                                 (UserAct("request", slot="area"), 0.5)), 0)
-        assert requested(b, 0.1) == ["area", "phone"]
-        assert requested(b, 0.0) == ["area", "address", "phone"]
 
 
 class TestSummarize:
