@@ -783,6 +783,20 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_runs({"x": []}, threshold=0.9)
 
+    def test_median_curve_per_eval_point(self):
+        seeds = [[(0, s, r, 8.0, 0.0), (1000, s + 0.5, -r, 8.0, 0.0)]
+                 for s, r in ((0.1, 1.0), (0.4, 3.0), (0.2, 2.0))]
+        rows = harness.median_curve("x", seeds)
+        # dialogues, median, min and max success, median return
+        assert [row[0] for row in rows] == [0, 1000]
+        assert np.allclose([row[1:] for row in rows],
+                           [(0.2, 0.1, 0.4, 2.0), (0.7, 0.6, 0.9, -2.0)])
+
+    def test_order_naming_an_unknown_label_is_a_config_error(self):
+        _, reach = compare_runs({"a": [self.curve(1000)]}, threshold=0.9)
+        with pytest.raises(ConfigError, match="'nope'"):
+            harness.holds_order(reach, ["a", "nope"])
+
 
 class TestCli:
     def test_config_error_exit_code(self, tmp_path):
@@ -1265,6 +1279,28 @@ class TestCli:
             b"label,dialogues,success_median,success_min,success_max,"
             b"return_median\n"
             b"y,0,0.250000,0.200000,0.500000,-0.250000\n")
+
+    def test_report_reads_a_single_run_directory(self, tmp_path, capsys):
+        # DIR/curve.csv stands for one seed when DIR has no seed folders
+        run_dir = tmp_path / "one"
+        run_dir.mkdir()
+        with open(run_dir / "curve.csv", "w") as fh:
+            fh.write(harness.CURVE_HEADER + "\n")
+            fh.write("0,0.2,0.0,10.0,0.0\n500,0.95,0.5,8.0,1.0\n")
+        assert cli.main(["report", f"one={run_dir}",
+                         "--threshold", "0.9"]) == cli.EXIT_OK
+        assert ("one: median dialogues-to-threshold 500 (min 500, max 500; "
+                "1 seeds; final success 0.950)") in capsys.readouterr().out
+
+    def test_report_without_curves_exits_3_naming_the_directory(self,
+                                                               tmp_path,
+                                                               capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli.main(["report", f"x={empty}"]) == cli.EXIT_RUN
+        captured = capsys.readouterr()
+        assert f"no curve files under {empty}" in captured.err
+        assert captured.out == ""
 
     def test_readme_cli_block_lists_every_subcommand(self):
         with open(os.path.join(ROOT, "README.md")) as fh:
