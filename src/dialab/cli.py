@@ -15,6 +15,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import harness
+from .checkpoint import replace_file
 from .harness import ConfigError, ExperimentConfig, load_config
 from .seeding import rng_stream
 
@@ -111,7 +112,7 @@ def cmd_generate_corpus(args) -> int:
 def cmd_rate(args) -> int:
     hist = {r: 0 for r in (0, 1, 2, 3)}
     for d in corpus_mod.CorpusReader(args.corpus):
-        hist[corpus_mod.rate(d)] += 1
+        hist[d.rating] += 1
     total = sum(hist.values())
     print(f"{total} dialogues; ratings {hist}; "
           f"expert fraction {hist[3] / max(total, 1):.3f}")
@@ -143,13 +144,13 @@ def cmd_report(args) -> int:
         for d, success, lo, hi, ret in curves[label]:
             print(f"    {d:9d}  {success:7.3f} {lo:6.3f} {hi:6.3f} {ret:7.3f}")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("label,dialogues,success_median,success_min,"
-                     "success_max,return_median\n")
-            for label, rows in curves.items():
-                for d, *values in rows:
-                    fh.write(f"{label},{d},"
+        lines = ["label,dialogues,success_median,success_min,success_max,"
+                 "return_median\n"]
+        for label, rows in curves.items():
+            for d, *values in rows:
+                lines.append(f"{label},{d},"
                              + ",".join(f"{v:.6f}" for v in values) + "\n")
+        replace_file(args.csv, lambda fh: fh.write("".join(lines).encode()))
         print(f"median curves -> {args.csv}")
     if holds is False:
         print(f"ordering check FAILED: {wanted} not strictly fastest")

@@ -16,7 +16,7 @@ dialogue at once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -27,7 +27,7 @@ from .ontology import CONSTRAINT_SLOTS
 from .seeding import rng_stream
 
 CORPUS_SCHEMA = "dialab-corpus"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PROVENANCES = ("handcrafted", "noisy-handcrafted", "agent")
 
@@ -42,15 +42,17 @@ class CorpusFormatError(ValueError):
 
 @dataclass
 class CorpusDialogue:
+    """A logged dialogue and its ``rate`` rating, computed once here and
+    never stored."""
+
     log: EpisodeLog
-    rating: int
     provenance: str = "handcrafted"
+    rating: int = field(init=False)
 
     def __post_init__(self):
-        if self.rating not in (0, 1, 2, 3):
-            raise CorpusFormatError(f"rating {self.rating} outside 0..3")
         if self.provenance not in PROVENANCES:
             raise CorpusFormatError(f"unknown provenance '{self.provenance}'")
+        self.rating = rate(self.log)
 
 
 @dataclass
@@ -147,13 +149,12 @@ def count_blunders(log: EpisodeLog) -> int:
                if rec.action != rule.decide(rec.features))
 
 
-def rate(dialogue: CorpusDialogue | EpisodeLog) -> int:
+def rate(log: EpisodeLog) -> int:
     """Deterministic 0-3 quality proxy, a pure function of the log.
 
     3: success with no off-rule turns; 2: success with at most two;
     1: failure with at least half the constraints grounded; 0: otherwise.
     """
-    log = dialogue.log if isinstance(dialogue, CorpusDialogue) else dialogue
     blunders = count_blunders(log)
     if log.success and blunders == 0:
         return 3
@@ -180,7 +181,7 @@ def generate_dialogues(env: DialogueEnv, n: int, seed: int,
                                    rng=rng)
         log = run_episode(env, policy, rng)
         provenance = "handcrafted" if p_blunder == 0.0 else "noisy-handcrafted"
-        yield CorpusDialogue(log=log, rating=rate(log), provenance=provenance)
+        yield CorpusDialogue(log=log, provenance=provenance)
 
 
 def generate_corpus(env: DialogueEnv, n: int, seed: int,
@@ -190,41 +191,21 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
                   env.config.space, list(env.space.feature_names))
 
 
-def _check_dialogue(d: CorpusDialogue, space: str, n_features: int) -> None:
-    if d.log.space != space:
-        raise CorpusFormatError(
-            f"mixed feature layouts: dialogue space {d.log.space!r} in a "
-            f"{space!r} corpus")
-    records = d.log.records
-    if not records:
+def _check_dialogue(log: EpisodeLog, n_features: int) -> None:
+    if not log.records:
         raise CorpusFormatError("field 'records': a dialogue with no turns")
-    if d.log.length != len(records):
-        raise CorpusFormatError(f"field 'length': {d.log.length} != "
-                                f"{len(records)} turns")
-    if d.log.success != records[-1].success:
-        raise CorpusFormatError(f"field 'success': {d.log.success} != the "
-                                f"last turn's {records[-1].success}")
-    n_actions = len(SPACES[space].actions)
-    last = len(records) - 1
-    for i, rec in enumerate(records):
+    n_actions = len(SPACES[log.space].actions)
+    for rec in log.records:
         if len(rec.features) != n_features:
             raise CorpusFormatError(f"feature length {len(rec.features)} != "
                                     f"manifest {n_features}")
         if not 0 <= rec.action < n_actions:
             raise CorpusFormatError(f"action {rec.action} outside "
                                     f"0..{n_actions - 1}")
-        if rec.terminal and i != last:
-            raise CorpusFormatError(f"field 'terminal': record {i} of "
-                                    f"{last + 1} ends the dialogue early")
-    if len(d.log.final_features) != n_features:
+    if len(log.final_features) != n_features:
         raise CorpusFormatError(f"final feature length "
-                                f"{len(d.log.final_features)} != manifest "
+                                f"{len(log.final_features)} != manifest "
                                 f"{n_features}")
-    # last: rate reads the features and actions checked above
-    rating = rate(d)
-    if d.rating != rating:
-        raise CorpusFormatError(f"field 'rating': {d.rating} != the "
-                                f"dialogue's rating {rating}")
 
 
 def fill_pool(corpus, pool) -> np.ndarray:
@@ -261,8 +242,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
                "space": corpus.space,
                "feature_names": list(corpus.feature_names)}
         for d in corpus.dialogues:
-            yield {"rating": d.rating, "provenance": d.provenance,
-                   "log": d.log.to_dict()}
+            yield {"provenance": d.provenance, "log": d.log.to_dict()}
     replace_file(path, lambda fh: fh.writelines(
         f"{json.dumps(record)}\n".encode() for record in records()))
 
@@ -305,11 +285,10 @@ class CorpusReader:
         n_features = len(self.feature_names)
 
         def dialogue(rec: dict) -> CorpusDialogue:
-            d = CorpusDialogue(log=EpisodeLog.from_dict(rec["log"]),
-                               rating=rec["rating"],
-                               provenance=rec["provenance"])
-            _check_dialogue(d, self.space, n_features)
-            return d
+            log = EpisodeLog.from_dict(rec["log"], self.space)
+            # before the dialogue is rated, from its features and actions
+            _check_dialogue(log, n_features)
+            return CorpusDialogue(log=log, provenance=rec["provenance"])
 
         with open(self.path) as fh:
             fh.readline()
@@ -333,8 +312,12 @@ class CorpusReader:
 
 
 def _header(rec: dict) -> tuple[str, list]:
-    if (rec.get("schema"), rec.get("version")) != (CORPUS_SCHEMA,
-                                                   SCHEMA_VERSION):
+    schema = rec.get("schema"), rec.get("version")
+    if schema == (CORPUS_SCHEMA, 1):
+        raise CorpusFormatError(
+            "a version-1 corpus, which stores derived fields; regenerate it "
+            "with 'dialab generate-corpus'")
+    if schema != (CORPUS_SCHEMA, SCHEMA_VERSION):
         raise CorpusFormatError(f"unrecognized corpus header {rec!r}")
     space, feature_names = rec["space"], rec["feature_names"]
     if space not in SPACES:

@@ -82,15 +82,12 @@ class TurnRecord:
     rollout or a corpus file: ``features`` is a float64 array, and the
     rendered act strings are interned, so a repeated act is one string."""
 
-    turn: int
     features: np.ndarray
     action: int
     system_act: str
     user_acts: list
     observed: list               # n-best lists of [act, score] pairs
     reward: float
-    terminal: bool
-    success: bool
 
     def __post_init__(self):
         self.features = _vector("features", self.features)
@@ -110,31 +107,32 @@ _TURN_FIELDS = tuple(f.name for f in fields(TurnRecord))
 
 @dataclass
 class EpisodeLog:
+    """One logged dialogue. Its length, its return and each turn's
+    terminal and success flags follow from ``records`` (the last turn ends
+    the dialogue) and ``success``, so they are not stored."""
+
     space: str
-    records: list = field(default_factory=list)
-    episode_return: float = 0.0
-    success: bool = False
-    length: int = 0
-    final_features: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    records: list
+    success: bool
+    final_features: np.ndarray
 
     def __post_init__(self):
         self.final_features = _vector("final_features", self.final_features)
 
     def to_dict(self) -> dict:
-        """A JSON-ready dict. Feature arrays become fresh lists of floats;
-        the act strings and lists are the records' own, not copies."""
-        return {"space": self.space, "return": self.episode_return,
-                "success": self.success, "length": self.length,
+        """A JSON-ready dict without the space, which the corpus header
+        holds. Feature arrays become fresh lists of floats; the act strings
+        and lists are the records' own, not copies."""
+        return {"success": self.success,
                 "final_features": self.final_features.tolist(),
                 "records": [r.to_dict() for r in self.records]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeLog":
-        log = cls(space=d["space"], episode_return=d["return"],
-                  success=d["success"], length=d["length"],
-                  final_features=d["final_features"])
-        log.records = [TurnRecord(**r) for r in d["records"]]
-        return log
+    def from_dict(cls, d: dict, space: str) -> "EpisodeLog":
+        """The log ``to_dict`` gave, of a dialogue in ``space``; a field
+        ``to_dict`` does not write, here or in a turn, raises TypeError."""
+        return cls(space=space,
+                   **dict(d, records=[TurnRecord(**r) for r in d["records"]]))
 
 
 def understood_constraints(belief: BeliefState) -> dict[str, str]:
@@ -346,21 +344,18 @@ class DialogueEnv:
             self.db_count = count
         return act
 
-    def hear(self, sys_act: SystemAct, user_acts: list) -> None:
-        """Pass the user's answer to sys_act through the noisy channel and
-        fold what was heard into the belief."""
+    def step(self, action: int) -> tuple[np.ndarray, float, bool, bool]:
+        if not self._active:
+            raise EpisodeStateError("step() outside an active episode")
+        sys_act = self.realize(action)
+        user_acts = usersim.respond(self.user, sys_act, self._rng)
+        # the user's answer passes the noisy channel into the belief
         obs = tracker.corrupt(user_acts, self.config.error, self._rng)
         obs = list(obs) + context_evidence(sys_act, obs)
         self.belief = tracker.update_belief(self.belief, obs, self.db_count)
         self.last_system_act = sys_act
         self.last_user_acts = user_acts
         self.last_observation = obs
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool, bool]:
-        if not self._active:
-            raise EpisodeStateError("step() outside an active episode")
-        sys_act = self.realize(action)
-        self.hear(sys_act, usersim.respond(self.user, sys_act, self._rng))
 
         reward = self.config.turn_penalty
         terminal = False
@@ -398,10 +393,9 @@ def rollout(env: DialogueEnv, policy: Callable[[np.ndarray], int],
 def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
                 rng: np.random.Generator) -> EpisodeLog:
     """Roll one dialogue under a feature -> action policy and log it."""
-    log = EpisodeLog(space=env.config.space)
+    records = []
     for t in rollout(env, policy, rng):
-        log.records.append(TurnRecord(
-            turn=env.belief.turn,
+        records.append(TurnRecord(
             features=t.features,
             action=t.action,
             system_act=env.last_system_act.render(),
@@ -409,11 +403,6 @@ def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
             observed=[[(a.render(), s) for a, s in nbest]
                       for nbest in env.last_observation],
             reward=t.reward,
-            terminal=t.terminal,
-            success=t.success,
         ))
-        log.episode_return += t.reward
-        log.length += 1
-    log.success = t.success
-    log.final_features = t.next_features
-    return log
+    return EpisodeLog(env.config.space, records, success=t.success,
+                      final_features=t.next_features)

@@ -375,11 +375,14 @@ def load_curve(path: str) -> list[tuple]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CURVE_HEADER:
         raise ValueError(f"{path}: missing curve header")
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], 2):
         if not ln.strip():
             continue
-        d, s, r, length, w = ln.split(",")
-        rows.append((int(d), float(s), float(r), float(length), float(w)))
+        try:
+            d, s, r, length, w = ln.split(",")
+            rows.append((int(d), float(s), float(r), float(length), float(w)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from exc
     return rows
 
 

@@ -88,7 +88,8 @@ class ReplayPool:
                  out=self._features[i:i + n])
         self._actions[i:i + n] = [rec.action for rec in records]
         self._rewards[i:i + n] = [rec.reward for rec in records]
-        self._terminal[i:i + n] = [rec.terminal for rec in records]
+        self._terminal[i:i + n - 1] = False
+        self._terminal[i + n - 1] = True     # the log ends at its last turn
         self._chain(i)
         self._side[i + n - 1] = self._as_row(log.final_features)
         self._size += n

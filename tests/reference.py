@@ -80,8 +80,9 @@ def check_reward_decomposition(log: EpisodeLog, cfg: EnvConfig) -> bool:
     """Every episode return must equal length * turn_penalty plus the
     terminal bonus: +1 on success, -1 on timeout or hang-up."""
     bonus = cfg.success_reward if log.success else cfg.failure_reward
-    expected = log.length * cfg.turn_penalty + bonus
-    return math.isclose(log.episode_return, expected, abs_tol=1e-9)
+    expected = len(log.records) * cfg.turn_penalty + bonus
+    return math.isclose(sum(r.reward for r in log.records), expected,
+                        abs_tol=1e-9)
 
 
 def noiseless_channel() -> ErrorModel:
@@ -213,7 +214,8 @@ class TwoArrayPool:
         self._next_features[i + n - 1] = log.final_features
         self._actions[i:i + n] = [rec.action for rec in records]
         self._rewards[i:i + n] = [rec.reward for rec in records]
-        self._terminal[i:i + n] = [rec.terminal for rec in records]
+        self._terminal[i:i + n - 1] = False
+        self._terminal[i + n - 1] = True     # the log ends at its last turn
         self._size += n
         self._cursor = self._size % self.capacity
 

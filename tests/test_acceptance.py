@@ -177,7 +177,7 @@ def test_criterion_5_reward_accounting():
         log = run_episode(env, policies[i % 3], rng_stream(52, "train", i))
         if not check_reward_decomposition(log, env.config):
             bad += 1
-        if not 1 <= log.length <= 30:
+        if not 1 <= len(log.records) <= 30:
             bad += 1
     report("5 reward-accounting", bad == 0, f"violations={bad}/10000")
 

@@ -61,11 +61,11 @@ class TestGenerate:
 class TestRate:
     def test_clean_success_rates_three(self, noiseless_env):
         built = generate_corpus(noiseless_env, 10, seed=4, schedule=CLEAN)
-        assert all(rate(d) == 3 for d in built.dialogues)
+        assert all(rate(d.log) == 3 for d in built.dialogues)
 
     def test_rating_is_pure_function_of_log(self, small_corpus):
         for d in small_corpus.dialogues:
-            assert rate(d) == rate(d) == d.rating
+            assert rate(d.log) == rate(d.log) == d.rating
 
     def test_timeout_with_nothing_grounded_rates_zero(self, noiseless_env):
         from dialab.environment import run_episode
@@ -143,7 +143,8 @@ class TestConversion:
         ends = np.flatnonzero(data.terminal) + 1
         for d, rewards in zip(small_corpus.dialogues,
                               np.split(data.rewards, ends[:-1])):
-            assert abs(rewards.sum() - d.log.episode_return) <= 1e-9
+            assert abs(rewards.sum() - sum(r.reward for r in d.log.records)) \
+                <= 1e-9
 
     def test_clean_pairs_match_rule_table_everywhere(self, noiseless_env):
         built = generate_corpus(noiseless_env, 40, seed=8, schedule=CLEAN)
@@ -160,13 +161,13 @@ class TestConversion:
         assert len(data) == len(records)
         for row, (d, i) in enumerate(records):
             rec, log = d.log.records[i], d.log
-            nxt = (log.records[i + 1].features if i + 1 < len(log.records)
-                   else log.final_features)
+            last = i + 1 == len(log.records)
+            nxt = log.final_features if last else log.records[i + 1].features
             assert data.features[row].tolist() == rec.features.tolist()
             assert data.next_features[row].tolist() == nxt.tolist()
             assert (data.actions[row], data.rewards[row],
                     data.terminal[row], data.rating[row]) == (
-                        rec.action, rec.reward, rec.terminal, d.rating)
+                        rec.action, rec.reward, last, d.rating)
 
     def test_streamed_file_gives_the_in_memory_arrays(self, tmp_path,
                                                       small_corpus):
@@ -275,14 +276,13 @@ class TestRoundTrip:
                            match=re.escape(f"{path}:1: field 'space'")):
             load_corpus(str(path))
 
-    @pytest.mark.parametrize("space, features, message", [
-        ("original", [0.0, 0.0], "feature length 2 != manifest 1"),
-        ("summary", [0.0], "mixed feature layouts"),
-        ("original", [[0.0]], "field 'features': not a flat list of numbers")])
-    def test_layout_errors_name_the_file_and_line(self, tmp_path, space,
-                                                  features, message):
+    @pytest.mark.parametrize("features, message", [
+        ([0.0, 0.0], "feature length 2 != manifest 1"),
+        ([[0.0]], "field 'features': not a flat list of numbers")])
+    def test_layout_errors_name_the_file_and_line(self, tmp_path, features,
+                                                  message):
         path = tmp_path / "corpus.jsonl"
-        write_one_dialogue(path, space=space, features=features)
+        write_one_dialogue(path, features=features)
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:2: {message}")):
             load_corpus(str(path))
@@ -291,7 +291,8 @@ class TestRoundTrip:
         ({"action": 11}, "action 11 outside 0..10"),
         ({"action": -1}, "action -1 outside 0..10"),
         ({"final_features": [0.0, 0.0]},
-         "final feature length 2 != manifest 1")])
+         "final feature length 2 != manifest 1"),
+        ({"n_turns": 0}, "field 'records': a dialogue with no turns")])
     def test_record_errors_name_the_file_and_line(self, tmp_path, change,
                                                   message):
         path = tmp_path / "corpus.jsonl"
@@ -300,40 +301,36 @@ class TestRoundTrip:
                            match=re.escape(f"{path}:2: {message}")):
             load_corpus(str(path))
 
-    def test_mid_dialogue_terminal_names_the_file_and_line(self, tmp_path,
-                                                           noisy_env):
+    def test_version_1_file_is_refused_at_its_header(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        save_corpus(generate_corpus(noisy_env, 3, seed=0), path)
-        header, first, *rest = path.read_text().splitlines(keepends=True)
-        record = json.loads(first)
-        assert len(record["log"]["records"]) > 1
-        record["log"]["records"][0]["terminal"] = True
-        path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
-        with pytest.raises(CorpusFormatError,
-                           match=re.escape(f"{path}:2: field 'terminal'")):
-            pooled_turns(CorpusReader(str(path)))
+        write_one_dialogue(path, version=1)
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:1: a version-1 corpus, which stores derived "
+                f"fields; regenerate it with 'dialab generate-corpus'")):
+            CorpusReader(str(path))
 
-    @pytest.mark.parametrize("field, change", [
-        ("records", lambda rec: rec["log"].update(records=[])),
-        ("length", lambda rec: rec["log"].update(length=99)),
-        ("success", lambda rec: rec["log"].update(
-            success=not rec["log"]["success"])),
-        ("rating", lambda rec: rec.update(rating=(rec["rating"] + 1) % 4))])
-    def test_record_inconsistent_with_its_turns_is_refused(
-            self, tmp_path, noisy_env, field, change):
-        # a rating is read from the record's success, so a record that
-        # disagrees with its own turns would be rated as another dialogue;
-        # and a stored rating other than the record's own would be imitated
+    def test_turn_with_a_dropped_field_names_the_file_and_line(self,
+                                                               tmp_path):
+        # version 1 stored each turn's terminal flag; version 2 derives it
+        path = tmp_path / "corpus.jsonl"
+        write_one_dialogue(path, terminal=True)
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:2: ")
+                           + r".*unexpected keyword argument 'terminal'"):
+            load_corpus(str(path))
+
+    def test_written_fields_are_the_primary_ones(self, tmp_path, noisy_env):
+        # nothing derived from a dialogue's turns is written
         path = tmp_path / "corpus.jsonl"
         save_corpus(generate_corpus(noisy_env, 3, seed=0), path)
-        header, first, *rest = path.read_text().splitlines(keepends=True)
-        record = json.loads(first)
-        assert record["log"]["length"] == len(record["log"]["records"]) != 99
-        change(record)
-        path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
-        with pytest.raises(CorpusFormatError,
-                           match=re.escape(f"{path}:2: field '{field}'")):
-            load_corpus(str(path))
+        header, *records = map(json.loads, path.read_text().splitlines())
+        assert set(header) == {"schema", "version", "space", "feature_names"}
+        for record in records:
+            assert set(record) == {"provenance", "log"}
+            assert set(record["log"]) == {"success", "final_features",
+                                          "records"}
+            for turn in record["log"]["records"]:
+                assert set(turn) == {"features", "action", "system_act",
+                                     "user_acts", "observed", "reward"}
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty corpus file"), ("\n", ":1: not JSON")])
@@ -363,17 +360,17 @@ class TestRoundTrip:
             next(stream)
 
 
-def write_one_dialogue(path, space="original", features=(0.0,), action=0,
-                       final_features=(0.0,)) -> None:
-    """A one-feature, one-turn corpus file, its record built from the
-    arguments."""
-    header = {"schema": "dialab-corpus", "version": 1,
+def write_one_dialogue(path, features=(0.0,), action=0, final_features=(0.0,),
+                       n_turns=1, version=2, **turn_fields) -> None:
+    """A one-feature corpus file of one dialogue of ``n_turns`` equal
+    turns, its record built from the arguments; ``turn_fields`` are added
+    to each turn."""
+    header = {"schema": "dialab-corpus", "version": version,
               "space": "original", "feature_names": ["f0"]}
-    turn = {"turn": 1, "features": list(features), "action": action,
+    turn = {"features": list(features), "action": action,
             "system_act": "repeat", "user_acts": [], "observed": [],
-            "reward": -1.03, "terminal": True, "success": False}
-    log = {"space": space, "return": -1.03, "success": False,
-           "length": 1, "final_features": list(final_features),
-           "records": [turn]}
-    record = {"rating": 0, "provenance": "handcrafted", "log": log}
+            "reward": -1.03, **turn_fields}
+    log = {"success": False, "final_features": list(final_features),
+           "records": [turn] * n_turns}
+    record = {"provenance": "handcrafted", "log": log}
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")

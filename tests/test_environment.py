@@ -25,7 +25,7 @@ def make_env(space="original", noiseless=True, **cfg_kw):
 def logged_rows(log):
     """The log's turns as the replay pool stores them."""
     return pooled_turns(Corpus(
-        dialogues=[CorpusDialogue(log=log, rating=0)], space=log.space,
+        dialogues=[CorpusDialogue(log=log)], space=log.space,
         feature_names=SPACES[log.space].feature_names))
 
 
@@ -84,15 +84,17 @@ class TestStep:
         policy = HandcraftedPolicy("original")
         log = run_episode(env, policy, rng_stream(2, "train", 0))
         assert log.success
-        assert abs(log.episode_return - (1.0 - 0.03 * log.length)) <= 1e-9
+        assert abs(sum(r.reward for r in log.records)
+                   - (1.0 - 0.03 * len(log.records))) <= 1e-9
 
     def test_always_repeat_times_out_at_minus_1_90(self):
         env = make_env()
         repeat = ORIGINAL_ACTIONS.index("repeat")
         log = run_episode(env, lambda f: repeat, rng_stream(3, "train", 0))
         assert not log.success
-        assert log.length == 30
-        assert abs(log.episode_return - (-1.0 - 30 * 0.03)) <= 1e-9
+        assert len(log.records) == 30
+        assert abs(sum(r.reward for r in log.records)
+                   - (-1.0 - 30 * 0.03)) <= 1e-9
 
     def test_hangup_return_accounting(self):
         # offering immediately omits every goal constraint: instant hang-up
@@ -100,8 +102,8 @@ class TestStep:
         offer = ORIGINAL_ACTIONS.index("offer")
         log = run_episode(env, lambda f: offer, rng_stream(4, "train", 0))
         assert not log.success
-        assert log.length == 1
-        assert abs(log.episode_return - (-1.0 - 0.03)) <= 1e-9
+        assert len(log.records) == 1
+        assert abs(log.records[0].reward - (-1.0 - 0.03)) <= 1e-9
 
 
 class TestRealization:
@@ -185,7 +187,7 @@ class TestEpisodes:
         for i in range(1000):
             log = run_episode(env, policy, rng_stream(10, "train", i))
             assert log.success, i
-            assert log.length <= 12
+            assert len(log.records) <= 12
 
     def test_summary_handcrafted_noiseless_always_succeeds(self):
         env = make_env("summary")
@@ -203,7 +205,7 @@ class TestEpisodes:
             policy = random_policy if i % 2 else handcrafted
             log = run_episode(env, policy, rng_stream(13, "train", i))
             assert check_reward_decomposition(log, env.config)
-            assert 1 <= log.length <= 30
+            assert 1 <= len(log.records) <= 30
 
     def test_success_flag_matches_simulator(self):
         from dialab import usersim
@@ -214,11 +216,12 @@ class TestEpisodes:
             assert log.success == usersim.is_satisfied(env.user)
 
     def test_log_replay_resums_to_return(self):
+        # the logged rewards are the rollout's, so they sum to its return
         env = make_env(noiseless=False)
         policy = HandcraftedPolicy("original")
+        got = list(rollout(env, policy, rng_stream(15, "train", 3)))
         log = run_episode(env, policy, rng_stream(15, "train", 3))
-        assert abs(sum(r.reward for r in log.records) - log.episode_return) \
-            <= 1e-12
+        assert [r.reward for r in log.records] == [t.reward for t in got]
 
     @pytest.mark.parametrize("space", ["original", "summary"])
     def test_rollout_yields_the_logged_transitions(self, space):
@@ -240,15 +243,15 @@ class TestEpisodes:
                 assert np.array_equal(
                     np.array([getattr(t, name) for t in got]), column), (
                         i, name)
-            assert [t.success for t in got] == [
-                r.success for r in log.records]
+            assert [t.success for t in got] == [False] * (len(got) - 1) + [
+                log.success]
 
     def test_transitions_align_with_features(self):
         env = make_env()
         policy = HandcraftedPolicy("original")
         log = run_episode(env, policy, rng_stream(16, "train", 0))
         rows = logged_rows(log)
-        assert len(rows) == log.length
+        assert len(rows) == len(log.records)
         assert rows.terminal[-1] and not rows.terminal[:-1].any()
         assert np.array_equal(rows.next_features[:-1], rows.features[1:])
         assert np.array_equal(rows.next_features[-1], log.final_features)
@@ -265,4 +268,5 @@ class TestEpisodes:
         env = make_env(noiseless=False)
         policy = HandcraftedPolicy("original")
         log = run_episode(env, policy, rng_stream(18, "train", 2))
-        assert EpisodeLog.from_dict(log.to_dict()).to_dict() == log.to_dict()
+        again = EpisodeLog.from_dict(log.to_dict(), "original")
+        assert (again.space, again.to_dict()) == ("original", log.to_dict())

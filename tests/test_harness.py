@@ -178,8 +178,8 @@ class TestEvaluate:
                 for i in range(40)]
         assert evaluate(policy, env, 40, seed=4) == (
             float(np.mean([x.success for x in logs])),
-            float(np.mean([x.episode_return for x in logs])),
-            float(np.mean([x.length for x in logs])))
+            float(np.mean([sum(r.reward for r in x.records) for x in logs])),
+            float(np.mean([len(x.records) for x in logs])))
 
     def test_training_stream_untouched_by_evaluation(self):
         # interleaving an evaluation must not change training episodes
@@ -701,7 +701,7 @@ class TestPretraining:
     def test_layout_checked_before_any_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({
-            "schema": "dialab-corpus", "version": 1, "space": "original",
+            "schema": "dialab-corpus", "version": 2, "space": "original",
             "feature_names": ["f0"]}) + "\nnot json\n")
         cfg, env, agent = self.pretrained(str(path))
         with pytest.raises(LayoutMismatchError,
@@ -791,6 +791,18 @@ class TestCompare:
         assert [row[0] for row in rows] == [0, 1000]
         assert np.allclose([row[1:] for row in rows],
                            [(0.2, 0.1, 0.4, 2.0), (0.7, 0.6, 0.9, -2.0)])
+
+    @pytest.mark.parametrize("row, message", [
+        ("500,0.5,0.0", "not enough values to unpack"),
+        ("many,0.5,0.0,8.0,0.0", "invalid literal for int()"),
+        ("500,0.5,0.0,8.0,soon", "could not convert string to float")])
+    def test_bad_curve_row_names_the_file_and_line(self, tmp_path, row,
+                                                   message):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"{harness.CURVE_HEADER}\n0,0.2,0.0,8.0,0.0\n\n{row}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:4: {message}")):
+            load_curve(str(path))
 
     def test_order_naming_an_unknown_label_is_a_config_error(self):
         _, reach = compare_runs({"a": [self.curve(1000)]}, threshold=0.9)
@@ -1254,12 +1266,13 @@ class TestCli:
         assert directory_bytes(out) == before
 
     @pytest.mark.parametrize("record, message", [
-        ('{"provenance": "handcrafted", "log": {}}', "missing field 'space'"),
+        ('{"provenance": "handcrafted", "log": {}}',
+         "missing field 'records'"),
         ('{"rating": 3,', "not JSON")])
     def test_rate_rejects_a_malformed_corpus(self, tmp_path, capsys, record,
                                              message):
         path = tmp_path / "corpus.jsonl"
-        header = {"schema": "dialab-corpus", "version": 1,
+        header = {"schema": "dialab-corpus", "version": 2,
                   "space": "original", "feature_names": ["f0"]}
         path.write_text(json.dumps(header) + "\n" + record + "\n")
         assert cli.main(["rate", "--corpus", str(path)]) == cli.EXIT_RUN

@@ -105,12 +105,12 @@ class TestReplayPool:
         rng = RNG(seed)
         feats = rng.normal(size=(turns + 1, 4))
         records = [SimpleNamespace(features=feats[k], action=k % 3,
-                                   reward=float(rng.normal()),
-                                   terminal=k == turns - 1)
+                                   reward=float(rng.normal()))
                    for k in range(turns)]
         log = SimpleNamespace(records=records, final_features=feats[turns])
         ts = [Transition(r.features, r.action, r.reward, feats[k + 1],
-                         r.terminal, False) for k, r in enumerate(records)]
+                         k == turns - 1, False)
+              for k, r in enumerate(records)]
         return [transition(i) for i in range(before)], log, ts
 
     @pytest.mark.parametrize("before, turns", [(0, 3), (3, 2), (0, 5),
