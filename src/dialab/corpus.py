@@ -285,6 +285,10 @@ class CorpusReader:
         n_features = len(self.feature_names)
 
         def dialogue(rec: dict) -> CorpusDialogue:
+            for key in rec:
+                if key not in ("provenance", "log"):
+                    raise CorpusFormatError(f"unexpected field {key!r} in a "
+                                            f"dialogue record")
             log = EpisodeLog.from_dict(rec["log"], self.space)
             # before the dialogue is rated, from its features and actions
             _check_dialogue(log, n_features)

@@ -110,8 +110,10 @@ class ExperimentConfig(EnvConfig):
         super().__post_init__()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm '{self.algorithm}'")
-        if self.dialogues < 1 or self.eval_period < 1 or self.eval_episodes < 1:
-            raise ConfigError("dialogues/eval_period/eval_episodes must be >= 1")
+        for name in ("dialogues", "eval_period", "eval_episodes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name}={value} must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma={self.gamma} outside [0,1]")
         self.explored_actions()     # checks agent.excluded at load

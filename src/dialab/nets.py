@@ -13,6 +13,7 @@ vectors or one slice; ``layer_views`` gives any of them per layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -31,14 +32,21 @@ class NonFiniteGradientError(RuntimeError):
     """A NaN/inf gradient reached the optimiser; names the parameter."""
 
 
-def layer_views(vector: np.ndarray, layer_sizes: Sequence[int]):
-    """Per-layer W and b views of a flat parameter-layout vector."""
+def layer_slices(layer_sizes: Sequence[int]) -> list:
+    """Per layer, the W slice, the W shape and the b slice of the parameter
+    layout."""
     shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
     bounds = list(accumulate([a * b for a, b in shapes] + [b for _, b in shapes],
                              initial=0))
-    parts = [vector[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    weights = [p.reshape(shape) for p, shape in zip(parts, shapes)]
-    return weights, parts[len(shapes):]
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return list(zip(spans, shapes, spans[len(shapes):]))
+
+
+def layer_views(vector: np.ndarray, layer_sizes: Sequence[int]):
+    """Per-layer W and b views of a flat parameter-layout vector."""
+    layers = layer_slices(layer_sizes)
+    return ([vector[w].reshape(shape) for w, shape, _ in layers],
+            [vector[b] for _, _, b in layers])
 
 
 @dataclass(eq=False)
@@ -65,6 +73,7 @@ class FeedForwardNet:
             raise ShapeError(f"parameter vector of shape {self.params.shape} "
                              f"for layer sizes {sizes} ({size})")
         self.weights, self.biases = layer_views(self.params, sizes)
+        self.layers = layer_slices(sizes)
 
     @classmethod
     def create(cls, n_in: int, n_out: int, hidden: Sequence[int] = (130, 50),
@@ -145,14 +154,17 @@ class FeedForwardNet:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != output {acts[-1].shape}")
         grads = np.empty_like(self.params)
-        grad_w, grad_b = layer_views(grads, self.layer_sizes)
         delta = grad_out
-        for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[i].T, delta, out=grad_w[i])
-            np.sum(delta, axis=0, out=grad_b[i])
+        for i in range(len(self.layers) - 1, -1, -1):
+            w, shape, b = self.layers[i]
+            np.matmul(acts[i].T, delta, out=grads[w].reshape(shape))
+            np.add.reduce(delta, axis=0, out=grads[b])     # np.sum, unwrapped
             if i > 0:
                 # tanh'(z) = 1 - a^2 with a the cached activation
-                delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+                slope = np.square(acts[i])
+                np.subtract(1.0, slope, out=slope)
+                delta = delta @ self.weights[i].T
+                delta *= slope
         return grads
 
 
@@ -166,17 +178,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def mse_loss(prediction, target):
-    """Mean squared error and its gradient at the prediction."""
-    p = np.atleast_1d(np.asarray(prediction, dtype=float))
-    t = np.atleast_1d(np.asarray(target, dtype=float))
-    if p.shape != t.shape:
-        raise ShapeError(f"prediction {p.shape} vs target {t.shape}")
-    diff = p - t
-    loss = float(np.mean(diff ** 2))
-    return loss, 2.0 * diff / diff.size
 
 
 # the smallest target probability the cross-entropy takes the log of
@@ -206,18 +207,23 @@ def add_l2_gradient(grads: np.ndarray, net: FeedForwardNet,
 @dataclass
 class AdadeltaState:
     """Decaying accumulators of squared gradients and squared updates, each
-    a vector in the net's parameter layout."""
+    a vector in the net's parameter layout, and two workspaces of that
+    length for ``adadelta_step``."""
 
+    acc_grad: np.ndarray
+    acc_update: np.ndarray
     rho: float = 0.95
     eps: float = 1e-6
-    acc_grad: np.ndarray | None = None
-    acc_update: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.work = (np.empty_like(self.acc_grad),
+                     np.empty_like(self.acc_grad))
 
     @classmethod
     def for_net(cls, net: FeedForwardNet, rho: float = 0.95,
                 eps: float = 1e-6) -> "AdadeltaState":
-        return cls(rho=rho, eps=eps, acc_grad=np.zeros_like(net.params),
-                   acc_update=np.zeros_like(net.params))
+        return cls(acc_grad=np.zeros_like(net.params),
+                   acc_update=np.zeros_like(net.params), rho=rho, eps=eps)
 
     def state(self) -> State:
         """Live accumulators, for checkpoints."""
@@ -232,17 +238,20 @@ def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
     then accumulate E[dx^2]:
 
         E[g^2]  <- rho E[g^2] + (1 - rho) g g
-        dx       = -sqrt((E[dx^2] + eps) / (E[g^2] + eps)) g
+        dx       = sqrt((E[dx^2] + eps) / (E[g^2] + eps)) g
         E[dx^2] <- rho E[dx^2] + (1 - rho) dx dx
-        params  += dx
+        params  -= dx
 
-    Each line runs elementwise over the whole parameter vector, mostly in
-    place; products are taken left to right and the sign flip is exact, so
-    the result is bit for bit that of evaluating the lines as written.
+    Each line runs elementwise over the whole parameter vector, in place or
+    into the state's two workspaces, so a step allocates nothing; products
+    are taken left to right, so the result is bit for bit that of
+    evaluating the lines as written.
     """
     if g.shape != net.params.shape:
         raise ShapeError(f"gradient length {g.shape} != parameters {net.params.shape}")
-    if not np.isfinite(g).all():
+    # a sum is finite if every entry is; it may also overflow, so only the
+    # per-layer search decides
+    if not math.isfinite(np.add.reduce(g)):
         for i, pair in enumerate(zip(*layer_views(g, net.layer_sizes))):
             for tag, part in zip("Wb", pair):
                 if not np.isfinite(part).all():
@@ -250,20 +259,20 @@ def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
                         f"non-finite gradient at layer {i} {tag}")
     rho, eps = state.rho, state.eps
     eg, eu = state.acc_grad, state.acc_update
-    scratch = np.multiply(g, 1.0 - rho)
+    scratch, delta = state.work
+    np.multiply(g, 1.0 - rho, out=scratch)
     scratch *= g
     eg *= rho
     eg += scratch
-    delta = np.add(eu, eps)
+    np.add(eu, eps, out=delta)
     delta /= np.add(eg, eps, out=scratch)
     np.sqrt(delta, out=delta)
     delta *= g
-    np.negative(delta, out=delta)
     np.multiply(delta, 1.0 - rho, out=scratch)
     scratch *= delta
     eu *= rho
     eu += scratch
-    net.params += delta
+    net.params -= delta
 
 
 def copy_params(src: FeedForwardNet, dst: FeedForwardNet) -> None:

@@ -186,6 +186,13 @@ class GoalConfig:
             raise GoalConfigError(
                 f"request_count_weights={dict(self.request_count_weights)} "
                 f"has no positive weight")
+        # the request counts and their probabilities, as sample_goal draws
+        # from them; not fields
+        counts = sorted(self.request_count_weights)
+        weights = np.array([self.request_count_weights[c] for c in counts],
+                           dtype=float)
+        object.__setattr__(self, "request_counts", np.array(counts))
+        object.__setattr__(self, "request_p", weights / weights.sum())
 
 
 def sample_goal(db: RestaurantDB,
@@ -209,9 +216,7 @@ def sample_goal(db: RestaurantDB,
         record = db[int(rng.integers(len(db)))]
         constraints = {s: record.slot_value(s) for s in slots}
 
-    counts = sorted(cfg.request_count_weights)
-    weights = np.array([cfg.request_count_weights[c] for c in counts], dtype=float)
-    k = int(rng.choice(counts, p=weights / weights.sum()))
+    k = int(rng.choice(cfg.request_counts, p=cfg.request_p))
     k = min(k, len(REQUEST_SLOTS))
     picked = rng.choice(len(REQUEST_SLOTS), size=k, replace=False)
     requests = tuple(REQUEST_SLOTS[i] for i in sorted(picked))

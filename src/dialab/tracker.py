@@ -11,9 +11,10 @@ The tracker renders two feature layouts:
 
 * summary: 60 binary features, 12 one-hot blocks of length 5. Three constraint
   blocks quantize each slot's top-two value probabilities onto the grid G_C;
-  eight request blocks quantize each request probability onto G_R; the final
-  block buckets the dialogue turn into 5 phases (turn // 6, capped). Block
-  order: constraint slots, request slots, phase.
+  eight request blocks quantize each request probability onto the levels
+  (1.0, 0.8, 0.6, 0.4, 0.0); the final block buckets the dialogue turn into
+  5 phases (turn // 6, capped). Block order: constraint slots, request
+  slots, phase.
 * original: 31 features. Six constraint top-two probabilities, eight request
   probabilities, fifteen user-act probabilities, then the two scaled discrete
   features turn/30 and min(db_count, 20)/20.
@@ -21,6 +22,7 @@ The tracker renders two feature layouts:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +32,6 @@ from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                        VALUES, UserAct)
 
 G_C = ((1.0, 0.0), (0.8, 0.2), (0.6, 0.2), (0.6, 0.4), (0.4, 0.4))
-G_R = (1.0, 0.8, 0.6, 0.4, 0.0)
 
 SUMMARY_BLOCKS = len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS) + 1
 SUMMARY_LEN = SUMMARY_BLOCKS * 5
@@ -61,32 +62,37 @@ class ErrorModel:
             raise ValueError("nbest_size must be >= 1")
         if not self.concentration > 0:
             raise ValueError("concentration must be positive")
+        # the Dirichlet parameters of a draw of scores, the true act's
+        # concentration and then 1 per n-best entry; not a field
+        object.__setattr__(self, "alpha", np.array(
+            [self.concentration] + [1.0] * self.nbest_size))
 
 
 _NO_SLOT_TYPES = ("ack", "affirm", "negate", "thankyou", "repeat", "null",
                   "hello", "deny", "reqmore", "reqalts", "restart", "bye")
+_INFORMS = {s: tuple(UserAct("inform", slot=s, value=v) for v in VALUES[s])
+            for s in CONSTRAINT_SLOTS}
+_SLOTLESS = tuple(UserAct(t) for t in _NO_SLOT_TYPES)
+
+# the acts each act may be confused with, keyed by (act type, slot, value)
+# and in the order a draw indexes them: an inform takes another value of its
+# slot, a request another request slot, a slotless act another slotless type
+_CONFUSIONS = {(a.act_type, a.slot, a.value): tuple(b for b in group
+                                                    if b is not a)
+               for group in (*_INFORMS.values(),
+                             tuple(UserAct("request", slot=s)
+                                   for s in REQUEST_SLOTS),
+                             _SLOTLESS)
+               for a in group}
 
 
 def _confused_act(act: UserAct, rng: np.random.Generator) -> UserAct:
-    if act.act_type == "inform":
-        others = [v for v in VALUES[act.slot] if v != act.value]
-        if others:
-            return UserAct("inform", slot=act.slot,
-                           value=str(others[int(rng.integers(len(others)))]))
-        return act
-    if act.act_type == "request":
-        others = [s for s in REQUEST_SLOTS if s != act.slot]
-        return UserAct("request", slot=others[int(rng.integers(len(others)))])
-    others = [t for t in _NO_SLOT_TYPES if t != act.act_type]
-    return UserAct(others[int(rng.integers(len(others)))])
-
-
-def _scores(em: ErrorModel, rng: np.random.Generator) -> list[float]:
-    if np.isinf(em.concentration):
-        return [1.0] + [0.0] * (em.nbest_size - 1)
-    alpha = [em.concentration] + [1.0] * em.nbest_size
-    draw = rng.dirichlet(alpha)[: em.nbest_size]
-    return sorted((float(x) for x in draw), reverse=True)
+    others = _CONFUSIONS.get((act.act_type, act.slot, act.value))
+    if others is None:
+        # an inform of a value outside VALUES may take any value of its
+        # slot, and a confirm any slotless act
+        others = _INFORMS[act.slot] if act.act_type == "inform" else _SLOTLESS
+    return others[int(rng.integers(len(others)))]
 
 
 def corrupt(acts: Sequence[UserAct], em: ErrorModel,
@@ -95,18 +101,25 @@ def corrupt(acts: Sequence[UserAct], em: ErrorModel,
 
     Each act is dropped with p_drop; otherwise the top hypothesis is the true
     act with probability 1 - p_confuse, and the true act stays reachable
-    lower in the list. Scores are positive and sum to at most one per act.
+    lower in the list. Scores are positive and sum to at most one per act:
+    the largest ``nbest_size`` parts of a Dirichlet draw, sorted, or one
+    certain hypothesis when the concentration is infinite.
     """
+    n = em.nbest_size
+    certain = math.isinf(em.concentration)
     observation: list[list[tuple[UserAct, float]]] = []
     for act in acts:
         if rng.random() < em.p_drop:
             continue
-        scores = _scores(em, rng)
+        if certain:
+            scores = [1.0] + [0.0] * (n - 1)
+        else:
+            scores = sorted(rng.dirichlet(em.alpha)[:n].tolist(), reverse=True)
         top_correct = rng.random() >= em.p_confuse
         hyps: list[UserAct] = [act if top_correct
                                else _confused_act(act, rng)]
         attempts = 0
-        while len(hyps) < em.nbest_size and attempts < 4 * em.nbest_size:
+        while len(hyps) < n and attempts < 4 * n:
             attempts += 1
             if act not in hyps:
                 cand = act  # the truth stays reachable lower in the list
@@ -201,22 +214,41 @@ def not_mentioned_mass(belief: BeliefState, slot: str) -> float:
 
 
 def nearest_gc(p1: float, p2: float) -> int:
-    """Index of the G_C tuple closest in Euclidean distance; ties go low."""
-    best, best_d = 0, float("inf")
-    for i, (a, b) in enumerate(G_C):
-        d = (p1 - a) ** 2 + (p2 - b) ** 2
-        if d < best_d:
-            best, best_d = i, d
+    """Index of the G_C tuple closest in Euclidean distance; ties go low.
+    The search over G_C, unrolled: the same squared distances, compared in
+    G_C order."""
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4) = G_C
+    best, best_d = 0, (p1 - a0) ** 2 + (p2 - b0) ** 2
+    d = (p1 - a1) ** 2 + (p2 - b1) ** 2
+    if d < best_d:
+        best, best_d = 1, d
+    d = (p1 - a2) ** 2 + (p2 - b2) ** 2
+    if d < best_d:
+        best, best_d = 2, d
+    d = (p1 - a3) ** 2 + (p2 - b3) ** 2
+    if d < best_d:
+        best, best_d = 3, d
+    d = (p1 - a4) ** 2 + (p2 - b4) ** 2
+    if d < best_d:
+        best = 4
     return best
 
 
 def nearest_gr(p: float) -> int:
-    best, best_d = 0, float("inf")
-    for i, g in enumerate(G_R):
-        d = abs(p - g)
-        if d < best_d:
-            best, best_d = i, d
-    return best
+    """Index of the request level (1.0, 0.8, 0.6, 0.4, 0.0) closest to
+    ``p``; ties go low. The cuts are the midpoints between neighbouring
+    levels as float64 distances see them: 0.9, 0.5 and 0.2 are exact ties
+    and go to the higher level, and 0.7 lies nearer 0.6. A NaN gets index
+    0, as a search over the levels would give it."""
+    if p < 0.2:
+        return 4
+    if p < 0.5:
+        return 3
+    if p <= 0.7:
+        return 2
+    if p < 0.9:
+        return 1
+    return 0
 
 
 def turn_phase(turn: int) -> int:

@@ -16,6 +16,11 @@ import numpy as np
 from .ontology import Restaurant, SystemAct, UserAct, UserGoal
 
 
+# the acts without a slot the user gives, one shared instance each
+_BYE, _NULL, _NEGATE, _AFFIRM, _THANKYOU = (UserAct(t) for t in (
+    "bye", "null", "negate", "affirm", "thankyou"))
+
+
 class UserSessionError(RuntimeError):
     """The dialogue is over for this user (hang-up) but respond() was called."""
 
@@ -50,7 +55,7 @@ def init_user(goal: UserGoal, cfg: UserConfig,
               rng: np.random.Generator) -> UserState:
     """Seed the agenda: bye at the bottom, the goal's requests, then the
     constraint informs in a randomized emission order on top."""
-    agenda: list[UserAct] = [UserAct("bye")]
+    agenda: list[UserAct] = [_BYE]
     for slot in reversed(goal.requests):
         agenda.append(UserAct("request", slot=slot))
     informs = [UserAct("inform", slot=s, value=v)
@@ -126,11 +131,11 @@ def respond(state: UserState, sys: SystemAct,
 
     if sys.act_type == "offer" and check_hangup(state, sys):
         state.hung_up = True
-        state.last_acts = [UserAct("bye")]
+        state.last_acts = [_BYE]
         return list(state.last_acts)
 
     if rng.random() < state.cfg.p_null:
-        state.last_acts = [UserAct("null")]
+        state.last_acts = [_NULL]
         return list(state.last_acts)
 
     acts: list[UserAct]
@@ -138,37 +143,37 @@ def respond(state: UserState, sys: SystemAct,
         receive_offer(state, sys)
         nxt = _next_outstanding_request(state)
         if nxt is None:
-            acts = [UserAct("thankyou"), UserAct("bye")]
+            acts = [_THANKYOU, _BYE]
         else:
             state.asked.append(nxt)
             acts = [UserAct("request", slot=nxt)]
     elif sys.act_type in ("request", "expl-conf", "select"):
         if sys.slot not in goal.constraints:
-            acts = [UserAct("negate")]
+            acts = [_NEGATE]
             pend = _pop_pending_inform(state)
             if pend is not None:
                 acts.append(pend)
         elif (sys.act_type == "expl-conf"
               and sys.value == goal.constraints[sys.slot]):
-            acts = [UserAct("affirm")]
+            acts = [_AFFIRM]
         else:
             # the goal's value, after a negate when it corrects a confirm
             _pop_pending_inform(state, sys.slot)
             acts = [UserAct("inform", slot=sys.slot,
                             value=goal.constraints[sys.slot])]
             if sys.act_type == "expl-conf":
-                acts.insert(0, UserAct("negate"))
+                acts.insert(0, _NEGATE)
     elif sys.act_type == "repeat":
-        acts = list(state.last_acts) if state.last_acts else [UserAct("null")]
+        acts = list(state.last_acts) if state.last_acts else [_NULL]
     elif sys.act_type == "cannothelp":
         # treated as a misunderstanding: restate one constraint
         slots = list(goal.constraints)
         slot = slots[int(rng.integers(len(slots)))]
         acts = [UserAct("inform", slot=slot, value=goal.constraints[slot])]
     elif sys.act_type == "confirmdomain":
-        acts = [UserAct("affirm")]
+        acts = [_AFFIRM]
     else:
-        acts = [UserAct("null")]
+        acts = [_NULL]
 
     # occasionally volunteer a second pending constraint in the same turn
     if (len(acts) == 1 and acts[0].act_type == "inform"

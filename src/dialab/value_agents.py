@@ -204,9 +204,13 @@ def regression_step(net: FeedForwardNet, opt: AdadeltaState,
     returns the loss."""
     out, acts = net.forward_train(feats)
     rows = np.arange(len(feats))
-    loss, grad = nets.mse_loss(out[rows, columns], targets)
-    grad_out = np.zeros_like(out)
-    grad_out[rows, columns] = grad
+    diff = out[rows, columns] - targets
+    # the mean as np.mean takes it, then the gradient 2 diff / n in place
+    loss = float(np.square(diff).sum()) / diff.size
+    diff *= 2.0
+    diff /= diff.size
+    grad_out = np.zeros(out.shape)
+    grad_out[rows, columns] = diff
     grads = net.backward_batch(feats, grad_out, acts)
     nets.adadelta_step(opt, net, grads)
     return loss

@@ -13,12 +13,14 @@ import numpy as np
 from dialab import checkpoint
 from dialab.corpus import fill_pool
 from dialab.environment import SPACES, EnvConfig, EpisodeLog, Transition
-from dialab.nets import CE_CLAMP, FeedForwardNet, ShapeError, add_l2_gradient
+from dialab.nets import (CE_CLAMP, AdadeltaState, FeedForwardNet,
+                         NonFiniteGradientError, ShapeError, add_l2_gradient,
+                         layer_views)
 from dialab.ontology import (_DISHES, _NAME_ADJECTIVES, _NAME_NOUNS,
                              _STREETS, CONSTRAINT_SLOTS, REQUEST_SLOTS,
                              USER_ACT_TYPES, VALUES, GoalConfig, Restaurant,
-                             RestaurantDB, UserGoal, query)
-from dialab.tracker import ErrorModel
+                             RestaurantDB, UserAct, UserGoal, query)
+from dialab.tracker import _NO_SLOT_TYPES, ErrorModel
 from dialab.value_agents import PoolTooSmall, ReplayPool
 
 ORIGINAL_ACTIONS = SPACES["original"].actions
@@ -27,6 +29,22 @@ ORIGINAL_ACTIONS = SPACES["original"].actions
 # scaled turn and DB count
 ORIGINAL_LEN = (2 * len(CONSTRAINT_SLOTS) + len(REQUEST_SLOTS)
                 + len(USER_ACT_TYPES) + 2)
+
+
+# the request levels of the summary space, highest first; the tracker
+# keeps only the cuts between them
+G_R = (1.0, 0.8, 0.6, 0.4, 0.0)
+
+
+def mse_loss(prediction, target):
+    """Mean squared error and its gradient at the prediction."""
+    p = np.atleast_1d(np.asarray(prediction, dtype=float))
+    t = np.atleast_1d(np.asarray(target, dtype=float))
+    if p.shape != t.shape:
+        raise ShapeError(f"prediction {p.shape} vs target {t.shape}")
+    diff = p - t
+    loss = float(np.mean(diff ** 2))
+    return loss, 2.0 * diff / diff.size
 
 
 def cross_entropy_loss(probs: np.ndarray, target: int, eps: float = CE_CLAMP):
@@ -83,6 +101,92 @@ def check_reward_decomposition(log: EpisodeLog, cfg: EnvConfig) -> bool:
     expected = len(log.records) * cfg.turn_penalty + bonus
     return math.isclose(sum(r.reward for r in log.records), expected,
                         abs_tol=1e-9)
+
+
+def confused_act_by_list(act: UserAct, rng: np.random.Generator) -> UserAct:
+    """``tracker._confused_act`` as it drew before: from a list of the
+    other values, slots or act types built on every call."""
+    if act.act_type == "inform":
+        others = [v for v in VALUES[act.slot] if v != act.value]
+        if others:
+            return UserAct("inform", slot=act.slot,
+                           value=str(others[int(rng.integers(len(others)))]))
+        return act
+    if act.act_type == "request":
+        others = [s for s in REQUEST_SLOTS if s != act.slot]
+        return UserAct("request", slot=others[int(rng.integers(len(others)))])
+    others = [t for t in _NO_SLOT_TYPES if t != act.act_type]
+    return UserAct(others[int(rng.integers(len(others)))])
+
+
+def scores_by_list(em: ErrorModel, rng: np.random.Generator) -> list[float]:
+    """The n-best scores as ``tracker.corrupt`` drew them before, from a
+    Dirichlet parameter list built on every call."""
+    if np.isinf(em.concentration):
+        return [1.0] + [0.0] * (em.nbest_size - 1)
+    alpha = [em.concentration] + [1.0] * em.nbest_size
+    draw = rng.dirichlet(alpha)[: em.nbest_size]
+    return sorted((float(x) for x in draw), reverse=True)
+
+
+def corrupt_by_list(acts, em: ErrorModel, rng: np.random.Generator):
+    """``tracker.corrupt`` as it was before, on ``confused_act_by_list``
+    and ``scores_by_list``."""
+    observation = []
+    for act in acts:
+        if rng.random() < em.p_drop:
+            continue
+        scores = scores_by_list(em, rng)
+        top_correct = rng.random() >= em.p_confuse
+        hyps = [act if top_correct else confused_act_by_list(act, rng)]
+        attempts = 0
+        while len(hyps) < em.nbest_size and attempts < 4 * em.nbest_size:
+            attempts += 1
+            if act not in hyps:
+                cand = act
+            else:
+                cand = confused_act_by_list(act, rng)
+            if cand not in hyps:
+                hyps.append(cand)
+        observation.append([(h, s) for h, s in zip(hyps, scores) if s > 0.0])
+    return observation
+
+
+def adadelta_step_negating(state: AdadeltaState, net: FeedForwardNet,
+                           g: np.ndarray) -> None:
+    """``nets.adadelta_step`` as it was before: the step negated before it
+    is squared into E[dx^2] and added to the parameters, in fresh arrays.
+
+        E[g^2]  <- rho E[g^2] + (1 - rho) g g
+        dx       = -sqrt((E[dx^2] + eps) / (E[g^2] + eps)) g
+        E[dx^2] <- rho E[dx^2] + (1 - rho) dx dx
+        params  += dx
+    """
+    if g.shape != net.params.shape:
+        raise ShapeError(f"gradient length {g.shape} != parameters "
+                         f"{net.params.shape}")
+    if not np.isfinite(g).all():
+        for i, pair in enumerate(zip(*layer_views(g, net.layer_sizes))):
+            for tag, part in zip("Wb", pair):
+                if not np.isfinite(part).all():
+                    raise NonFiniteGradientError(
+                        f"non-finite gradient at layer {i} {tag}")
+    rho, eps = state.rho, state.eps
+    eg, eu = state.acc_grad, state.acc_update
+    scratch = np.multiply(g, 1.0 - rho)
+    scratch *= g
+    eg *= rho
+    eg += scratch
+    delta = np.add(eu, eps)
+    delta /= np.add(eg, eps, out=scratch)
+    np.sqrt(delta, out=delta)
+    delta *= g
+    np.negative(delta, out=delta)
+    np.multiply(delta, 1.0 - rho, out=scratch)
+    scratch *= delta
+    eu *= rho
+    eu += scratch
+    net.params += delta
 
 
 def noiseless_channel() -> ErrorModel:

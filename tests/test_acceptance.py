@@ -19,11 +19,11 @@ from dialab import harness
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
 from dialab.environment import Transition, run_episode
 from dialab.gpsarsa import GPConfig, SparseGP
-from dialab.nets import FeedForwardNet, log_policy_gradient, mse_loss
+from dialab.nets import FeedForwardNet, log_policy_gradient
 from dialab.seeding import rng_stream
 from dialab.value_agents import ReplayPool, ddqn_target, dqn_target
 from reference import (check_reward_decomposition, cross_entropy_loss,
-                       finite_difference_grads, l2_penalty)
+                       finite_difference_grads, l2_penalty, mse_loss)
 
 RNG = np.random.default_rng
 

@@ -301,6 +301,15 @@ class TestRoundTrip:
                            match=re.escape(f"{path}:2: {message}")):
             load_corpus(str(path))
 
+    def test_record_with_an_unknown_field_names_the_file_and_line(
+            self, tmp_path):
+        # version 1 stored each dialogue's rating; version 2 derives it
+        path = tmp_path / "corpus.jsonl"
+        write_one_dialogue(path, record_fields={"rating": 3})
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:2: unexpected field 'rating' in a dialogue record")):
+            load_corpus(str(path))
+
     def test_version_1_file_is_refused_at_its_header(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_one_dialogue(path, version=1)
@@ -361,10 +370,11 @@ class TestRoundTrip:
 
 
 def write_one_dialogue(path, features=(0.0,), action=0, final_features=(0.0,),
-                       n_turns=1, version=2, **turn_fields) -> None:
+                       n_turns=1, version=2, record_fields=(),
+                       **turn_fields) -> None:
     """A one-feature corpus file of one dialogue of ``n_turns`` equal
-    turns, its record built from the arguments; ``turn_fields`` are added
-    to each turn."""
+    turns, its record built from the arguments; ``record_fields`` are added
+    to the record and ``turn_fields`` to each turn."""
     header = {"schema": "dialab-corpus", "version": version,
               "space": "original", "feature_names": ["f0"]}
     turn = {"features": list(features), "action": action,
@@ -372,5 +382,5 @@ def write_one_dialogue(path, features=(0.0,), action=0, final_features=(0.0,),
             "reward": -1.03, **turn_fields}
     log = {"success": False, "final_features": list(final_features),
            "records": [turn] * n_turns}
-    record = {"provenance": "handcrafted", "log": log}
+    record = {"provenance": "handcrafted", "log": log, **dict(record_fields)}
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")

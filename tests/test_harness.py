@@ -199,6 +199,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="agent"):
             config_from_dict({"agent": {"hiden": [4]}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("dialogues", 0), ("eval_period", 0), ("eval_episodes", -2)])
+    def test_protocol_count_below_one_names_the_field(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad 'config' section: {key}={value} must be >= 1")):
+            config_from_dict({"algorithm": "dqn", key: value})
+
     def test_gamma_range_names_the_field(self):
         with pytest.raises(ConfigError, match="gamma=1.5"):
             config_from_dict({"algorithm": "dqn", "gamma": 1.5})

@@ -7,10 +7,10 @@ from dialab import nets
 from dialab.actor_critic import ActorCriticAgent
 from dialab.nets import (AdadeltaState, FeedForwardNet, NonFiniteGradientError,
                          ShapeError, adadelta_step, clone_net, copy_params,
-                         layer_views, log_policy_gradient, mse_loss, softmax)
+                         layer_views, log_policy_gradient, softmax)
 from dialab.value_agents import AgentConfig
-from reference import (cross_entropy_loss, finite_difference_grads,
-                       l2_penalty)
+from reference import (adadelta_step_negating, cross_entropy_loss,
+                       finite_difference_grads, l2_penalty, mse_loss)
 
 RNG = np.random.default_rng
 
@@ -294,6 +294,53 @@ class TestAdadelta:
         layer_views(grads, net.layer_sizes)[1][2][-1] = float("inf")
         with pytest.raises(NonFiniteGradientError, match="layer 2 b"):
             adadelta_step(state, net, grads)
+
+    def test_matches_the_negating_step_bit_for_bit_over_100_steps(self):
+        # subtracting the step equals adding its negation, and the squared
+        # step is the same product, so no bit of the state may differ
+        net = FeedForwardNet.create(31, 11, hidden=(130, 50), rng=RNG(32))
+        twin = clone_net(net)
+        state, twin_state = (AdadeltaState.for_net(n) for n in (net, twin))
+        rng = RNG(33)
+        for _ in range(100):
+            g = rng.normal(size=net.params.size) * 10.0 ** rng.uniform(-6, 3)
+            adadelta_step(state, net, g)
+            adadelta_step_negating(twin_state, twin, g)
+            for mine, theirs in ((net.params, twin.params),
+                                 (state.acc_grad, twin_state.acc_grad),
+                                 (state.acc_update, twin_state.acc_update)):
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_finite_gradient_whose_sum_overflows_is_taken(self):
+        # the sum that screens for NaN and inf overflows here; the
+        # per-layer search then finds every entry finite
+        net = tiny_net(seed=36)
+        twin = clone_net(net)
+        state, twin_state = (AdadeltaState.for_net(n) for n in (net, twin))
+        g = np.full_like(net.params, 1e308)
+        with np.errstate(over="ignore"):
+            adadelta_step(state, net, g)
+            adadelta_step_negating(twin_state, twin, g)
+        assert net.params.tobytes() == twin.params.tobytes()
+
+    def test_successive_calls_leave_held_results_alone(self):
+        # backward returns a fresh vector, and a step writes only its own
+        # optimiser state and net: the workspaces are never a result
+        net, rng = tiny_net(seed=34), RNG(35)
+        first = net.backward_batch(rng.normal(size=(5, 4)),
+                                   rng.normal(size=(5, 3)))
+        held = first.copy()
+        second = net.backward_batch(rng.normal(size=(5, 4)),
+                                    rng.normal(size=(5, 3)))
+        assert first.tobytes() == held.tobytes()
+        state, other = AdadeltaState.for_net(net), AdadeltaState.for_net(net)
+        adadelta_step(state, net, first)
+        accumulated = state.acc_grad.copy(), state.acc_update.copy()
+        adadelta_step(other, net, second)
+        adadelta_step(other, net, second)
+        assert first.tobytes() == held.tobytes()
+        assert state.acc_grad.tobytes() == accumulated[0].tobytes()
+        assert state.acc_update.tobytes() == accumulated[1].tobytes()
 
 
 class TestFlatLayout:

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialab.environment import SPACES
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                              VALUES, UserAct)
-from dialab.tracker import (DB_COUNT_CAP, G_C, G_R, SUMMARY_LEN,
-                            BeliefState, ErrorModel, corrupt, fresh_belief,
-                            nearest_gc, nearest_gr, not_mentioned_mass,
-                            ranked_values, summarize, top2,
-                            turn_phase, update_belief, vectorize_original)
-from reference import ORIGINAL_LEN, noiseless_channel
+from dialab.tracker import (DB_COUNT_CAP, G_C, SUMMARY_LEN,
+                            BeliefState, ErrorModel, _confused_act, corrupt,
+                            fresh_belief, nearest_gc, nearest_gr,
+                            not_mentioned_mass, ranked_values, summarize,
+                            top2, turn_phase, update_belief,
+                            vectorize_original)
+from reference import (G_R, ORIGINAL_LEN, confused_act_by_list,
+                       corrupt_by_list, noiseless_channel)
 
 RNG = np.random.default_rng
 
@@ -135,6 +137,46 @@ class TestCorrupt:
             ErrorModel(nbest_size=0)
 
 
+# one act of every user act type, with an inform of a value outside the
+# ontology and a confirm, which the simulated user never gives
+EVERY_ACT = [inform("food", "thai"), inform("area", "pizza"),
+             UserAct("request", slot="phone"),
+             UserAct("confirm", slot="area", value="east")] + [
+    UserAct(t) for t in USER_ACT_TYPES
+    if t not in ("inform", "request", "confirm")]
+
+
+def scored(obs):
+    """An observation with each score as its exact bytes."""
+    return [[(act, float(s).hex()) for act, s in nbest] for nbest in obs]
+
+
+class TestChannelTables:
+    """The table-driven channel draws what the list code drew, bit for bit."""
+
+    @pytest.mark.parametrize("act", EVERY_ACT, ids=lambda a: a.render())
+    def test_confusion_draws_match_the_list_code(self, act):
+        mine, theirs = RNG(36), RNG(36)
+        for _ in range(300):
+            assert _confused_act(act, mine) == confused_act_by_list(act,
+                                                                    theirs)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("em", [
+        ErrorModel(), ErrorModel(p_confuse=0.6, nbest_size=3),
+        ErrorModel(p_confuse=1.0, p_drop=0.0, nbest_size=4,
+                   concentration=0.5),
+        noiseless_channel()], ids=["default", "n3", "confused", "noiseless"])
+    def test_corrupt_matches_the_list_code(self, em):
+        mine, theirs, pick = RNG(37), RNG(37), RNG(38)
+        for _ in range(300):
+            acts = [EVERY_ACT[i] for i in pick.integers(len(EVERY_ACT),
+                                                        size=3)]
+            assert scored(corrupt(acts, em, mine)) == scored(
+                corrupt_by_list(acts, em, theirs))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
 class TestUpdateBelief:
     def test_certain_inform_dominates(self):
         b = fresh_belief()
@@ -255,6 +297,11 @@ class TestSummarize:
         assert abs(0.9 - 1.0) == abs(0.9 - 0.8)
         assert nearest_gr(0.9) == 0
 
+    @pytest.mark.parametrize("p, index", [(0.9, 0), (0.7, 2), (0.5, 2),
+                                          (0.2, 3)])
+    def test_request_midpoints(self, p, index):
+        assert nearest_gr(p) == index
+
     def test_exactly_twelve_ones(self):
         rng = RNG(5)
         for _ in range(200):
@@ -304,6 +351,18 @@ class TestVectorizeOriginal:
         assert names[29] == "turn_scaled"
         assert names[30] == "db_count_scaled"
         assert len(SPACES["summary"].feature_names) == SUMMARY_LEN
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1, max_value=2))
+@example(0.9)
+@example(0.7)
+@example(0.5)
+@example(0.2)
+def test_nearest_gr_is_first_argmin_property(p):
+    # the midpoints between levels as float64 distances see them: 0.9, 0.5
+    # and 0.2 are ties, which go to the lower index, and 0.7 is nearer 0.6
+    assert nearest_gr(p) == min(range(len(G_R)), key=lambda i: abs(p - G_R[i]))
 
 
 @settings(max_examples=200, deadline=None)
