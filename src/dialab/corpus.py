@@ -195,17 +195,23 @@ def _check_dialogue(log: EpisodeLog, n_features: int) -> None:
     if not log.records:
         raise CorpusFormatError("field 'records': a dialogue with no turns")
     n_actions = len(SPACES[log.space].actions)
-    for rec in log.records:
+    for k, rec in enumerate(log.records):
         if len(rec.features) != n_features:
             raise CorpusFormatError(f"feature length {len(rec.features)} != "
                                     f"manifest {n_features}")
         if not 0 <= rec.action < n_actions:
             raise CorpusFormatError(f"action {rec.action} outside "
                                     f"0..{n_actions - 1}")
+        for name in ("features", "reward"):     # json.loads reads NaN
+            if not np.isfinite(getattr(rec, name)).all():
+                raise CorpusFormatError(f"field '{name}' of turn {k}: not "
+                                        f"finite")
     if len(log.final_features) != n_features:
         raise CorpusFormatError(f"final feature length "
                                 f"{len(log.final_features)} != manifest "
                                 f"{n_features}")
+    if not np.isfinite(log.final_features).all():
+        raise CorpusFormatError("field 'final_features': not finite")
 
 
 def fill_pool(corpus, pool) -> np.ndarray:

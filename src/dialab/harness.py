@@ -110,6 +110,9 @@ class ExperimentConfig(EnvConfig):
         super().__post_init__()
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm '{self.algorithm}'")
+        if not 0 <= self.seed < 2 ** 32:
+            # rng_stream folds a seed to 32 bits: it would run as another
+            raise ConfigError(f"seed={self.seed} outside [0, 2^32)")
         for name in ("dialogues", "eval_period", "eval_episodes"):
             value = getattr(self, name)
             if value < 1:
@@ -525,9 +528,10 @@ def median_curve(label: str, curves: list[list[tuple]]) -> list[tuple]:
 def compare_runs(curves_by_label: dict,
                  threshold: float | None = None) -> tuple[float, dict]:
     """The threshold and, per label, each seed's dialogues-to-threshold:
-    its first eval point at or above the threshold, or infinity. With no
-    explicit threshold, every label shares THRESHOLD_FRAC of the highest
-    point of any label's median curve, so one lucky seed cannot set it."""
+    its first eval point at or above the threshold with a nonzero success
+    rate, or infinity. With no explicit threshold, every label shares
+    THRESHOLD_FRAC of the highest point of any label's median curve, so one
+    lucky seed cannot set it; if that is 0, no seed reaches it."""
     if len(curves_by_label) < 1:
         raise ValueError("nothing to compare")
     medians = [median_curve(label, curves)
@@ -535,7 +539,8 @@ def compare_runs(curves_by_label: dict,
     if threshold is None:
         threshold = THRESHOLD_FRAC * max(row[1] for rows in medians
                                          for row in rows)
-    reach = {label: [next((row[0] for row in c if row[1] >= threshold),
+    reach = {label: [next((row[0] for row in c
+                           if row[1] >= threshold and row[1] > 0),
                           math.inf) for c in curves]
              for label, curves in curves_by_label.items()}
     return threshold, reach

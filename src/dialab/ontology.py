@@ -65,8 +65,6 @@ class Restaurant:
     signature: str
 
     def slot_value(self, slot: str) -> str:
-        if slot == "name":
-            return self.name
         return getattr(self, slot)
 
 

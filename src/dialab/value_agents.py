@@ -26,14 +26,12 @@ class PoolTooSmall(RuntimeError):
 class ReplayPool:
     """Finite FIFO transition store; inserting past capacity evicts the oldest.
 
-    Each state is stored once. Slot i's next state is the state in the
-    following slot, ``(i + 1) % capacity``, wherever the two are equal bit
-    for bit, as they are within a dialogue. Every other next state is held
-    in a side store, as its float64 bytes keyed by slot, about one entry
-    per dialogue: the newest slot's, which always has one, a terminal
-    turn's final belief, and any break in the chain. States are compared
-    by their bytes, never with ``==``, which takes -0.0 for 0.0 and no NaN
-    for itself.
+    Each state is stored once: row i's next state is the state of row
+    ``(i + 1) % capacity``, and the newest row's is held beside the rows
+    until the next row arrives. So after a row that is not terminal,
+    ``add`` and ``add_log`` refuse any state but its next one, bit for bit
+    (by its bytes: ``==`` takes -0.0 for 0.0 and no NaN for itself). After
+    a terminal row any state may follow; no target reads its next state.
     """
 
     def __init__(self, capacity: int, n_features: int):
@@ -44,34 +42,30 @@ class ReplayPool:
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
         self._terminal = np.zeros(capacity, dtype=bool)
-        self._side: dict[int, bytes] = {}
+        self._newest_next = np.zeros(n_features)
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def _as_row(self, state) -> bytes:
-        """The bytes of ``state`` as a stored row holds it."""
-        row = np.empty_like(self._features[0])
-        row[:] = state
-        return row.tobytes()
-
-    def _chain(self, i: int) -> None:
-        """Slot i was just written after the newest slot: drop that slot's
-        side entry if slot i now holds the same state."""
-        newest = (i - 1) % self.capacity
-        if self._side.get(newest) == self._features[i].tobytes():
-            del self._side[newest]
+    def _check_follows(self, features) -> None:
+        """Refuse ``features`` as the next row's state unless the newest
+        row is terminal or they are its next state, bit for bit."""
+        if (self._size and not self._terminal[self._cursor - 1]
+                and np.asarray(features, dtype=float).tobytes()
+                != self._newest_next.tobytes()):
+            raise ValueError("the newest row is not terminal, and the "
+                             "incoming state is not its next state")
 
     def add(self, t: Transition) -> None:
+        self._check_follows(t.features)
         i = self._cursor
         self._features[i] = t.features
         self._actions[i] = t.action
         self._rewards[i] = t.reward
         self._terminal[i] = t.terminal
-        self._chain(i)
-        self._side[i] = self._as_row(t.next_features)
+        self._newest_next[:] = t.next_features
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -84,14 +78,14 @@ class ReplayPool:
         n = len(records)
         if not n:
             return
+        self._check_follows(records[0].features)
         np.stack([rec.features for rec in records],
                  out=self._features[i:i + n])
         self._actions[i:i + n] = [rec.action for rec in records]
         self._rewards[i:i + n] = [rec.reward for rec in records]
         self._terminal[i:i + n - 1] = False
         self._terminal[i + n - 1] = True     # the log ends at its last turn
-        self._chain(i)
-        self._side[i + n - 1] = self._as_row(log.final_features)
+        self._newest_next[:] = log.final_features
         self._size += n
         self._cursor = self._size % self.capacity
 
@@ -100,20 +94,11 @@ class ReplayPool:
             raise PoolTooSmall(f"pool holds {self._size} < batch {batch}")
         return rng.choice(self._size, size=batch, replace=False)
 
-    def _next(self, idx: np.ndarray) -> np.ndarray:
-        """The next states of the slots ``idx``: the states of slots
-        ``(idx + 1) % capacity``, each replaced by its side entry where the
-        slot has one."""
-        out = self._features.take(idx + 1, axis=0, mode="wrap")
-        for k, i in enumerate(idx.tolist()):
-            held = self._side.get(i)
-            if held is not None:
-                out[k] = np.frombuffer(held)
-        return out
-
     def batch(self, idx: np.ndarray):
+        nxt = self._features.take(idx + 1, axis=0, mode="wrap")
+        nxt[idx == (self._cursor - 1) % self.capacity] = self._newest_next
         return (self._features[idx], self._actions[idx], self._rewards[idx],
-                self._next(idx), self._terminal[idx])
+                nxt, self._terminal[idx])
 
     FIELDS = ("features", "actions", "rewards", "terminal")
 
@@ -122,15 +107,10 @@ class ReplayPool:
         return getattr(self, f"_{name}")[:self._size]
 
     def state(self) -> checkpoint.State:
-        """The filled rows, as views, and the side store: its slots in
-        ascending order and their next states, one row each."""
+        """The filled rows, as views, and the newest row's next state."""
         arrays = {k: self.rows(k) for k in self.FIELDS}
         shapes = {k: ("size", *a.shape[1:]) for k, a in arrays.items()}
-        n, slots = self._features.shape[1], sorted(self._side)
-        arrays.update(held_slots=np.array(slots, dtype=np.int64),
-                      held_next=np.frombuffer(b"".join(
-                          map(self._side.get, slots))).reshape(len(slots), n))
-        shapes.update(held_slots=("held",), held_next=("held", n))
+        arrays["newest_next"] = self._newest_next    # loads in place
         return checkpoint.State(
             arrays, spec={"capacity": self.capacity},
             counters={"size": self._size, "cursor": self._cursor},
@@ -138,10 +118,9 @@ class ReplayPool:
 
     def restore(self, loaded: checkpoint.State, path: str,
                 prefix: str = "") -> None:
-        """Take the counters of a loaded state, copy its rows into the
-        preallocated arrays and its held next states into the side store;
-        ``path`` names the file and ``prefix`` picks the pool out of an
-        agent's."""
+        """Take the counters of a loaded state and copy its rows into the
+        preallocated arrays; ``path`` names the file and ``prefix`` picks
+        the pool out of an agent's."""
         def refuse(what: str):
             raise checkpoint.CheckpointError(f"{path}: {prefix}{what}")
 
@@ -154,22 +133,9 @@ class ReplayPool:
             refuse(f"cursor={cursor} does not fit {prefix}size={size} and "
                    f"capacity {self.capacity}: it must equal the size until "
                    f"the pool is full, and then lie in [0, {self.capacity})")
-        slots = loaded.arrays[prefix + "held_slots"]
-        newest = (cursor - 1) % self.capacity
-        if slots.size and slots.dtype.kind != "i":
-            refuse(f"held_slots are {slots.dtype}, not signed integers")
-        if np.any(np.diff(slots) <= 0):
-            refuse("held_slots are not strictly increasing")
-        if len(slots) and not (slots[0] >= 0 and slots[-1] < size):
-            refuse(f"held_slots lie outside [0, {size})")
-        if size and newest not in slots:
-            refuse(f"held_slots leave out the newest slot {newest}")
         self._size, self._cursor = size, cursor
         for k in self.FIELDS:
             getattr(self, f"_{k}")[:size] = loaded.arrays[prefix + k]
-        held = np.asarray(loaded.arrays[prefix + "held_next"], dtype=float)
-        self._side = {i: row.tobytes() for i, row in zip(slots.tolist(),
-                                                         held)}
 
     def save(self, path: str) -> None:
         checkpoint.save(path, "replay-pool", self.state())

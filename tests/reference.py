@@ -274,7 +274,8 @@ def sample_goal_by_choice(db: RestaurantDB, rng: np.random.Generator,
 
 class TwoArrayPool:
     """``value_agents.ReplayPool`` as it stored every state twice, in a
-    features and a next-features array; the oracle of the one-array pool.
+    features and a next-features array, terminal rows' next states
+    included; the oracle of the one-array pool.
 
     Finite FIFO transition store; inserting past capacity evicts the oldest."""
 
@@ -359,6 +360,36 @@ class TwoArrayPool:
 
     def load(self, path: str) -> None:
         self.restore(checkpoint.load(path, "replay-pool", self.state()))
+
+
+# the fields of ReplayPool.batch, in its order
+BATCH = ("features", "actions", "rewards", "next_features", "terminal")
+
+
+def newest(pool) -> int:
+    """The slot of ``pool``'s newest row."""
+    return (pool._cursor - 1) % pool.capacity
+
+
+def assert_same_rows(pool, oracle: TwoArrayPool, idx=None) -> None:
+    """``pool`` and ``oracle`` hold the same rows, bit for bit: ``batch``
+    of the slots ``idx``, by default every filled slot, and ``rows`` of
+    every field. A next state is compared where its row is not terminal or
+    is the newest: no learner reads a terminal row's."""
+    assert len(pool) == len(oracle)
+    if idx is None:
+        idx = np.arange(len(oracle))
+    read = ~oracle.batch(idx)[4]
+    if len(oracle):
+        read |= idx == newest(oracle)
+    for name, mine, theirs in zip(BATCH, pool.batch(idx), oracle.batch(idx),
+                                  strict=True):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        if name == "next_features":
+            mine, theirs = mine[read], theirs[read]
+        assert mine.tobytes() == theirs.tobytes(), name
+    for name in ReplayPool.FIELDS:
+        assert pool.rows(name).tobytes() == oracle.rows(name).tobytes(), name
 
 
 def state_bytes(state: checkpoint.State) -> dict:

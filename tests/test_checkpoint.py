@@ -15,15 +15,16 @@ from dialab.checkpoint import CheckpointError
 from dialab.environment import Transition
 from dialab.nets import layer_views
 from dialab.value_agents import AgentConfig, QAgent, ReplayPool
-from reference import TwoArrayPool
+from reference import TwoArrayPool, assert_same_rows
 
 RNG = np.random.default_rng
 
 
 def transition(i, dim=4):
+    """Turn i of one long dialogue, whose next state is turn i+1's."""
     rng = RNG(i)
     return Transition(rng.normal(size=dim), i % 3, float(rng.normal()),
-                      rng.normal(size=dim), False, False)
+                      RNG(i + 1).normal(size=dim), False, False)
 
 
 def q_agent(hidden, seed=0):
@@ -255,28 +256,27 @@ def dialogues(pools, n_dialogues, turns=5, dim=4, seed=0):
 @pytest.mark.parametrize("n_dialogues", [0, 3, 9], ids=["empty", "partly",
                                                        "wrapped"])
 def test_pool_snapshot_restores_the_two_array_pool(tmp_path, n_dialogues):
-    # the snapshot holds each dialogue's final belief beside the rows, and
-    # the restored pool goes on as the two-array pool does; 9 dialogues of
-    # 5 turns wrap a pool of 32 rows
+    # the snapshot holds the filled rows and the newest row's next state,
+    # and the restored pool goes on as the two-array pool does; 9
+    # dialogues of 5 turns wrap a pool of 32 rows
     pool, oracle = ReplayPool(32, 4), TwoArrayPool(32, 4)
     dialogues([pool, oracle], n_dialogues)
     path = str(tmp_path / "pool.npz")
     pool.save(path)
     with np.load(path) as data:
-        assert "next_features" not in data.files
-        assert len(data["held_slots"]) == min(n_dialogues, 7)
+        assert set(data.files) == {checkpoint.META, *ReplayPool.FIELDS,
+                                   "newest_next"}
+        assert data["features"].shape == (len(oracle), 4)
     restored = ReplayPool(32, 4)
     restored.load(path)
     for more in (0, 2):
         dialogues([restored, oracle], more, seed=7)
-        idx = np.arange(len(oracle))
-        for got, want in zip(restored.batch(idx), oracle.batch(idx)):
-            assert got.tobytes() == want.tobytes()
+        assert_same_rows(restored, oracle)
 
 
 def test_pool_saves_next_states_without_the_whole_column(tmp_path):
     # 4000 logged dialogues of 10 turns fill the pool, each ending in a
-    # final belief of its own that the side store holds
+    # final belief of its own; the snapshot holds the newest one's
     capacity, n, turns = 40000, 16, 10
     column = capacity * n * 8
     pool = ReplayPool(capacity, n)
@@ -295,49 +295,24 @@ def test_pool_saves_next_states_without_the_whole_column(tmp_path):
         tracemalloc.stop()
     assert peak < column / 4, (peak, column)
     with np.load(path) as data:
-        assert np.array_equal(data["held_slots"],
-                              np.arange(turns - 1, capacity, turns))
-        assert np.array_equal(data["held_next"], states[:, -1])
+        assert np.array_equal(data["newest_next"], states[-1, -1])
     restored = ReplayPool(capacity, n)
     restored.load(path)
-    assert np.array_equal(restored.batch(np.arange(capacity))[3],
-                          states[:, 1:].reshape(capacity, n))
+    nxt = restored.batch(np.arange(capacity))[3].reshape(-1, turns, n)
+    assert np.array_equal(nxt[:, :-1], states[:, 1:-1])
+    assert np.array_equal(nxt[-1, -1], states[-1, -1])
 
 
-@pytest.mark.parametrize("n_dialogues, slots, message", [
-    (1, [1, 4, 2], "are not strictly increasing"),
-    (1, [1, 1, 4], "are not strictly increasing"),
-    (1, [-1, 1, 4], "lie outside [0, 5)"),
-    (1, [1, 4, 5], "lie outside [0, 5)"),
-    (0, [0], "lie outside [0, 0)"),
-    (1, [0, 1, 3], "leave out the newest slot 4"),
-    (1, [1.0, 3.0, 4.0], "are float64, not signed integers"),
-    (1, np.array([1, 3, 4], dtype=np.uint8),
-     "are uint8, not signed integers")])
-def test_pool_held_slots_no_pool_could_hold_are_refused(
-        tmp_path, n_dialogues, slots, message):
-    pool = ReplayPool(capacity=8, n_features=4)
-    dialogues([pool], n_dialogues)
-    state = pool.state()
-    state.arrays["held_slots"] = np.array(slots)
-    state.arrays["held_next"] = np.zeros((len(slots), 4))
-    path = str(tmp_path / "pool.npz")
-    checkpoint.save(path, "replay-pool", state)
-    with pytest.raises(CheckpointError,
-                       match=re.escape(f"{path}: held_slots {message}")):
-        ReplayPool(capacity=8, n_features=4).load(path)
-
-
-def test_agent_held_arrays_of_unequal_length_are_refused(tmp_path):
+def test_agent_newest_next_state_of_another_length_is_refused(tmp_path):
     agent = q_agent(hidden=(8, 6))
     dialogues([agent.pool], 2)
     state = agent.state()
-    state.arrays["pool.held_next"] = np.zeros((3, 4))
+    state.arrays["pool.newest_next"] = np.zeros(3)
     path = str(tmp_path / "agent.npz")
     checkpoint.save(path, "qagent", state)
     with pytest.raises(CheckpointError, match=re.escape(
-            f"{path}: array 'pool.held_next' has shape (3, 4), expected "
-            f"('pool.held', 4), where {{'pool.held': 2}}")):
+            f"{path}: array 'pool.newest_next' has shape (3,), expected "
+            f"(4,)")):
         q_agent(hidden=(8, 6)).load(path)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -164,7 +165,9 @@ class TestConversion:
             last = i + 1 == len(log.records)
             nxt = log.final_features if last else log.records[i + 1].features
             assert data.features[row].tolist() == rec.features.tolist()
-            assert data.next_features[row].tolist() == nxt.tolist()
+            # a terminal row's next state is read only at the newest row
+            if not last or row + 1 == len(records):
+                assert data.next_features[row].tolist() == nxt.tolist()
             assert (data.actions[row], data.rewards[row],
                     data.terminal[row], data.rating[row]) == (
                         rec.action, rec.reward, last, d.rating)
@@ -292,7 +295,15 @@ class TestRoundTrip:
         ({"action": -1}, "action -1 outside 0..10"),
         ({"final_features": [0.0, 0.0]},
          "final feature length 2 != manifest 1"),
-        ({"n_turns": 0}, "field 'records': a dialogue with no turns")])
+        ({"n_turns": 0}, "field 'records': a dialogue with no turns"),
+        # the NaN and Infinity literals json.loads reads
+        ({"features": [math.nan]}, "field 'features' of turn 0: not finite"),
+        ({"n_turns": 2, "features": [-math.inf]},
+         "field 'features' of turn 0: not finite"),
+        ({"reward": math.nan}, "field 'reward' of turn 0: not finite"),
+        ({"reward": math.inf}, "field 'reward' of turn 0: not finite"),
+        ({"final_features": [math.nan]},
+         "field 'final_features': not finite")])
     def test_record_errors_name_the_file_and_line(self, tmp_path, change,
                                                   message):
         path = tmp_path / "corpus.jsonl"

@@ -26,8 +26,16 @@ of per-layer ``w{i}``/``b{i}`` arrays: each vector is those arrays' values,
 every W then every b, bit for bit, and every other array and the meta
 record are unchanged (dqn ``9bced126...`` -> ``db2452ed...``, da2c
 ``4b1fed08...`` -> ``818b53a0...``, tda2c ``be67236c...`` ->
-``eba6fc7f...``). A refactor that is meant to keep behaviour must keep
-these; a change that moves them on purpose says why and records new values.
+``eba6fc7f...``). They were recorded once more when the pool stopped
+holding the next states that the following slot does not: a row's next
+state is the following row's, and the snapshot holds only the newest
+row's, as ``pool.newest_next`` in place of ``pool.held_slots`` and
+``pool.held_next``. That array is the newest slot's held next state bit
+for bit, and every other array and the meta record are unchanged (dqn
+``db2452ed...`` -> ``9781d33e...``, da2c ``818b53a0...`` ->
+``2e3de0aa...``, tda2c ``eba6fc7f...`` -> ``2d14c52b...``). A refactor
+that is meant to keep behaviour must keep these; a change that moves them
+on purpose says why and records new values.
 """
 
 import hashlib
@@ -46,15 +54,15 @@ GOLDEN = {
     "dqn": ([(0, 0.0, -1.0299999999999998, 1.0),
              (20, 0.0, -1.9000000000000008, 30.0),
              (40, 0.8, -0.018000000000000328, 20.6)],
-            "db2452edc8d05f6c99e16daf3f956cb35b2f0286f67e3d2eee48c63233d2063c"),
+            "9781d33e6f2414f79514d8f275b5c43f841fe8e278af4f9757098efe096cd853"),
     "da2c": ([(0, 0.0, -1.0299999999999998, 1.0),
               (20, 0.4, -0.6560000000000002, 15.2),
               (40, 0.0, -1.0630000000000002, 2.1)],
-             "818b53a0efae04a8f364f9fa1cd47e1e402beb418d5ad75f41f79a5aeefd3865"),
+             "2e3de0aa2f92620170fecc8593f561e02ee713750d3a8f7f744e50a09723a532"),
     "tda2c": ([(0, 0.0, -1.0299999999999998, 1.0),
                (20, 0.0, -1.0630000000000002, 2.1),
                (40, 0.7, 0.259, 4.7)],
-              "eba6fc7ff9f6e242881adc241a916c03487e88d93e122f30c6783d02dbad071b"),
+              "2d14c52b04a20928928ca374cdc60d3614088cdd2338216b645b23b4e57b145f"),
     "gpsarsa": ([(0, 0.0, -1.9000000000000006, 30.0),
                  (20, 0.75, 0.0574999999999998, 14.75),
                  (40, 0.75, 0.20749999999999993, 9.75)],

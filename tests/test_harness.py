@@ -206,6 +206,16 @@ class TestConfig:
                 f"bad 'config' section: {key}={value} must be >= 1")):
             config_from_dict({"algorithm": "dqn", key: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 32, 2 ** 32 + 1])
+    def test_seed_that_would_run_as_another_is_refused(self, seed):
+        # rng_stream folds seeds to 32 bits: -1 would run as 2^32 - 1, and
+        # 2^32 + 1 as 1, each writing to a seed directory of its own
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad 'config' section: seed={seed} outside [0, 2^32)")):
+            config_from_dict({"algorithm": "dqn", "seed": seed})
+        for edge in (0, 2 ** 32 - 1):
+            assert config_from_dict({"seed": edge}).seed == edge
+
     def test_gamma_range_names_the_field(self):
         with pytest.raises(ConfigError, match="gamma=1.5"):
             config_from_dict({"algorithm": "dqn", "gamma": 1.5})
@@ -370,7 +380,8 @@ class TestTrainRun:
             if algorithm == "dqn-wrapped":
                 assert meta["pool.size"] == 64 and meta["pool.cursor"] > 0
             if algorithm == "tda2c":
-                assert len(half["pool.held_slots"]) >= 30
+                # the 30 corpus dialogues and the first online ones
+                assert half["pool.terminal"].sum() >= 30
         r_resumed = train_run(config("half", total), resume=True)
         assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
         # the saved learner state, not just the curve, matches bit for bit
@@ -446,9 +457,11 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         with pytest.raises(CheckpointError, match="pool.capacity"):
             train_run(smoke_config(tmp_path, dialogues=40), resume=True)
 
-    def test_resume_refuses_previous_pool_layout(self, tmp_path):
-        # the previous layout wrote the pool's next states as a
-        # pool.next_features column, with no held slots
+    @pytest.mark.parametrize("layout", ["next_features", "held_slots"])
+    def test_resume_refuses_previous_pool_layout(self, tmp_path, layout):
+        # earlier layouts wrote the pool's next states as a
+        # pool.next_features column, or as pool.held_slots with their
+        # pool.held_next states, in place of pool.newest_next
         cfg = smoke_config(tmp_path, dialogues=20)
         train_run(cfg)
         path = os.path.join(cfg.out, "checkpoint.npz")
@@ -456,16 +469,21 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         agent.load(path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files
-                      if not k.startswith("pool.held_")}
-        arrays["pool.next_features"] = agent.pool.batch(
-            np.arange(len(agent.pool)))[3]
+                      if k != "pool.newest_next"}
+        if layout == "next_features":
+            arrays["pool.next_features"] = agent.pool.batch(
+                np.arange(len(agent.pool)))[3]
+        else:
+            arrays["pool.held_slots"] = np.array([len(agent.pool) - 1])
+            arrays["pool.held_next"] = agent.pool.batch(
+                np.array([len(agent.pool) - 1]))[3]
         checkpoint.replace_file(
             path, lambda fh: checkpoint.write_npz(fh, arrays))
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: missing counters []; arrays [")) as refused:
             train_run(smoke_config(tmp_path, dialogues=40), resume=True)
-        assert "'pool.next_features'" in str(refused.value)
-        assert "'pool.held_slots'" in str(refused.value)
+        assert f"'pool.{layout}'" in str(refused.value)
+        assert "'pool.newest_next'" in str(refused.value)
 
     @pytest.mark.parametrize("algorithm", ["dqn", "gpsarsa"])
     def test_resume_refuses_checkpoint_without_run_counters(self, tmp_path,
@@ -780,6 +798,18 @@ class TestCompare:
         _, reach = compare_runs({"never": [self.curve(99999)]}, threshold=0.9)
         assert math.isinf(reach["never"][0])
         assert not harness.holds_order(reach, ["never"])
+
+    def test_collapsed_runs_never_reach_a_zero_threshold(self):
+        # no median rises above 0, so the derived threshold is 0; a seed at
+        # 0.0 has not reached it, and one that rises has
+        flat = [(d, 0.0, -1.0, 30.0, 0.0) for d in (0, 1000, 2000)]
+        risen = [(0, 0.0, -1.0, 30.0, 0.0), (1000, 0.3, 0.0, 9.0, 0.0),
+                 (2000, 0.0, -1.0, 30.0, 0.0)]
+        threshold, reach = compare_runs({"da2c": [flat, list(flat)],
+                                         "dqn": [flat, list(flat), risen]})
+        assert threshold == 0.0
+        assert reach == {"da2c": [math.inf, math.inf],
+                         "dqn": [math.inf, math.inf, 1000]}
 
     def test_mismatched_grids_rejected(self):
         broken = [self.curve(1000), self.curve(1000, grid=(0, 500))]

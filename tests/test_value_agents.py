@@ -15,17 +15,19 @@ from dialab.nets import FeedForwardNet, copy_params
 from dialab.harness import behaviour_action
 from dialab.value_agents import (AgentConfig, PoolTooSmall, QAgent,
                                  ReplayPool, ddqn_target, dqn_target)
-from reference import TwoArrayPool, state_bytes
+from reference import TwoArrayPool, assert_same_rows, newest, state_bytes
 
 RNG = np.random.default_rng
 
 
 def transition(i, dim=4, terminal=False, reward=None, action=None):
+    """Turn i of one long dialogue: its next state is turn i+1's state, so
+    ``transition(i + 1)`` may follow it in a pool."""
     rng = RNG(i)
     return Transition(features=rng.normal(size=dim),
                       action=int(action if action is not None else i % 3),
                       reward=float(reward if reward is not None else rng.normal()),
-                      next_features=rng.normal(size=dim),
+                      next_features=RNG(i + 1).normal(size=dim),
                       terminal=terminal, success=False)
 
 
@@ -100,7 +102,7 @@ class TestReplayPool:
 
     @staticmethod
     def logged(before, turns, seed=0):
-        """``before`` unrelated transitions, then a logged dialogue of
+        """A dialogue of ``before`` turns, then a logged dialogue of
         ``turns`` turns and the transitions its turns are."""
         rng = RNG(seed)
         feats = rng.normal(size=(turns + 1, 4))
@@ -111,7 +113,8 @@ class TestReplayPool:
         ts = [Transition(r.features, r.action, r.reward, feats[k + 1],
                          k == turns - 1, False)
               for k, r in enumerate(records)]
-        return [transition(i) for i in range(before)], log, ts
+        return ([transition(i, terminal=i == before - 1)
+                 for i in range(before)], log, ts)
 
     @pytest.mark.parametrize("before, turns", [(0, 3), (3, 2), (0, 5),
                                                (2, 0)])
@@ -133,7 +136,7 @@ class TestReplayPool:
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
         for i in range(100000):
-            pool.add(transition(i % 500))
+            pool.add(transition(i))
             if i % 9973 == 0:
                 assert len(pool) <= 64
         assert len(pool) == 64
@@ -179,60 +182,65 @@ class TestReplayPool:
 _BITS = (0.0, -0.0, 1.0, float("nan"),
          np.frombuffer(np.uint64(0xFFF8000000000001).tobytes())[0])
 STATES = [np.array([a, b]) for a in _BITS for b in _BITS]
-
-# a stream of pool inputs: ("turn", next state, terminal) continues from the
-# current state; ("jump", state) breaks the chain, so the next turn is an
-# unrelated transition; ("log", states) adds a logged dialogue through its
-# states when it fits in the free rows
-_OPS = st.lists(st.one_of(
-    st.tuples(st.just("turn"), st.integers(0, len(STATES) - 1),
-              st.booleans()),
-    st.tuples(st.just("jump"), st.integers(0, len(STATES) - 1)),
-    st.tuples(st.just("log"), st.lists(st.integers(0, len(STATES) - 1),
-                                       min_size=1, max_size=5))),
-    max_size=30)
+# the finite ones, which a network maps to finite values
+FINITE = [s for s in STATES if np.isfinite(s).all()]
 
 
-def feed(pools, ops):
-    """Apply ``ops`` to every pool in ``pools``, yielding after each."""
-    state = STATES[0]
+def op_streams(n_states):
+    """Streams of pool inputs over ``n_states`` states: ("turn", next
+    state, terminal) continues from the current state; ("jump", state)
+    starts the next turn from an unrelated state, and applies only after a
+    terminal row; ("log", states) adds a logged dialogue through its states
+    when it fits in the free rows."""
+    state = st.integers(0, n_states - 1)
+    return st.lists(st.one_of(
+        st.tuples(st.just("turn"), state, st.booleans()),
+        st.tuples(st.just("jump"), state),
+        st.tuples(st.just("log"), st.lists(state, min_size=1, max_size=5))),
+        max_size=30)
+
+
+_OPS = op_streams(len(STATES))
+
+
+def feed(pools, ops, states=STATES):
+    """Apply ``ops`` to every pool in ``pools``, yielding after each. The
+    stream goes on from the newest row of the last pool, a
+    ``reference.TwoArrayPool``, or from ``states[0]``."""
+    oracle = pools[-1]
+    state, ended = states[0], True
+    if len(oracle):
+        state = oracle._next_features[newest(oracle)]
+        ended = oracle._terminal[newest(oracle)]
     for k, op in enumerate(ops):
         if op[0] == "turn":
-            t = Transition(state, k % 3, float(k), STATES[op[1]], op[2],
+            t = Transition(state, k % 3, float(k), states[op[1]], op[2],
                            False)
             for pool in pools:
                 pool.add(t)
-            state = STATES[op[1]]
+            state, ended = states[op[1]], op[2]
         elif op[0] == "jump":
-            state = STATES[op[1]]
+            if ended:
+                state = states[op[1]]
         elif len(pools[0]) + len(op[1]) <= pools[0].capacity:
-            states = [state] + [STATES[i] for i in op[1]]
+            path = [state] + [states[i] for i in op[1]]
             records = [SimpleNamespace(features=f, action=j % 3,
                                        reward=float(-j), terminal=False)
-                       for j, f in enumerate(states[:-1])]
-            log = SimpleNamespace(records=records,
-                                  final_features=states[-1])
+                       for j, f in enumerate(path[:-1])]
+            log = SimpleNamespace(records=records, final_features=path[-1])
             for pool in pools:
                 pool.add_log(log)
-            state = states[-1]
+            state, ended = path[-1], True
         yield
 
 
-# the fields of ReplayPool.batch, in its order
-BATCH = ("features", "actions", "rewards", "next_features", "terminal")
-
-
-def assert_same_rows(pool, oracle):
-    """``pool`` and ``oracle`` hold the same rows, bit for bit, through
-    ``batch`` over every filled slot and ``rows`` of every field."""
-    assert len(pool) == len(oracle)
-    idx = np.arange(len(oracle))
-    for name, mine, theirs in zip(BATCH, pool.batch(idx), oracle.batch(idx),
-                                  strict=True):
-        assert mine.tobytes() == theirs.tobytes(), name
-        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
-    for name in ReplayPool.FIELDS:
-        assert pool.rows(name).tobytes() == oracle.rows(name).tobytes(), name
+def pool_targets(pool, idx, nets_):
+    """The DQN, DDQN and critic targets of ``pool.batch(idx)``."""
+    q_online, q_target, value_target = nets_
+    _, _, rewards, nxt, term = pool.batch(idx)
+    return (dqn_target(rewards, nxt, term, q_target, 0.99),
+            ddqn_target(rewards, nxt, term, q_online, q_target, 0.99),
+            dqn_target(rewards, nxt, term, value_target, 0.99))
 
 
 class TestOneArrayPool:
@@ -245,6 +253,23 @@ class TestOneArrayPool:
         pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
         for _ in feed([pool, oracle], ops):
             assert_same_rows(pool, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.sampled_from([1, 2, 5]), ops=op_streams(len(FINITE)))
+    def test_targets_are_the_two_array_pools(self, capacity, ops):
+        # a terminal row's next state differs from the two-array pool's,
+        # but every target drops it, so DQN, DDQN and the critic learn
+        # from the same values bit for bit
+        nets_ = [FeedForwardNet.create(2, n, hidden=(5,), head="linear",
+                                       rng=RNG(seed))
+                 for seed, n in ((1, 3), (2, 3), (3, 1))]
+        pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
+        for _ in feed([pool, oracle], ops, FINITE):
+            idx = np.arange(len(oracle))[::-1]
+            for mine, theirs in zip(pool_targets(pool, idx, nets_),
+                                    pool_targets(oracle, idx, nets_),
+                                    strict=True):
+                assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("capacity", [1, 2, 5])
     def test_final_belief_equal_to_the_next_state(self, capacity):
@@ -259,7 +284,7 @@ class TestOneArrayPool:
         for _ in feed([pool, oracle], ops):
             assert_same_rows(pool, oracle)
 
-    def test_unrelated_transitions_wrap_around(self):
+    def test_chained_transitions_wrap_around(self):
         pool, oracle = ReplayPool(5, 4), TwoArrayPool(5, 4)
         for i in range(13):
             for p in (pool, oracle):
@@ -272,15 +297,13 @@ class TestOneArrayPool:
         ops = [("turn", k % 25, k % 4 == 3) for k in range(3, 20)]
         for _ in feed([pool, oracle], ops):
             pass
-        idx = np.array([6, 0, 3, 5, 1])
-        for mine, theirs in zip(pool.batch(idx), oracle.batch(idx)):
-            assert mine.tobytes() == theirs.tobytes()
+        assert_same_rows(pool, oracle, np.array([6, 0, 3, 5, 1]))
 
     @settings(max_examples=200, deadline=None)
     @given(capacity=st.sampled_from([1, 2, 5]), ops=_OPS, more=_OPS)
     def test_snapshot_restores_the_same_pool(self, capacity, ops, more):
-        # the snapshot holds the side store, and the restored pool goes on
-        # as the two-array pool does
+        # the snapshot holds the rows and the newest row's next state, and
+        # the restored pool goes on as the two-array pool does
         pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
         for _ in feed([pool, oracle], ops):
             pass
@@ -293,15 +316,50 @@ class TestOneArrayPool:
         for _ in feed([restored, oracle], more):
             assert_same_rows(restored, oracle)
 
+    @pytest.mark.parametrize("restored", [False, True],
+                             ids=["live", "restored"])
+    @pytest.mark.parametrize("logged", [False, True], ids=["add", "add_log"])
+    @pytest.mark.parametrize("jump", [
+        np.array([1.0, 1.0]), STATES[5], STATES[23]],
+        ids=["other", "minus-zero", "other-nan"])
+    def test_jump_after_a_non_terminal_row_is_refused_unchanged(
+            self, tmp_path, restored, logged, jump):
+        # the newest row's next state is [0.0, 0.0], or [nan, nan] with
+        # one payload; [-0.0, 0.0] and [nan, nan] with another payload are
+        # equal in value or NaN, but not bit for bit, so both are refused
+        nxt = STATES[18] if jump is STATES[23] else STATES[0]
+        pool = ReplayPool(3, 2)
+        for t in (transition(0, dim=2),
+                  Transition(RNG(1).normal(size=2), 1, 0.5, nxt, False,
+                             False)):
+            pool.add(t)
+        if restored:
+            path = str(tmp_path / "pool.npz")
+            pool.save(path)
+            pool = ReplayPool(3, 2)
+            pool.load(path)
+        before = (len(pool), pool._cursor, state_bytes(pool.state()))
+        with pytest.raises(ValueError, match="not its next state"):
+            if logged:
+                pool.add_log(SimpleNamespace(
+                    records=[SimpleNamespace(features=jump, action=0,
+                                             reward=0.0)],
+                    final_features=nxt))
+            else:
+                pool.add(Transition(jump, 0, 0.0, nxt, True, False))
+        assert (len(pool), pool._cursor, state_bytes(pool.state())) == before
+        # the next state itself, bit for bit, is taken
+        pool.add(Transition(nxt.copy(), 2, 1.0, jump, True, False))
+        assert pool.batch(np.array([1]))[3].tobytes() == nxt.tobytes()
+
     @pytest.mark.parametrize("logged", [False, True], ids=["add", "add_log"])
     @pytest.mark.parametrize("chained", [False, True],
                              ids=["dialogues", "one-chain"])
-    def test_holds_a_next_state_only_where_the_chain_breaks(self, logged,
-                                                            chained):
-        # within a dialogue a next state is the following row's state, so
-        # only each dialogue's final belief is held beside the rows; where
-        # each dialogue starts from the last one's final belief, only the
-        # newest row's next state is
+    def test_holds_no_state_per_dialogue(self, logged, chained):
+        # 2000 rows of dialogues of 10 turns, each ending in a final belief
+        # of its own or starting from the last one's: the pool keeps only
+        # its rows and the newest row's next state, which it allocated
+        # before the first row
         capacity, n, turns = 2000, 31, 10
         pool, rng = ReplayPool(capacity, n), RNG(0)
         state = rng.normal(size=n)
@@ -324,26 +382,8 @@ class TestOneArrayPool:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        breaks = 1 if chained else capacity // turns
-        assert held < 2 * breaks * n * 8 + 4096, held
-
-    @pytest.mark.parametrize("capacity", [4, 5])
-    def test_restore_tells_equal_values_from_equal_bits(self, tmp_path,
-                                                        capacity):
-        # a next state of 0.0s before a row of -0.0 and 0.0, and of one NaN
-        # before a row with another NaN: equal values, unequal bits
-        ops = [("jump", 12), ("turn", 0, False), ("jump", 5),
-               ("turn", 17, False), ("jump", 22), ("turn", 12, False),
-               ("turn", 0, True)]
-        pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
-        for _ in feed([pool, oracle], ops):
-            pass
-        path = str(tmp_path / "pool.npz")
-        pool.save(path)
-        restored = ReplayPool(capacity, 2)
-        restored.load(path)
-        for _ in feed([restored, oracle], ops):
-            assert_same_rows(restored, oracle)
+        assert len(pool) == capacity
+        assert held < n * 8 + 4096, held
 
     def test_allocates_one_feature_array(self):
         capacity, n = 20000, 31
