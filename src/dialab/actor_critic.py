@@ -154,6 +154,7 @@ class ActorCriticAgent:
 
     def load(self, path: str, *run: str) -> dict:
         loaded = checkpoint.load(path, "actor-critic", self.state(), *run)
+        self.pool.restore(loaded, path, "pool.")    # checks, then copies
+        checkpoint.take(self.state(), loaded)
         self.value_steps = loaded.counters["value_steps"]
-        self.pool.restore(loaded, path, "pool.")
         return loaded.counters

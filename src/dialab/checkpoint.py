@@ -22,9 +22,9 @@ class CheckpointError(ValueError):
 class State:
     """Named arrays; ``spec``, the scalars that define the model and must be
     equal on load; and ``counters``, restored as saved. An array keeps its
-    shape and loads in place unless ``shapes`` gives its expected shape: a
-    string there stands for any length, the same wherever it recurs and
-    equal to the counter of that name if there is one."""
+    shape and ``take`` loads it in place unless ``shapes`` gives its owner's
+    expected shape: a string there stands for any length, the same wherever
+    it recurs and equal to the counter of that name if there is one."""
 
     arrays: dict
     spec: dict = field(default_factory=dict)
@@ -95,11 +95,11 @@ def load(path: str, kind: str, expected: State, *run: str) -> State:
     """Read ``path`` and check it against ``expected``, the live state of
     the owner it is for: version, format, kind, every spec value and
     counter, the run counters named in ``run``, and every array by name and
-    exact shape; other meta keys are ignored. Arrays of a fixed shape are
-    copied into the live ones; the owner takes the others. Returns the
-    file's state, ``run``'s counters included. A file that is not a whole,
-    readable npz (cut short, corrupted, or of another kind) is refused
-    too, as is every misfit, with a ``CheckpointError`` naming ``path``."""
+    exact shape; other meta keys are ignored. Returns the file's state,
+    ``run``'s counters included, and copies nothing into the owner (see
+    ``take``). A file that is not a whole, readable npz (cut short,
+    corrupted, or of another kind) is refused too, as is every misfit, with
+    a ``CheckpointError`` naming ``path``."""
     def fail(what: str):
         raise CheckpointError(f"{path}: {what}")
 
@@ -138,7 +138,12 @@ def load(path: str, kind: str, expected: State, *run: str) -> State:
                 for n, s in zip(got, shape)):
             fail(f"array {name!r} has shape {got}, expected {shape}, "
                  f"where { {s: lengths[s] for s in shape if s in lengths} }")
-    for name, live in expected.arrays.items():
-        if name not in expected.shapes:
-            np.copyto(live, arrays[name])
     return State(arrays, counters={k: meta[k] for k in names})
+
+
+def take(live: State, loaded: State) -> None:
+    """Copy each array of ``loaded`` that ``live.shapes`` leaves out into the
+    live one. Owners call it last, so a refused file changes nothing."""
+    for name, array in live.arrays.items():
+        if name not in live.shapes:
+            np.copyto(array, loaded.arrays[name])

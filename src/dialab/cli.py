@@ -16,7 +16,8 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import harness
 from .checkpoint import replace_file
-from .harness import ConfigError, ExperimentConfig, load_config
+from .harness import ExperimentConfig, load_config
+from .ranges import ConfigError, check
 from .seeding import rng_stream
 
 EXIT_OK = 0
@@ -38,12 +39,6 @@ def _resolve_out(cfg: ExperimentConfig, out: str | None) -> ExperimentConfig:
     return cfg
 
 
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{flag}={value} must be >= 1")
-    return value
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     cfg = _resolve_out(cfg, args.out)
@@ -57,7 +52,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.set)
     episodes = (cfg.eval_episodes if args.episodes is None
-                else _at_least_one("--episodes", args.episodes))
+                else check("--episodes", args.episodes, "[1, inf)"))
     _, _, env = harness.build_world(cfg)
     if args.policy == "agent":
         agent = harness.build_agent(cfg, env)
@@ -67,11 +62,9 @@ def cmd_evaluate(args) -> int:
         action_fn = agent.eval_action
     elif args.policy == "handcrafted":
         action_fn = corpus_mod.HandcraftedPolicy(cfg.space)
-    elif args.policy == "random":
+    else:                       # random; argparse refuses any other
         action_fn = corpus_mod.RandomPolicy(
             env.n_actions, rng_stream(cfg.seed, "random-policy"))
-    else:
-        raise ConfigError(f"unknown policy '{args.policy}'")
     success, mean_return, mean_length = harness.evaluate(
         action_fn, env, episodes, cfg.seed)
     print(f"success_rate={success:.4f} mean_return={mean_return:.4f} "
@@ -91,7 +84,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_generate_corpus(args) -> int:
-    _at_least_one("--n", args.n)
+    check("--n", args.n, "[1, inf)")
     cfg = load_config(args.config, args.set)
     _, _, env = harness.build_world(cfg)
     hist = {r: 0 for r in (0, 1, 2, 3)}
@@ -120,10 +113,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    threshold = args.threshold
-    # the range test also refuses nan and inf
-    if threshold is not None and not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"--threshold={threshold} must be in (0, 1]")
+    if args.threshold is not None:
+        check("--threshold", args.threshold, "(0, 1]")
     wanted = args.expect_order.split(",") if args.expect_order else []
     for label in wanted:
         if wanted.count(label) > 1:
@@ -131,7 +122,7 @@ def cmd_report(args) -> int:
     runs = harness.load_runs(args.runs)
     curves = {label: harness.median_curve(label, seed_curves)
               for label, seed_curves in runs.items()}
-    threshold, reach = harness.compare_runs(runs, threshold)
+    threshold, reach = harness.compare_runs(runs, args.threshold)
     holds = harness.holds_order(reach, wanted) if wanted else None
 
     print(f"threshold: eval success >= {threshold:.3f}")

@@ -24,6 +24,7 @@ import numpy as np
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EpisodeLog, run_episode
 from .ontology import CONSTRAINT_SLOTS
+from .ranges import check
 from .seeding import rng_stream
 
 CORPUS_SCHEMA = "dialab-corpus"
@@ -81,13 +82,11 @@ class HandcraftedPolicy:
 
     def __init__(self, space: str, p_blunder: float = 0.0,
                  rng: np.random.Generator | None = None):
-        if not 0.0 <= p_blunder <= 1.0:
-            raise ValueError(f"p_blunder={p_blunder} outside [0,1]")
         if p_blunder > 0.0 and rng is None:
             raise ValueError(f"p_blunder={p_blunder} needs an rng to draw "
                              f"blunders from")
         self.space = SPACES[space]
-        self.p_blunder = p_blunder
+        self.p_blunder = check("p_blunder", p_blunder, "[0, 1]")
         self.rng = rng
         self.request = [self.space.action("request", s)
                         for s in CONSTRAINT_SLOTS]
@@ -171,8 +170,7 @@ def generate_dialogues(env: DialogueEnv, n: int, seed: int,
     """Run n handcrafted dialogues with per-dialogue blunder rates drawn from
     the schedule, yielding each rated dialogue as it ends; deterministic per
     seed, parallelizable per dialogue."""
-    if n <= 0:
-        raise ValueError("corpus size must be positive")
+    check("n", n, "[1, inf)")
     schedule = schedule or BlunderSchedule()
     for i in range(n):
         rng = rng_stream(seed, "corpus", i)

@@ -11,7 +11,6 @@ success.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from sys import intern
 from typing import Callable, Iterator
@@ -22,6 +21,7 @@ from . import tracker, usersim
 from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                        GoalConfig, RestaurantDB, SystemAct, UserAct, query,
                        sample_goal)
+from .ranges import ConfigError, bounded, check_ranges
 from .tracker import BeliefState, ErrorModel
 from .usersim import UserConfig
 
@@ -35,26 +35,19 @@ class EpisodeStateError(RuntimeError):
 @dataclass(frozen=True)
 class EnvConfig:
     space: str = "original"              # a key of SPACES
-    max_turns: int = 30
-    turn_penalty: float = -0.03
-    success_reward: float = 1.0
-    failure_reward: float = -1.0
-    db_size: int = 150
+    max_turns: int = bounded("[1, inf)", 30)
+    turn_penalty: float = bounded("(-inf, inf)", -0.03)
+    success_reward: float = bounded("(-inf, inf)", 1.0)
+    failure_reward: float = bounded("(-inf, inf)", -1.0)
+    db_size: int = bounded("[1, inf)", 150)
     user: UserConfig = field(default_factory=UserConfig)
     error: ErrorModel = field(default_factory=ErrorModel)
     goals: GoalConfig = field(default_factory=GoalConfig)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.space not in SPACES:
-            raise ValueError(f"unknown action/state space '{self.space}'")
-        if self.max_turns <= 0:
-            raise ValueError("max_turns must be positive")
-        if self.db_size < 1:
-            raise ValueError(f"db_size={self.db_size} must be >= 1")
-        for name in ("turn_penalty", "success_reward", "failure_reward"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name}={value} must be finite")
+            raise ConfigError(f"space={self.space!r} not in {tuple(SPACES)}")
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,13 @@ observed, which names its on-policy next action.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint
 from .nets import softmax
+from .ranges import bounded, check_ranges
 
 log = logging.getLogger(__name__)
 
@@ -81,26 +81,13 @@ class GPConfig:
     """The ``gp`` config section: the kernel, the admission threshold nu and
     the dictionary cap."""
 
-    length_scale: float = 3.0
-    signal_var: float = 1.0
-    noise_var: float = 0.1
-    nu: float = 0.1
-    max_dictionary: int = 2000
+    length_scale: float = bounded("(0, inf)", 3.0)
+    signal_var: float = bounded("(0, inf)", 1.0)
+    noise_var: float = bounded("(0, inf)", 0.1)
+    nu: float = bounded("[0, inf)", 0.1)
+    max_dictionary: int = bounded("[1, inf)", 2000)
 
-    def __post_init__(self):
-        for name in ("length_scale", "signal_var", "noise_var"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name}={value} must be > 0")
-        if not self.nu >= 0:
-            raise ValueError(f"nu={self.nu} must be >= 0")
-        for name in ("length_scale", "signal_var", "noise_var", "nu"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name}={value} must be finite")
-        if self.max_dictionary < 1:
-            raise ValueError(
-                f"max_dictionary={self.max_dictionary} must be >= 1")
+    __post_init__ = check_ranges
 
 
 class SparseGP:

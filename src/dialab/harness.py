@@ -27,7 +27,8 @@ from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
 from .environment import SPACES, DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPConfig, GPSarsaAgent
-from .ontology import CONSTRAINT_SLOTS, VALUES, generate_db
+from .ontology import VALUES, generate_db
+from .ranges import ConfigError, bounded, check_ranges
 from .seeding import rng_stream
 from .value_agents import AgentConfig, QAgent
 
@@ -38,33 +39,24 @@ PRETRAIN_MODES = ("none", "batch", "sup_full_batch", "sup_expert_batch")
 THRESHOLD_FRAC = 0.9
 
 
-class ConfigError(ValueError):
-    """Invalid or incomplete experiment configuration."""
-
-
 @dataclass(frozen=True)
 class EpsilonSchedule:
     mode: str = "geometric"       # geometric: e0 * rate^t; linear: e0 - rate*t
-    start: float = 0.5
-    rate: float = 0.99995
-    floor: float = 0.05
+    start: float = bounded("[0, 1]", 0.5)
+    rate: float = bounded("[0, inf)", 0.99995)
+    floor: float = bounded("[0, 1]", 0.05)
     unit: str = "transition"      # schedule steps per transition or per dialogue
 
     def __post_init__(self):
+        check_ranges(self)
         if self.mode not in ("geometric", "linear"):
-            raise ConfigError(f"unknown epsilon mode '{self.mode}'")
+            raise ConfigError(f"mode={self.mode!r} not geometric or linear")
         if self.unit not in ("transition", "dialogue"):
-            raise ConfigError(f"unknown epsilon unit '{self.unit}'")
-        if not 0.0 <= self.floor <= self.start <= 1.0:
-            raise ConfigError("need 0 <= floor <= start <= 1")
-        if not math.isfinite(self.rate):
-            raise ConfigError(f"rate={self.rate} must be finite")
-        if self.mode == "geometric" and not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"rate={self.rate} outside [0,1] for a "
-                              f"geometric schedule")
-        if self.mode == "linear" and not self.rate >= 0.0:
-            raise ConfigError(f"rate={self.rate} must be >= 0 for a linear "
-                              f"schedule")
+            raise ConfigError(f"unit={self.unit!r} not transition or dialogue")
+        if self.floor > self.start:
+            raise ConfigError(f"floor={self.floor} exceeds start={self.start}")
+        if self.mode == "geometric" and self.rate > 1:
+            raise ConfigError(f"rate={self.rate} must be <= 1 if geometric")
 
 
 def epsilon(schedule: EpsilonSchedule, t: int) -> float:
@@ -84,9 +76,10 @@ class PretrainParams:
 
     def __post_init__(self):
         if self.mode not in PRETRAIN_MODES:
-            raise ConfigError(f"unknown pretrain mode '{self.mode}'")
+            raise ConfigError(f"mode={self.mode!r} not in {PRETRAIN_MODES}")
         if self.mode != "none" and not self.corpus:
-            raise ConfigError("pretrain mode set but no corpus path given")
+            raise ConfigError(f"corpus={self.corpus!r}: mode {self.mode!r} "
+                              f"needs one")
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,13 @@ class ExperimentConfig(EnvConfig):
     takes the experiment config itself) plus the learner and the protocol."""
 
     algorithm: str = "dqn"
-    seed: int = 0
-    dialogues: int = 1000
-    eval_period: int = 100
-    eval_episodes: int = 100
+    # rng_stream folds a seed to 32 bits: a seed outside would run as another
+    seed: int = bounded("[0, 4294967296)", 0)
+    dialogues: int = bounded("[1, inf)", 1000)
+    eval_period: int = bounded("[1, inf)", 100)
+    eval_episodes: int = bounded("[1, inf)", 100)
     out: str | None = None
-    gamma: float = 0.99
+    gamma: float = bounded("[0, 1]", 0.99)
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     agent: AgentConfig = field(default_factory=AgentConfig)
     gp: GPConfig = field(default_factory=GPConfig)
@@ -109,16 +103,8 @@ class ExperimentConfig(EnvConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm '{self.algorithm}'")
-        if not 0 <= self.seed < 2 ** 32:
-            # rng_stream folds a seed to 32 bits: it would run as another
-            raise ConfigError(f"seed={self.seed} outside [0, 2^32)")
-        for name in ("dialogues", "eval_period", "eval_episodes"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name}={value} must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma={self.gamma} outside [0,1]")
+            raise ConfigError(f"algorithm={self.algorithm!r} not in "
+                              f"{ALGORITHMS}")
         self.explored_actions()     # checks agent.excluded at load
 
     def explored_actions(self) -> tuple:
@@ -185,14 +171,13 @@ def _coerce(cls, data, path: str = ""):
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad '{where}' section: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from exc
 
 
 def _mapping(dotted: str, value: dict) -> dict:
     """A mapping field's value: request counts read from their JSON keys,
-    which are strings, constraint probabilities keyed by constraint slot,
-    and every value a number."""
+    which are strings, and every value a number."""
     out = {}
     for key, v in value.items():
         if dotted == "goals.request_count_weights":
@@ -201,9 +186,6 @@ def _mapping(dotted: str, value: dict) -> dict:
             except ValueError:
                 raise ConfigError(f"'{dotted}' key {key!r} is not an integer "
                                   f"request count") from None
-        elif key not in CONSTRAINT_SLOTS:
-            raise ConfigError(f"'{dotted}' key {key!r} is not a constraint "
-                              f"slot: {', '.join(CONSTRAINT_SLOTS)}")
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"'{dotted}' must map {key!r} to a number, "
                               f"got {v!r}")
@@ -275,10 +257,8 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
     if cfg.algorithm in ("da2c", "tda2c"):
         return ActorCriticAgent(env.n_features, env.n_actions, cfg.agent, rng,
                                 gamma=cfg.gamma)
-    if cfg.algorithm == "gpsarsa":
-        return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp,
-                            gamma=cfg.gamma)
-    raise ConfigError(f"unknown algorithm '{cfg.algorithm}'")
+    return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp,
+                        gamma=cfg.gamma)
 
 
 def check_pretraining(cfg: ExperimentConfig, required: bool = False) -> None:

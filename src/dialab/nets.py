@@ -195,8 +195,6 @@ def add_l2_gradient(grads: np.ndarray, net: FeedForwardNet,
                     coefficient: float) -> None:
     """Add the gradient of ``c * sum(W^2)`` to ``grads`` in place; the
     biases, which the penalty excludes, are left as they are."""
-    if coefficient < 0:
-        raise ValueError("l2 coefficient must be >= 0")
     grads[:net.n_weights] += 2.0 * coefficient * net.params[:net.n_weights]
 
 

@@ -8,11 +8,12 @@ feature layout and every seeded draw downstream indexes into them.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .ranges import ConfigError, bounded, check_ranges
 
 CONSTRAINT_SLOTS = ("area", "food", "pricerange")
 REQUEST_SLOTS = ("area", "food", "address", "name", "pricerange", "postcode",
@@ -45,10 +46,6 @@ _DISHES = ("dumplings", "tagine", "risotto", "noodles", "pie", "curry",
 
 class OntologyError(ValueError):
     """A malformed goal or act, or a slot or value outside the domain."""
-
-
-class GoalConfigError(ValueError):
-    """Goal-sampling configuration outside its valid ranges."""
 
 
 @dataclass(frozen=True)
@@ -165,32 +162,28 @@ class GoalConfig:
     to match at least one database record.
     """
 
-    constraint_probs: Mapping[str, float] = field(
-        default_factory=lambda: {s: 1.0 for s in CONSTRAINT_SLOTS})
-    request_count_weights: Mapping[int, float] = field(
-        default_factory=lambda: {1: 0.35, 2: 0.35, 3: 0.2, 4: 0.1})
-    satisfiable_frac: float = 1.0
+    constraint_probs: Mapping[str, float] = bounded(
+        "[0, 1]", factory=lambda: {s: 1.0 for s in CONSTRAINT_SLOTS})
+    request_count_weights: Mapping[int, float] = bounded(
+        "[0, inf)", factory=lambda: {1: 0.35, 2: 0.35, 3: 0.2, 4: 0.1})
+    satisfiable_frac: float = bounded("[0, 1]", 1.0)
 
     def __post_init__(self):
-        for slot, p in self.constraint_probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise GoalConfigError(f"constraint_probs[{slot}]={p} outside [0,1]")
-        if not 0.0 <= self.satisfiable_frac <= 1.0:
-            raise GoalConfigError(f"satisfiable_frac={self.satisfiable_frac} outside [0,1]")
-        for k, w in self.request_count_weights.items():
-            if k < 1 or not 0 <= w < math.inf:
-                raise GoalConfigError(f"bad request-count weight {k}: {w}")
-        if not sum(self.request_count_weights.values()) > 0:
-            raise GoalConfigError(
-                f"request_count_weights={dict(self.request_count_weights)} "
-                f"has no positive weight")
+        check_ranges(self)
+        for slot in self.constraint_probs:
+            if slot not in CONSTRAINT_SLOTS:
+                raise ConfigError(f"constraint_probs key {slot!r} not in "
+                                  f"{CONSTRAINT_SLOTS}")
+        weights = self.request_count_weights
+        if min(weights, default=1) < 1 or not sum(weights.values()) > 0:
+            raise ConfigError(f"request_count_weights={dict(weights)} needs "
+                              f"counts >= 1 and a positive weight")
         # the request counts and their probabilities, as sample_goal draws
         # from them; not fields
-        counts = sorted(self.request_count_weights)
-        weights = np.array([self.request_count_weights[c] for c in counts],
-                           dtype=float)
+        counts = sorted(weights)
+        p = np.array([weights[c] for c in counts], dtype=float)
         object.__setattr__(self, "request_counts", np.array(counts))
-        object.__setattr__(self, "request_p", weights / weights.sum())
+        object.__setattr__(self, "request_p", p / p.sum())
 
 
 def sample_goal(db: RestaurantDB,

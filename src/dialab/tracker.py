@@ -30,6 +30,7 @@ import numpy as np
 
 from .ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, USER_ACT_TYPES,
                        VALUES, UserAct)
+from .ranges import bounded, check_ranges
 
 G_C = ((1.0, 0.0), (0.8, 0.2), (0.6, 0.2), (0.6, 0.4), (0.4, 0.4))
 
@@ -48,20 +49,13 @@ Observation = Sequence[NBest]
 class ErrorModel:
     """Channel parameters: act deletion, act confusion, n-best shape."""
 
-    p_confuse: float = 0.15
-    p_drop: float = 0.05
-    nbest_size: int = 2
-    concentration: float = 8.0
+    p_confuse: float = bounded("[0, 1]", 0.15)
+    p_drop: float = bounded("[0, 1]", 0.05)
+    nbest_size: int = bounded("[1, inf)", 2)
+    concentration: float = bounded("(0, inf]", 8.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_confuse <= 1.0:
-            raise ValueError(f"p_confuse={self.p_confuse} outside [0,1]")
-        if not 0.0 <= self.p_drop <= 1.0:
-            raise ValueError(f"p_drop={self.p_drop} outside [0,1]")
-        if self.nbest_size < 1:
-            raise ValueError("nbest_size must be >= 1")
-        if not self.concentration > 0:
-            raise ValueError("concentration must be positive")
+        check_ranges(self)
         # the Dirichlet parameters of a draw of scores, the true act's
         # concentration and then 1 per n-best entry; not a field
         object.__setattr__(self, "alpha", np.array(

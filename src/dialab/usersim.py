@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ontology import Restaurant, SystemAct, UserAct, UserGoal
+from .ranges import bounded, check_ranges
 
 
 # the acts without a slot the user gives, one shared instance each
@@ -29,14 +30,10 @@ class UserSessionError(RuntimeError):
 class UserConfig:
     """Behaviour knobs. Probabilities of zero disable a behaviour entirely."""
 
-    p_multi_act: float = 0.3
-    p_null: float = 0.0
+    p_multi_act: float = bounded("[0, 1]", 0.3)
+    p_null: float = bounded("[0, 1]", 0.0)
 
-    def __post_init__(self):
-        for name in ("p_multi_act", "p_null"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name}={p} outside [0,1]")
+    __post_init__ = check_ranges
 
 
 @dataclass

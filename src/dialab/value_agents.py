@@ -9,7 +9,6 @@ the action the target network evaluates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from . import checkpoint, nets
 from .environment import Transition
 from .nets import AdadeltaState, FeedForwardNet, clone_net, copy_params
+from .ranges import ConfigError, bounded, check, check_ranges
 
 
 class PoolTooSmall(RuntimeError):
@@ -35,9 +35,7 @@ class ReplayPool:
     """
 
     def __init__(self, capacity: int, n_features: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+        self.capacity = check("capacity", capacity, "[1, inf)")
         self._features = np.zeros((capacity, n_features))
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
@@ -110,7 +108,8 @@ class ReplayPool:
         """The filled rows, as views, and the newest row's next state."""
         arrays = {k: self.rows(k) for k in self.FIELDS}
         shapes = {k: ("size", *a.shape[1:]) for k, a in arrays.items()}
-        arrays["newest_next"] = self._newest_next    # loads in place
+        arrays["newest_next"] = self._newest_next
+        shapes["newest_next"] = self._newest_next.shape     # restore takes it
         return checkpoint.State(
             arrays, spec={"capacity": self.capacity},
             counters={"size": self._size, "cursor": self._cursor},
@@ -118,9 +117,9 @@ class ReplayPool:
 
     def restore(self, loaded: checkpoint.State, path: str,
                 prefix: str = "") -> None:
-        """Take the counters of a loaded state and copy its rows into the
-        preallocated arrays; ``path`` names the file and ``prefix`` picks
-        the pool out of an agent's."""
+        """Check the counters of a loaded state, then take them and copy its
+        rows and newest next state into the preallocated arrays; ``path``
+        names the file and ``prefix`` picks the pool out of an agent's."""
         def refuse(what: str):
             raise checkpoint.CheckpointError(f"{path}: {prefix}{what}")
 
@@ -136,6 +135,7 @@ class ReplayPool:
         self._size, self._cursor = size, cursor
         for k in self.FIELDS:
             getattr(self, f"_{k}")[:size] = loaded.arrays[prefix + k]
+        self._newest_next[:] = loaded.arrays[prefix + "newest_next"]
 
     def save(self, path: str) -> None:
         checkpoint.save(path, "replay-pool", self.state())
@@ -188,45 +188,28 @@ class AgentConfig:
     managers: the ``agent`` section of an experiment config."""
 
     hidden: tuple = (130, 50)
-    minibatch: int = 32
-    target_sync: int = 1000          # train steps between target copies
-    pool_capacity: int = 50000
-    warmup: int = 1000               # transitions stored before training starts
-    l2: float = 1e-3                 # policy-gradient L2 (actor-critic only)
-    rho: float = 0.95
-    eps_num: float = 1e-6
+    minibatch: int = bounded("[1, inf)", 32)
+    target_sync: int = bounded("[1, inf)", 1000)  # train steps per sync
+    pool_capacity: int = bounded("[1, inf)", 50000)
+    warmup: int = bounded("[0, inf)", 1000)  # pooled before training starts
+    l2: float = bounded("[0, inf)", 1e-3)  # policy-gradient L2 (actor-critic)
+    rho: float = bounded("(0, 1)", 0.95)
+    eps_num: float = bounded("(0, inf)", 1e-6)
     # actions the training loop's epsilon draw never picks; None takes the
     # space's default in environment.SPACES (select-* in original)
     excluded: tuple | None = None
-    sup_epochs: int = 20
-    sup_batch: int = 32
-    sup_holdout: float = 0.1
+    sup_epochs: int = bounded("[0, inf)", 20)
+    sup_batch: int = bounded("[1, inf)", 32)
+    sup_holdout: float = bounded("[0, 1)", 0.1)
     # passes of batch RL (DQN, DDQN and the critic) over the corpus pool
-    batch_sweeps: int = 4
+    batch_sweeps: int = bounded("[0, inf)", 4)
 
     def __post_init__(self):
-        for name, low in (("target_sync", 1), ("minibatch", 1),
-                          ("sup_batch", 1), ("sup_epochs", 0),
-                          ("batch_sweeps", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name}={value} must be >= {low}")
+        check_ranges(self)
         if self.pool_capacity < self.minibatch:
             # the pool could never fill a minibatch
-            raise ValueError(f"pool_capacity={self.pool_capacity} must be "
-                             f">= minibatch={self.minibatch}")
-        if not self.l2 >= 0:
-            raise ValueError(f"l2={self.l2} must be >= 0")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho={self.rho} outside (0,1)")
-        if not self.eps_num > 0:
-            raise ValueError(f"eps_num={self.eps_num} must be > 0")
-        for name in ("l2", "eps_num"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name}={value} must be finite")
-        if not 0.0 <= self.sup_holdout < 1.0:
-            raise ValueError(f"sup_holdout={self.sup_holdout} outside [0,1)")
+            raise ConfigError(f"pool_capacity={self.pool_capacity} must be "
+                              f">= minibatch={self.minibatch}")
 
 
 class QAgent:
@@ -290,6 +273,7 @@ class QAgent:
 
     def load(self, path: str, *run: str) -> dict:
         loaded = checkpoint.load(path, "qagent", self.state(), *run)
+        self.pool.restore(loaded, path, "pool.")    # checks, then copies
+        checkpoint.take(self.state(), loaded)
         self.train_steps = loaded.counters["train_steps"]
-        self.pool.restore(loaded, path, "pool.")
         return loaded.counters

@@ -361,3 +361,29 @@ def test_agent_pool_counters_are_checked_at_load(tmp_path):
                        match=re.escape(f"{path}: pool.cursor=7 does not "
                                        "fit pool.size=3")):
         q_agent(hidden=(8, 6)).load(path)
+
+
+@pytest.mark.parametrize("agent_class, kind", [
+    (QAgent, "qagent"), (ActorCriticAgent, "actor-critic")])
+def test_refused_agent_load_changes_nothing(tmp_path, agent_class, kind):
+    def trained(seed, turns):
+        cfg = AgentConfig(hidden=(8, 6), minibatch=4, warmup=4)
+        agent = agent_class(4, 3, cfg, RNG(seed))
+        for i in turns:
+            agent.observe(transition(i), RNG(i))
+        return agent
+
+    state = trained(0, range(6)).state()
+    state.counters["pool.cursor"] = 7
+    path = str(tmp_path / "agent.npz")
+    checkpoint.save(path, kind, state)
+    agent = trained(1, range(10, 15))
+    before = agent.state()
+    arrays = {k: a.tobytes() for k, a in before.arrays.items()}
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: pool.cursor=7 does not fit pool.size=6")):
+        agent.load(path)
+    after = agent.state()
+    assert {k: a.tobytes() for k, a in after.arrays.items()} == arrays
+    assert after.counters == before.counters
+    assert after.counters["pool.size"] == 5

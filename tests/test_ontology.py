@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialab.ontology import (CONSTRAINT_SLOTS, REQUEST_SLOTS, VALUES,
-                             GoalConfig, GoalConfigError, OntologyError,
-                             Restaurant, RestaurantDB, SystemAct, UserAct,
-                             _pick, generate_db, query, sample_goal)
+                             GoalConfig, OntologyError, Restaurant,
+                             RestaurantDB, SystemAct, UserAct, _pick,
+                             generate_db, query, sample_goal)
+from dialab.ranges import ConfigError
 from reference import generate_db_by_choice, sample_goal_by_choice
 
 
@@ -140,9 +141,9 @@ class TestGoals:
                         == reference.bit_generator.state)
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(GoalConfigError):
+        with pytest.raises(ConfigError):
             GoalConfig(constraint_probs={"area": 1.5})
-        with pytest.raises(GoalConfigError):
+        with pytest.raises(ConfigError):
             GoalConfig(satisfiable_frac=-0.1)
 
     def test_goal_needs_requests_and_constraints(self):
