@@ -6,7 +6,8 @@ replays the controller's rule table against the logged features. A corpus
 file is one JSON header line and one JSON line per dialogue.
 ``CorpusReader`` streams it one dialogue at a time and is the one place
 a record is checked. ``fill_pool`` stores a reader's dialogues, or a
-generated corpus's, in a learner's replay pool, the input of pretraining;
+generated corpus's, in a learner's replay pool, the input of pretraining,
+one turn at a time through the pool's ``add``, as online training does;
 ``check_layout`` compares a corpus's feature names with the ones a learner
 expects.
 ``load_corpus`` reads a whole file into memory, for code that needs every
@@ -22,7 +23,8 @@ from typing import Iterator
 import numpy as np
 
 from .checkpoint import replace_file
-from .environment import SPACES, DialogueEnv, EpisodeLog, run_episode
+from .environment import (SPACES, DialogueEnv, EpisodeLog, Transition,
+                          run_episode)
 from .ontology import CONSTRAINT_SLOTS
 from .ranges import check
 from .seeding import rng_stream
@@ -217,23 +219,30 @@ def fill_pool(corpus, pool) -> np.ndarray:
     in the empty replay ``pool``, in order, and return each turn's dialogue
     rating (int64), one per turn of the corpus.
 
-    Each dialogue goes straight into the pool's rows as it arrives, so a
-    streamed corpus is held nowhere else. The records are not checked
-    again: the reader checks each one it yields, and a generated corpus
-    holds only dialogues its own environment ran. The whole corpus is
-    read, but a dialogue is stored only while every turn so far fits, so a
-    result longer than ``pool.capacity`` means the corpus does not fit.
+    Each turn is one ``pool.add`` as it arrives, so a streamed corpus is
+    held nowhere else: its next state is the next turn's features, or the
+    dialogue's final belief for its last turn, which is terminal. The
+    records are not checked again: the reader checks each one it yields,
+    and a generated corpus holds only dialogues its own environment ran.
+    The whole corpus is read, but a dialogue is stored only while every
+    turn so far fits, so the pool never evicts, and a result longer than
+    ``pool.capacity`` means the corpus does not fit.
     """
     if len(pool):
         raise ValueError(f"fill_pool needs an empty pool; it holds "
                          f"{len(pool)} rows")
     ratings, lengths, turns = [], [], 0
     for d in corpus:
+        records = d.log.records
         ratings.append(d.rating)
-        lengths.append(len(d.log.records))
+        lengths.append(len(records))
         turns += lengths[-1]
         if turns <= pool.capacity:
-            pool.add_log(d.log)
+            for k, rec in enumerate(records, 1):
+                last = k == len(records)
+                nxt = d.log.final_features if last else records[k].features
+                pool.add(Transition(rec.features, rec.action, rec.reward,
+                                    nxt, last, last and d.log.success))
     return np.repeat(np.array(ratings, dtype=np.int64),
                      np.array(lengths, dtype=np.int64))
 

@@ -288,7 +288,8 @@ def context_evidence(sys: SystemAct, obs) -> list:
 
 
 class DialogueEnv:
-    """Goal-driven episodic environment; one instance per training loop."""
+    """Goal-driven episodic environment; a run trains and evaluates on one
+    instance, since ``reset`` re-derives every episode state."""
 
     def __init__(self, db: RestaurantDB, config: EnvConfig):
         self.db = db

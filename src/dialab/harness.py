@@ -41,32 +41,22 @@ THRESHOLD_FRAC = 0.9
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    mode: str = "geometric"       # geometric: e0 * rate^t; linear: e0 - rate*t
+    """epsilon after t transitions: max(floor, start * rate ** t)."""
+
     start: float = bounded("[0, 1]", 0.5)
-    rate: float = bounded("[0, inf)", 0.99995)
+    rate: float = bounded("[0, 1]", 0.99995)
     floor: float = bounded("[0, 1]", 0.05)
-    unit: str = "transition"      # schedule steps per transition or per dialogue
 
     def __post_init__(self):
         check_ranges(self)
-        if self.mode not in ("geometric", "linear"):
-            raise ConfigError(f"mode={self.mode!r} not geometric or linear")
-        if self.unit not in ("transition", "dialogue"):
-            raise ConfigError(f"unit={self.unit!r} not transition or dialogue")
         if self.floor > self.start:
             raise ConfigError(f"floor={self.floor} exceeds start={self.start}")
-        if self.mode == "geometric" and self.rate > 1:
-            raise ConfigError(f"rate={self.rate} must be <= 1 if geometric")
 
 
 def epsilon(schedule: EpsilonSchedule, t: int) -> float:
     if t < 0:
         raise ValueError("schedule step must be >= 0")
-    if schedule.mode == "geometric":
-        value = schedule.start * schedule.rate ** t
-    else:
-        value = schedule.start - schedule.rate * t
-    return max(schedule.floor, value)
+    return max(schedule.floor, schedule.start * schedule.rate ** t)
 
 
 @dataclass(frozen=True)
@@ -128,10 +118,11 @@ class ExperimentConfig(EnvConfig):
         return explored
 
 
-# the JSON types a scalar field takes, by the type of its default; a bool is
-# no number here
+# the JSON types a scalar field takes, by the type of its default, or by its
+# annotation where the default is None; a bool is no number here
 SCALAR_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                str: ((str,), "a string")}
+                str: ((str,), "a string"),
+                "str | None": ((str, type(None)), "a string or null")}
 
 
 def _coerce(cls, data, path: str = ""):
@@ -149,13 +140,14 @@ def _coerce(cls, data, path: str = ""):
         f, dotted = known[key], f"{path}.{key}" if path else key
         default = (f.default if f.default_factory is dataclasses.MISSING
                    else f.default_factory())
+        scalar = SCALAR_TYPES.get(f.type if default is None else type(default))
         if dataclasses.is_dataclass(default):
             value = _coerce(type(default), value, dotted)
         elif isinstance(value, dict) != isinstance(default, dict):
             must = "must" if isinstance(default, dict) else "must not"
             raise ConfigError(f"'{dotted}' {must} be a mapping, got {value!r}")
-        elif type(default) in SCALAR_TYPES:
-            types, kind = SCALAR_TYPES[type(default)]
+        elif scalar:
+            types, kind = scalar
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"'{dotted}' must be {kind}, got {value!r}")
         elif isinstance(default, dict):
@@ -409,7 +401,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
     resuming = resume and os.path.exists(ckpt_path)
     _, _, env = build_world(cfg)
-    eval_env = DialogueEnv(env.db, cfg)
     agent = build_agent(cfg, env)
 
     start_ep = 0
@@ -453,7 +444,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
 
     def eval_point(dialogues_done: int):
         success, mean_return, mean_length = evaluate(
-            agent.eval_action, eval_env, cfg.eval_episodes, cfg.seed)
+            agent.eval_action, env, cfg.eval_episodes, cfg.seed)
         row = (dialogues_done, success, mean_return, mean_length,
                trained_seconds)
         append_curve_row(curve_path, row)
@@ -473,9 +464,6 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         t0 = time.perf_counter()
         for t in rollout(env, policy, rng):
             agent.observe(t, rng)
-            if cfg.epsilon.unit == "transition":
-                schedule_t += 1
-        if cfg.epsilon.unit == "dialogue":
             schedule_t += 1
         trained_seconds += time.perf_counter() - t0
 

@@ -174,16 +174,19 @@ class GoalConfig:
             if slot not in CONSTRAINT_SLOTS:
                 raise ConfigError(f"constraint_probs key {slot!r} not in "
                                   f"{CONSTRAINT_SLOTS}")
-        weights = self.request_count_weights
-        if min(weights, default=1) < 1 or not sum(weights.values()) > 0:
-            raise ConfigError(f"request_count_weights={dict(weights)} needs "
-                              f"counts >= 1 and a positive weight")
         # the request counts and their probabilities, as sample_goal draws
         # from them; not fields
+        weights = self.request_count_weights
         counts = sorted(weights)
         p = np.array([weights[c] for c in counts], dtype=float)
+        with np.errstate(over="ignore"):    # a sum past the float range
+            total = p.sum()
+        if min(weights, default=1) < 1 or not 0 < total < np.inf:
+            raise ConfigError(f"request_count_weights={dict(weights)} needs "
+                              f"counts >= 1 and weights of a finite, "
+                              f"positive sum")
         object.__setattr__(self, "request_counts", np.array(counts))
-        object.__setattr__(self, "request_p", p / p.sum())
+        object.__setattr__(self, "request_p", p / total)
 
 
 def sample_goal(db: RestaurantDB,

@@ -28,10 +28,11 @@ class ReplayPool:
 
     Each state is stored once: row i's next state is the state of row
     ``(i + 1) % capacity``, and the newest row's is held beside the rows
-    until the next row arrives. So after a row that is not terminal,
-    ``add`` and ``add_log`` refuse any state but its next one, bit for bit
-    (by its bytes: ``==`` takes -0.0 for 0.0 and no NaN for itself). After
-    a terminal row any state may follow; no target reads its next state.
+    until the next row arrives. So after a row that is not terminal, ``add``
+    refuses any state but its next one, bit for bit (by its bytes: ``==``
+    takes -0.0 for 0.0 and no NaN for itself). After a terminal row any
+    state may follow; no target reads its next state. ``add`` is the one
+    way rows arrive, online and from a corpus (``corpus.fill_pool``).
     """
 
     def __init__(self, capacity: int, n_features: int):
@@ -47,17 +48,12 @@ class ReplayPool:
     def __len__(self) -> int:
         return self._size
 
-    def _check_follows(self, features) -> None:
-        """Refuse ``features`` as the next row's state unless the newest
-        row is terminal or they are its next state, bit for bit."""
+    def add(self, t: Transition) -> None:
         if (self._size and not self._terminal[self._cursor - 1]
-                and np.asarray(features, dtype=float).tobytes()
+                and np.asarray(t.features, dtype=float).tobytes()
                 != self._newest_next.tobytes()):
             raise ValueError("the newest row is not terminal, and the "
                              "incoming state is not its next state")
-
-    def add(self, t: Transition) -> None:
-        self._check_follows(t.features)
         i = self._cursor
         self._features[i] = t.features
         self._actions[i] = t.action
@@ -66,26 +62,6 @@ class ReplayPool:
         self._newest_next[:] = t.next_features
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-
-    def add_log(self, log) -> None:
-        """Store the turns of ``log``, an EpisodeLog, after the stored rows,
-        as one ``add`` per turn would: turn i's next features are turn
-        i+1's, or the final belief's. Every turn must fit in the free rows:
-        nothing is evicted."""
-        records, i = log.records, self._size
-        n = len(records)
-        if not n:
-            return
-        self._check_follows(records[0].features)
-        np.stack([rec.features for rec in records],
-                 out=self._features[i:i + n])
-        self._actions[i:i + n] = [rec.action for rec in records]
-        self._rewards[i:i + n] = [rec.reward for rec in records]
-        self._terminal[i:i + n - 1] = False
-        self._terminal[i + n - 1] = True     # the log ends at its last turn
-        self._newest_next[:] = log.final_features
-        self._size += n
-        self._cursor = self._size % self.capacity
 
     def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         if self._size < batch:

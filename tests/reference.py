@@ -304,26 +304,6 @@ class TwoArrayPool:
         self._cursor = (self._cursor + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def add_log(self, log) -> None:
-        """Store the turns of ``log``, an EpisodeLog, after the stored rows,
-        as one ``add`` per turn would: turn i's next features are turn
-        i+1's, or the final belief's. Every turn must fit in the free rows:
-        nothing is evicted."""
-        records, i = log.records, self._size
-        n = len(records)
-        if not n:
-            return
-        np.stack([rec.features for rec in records],
-                 out=self._features[i:i + n])
-        self._next_features[i:i + n - 1] = self._features[i + 1:i + n]
-        self._next_features[i + n - 1] = log.final_features
-        self._actions[i:i + n] = [rec.action for rec in records]
-        self._rewards[i:i + n] = [rec.reward for rec in records]
-        self._terminal[i:i + n - 1] = False
-        self._terminal[i + n - 1] = True     # the log ends at its last turn
-        self._size += n
-        self._cursor = self._size % self.capacity
-
     def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         if self._size < batch:
             raise PoolTooSmall(f"pool holds {self._size} < batch {batch}")

@@ -275,17 +275,16 @@ def test_pool_snapshot_restores_the_two_array_pool(tmp_path, n_dialogues):
 
 
 def test_pool_saves_next_states_without_the_whole_column(tmp_path):
-    # 4000 logged dialogues of 10 turns fill the pool, each ending in a
-    # final belief of its own; the snapshot holds the newest one's
+    # 4000 dialogues of 10 turns fill the pool, each ending in a final
+    # belief of its own; the snapshot holds the newest one's
     capacity, n, turns = 40000, 16, 10
     column = capacity * n * 8
     pool = ReplayPool(capacity, n)
     states = RNG(1).normal(size=(capacity // turns, turns + 1, n))
     for dialogue in states:
-        records = [SimpleNamespace(features=f, action=0, reward=0.0,
-                                   terminal=False) for f in dialogue[:-1]]
-        pool.add_log(SimpleNamespace(records=records,
-                                     final_features=dialogue[-1]))
+        for k in range(turns):
+            pool.add(Transition(dialogue[k], 0, 0.0, dialogue[k + 1],
+                                k == turns - 1, False))
     path = str(tmp_path / "pool.npz")
     tracemalloc.start()
     try:

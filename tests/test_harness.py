@@ -125,19 +125,14 @@ class TestEpsilonSchedule:
         assert epsilon(EpsilonSchedule(), 100000) == 0.05
 
     def test_floor_reached_in_the_limit(self):
-        geo = EpsilonSchedule(floor=0.07)
-        lin = EpsilonSchedule(mode="linear", rate=1e-4, floor=0.07)
-        assert epsilon(geo, 10 ** 7) == 0.07
-        assert epsilon(lin, 10 ** 7) == 0.07
+        assert epsilon(EpsilonSchedule(floor=0.07), 10 ** 7) == 0.07
 
     def test_nonincreasing(self):
-        for s in (EpsilonSchedule(), EpsilonSchedule(mode="linear", rate=1e-3)):
-            values = [epsilon(s, t) for t in range(0, 20000, 500)]
-            assert all(a >= b for a, b in zip(values, values[1:]))
+        s = EpsilonSchedule()
+        values = [epsilon(s, t) for t in range(0, 20000, 500)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            EpsilonSchedule(mode="exponentialish")
         with pytest.raises(ConfigError):
             EpsilonSchedule(start=0.4, floor=0.5)
 
@@ -249,7 +244,7 @@ class TestConfig:
             "agent": ["batch_sweeps", "eps_num", "excluded", "hidden", "l2",
                       "minibatch", "pool_capacity", "rho", "sup_batch",
                       "sup_epochs", "sup_holdout", "target_sync", "warmup"],
-            "epsilon": ["floor", "mode", "rate", "start", "unit"],
+            "epsilon": ["floor", "rate", "start"],
             "error": ["concentration", "nbest_size", "p_confuse", "p_drop"],
             "goals": ["constraint_probs", "request_count_weights",
                       "satisfiable_frac"],
@@ -388,25 +383,26 @@ class TestTrainRun:
         assert_same_arrays(tmp_path / "full" / "checkpoint.npz",
                            tmp_path / "half" / "checkpoint.npz")
 
-    def test_per_dialogue_epsilon_resumes_exactly(self, tmp_path):
-        # epsilon.unit="dialogue": schedule_t counts dialogues, not turns,
-        # and a resumed run continues the count from its snapshot
-        def config(out, dialogues):
-            return smoke_config(tmp_path, out=str(tmp_path / out),
-                                dialogues=dialogues,
-                                epsilon={"unit": "dialogue", "rate": 0.9})
+    def test_schedule_steps_once_per_transition_across_a_resume(
+            self, tmp_path, monkeypatch):
+        # each training turn reads epsilon at the number of transitions
+        # before it, a resumed run continues that count from its snapshot,
+        # and the snapshot holds the count after the last turn
+        steps = []
 
-        def schedule_t(out):
-            with np.load(tmp_path / out / "checkpoint.npz") as data:
-                return json.loads(bytes(data["__meta__"]))["schedule_t"]
-        r_full = train_run(config("full", 40))
-        assert schedule_t("full") == 40
-        train_run(config("half", 20))
-        assert schedule_t("half") == 20
-        r_resumed = train_run(config("half", 40), resume=True)
-        assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
-        assert_same_arrays(tmp_path / "full" / "checkpoint.npz",
-                           tmp_path / "half" / "checkpoint.npz")
+        def recorded(schedule, t):
+            steps.append(t)
+            return epsilon(schedule, t)
+        monkeypatch.setattr(harness, "epsilon", recorded)
+        cfg = smoke_config(tmp_path, dialogues=20, epsilon={"rate": 0.9})
+        train_run(cfg)
+        half = len(steps)
+        train_run(dataclasses.replace(cfg, dialogues=40), resume=True)
+        with np.load(os.path.join(cfg.out, "checkpoint.npz")) as data:
+            meta = json.loads(bytes(data["__meta__"]))
+        assert 20 < half < len(steps)
+        assert steps == list(range(len(steps)))
+        assert meta["schedule_t"] == len(steps)
 
     @pytest.mark.parametrize("kill", sorted(KILL_POINTS))
     def test_resume_after_kill_inside_checkpoint_write(self, tmp_path, kill):
@@ -912,11 +908,12 @@ class TestCli:
          "error.concentration=nan must be in (0, inf]"),
         ('goals.request_count_weights={"1":0,"2":0}',
          "goals.request_count_weights={1: 0.0, 2: 0.0} needs counts >= 1 "
-         "and a positive weight"),
-        ("epsilon.rate=-0.5", "epsilon.rate=-0.5 must be in [0, inf)"),
-        ("epsilon.rate=1.5", "epsilon.rate=1.5 must be <= 1 if geometric"),
-        ('epsilon={"mode":"linear","rate":-1}',
-         "epsilon.rate=-1 must be in [0, inf)"),
+         "and weights of a finite, positive sum"),
+        ('goals.request_count_weights={"1":1e308,"2":1e308}',
+         "goals.request_count_weights={1: 1e+308, 2: 1e+308} needs counts "
+         ">= 1 and weights of a finite, positive sum"),
+        ("epsilon.rate=-0.5", "epsilon.rate=-0.5 must be in [0, 1]"),
+        ("epsilon.rate=1.5", "epsilon.rate=1.5 must be in [0, 1]"),
         ("turn_penalty=NaN", "turn_penalty=nan must be in (-inf, inf)"),
         ("success_reward=Infinity",
          "success_reward=inf must be in (-inf, inf)"),
@@ -931,8 +928,9 @@ class TestCli:
         ("gp.noise_var=Infinity", "gp.noise_var=inf must be in (0, inf)"),
         ('goals.request_count_weights={"1":Infinity}',
          "goals.request_count_weights[1]=inf must be in [0, inf)"),
-        ('epsilon={"mode":"linear","rate":Infinity}',
-         "epsilon.rate=inf must be in [0, inf)")])
+        ("out=5", "'out' must be a string or null, got 5"),
+        ("pretrain.corpus=7",
+         "'pretrain.corpus' must be a string or null, got 7")])
     def test_bad_value_exits_2_naming_the_key_before_the_run_starts(
             self, tmp_path, capsys, setting, named):
         path = tmp_path / "cfg.json"
@@ -1296,6 +1294,34 @@ class TestCli:
                          "--resume", "--set", "seed=9"]) == cli.EXIT_CONFIG
         assert "seed from 3 to 9" in capsys.readouterr().err
         assert directory_bytes(out) == before
+
+    def test_resume_of_a_run_with_the_old_epsilon_keys_exits_2(
+            self, tmp_path, capsys):
+        # a run written while epsilon had a decay mode and a step unit
+        # must be redone: its config.json names two keys the config no
+        # longer has, and the resume touches no file before refusing it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": "dqn", "space": "original", "seed": 3,
+            "dialogues": 20, "eval_period": 20, "eval_episodes": 6,
+            "agent": {"hidden": [12, 8], "warmup": 20}}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out",
+                         str(out)]) == cli.EXIT_OK
+        stored = json.loads((out / "config.json").read_text())
+        stored["epsilon"] |= {"mode": "geometric", "unit": "transition"}
+        (out / "config.json").write_text(json.dumps(stored))
+        before = {name: (data, os.stat(out / name).st_mtime_ns)
+                  for name, data in directory_bytes(out).items()}
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(path), "--out", str(out),
+                         "--resume", "--set", "dialogues=40"]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown key(s) ['mode', 'unit'] under "
+            "'epsilon'\n")
+        assert {name: (data, os.stat(out / name).st_mtime_ns)
+                for name, data in directory_bytes(out).items()} == before
 
     @pytest.mark.parametrize("record, message", [
         ('{"provenance": "handcrafted", "log": {}}',

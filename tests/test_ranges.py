@@ -6,6 +6,7 @@ import json
 import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -92,9 +93,6 @@ VERDICTS = [
      [-5e-324, 1.0000000000000002, -1, nan, inf, -inf]),
     ("agent.pool_capacity", {"agent.minibatch": 1}, [1, 2],
      [0, -1, nan, inf, -inf]),
-    ("epsilon.rate", {"epsilon.mode": "linear"},
-     [0, 5e-324, 1.0000000000000002, 1e9],
-     [-5e-324, -1, nan, inf, -inf]),
     ("goals.constraint_probs[area]", {}, [0, 5e-324, 1, 0.9999999999999999],
      [-5e-324, 1.0000000000000002, -1, nan, inf, -inf]),
     ("goals.constraint_probs[food]", {}, [0, 5e-324, 1, 0.9999999999999999],
@@ -170,20 +168,20 @@ def test_refused_value_exits_2_naming_key_and_value(tmp_path, capsys, key,
 @pytest.mark.parametrize("settings, message", [
     ({"epsilon.floor": 0.6}, "epsilon.floor=0.6 exceeds start=0.5"),
     ({"epsilon.start": 0}, "epsilon.floor=0.05 exceeds start=0"),
-    ({"epsilon.rate": 1.5}, "epsilon.rate=1.5 must be <= 1 if geometric"),
-    ({"epsilon.mode": "x"}, "epsilon.mode='x' not geometric or linear"),
-    ({"epsilon.unit": "x"}, "epsilon.unit='x' not transition or dialogue"),
     ({"agent.pool_capacity": 2},
      "agent.pool_capacity=2 must be >= minibatch=32"),
     ({"goals.request_count_weights": {"0": 1.0}},
-     "goals.request_count_weights={0: 1.0} needs counts >= 1 and a "
-     "positive weight"),
+     "goals.request_count_weights={0: 1.0} needs counts >= 1 and weights "
+     "of a finite, positive sum"),
     ({"goals.request_count_weights": {"-1": 1.0, "1": 1.0}},
      "goals.request_count_weights={-1: 1.0, 1: 1.0} needs counts >= 1 and "
-     "a positive weight"),
+     "weights of a finite, positive sum"),
     ({"goals.request_count_weights": {}},
-     "goals.request_count_weights={} needs counts >= 1 and a positive "
-     "weight"),
+     "goals.request_count_weights={} needs counts >= 1 and weights of a "
+     "finite, positive sum"),
+    ({"goals.request_count_weights": {"1": 1e308, "2": 1e308}},
+     "goals.request_count_weights={1: 1e+308, 2: 1e+308} needs counts >= 1 "
+     "and weights of a finite, positive sum"),
     ({"goals.constraint_probs": {"areaa": 1.0}},
      "goals.constraint_probs key 'areaa' not in ('area', 'food', "
      "'pricerange')"),
@@ -216,6 +214,27 @@ def records(cls):
 
 def default(f):
     return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+def declared_intervals(cls, path=""):
+    """(dotted key, interval) of each field of ``cls``'s config tree that
+    declares an interval."""
+    for f in fields(cls):
+        if is_dataclass(default(f)):
+            yield from declared_intervals(type(default(f)),
+                                          f"{path}{f.name}.")
+        elif "range" in f.metadata:
+            yield f"{path}{f.name}", f.metadata["range"]
+
+
+def test_readme_bounds_table_is_the_declared_intervals():
+    # every key the table names, each once, with the interval it declares
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text[text.index("| field | interval |"):].split("\n\n")[0]
+    rows = [line.strip("| ").split(" | ") for line in table.splitlines()[2:]]
+    documented = [(key, interval) for names, interval in rows
+                  for key in re.findall(r"`([^`]+)`", names)]
+    assert sorted(documented) == sorted(declared_intervals(ExperimentConfig))
 
 
 def test_every_number_field_declares_a_range():

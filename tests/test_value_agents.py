@@ -1,7 +1,6 @@
 import os
 import tempfile
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,39 +99,6 @@ class TestReplayPool:
         rewards = {round(r, 9) for r in pool.state().arrays["rewards"]}
         assert rewards == {round(t2.reward, 9), round(t3.reward, 9)}
 
-    @staticmethod
-    def logged(before, turns, seed=0):
-        """A dialogue of ``before`` turns, then a logged dialogue of
-        ``turns`` turns and the transitions its turns are."""
-        rng = RNG(seed)
-        feats = rng.normal(size=(turns + 1, 4))
-        records = [SimpleNamespace(features=feats[k], action=k % 3,
-                                   reward=float(rng.normal()))
-                   for k in range(turns)]
-        log = SimpleNamespace(records=records, final_features=feats[turns])
-        ts = [Transition(r.features, r.action, r.reward, feats[k + 1],
-                         k == turns - 1, False)
-              for k, r in enumerate(records)]
-        return ([transition(i, terminal=i == before - 1)
-                 for i in range(before)], log, ts)
-
-    @pytest.mark.parametrize("before, turns", [(0, 3), (3, 2), (0, 5),
-                                               (2, 0)])
-    def test_add_log_equals_one_add_per_row(self, before, turns):
-        # the per-row add is the reference, up to a full pool
-        earlier, log, ts = self.logged(before, turns)
-        reference, pool = ReplayPool(5, 4), ReplayPool(5, 4)
-        for t in earlier + ts:
-            reference.add(t)
-        for t in earlier:
-            pool.add(t)
-        pool.add_log(log)
-        assert (len(pool), pool._cursor) == (len(reference),
-                                             reference._cursor)
-        for name in ReplayPool.FIELDS:
-            assert (pool.rows(name).tobytes()
-                    == reference.rows(name).tobytes()), name
-
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
         for i in range(100000):
@@ -190,14 +156,11 @@ def op_streams(n_states):
     """Streams of pool inputs over ``n_states`` states: ("turn", next
     state, terminal) continues from the current state; ("jump", state)
     starts the next turn from an unrelated state, and applies only after a
-    terminal row; ("log", states) adds a logged dialogue through its states
-    when it fits in the free rows."""
+    terminal row."""
     state = st.integers(0, n_states - 1)
     return st.lists(st.one_of(
         st.tuples(st.just("turn"), state, st.booleans()),
-        st.tuples(st.just("jump"), state),
-        st.tuples(st.just("log"), st.lists(state, min_size=1, max_size=5))),
-        max_size=30)
+        st.tuples(st.just("jump"), state)), max_size=30)
 
 
 _OPS = op_streams(len(STATES))
@@ -219,18 +182,8 @@ def feed(pools, ops, states=STATES):
             for pool in pools:
                 pool.add(t)
             state, ended = states[op[1]], op[2]
-        elif op[0] == "jump":
-            if ended:
-                state = states[op[1]]
-        elif len(pools[0]) + len(op[1]) <= pools[0].capacity:
-            path = [state] + [states[i] for i in op[1]]
-            records = [SimpleNamespace(features=f, action=j % 3,
-                                       reward=float(-j), terminal=False)
-                       for j, f in enumerate(path[:-1])]
-            log = SimpleNamespace(records=records, final_features=path[-1])
-            for pool in pools:
-                pool.add_log(log)
-            state, ended = path[-1], True
+        elif ended:
+            state = states[op[1]]
         yield
 
 
@@ -318,12 +271,11 @@ class TestOneArrayPool:
 
     @pytest.mark.parametrize("restored", [False, True],
                              ids=["live", "restored"])
-    @pytest.mark.parametrize("logged", [False, True], ids=["add", "add_log"])
     @pytest.mark.parametrize("jump", [
         np.array([1.0, 1.0]), STATES[5], STATES[23]],
         ids=["other", "minus-zero", "other-nan"])
     def test_jump_after_a_non_terminal_row_is_refused_unchanged(
-            self, tmp_path, restored, logged, jump):
+            self, tmp_path, restored, jump):
         # the newest row's next state is [0.0, 0.0], or [nan, nan] with
         # one payload; [-0.0, 0.0] and [nan, nan] with another payload are
         # equal in value or NaN, but not bit for bit, so both are refused
@@ -340,22 +292,15 @@ class TestOneArrayPool:
             pool.load(path)
         before = (len(pool), pool._cursor, state_bytes(pool.state()))
         with pytest.raises(ValueError, match="not its next state"):
-            if logged:
-                pool.add_log(SimpleNamespace(
-                    records=[SimpleNamespace(features=jump, action=0,
-                                             reward=0.0)],
-                    final_features=nxt))
-            else:
-                pool.add(Transition(jump, 0, 0.0, nxt, True, False))
+            pool.add(Transition(jump, 0, 0.0, nxt, True, False))
         assert (len(pool), pool._cursor, state_bytes(pool.state())) == before
         # the next state itself, bit for bit, is taken
         pool.add(Transition(nxt.copy(), 2, 1.0, jump, True, False))
         assert pool.batch(np.array([1]))[3].tobytes() == nxt.tobytes()
 
-    @pytest.mark.parametrize("logged", [False, True], ids=["add", "add_log"])
     @pytest.mark.parametrize("chained", [False, True],
                              ids=["dialogues", "one-chain"])
-    def test_holds_no_state_per_dialogue(self, logged, chained):
+    def test_holds_no_state_per_dialogue(self, chained):
         # 2000 rows of dialogues of 10 turns, each ending in a final belief
         # of its own or starting from the last one's: the pool keeps only
         # its rows and the newest row's next state, which it allocated
@@ -371,12 +316,8 @@ class TestOneArrayPool:
                     states[0] = state
                 ts = [Transition(states[k], 0, 0.0, states[k + 1],
                                  k == turns - 1, False) for k in range(turns)]
-                if logged:
-                    pool.add_log(SimpleNamespace(records=ts,
-                                                 final_features=states[-1]))
-                else:
-                    for t in ts:
-                        pool.add(t)
+                for t in ts:
+                    pool.add(t)
                 state = states[-1].copy()
                 del states, ts
             held, _ = tracemalloc.get_traced_memory()
