@@ -136,6 +136,26 @@ class TestEpsilonSchedule:
         with pytest.raises(ConfigError):
             EpsilonSchedule(start=0.4, floor=0.5)
 
+    def test_three_fields(self):
+        assert [f.name for f in dataclasses.fields(EpsilonSchedule)] == [
+            "start", "rate", "floor"]
+
+    @pytest.mark.parametrize("start, rate, floor, t, value", [
+        (0.5, 0.9, 0.0, 0, 0.5),
+        (0.5, 0.0, 0.0, 0, 0.5),
+        (0.5, 0.0, 0.1, 1, 0.1),
+        (0.5, 1.0, 0.1, 10 ** 9, 0.5),
+        (0.5, 0.5, 0.0, 3, 0.0625),
+        (0.5, 0.5, 0.0, 10 ** 4, 0.0),
+        (0.3, 0.7, 0.3, 5, 0.3)],
+        ids=["t0", "rate0-t0", "rate0-t1", "rate1", "halving", "underflow",
+             "start-is-floor"])
+    def test_one_expression_at_its_edges(self, start, rate, floor, t, value):
+        # max(floor, start * rate ** t), with 0 ** 0 = 1 and an underflow
+        # to 0 that the floor then holds
+        s = EpsilonSchedule(start=start, rate=rate, floor=floor)
+        assert epsilon(s, t) == value == max(floor, start * rate ** t)
+
 
 class TestEvaluate:
     def test_handcrafted_noiseless_is_perfect(self):
@@ -914,6 +934,11 @@ class TestCli:
          ">= 1 and weights of a finite, positive sum"),
         ("epsilon.rate=-0.5", "epsilon.rate=-0.5 must be in [0, 1]"),
         ("epsilon.rate=1.5", "epsilon.rate=1.5 must be in [0, 1]"),
+        ('epsilon={"rate":-1}', "epsilon.rate=-1 must be in [0, 1]"),
+        ('epsilon={"rate":Infinity}', "epsilon.rate=inf must be in [0, 1]"),
+        ('epsilon={"mode":"linear"}',
+         "unknown key(s) ['mode'] under 'epsilon'"),
+        ("epsilon.unit=dialogue", "unknown key(s) ['unit'] under 'epsilon'"),
         ("turn_penalty=NaN", "turn_penalty=nan must be in (-inf, inf)"),
         ("success_reward=Infinity",
          "success_reward=inf must be in (-inf, inf)"),

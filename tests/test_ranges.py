@@ -191,7 +191,11 @@ def test_refused_value_exits_2_naming_key_and_value(tmp_path, capsys, key,
      "pretrain.corpus=None: mode 'batch' needs one"),
     ({"space": "x"}, "space='x' not in ('summary', 'original')"),
     ({"algorithm": "x"},
-     "algorithm='x' not in ('gpsarsa', 'dqn', 'ddqn', 'da2c', 'tda2c')")])
+     "algorithm='x' not in ('gpsarsa', 'dqn', 'ddqn', 'da2c', 'tda2c')"),
+    ({"epsilon.mode": "geometric"},
+     "unknown key(s) ['mode'] under 'epsilon'"),
+    ({"epsilon.unit": "transition"},
+     "unknown key(s) ['unit'] under 'epsilon'")])
 def test_rules_between_fields_and_choices_name_the_field(settings, message):
     with pytest.raises(ConfigError) as refused:
         config_from_dict(config_data(settings))

@@ -1,6 +1,7 @@
 import os
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dialab import nets
+from dialab.corpus import fill_pool
 from dialab.environment import Transition
 from dialab.nets import FeedForwardNet, copy_params
 from dialab.harness import behaviour_action
@@ -98,6 +100,50 @@ class TestReplayPool:
         pool.add(t3)
         rewards = {round(r, 9) for r in pool.state().arrays["rewards"]}
         assert rewards == {round(t2.reward, 9), round(t3.reward, 9)}
+
+    @staticmethod
+    def dialogues(lengths, n=4, seed=0):
+        """Logged dialogues of ``lengths`` turns, rated by their index, and
+        the transitions their turns are, dialogue by dialogue."""
+        rng, logs, ts = RNG(seed), [], []
+        for j, turns in enumerate(lengths):
+            feats = rng.normal(size=(turns + 1, n))
+            records = [SimpleNamespace(features=feats[k], action=k % 3,
+                                       reward=float(rng.normal()))
+                       for k in range(turns)]
+            logs.append(SimpleNamespace(rating=j, log=SimpleNamespace(
+                records=records, final_features=feats[turns],
+                success=j % 2 == 0)))
+            ts.append([Transition(r.features, r.action, r.reward,
+                                  feats[k + 1], k == turns - 1,
+                                  k == turns - 1 and j % 2 == 0)
+                       for k, r in enumerate(records)])
+        return logs, ts
+
+    @pytest.mark.parametrize("lengths", [(3,), (3, 2), (5,), (2, 2, 2)],
+                             ids=["one", "two-fill", "one-fills", "third-out"])
+    def test_fill_pool_equals_one_add_per_turn(self, lengths):
+        # the per-turn add is the reference, for the dialogues that fit in
+        # a pool of 5 whole and in order; every turn is rated
+        logs, ts = self.dialogues(lengths)
+        reference, pool = ReplayPool(5, 4), ReplayPool(5, 4)
+        stored = 0
+        for turns in ts:
+            stored += len(turns)
+            if stored > reference.capacity:
+                break
+            for t in turns:
+                reference.add(t)
+        rating = fill_pool(logs, pool)
+        assert rating.tolist() == [j for j, n in enumerate(lengths)
+                                   for _ in range(n)]
+        assert (len(pool), pool._cursor) == (len(reference),
+                                             reference._cursor)
+        for name in ReplayPool.FIELDS:
+            assert (pool.rows(name).tobytes()
+                    == reference.rows(name).tobytes()), name
+        assert (pool.batch(np.arange(len(pool)))[3].tobytes()
+                == reference.batch(np.arange(len(reference)))[3].tobytes())
 
     def test_size_never_exceeds_capacity(self):
         pool = ReplayPool(capacity=64, n_features=4)
@@ -298,28 +344,42 @@ class TestOneArrayPool:
         pool.add(Transition(nxt.copy(), 2, 1.0, jump, True, False))
         assert pool.batch(np.array([1]))[3].tobytes() == nxt.tobytes()
 
+    @pytest.mark.parametrize("filled", [False, True],
+                             ids=["add", "fill_pool"])
     @pytest.mark.parametrize("chained", [False, True],
                              ids=["dialogues", "one-chain"])
-    def test_holds_no_state_per_dialogue(self, chained):
+    def test_holds_no_state_per_dialogue(self, chained, filled):
         # 2000 rows of dialogues of 10 turns, each ending in a final belief
-        # of its own or starting from the last one's: the pool keeps only
-        # its rows and the newest row's next state, which it allocated
-        # before the first row
+        # of its own or starting from the last one's, added turn by turn or
+        # streamed through fill_pool: the pool keeps only its rows and the
+        # newest row's next state, which it allocated before the first row
         capacity, n, turns = 2000, 31, 10
         pool, rng = ReplayPool(capacity, n), RNG(0)
-        state = rng.normal(size=n)
-        tracemalloc.start()
-        try:
+
+        def stream():
+            state = rng.normal(size=n)
             for _ in range(capacity // turns):
                 states = rng.normal(size=(turns + 1, n))
                 if chained:
                     states[0] = state
-                ts = [Transition(states[k], 0, 0.0, states[k + 1],
-                                 k == turns - 1, False) for k in range(turns)]
-                for t in ts:
-                    pool.add(t)
+                yield states
                 state = states[-1].copy()
-                del states, ts
+                del states
+
+        tracemalloc.start()
+        try:
+            if filled:
+                fill_pool((SimpleNamespace(rating=0, log=SimpleNamespace(
+                    records=[SimpleNamespace(features=s, action=0,
+                                             reward=0.0) for s in states[:-1]],
+                    final_features=states[-1], success=False))
+                    for states in stream()), pool)
+            else:
+                for states in stream():
+                    for k in range(turns):
+                        pool.add(Transition(states[k], 0, 0.0, states[k + 1],
+                                            k == turns - 1, False))
+                del states
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
