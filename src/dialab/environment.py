@@ -172,7 +172,8 @@ def _select_slot(belief: BeliefState) -> str:
 
 @dataclass(frozen=True)
 class Space:
-    """Everything that differs between two state/action spaces."""
+    """Everything that differs between two state/action spaces, the one
+    source of the actions exploration draws from (``explored``) included."""
 
     # action name -> (act type, None | fixed slot | slot chooser); the
     # order is the agents' action indices
@@ -183,11 +184,14 @@ class Space:
     # features -> each constraint slot's top-value probability, as the
     # handcrafted rule and the corpus rating read it
     slot_confidence: Callable[[np.ndarray], np.ndarray]
-    excluded: tuple = ()             # actions exploration skips by default
+    excluded: tuple = ()             # action names exploration skips
     actions: tuple = field(init=False)
+    explored: tuple = field(init=False)  # the indices of all others
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.acts))
+        object.__setattr__(self, "explored", tuple(
+            i for i, a in enumerate(self.actions) if a not in self.excluded))
 
     def action(self, act_type: str, slot: str | None = None) -> int:
         """The index of the action realizing ``act_type`` on ``slot``, or

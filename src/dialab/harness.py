@@ -25,7 +25,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .actor_critic import ActorCriticAgent
 from .checkpoint import replace_file
-from .environment import SPACES, DialogueEnv, EnvConfig, rollout
+from .environment import DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPConfig, GPSarsaAgent
 from .ontology import VALUES, generate_db
 from .ranges import ConfigError, bounded, check_ranges
@@ -95,27 +95,6 @@ class ExperimentConfig(EnvConfig):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm={self.algorithm!r} not in "
                               f"{ALGORITHMS}")
-        self.explored_actions()     # checks agent.excluded at load
-
-    def explored_actions(self) -> tuple:
-        """The actions an epsilon draw picks from: the space's actions
-        minus ``agent.excluded``, or minus the space's default exclusions
-        when that is unset."""
-        space = SPACES[self.space]
-        actions = range(len(space.actions))
-        excluded = self.agent.excluded
-        if excluded is None:
-            excluded = [space.actions.index(a) for a in space.excluded]
-        elif not isinstance(excluded, (list, tuple)) or not all(
-                type(a) is int and a in actions for a in excluded):
-            raise ConfigError(f"'agent.excluded' must list action indices "
-                              f"0-{len(actions) - 1} of the {self.space} "
-                              f"space, got {excluded!r}")
-        explored = tuple(a for a in actions if a not in excluded)
-        if not explored:
-            raise ConfigError(f"'agent.excluded' leaves no action of the "
-                              f"{self.space} space to explore")
-        return explored
 
 
 # the JSON types a scalar field takes, by the type of its default, or by its
@@ -123,6 +102,14 @@ class ExperimentConfig(EnvConfig):
 SCALAR_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                 str: ((str,), "a string"),
                 "str | None": ((str, type(None)), "a string or null")}
+
+
+def _field_kind(f) -> tuple:
+    """A field's default and, for a scalar, (its JSON types, their wording)."""
+    default = (f.default if f.default_factory is dataclasses.MISSING
+               else f.default_factory())
+    return default, SCALAR_TYPES.get(f.type if default is None
+                                     else type(default))
 
 
 def _coerce(cls, data, path: str = ""):
@@ -138,9 +125,7 @@ def _coerce(cls, data, path: str = ""):
     kwargs = {}
     for key, value in data.items():
         f, dotted = known[key], f"{path}.{key}" if path else key
-        default = (f.default if f.default_factory is dataclasses.MISSING
-                   else f.default_factory())
-        scalar = SCALAR_TYPES.get(f.type if default is None else type(default))
+        default, scalar = _field_kind(f)
         if dataclasses.is_dataclass(default):
             value = _coerce(type(default), value, dotted)
         elif isinstance(value, dict) != isinstance(default, dict):
@@ -152,12 +137,6 @@ def _coerce(cls, data, path: str = ""):
                 raise ConfigError(f"'{dotted}' must be {kind}, got {value!r}")
         elif isinstance(default, dict):
             value = _mapping(dotted, value)
-        elif isinstance(default, tuple):    # agent.hidden's layer sizes
-            if not isinstance(value, list) or not all(
-                    type(v) is int and v > 0 for v in value):
-                raise ConfigError(f"'{dotted}' must be a list of positive "
-                                  f"integers, got {value!r}")
-            value = tuple(value)
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -168,16 +147,10 @@ def _coerce(cls, data, path: str = ""):
 
 
 def _mapping(dotted: str, value: dict) -> dict:
-    """A mapping field's value: request counts read from their JSON keys,
-    which are strings, and every value a number."""
+    """A mapping field's value, every value a number; its record reads the
+    keys."""
     out = {}
     for key, v in value.items():
-        if dotted == "goals.request_count_weights":
-            try:
-                key = int(key)
-            except ValueError:
-                raise ConfigError(f"'{dotted}' key {key!r} is not an integer "
-                                  f"request count") from None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"'{dotted}' must map {key!r} to a number, "
                               f"got {v!r}")
@@ -202,6 +175,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return unwrap(cfg)
 
 
+def _override_types(key: str) -> tuple:
+    """The JSON types of the scalar field the dotted ``key`` names, if any."""
+    record, scalar = ExperimentConfig, None
+    for part in key.split("."):
+        f = getattr(record, "__dataclass_fields__", {}).get(part)
+        if f is None:
+            return ()
+        record, scalar = _field_kind(f)
+    return scalar[0] if scalar else ()
+
+
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
     with open(path) as fh:
         try:
@@ -215,10 +199,14 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not key=value")
         key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+        types = _override_types(key)
+        if str in types:    # a string field takes the text as it is given
+            value = None if raw == "null" and type(None) in types else raw
+        else:
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError:
+                value = raw
         node = data
         parts = key.split(".")
         for i, part in enumerate(parts[:-1]):
@@ -337,13 +325,10 @@ def _curve_line(row: tuple) -> str:
     return f"{d},{s!r},{r!r},{length!r},{w:.3f}\n"
 
 
-def append_curve_row(path: str, row: tuple) -> None:
-    new = not os.path.exists(path)
-    with open(path, "a") as fh:
-        if new:
-            fh.write(CURVE_HEADER + "\n")
-        fh.write(_curve_line(row))
-        fh.flush()
+def write_curve(path: str, rows: list[tuple]) -> None:
+    """Write the whole curve file; it replaces the old one only once whole."""
+    text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
+    replace_file(path, lambda fh: fh.write(text.encode()))
 
 
 def load_curve(path: str) -> list[tuple]:
@@ -389,9 +374,10 @@ def _require_unchanged(stored, given, key: str = "") -> None:
 
 def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     """Train one (algorithm, seed) run, evaluating every eval_period
-    dialogues: each eval point appends a curve row, then replaces the
-    run's one snapshot, ``checkpoint.npz``. Returns the rows. ``resume``
-    continues the run in ``cfg.out``, or returns its rows if finished."""
+    dialogues: each eval point rewrites ``curve.csv`` with its new row,
+    then replaces the run's one snapshot, ``checkpoint.npz``. Returns the
+    rows. ``resume`` continues the run in ``cfg.out``, or returns its rows
+    if finished."""
     if cfg.out is None:
         raise ConfigError("config needs an 'out' directory for training")
     check_pretraining(cfg)
@@ -418,7 +404,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         if cfg.dialogues < start_ep:
             raise ConfigError(f"cannot resume {cfg.out} with dialogues="
                               f"{cfg.dialogues}: its snapshot is at {start_ep}")
-        # a kill after an eval row was appended but before the snapshot was
+        # a kill after an eval row was written but before the snapshot was
         # replaced leaves rows past it; they are trained again
         rows = [row for row in load_curve(curve_path) if row[0] <= start_ep]
         if not rows or rows[-1][0] != start_ep:
@@ -438,8 +424,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     if not resuming or stored_text != config_text:
         replace_file(config_path, lambda fh: fh.write(config_text.encode()))
     if resuming:
-        text = CURVE_HEADER + "\n" + "".join(map(_curve_line, rows))
-        replace_file(curve_path, lambda fh: fh.write(text.encode()))
+        write_curve(curve_path, rows)
         log.info("resuming %s at dialogue %d", cfg.out, start_ep)
 
     def eval_point(dialogues_done: int):
@@ -447,13 +432,13 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
             agent.eval_action, env, cfg.eval_episodes, cfg.seed)
         row = (dialogues_done, success, mean_return, mean_length,
                trained_seconds)
-        append_curve_row(curve_path, row)
         rows.append(row)
+        write_curve(curve_path, rows)
 
     if start_ep == 0:
         eval_point(0)
 
-    explored = cfg.explored_actions()
+    explored = env.space.explored
 
     def policy(features):
         eps = epsilon(cfg.epsilon, schedule_t)

@@ -169,6 +169,14 @@ class GoalConfig:
     satisfiable_frac: float = bounded("[0, 1]", 1.0)
 
     def __post_init__(self):
+        weights = {}    # the request counts as ints: a JSON key is a string
+        for key, w in self.request_count_weights.items():
+            try:
+                weights[int(str(key))] = w
+            except ValueError:
+                raise ConfigError(f"request_count_weights key {key!r} is not "
+                                  f"an integer request count") from None
+        object.__setattr__(self, "request_count_weights", weights)
         check_ranges(self)
         for slot in self.constraint_probs:
             if slot not in CONSTRAINT_SLOTS:
@@ -176,13 +184,12 @@ class GoalConfig:
                                   f"{CONSTRAINT_SLOTS}")
         # the request counts and their probabilities, as sample_goal draws
         # from them; not fields
-        weights = self.request_count_weights
         counts = sorted(weights)
         p = np.array([weights[c] for c in counts], dtype=float)
         with np.errstate(over="ignore"):    # a sum past the float range
             total = p.sum()
         if min(weights, default=1) < 1 or not 0 < total < np.inf:
-            raise ConfigError(f"request_count_weights={dict(weights)} needs "
+            raise ConfigError(f"request_count_weights={weights} needs "
                               f"counts >= 1 and weights of a finite, "
                               f"positive sum")
         object.__setattr__(self, "request_counts", np.array(counts))

@@ -161,9 +161,10 @@ def regression_step(net: FeedForwardNet, opt: AdadeltaState,
 @dataclass(frozen=True)
 class AgentConfig:
     """Network, replay and pretraining settings of the DQN and actor-critic
-    managers: the ``agent`` section of an experiment config."""
+    managers: the ``agent`` section of an experiment config. Exploration's
+    actions are the space's (``environment.Space.explored``)."""
 
-    hidden: tuple = (130, 50)
+    hidden: tuple = (130, 50)        # hidden layer sizes, each an int >= 1
     minibatch: int = bounded("[1, inf)", 32)
     target_sync: int = bounded("[1, inf)", 1000)  # train steps per sync
     pool_capacity: int = bounded("[1, inf)", 50000)
@@ -171,9 +172,6 @@ class AgentConfig:
     l2: float = bounded("[0, inf)", 1e-3)  # policy-gradient L2 (actor-critic)
     rho: float = bounded("(0, 1)", 0.95)
     eps_num: float = bounded("(0, inf)", 1e-6)
-    # actions the training loop's epsilon draw never picks; None takes the
-    # space's default in environment.SPACES (select-* in original)
-    excluded: tuple | None = None
     sup_epochs: int = bounded("[0, inf)", 20)
     sup_batch: int = bounded("[1, inf)", 32)
     sup_holdout: float = bounded("[0, 1)", 0.1)
@@ -182,6 +180,10 @@ class AgentConfig:
 
     def __post_init__(self):
         check_ranges(self)
+        if not isinstance(self.hidden, tuple) or not all(
+                type(size) is int and size > 0 for size in self.hidden):
+            raise ConfigError(f"hidden={self.hidden!r} must be a tuple of "
+                              f"positive integer layer sizes")
         if self.pool_capacity < self.minibatch:
             # the pool could never fill a minibatch
             raise ConfigError(f"pool_capacity={self.pool_capacity} must be "

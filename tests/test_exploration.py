@@ -122,7 +122,7 @@ def test_behaviour_action_matches_the_old_helper(helper):
 def test_observe_time_update_matches_select_time_update():
     cfg = ExperimentConfig(algorithm="gpsarsa", space="summary", seed=4)
     _, _, env = harness.build_world(cfg)
-    explored = cfg.explored_actions()
+    explored = env.space.explored
     old, new = (cls(env.n_features, env.n_actions, cfg.gp, gamma=cfg.gamma)
                 for cls in (SelectTimeAdapter, GPSarsaAgent))
     eps = 0.3
@@ -144,13 +144,13 @@ def test_observe_time_update_matches_select_time_update():
         assert a.tobytes() == b.tobytes(), name
 
 
-# -- (c) GPSARSA on the original space keeps the default exclusions ----------
+# -- (c) GPSARSA on the original space keeps the space's exclusions ----------
 
 def test_gpsarsa_on_original_never_explores_select():
     cfg = ExperimentConfig(algorithm="gpsarsa", space="original")
     _, _, env = harness.build_world(cfg)
     agent = harness.build_agent(cfg, env)
-    explored = cfg.explored_actions()
+    explored = env.space.explored
     rng = RNG(6)
     features = env.reset(RNG(7))
     drawn = {behaviour_action(agent, features, 1.0, explored, rng)

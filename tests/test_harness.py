@@ -17,7 +17,7 @@ from dialab import corpus as corpus_mod
 from dialab.checkpoint import CheckpointError
 from dialab.corpus import (CorpusReader, HandcraftedPolicy,
                            LayoutMismatchError, generate_corpus, save_corpus)
-from dialab.environment import Transition, run_episode
+from dialab.environment import SPACES, Transition, run_episode
 from dialab.harness import (ConfigError, EpsilonSchedule, ExperimentConfig,
                             compare_runs, config_from_dict, config_to_dict,
                             epsilon, evaluate, load_config, load_curve,
@@ -40,16 +40,16 @@ def smoke_config(tmp_path, algorithm="dqn", **over):
 
 
 # code run before train_run in a subprocess, exiting with 9 at one point of
-# the dialogue-40 snapshot: after its curve row is appended, halfway through
+# the dialogue-40 snapshot: after its curve row is written, halfway through
 # writing its temporary file, when replacing it, and right after replacing it
 KILL_POINTS = {
     "after-row": """
-append = harness.append_curve_row
-def append_or_die(path, row):
-    append(path, row)
-    if row[0] == 40:
+write = harness.write_curve
+def write_or_die(path, rows):
+    write(path, rows)
+    if rows[-1][0] == 40:
         os._exit(9)
-harness.append_curve_row = append_or_die
+harness.write_curve = write_or_die
 """,
     "partial-write": """
 from dialab import checkpoint
@@ -261,7 +261,7 @@ class TestConfig:
             "success_reward", "turn_penalty", "user"]
         assert {k: sorted(v) for k, v in data.items()
                 if isinstance(v, dict)} == {
-            "agent": ["batch_sweeps", "eps_num", "excluded", "hidden", "l2",
+            "agent": ["batch_sweeps", "eps_num", "hidden", "l2",
                       "minibatch", "pool_capacity", "rho", "sup_batch",
                       "sup_epochs", "sup_holdout", "target_sync", "warmup"],
             "epsilon": ["floor", "rate", "start"],
@@ -280,13 +280,19 @@ class TestConfig:
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
 
-    def test_excluded_defaults_by_space(self):
-        cfg = config_from_dict({"algorithm": "dqn", "space": "original"})
-        names = [a for i, a in enumerate(ORIGINAL_ACTIONS)
-                 if i not in cfg.explored_actions()]
-        assert names == ["select-area", "select-food", "select-pricerange"]
-        cfg2 = config_from_dict({"algorithm": "dqn", "space": "summary"})
-        assert cfg2.explored_actions() == tuple(range(7))
+    def test_the_space_owns_its_exploration_set(self):
+        # the eight original actions that are not select-*, in index order,
+        # and every summary action
+        original = SPACES["original"].explored
+        assert original == tuple(i for i, a in enumerate(ORIGINAL_ACTIONS)
+                                 if not a.startswith("select-"))
+        assert len(original) == 8
+        assert [ORIGINAL_ACTIONS[i] for i in range(11)
+                if i not in original] == ["select-area", "select-food",
+                                          "select-pricerange"]
+        assert SPACES["summary"].explored == tuple(range(7))
+        _, _, env = harness.build_world(config_from_dict({"space": "summary"}))
+        assert env.space.explored is SPACES["summary"].explored
 
     def test_file_loading_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -900,28 +906,26 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, named", [
-        ("agent.excluded=[0,1,2,3,4,5,6,7,8,9,10]",
-         "'agent.excluded' leaves no action"),
-        ("agent.excluded=[99]", "'agent.excluded' must list action indices"),
-        ("agent.excluded=[1.5]", "'agent.excluded' must list action indices"),
-        ("agent.excluded=abc", "'agent.excluded' must list action indices"),
         ("dialogues=1.5", "'dialogues' must be an integer"),
         ("seed=1.0", "'seed' must be an integer"),
         ("eval_period=true", "'eval_period' must be an integer"),
         ("gamma=abc", "'gamma' must be a number"),
         ("epsilon.start=false", "'epsilon.start' must be a number"),
         ("agent.minibatch=x", "'agent.minibatch' must be an integer"),
-        ("space=1", "'space' must be a string"),
-        ("agent.hidden=5", "'agent.hidden' must be a list of positive"),
-        ('agent.hidden=["a"]', "'agent.hidden' must be a list of positive"),
-        ("agent.hidden=[16,0]", "'agent.hidden' must be a list of positive"),
+        ("space=1", "space='1' not in ('summary', 'original')"),
+        ("agent.hidden=5", "agent.hidden=5 must be a tuple of positive "
+         "integer layer sizes"),
+        ('agent.hidden=["a"]', "agent.hidden=('a',) must be a tuple of "
+         "positive integer layer sizes"),
+        ("agent.hidden=[16,0]", "agent.hidden=(16, 0) must be a tuple of "
+         "positive integer layer sizes"),
         ('goals.constraint_probs={"area":"x"}',
          "'goals.constraint_probs' must map 'area' to a number"),
         ('goals.constraint_probs={"areaa":1.0}',
          "goals.constraint_probs key 'areaa' not in ('area', 'food', "
          "'pricerange')"),
         ('goals.request_count_weights={"1":"x"}',
-         "'goals.request_count_weights' must map 1 to a number"),
+         "'goals.request_count_weights' must map '1' to a number"),
         ("agent.l2=NaN", "agent.l2=nan must be in [0, inf)"),
         ("db_size=0", "db_size=0 must be in [1, inf)"),
         ("error.concentration=NaN",
@@ -952,10 +956,7 @@ class TestCli:
         ("gp.signal_var=Infinity", "gp.signal_var=inf must be in (0, inf)"),
         ("gp.noise_var=Infinity", "gp.noise_var=inf must be in (0, inf)"),
         ('goals.request_count_weights={"1":Infinity}',
-         "goals.request_count_weights[1]=inf must be in [0, inf)"),
-        ("out=5", "'out' must be a string or null, got 5"),
-        ("pretrain.corpus=7",
-         "'pretrain.corpus' must be a string or null, got 7")])
+         "goals.request_count_weights[1]=inf must be in [0, inf)")])
     def test_bad_value_exits_2_naming_the_key_before_the_run_starts(
             self, tmp_path, capsys, setting, named):
         path = tmp_path / "cfg.json"
@@ -968,6 +969,50 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, named", [
+        ({"out": 5}, "'out' must be a string or null, got 5"),
+        ({"pretrain": {"corpus": 7}},
+         "'pretrain.corpus' must be a string or null, got 7")])
+    def test_file_value_of_a_string_field_must_be_a_string(
+            self, tmp_path, capsys, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "dqn", "dialogues": 2,
+                                    "eval_period": 1, "eval_episodes": 1,
+                                    **config}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out",
+                         str(out)]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_field_takes_the_override_text_as_given(self, tmp_path):
+        # by the field's declared type: null stays null where it is allowed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out": "x"}))
+        cfg = load_config(str(path), ["out=2024", "pretrain.corpus=007",
+                                      "space=original", "algorithm=ddqn",
+                                      "pretrain.mode=none", "seed=12"])
+        assert (cfg.out, cfg.pretrain.corpus, cfg.space, cfg.algorithm,
+                cfg.pretrain.mode, cfg.seed) == (
+            "2024", "007", "original", "ddqn", "none", 12)
+        assert load_config(str(path), ["out=null"]).out is None
+        assert load_config(str(path), ['out="q"']).out == '"q"'
+        with pytest.raises(ConfigError, match=re.escape(
+                "pretrain.mode='null' not in ")):
+            load_config(str(path), ["pretrain.mode=null"])
+
+    def test_set_out_to_digits_trains_into_that_directory(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algorithm": "dqn", "dialogues": 2,
+                                    "eval_period": 1, "eval_episodes": 1,
+                                    "agent": {"hidden": [8], "warmup": 2}}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--config", str(path),
+                         "--set", "out=2024"]) == cli.EXIT_OK
+        assert [row[0] for row in load_curve("2024/curve.csv")] == [0, 1, 2]
+        assert os.path.exists("2024/checkpoint.npz")
+
     @pytest.mark.parametrize("config, setting, named", [
         ({"gamma": 0.9}, "gamma.x=1", "'gamma'"),
         ({"agent": {"hidden": [8]}}, "agent.hidden.x=1", "'agent.hidden'"),
@@ -975,7 +1020,8 @@ class TestCli:
         ({"algorithm": "dqn"}, "agent.hidden.x=1", "'agent.hidden'"),
         ([1, 2], None, "cfg.json"),
         ({"goals": {"request_count_weights": {"x": 1.0}}}, None,
-         "'goals.request_count_weights'"),
+         "goals.request_count_weights key 'x' is not an integer request "
+         "count"),
     ], ids=["into-a-file-value", "into-a-file-list", "value-as-mapping",
             "list-as-mapping", "list-file", "non-integer-count"])
     def test_misshapen_config_exits_2_naming_the_key(self, tmp_path, capsys,
@@ -1320,11 +1366,9 @@ class TestCli:
         assert "seed from 3 to 9" in capsys.readouterr().err
         assert directory_bytes(out) == before
 
-    def test_resume_of_a_run_with_the_old_epsilon_keys_exits_2(
-            self, tmp_path, capsys):
-        # a run written while epsilon had a decay mode and a step unit
-        # must be redone: its config.json names two keys the config no
-        # longer has, and the resume touches no file before refusing it
+    def resume_with_stored_keys(self, tmp_path, capsys, section, keys):
+        """The error of resuming a finished run whose config.json adds
+        ``keys`` to ``section``; the resume must touch no file."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "algorithm": "dqn", "space": "original", "seed": 3,
@@ -1334,7 +1378,7 @@ class TestCli:
         assert cli.main(["train", "--config", str(path), "--out",
                          str(out)]) == cli.EXIT_OK
         stored = json.loads((out / "config.json").read_text())
-        stored["epsilon"] |= {"mode": "geometric", "unit": "transition"}
+        stored[section] |= keys
         (out / "config.json").write_text(json.dumps(stored))
         before = {name: (data, os.stat(out / name).st_mtime_ns)
                   for name, data in directory_bytes(out).items()}
@@ -1342,11 +1386,29 @@ class TestCli:
         assert cli.main(["train", "--config", str(path), "--out", str(out),
                          "--resume", "--set", "dialogues=40"]) == \
             cli.EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: unknown key(s) ['mode', 'unit'] under "
-            "'epsilon'\n")
         assert {name: (data, os.stat(out / name).st_mtime_ns)
                 for name, data in directory_bytes(out).items()} == before
+        return capsys.readouterr().err
+
+    def test_resume_of_a_run_with_the_old_epsilon_keys_exits_2(
+            self, tmp_path, capsys):
+        # a run written while epsilon had a decay mode and a step unit
+        # must be redone: its config.json names two keys the config no
+        # longer has, and the resume touches no file before refusing it
+        err = self.resume_with_stored_keys(
+            tmp_path, capsys, "epsilon",
+            {"mode": "geometric", "unit": "transition"})
+        assert err == ("config error: unknown key(s) ['mode', 'unit'] under "
+                       "'epsilon'\n")
+
+    def test_resume_of_a_run_with_agent_excluded_exits_2(self, tmp_path,
+                                                         capsys):
+        # every config.json written while the agent could override the
+        # space's exploration set holds "excluded": null
+        err = self.resume_with_stored_keys(tmp_path, capsys, "agent",
+                                           {"excluded": None})
+        assert err == ("config error: unknown key(s) ['excluded'] under "
+                       "'agent'\n")
 
     @pytest.mark.parametrize("record, message", [
         ('{"provenance": "handcrafted", "log": {}}',

@@ -12,6 +12,7 @@ import pytest
 
 from dialab import cli
 from dialab.harness import ExperimentConfig, config_from_dict, config_to_dict
+from dialab.ontology import GoalConfig
 from dialab.ranges import ConfigError, check
 
 nan, inf = math.nan, math.inf
@@ -163,6 +164,65 @@ def test_refused_value_exits_2_naming_key_and_value(tmp_path, capsys, key,
              f"'{key}' must be an integer, got {value}")
     assert any(text in err for text in shown), err
     assert not out.exists()
+
+
+def section_record(key: str):
+    """The record class that holds the dotted ``key``'s field."""
+    cls = ExperimentConfig
+    for part in key.partition("[")[0].split(".")[:-1]:
+        cls = type(default(next(f for f in fields(cls) if f.name == part)))
+    return cls
+
+
+@pytest.mark.parametrize("key, others, value", REFUSED,
+                         ids=[f"{k}={v}{o or ''}" for k, o, v in REFUSED])
+def test_a_record_built_in_code_refuses_what_the_reader_refuses(key, others,
+                                                                value):
+    # so that no rule lives only in the config reader
+    data = config_data({**others, key: value})
+    for part in key.partition("[")[0].split(".")[:-1]:
+        data = data[part]
+    name = key.rpartition(".")[2].partition("[")[0]
+    with pytest.raises(ConfigError, match=f"^{name}"):
+        section_record(key)(**data)
+
+
+# a record's rules on the shape of a field that is no single number: (dotted
+# key, the value as code passes it, the record's message)
+SHAPES = [
+    ("agent.hidden", 5,
+     "hidden=5 must be a tuple of positive integer layer sizes"),
+    ("agent.hidden", (16, 0),
+     "hidden=(16, 0) must be a tuple of positive integer layer sizes"),
+    ("agent.hidden", ("a",),
+     "hidden=('a',) must be a tuple of positive integer layer sizes"),
+    ("agent.hidden", (16, True),
+     "hidden=(16, True) must be a tuple of positive integer layer sizes"),
+    ("goals.request_count_weights", {"x": 1.0},
+     "request_count_weights key 'x' is not an integer request count"),
+    ("goals.request_count_weights", {1.5: 1.0},
+     "request_count_weights key 1.5 is not an integer request count"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", SHAPES,
+                         ids=[f"{k}={v!r}" for k, v, _ in SHAPES])
+def test_a_shape_rule_is_its_records_in_code_and_from_the_reader(
+        key, value, message):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError) as built:
+        section_record(key)(**{name: value})
+    assert str(built.value) == message
+    as_read = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError) as read:
+        config_from_dict({section: {name: as_read}})
+    assert str(read.value) == f"{section}.{message}"
+
+
+def test_request_counts_are_ints_however_they_are_given():
+    given = {"1": 0.5, 2: 0.25, "3": 0.25}
+    assert GoalConfig(request_count_weights=given).request_count_weights == {
+        1: 0.5, 2: 0.25, 3: 0.25}
 
 
 @pytest.mark.parametrize("settings, message", [
