@@ -1,14 +1,16 @@
 """Advantage actor-critic dialogue managers.
 
-A softmax policy network, sampled to act (the training loop adds the
-epsilon draw), is trained by ascending the TD-error-weighted
-log-likelihood of the taken action, with L2 regularization keeping the
-effective step bounded. A scalar value network supplies the TD error and is
-itself trained DQN-style with replay and a target copy. The two-stage
-variant first clones demonstrated actions by cross-entropy (``imitate``)
-on the logged turns the harness stored in the replay pool; the batch RL
-stage that follows, value replay steps over those turns, is the harness's
-pretraining stage shared with DQN.
+A softmax policy network (the training loop adds the epsilon draw) and a
+scalar value network learn once per dialogue: at its terminal turn V takes
+one regression step toward the dialogue's discounted returns, then the
+policy one step over its turns, ascending the TD error r + gamma V(b') -
+V(b) times grad log pi(a), weighted by pi(a) / mu(a) for the epsilon
+mixture mu that chose a, minus an L2 term. The two-stage variant first
+clones demonstrated actions by cross-entropy (``imitate``) on the logged
+turns the harness stored in the replay pool; the batch RL stage that
+follows, V's replay steps toward r + gamma V_target(b'), is the harness's
+pretraining stage shared with DQN, and the one reader of the pool and
+the target copy.
 """
 
 from __future__ import annotations
@@ -22,21 +24,28 @@ from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
 from .value_agents import AgentConfig, ReplayPool, dqn_target, regression_step
 
 
-def td_advantage(vnet: FeedForwardNet, reward: float, features: np.ndarray,
-                 next_features: np.ndarray, terminal: bool,
-                 gamma: float) -> float:
-    """delta = r + gamma V(b') - V(b); terminal transitions drop the bootstrap."""
-    v = vnet.forward(features)
-    if terminal:
-        return reward - v
-    return reward + gamma * vnet.forward(next_features) - v
+def behaviour_weight(p, epsilon, explored, n_explored: int):
+    """pi(a) / mu(a) for taken actions of policy probability ``p``, where
+    mu(a) = (1 - epsilon) pi(a) + epsilon / n_explored if ``explored``:
+    at most 1 / (1 - epsilon), or n_explored at epsilon = 1."""
+    mu = (1 - epsilon) * p + np.where(explored, epsilon / n_explored, 0.0)
+    return p / mu
+
+
+def td_errors(vnet: FeedForwardNet, feats: np.ndarray, rewards: np.ndarray,
+              gamma: float) -> np.ndarray:
+    """r + gamma V(b') - V(b) for one dialogue's turns, b' the next turn's
+    state; the last turn is terminal and drops the bootstrap."""
+    values = vnet.forward_batch(feats)[:, 0]
+    return rewards + gamma * np.append(values[1:], 0.0) - values
 
 
 class ActorCriticAgent:
     """Policy network (actor) plus value network with target copy (critic)."""
 
     def __init__(self, n_features: int, n_actions: int, config: AgentConfig,
-                 rng: np.random.Generator, gamma: float = 0.99):
+                 rng: np.random.Generator, explored: tuple,
+                 gamma: float = 0.99):
         self.config = config
         self.gamma = gamma
         self.policy = FeedForwardNet.create(n_features, n_actions,
@@ -50,11 +59,15 @@ class ActorCriticAgent:
         self.value_opt = AdadeltaState.for_net(self.value, rho=config.rho,
                                                eps=config.eps_num)
         self.pool = ReplayPool(config.pool_capacity, n_features)
+        self.explored = np.isin(np.arange(n_actions), explored)     # a mask
         self.value_steps = 0
         self.last_value_loss = float("nan")
         # supervised targets whose probability was clamped in the
         # cross-entropy; a diagnostic, not checkpointed
         self.clamp_count = 0
+        # the dialogue's (features, action, reward, epsilon) per turn so
+        # far, and its last turn's next state
+        self._turns, self._next = [], None
 
     def act(self, features, rng: np.random.Generator) -> int:
         """An action drawn from the policy distribution."""
@@ -64,13 +77,26 @@ class ActorCriticAgent:
     def eval_action(self, features) -> int:
         return int(np.argmax(self.policy.forward(features)))
 
-    def observe(self, t: Transition, rng: np.random.Generator) -> None:
-        self.pool.add(t)
-        if len(self.pool) >= max(self.config.warmup, self.config.minibatch):
-            self.last_value_loss = self.value_train_step(rng)
-        delta = td_advantage(self.value, t.reward, t.features,
-                             t.next_features, t.terminal, self.gamma)
-        self.policy_gradient_step(t.features, t.action, delta)
+    def observe(self, t: Transition, rng: np.random.Generator,
+                epsilon: float) -> None:
+        """Buffer the turn, drawn under ``epsilon``; at a terminal one, take
+        the critic's and the actor's steps. ``rng`` is not drawn from."""
+        if self._turns and t.features is not self._next and not \
+                np.array_equal(t.features, self._next):
+            raise ValueError("a turn must start at the last one's next state")
+        self._turns.append((t.features, t.action, t.reward, epsilon))
+        self._next = t.next_features
+        if not t.terminal:
+            return
+        feats, actions, rewards, epsilons = map(np.array, zip(*self._turns))
+        self._turns = []
+        returns, g = np.zeros(len(rewards)), 0.0
+        for k in range(len(rewards) - 1, -1, -1):
+            g = returns[k] = rewards[k] + self.gamma * g
+        self.last_value_loss = regression_step(self.value, self.value_opt,
+                                               feats, 0, returns)
+        deltas = td_errors(self.value, feats, rewards, self.gamma)
+        self.policy_gradient_step(feats, actions, deltas, epsilons)
 
     def value_train_step(self, rng: np.random.Generator) -> float:
         """The DQN step on V's one column: V toward r + gamma V_target(b')."""
@@ -83,14 +109,19 @@ class ActorCriticAgent:
             copy_params(self.value, self.value_target)
         return loss
 
-    def policy_gradient_step(self, features, action: int, delta: float) -> None:
-        """Ascend delta * grad log pi(action | features) minus the L2 term."""
-        if not np.isfinite(delta):
+    def policy_gradient_step(self, feats: np.ndarray, actions: np.ndarray,
+                             deltas: np.ndarray, epsilons: np.ndarray) -> None:
+        """Ascend sum_k w_k delta_k grad log pi(a_k | b_k) minus the L2 term,
+        w_k the ``behaviour_weight`` of row k under its epsilon."""
+        if not np.isfinite(deltas).all():
             raise nets.NonFiniteGradientError("non-finite advantage, step rejected")
-        x = np.asarray(features, dtype=float)[None, :]
-        probs, acts = self.policy.forward_train(x)
-        grad_logits = -delta * log_policy_gradient(probs[0], action)
-        grads = self.policy.backward_batch(x, grad_logits[None, :], acts)
+        probs, acts = self.policy.forward_train(feats)
+        p = probs[np.arange(len(actions)), actions]
+        scale = deltas * behaviour_weight(p, epsilons, self.explored[actions],
+                                          np.count_nonzero(self.explored))
+        grad_logits = log_policy_gradient(probs, actions)
+        grad_logits *= -scale[:, None]
+        grads = self.policy.backward_batch(feats, grad_logits, acts)
         if self.config.l2 > 0:
             nets.add_l2_gradient(grads, self.policy, self.config.l2)
         nets.adadelta_step(self.policy_opt, self.policy, grads)
@@ -144,17 +175,17 @@ class ActorCriticAgent:
         return checkpoint.compose({"value_steps": self.value_steps},
                                   policy=self.policy.state(),
                                   value=self.value.state(),
-                                  value_target=self.value_target.state(),
                                   policy_opt=self.policy_opt.state(),
-                                  value_opt=self.value_opt.state(),
-                                  pool=self.pool.state())
+                                  value_opt=self.value_opt.state())
 
     def save(self, path: str, **run) -> None:
+        if self._turns:     # snapshots fall at dialogue ends
+            raise RuntimeError(f"{path}: not saved inside a dialogue")
         checkpoint.save(path, "actor-critic", self.state(), **run)
 
     def load(self, path: str, *run: str) -> dict:
         loaded = checkpoint.load(path, "actor-critic", self.state(), *run)
-        self.pool.restore(loaded, path, "pool.")    # checks, then copies
         checkpoint.take(self.state(), loaded)
         self.value_steps = loaded.counters["value_steps"]
+        self._turns = []
         return loaded.counters

@@ -351,9 +351,10 @@ class GPSarsaAgent:
     def eval_action(self, features) -> int:
         return int(np.argmax(self.gp.q_values(features)))
 
-    def observe(self, t, rng) -> None:
+    def observe(self, t, rng, epsilon: float) -> None:
         """Fold in the held transition, with ``t.action`` as its next
-        action; then hold ``t``, or fold it in at once if it is terminal."""
+        action; then hold ``t``, or fold it in at once if it is terminal.
+        ``epsilon`` is the actor-critic's."""
         held, self._pending = self._pending, None
         if held is not None:
             self.gp.sarsa_update(held.features, held.action, held.reward,

@@ -128,15 +128,10 @@ def _coerce(cls, data, path: str = ""):
         default, scalar = _field_kind(f)
         if dataclasses.is_dataclass(default):
             value = _coerce(type(default), value, dotted)
-        elif isinstance(value, dict) != isinstance(default, dict):
-            must = "must" if isinstance(default, dict) else "must not"
-            raise ConfigError(f"'{dotted}' {must} be a mapping, got {value!r}")
         elif scalar:
             types, kind = scalar
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"'{dotted}' must be {kind}, got {value!r}")
-        elif isinstance(default, dict):
-            value = _mapping(dotted, value)
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -144,18 +139,6 @@ def _coerce(cls, data, path: str = ""):
         return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}.{exc}" if path else str(exc)) from exc
-
-
-def _mapping(dotted: str, value: dict) -> dict:
-    """A mapping field's value, every value a number; its record reads the
-    keys."""
-    out = {}
-    for key, v in value.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"'{dotted}' must map {key!r} to a number, "
-                              f"got {v!r}")
-        out[key] = float(v)
-    return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -236,7 +219,7 @@ def build_agent(cfg: ExperimentConfig, env: DialogueEnv):
                       gamma=cfg.gamma, double_dqn=(cfg.algorithm == "ddqn"))
     if cfg.algorithm in ("da2c", "tda2c"):
         return ActorCriticAgent(env.n_features, env.n_actions, cfg.agent, rng,
-                                gamma=cfg.gamma)
+                                env.space.explored, gamma=cfg.gamma)
     return GPSarsaAgent(env.n_features, env.n_actions, cfg.gp,
                         gamma=cfg.gamma)
 
@@ -439,8 +422,10 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         eval_point(0)
 
     explored = env.space.explored
+    eps = None      # the epsilon the turn's action was drawn under
 
     def policy(features):
+        nonlocal eps
         eps = epsilon(cfg.epsilon, schedule_t)
         return behaviour_action(agent, features, eps, explored, rng)
 
@@ -448,7 +433,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
         rng = rng_stream(cfg.seed, "train", ep)
         t0 = time.perf_counter()
         for t in rollout(env, policy, rng):
-            agent.observe(t, rng)
+            agent.observe(t, rng, eps)
             schedule_t += 1
         trained_seconds += time.perf_counter() - t0
 

@@ -184,11 +184,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
 CE_CLAMP = 1e-12
 
 
-def log_policy_gradient(probs: np.ndarray, action: int) -> np.ndarray:
-    """Gradient of ``log pi(action)`` at the pre-softmax layer: onehot - probs."""
-    g = -np.asarray(probs, dtype=float).copy()
-    g[action] += 1.0
-    return g
+def log_policy_gradient(probs: np.ndarray, actions) -> np.ndarray:
+    """Gradient of ``log pi(action)`` at the pre-softmax layer, onehot -
+    probs: for one row of probabilities and an action, or row by row."""
+    probs = np.asarray(probs, dtype=float)
+    return np.eye(probs.shape[-1])[actions] - probs
 
 
 def add_l2_gradient(grads: np.ndarray, net: FeedForwardNet,

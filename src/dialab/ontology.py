@@ -169,15 +169,20 @@ class GoalConfig:
     satisfiable_frac: float = bounded("[0, 1]", 1.0)
 
     def __post_init__(self):
-        weights = {}    # the request counts as ints: a JSON key is a string
-        for key, w in self.request_count_weights.items():
+        check_ranges(self)
+        weights, keys = {}, {}  # the request counts as ints: a JSON key is
+        for key, w in self.request_count_weights.items():      # a string
             try:
-                weights[int(str(key))] = w
+                count = int(str(key))
             except ValueError:
                 raise ConfigError(f"request_count_weights key {key!r} is not "
                                   f"an integer request count") from None
+            if count in keys:
+                raise ConfigError(f"request_count_weights keys "
+                                  f"{keys[count]!r} and {key!r} are both "
+                                  f"the request count {count}")
+            weights[count], keys[count] = float(w), key
         object.__setattr__(self, "request_count_weights", weights)
-        check_ranges(self)
         for slot in self.constraint_probs:
             if slot not in CONSTRAINT_SLOTS:
                 raise ConfigError(f"constraint_probs key {slot!r} not in "

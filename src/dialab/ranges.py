@@ -3,6 +3,7 @@ the usual notation (``[0, 1)``, ``(0, inf]``; NaN lies in none), the one
 rule that checks them, and the error every config record raises."""
 
 from dataclasses import MISSING, field, fields
+from numbers import Real
 
 
 class ConfigError(ValueError):
@@ -12,14 +13,17 @@ class ConfigError(ValueError):
 
 
 def bounded(interval: str, default=MISSING, *, factory=MISSING):
-    """A record field whose values lie in ``interval``."""
+    """A record field whose values lie in ``interval``; a field given a
+    ``factory`` holds a mapping, and its values lie there."""
     return field(default=default, default_factory=factory,
                  metadata={"range": interval})
 
 
 def check(name: str, value, interval: str):
-    """``value``, unless it lies outside ``interval``: then a ConfigError
-    ``<name>=<value> must be in <interval>``."""
+    """``value``, unless it is no number or lies outside ``interval``: then
+    a ConfigError ``<name>=<value> must be ...``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name}={value!r} must be a number")
     low, high = map(float, interval[1:-1].split(","))
     if not ((low <= value if interval[0] == "[" else low < value)
             and (value <= high if interval[-1] == "]" else value < high)):
@@ -31,7 +35,9 @@ def check_ranges(record) -> None:
     """Check each declared field of ``record``, each value of a mapping."""
     for f in fields(record):
         interval, value = f.metadata.get("range"), getattr(record, f.name)
-        if interval and isinstance(value, dict):
+        if interval and f.default_factory is not MISSING:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{f.name}={value!r} must be a mapping")
             for key, v in value.items():
                 check(f"{f.name}[{key}]", v, interval)
         elif interval:

@@ -168,7 +168,7 @@ class AgentConfig:
     minibatch: int = bounded("[1, inf)", 32)
     target_sync: int = bounded("[1, inf)", 1000)  # train steps per sync
     pool_capacity: int = bounded("[1, inf)", 50000)
-    warmup: int = bounded("[0, inf)", 1000)  # pooled before training starts
+    warmup: int = bounded("[0, inf)", 1000)  # DQN: pooled before training
     l2: float = bounded("[0, inf)", 1e-3)  # policy-gradient L2 (actor-critic)
     rho: float = bounded("(0, 1)", 0.95)
     eps_num: float = bounded("(0, inf)", 1e-6)
@@ -216,7 +216,8 @@ class QAgent:
     def eval_action(self, features: np.ndarray) -> int:
         return int(np.argmax(self.qnet.forward(features)))
 
-    def observe(self, t: Transition, rng: np.random.Generator) -> None:
+    def observe(self, t: Transition, rng: np.random.Generator,
+                epsilon: float) -> None:     # epsilon is the actor-critic's
         self.pool.add(t)
         if len(self.pool) >= max(self.config.warmup, self.config.minibatch):
             self.last_loss = self.train_step(rng)

@@ -1,28 +1,32 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dialab import harness, nets
-from dialab.actor_critic import ActorCriticAgent, td_advantage
+from dialab import checkpoint, harness, nets
+from dialab.actor_critic import ActorCriticAgent, behaviour_weight, td_errors
+from dialab.checkpoint import CheckpointError
 from dialab.corpus import (Corpus, LayoutMismatchError, check_layout,
                            fill_pool, save_corpus)
 from dialab.environment import Transition
 from dialab.harness import behaviour_action
-from dialab.nets import FeedForwardNet, NonFiniteGradientError, copy_params
-from dialab.value_agents import AgentConfig
+from dialab.nets import (FeedForwardNet, NonFiniteGradientError, copy_params,
+                         log_policy_gradient)
+from dialab.value_agents import AgentConfig, regression_step
 from reference import (cross_entropy_loss, finite_difference_grads,
                        l2_penalty, state_bytes)
 
 RNG = np.random.default_rng
 
 
-def make_agent(n_features=6, n_actions=4, **kw):
+def make_agent(n_features=6, n_actions=4, explored=None, **kw):
     cfg = AgentConfig(hidden=kw.pop("hidden", (10, 8)),
                       minibatch=kw.pop("minibatch", 4),
                       warmup=kw.pop("warmup", 4), **kw)
-    return ActorCriticAgent(n_features, n_actions, cfg, RNG(0))
+    explored = tuple(range(n_actions)) if explored is None else explored
+    return ActorCriticAgent(n_features, n_actions, cfg, RNG(0), explored)
 
 
 def fixed_policy_net(logits, n_in=6):
@@ -42,8 +46,24 @@ class ValueTable:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def forward(self, x):
-        return float(self.values @ np.asarray(x))
+    def forward_batch(self, x):
+        return (np.asarray(x) @ self.values)[:, None]
+
+
+def dialogue(n_turns, n_features=6, n_actions=4, seed=0):
+    """One chained dialogue of ``n_turns`` random turns, the last terminal."""
+    rng = RNG(seed)
+    states = rng.normal(size=(n_turns + 1, n_features))
+    return [Transition(states[k], int(rng.integers(n_actions)),
+                       float(rng.normal()), states[k + 1], k == n_turns - 1,
+                       False) for k in range(n_turns)]
+
+
+def step(agent, x, action, delta, epsilon=0.0):
+    """The actor's step on one row."""
+    agent.policy_gradient_step(np.asarray(x, dtype=float)[None, :],
+                               np.array([action]), np.array([delta]),
+                               np.array([epsilon]))
 
 
 def fixed_policy_agent(logits):
@@ -86,33 +106,34 @@ class TestSelectAction:
         assert np.all(np.abs(counts[1:] / n - 1 / 3) <= 0.02)
 
 
-class TestTdAdvantage:
+class TestTdErrors:
+    # a two-turn dialogue b -> b' -> end: delta[0] is the one-step TD error
+    # of the first turn, delta[1] the terminal one's
     def test_worked_example(self):
         vnet = ValueTable([0.4, 0.5])
-        delta = td_advantage(vnet, -0.03, np.array([1.0, 0.0]),
-                             np.array([0.0, 1.0]), False, 0.99)
-        assert abs(delta - 0.065) <= 1e-12
+        delta = td_errors(vnet, np.eye(2), np.array([-0.03, 0.0]), 0.99)
+        assert abs(delta[0] - 0.065) <= 1e-12
 
     def test_terminal_drops_bootstrap(self):
         vnet = ValueTable([0.8])
-        delta = td_advantage(vnet, 1.0, np.array([1.0]), np.array([1.0]),
-                             True, 0.99)
-        assert abs(delta - 0.2) <= 1e-12
+        delta = td_errors(vnet, np.ones((1, 1)), np.array([1.0]), 0.99)
+        assert abs(delta[0] - 0.2) <= 1e-12
+        vnet = ValueTable([0.4, 0.5])
+        delta = td_errors(vnet, np.eye(2), np.array([-0.03, 1.0]), 0.99)
+        assert abs(delta[1] - 0.5) <= 1e-12
 
     def test_zero_value_function_gives_reward(self):
         vnet = ValueTable([0.0, 0.0])
         for r in (-1.0, 0.25, 2.0):
-            delta = td_advantage(vnet, r, np.array([1.0, 0.0]),
-                                 np.array([0.0, 1.0]), False, 0.9)
-            assert delta == r
+            delta = td_errors(vnet, np.eye(2), np.array([r, r]), 0.9)
+            assert list(delta) == [r, r]
 
     def test_linear_in_reward_with_unit_slope(self):
         vnet = ValueTable([0.3, -0.2])
-        b, b2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        base = td_advantage(vnet, 0.0, b, b2, False, 0.95)
+        base = td_errors(vnet, np.eye(2), np.zeros(2), 0.95)
         for r in np.linspace(-2, 2, 9):
-            assert abs(td_advantage(vnet, r, b, b2, False, 0.95)
-                       - (base + r)) <= 1e-12
+            delta = td_errors(vnet, np.eye(2), np.array([r, 0.0]), 0.95)
+            assert abs(delta[0] - (base[0] + r)) <= 1e-12
 
 
 class TestMicroMdpIdentity:
@@ -133,19 +154,71 @@ class TestMicroMdpIdentity:
             for a in range(n_a):
                 expected_delta = 0.0
                 for s2 in range(n_s):
-                    features = np.eye(n_s)[s]
-                    next_features = np.eye(n_s)[s2]
-                    delta = td_advantage(vnet, R[s, a, s2], features,
-                                         next_features, False, gamma)
-                    expected_delta += P[s, a, s2] * delta
+                    feats = np.eye(n_s)[[s, s2]]
+                    delta = td_errors(vnet, feats,
+                                      np.array([R[s, a, s2], 0.0]), gamma)
+                    expected_delta += P[s, a, s2] * delta[0]
                 assert abs(expected_delta - (Q[s, a] - V[s])) <= 1e-10
+
+
+class TestBehaviourWeight:
+    # 11 actions, 8 of them explored: the original space's shape
+    N_EXPLORED = 8
+
+    def weights(self, epsilon, explored):
+        p = np.concatenate([RNG(31).random(200), [1.0, 0.5, 1e-300]])
+        return p, behaviour_weight(p, epsilon, explored, self.N_EXPLORED)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.05, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("explored", [True, False])
+    def test_bounded_by_one_over_one_minus_epsilon(self, epsilon, explored):
+        _, w = self.weights(epsilon, explored)
+        bound = 1 / (1 - epsilon)
+        assert np.all((w > 0) & (w <= bound * (1 + 1e-12)))
+        if not explored:        # only pi could have taken the action
+            assert np.allclose(w, bound, rtol=1e-12)
+
+    def test_bounded_by_the_explored_count_at_full_epsilon(self):
+        p, w = self.weights(1.0, True)
+        assert np.all(w <= self.N_EXPLORED)
+        assert np.allclose(w, p * self.N_EXPLORED, rtol=1e-12)
+
+    @pytest.mark.parametrize("explored", [True, False])
+    def test_one_without_exploration(self, explored):
+        _, w = self.weights(0.0, explored)
+        assert np.all(w == 1.0)
+
+    def test_zero_epsilon_step_is_the_on_policy_step(self):
+        # w = 1: the weighted step is delta * grad log pi(a), bit for bit
+        agent, reference = make_agent(), make_agent()
+        feats = RNG(32).normal(size=(5, 6))
+        actions, deltas = np.array([0, 1, 2, 3, 1]), RNG(33).normal(size=5)
+        agent.policy_gradient_step(feats, actions, deltas, np.zeros(5))
+        probs, acts = reference.policy.forward_train(feats)
+        grad = -deltas[:, None] * log_policy_gradient(probs, actions)
+        grads = reference.policy.backward_batch(feats, grad, acts)
+        nets.add_l2_gradient(grads, reference.policy, reference.config.l2)
+        nets.adadelta_step(reference.policy_opt, reference.policy, grads)
+        assert agent.policy.params.tobytes() == \
+            reference.policy.params.tobytes()
+
+    def test_non_finite_advantage_rejected_at_any_epsilon(self):
+        agent = make_agent()
+        before = agent.policy.params.copy()
+        for epsilon in (0.0, 0.5, 1.0):
+            for delta in (float("nan"), float("inf")):
+                with pytest.raises(NonFiniteGradientError):
+                    agent.policy_gradient_step(
+                        np.ones((2, 6)), np.array([0, 1]),
+                        np.array([0.5, delta]), np.full(2, epsilon))
+        assert np.array_equal(agent.policy.params, before)
 
 
 class TestPolicyGradientStep:
     def test_zero_delta_zero_l2_leaves_parameters(self):
         agent = make_agent(l2=0.0)
         before = [w.copy() for w in agent.policy.weights]
-        agent.policy_gradient_step(np.ones(6), 2, 0.0)
+        step(agent, np.ones(6), 2, 0.0)
         for w, b in zip(agent.policy.weights, before):
             assert np.array_equal(w, b)
 
@@ -155,7 +228,7 @@ class TestPolicyGradientStep:
         action = 1
         probs = [agent.policy.forward(x)[action]]
         for _ in range(3):
-            agent.policy_gradient_step(x, action, 1.0)
+            step(agent, x, action, 1.0)
             probs.append(agent.policy.forward(x)[action])
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
@@ -163,12 +236,11 @@ class TestPolicyGradientStep:
         agent = make_agent(l2=0.0)
         x = RNG(7).normal(size=6)
         before = agent.policy.forward(x)[0]
-        agent.policy_gradient_step(x, 0, -1.0)
+        step(agent, x, 0, -1.0)
         assert agent.policy.forward(x)[0] < before
 
     def test_update_is_ascent_direction(self):
         # inner product of the analytic gradient with the applied update > 0
-        from dialab.nets import log_policy_gradient
         agent = make_agent(l2=0.0)
         x = RNG(8).normal(size=6)
         action = 0
@@ -176,19 +248,19 @@ class TestPolicyGradientStep:
         ascent = agent.policy.backward_batch(
             x[None], log_policy_gradient(probs, action)[None])
         before = agent.policy.params.copy()
-        agent.policy_gradient_step(x, action, 1.0)
+        step(agent, x, action, 1.0)
         assert float(ascent @ (agent.policy.params - before)) > 0.0
 
     def test_non_finite_delta_rejected(self):
         agent = make_agent()
         with pytest.raises(NonFiniteGradientError):
-            agent.policy_gradient_step(np.ones(6), 0, float("nan"))
+            step(agent, np.ones(6), 0, float("nan"))
 
     def test_policy_stays_strictly_positive(self):
         agent = make_agent()
         x = RNG(9).normal(size=6)
         for i in range(50):
-            agent.policy_gradient_step(x, i % 4, 1.0)
+            step(agent, x, i % 4, 1.0)
         probs = agent.policy.forward(x)
         assert np.all(probs > 0.0)
         assert abs(probs.sum() - 1.0) <= 1e-9
@@ -243,44 +315,132 @@ class TestValueTrainStep:
                 break
         assert abs(agent.value.forward(t.features) - 0.6) <= 1e-3
 
-    def test_loss_finite_over_smoke_run(self):
+
+
+def reference_dialogue_update(agent, turns, epsilons, explored):
+    """The per-dialogue update written out turn by turn: one regression
+    step of V toward the discounted returns, then the actor's step, each
+    row's gradient -(w delta) grad log pi(a) with w = pi(a) / mu(a)."""
+    feats = np.array([t.features for t in turns])
+    returns, g = np.zeros(len(turns)), 0.0
+    for k in range(len(turns) - 1, -1, -1):
+        g = turns[k].reward + agent.gamma * g
+        returns[k] = g
+    regression_step(agent.value, agent.value_opt, feats, 0, returns)
+    values = agent.value.forward_batch(feats)[:, 0]
+    probs, acts = agent.policy.forward_train(feats)
+    grad = np.zeros(probs.shape)
+    for k, (t, eps) in enumerate(zip(turns, epsilons)):
+        after = values[k + 1] if k + 1 < len(turns) else 0.0
+        delta = t.reward + agent.gamma * after - values[k]
+        p = probs[k, t.action]
+        mu = (1 - eps) * p + (eps / len(explored) if t.action in explored
+                              else 0.0)
+        grad[k] = -(p / mu * delta) * log_policy_gradient(probs[k], t.action)
+    grads = agent.policy.backward_batch(feats, grad, acts)
+    nets.add_l2_gradient(grads, agent.policy, agent.config.l2)
+    nets.adadelta_step(agent.policy_opt, agent.policy, grads)
+
+
+class TestObserve:
+    EXPLORED = (1, 2, 3)
+
+    def test_dialogue_update_matches_the_turn_by_turn_reference(self):
+        # both nets and both optimisers bit for bit, over dialogues whose
+        # turns run under different epsilons and take unexplored actions
+        agent = make_agent(explored=self.EXPLORED)
+        reference = make_agent(explored=self.EXPLORED)
+        for d in range(6):
+            turns = dialogue(1 + 3 * d, seed=d)
+            epsilons = [0.5 * 0.9 ** k for k in range(len(turns))]
+            for t, eps in zip(turns, epsilons):
+                agent.observe(t, None, eps)
+            reference_dialogue_update(reference, turns, epsilons,
+                                      self.EXPLORED)
+            assert state_bytes(agent.state()) == state_bytes(reference.state())
+        assert np.isfinite(agent.last_value_loss)
+
+    def test_nothing_learns_before_the_terminal_turn(self):
         agent = make_agent()
-        rng = RNG(12)
-        for i in range(2000):
-            t = Transition(RNG(i).normal(size=6), i % 4,
-                           float(RNG(i).normal()), RNG(i + 1).normal(size=6),
-                           i % 6 == 0, False)
-            agent.observe(t, rng)
-            if len(agent.pool) >= 4:
-                assert np.isfinite(agent.last_value_loss)
+        before = state_bytes(agent.state())
+        turns = dialogue(5)
+        for t in turns[:-1]:
+            agent.observe(t, None, 0.1)
+        assert state_bytes(agent.state()) == before
+        agent.observe(turns[-1], None, 0.1)
+        assert state_bytes(agent.state()) != before
+
+    def test_a_turn_that_does_not_continue_the_dialogue_is_refused(self):
+        agent = make_agent()
+        first, second = dialogue(2)
+        agent.observe(first, None, 0.1)
+        with pytest.raises(ValueError, match="last one's next state"):
+            agent.observe(dialogue(2, seed=1)[1], None, 0.1)
+        agent.observe(second, None, 0.1)     # the next state, as a copy
+        agent.observe(dialogue(1, seed=2)[0], None, 0.1)   # a new dialogue
+
+    def test_critic_fits_single_turn_returns(self):
+        agent = make_agent()
+        t = dialogue(1, seed=3)[0]
+        for _ in range(3000):
+            agent.observe(t, None, 0.0)
+            if abs(agent.value.forward(t.features) - t.reward) <= 1e-3:
+                break
+        assert abs(agent.value.forward(t.features) - t.reward) <= 1e-3
+
+    def test_snapshot_inside_a_dialogue_is_refused(self, tmp_path):
+        agent = make_agent()
+        agent.observe(dialogue(3)[0], None, 0.1)
+        path = str(tmp_path / "a2c.npz")
+        with pytest.raises(RuntimeError, match="inside a dialogue"):
+            agent.save(path)
+        assert not (tmp_path / "a2c.npz").exists()
 
 
 class TestCheckpoint:
     def test_roundtrip_restores_nets_counter_and_accumulators(self, tmp_path):
         agent = make_agent(target_sync=5)
+        for t in dialogue(12, seed=13):     # pretraining's replay steps
+            agent.pool.add(t)
         rng = RNG(13)
-        for i in range(40):
-            agent.observe(Transition(RNG(i).normal(size=6), i % 4,
-                                     float(RNG(i).normal()),
-                                     RNG(i + 1).normal(size=6), i % 6 == 0,
-                                     False), rng)
+        for _ in range(7):
+            agent.value_train_step(rng)
+        for d in range(5):
+            for t in dialogue(4 + d, seed=20 + d):
+                agent.observe(t, rng, 0.2)
         path = str(tmp_path / "a2c.npz")
         agent.save(path)
-        twin = ActorCriticAgent(6, 4, agent.config, RNG(99))
+        with np.load(path) as data:     # the pool and the target copy stay
+            assert sorted(data.files) == [
+                "__meta__", "policy.params", "policy_opt.grad",
+                "policy_opt.update", "value.params", "value_opt.grad",
+                "value_opt.update"]
+        twin = ActorCriticAgent(6, 4, agent.config, RNG(99), (0, 1, 2, 3))
+        twin.observe(dialogue(3)[0], None, 0.1)     # dropped by the load
         twin.load(path)
-        for i in range(10):
-            x = RNG(100 + i).normal(size=6)
-            assert np.array_equal(agent.policy.forward(x),
-                                  twin.policy.forward(x))
-            assert agent.value.forward(x) == twin.value.forward(x)
-            assert agent.value_target.forward(x) == \
-                twin.value_target.forward(x)
-        assert twin.value_steps == agent.value_steps > 0
-        for opt, twin_opt in ((agent.policy_opt, twin.policy_opt),
-                              (agent.value_opt, twin.value_opt)):
-            for acc, twin_acc in ((opt.acc_grad, twin_opt.acc_grad),
-                                  (opt.acc_update, twin_opt.acc_update)):
-                assert np.array_equal(acc, twin_acc)
+        assert state_bytes(twin.state()) == state_bytes(agent.state())
+        assert twin.value_steps == agent.value_steps == 7
+        twin.save(path)
+
+    def test_snapshot_with_the_pool_and_target_copy_is_refused(self,
+                                                              tmp_path):
+        # the layout written while the critic took a replay step every turn
+        agent = make_agent()
+        old = checkpoint.compose({"value_steps": 0},
+                                 policy=agent.policy.state(),
+                                 value=agent.value.state(),
+                                 value_target=agent.value_target.state(),
+                                 policy_opt=agent.policy_opt.state(),
+                                 value_opt=agent.value_opt.state(),
+                                 pool=agent.pool.state())
+        path = str(tmp_path / "a2c.npz")
+        checkpoint.save(path, "actor-critic", old)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: missing counters []; arrays [")) as refused:
+            agent.load(path)
+        for name in ("pool.features", "pool.newest_next",
+                     "value_target.params", "value.params"):
+            assert f"'{name}'" in str(refused.value)
 
 
 class TestSupervised:
@@ -390,7 +550,7 @@ class TestPretrain:
                                 schedule=BlunderSchedule(((1.0, 0.0),)))
         agent = ActorCriticAgent(31, 11,
                                  AgentConfig(hidden=(48, 32), sup_epochs=12),
-                                 RNG(19))
+                                 RNG(19), env.space.explored)
         fill_pool(built, agent.pool)
         stats = agent.imitate(np.arange(len(agent.pool)), RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

@@ -105,13 +105,21 @@ print(json.dumps({"steps": tracer.summary()[step]["calls"],
     ("dqn", "value_agents.train_step"), ("da2c", "actor_critic.value_step")])
 def test_traced_regression_steps_own_their_backward_and_adadelta(
         tmp_path, algorithm, step):
-    # the DQN and critic steps share one regression function, which is not
-    # wrapped: its backward pass and Adadelta step must still be charged to
-    # the wrapped step that called it, once per call
+    # the DQN and critic replay steps share one regression function, which
+    # is not wrapped: its backward pass and Adadelta step must still be
+    # charged to the wrapped step that called it, once per call. The
+    # critic's replay step runs in batch-RL pretraining only.
     cfg = {"algorithm": algorithm, "seed": 3, "dialogues": 4,
            "eval_period": 4, "eval_episodes": 1,
            "agent": {"hidden": [8], "warmup": 8, "minibatch": 4},
            "out": str(tmp_path / "run")}
+    if algorithm == "da2c":
+        from dialab import harness
+        from dialab.corpus import generate_corpus, save_corpus
+        corpus = str(tmp_path / "corpus.jsonl")
+        save_corpus(generate_corpus(harness.build_world(
+            harness.ExperimentConfig(seed=3))[2], 4, seed=3), corpus)
+        cfg["pretrain"] = {"mode": "batch", "corpus": corpus}
     proc = run_python(TRACED_STEPS, json.dumps(cfg), step)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])

@@ -20,11 +20,11 @@ from reference import TwoArrayPool, assert_same_rows
 RNG = np.random.default_rng
 
 
-def transition(i, dim=4):
+def transition(i, dim=4, terminal=False):
     """Turn i of one long dialogue, whose next state is turn i+1's."""
     rng = RNG(i)
     return Transition(rng.normal(size=dim), i % 3, float(rng.normal()),
-                      RNG(i + 1).normal(size=dim), False, False)
+                      RNG(i + 1).normal(size=dim), terminal, False)
 
 
 def q_agent(hidden, seed=0):
@@ -182,13 +182,12 @@ def test_written_bytes_are_np_savez_bytes(tmp_path, frozen_zip_clock):
 def ac_agent(hidden, seed=0):
     cfg = AgentConfig(hidden=hidden, minibatch=4, warmup=4, target_sync=5)
     return ActorCriticAgent(n_features=4, n_actions=3, config=cfg,
-                            rng=RNG(seed))
+                            rng=RNG(seed), explored=(0, 1, 2))
 
 
 # each agent's nets and Adadelta optimisers by snapshot part, as attributes
 AGENTS = {"dqn": (q_agent, {"q": "qnet", "target": "target"}, {"opt": "opt"}),
-          "actor-critic": (ac_agent, {"policy": "policy", "value": "value",
-                                      "value_target": "value_target"},
+          "actor-critic": (ac_agent, {"policy": "policy", "value": "value"},
                            {"policy_opt": "policy_opt",
                             "value_opt": "value_opt"})}
 
@@ -198,8 +197,8 @@ def test_snapshot_holds_each_net_and_optimiser_as_one_vector(tmp_path, kind):
     make, nets_, opts = AGENTS[kind]
     agent = make(hidden=(8, 6))
     rng = RNG(1)
-    for i in range(12):
-        agent.observe(transition(i), rng)
+    for i in range(12):     # one dialogue, for the actor-critic's steps
+        agent.observe(transition(i, terminal=i == 11), rng, 0.3)
     vectors = {f"{part}.params": getattr(agent, attr).params
                for part, attr in nets_.items()}
     for part, attr in opts.items():
@@ -362,27 +361,37 @@ def test_agent_pool_counters_are_checked_at_load(tmp_path):
         q_agent(hidden=(8, 6)).load(path)
 
 
-@pytest.mark.parametrize("agent_class, kind", [
-    (QAgent, "qagent"), (ActorCriticAgent, "actor-critic")])
-def test_refused_agent_load_changes_nothing(tmp_path, agent_class, kind):
+def misplaced_cursor(state):
+    state.counters["pool.cursor"] = 7
+    return "pool.cursor=7 does not fit pool.size=6"
+
+
+def short_value_net(state):
+    state.arrays["value.params"] = state.arrays["value.params"][:-1]
+    return "array 'value.params' has shape (100,), expected (101,)"
+
+
+@pytest.mark.parametrize("make, kind, spoil", [
+    (q_agent, "qagent", misplaced_cursor),
+    (ac_agent, "actor-critic", short_value_net)])
+def test_refused_agent_load_changes_nothing(tmp_path, make, kind, spoil):
     def trained(seed, turns):
-        cfg = AgentConfig(hidden=(8, 6), minibatch=4, warmup=4)
-        agent = agent_class(4, 3, cfg, RNG(seed))
+        agent = make(hidden=(8, 6), seed=seed)
         for i in turns:
-            agent.observe(transition(i), RNG(i))
+            agent.observe(transition(i, terminal=i == turns[-1]), RNG(i),
+                          0.3)
         return agent
 
     state = trained(0, range(6)).state()
-    state.counters["pool.cursor"] = 7
+    message = spoil(state)
     path = str(tmp_path / "agent.npz")
     checkpoint.save(path, kind, state)
     agent = trained(1, range(10, 15))
     before = agent.state()
     arrays = {k: a.tobytes() for k, a in before.arrays.items()}
     with pytest.raises(CheckpointError, match=re.escape(
-            f"{path}: pool.cursor=7 does not fit pool.size=6")):
+            f"{path}: {message}")):
         agent.load(path)
     after = agent.state()
     assert {k: a.tobytes() for k, a in after.arrays.items()} == arrays
     assert after.counters == before.counters
-    assert after.counters["pool.size"] == 5

@@ -91,7 +91,8 @@ CASES = {   # old helper -> (agent, the helper's call on it, explored actions)
                 lambda agent, f, eps, rng: old_egreedy(
                     agent.qnet, f, eps, EXCLUDED, rng), ALLOWED),
     "policy": (lambda: ActorCriticAgent(N_FEATURES, 11,
-                                        AgentConfig(hidden=(10,)), RNG(2)),
+                                        AgentConfig(hidden=(10,)), RNG(2),
+                                        ALLOWED),
                lambda agent, f, eps, rng: old_policy(
                    agent.policy, f, eps, EXCLUDED, rng), ALLOWED),
     "esoftmax": (trained_gp_agent,
@@ -134,7 +135,7 @@ def test_observe_time_update_matches_select_time_update():
         rng = rng_stream(cfg.seed, "train", ep)
         for t in rollout(env, lambda f: behaviour_action(new, f, eps,
                                                          explored, rng), rng):
-            new.observe(t, rng)
+            new.observe(t, rng, eps)
             turns += 1
     assert new.gp.updates == old.gp.updates == turns
     assert len(new.gp) > 10

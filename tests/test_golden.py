@@ -33,9 +33,16 @@ row's, as ``pool.newest_next`` in place of ``pool.held_slots`` and
 ``pool.held_next``. That array is the newest slot's held next state bit
 for bit, and every other array and the meta record are unchanged (dqn
 ``db2452ed...`` -> ``9781d33e...``, da2c ``818b53a0...`` ->
-``2e3de0aa...``, tda2c ``eba6fc7f...`` -> ``2d14c52b...``). A refactor
-that is meant to keep behaviour must keep these; a change that moves them
-on purpose says why and records new values.
+``2e3de0aa...``, tda2c ``eba6fc7f...`` -> ``2d14c52b...``). The da2c and
+tda2c records, curves and digests, were recorded again when the
+actor-critic began to learn once per dialogue (a critic step toward the
+dialogue's returns, then one actor step over its turns, each TD error
+weighted by pi(a) / mu(a)) in place of a critic replay step and an actor
+step every turn, and its snapshot dropped the pool and the critic's target
+copy (da2c ``2e3de0aa...`` -> ``a9265a9d...``, tda2c ``2d14c52b...`` ->
+``a16149b2...``). A refactor that is meant to keep behaviour must keep
+these; a change that moves them on purpose says why and records new
+values.
 """
 
 import hashlib
@@ -56,13 +63,13 @@ GOLDEN = {
              (40, 0.8, -0.018000000000000328, 20.6)],
             "9781d33e6f2414f79514d8f275b5c43f841fe8e278af4f9757098efe096cd853"),
     "da2c": ([(0, 0.0, -1.0299999999999998, 1.0),
-              (20, 0.4, -0.6560000000000002, 15.2),
-              (40, 0.0, -1.0630000000000002, 2.1)],
-             "2e3de0aa2f92620170fecc8593f561e02ee713750d3a8f7f744e50a09723a532"),
+              (20, 0.0, -1.1110000000000002, 3.7),
+              (40, 0.0, -1.6390000000000005, 21.3)],
+             "a9265a9d63cedb30a07a1f38232b540e400beda76de9d54d6da02bc39e0b0a2e"),
     "tda2c": ([(0, 0.0, -1.0299999999999998, 1.0),
-               (20, 0.0, -1.0630000000000002, 2.1),
-               (40, 0.7, 0.259, 4.7)],
-              "2d14c52b04a20928928ca374cdc60d3614088cdd2338216b645b23b4e57b145f"),
+               (20, 0.0, -1.0690000000000002, 2.3),
+               (40, 0.3, -0.586, 6.2)],
+              "a16149b25288b1f937b22a4a7df46dcdfde37ec3ae7083bdb263ff8881e560f1"),
     "gpsarsa": ([(0, 0.0, -1.9000000000000006, 30.0),
                  (20, 0.75, 0.0574999999999998, 14.75),
                  (40, 0.75, 0.20749999999999993, 9.75)],

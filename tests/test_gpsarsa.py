@@ -255,7 +255,7 @@ class TestProjectionReuse:
             for _ in range(20):
                 b = random_summary(rng)
                 agent.observe(Transition(b, int(rng.integers(2)), 1.0, b,
-                                         True, False), rng)
+                                         True, False), rng, 0.0)
         probe = random_summary(RNG(42))
         source, target = agents
         target.gp.q_values(probe)
@@ -609,18 +609,20 @@ class TestAgentAdapter:
         agent = GPSarsaAgent(60, 3, SPEC, gamma=0.9)
         rng = RNG(14)
         b1, b2, b3 = (random_summary(rng) for _ in range(3))
-        agent.observe(Transition(b1, 0, -0.03, b2, False, False), rng)
+        agent.observe(Transition(b1, 0, -0.03, b2, False, False), rng,
+                      0.0)
         assert len(agent.gp) == 0  # waits for the on-policy next action
         action = agent.act(b2, rng)
         assert len(agent.gp) == 0  # acting does not update the GP
-        agent.observe(Transition(b2, action, -0.03, b3, False, False), rng)
+        agent.observe(Transition(b2, action, -0.03, b3, False, False), rng,
+                      0.0)
         assert len(agent.gp) >= 1
 
     def test_terminal_updates_immediately(self):
         agent = GPSarsaAgent(60, 3, SPEC, gamma=0.9)
         rng = RNG(15)
         b = random_summary(rng)
-        agent.observe(Transition(b, 1, 1.0, b, True, True), rng)
+        agent.observe(Transition(b, 1, 1.0, b, True, True), rng, 0.0)
         assert len(agent.gp) == 1
         assert q_mean(agent.gp, b, 1) > 0.5
 
@@ -630,7 +632,8 @@ class TestAgentAdapter:
         for i in range(25):
             b = random_summary(rng)
             agent.observe(Transition(b, int(rng.integers(3)),
-                                     float(rng.normal()), b, True, False), rng)
+                                     float(rng.normal()), b, True, False), rng,
+                          0.0)
         path = str(tmp_path / "gp.npz")
         agent.save(path)
         twin = GPSarsaAgent(60, 3, replace(SPEC, nu=0.05), gamma=0.95)
@@ -648,17 +651,18 @@ class TestAgentAdapter:
         rng = RNG(19)
         source = agent()
         b = random_summary(rng)
-        source.observe(Transition(b, 0, 1.0, b, True, False), None)
+        source.observe(Transition(b, 0, 1.0, b, True, False), None, 0.0)
         path = str(tmp_path / "gp.npz")
         source.save(path)
         held, fresh = agent(), agent()
         held.observe(Transition(random_summary(rng), 1, -0.03,
-                                random_summary(rng), False, False), None)
+                                random_summary(rng), False, False), None,
+                     0.0)
         last = Transition(random_summary(rng), 2, 1.0, random_summary(rng),
                           True, False)
         for twin in (held, fresh):
             twin.load(path)
-            twin.observe(last, None)
+            twin.observe(last, None, 0.0)
         assert held.gp.updates == fresh.gp.updates == 2
         assert len(held.gp) == len(fresh.gp) == 2
         want = fresh.state().arrays
@@ -684,7 +688,7 @@ class TestAgentAdapter:
                                gamma=0.95)
             for seed, turns in feeds:
                 for t in stream(seed, turns):
-                    out.observe(t, None)
+                    out.observe(t, None, 0.0)
             return out
 
         source, busy = agent((50, 45)), agent((51, 40))
@@ -701,7 +705,7 @@ class TestAgentAdapter:
                  for a in (source, fresh, busy)]
             assert q[0] == q[1] == q[2]
             for a in (source, fresh, busy):
-                a.observe(t, None)
+                a.observe(t, None, 0.0)
         want = source.state()
         for twin in (fresh, busy):
             got = twin.state()
@@ -717,7 +721,8 @@ class TestAgentAdapter:
         with caplog.at_level(logging.WARNING):
             for i in range(30):
                 b = random_summary(rng)
-                agent.observe(Transition(b, i % 2, 0.1, b, True, False), rng)
+                agent.observe(Transition(b, i % 2, 0.1, b, True, False), rng,
+                              0.0)
         assert len(agent.gp) == 10
         assert agent.gp.alarmed
         assert any("cap" in rec.message for rec in caplog.records)

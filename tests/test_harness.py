@@ -358,8 +358,7 @@ class TestTrainRun:
                               "gpsarsa", "gpsarsa-capped"])
     def test_resume_reproduces_fresh_run(self, tmp_path, algorithm):
         # dqn-wrapped: a 64-row pool, wrapped before the resume point;
-        # tda2c: a pool filled from a corpus, each dialogue's final belief
-        # held beside its rows
+        # tda2c: pretrained on a corpus, and resumed without its pool
         if algorithm.startswith("gpsarsa"):
             # capped at 30 points, the dictionary is full before the resume
             # point, so the resumed run projects onto a loaded dictionary
@@ -401,8 +400,8 @@ class TestTrainRun:
             if algorithm == "dqn-wrapped":
                 assert meta["pool.size"] == 64 and meta["pool.cursor"] > 0
             if algorithm == "tda2c":
-                # the 30 corpus dialogues and the first online ones
-                assert half["pool.terminal"].sum() >= 30
+                # after pretraining no step reads the pool: it stays out
+                assert not [k for k in half.files if k.startswith("pool.")]
         r_resumed = train_run(config("half", total), resume=True)
         assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
         # the saved learner state, not just the curve, matches bit for bit
@@ -429,6 +428,30 @@ class TestTrainRun:
         assert 20 < half < len(steps)
         assert steps == list(range(len(steps)))
         assert meta["schedule_t"] == len(steps)
+
+    @pytest.mark.parametrize("algorithm", ["dqn", "da2c", "gpsarsa"])
+    def test_each_turn_is_observed_with_the_epsilon_it_was_drawn_under(
+            self, tmp_path, monkeypatch, algorithm):
+        # one observe call for every agent, with the turn's epsilon
+        drawn, observed = [], []
+
+        def recorded(schedule, t):
+            drawn.append(epsilon(schedule, t))
+            return drawn[-1]
+        monkeypatch.setattr(harness, "epsilon", recorded)
+        cfg = smoke_config(tmp_path, algorithm=algorithm, dialogues=4,
+                           epsilon={"rate": 0.99})
+        agent_class = type(harness.build_agent(cfg,
+                                               harness.build_world(cfg)[2]))
+        observe = agent_class.observe
+
+        def spied(agent, t, rng, eps):
+            observed.append(eps)
+            return observe(agent, t, rng, eps)
+        monkeypatch.setattr(agent_class, "observe", spied)
+        train_run(cfg)
+        assert observed == drawn
+        assert len(set(drawn)) == len(drawn) > 4
 
     @pytest.mark.parametrize("kill", sorted(KILL_POINTS))
     def test_resume_after_kill_inside_checkpoint_write(self, tmp_path, kill):
@@ -920,12 +943,12 @@ class TestCli:
         ("agent.hidden=[16,0]", "agent.hidden=(16, 0) must be a tuple of "
          "positive integer layer sizes"),
         ('goals.constraint_probs={"area":"x"}',
-         "'goals.constraint_probs' must map 'area' to a number"),
+         "goals.constraint_probs[area]='x' must be a number"),
         ('goals.constraint_probs={"areaa":1.0}',
          "goals.constraint_probs key 'areaa' not in ('area', 'food', "
          "'pricerange')"),
         ('goals.request_count_weights={"1":"x"}',
-         "'goals.request_count_weights' must map '1' to a number"),
+         "goals.request_count_weights[1]='x' must be a number"),
         ("agent.l2=NaN", "agent.l2=nan must be in [0, inf)"),
         ("db_size=0", "db_size=0 must be in [1, inf)"),
         ("error.concentration=NaN",
@@ -1017,7 +1040,8 @@ class TestCli:
         ({"gamma": 0.9}, "gamma.x=1", "'gamma'"),
         ({"agent": {"hidden": [8]}}, "agent.hidden.x=1", "'agent.hidden'"),
         ({"algorithm": "dqn"}, "gamma.x=1", "'gamma'"),
-        ({"algorithm": "dqn"}, "agent.hidden.x=1", "'agent.hidden'"),
+        ({"algorithm": "dqn"}, "agent.hidden.x=1",
+         "agent.hidden={'x': 1} must be a tuple"),
         ([1, 2], None, "cfg.json"),
         ({"goals": {"request_count_weights": {"x": 1.0}}}, None,
          "goals.request_count_weights key 'x' is not an integer request "

@@ -202,6 +202,21 @@ SHAPES = [
      "request_count_weights key 'x' is not an integer request count"),
     ("goals.request_count_weights", {1.5: 1.0},
      "request_count_weights key 1.5 is not an integer request count"),
+    ("goals.request_count_weights", {"1": 0.5, "01": 0.5, "2": 1.0},
+     "request_count_weights keys '1' and '01' are both the request count 1"),
+    # the value types of a mapping field
+    ("goals.constraint_probs", {"area": "x"},
+     "constraint_probs[area]='x' must be a number"),
+    ("goals.constraint_probs", {"area": True},
+     "constraint_probs[area]=True must be a number"),
+    ("goals.constraint_probs", {"area": [1.0]},
+     "constraint_probs[area]=[1.0] must be a number"),
+    ("goals.request_count_weights", {"1": None},
+     "request_count_weights[1]=None must be a number"),
+    ("goals.request_count_weights", 5,
+     "request_count_weights=5 must be a mapping"),
+    ("goals.constraint_probs", ("area",),
+     "constraint_probs=('area',) must be a mapping"),
 ]
 
 

@@ -484,10 +484,10 @@ class TestTrainStep:
         agent = self.make_agent(target_sync=5)
         rng = RNG(9)
         for i in range(5):
-            agent.observe(transition(i), rng)
+            agent.observe(transition(i), rng, 0.0)
         assert agent.train_steps == 2  # warmup=4: steps at sizes 4 and 5
         for i in range(5, 8):
-            agent.observe(transition(i), rng)
+            agent.observe(transition(i), rng, 0.0)
         assert agent.train_steps == 5
         for i in range(100):
             x = RNG(500 + i).normal(size=4)
@@ -498,7 +498,7 @@ class TestTrainStep:
         before = [w.copy() for w in agent.target.weights]
         rng = RNG(10)
         for i in range(50):
-            agent.observe(transition(i), rng)
+            agent.observe(transition(i), rng, 0.0)
         for w, b in zip(agent.target.weights, before):
             assert np.array_equal(w, b)
 
@@ -518,14 +518,15 @@ class TestTrainStep:
         agent = self.make_agent()
         rng = RNG(12)
         for i in range(2000):
-            agent.observe(transition(i, terminal=(i % 7 == 0)), rng)
+            agent.observe(transition(i, terminal=(i % 7 == 0)), rng,
+                          0.0)
             assert np.isfinite(agent.last_loss) or i < 3
 
     def test_checkpoint_roundtrip(self, tmp_path):
         agent = self.make_agent()
         rng = RNG(13)
         for i in range(40):
-            agent.observe(transition(i), rng)
+            agent.observe(transition(i), rng, 0.0)
         path = str(tmp_path / "agent.npz")
         agent.save(path)
         twin = self.make_agent()
