@@ -30,7 +30,7 @@ from .ranges import check
 from .seeding import rng_stream
 
 CORPUS_SCHEMA = "dialab-corpus"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 PROVENANCES = ("handcrafted", "noisy-handcrafted", "agent")
 
@@ -192,6 +192,9 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
 
 
 def _check_dialogue(log: EpisodeLog, n_features: int) -> None:
+    if type(log.success) is not bool:
+        raise CorpusFormatError(f"field 'success': {log.success!r} is not a "
+                                f"boolean")
     if not log.records:
         raise CorpusFormatError("field 'records': a dialogue with no turns")
     n_actions = len(SPACES[log.space].actions)
@@ -199,9 +202,11 @@ def _check_dialogue(log: EpisodeLog, n_features: int) -> None:
         if len(rec.features) != n_features:
             raise CorpusFormatError(f"feature length {len(rec.features)} != "
                                     f"manifest {n_features}")
-        if not 0 <= rec.action < n_actions:
-            raise CorpusFormatError(f"action {rec.action} outside "
-                                    f"0..{n_actions - 1}")
+        # an int, not a bool, a float or a string that reads as one
+        if type(rec.action) is not int or not 0 <= rec.action < n_actions:
+            raise CorpusFormatError(f"field 'action' of turn {k}: "
+                                    f"{rec.action!r} is not an action index "
+                                    f"in 0..{n_actions - 1}")
         for name in ("features", "reward"):     # json.loads reads NaN
             if not np.isfinite(getattr(rec, name)).all():
                 raise CorpusFormatError(f"field '{name}' of turn {k}: not "
@@ -329,16 +334,21 @@ class CorpusReader:
 
 
 def _header(rec: dict) -> tuple[str, list]:
-    schema = rec.get("schema"), rec.get("version")
-    if schema == (CORPUS_SCHEMA, 1):
+    schema, version = rec.get("schema"), rec.get("version")
+    if schema == CORPUS_SCHEMA and version in range(1, SCHEMA_VERSION):
         raise CorpusFormatError(
-            "a version-1 corpus, which stores derived fields; regenerate it "
-            "with 'dialab generate-corpus'")
-    if schema != (CORPUS_SCHEMA, SCHEMA_VERSION):
+            f"a version-{version} corpus, which stores fields version "
+            f"{SCHEMA_VERSION} does not; regenerate it with 'dialab "
+            f"generate-corpus'")
+    if (schema, version) != (CORPUS_SCHEMA, SCHEMA_VERSION):
         raise CorpusFormatError(f"unrecognized corpus header {rec!r}")
     space, feature_names = rec["space"], rec["feature_names"]
     if space not in SPACES:
         raise CorpusFormatError(f"field 'space': unknown space {space!r}")
+    if not (isinstance(feature_names, list)
+            and all(isinstance(n, str) for n in feature_names)):
+        raise CorpusFormatError(f"field 'feature_names': {feature_names!r} "
+                                f"is not a list of strings")
     return space, feature_names
 
 

@@ -11,8 +11,7 @@ success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from sys import intern
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -71,31 +70,19 @@ def _vector(name: str, values) -> np.ndarray:
 
 @dataclass
 class TurnRecord:
-    """One logged system turn, in one compact form whether it comes from a
-    rollout or a corpus file: ``features`` is a float64 array, and the
-    rendered act strings are interned, so a repeated act is one string."""
+    """One logged system turn, in one form whether it comes from a rollout
+    or a corpus file: ``features`` is a float64 array."""
 
     features: np.ndarray
     action: int
-    system_act: str
-    user_acts: list
-    observed: list               # n-best lists of [act, score] pairs
     reward: float
 
     def __post_init__(self):
         self.features = _vector("features", self.features)
-        self.system_act = intern(self.system_act)
-        self.user_acts = [intern(a) for a in self.user_acts]
-        self.observed = [[[intern(a), s] for a, s in nbest]
-                         for nbest in self.observed]
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in _TURN_FIELDS}
-        d["features"] = self.features.tolist()
-        return d
-
-
-_TURN_FIELDS = tuple(f.name for f in fields(TurnRecord))
+        return {"features": self.features.tolist(), "action": self.action,
+                "reward": self.reward}
 
 
 @dataclass
@@ -114,8 +101,7 @@ class EpisodeLog:
 
     def to_dict(self) -> dict:
         """A JSON-ready dict without the space, which the corpus header
-        holds. Feature arrays become fresh lists of floats; the act strings
-        and lists are the records' own, not copies."""
+        holds. Feature arrays become fresh lists of floats."""
         return {"success": self.success,
                 "final_features": self.final_features.tolist(),
                 "records": [r.to_dict() for r in self.records]}
@@ -306,9 +292,6 @@ class DialogueEnv:
         self.user: usersim.UserState | None = None
         self.goal = None
         self.db_count = 0
-        self.last_system_act: SystemAct | None = None
-        self.last_user_acts: list = []
-        self.last_observation: list = []
 
     @property
     def n_actions(self) -> int:
@@ -328,9 +311,6 @@ class DialogueEnv:
         self.belief = tracker.fresh_belief()
         self.db_count = 0
         self._active = True
-        self.last_system_act = None
-        self.last_user_acts = []
-        self.last_observation = []
         return self.features()
 
     def realize(self, action: int) -> SystemAct:
@@ -351,9 +331,6 @@ class DialogueEnv:
         obs = tracker.corrupt(user_acts, self.config.error, self._rng)
         obs = list(obs) + context_evidence(sys_act, obs)
         self.belief = tracker.update_belief(self.belief, obs, self.db_count)
-        self.last_system_act = sys_act
-        self.last_user_acts = user_acts
-        self.last_observation = obs
 
         reward = self.config.turn_penalty
         terminal = False
@@ -376,8 +353,7 @@ class DialogueEnv:
 def rollout(env: DialogueEnv, policy: Callable[[np.ndarray], int],
             rng: np.random.Generator) -> Iterator[Transition]:
     """Roll one dialogue under a feature -> action policy, yielding one
-    Transition per turn; the environment's last_* fields describe the turn
-    just yielded."""
+    Transition per turn."""
     features = env.reset(rng)
     terminal = False
     while not terminal:
@@ -393,14 +369,6 @@ def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
     """Roll one dialogue under a feature -> action policy and log it."""
     records = []
     for t in rollout(env, policy, rng):
-        records.append(TurnRecord(
-            features=t.features,
-            action=t.action,
-            system_act=env.last_system_act.render(),
-            user_acts=[a.render() for a in env.last_user_acts],
-            observed=[[(a.render(), s) for a, s in nbest]
-                      for nbest in env.last_observation],
-            reward=t.reward,
-        ))
+        records.append(TurnRecord(t.features, t.action, t.reward))
     return EpisodeLog(env.config.space, records, success=t.success,
                       final_features=t.next_features)

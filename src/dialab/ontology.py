@@ -263,19 +263,6 @@ class SystemAct:
         elif self.payload is not None:
             raise OntologyError(f"{t} carries no payload")
 
-    def render(self) -> str:
-        if self.act_type == "offer":
-            inner = ", ".join(f"{k}={v}" for k, v in self.payload.items())
-            return f"offer({inner})"
-        if self.act_type == "select":
-            v1, v2 = self.options or ("", "")
-            return f"select({self.slot}: {v1}|{v2})"
-        if self.act_type == "expl-conf":
-            return f"expl-conf({self.slot}={self.value})"
-        if self.act_type == "request":
-            return f"request({self.slot})"
-        return self.act_type
-
 
 @dataclass(frozen=True)
 class UserAct:
@@ -300,12 +287,3 @@ class UserAct:
                 raise OntologyError("confirm carries slot and value")
         elif self.slot is not None or self.value is not None:
             raise OntologyError(f"{t} carries neither slot nor value")
-
-    def render(self) -> str:
-        if self.act_type == "inform":
-            return f"inform({self.slot}={self.value})"
-        if self.act_type == "request":
-            return f"request({self.slot})"
-        if self.act_type == "confirm":
-            return f"confirm({self.slot}={self.value})"
-        return self.act_type

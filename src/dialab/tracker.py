@@ -7,7 +7,7 @@ probabilities. The belief keeps them as lists in one fixed layout: a slot's
 masses in ``VALUES[slot]`` order with the unmentioned mass last, requests in
 ``REQUEST_SLOTS`` order, user acts in ``USER_ACT_TYPES`` order. Other modules
 read it only through ``top2``, ``not_mentioned_mass`` and ``ranked_values``.
-The tracker renders two feature layouts:
+The tracker builds two feature layouts:
 
 * summary: 60 binary features, 12 one-hot blocks of length 5. Three constraint
   blocks quantize each slot's top-two value probabilities onto the grid G_C;

@@ -103,6 +103,22 @@ def check_reward_decomposition(log: EpisodeLog, cfg: EnvConfig) -> bool:
                         abs_tol=1e-9)
 
 
+def render(act) -> str:
+    """A system or user act as text, as ``data/space_realizations.json``
+    records it; the two act kinds share the types they both have."""
+    if act.act_type == "offer":
+        inner = ", ".join(f"{k}={v}" for k, v in act.payload.items())
+        return f"offer({inner})"
+    if act.act_type == "select":
+        v1, v2 = act.options or ("", "")
+        return f"select({act.slot}: {v1}|{v2})"
+    if act.act_type in ("expl-conf", "inform", "confirm"):
+        return f"{act.act_type}({act.slot}={act.value})"
+    if act.act_type == "request":
+        return f"request({act.slot})"
+    return act.act_type
+
+
 def confused_act_by_list(act: UserAct, rng: np.random.Generator) -> UserAct:
     """``tracker._confused_act`` as it drew before: from a list of the
     other values, slots or act types built on every call."""

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -230,17 +229,14 @@ class TestLogForm:
                 assert isinstance(vec, np.ndarray)
                 assert vec.dtype == np.float64
                 assert vec.shape == (n_features,)
-            for r in log.records:
-                acts = [r.system_act, *r.user_acts,
-                        *(a for nbest in r.observed for a, _ in nbest)]
-                assert all(a is sys.intern(a) for a in acts)
             as_dict = log.to_dict()
             assert as_dict == json.loads(json.dumps(as_dict))
         assert reread.log.to_dict() == small_corpus.dialogues[0].log.to_dict()
 
     def test_traced_bytes_per_logged_turn(self, noisy_env):
         # a turn's features as a list of Python floats held about 2.1 KB
-        # a turn; the environment's array and interned acts about 1.2 KB
+        # a turn; the environment's array and the interned rendered acts
+        # about 1.15 KB; the array without the acts about 0.58 KB
         generate_corpus(noisy_env, 50, seed=2)
         tracemalloc.start()
         try:
@@ -249,7 +245,7 @@ class TestLogForm:
         finally:
             tracemalloc.stop()
         turns = sum(len(d.log.records) for d in built.dialogues)
-        assert held / turns < 1600, held / turns
+        assert held / turns < 800, held / turns
 
 
 class TestRoundTrip:
@@ -291,8 +287,19 @@ class TestRoundTrip:
             load_corpus(str(path))
 
     @pytest.mark.parametrize("change, message", [
-        ({"action": 11}, "action 11 outside 0..10"),
-        ({"action": -1}, "action -1 outside 0..10"),
+        ({"action": 11}, "field 'action' of turn 0: 11 is not an action "
+                         "index in 0..10"),
+        ({"action": -1}, "field 'action' of turn 0: -1 is not an action "
+                         "index in 0..10"),
+        # not an int, though 1.5 and True pass the range test
+        ({"action": 1.5},
+         "field 'action' of turn 0: 1.5 is not an action index in 0..10"),
+        ({"action": True},
+         "field 'action' of turn 0: True is not an action index in 0..10"),
+        ({"action": "1"},
+         "field 'action' of turn 0: '1' is not an action index in 0..10"),
+        ({"success": "no"}, "field 'success': 'no' is not a boolean"),
+        ({"success": 1}, "field 'success': 1 is not a boolean"),
         ({"final_features": [0.0, 0.0]},
          "final feature length 2 != manifest 1"),
         ({"n_turns": 0}, "field 'records': a dialogue with no turns"),
@@ -314,24 +321,29 @@ class TestRoundTrip:
 
     def test_record_with_an_unknown_field_names_the_file_and_line(
             self, tmp_path):
-        # version 1 stored each dialogue's rating; version 2 derives it
+        # version 1 stored each dialogue's rating; later versions derive it
         path = tmp_path / "corpus.jsonl"
         write_one_dialogue(path, record_fields={"rating": 3})
         with pytest.raises(CorpusFormatError, match=re.escape(
                 f"{path}:2: unexpected field 'rating' in a dialogue record")):
             load_corpus(str(path))
 
-    def test_version_1_file_is_refused_at_its_header(self, tmp_path):
+    # version 1 stored derived fields, version 2 the rendered acts
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_file_is_refused_at_its_header(self, tmp_path,
+                                                     version):
         path = tmp_path / "corpus.jsonl"
-        write_one_dialogue(path, version=1)
+        write_one_dialogue(path, version=version)
         with pytest.raises(CorpusFormatError, match=re.escape(
-                f"{path}:1: a version-1 corpus, which stores derived "
-                f"fields; regenerate it with 'dialab generate-corpus'")):
+                f"{path}:1: a version-{version} corpus, which stores fields "
+                f"version 3 does not; regenerate it with 'dialab "
+                f"generate-corpus'")):
             CorpusReader(str(path))
 
     def test_turn_with_a_dropped_field_names_the_file_and_line(self,
                                                                tmp_path):
-        # version 1 stored each turn's terminal flag; version 2 derives it
+        # version 1 stored each turn's terminal flag; later versions derive
+        # it
         path = tmp_path / "corpus.jsonl"
         write_one_dialogue(path, terminal=True)
         with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:2: ")
@@ -349,11 +361,14 @@ class TestRoundTrip:
             assert set(record["log"]) == {"success", "final_features",
                                           "records"}
             for turn in record["log"]["records"]:
-                assert set(turn) == {"features", "action", "system_act",
-                                     "user_acts", "observed", "reward"}
+                assert set(turn) == {"features", "action", "reward"}
 
     @pytest.mark.parametrize("text, message", [
-        ("", "empty corpus file"), ("\n", ":1: not JSON")])
+        ("", "empty corpus file"), ("\n", ":1: not JSON"),
+        *((json.dumps({"schema": "dialab-corpus", "version": 3,
+                       "space": "original", "feature_names": names}),
+           f":1: field 'feature_names': {names!r} is not a list of strings")
+          for names in (5, None, "f0", ["f0", 1]))])
     def test_empty_file_and_blank_header_rejected(self, tmp_path, text,
                                                   message):
         path = tmp_path / "corpus.jsonl"
@@ -381,17 +396,16 @@ class TestRoundTrip:
 
 
 def write_one_dialogue(path, features=(0.0,), action=0, final_features=(0.0,),
-                       n_turns=1, version=2, record_fields=(),
+                       n_turns=1, success=False, version=3, record_fields=(),
                        **turn_fields) -> None:
     """A one-feature corpus file of one dialogue of ``n_turns`` equal
     turns, its record built from the arguments; ``record_fields`` are added
     to the record and ``turn_fields`` to each turn."""
     header = {"schema": "dialab-corpus", "version": version,
               "space": "original", "feature_names": ["f0"]}
-    turn = {"features": list(features), "action": action,
-            "system_act": "repeat", "user_acts": [], "observed": [],
-            "reward": -1.03, **turn_fields}
-    log = {"success": False, "final_features": list(final_features),
+    turn = {"features": list(features), "action": action, "reward": -1.03,
+            **turn_fields}
+    log = {"success": success, "final_features": list(final_features),
            "records": [turn] * n_turns}
     record = {"provenance": "handcrafted", "log": log, **dict(record_fields)}
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")

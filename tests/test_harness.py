@@ -771,7 +771,7 @@ class TestPretraining:
     def test_layout_checked_before_any_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({
-            "schema": "dialab-corpus", "version": 2, "space": "original",
+            "schema": "dialab-corpus", "version": 3, "space": "original",
             "feature_names": ["f0"]}) + "\nnot json\n")
         cfg, env, agent = self.pretrained(str(path))
         with pytest.raises(LayoutMismatchError,
@@ -1441,7 +1441,7 @@ class TestCli:
     def test_rate_rejects_a_malformed_corpus(self, tmp_path, capsys, record,
                                              message):
         path = tmp_path / "corpus.jsonl"
-        header = {"schema": "dialab-corpus", "version": 2,
+        header = {"schema": "dialab-corpus", "version": 3,
                   "space": "original", "feature_names": ["f0"]}
         path.write_text(json.dumps(header) + "\n" + record + "\n")
         assert cli.main(["rate", "--corpus", str(path)]) == cli.EXIT_RUN

@@ -20,6 +20,7 @@ from dialab.environment import SPACES, DialogueEnv, EnvConfig, rollout
 from dialab.ontology import generate_db
 from dialab.seeding import rng_stream
 from dialab.tracker import fresh_belief
+from reference import render
 
 RECORDED = os.path.join(os.path.dirname(__file__), "data",
                         "space_realizations.json")
@@ -41,7 +42,7 @@ def realizations(space: str) -> list:
         acts = []
         for action in range(env.n_actions):
             env.db_count = -1
-            acts.append([env.realize(action).render(), env.db_count])
+            acts.append([render(env.realize(action)), env.db_count])
         rows.append([rule.decide(env.features()), acts])
     return rows
 

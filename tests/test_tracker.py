@@ -13,7 +13,7 @@ from dialab.tracker import (DB_COUNT_CAP, G_C, SUMMARY_LEN,
                             top2, turn_phase, update_belief,
                             vectorize_original)
 from reference import (G_R, ORIGINAL_LEN, confused_act_by_list,
-                       corrupt_by_list, noiseless_channel)
+                       corrupt_by_list, noiseless_channel, render)
 
 RNG = np.random.default_rng
 
@@ -154,7 +154,7 @@ def scored(obs):
 class TestChannelTables:
     """The table-driven channel draws what the list code drew, bit for bit."""
 
-    @pytest.mark.parametrize("act", EVERY_ACT, ids=lambda a: a.render())
+    @pytest.mark.parametrize("act", EVERY_ACT, ids=render)
     def test_confusion_draws_match_the_list_code(self, act):
         mine, theirs = RNG(36), RNG(36)
         for _ in range(300):
