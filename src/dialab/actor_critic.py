@@ -1,16 +1,16 @@
 """Advantage actor-critic dialogue managers.
 
-A softmax policy network (the training loop adds the epsilon draw) and a
-scalar value network learn once per dialogue: at its terminal turn V takes
-one regression step toward the dialogue's discounted returns, then the
-policy one step over its turns, ascending the TD error r + gamma V(b') -
-V(b) times grad log pi(a), weighted by pi(a) / mu(a) for the epsilon
-mixture mu that chose a, minus an L2 term. The two-stage variant first
-clones demonstrated actions by cross-entropy (``imitate``) on the logged
-turns the harness stored in the replay pool; the batch RL stage that
-follows, V's replay steps toward r + gamma V_target(b'), is the harness's
-pretraining stage shared with DQN, and the one reader of the pool and
-the target copy.
+A policy network, whose outputs the agent takes the softmax of (the
+training loop adds the epsilon draw), and a one-output value network
+learn once per dialogue: at its terminal turn V takes one regression step
+toward the dialogue's discounted returns, then the policy one step over
+its turns, ascending the TD error r + gamma V(b') - V(b) times grad log
+pi(a), weighted by pi(a) / mu(a) for the epsilon mixture mu that chose a,
+minus an L2 term. The two-stage variant first clones demonstrated actions
+by cross-entropy (``imitate``) on the logged turns the harness stored in
+the replay pool; the batch RL stage that follows, V's replay steps toward
+r + gamma V_target(b'), is the harness's pretraining stage shared with
+DQN, and the one reader of the pool and the target copy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint, nets
 from .environment import Transition
 from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
-                   copy_params, log_policy_gradient)
+                   copy_params, log_policy_gradient, softmax)
 from .value_agents import AgentConfig, ReplayPool, dqn_target, regression_step
 
 
@@ -41,7 +41,8 @@ def td_errors(vnet: FeedForwardNet, feats: np.ndarray, rewards: np.ndarray,
 
 
 class ActorCriticAgent:
-    """Policy network (actor) plus value network with target copy (critic)."""
+    """Policy network (actor) plus value network (critic); the critic's
+    target copy serves pretraining's replay steps alone."""
 
     def __init__(self, n_features: int, n_actions: int, config: AgentConfig,
                  rng: np.random.Generator, explored: tuple,
@@ -49,10 +50,8 @@ class ActorCriticAgent:
         self.config = config
         self.gamma = gamma
         self.policy = FeedForwardNet.create(n_features, n_actions,
-                                            hidden=config.hidden,
-                                            head="softmax", rng=rng)
-        self.value = FeedForwardNet.create(n_features, 1, hidden=config.hidden,
-                                           head="scalar", rng=rng)
+                                            config.hidden, rng)
+        self.value = FeedForwardNet.create(n_features, 1, config.hidden, rng)
         self.value_target = clone_net(self.value)
         self.policy_opt = AdadeltaState.for_net(self.policy, rho=config.rho,
                                                 eps=config.eps_num)
@@ -60,7 +59,7 @@ class ActorCriticAgent:
                                                eps=config.eps_num)
         self.pool = ReplayPool(config.pool_capacity, n_features)
         self.explored = np.isin(np.arange(n_actions), explored)     # a mask
-        self.value_steps = 0
+        self.value_steps = 0    # pretraining's, for its target syncs
         self.last_value_loss = float("nan")
         # supervised targets whose probability was clamped in the
         # cross-entropy; a diagnostic, not checkpointed
@@ -71,11 +70,11 @@ class ActorCriticAgent:
 
     def act(self, features, rng: np.random.Generator) -> int:
         """An action drawn from the policy distribution."""
-        probs = self.policy.forward(features)
+        probs = softmax(self.policy.forward(features))
         return int(rng.choice(self.policy.n_actions, p=probs))
 
     def eval_action(self, features) -> int:
-        return int(np.argmax(self.policy.forward(features)))
+        return int(np.argmax(softmax(self.policy.forward(features))))
 
     def observe(self, t: Transition, rng: np.random.Generator,
                 epsilon: float) -> None:
@@ -115,30 +114,32 @@ class ActorCriticAgent:
         w_k the ``behaviour_weight`` of row k under its epsilon."""
         if not np.isfinite(deltas).all():
             raise nets.NonFiniteGradientError("non-finite advantage, step rejected")
-        probs, acts = self.policy.forward_train(feats)
+        logits, acts = self.policy.forward_train(feats)
+        probs = softmax(logits)
         p = probs[np.arange(len(actions)), actions]
         scale = deltas * behaviour_weight(p, epsilons, self.explored[actions],
                                           np.count_nonzero(self.explored))
         grad_logits = log_policy_gradient(probs, actions)
         grad_logits *= -scale[:, None]
-        grads = self.policy.backward_batch(feats, grad_logits, acts)
+        grads = self.policy.backward_batch(grad_logits, acts)
         if self.config.l2 > 0:
             nets.add_l2_gradient(grads, self.policy, self.config.l2)
         nets.adadelta_step(self.policy_opt, self.policy, grads)
 
     def supervised_step(self, feats: np.ndarray, actions: np.ndarray) -> float:
         """One cross-entropy (+L2) minibatch on demonstrated actions."""
-        probs, acts = self.policy.forward_train(feats)
+        logits, acts = self.policy.forward_train(feats)
+        probs = softmax(logits)
         n = len(actions)
         rows = np.arange(n)
         target = probs[rows, actions]
         clamped = target < CE_CLAMP
         self.clamp_count += int(np.count_nonzero(clamped))
         losses = float(-np.log(np.where(clamped, CE_CLAMP, target)).sum())
-        grad_out = probs.copy()
-        grad_out[rows, actions] -= 1.0
-        grad_out /= n
-        grads = self.policy.backward_batch(feats, grad_out, acts)
+        grad_logits = probs    # probs - onehot, in place
+        grad_logits[rows, actions] -= 1.0
+        grad_logits /= n
+        grads = self.policy.backward_batch(grad_logits, acts)
         if self.config.l2 > 0:
             nets.add_l2_gradient(grads, self.policy, self.config.l2)
             weights = self.policy.params[:self.policy.n_weights]
@@ -165,15 +166,15 @@ class ActorCriticAgent:
                 sel = train[perm[start:start + self.config.sup_batch]]
                 self.supervised_step(features[sel], actions[sel])
         if len(hold):
-            pred = self.policy.forward_batch(features[hold]).argmax(axis=1)
-            stats["holdout_accuracy"] = float(np.mean(pred == actions[hold]))
+            probs = softmax(self.policy.forward_batch(features[hold]))
+            stats["holdout_accuracy"] = float(np.mean(
+                probs.argmax(axis=1) == actions[hold]))
         return stats
 
     # -- checkpointing ------------------------------------------------------
 
     def state(self) -> checkpoint.State:
-        return checkpoint.compose({"value_steps": self.value_steps},
-                                  policy=self.policy.state(),
+        return checkpoint.compose({}, policy=self.policy.state(),
                                   value=self.value.state(),
                                   policy_opt=self.policy_opt.state(),
                                   value_opt=self.value_opt.state())
@@ -186,6 +187,5 @@ class ActorCriticAgent:
     def load(self, path: str, *run: str) -> dict:
         loaded = checkpoint.load(path, "actor-critic", self.state(), *run)
         checkpoint.take(self.state(), loaded)
-        self.value_steps = loaded.counters["value_steps"]
         self._turns = []
         return loaded.counters

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterator
 
 import numpy as np
 
 from .checkpoint import replace_file
 from .environment import (SPACES, DialogueEnv, EpisodeLog, Transition,
-                          run_episode)
+                          refuse_unknown, run_episode)
 from .ontology import CONSTRAINT_SLOTS
 from .ranges import check
 from .seeding import rng_stream
@@ -207,6 +208,9 @@ def _check_dialogue(log: EpisodeLog, n_features: int) -> None:
             raise CorpusFormatError(f"field 'action' of turn {k}: "
                                     f"{rec.action!r} is not an action index "
                                     f"in 0..{n_actions - 1}")
+        if isinstance(rec.reward, bool) or not isinstance(rec.reward, Real):
+            raise CorpusFormatError(f"field 'reward' of turn {k}: "
+                                    f"{rec.reward!r} is not a number")
         for name in ("features", "reward"):     # json.loads reads NaN
             if not np.isfinite(getattr(rec, name)).all():
                 raise CorpusFormatError(f"field '{name}' of turn {k}: not "
@@ -303,10 +307,7 @@ class CorpusReader:
         n_features = len(self.feature_names)
 
         def dialogue(rec: dict) -> CorpusDialogue:
-            for key in rec:
-                if key not in ("provenance", "log"):
-                    raise CorpusFormatError(f"unexpected field {key!r} in a "
-                                            f"dialogue record")
+            refuse_unknown(rec, ("provenance", "log"), "a dialogue record")
             log = EpisodeLog.from_dict(rec["log"], self.space)
             # before the dialogue is rated, from its features and actions
             _check_dialogue(log, n_features)

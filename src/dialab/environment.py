@@ -61,11 +61,21 @@ class Transition:
 
 def _vector(name: str, values) -> np.ndarray:
     """``values`` as a float64 vector; a float64 array, such as the one the
-    environment built for the turn, is kept as it is, not copied."""
+    environment built for the turn, is kept as it is, not copied. A list
+    holding a boolean, which numpy would take for 0 or 1, is refused."""
     vec = np.asarray(values, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"field {name!r}: not a flat list of numbers")
+    if isinstance(values, list) and bool in map(type, values):
+        raise ValueError(f"field {name!r}: a boolean is not a number")
     return vec
+
+
+def refuse_unknown(d: dict, names: tuple, where: str) -> None:
+    """Raise ValueError naming the first key of ``d`` not in ``names``."""
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unexpected field {key!r} in {where}")
 
 
 @dataclass
@@ -109,7 +119,11 @@ class EpisodeLog:
     @classmethod
     def from_dict(cls, d: dict, space: str) -> "EpisodeLog":
         """The log ``to_dict`` gave, of a dialogue in ``space``; a field
-        ``to_dict`` does not write, here or in a turn, raises TypeError."""
+        ``to_dict`` does not write, here or in a turn, raises ValueError
+        naming it."""
+        refuse_unknown(d, ("success", "final_features", "records"), "the log")
+        for k, r in enumerate(d["records"]):
+            refuse_unknown(r, ("features", "action", "reward"), f"turn {k}")
         return cls(space=space,
                    **dict(d, records=[TurnRecord(**r) for r in d["records"]]))
 

@@ -28,7 +28,7 @@ from .checkpoint import replace_file
 from .environment import DialogueEnv, EnvConfig, rollout
 from .gpsarsa import GPConfig, GPSarsaAgent
 from .ontology import VALUES, generate_db
-from .ranges import ConfigError, bounded, check_ranges
+from .ranges import SCALAR_TYPES, ConfigError, bounded, check_ranges
 from .seeding import rng_stream
 from .value_agents import AgentConfig, QAgent
 
@@ -65,6 +65,7 @@ class PretrainParams:
     corpus: str | None = None
 
     def __post_init__(self):
+        check_ranges(self)
         if self.mode not in PRETRAIN_MODES:
             raise ConfigError(f"mode={self.mode!r} not in {PRETRAIN_MODES}")
         if self.mode != "none" and not self.corpus:
@@ -97,21 +98,6 @@ class ExperimentConfig(EnvConfig):
                               f"{ALGORITHMS}")
 
 
-# the JSON types a scalar field takes, by the type of its default, or by its
-# annotation where the default is None; a bool is no number here
-SCALAR_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                str: ((str,), "a string"),
-                "str | None": ((str, type(None)), "a string or null")}
-
-
-def _field_kind(f) -> tuple:
-    """A field's default and, for a scalar, (its JSON types, their wording)."""
-    default = (f.default if f.default_factory is dataclasses.MISSING
-               else f.default_factory())
-    return default, SCALAR_TYPES.get(f.type if default is None
-                                     else type(default))
-
-
 def _coerce(cls, data, path: str = ""):
     """``cls`` from the JSON mapping ``data``, each section in turn; every
     error is a ConfigError naming the section or dotted key at fault."""
@@ -124,14 +110,9 @@ def _coerce(cls, data, path: str = ""):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{where}'")
     kwargs = {}
     for key, value in data.items():
-        f, dotted = known[key], f"{path}.{key}" if path else key
-        default, scalar = _field_kind(f)
-        if dataclasses.is_dataclass(default):
-            value = _coerce(type(default), value, dotted)
-        elif scalar:
-            types, kind = scalar
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"'{dotted}' must be {kind}, got {value!r}")
+        section = known[key].default_factory
+        if dataclasses.is_dataclass(section):
+            value = _coerce(section, value, f"{path}.{key}" if path else key)
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -159,14 +140,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _override_types(key: str) -> tuple:
-    """The JSON types of the scalar field the dotted ``key`` names, if any."""
-    record, scalar = ExperimentConfig, None
+    """The types of the scalar field the dotted ``key`` names, if any."""
+    record = ExperimentConfig
     for part in key.split("."):
         f = getattr(record, "__dataclass_fields__", {}).get(part)
         if f is None:
             return ()
-        record, scalar = _field_kind(f)
-    return scalar[0] if scalar else ()
+        record = f.default_factory     # a section's record class
+    return SCALAR_TYPES.get(f.type, ((), ""))[0]
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:

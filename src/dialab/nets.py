@@ -1,8 +1,9 @@
 """Minimal differentiable-network toolkit for the Q, V and policy approximators.
 
-Fully connected nets with tanh hidden layers and a linear, softmax or scalar
-head; exact backprop; Adadelta without a global learning rate; L2 penalty on
-weights. Everything is float64 and seed-deterministic.
+Fully connected nets with tanh hidden layers and a linear output layer;
+exact backprop; Adadelta without a global learning rate; L2 penalty on
+weights; the softmax and log-policy gradient a policy applies to that
+output. Everything is float64 and seed-deterministic.
 
 A net's parameters are one contiguous vector, every layer's W (row-major)
 first and then every b; ``weights[i]`` and ``biases[i]`` are reshaped views
@@ -22,7 +23,6 @@ import numpy as np
 
 from .checkpoint import State
 
-HEADS = ("linear", "softmax", "scalar")
 
 class ShapeError(ValueError):
     """Input or parameter shapes disagree with the network architecture."""
@@ -51,16 +51,13 @@ def layer_views(vector: np.ndarray, layer_sizes: Sequence[int]):
 
 @dataclass(eq=False)
 class FeedForwardNet:
-    """MLP with tanh hidden activations.
+    """MLP with tanh hidden activations and a linear output layer.
 
-    ``weights[i]`` has shape (n_in, n_out); the head is applied to the last
-    linear output: ``softmax`` normalizes, ``scalar`` returns a float from a
-    single output unit, ``linear`` returns the raw vector. ``params`` holds
-    every parameter (zeros unless given); ``weights``/``biases`` view it.
+    ``weights[i]`` has shape (n_in, n_out). ``params`` holds every
+    parameter (zeros unless given); ``weights``/``biases`` view it.
     """
 
     layer_sizes: tuple[int, ...]
-    head: str
     params: np.ndarray | None = None
 
     def __post_init__(self):
@@ -76,16 +73,10 @@ class FeedForwardNet:
         self.layers = layer_slices(sizes)
 
     @classmethod
-    def create(cls, n_in: int, n_out: int, hidden: Sequence[int] = (130, 50),
-               head: str = "linear",
-               rng: np.random.Generator | None = None) -> "FeedForwardNet":
-        if head not in HEADS:
-            raise ShapeError(f"unknown head '{head}'")
-        if head == "scalar" and n_out != 1:
-            raise ShapeError("scalar head needs exactly one output unit")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        sizes = (n_in, *hidden, n_out)
-        net = cls(layer_sizes=sizes, head=head)
+    def create(cls, n_in: int, n_out: int, hidden: Sequence[int],
+               rng: np.random.Generator) -> "FeedForwardNet":
+        """Glorot-uniform weights drawn from ``rng``, zero biases."""
+        net = cls(layer_sizes=(n_in, *hidden, n_out))
         for w in net.weights:
             limit = np.sqrt(6.0 / sum(w.shape))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -98,8 +89,7 @@ class FeedForwardNet:
     def state(self) -> State:
         """The live parameter vector, for checkpoints."""
         return State({"params": self.params},
-                     spec={"layer_sizes": list(self.layer_sizes),
-                           "head": self.head})
+                     spec={"layer_sizes": list(self.layer_sizes)})
 
     # -- forward -----------------------------------------------------------
 
@@ -107,15 +97,13 @@ class FeedForwardNet:
         """Batched forward pass; x is (batch, n_in), result (batch, n_out)."""
         return self.forward_train(x)[0]
 
-    def forward(self, x: np.ndarray):
-        out = self.forward_batch(np.asarray(x, dtype=float)[None, :])[0]
-        if self.head == "scalar":
-            return float(out[0])
-        return out
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """One input vector's output vector."""
+        return self.forward_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def forward_train(self, x: np.ndarray):
-        """Batched forward pass that also returns every layer's activations
-        (the input first, the final linear output last) for
+        """Batched forward pass that returns the output and every layer's
+        activations (the input first, the output last) for
         ``backward_batch``."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
@@ -131,37 +119,32 @@ class FeedForwardNet:
             if i != last:
                 np.tanh(a, out=a)
             activations.append(a)
-        out = softmax(a) if self.head == "softmax" else a
-        return out, activations
+        return a, activations
 
     # -- backward ----------------------------------------------------------
 
-    def backward_batch(self, x: np.ndarray, grad_out: np.ndarray,
-                       activations: list | None = None) -> np.ndarray:
+    def backward_batch(self, grad_out: np.ndarray,
+                       activations: list) -> np.ndarray:
         """Exact gradients of ``sum_b objective_b`` for a batch, as one
         vector in the parameter layout.
 
-        ``grad_out`` is the objective's gradient at the final *linear* output
-        (the logits for a softmax head), one row per batch element.
-        ``activations``, from ``forward_train(x)`` on the current parameters,
-        saves running the forward pass again.
+        ``grad_out`` is the objective's gradient at the output (a policy's
+        logits), one row per batch element; ``activations`` are what
+        ``forward_train`` returned for the batch on the current parameters.
         """
-        acts = activations
-        if acts is None:
-            _, acts = self.forward_train(x)
         grad_out = np.asarray(grad_out, dtype=float)
-        if grad_out.shape != acts[-1].shape:
-            raise ShapeError(
-                f"upstream gradient shape {grad_out.shape} != output {acts[-1].shape}")
+        if grad_out.shape != activations[-1].shape:
+            raise ShapeError(f"upstream gradient shape {grad_out.shape} != "
+                             f"output {activations[-1].shape}")
         grads = np.empty_like(self.params)
         delta = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             w, shape, b = self.layers[i]
-            np.matmul(acts[i].T, delta, out=grads[w].reshape(shape))
+            np.matmul(activations[i].T, delta, out=grads[w].reshape(shape))
             np.add.reduce(delta, axis=0, out=grads[b])     # np.sum, unwrapped
             if i > 0:
                 # tanh'(z) = 1 - a^2 with a the cached activation
-                slope = np.square(acts[i])
+                slope = np.square(activations[i])
                 np.subtract(1.0, slope, out=slope)
                 delta = delta @ self.weights[i].T
                 delta *= slope
@@ -274,13 +257,12 @@ def adadelta_step(state: AdadeltaState, net: FeedForwardNet,
 
 
 def copy_params(src: FeedForwardNet, dst: FeedForwardNet) -> None:
-    if src.layer_sizes != dst.layer_sizes or src.head != dst.head:
-        raise ShapeError(
-            f"architecture mismatch: {src.layer_sizes}/{src.head} vs "
-            f"{dst.layer_sizes}/{dst.head}")
+    if src.layer_sizes != dst.layer_sizes:
+        raise ShapeError(f"architecture mismatch: {src.layer_sizes} vs "
+                         f"{dst.layer_sizes}")
     np.copyto(dst.params, src.params)
 
 
 def clone_net(net: FeedForwardNet) -> FeedForwardNet:
-    return FeedForwardNet(layer_sizes=net.layer_sizes, head=net.head,
+    return FeedForwardNet(layer_sizes=net.layer_sizes,
                           params=net.params.copy())

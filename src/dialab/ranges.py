@@ -1,15 +1,24 @@
 """The interval each numeric config field declares next to its default, in
-the usual notation (``[0, 1)``, ``(0, inf]``; NaN lies in none), the one
-rule that checks them, and the error every config record raises."""
+the usual notation (``[0, 1)``, ``(0, inf]``; NaN lies in none), the values
+each scalar field's type takes, the one rule that checks them, and the
+error every config record raises."""
 
 from dataclasses import MISSING, field, fields
-from numbers import Real
+from numbers import Integral, Real
 
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration. A config record's
     message begins with the field at fault; the config reader prefixes the
     record's section."""
+
+
+# the values a scalar field takes, by its annotation as written (the
+# records postpone their annotations), and their wording; a bool is none
+SCALAR_TYPES = {"int": ((Integral,), "an integer"),
+                "float": ((Real,), "a number"),
+                "str": ((str,), "a string"),
+                "str | None": ((str, type(None)), "a string or null")}
 
 
 def bounded(interval: str, default=MISSING, *, factory=MISSING):
@@ -32,9 +41,15 @@ def check(name: str, value, interval: str):
 
 
 def check_ranges(record) -> None:
-    """Check each declared field of ``record``, each value of a mapping."""
+    """Check each field of ``record`` against its type if it is a scalar's,
+    then against its interval if it declares one, each value of a
+    mapping."""
     for f in fields(record):
         interval, value = f.metadata.get("range"), getattr(record, f.name)
+        types, kind = SCALAR_TYPES.get(f.type, (None, None))
+        if types and (isinstance(value, bool)
+                      or not isinstance(value, types)):
+            raise ConfigError(f"{f.name}={value!r} must be {kind}")
         if interval and f.default_factory is not MISSING:
             if not isinstance(value, dict):
                 raise ConfigError(f"{f.name}={value!r} must be a mapping")

@@ -153,7 +153,7 @@ def regression_step(net: FeedForwardNet, opt: AdadeltaState,
     diff /= diff.size
     grad_out = np.zeros(out.shape)
     grad_out[rows, columns] = diff
-    grads = net.backward_batch(feats, grad_out, acts)
+    grads = net.backward_batch(grad_out, acts)
     nets.adadelta_step(opt, net, grads)
     return loss
 
@@ -200,8 +200,7 @@ class QAgent:
         self.gamma = gamma
         self.double_dqn = double_dqn
         self.qnet = FeedForwardNet.create(n_features, n_actions,
-                                          hidden=config.hidden, head="linear",
-                                          rng=rng)
+                                          config.hidden, rng)
         self.target = clone_net(self.qnet)
         self.opt = AdadeltaState.for_net(self.qnet, rho=config.rho,
                                          eps=config.eps_num)

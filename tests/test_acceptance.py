@@ -19,7 +19,7 @@ from dialab import harness
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
 from dialab.environment import Transition, run_episode
 from dialab.gpsarsa import GPConfig, SparseGP
-from dialab.nets import FeedForwardNet, log_policy_gradient
+from dialab.nets import FeedForwardNet, log_policy_gradient, softmax
 from dialab.seeding import rng_stream
 from dialab.value_agents import ReplayPool, ddqn_target, dqn_target
 from reference import (check_reward_decomposition, cross_entropy_loss,
@@ -66,32 +66,34 @@ def _max_rel(analytic, numeric):
 def test_criterion_2_gradient_suite():
     start = time.perf_counter()
     worst = 0.0
-    # mse on linear head
-    net = FeedForwardNet.create(5, 3, hidden=(6, 5), head="linear", rng=RNG(1))
+    # mse on a linear output
+    net = FeedForwardNet.create(5, 3, (6, 5), RNG(1))
     x, target = RNG(2).normal(size=5), RNG(3).normal(size=3)
     _, grad_out = mse_loss(net.forward(x), target)
     worst = max(worst, _max_rel(
-        net.backward_batch(x[None], grad_out[None]),
+        net.backward_batch(grad_out[None], net.forward_train(x[None])[1]),
         finite_difference_grads(lambda: mse_loss(net.forward(x), target)[0],
                                 net)))
-    # cross-entropy on softmax head
-    net2 = FeedForwardNet.create(5, 4, hidden=(6, 5), head="softmax", rng=RNG(4))
-    _, ce_grad, _ = cross_entropy_loss(net2.forward(x), 2)
+    # cross-entropy on the softmax of the output
+    net2 = FeedForwardNet.create(5, 4, (6, 5), RNG(4))
+    acts2 = net2.forward_train(x[None])[1]
+    _, ce_grad, _ = cross_entropy_loss(softmax(net2.forward(x)), 2)
     worst = max(worst, _max_rel(
-        net2.backward_batch(x[None], ce_grad[None]),
+        net2.backward_batch(ce_grad[None], acts2),
         finite_difference_grads(
-            lambda: cross_entropy_loss(net2.forward(x), 2)[0], net2)))
+            lambda: cross_entropy_loss(softmax(net2.forward(x)), 2)[0],
+            net2)))
     # log-policy gradient
     worst = max(worst, _max_rel(
-        net2.backward_batch(x[None],
-                            log_policy_gradient(net2.forward(x), 1)[None]),
+        net2.backward_batch(
+            log_policy_gradient(softmax(net2.forward(x)), 1)[None], acts2),
         finite_difference_grads(
-            lambda: float(np.log(net2.forward(x)[1])), net2)))
-    # scalar head value loss
-    net3 = FeedForwardNet.create(5, 1, hidden=(6, 5), head="scalar", rng=RNG(5))
+            lambda: float(np.log(softmax(net2.forward(x))[1])), net2)))
+    # value loss on a one-output net
+    net3 = FeedForwardNet.create(5, 1, (6, 5), RNG(5))
     _, vg = mse_loss(net3.forward(x), 0.4)
     worst = max(worst, _max_rel(
-        net3.backward_batch(x[None], np.atleast_1d(vg)[None]),
+        net3.backward_batch(vg[None], net3.forward_train(x[None])[1]),
         finite_difference_grads(lambda: mse_loss(net3.forward(x), 0.4)[0],
                                 net3)))
     # l2 penalty
@@ -111,8 +113,8 @@ def test_criterion_3_ddqn_dominance():
     violations = 0
     for draw in range(1000):
         rng = RNG(3000 + draw)
-        online = FeedForwardNet.create(6, 4, hidden=(8,), head="linear", rng=rng)
-        target = FeedForwardNet.create(6, 4, hidden=(8,), head="linear", rng=rng)
+        online = FeedForwardNet.create(6, 4, (8,), rng)
+        target = FeedForwardNet.create(6, 4, (8,), rng)
         feats = rng.normal(size=(8, 6))
         rewards = rng.normal(size=8)
         terminal = rng.random(8) < 0.2

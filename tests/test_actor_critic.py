@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -13,7 +14,7 @@ from dialab.corpus import (Corpus, LayoutMismatchError, check_layout,
 from dialab.environment import Transition
 from dialab.harness import behaviour_action
 from dialab.nets import (FeedForwardNet, NonFiniteGradientError, copy_params,
-                         log_policy_gradient)
+                         log_policy_gradient, softmax)
 from dialab.value_agents import AgentConfig, regression_step
 from reference import (cross_entropy_loss, finite_difference_grads,
                        l2_penalty, state_bytes)
@@ -30,8 +31,7 @@ def make_agent(n_features=6, n_actions=4, explored=None, **kw):
 
 
 def fixed_policy_net(logits, n_in=6):
-    net = FeedForwardNet.create(n_in, len(logits), hidden=(3,), head="softmax",
-                                rng=RNG(1))
+    net = FeedForwardNet.create(n_in, len(logits), (3,), RNG(1))
     for w in net.weights:
         w[:] = 0.0
     for b in net.biases:
@@ -194,9 +194,9 @@ class TestBehaviourWeight:
         feats = RNG(32).normal(size=(5, 6))
         actions, deltas = np.array([0, 1, 2, 3, 1]), RNG(33).normal(size=5)
         agent.policy_gradient_step(feats, actions, deltas, np.zeros(5))
-        probs, acts = reference.policy.forward_train(feats)
-        grad = -deltas[:, None] * log_policy_gradient(probs, actions)
-        grads = reference.policy.backward_batch(feats, grad, acts)
+        logits, acts = reference.policy.forward_train(feats)
+        grad = -deltas[:, None] * log_policy_gradient(softmax(logits), actions)
+        grads = reference.policy.backward_batch(grad, acts)
         nets.add_l2_gradient(grads, reference.policy, reference.config.l2)
         nets.adadelta_step(reference.policy_opt, reference.policy, grads)
         assert agent.policy.params.tobytes() == \
@@ -226,27 +226,27 @@ class TestPolicyGradientStep:
         agent = make_agent(l2=0.0)
         x = RNG(6).normal(size=6)
         action = 1
-        probs = [agent.policy.forward(x)[action]]
+        probs = [softmax(agent.policy.forward(x))[action]]
         for _ in range(3):
             step(agent, x, action, 1.0)
-            probs.append(agent.policy.forward(x)[action])
+            probs.append(softmax(agent.policy.forward(x))[action])
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_negative_delta_decreases_probability(self):
         agent = make_agent(l2=0.0)
         x = RNG(7).normal(size=6)
-        before = agent.policy.forward(x)[0]
+        before = softmax(agent.policy.forward(x))[0]
         step(agent, x, 0, -1.0)
-        assert agent.policy.forward(x)[0] < before
+        assert softmax(agent.policy.forward(x))[0] < before
 
     def test_update_is_ascent_direction(self):
         # inner product of the analytic gradient with the applied update > 0
         agent = make_agent(l2=0.0)
         x = RNG(8).normal(size=6)
         action = 0
-        probs = agent.policy.forward(x)
+        logits, acts = agent.policy.forward_train(x[None])
         ascent = agent.policy.backward_batch(
-            x[None], log_policy_gradient(probs, action)[None])
+            log_policy_gradient(softmax(logits), action), acts)
         before = agent.policy.params.copy()
         step(agent, x, action, 1.0)
         assert float(ascent @ (agent.policy.params - before)) > 0.0
@@ -261,7 +261,7 @@ class TestPolicyGradientStep:
         x = RNG(9).normal(size=6)
         for i in range(50):
             step(agent, x, i % 4, 1.0)
-        probs = agent.policy.forward(x)
+        probs = softmax(agent.policy.forward(x))
         assert np.all(probs > 0.0)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
@@ -278,7 +278,7 @@ def inline_value_train_step(agent, rng):
     diff = v[:, 0] - targets
     loss = float(np.mean(diff ** 2))
     grad_out = (2.0 * diff / len(idx))[:, None]
-    grads = agent.value.backward_batch(feats, grad_out, acts)
+    grads = agent.value.backward_batch(grad_out, acts)
     nets.adadelta_step(agent.value_opt, agent.value, grads)
     agent.value_steps += 1
     if agent.value_steps % cfg.target_sync == 0:
@@ -311,9 +311,9 @@ class TestValueTrainStep:
         rng = RNG(11)
         for _ in range(5000):
             agent.value_train_step(rng)
-            if abs(agent.value.forward(t.features) - 0.6) <= 1e-3:
+            if abs(agent.value.forward(t.features)[0] - 0.6) <= 1e-3:
                 break
-        assert abs(agent.value.forward(t.features) - 0.6) <= 1e-3
+        assert abs(agent.value.forward(t.features)[0] - 0.6) <= 1e-3
 
 
 
@@ -328,7 +328,8 @@ def reference_dialogue_update(agent, turns, epsilons, explored):
         returns[k] = g
     regression_step(agent.value, agent.value_opt, feats, 0, returns)
     values = agent.value.forward_batch(feats)[:, 0]
-    probs, acts = agent.policy.forward_train(feats)
+    logits, acts = agent.policy.forward_train(feats)
+    probs = softmax(logits)
     grad = np.zeros(probs.shape)
     for k, (t, eps) in enumerate(zip(turns, epsilons)):
         after = values[k + 1] if k + 1 < len(turns) else 0.0
@@ -337,7 +338,7 @@ def reference_dialogue_update(agent, turns, epsilons, explored):
         mu = (1 - eps) * p + (eps / len(explored) if t.action in explored
                               else 0.0)
         grad[k] = -(p / mu * delta) * log_policy_gradient(probs[k], t.action)
-    grads = agent.policy.backward_batch(feats, grad, acts)
+    grads = agent.policy.backward_batch(grad, acts)
     nets.add_l2_gradient(grads, agent.policy, agent.config.l2)
     nets.adadelta_step(agent.policy_opt, agent.policy, grads)
 
@@ -384,9 +385,9 @@ class TestObserve:
         t = dialogue(1, seed=3)[0]
         for _ in range(3000):
             agent.observe(t, None, 0.0)
-            if abs(agent.value.forward(t.features) - t.reward) <= 1e-3:
+            if abs(agent.value.forward(t.features)[0] - t.reward) <= 1e-3:
                 break
-        assert abs(agent.value.forward(t.features) - t.reward) <= 1e-3
+        assert abs(agent.value.forward(t.features)[0] - t.reward) <= 1e-3
 
     def test_snapshot_inside_a_dialogue_is_refused(self, tmp_path):
         agent = make_agent()
@@ -398,7 +399,7 @@ class TestObserve:
 
 
 class TestCheckpoint:
-    def test_roundtrip_restores_nets_counter_and_accumulators(self, tmp_path):
+    def test_roundtrip_restores_nets_and_accumulators(self, tmp_path):
         agent = make_agent(target_sync=5)
         for t in dialogue(12, seed=13):     # pretraining's replay steps
             agent.pool.add(t)
@@ -415,11 +416,15 @@ class TestCheckpoint:
                 "__meta__", "policy.params", "policy_opt.grad",
                 "policy_opt.update", "value.params", "value_opt.grad",
                 "value_opt.update"]
+            meta = json.loads(bytes(data["__meta__"]))
+        # and so does pretraining's step count, which a resume never reads
+        assert sorted(meta) == ["format", "kind", "policy.layer_sizes",
+                                "value.layer_sizes", "version"]
         twin = ActorCriticAgent(6, 4, agent.config, RNG(99), (0, 1, 2, 3))
         twin.observe(dialogue(3)[0], None, 0.1)     # dropped by the load
         twin.load(path)
         assert state_bytes(twin.state()) == state_bytes(agent.state())
-        assert twin.value_steps == agent.value_steps == 7
+        assert agent.value_steps == 7 and twin.value_steps == 0
         twin.save(path)
 
     def test_snapshot_with_the_pool_and_target_copy_is_refused(self,
@@ -465,7 +470,8 @@ class TestSupervised:
         actions = RNG(22).integers(0, 4, size=16)
         for _ in range(5):
             loss = agent.supervised_step(feats, actions)
-            probs, acts = reference.policy.forward_train(feats)
+            logits, acts = reference.policy.forward_train(feats)
+            probs = softmax(logits)
             grad_out, total = probs.copy(), 0.0
             for i, a in enumerate(actions):
                 loss_i, _, clamped = cross_entropy_loss(probs[i], a)
@@ -473,7 +479,7 @@ class TestSupervised:
                 reference.clamp_count += clamped
                 grad_out[i, a] -= 1.0
             grad_out /= len(actions)
-            grads = reference.policy.backward_batch(feats, grad_out, acts)
+            grads = reference.policy.backward_batch(grad_out, acts)
             penalty, l2_grads = l2_penalty(reference.policy, 0.01)
             grads += l2_grads
             nets.adadelta_step(reference.policy_opt, reference.policy, grads)
@@ -488,9 +494,9 @@ class TestSupervised:
         a = np.array([2])
         for step in range(2000):
             agent.supervised_step(x, a)
-            if agent.policy.forward(x[0])[2] >= 0.99:
+            if softmax(agent.policy.forward(x[0]))[2] >= 0.99:
                 break
-        assert agent.policy.forward(x[0])[2] >= 0.99
+        assert softmax(agent.policy.forward(x[0]))[2] >= 0.99
 
     def test_supervised_gradient_matches_finite_differences(self):
         agent = make_agent(l2=0.0, hidden=(5, 4))
@@ -501,15 +507,16 @@ class TestSupervised:
         def objective():
             total = 0.0
             for i, a in enumerate(actions):
-                total += cross_entropy_loss(net.forward(feats[i]), int(a))[0]
+                total += cross_entropy_loss(softmax(net.forward(feats[i])),
+                                            int(a))[0]
             return total / len(actions)
 
-        probs = net.forward_batch(feats)
-        grad_out = probs.copy()
+        logits, acts = net.forward_train(feats)
+        grad_out = softmax(logits)
         for i, a in enumerate(actions):
             grad_out[i, a] -= 1.0
         grad_out /= len(actions)
-        analytic = net.backward_batch(feats, grad_out)
+        analytic = net.backward_batch(grad_out, acts)
         numeric = finite_difference_grads(objective, net, h=1e-5)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         assert float(np.max(np.abs(analytic - numeric) / denom)) <= 1e-4

@@ -310,7 +310,13 @@ class TestRoundTrip:
         ({"reward": math.nan}, "field 'reward' of turn 0: not finite"),
         ({"reward": math.inf}, "field 'reward' of turn 0: not finite"),
         ({"final_features": [math.nan]},
-         "field 'final_features': not finite")])
+         "field 'final_features': not finite"),
+        # JSON's true and false, which numpy would take for 1 and 0
+        ({"reward": True}, "field 'reward' of turn 0: True is not a number"),
+        ({"reward": "-1"}, "field 'reward' of turn 0: '-1' is not a number"),
+        ({"features": [True]}, "field 'features': a boolean is not a number"),
+        ({"final_features": [False]},
+         "field 'final_features': a boolean is not a number")])
     def test_record_errors_name_the_file_and_line(self, tmp_path, change,
                                                   message):
         path = tmp_path / "corpus.jsonl"
@@ -345,9 +351,18 @@ class TestRoundTrip:
         # version 1 stored each turn's terminal flag; later versions derive
         # it
         path = tmp_path / "corpus.jsonl"
-        write_one_dialogue(path, terminal=True)
-        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:2: ")
-                           + r".*unexpected keyword argument 'terminal'"):
+        write_one_dialogue(path, n_turns=2, terminal=True)
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:2: unexpected field 'terminal' in turn 0") + "$"):
+            load_corpus(str(path))
+
+    def test_log_with_a_dropped_field_names_the_file_and_line(self,
+                                                              tmp_path):
+        # version 1 stored each dialogue's length; later versions derive it
+        path = tmp_path / "corpus.jsonl"
+        write_one_dialogue(path, log_fields={"length": 1})
+        with pytest.raises(CorpusFormatError, match=re.escape(
+                f"{path}:2: unexpected field 'length' in the log") + "$"):
             load_corpus(str(path))
 
     def test_written_fields_are_the_primary_ones(self, tmp_path, noisy_env):
@@ -397,15 +412,16 @@ class TestRoundTrip:
 
 def write_one_dialogue(path, features=(0.0,), action=0, final_features=(0.0,),
                        n_turns=1, success=False, version=3, record_fields=(),
-                       **turn_fields) -> None:
+                       log_fields=(), **turn_fields) -> None:
     """A one-feature corpus file of one dialogue of ``n_turns`` equal
     turns, its record built from the arguments; ``record_fields`` are added
-    to the record and ``turn_fields`` to each turn."""
+    to the record, ``log_fields`` to its log and ``turn_fields`` to each
+    turn."""
     header = {"schema": "dialab-corpus", "version": version,
               "space": "original", "feature_names": ["f0"]}
     turn = {"features": list(features), "action": action, "reward": -1.03,
             **turn_fields}
     log = {"success": success, "final_features": list(final_features),
-           "records": [turn] * n_turns}
+           "records": [turn] * n_turns, **dict(log_fields)}
     record = {"provenance": "handcrafted", "log": log, **dict(record_fields)}
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")

@@ -35,7 +35,7 @@ def old_egreedy(qnet, features, epsilon, excluded, rng):
 def old_policy(pnet, features, epsilon, excluded, rng):
     if rng.random() < epsilon:
         return old_explore(pnet.n_actions, excluded, rng)
-    probs = pnet.forward(features)
+    probs = softmax(pnet.forward(features))
     return int(rng.choice(pnet.n_actions, p=probs))
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dialab import checkpoint, cli, harness
+from dialab import checkpoint, cli, harness, nets
 from dialab import corpus as corpus_mod
 from dialab.checkpoint import CheckpointError
 from dialab.corpus import (CorpusReader, HandcraftedPolicy,
@@ -408,6 +408,41 @@ class TestTrainRun:
         assert_same_arrays(tmp_path / "full" / "checkpoint.npz",
                            tmp_path / "half" / "checkpoint.npz")
 
+    @pytest.mark.parametrize("algorithm, older", [
+        ("dqn", {"q.head": "linear", "target.head": "linear"}),
+        ("da2c", {"policy.head": "softmax", "value.head": "scalar",
+                  "value_steps": 0})])
+    def test_resume_from_a_snapshot_with_the_older_meta_keys(
+            self, tmp_path, algorithm, older):
+        # snapshots written while a net had a head setting hold each net's
+        # head, and the actor-critic's its pretraining step count; a resume
+        # from one matches the uninterrupted run
+        def config(out, dialogues):
+            return smoke_config(tmp_path, algorithm=algorithm,
+                                out=str(tmp_path / out), dialogues=dialogues)
+        r_full = train_run(config("full", 40))
+        train_run(config("half", 20))
+        path = tmp_path / "half" / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")))
+        # the older writer's order: each net's spec, then the counters
+        layout = {}
+        for key, value in meta.items():
+            if key == "episodes_done" and "value_steps" in older:
+                layout["value_steps"] = older["value_steps"]
+            layout[key] = value
+            head = key.replace(".layer_sizes", ".head")
+            if head in older:
+                layout[head] = older[head]
+        assert layout.keys() - meta.keys() == older.keys()
+        record = np.frombuffer(json.dumps(layout).encode(), dtype=np.uint8)
+        checkpoint.replace_file(str(path), lambda fh: checkpoint.write_npz(
+            fh, {"__meta__": record, **arrays}))
+        r_resumed = train_run(config("half", 40), resume=True)
+        assert [row[:4] for row in r_full] == [row[:4] for row in r_resumed]
+        assert_same_arrays(tmp_path / "full" / "checkpoint.npz", path)
+
     def test_schedule_steps_once_per_transition_across_a_resume(
             self, tmp_path, monkeypatch):
         # each training turn reads epsilon at the number of transitions
@@ -703,8 +738,8 @@ class TestPretraining:
                     agent.supervised_step(data.features[sel],
                                           data.actions[sel])
             if len(hold):
-                pred = agent.policy.forward_batch(
-                    data.features[hold]).argmax(axis=1)
+                pred = nets.softmax(agent.policy.forward_batch(
+                    data.features[hold])).argmax(axis=1)
                 stats["holdout_accuracy"] = float(
                     np.mean(pred == data.actions[hold]))
         for row in zip(data.features, data.actions, data.rewards,
@@ -929,12 +964,12 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, named", [
-        ("dialogues=1.5", "'dialogues' must be an integer"),
-        ("seed=1.0", "'seed' must be an integer"),
-        ("eval_period=true", "'eval_period' must be an integer"),
-        ("gamma=abc", "'gamma' must be a number"),
-        ("epsilon.start=false", "'epsilon.start' must be a number"),
-        ("agent.minibatch=x", "'agent.minibatch' must be an integer"),
+        ("dialogues=1.5", "dialogues=1.5 must be an integer"),
+        ("seed=1.0", "seed=1.0 must be an integer"),
+        ("eval_period=true", "eval_period=True must be an integer"),
+        ("gamma=abc", "gamma='abc' must be a number"),
+        ("epsilon.start=false", "epsilon.start=False must be a number"),
+        ("agent.minibatch=x", "agent.minibatch='x' must be an integer"),
         ("space=1", "space='1' not in ('summary', 'original')"),
         ("agent.hidden=5", "agent.hidden=5 must be a tuple of positive "
          "integer layer sizes"),
@@ -993,9 +1028,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, named", [
-        ({"out": 5}, "'out' must be a string or null, got 5"),
+        ({"out": 5}, "out=5 must be a string or null"),
         ({"pretrain": {"corpus": 7}},
-         "'pretrain.corpus' must be a string or null, got 7")])
+         "pretrain.corpus=7 must be a string or null")])
     def test_file_value_of_a_string_field_must_be_a_string(
             self, tmp_path, capsys, config, named):
         path = tmp_path / "cfg.json"
@@ -1039,7 +1074,8 @@ class TestCli:
     @pytest.mark.parametrize("config, setting, named", [
         ({"gamma": 0.9}, "gamma.x=1", "'gamma'"),
         ({"agent": {"hidden": [8]}}, "agent.hidden.x=1", "'agent.hidden'"),
-        ({"algorithm": "dqn"}, "gamma.x=1", "'gamma'"),
+        ({"algorithm": "dqn"}, "gamma.x=1",
+         "gamma={'x': 1} must be a number"),
         ({"algorithm": "dqn"}, "agent.hidden.x=1",
          "agent.hidden={'x': 1} must be a tuple"),
         ([1, 2], None, "cfg.json"),

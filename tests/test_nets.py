@@ -15,13 +15,12 @@ from reference import (adadelta_step_negating, cross_entropy_loss,
 RNG = np.random.default_rng
 
 
-def tiny_net(head="linear", n_in=4, n_out=3, hidden=(5, 4), seed=0):
-    return FeedForwardNet.create(n_in, n_out, hidden=hidden, head=head,
-                                 rng=RNG(seed))
+def tiny_net(n_in=4, n_out=3, hidden=(5, 4), seed=0):
+    return FeedForwardNet.create(n_in, n_out, hidden, RNG(seed))
 
 
-def zero_net(head="linear", n_in=4, n_out=3, hidden=(5, 4)):
-    net = tiny_net(head=head, n_in=n_in, n_out=n_out, hidden=hidden)
+def zero_net(n_in=4, n_out=3, hidden=(5, 4)):
+    net = tiny_net(n_in=n_in, n_out=n_out, hidden=hidden)
     for w in net.weights:
         w[:] = 0.0
     return net
@@ -38,25 +37,21 @@ def weights_of(vector, net):
 
 
 class TestForward:
-    def test_zero_weights_linear_head_is_zero_map(self):
-        net = zero_net("linear")
+    def test_zero_weights_give_the_zero_map(self):
+        net = zero_net()
         assert np.allclose(net.forward(np.ones(4)), 0.0)
 
     def test_zero_weights_softmax_is_uniform_over_11(self):
-        net = zero_net("softmax", n_in=6, n_out=11)
-        out = net.forward(RNG(1).normal(size=6))
+        net = zero_net(n_in=6, n_out=11)
+        out = softmax(net.forward(RNG(1).normal(size=6)))
         assert np.allclose(out, 1.0 / 11)
 
     def test_softmax_outputs_sum_to_one(self):
-        net = tiny_net("softmax", n_out=11, seed=3)
+        net = tiny_net(n_out=11, seed=3)
         for i in range(20):
-            out = net.forward(RNG(i).normal(size=4) * 10)
+            out = softmax(net.forward(RNG(i).normal(size=4) * 10))
             assert abs(out.sum() - 1.0) <= 1e-9
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-    def test_scalar_head_returns_float(self):
-        net = tiny_net("scalar", n_out=1)
-        assert isinstance(net.forward(np.zeros(4)), float)
 
     def test_dimension_mismatch_raises(self):
         net = tiny_net()
@@ -73,13 +68,12 @@ class TestForward:
         net = tiny_net(n_in=4, n_out=3, hidden=(5, 4))
         assert net.params.size == (4 + 1) * 5 + (5 + 1) * 4 + (4 + 1) * 3
 
-    @pytest.mark.parametrize("head, n_out", [("linear", 11), ("softmax", 11),
-                                             ("scalar", 1)])
+    @pytest.mark.parametrize("n_out", [11, 1])
     @pytest.mark.parametrize("rows", [1, 32])
-    def test_forward_batch_is_the_training_pass_bit_for_bit(self, head,
-                                                           n_out, rows):
+    def test_forward_batch_is_the_training_pass_bit_for_bit(self, n_out,
+                                                           rows):
         # the training pass, which keeps every activation, is the reference
-        net = FeedForwardNet.create(31, n_out, hidden=(130, 50), head=head)
+        net = FeedForwardNet.create(31, n_out, (130, 50), RNG(0))
         net.params[:] = RNG(4).normal(size=net.params.size) * 0.2  # biases too
         x = RNG(rows).normal(size=(rows, 31)) * 3
         kept = x.copy()
@@ -93,11 +87,12 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         net = tiny_net(seed=2)
-        grads = net.backward_batch(np.ones((1, 4)), np.zeros((1, 3)))
+        _, acts = net.forward_train(np.ones((1, 4)))
+        grads = net.backward_batch(np.zeros((1, 3)), acts)
         assert grads.shape == net.params.shape and np.all(grads == 0.0)
 
     def test_mse_gradient_matches_finite_differences(self):
-        net = tiny_net("linear", seed=5)
+        net = tiny_net(seed=5)
         x = RNG(6).normal(size=4)
         target = RNG(7).normal(size=3)
 
@@ -105,60 +100,65 @@ class TestBackward:
             return mse_loss(net.forward(x), target)[0]
 
         _, grad_out = mse_loss(net.forward(x), target)
-        analytic = net.backward_batch(x[None], grad_out[None])
+        analytic = net.backward_batch(grad_out[None],
+                                      net.forward_train(x[None])[1])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
-        net = tiny_net("softmax", n_out=5, seed=8)
+        net = tiny_net(n_out=5, seed=8)
         x = RNG(9).normal(size=4)
         target = 2
 
         def objective():
-            return cross_entropy_loss(net.forward(x), target)[0]
+            return cross_entropy_loss(softmax(net.forward(x)), target)[0]
 
-        _, grad_out, _ = cross_entropy_loss(net.forward(x), target)
-        analytic = net.backward_batch(x[None], grad_out[None])
+        _, grad_out, _ = cross_entropy_loss(softmax(net.forward(x)), target)
+        analytic = net.backward_batch(grad_out[None],
+                                      net.forward_train(x[None])[1])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_softmax_ce_upstream_is_p_minus_onehot(self):
-        net = tiny_net("softmax", n_out=5, seed=10)
-        probs = net.forward(np.ones(4))
+        net = tiny_net(n_out=5, seed=10)
+        probs = softmax(net.forward(np.ones(4)))
         _, grad, _ = cross_entropy_loss(probs, 3)
         expected = probs.copy()
         expected[3] -= 1.0
         assert np.allclose(grad, expected)
 
     def test_log_policy_gradient_matches_finite_differences(self):
-        net = tiny_net("softmax", n_out=4, seed=11)
+        net = tiny_net(n_out=4, seed=11)
         x = RNG(12).normal(size=4)
         action = 1
 
         def objective():
-            return float(np.log(net.forward(x)[action]))
+            return float(np.log(softmax(net.forward(x))[action]))
 
         analytic = net.backward_batch(
-            x[None], log_policy_gradient(net.forward(x), action)[None])
+            log_policy_gradient(softmax(net.forward(x)), action)[None],
+            net.forward_train(x[None])[1])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
-    def test_scalar_head_gradient_matches_finite_differences(self):
-        net = tiny_net("scalar", n_out=1, seed=13)
+    def test_one_output_gradient_matches_finite_differences(self):
+        net = tiny_net(n_out=1, seed=13)
         x = RNG(14).normal(size=4)
 
         def objective():
             return mse_loss(net.forward(x), 0.7)[0]
 
         _, grad_out = mse_loss(net.forward(x), 0.7)
-        analytic = net.backward_batch(x[None], np.atleast_1d(grad_out)[None])
+        analytic = net.backward_batch(grad_out[None],
+                                      net.forward_train(x[None])[1])
         numeric = finite_difference_grads(objective, net, h=1e-5)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_upstream_shape_mismatch_raises(self):
         net = tiny_net()
         with pytest.raises(ShapeError):
-            net.backward_batch(np.ones((1, 4)), np.zeros((1, 2)))
+            net.backward_batch(np.zeros((1, 2)),
+                               net.forward_train(np.ones((1, 4)))[1])
 
 
 class TestLosses:
@@ -299,7 +299,7 @@ class TestAdadelta:
     def test_matches_the_negating_step_bit_for_bit_over_100_steps(self):
         # subtracting the step equals adding its negation, and the squared
         # step is the same product, so no bit of the state may differ
-        net = FeedForwardNet.create(31, 11, hidden=(130, 50), rng=RNG(32))
+        net = FeedForwardNet.create(31, 11, (130, 50), RNG(32))
         twin = clone_net(net)
         state, twin_state = (AdadeltaState.for_net(n) for n in (net, twin))
         rng = RNG(33)
@@ -328,11 +328,11 @@ class TestAdadelta:
         # backward returns a fresh vector, and a step writes only its own
         # optimiser state and net: the workspaces are never a result
         net, rng = tiny_net(seed=34), RNG(35)
-        first = net.backward_batch(rng.normal(size=(5, 4)),
-                                   rng.normal(size=(5, 3)))
+        x, grad_out = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        first = net.backward_batch(grad_out, net.forward_train(x)[1])
         held = first.copy()
-        second = net.backward_batch(rng.normal(size=(5, 4)),
-                                    rng.normal(size=(5, 3)))
+        x, grad_out = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        second = net.backward_batch(grad_out, net.forward_train(x)[1])
         assert first.tobytes() == held.tobytes()
         state, other = AdadeltaState.for_net(net), AdadeltaState.for_net(net)
         adadelta_step(state, net, first)
@@ -354,18 +354,10 @@ class TestFlatLayout:
         net.params[-1] = 5.0
         assert net.biases[-1][-1] == 5.0
 
-    def test_backward_from_training_forward_is_bit_identical(self):
-        net = tiny_net("softmax", seed=28)
-        x = RNG(29).normal(size=(6, 4))
-        grad_out = RNG(30).normal(size=(6, 3))
-        _, acts = net.forward_train(x)
-        reused = net.backward_batch(x, grad_out, acts)
-        recomputed = net.backward_batch(x, grad_out)
-        assert np.array_equal(reused, recomputed)
-
     def test_l2_gradient_added_to_weights_only(self):
         net = tiny_net(seed=31)
-        grads = net.backward_batch(np.ones((1, 4)), np.ones((1, 3)))
+        grads = net.backward_batch(np.ones((1, 3)),
+                                   net.forward_train(np.ones((1, 4)))[1])
         before = grads.copy()
         nets.add_l2_gradient(grads, net, 0.25)
         n = net.n_weights

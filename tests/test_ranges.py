@@ -8,12 +8,13 @@ import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dialab import cli
 from dialab.harness import ExperimentConfig, config_from_dict, config_to_dict
 from dialab.ontology import GoalConfig
-from dialab.ranges import ConfigError, check
+from dialab.ranges import SCALAR_TYPES, ConfigError, check
 
 nan, inf = math.nan, math.inf
 
@@ -160,8 +161,7 @@ def test_refused_value_exits_2_naming_key_and_value(tmp_path, capsys, key,
             argv += ["--set", f"{dotted}={json.dumps(x)}"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    shown = (f"{key}={value}", f"{key}={float(value)}",
-             f"'{key}' must be an integer, got {value}")
+    shown = (f"{key}={value}", f"{key}={float(value)}")
     assert any(text in err for text in shown), err
     assert not out.exists()
 
@@ -174,8 +174,55 @@ def section_record(key: str):
     return cls
 
 
-@pytest.mark.parametrize("key, others, value", REFUSED,
-                         ids=[f"{k}={v}{o or ''}" for k, o, v in REFUSED])
+# a value of another type than its scalar field's: (dotted key, other
+# settings, value, the type's wording); an integer is no bool and no float
+WRONG_TYPES = [
+    ("dialogues", {}, 1.5, "an integer"),
+    ("seed", {}, 2.5, "an integer"),
+    ("seed", {}, 1.0, "an integer"),
+    ("seed", {}, True, "an integer"),
+    ("agent.minibatch", {}, 3.5, "an integer"),
+    ("gp.max_dictionary", {}, "5", "an integer"),
+    ("gamma", {}, "0.9", "a number"),
+    ("epsilon.start", {}, False, "a number"),
+    ("user.p_null", {}, None, "a number"),
+    ("space", {}, 1, "a string"),
+    ("algorithm", {}, None, "a string"),
+    ("pretrain.mode", {}, 0, "a string"),
+    ("out", {}, 5, "a string or null"),
+    ("out", {}, False, "a string or null"),
+    ("pretrain.corpus", {"pretrain.mode": "batch"}, 7, "a string or null"),
+]
+
+
+@pytest.mark.parametrize("key, others, value, kind", WRONG_TYPES,
+                         ids=[f"{k}={v!r}" for k, _, v, _ in WRONG_TYPES])
+def test_a_value_of_another_type_is_refused_naming_the_field(key, others,
+                                                              value, kind):
+    with pytest.raises(ConfigError) as refused:
+        config_from_dict(config_data({**others, key: value}))
+    assert str(refused.value) == f"{key}={value!r} must be {kind}"
+
+
+def test_an_integer_field_takes_any_integral_value():
+    assert ExperimentConfig(seed=np.int64(7), dialogues=np.uint8(3)).seed == 7
+
+
+def test_every_scalar_field_has_a_checked_type():
+    # the checked types are looked up by the annotation as written
+    unchecked = [f"{cls.__name__}.{f.name}: {f.type}"
+                 for cls in records(ExperimentConfig) for f in fields(cls)
+                 if type(default(f)) in (int, float, str, type(None))
+                 and f.type not in SCALAR_TYPES]
+    assert unchecked == []
+
+
+RECORD_CASES = REFUSED + [row[:3] for row in WRONG_TYPES]
+
+
+@pytest.mark.parametrize("key, others, value", RECORD_CASES,
+                         ids=[f"{k}={v!r}{o or ''}"
+                              for k, o, v in RECORD_CASES])
 def test_a_record_built_in_code_refuses_what_the_reader_refuses(key, others,
                                                                 value):
     # so that no rule lives only in the config reader

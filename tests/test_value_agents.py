@@ -34,8 +34,7 @@ def transition(i, dim=4, terminal=False, reward=None, action=None):
 
 def fixed_output_net(values, n_in=4):
     """Zero-weight net whose biases pin the outputs to `values`."""
-    net = FeedForwardNet.create(n_in, len(values), hidden=(3,), head="linear",
-                                rng=RNG(0))
+    net = FeedForwardNet.create(n_in, len(values), (3,), RNG(0))
     for w in net.weights:
         w[:] = 0.0
     for b in net.biases:
@@ -259,8 +258,7 @@ class TestOneArrayPool:
         # a terminal row's next state differs from the two-array pool's,
         # but every target drops it, so DQN, DDQN and the critic learn
         # from the same values bit for bit
-        nets_ = [FeedForwardNet.create(2, n, hidden=(5,), head="linear",
-                                       rng=RNG(seed))
+        nets_ = [FeedForwardNet.create(2, n, (5,), RNG(seed))
                  for seed, n in ((1, 3), (2, 3), (3, 1))]
         pool, oracle = ReplayPool(capacity, 2), TwoArrayPool(capacity, 2)
         for _ in feed([pool, oracle], ops, FINITE):
@@ -421,7 +419,7 @@ class TestTargets:
         assert abs(y[0] - 0.465) <= 1e-12
 
     def test_ddqn_equals_dqn_when_nets_equal(self):
-        net = FeedForwardNet.create(4, 3, hidden=(6,), head="linear", rng=RNG(4))
+        net = FeedForwardNet.create(4, 3, (6,), RNG(4))
         feats = RNG(5).normal(size=(16, 4))
         r = RNG(6).normal(size=16)
         term = RNG(7).random(16) < 0.3
@@ -431,10 +429,8 @@ class TestTargets:
 
     def test_ddqn_never_exceeds_dqn(self):
         for seed in range(200):
-            online = FeedForwardNet.create(4, 3, hidden=(6,), head="linear",
-                                           rng=RNG(seed))
-            target = FeedForwardNet.create(4, 3, hidden=(6,), head="linear",
-                                           rng=RNG(seed + 1000))
+            online = FeedForwardNet.create(4, 3, (6,), RNG(seed))
+            target = FeedForwardNet.create(4, 3, (6,), RNG(seed + 1000))
             feats = RNG(seed + 2000).normal(size=(8, 4))
             r = RNG(seed + 3000).normal(size=8)
             term = np.zeros(8, dtype=bool)
@@ -466,7 +462,7 @@ def inline_train_step(agent, rng):
     loss = float(np.mean(diff ** 2))
     grad_out = np.zeros_like(q)
     grad_out[rows, actions] = 2.0 * diff / len(idx)
-    grads = agent.qnet.backward_batch(feats, grad_out, acts)
+    grads = agent.qnet.backward_batch(grad_out, acts)
     nets.adadelta_step(agent.opt, agent.qnet, grads)
     agent.train_steps += 1
     if agent.train_steps % cfg.target_sync == 0:
