@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import checkpoint, nets
-from .environment import Transition
+from .environment import Transition, same_state
 from .nets import (CE_CLAMP, AdadeltaState, FeedForwardNet, clone_net,
                    copy_params, log_policy_gradient, softmax)
 from .value_agents import AgentConfig, ReplayPool, dqn_target, regression_step
@@ -45,8 +45,7 @@ class ActorCriticAgent:
     target copy serves pretraining's replay steps alone."""
 
     def __init__(self, n_features: int, n_actions: int, config: AgentConfig,
-                 rng: np.random.Generator, explored: tuple,
-                 gamma: float = 0.99):
+                 rng: np.random.Generator, explored: tuple, gamma: float):
         self.config = config
         self.gamma = gamma
         self.policy = FeedForwardNet.create(n_features, n_actions,
@@ -80,8 +79,7 @@ class ActorCriticAgent:
                 epsilon: float) -> None:
         """Buffer the turn, drawn under ``epsilon``; at a terminal one, take
         the critic's and the actor's steps. ``rng`` is not drawn from."""
-        if self._turns and t.features is not self._next and not \
-                np.array_equal(t.features, self._next):
+        if self._turns and not same_state(t.features, self._next):
             raise ValueError("a turn must start at the last one's next state")
         self._turns.append((t.features, t.action, t.reward, epsilon))
         self._next = t.next_features

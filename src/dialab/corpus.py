@@ -2,14 +2,15 @@
 
 Corpora are generated by a handcrafted controller (optionally degraded by
 random action substitutions) and rated 0-3 by a deterministic rubric that
-replays the controller's rule table against the logged features. A corpus
-file is one JSON header line and one JSON line per dialogue.
-``CorpusReader`` streams it one dialogue at a time and is the one place
-a record is checked. ``fill_pool`` stores a reader's dialogues, or a
-generated corpus's, in a learner's replay pool, the input of pretraining,
-one turn at a time through the pool's ``add``, as online training does;
-``check_layout`` compares a corpus's feature names with the ones a learner
-expects.
+replays the controller's rule table against the logged features. In
+memory a dialogue is the tuple of Transitions its rollout yielded. A
+corpus file is one JSON header line and one JSON line per dialogue,
+written by ``save_corpus`` and read by ``CorpusReader``, which streams it
+one dialogue at a time and is the one place a record is checked.
+``fill_pool`` stores a reader's dialogues, or a generated corpus's, in a
+learner's replay pool, the input of pretraining, one turn at a time
+through the pool's ``add``, as online training does; ``check_layout``
+compares a corpus's feature names with the ones a learner expects.
 ``load_corpus`` reads a whole file into memory, for code that needs every
 dialogue at once.
 """
@@ -24,8 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .checkpoint import replace_file
-from .environment import (SPACES, DialogueEnv, EpisodeLog, Transition,
-                          refuse_unknown, run_episode)
+from .environment import SPACES, DialogueEnv, Transition, rollout
 from .ontology import CONSTRAINT_SLOTS
 from .ranges import check
 from .seeding import rng_stream
@@ -46,17 +46,19 @@ class CorpusFormatError(ValueError):
 
 @dataclass
 class CorpusDialogue:
-    """A logged dialogue and its ``rate`` rating, computed once here and
-    never stored."""
+    """A dialogue of ``space``: the Transitions its rollout yielded, the
+    last one's ``success`` and ``next_features`` the dialogue's, and its
+    ``rate`` rating, computed once here and never stored."""
 
-    log: EpisodeLog
+    turns: tuple
+    space: str
     provenance: str = "handcrafted"
     rating: int = field(init=False)
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise CorpusFormatError(f"unknown provenance '{self.provenance}'")
-        self.rating = rate(self.log)
+        self.rating = rate(self.turns, self.space)
 
 
 @dataclass
@@ -139,30 +141,30 @@ class BlunderSchedule:
         return self.mix[i][1]
 
 
-def grounded_fraction(log: EpisodeLog) -> float:
+def grounded_fraction(turns, space: str) -> float:
     """Share of constraint slots the final belief pins to a concrete value."""
-    confidence = SPACES[log.space].slot_confidence(log.final_features)
+    confidence = SPACES[space].slot_confidence(turns[-1].next_features)
     return sum(1 for p in confidence if p >= GROUNDED) / len(CONSTRAINT_SLOTS)
 
 
-def count_blunders(log: EpisodeLog) -> int:
-    rule = HandcraftedPolicy(log.space)
-    return sum(1 for rec in log.records
-               if rec.action != rule.decide(rec.features))
+def count_blunders(turns, space: str) -> int:
+    rule = HandcraftedPolicy(space)
+    return sum(1 for t in turns if t.action != rule.decide(t.features))
 
 
-def rate(log: EpisodeLog) -> int:
-    """Deterministic 0-3 quality proxy, a pure function of the log.
+def rate(turns, space: str) -> int:
+    """Deterministic 0-3 quality proxy, a pure function of the dialogue.
 
     3: success with no off-rule turns; 2: success with at most two;
     1: failure with at least half the constraints grounded; 0: otherwise.
     """
-    blunders = count_blunders(log)
-    if log.success and blunders == 0:
+    success = turns[-1].success
+    blunders = count_blunders(turns, space)
+    if success and blunders == 0:
         return 3
-    if log.success and blunders <= 2:
+    if success and blunders <= 2:
         return 2
-    if not log.success and grounded_fraction(log) >= 0.5:
+    if not success and grounded_fraction(turns, space) >= 0.5:
         return 1
     return 0
 
@@ -180,9 +182,9 @@ def generate_dialogues(env: DialogueEnv, n: int, seed: int,
         p_blunder = schedule.draw(rng)
         policy = HandcraftedPolicy(env.config.space, p_blunder=p_blunder,
                                    rng=rng)
-        log = run_episode(env, policy, rng)
         provenance = "handcrafted" if p_blunder == 0.0 else "noisy-handcrafted"
-        yield CorpusDialogue(log=log, provenance=provenance)
+        yield CorpusDialogue(tuple(rollout(env, policy, rng)),
+                             env.config.space, provenance)
 
 
 def generate_corpus(env: DialogueEnv, n: int, seed: int,
@@ -192,47 +194,15 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
                   env.config.space, list(env.space.feature_names))
 
 
-def _check_dialogue(log: EpisodeLog, n_features: int) -> None:
-    if type(log.success) is not bool:
-        raise CorpusFormatError(f"field 'success': {log.success!r} is not a "
-                                f"boolean")
-    if not log.records:
-        raise CorpusFormatError("field 'records': a dialogue with no turns")
-    n_actions = len(SPACES[log.space].actions)
-    for k, rec in enumerate(log.records):
-        if len(rec.features) != n_features:
-            raise CorpusFormatError(f"feature length {len(rec.features)} != "
-                                    f"manifest {n_features}")
-        # an int, not a bool, a float or a string that reads as one
-        if type(rec.action) is not int or not 0 <= rec.action < n_actions:
-            raise CorpusFormatError(f"field 'action' of turn {k}: "
-                                    f"{rec.action!r} is not an action index "
-                                    f"in 0..{n_actions - 1}")
-        if isinstance(rec.reward, bool) or not isinstance(rec.reward, Real):
-            raise CorpusFormatError(f"field 'reward' of turn {k}: "
-                                    f"{rec.reward!r} is not a number")
-        for name in ("features", "reward"):     # json.loads reads NaN
-            if not np.isfinite(getattr(rec, name)).all():
-                raise CorpusFormatError(f"field '{name}' of turn {k}: not "
-                                        f"finite")
-    if len(log.final_features) != n_features:
-        raise CorpusFormatError(f"final feature length "
-                                f"{len(log.final_features)} != manifest "
-                                f"{n_features}")
-    if not np.isfinite(log.final_features).all():
-        raise CorpusFormatError("field 'final_features': not finite")
-
-
 def fill_pool(corpus, pool) -> np.ndarray:
     """Store the turns of ``corpus``, a CorpusReader or a generated Corpus,
     in the empty replay ``pool``, in order, and return each turn's dialogue
     rating (int64), one per turn of the corpus.
 
     Each turn is one ``pool.add`` as it arrives, so a streamed corpus is
-    held nowhere else: its next state is the next turn's features, or the
-    dialogue's final belief for its last turn, which is terminal. The
-    records are not checked again: the reader checks each one it yields,
-    and a generated corpus holds only dialogues its own environment ran.
+    held nowhere else. The turns are not checked again: the reader checks
+    each dialogue it yields, and a generated corpus holds only dialogues
+    its own environment ran.
     The whole corpus is read, but a dialogue is stored only while every
     turn so far fits, so the pool never evicts, and a result longer than
     ``pool.capacity`` means the corpus does not fit.
@@ -242,29 +212,32 @@ def fill_pool(corpus, pool) -> np.ndarray:
                          f"{len(pool)} rows")
     ratings, lengths, turns = [], [], 0
     for d in corpus:
-        records = d.log.records
         ratings.append(d.rating)
-        lengths.append(len(records))
+        lengths.append(len(d.turns))
         turns += lengths[-1]
         if turns <= pool.capacity:
-            for k, rec in enumerate(records, 1):
-                last = k == len(records)
-                nxt = d.log.final_features if last else records[k].features
-                pool.add(Transition(rec.features, rec.action, rec.reward,
-                                    nxt, last, last and d.log.success))
+            for t in d.turns:
+                pool.add(t)
     return np.repeat(np.array(ratings, dtype=np.int64),
                      np.array(lengths, dtype=np.int64))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Write ``corpus`` one dialogue at a time, so its dialogues may be a
-    stream; ``path`` appears only once the file is complete."""
+    stream; ``path`` appears only once the file is complete. A line keeps
+    what the turns' order does not give: see ``CorpusReader._dialogue``."""
     def records():
         yield {"schema": CORPUS_SCHEMA, "version": SCHEMA_VERSION,
                "space": corpus.space,
                "feature_names": list(corpus.feature_names)}
         for d in corpus.dialogues:
-            yield {"provenance": d.provenance, "log": d.log.to_dict()}
+            last = d.turns[-1]
+            yield {"provenance": d.provenance, "log": {
+                "success": last.success,
+                "final_features": last.next_features.tolist(),
+                "records": [{"features": t.features.tolist(),
+                             "action": t.action, "reward": t.reward}
+                            for t in d.turns]}}
     replace_file(path, lambda fh: fh.writelines(
         f"{json.dumps(record)}\n".encode() for record in records()))
 
@@ -304,20 +277,61 @@ class CorpusReader:
         self.space, self.feature_names = self._parse(1, header, _header)
 
     def __iter__(self) -> Iterator[CorpusDialogue]:
-        n_features = len(self.feature_names)
-
-        def dialogue(rec: dict) -> CorpusDialogue:
-            refuse_unknown(rec, ("provenance", "log"), "a dialogue record")
-            log = EpisodeLog.from_dict(rec["log"], self.space)
-            # before the dialogue is rated, from its features and actions
-            _check_dialogue(log, n_features)
-            return CorpusDialogue(log=log, provenance=rec["provenance"])
-
         with open(self.path) as fh:
             fh.readline()
             for number, line in enumerate(fh, 2):
                 if line.strip():
-                    yield self._parse(number, line, dialogue)
+                    yield self._parse(number, line, self._dialogue)
+
+    def _dialogue(self, rec: dict) -> CorpusDialogue:
+        """The dialogue a record line's JSON value ``rec`` holds: its
+        ``provenance`` and ``log``, the log's ``records`` (each turn's
+        ``features``, ``action`` and ``reward``), ``success`` and
+        ``final_features`` (the last turn's next state), each checked
+        before the dialogue is rated; a field at fault raises naming it."""
+        log, provenance = _fields(rec, ("log", "provenance"),
+                                  "a dialogue record")
+        records, success, final = _fields(
+            log, ("records", "success", "final_features"), "the log")
+        turns = [_fields(turn, ("features", "action", "reward"), f"turn {k}")
+                 for k, turn in enumerate(records)]
+        # turn k goes from state k to state k + 1, the last to the final one
+        states = [_vector("features", features) for features, _, _ in turns]
+        states.append(_vector("final_features", final))
+        if type(success) is not bool:
+            raise CorpusFormatError(f"field 'success': {success!r} is not a "
+                                    f"boolean")
+        if not turns:
+            raise CorpusFormatError("field 'records': a dialogue with no turns")
+        n_features = len(self.feature_names)
+        n_actions = len(SPACES[self.space].actions)
+        for k, (_, action, reward) in enumerate(turns):
+            if len(states[k]) != n_features:
+                raise CorpusFormatError(f"feature length {len(states[k])} != "
+                                        f"manifest {n_features}")
+            # an int, not a bool, a float or a string that reads as one
+            if type(action) is not int or not 0 <= action < n_actions:
+                raise CorpusFormatError(f"field 'action' of turn {k}: "
+                                        f"{action!r} is not an action index "
+                                        f"in 0..{n_actions - 1}")
+            if isinstance(reward, bool) or not isinstance(reward, Real):
+                raise CorpusFormatError(f"field 'reward' of turn {k}: "
+                                        f"{reward!r} is not a number")
+            for name, value in (("features", states[k]), ("reward", reward)):
+                if not np.isfinite(value).all():    # json.loads reads NaN
+                    raise CorpusFormatError(f"field '{name}' of turn {k}: "
+                                            f"not finite")
+        if len(states[-1]) != n_features:
+            raise CorpusFormatError(f"final feature length {len(states[-1])} "
+                                    f"!= manifest {n_features}")
+        if not np.isfinite(states[-1]).all():
+            raise CorpusFormatError("field 'final_features': not finite")
+        last = len(turns) - 1
+        return CorpusDialogue(tuple(
+            Transition(states[k], action, reward, states[k + 1], k == last,
+                       k == last and success)
+            for k, (_, action, reward) in enumerate(turns)), self.space,
+            provenance)
 
     def _parse(self, number: int, line: str, build):
         """``build`` applied to the line's JSON value; any failure is raised
@@ -332,6 +346,26 @@ class CorpusReader:
                 f"{self.path}:{number}: missing field {exc}") from exc
         except (ValueError, TypeError, AttributeError) as exc:
             raise CorpusFormatError(f"{self.path}:{number}: {exc}") from exc
+
+
+def _fields(d: dict, names: tuple, where: str) -> list:
+    """The values of ``d``'s fields ``names``, in order; a field not among
+    them raises ValueError naming it, a missing one KeyError."""
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unexpected field {key!r} in {where}")
+    return [d[name] for name in names]
+
+
+def _vector(name: str, values) -> np.ndarray:
+    """``values``, a JSON list of numbers, as a float64 vector; a boolean,
+    which numpy would take for 0 or 1, is refused."""
+    vec = np.asarray(values, dtype=float)
+    if vec.ndim != 1:
+        raise ValueError(f"field {name!r}: not a flat list of numbers")
+    if isinstance(values, list) and bool in map(type, values):
+        raise ValueError(f"field {name!r}: a boolean is not a number")
+    return vec
 
 
 def _header(rec: dict) -> tuple[str, list]:

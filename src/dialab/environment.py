@@ -49,8 +49,11 @@ class EnvConfig:
             raise ConfigError(f"space={self.space!r} not in {tuple(SPACES)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
+    """One system turn, as ``rollout`` yields it and learners and the
+    corpus hold it; a dialogue is the tuple of its turns."""
+
     features: np.ndarray
     action: int
     reward: float
@@ -59,73 +62,11 @@ class Transition:
     success: bool
 
 
-def _vector(name: str, values) -> np.ndarray:
-    """``values`` as a float64 vector; a float64 array, such as the one the
-    environment built for the turn, is kept as it is, not copied. A list
-    holding a boolean, which numpy would take for 0 or 1, is refused."""
-    vec = np.asarray(values, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError(f"field {name!r}: not a flat list of numbers")
-    if isinstance(values, list) and bool in map(type, values):
-        raise ValueError(f"field {name!r}: a boolean is not a number")
-    return vec
-
-
-def refuse_unknown(d: dict, names: tuple, where: str) -> None:
-    """Raise ValueError naming the first key of ``d`` not in ``names``."""
-    for key in d:
-        if key not in names:
-            raise ValueError(f"unexpected field {key!r} in {where}")
-
-
-@dataclass
-class TurnRecord:
-    """One logged system turn, in one form whether it comes from a rollout
-    or a corpus file: ``features`` is a float64 array."""
-
-    features: np.ndarray
-    action: int
-    reward: float
-
-    def __post_init__(self):
-        self.features = _vector("features", self.features)
-
-    def to_dict(self) -> dict:
-        return {"features": self.features.tolist(), "action": self.action,
-                "reward": self.reward}
-
-
-@dataclass
-class EpisodeLog:
-    """One logged dialogue. Its length, its return and each turn's
-    terminal and success flags follow from ``records`` (the last turn ends
-    the dialogue) and ``success``, so they are not stored."""
-
-    space: str
-    records: list
-    success: bool
-    final_features: np.ndarray
-
-    def __post_init__(self):
-        self.final_features = _vector("final_features", self.final_features)
-
-    def to_dict(self) -> dict:
-        """A JSON-ready dict without the space, which the corpus header
-        holds. Feature arrays become fresh lists of floats."""
-        return {"success": self.success,
-                "final_features": self.final_features.tolist(),
-                "records": [r.to_dict() for r in self.records]}
-
-    @classmethod
-    def from_dict(cls, d: dict, space: str) -> "EpisodeLog":
-        """The log ``to_dict`` gave, of a dialogue in ``space``; a field
-        ``to_dict`` does not write, here or in a turn, raises ValueError
-        naming it."""
-        refuse_unknown(d, ("success", "final_features", "records"), "the log")
-        for k, r in enumerate(d["records"]):
-            refuse_unknown(r, ("features", "action", "reward"), f"turn {k}")
-        return cls(space=space,
-                   **dict(d, records=[TurnRecord(**r) for r in d["records"]]))
+def same_state(a, b) -> bool:
+    """Whether the states ``a`` and ``b`` are one float64 vector bit for
+    bit: the rule by which a turn continues the one before it. It goes by
+    the bytes, since ``==`` takes -0.0 for 0.0 and no NaN for itself."""
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
 
 
 def understood_constraints(belief: BeliefState) -> dict[str, str]:
@@ -367,7 +308,8 @@ class DialogueEnv:
 def rollout(env: DialogueEnv, policy: Callable[[np.ndarray], int],
             rng: np.random.Generator) -> Iterator[Transition]:
     """Roll one dialogue under a feature -> action policy, yielding one
-    Transition per turn."""
+    Transition per turn; each turn's ``next_features`` is the next one's
+    ``features``, the same array."""
     features = env.reset(rng)
     terminal = False
     while not terminal:
@@ -376,13 +318,3 @@ def rollout(env: DialogueEnv, policy: Callable[[np.ndarray], int],
         yield Transition(features, action, reward, next_features, terminal,
                          success)
         features = next_features
-
-
-def run_episode(env: DialogueEnv, policy: Callable[[np.ndarray], int],
-                rng: np.random.Generator) -> EpisodeLog:
-    """Roll one dialogue under a feature -> action policy and log it."""
-    records = []
-    for t in rollout(env, policy, rng):
-        records.append(TurnRecord(t.features, t.action, t.reward))
-    return EpisodeLog(env.config.space, records, success=t.success,
-                      final_features=t.next_features)

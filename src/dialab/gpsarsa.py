@@ -337,7 +337,7 @@ class GPSarsaAgent:
     until the next one shows its on-policy next action."""
 
     def __init__(self, n_features: int, n_actions: int, config: GPConfig,
-                 gamma: float = 0.99):
+                 gamma: float):
         self.gp = SparseGP(config, n_features, n_actions)
         self.gamma = gamma
         self._pending = None

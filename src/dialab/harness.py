@@ -127,14 +127,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def unwrap(value):
+    """``cfg`` as JSON values; an int or float field as a plain number."""
+    def unwrap(value, kind=None):
         if dataclasses.is_dataclass(value):
-            return {f.name: unwrap(getattr(value, f.name))
+            return {f.name: unwrap(getattr(value, f.name), f.type)
                     for f in fields(value)}
         if isinstance(value, tuple):
             return list(value)
         if isinstance(value, dict):
             return {str(k): unwrap(v) for k, v in value.items()}
+        if kind in ("int", "float"):
+            return {"int": int, "float": float}[kind](value)
         return value
     return unwrap(cfg)
 
@@ -268,16 +271,11 @@ def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv, agent) -> dict:
 
 def evaluate(action_fn, env: DialogueEnv, episodes: int, seed: int):
     """Exploration-free aggregate over a fixed evaluation stream."""
-    returns = np.zeros(episodes)
-    lengths = np.zeros(episodes)
-    successes = np.zeros(episodes, dtype=bool)
-    for i in range(episodes):
-        for t in rollout(env, action_fn, rng_stream(seed, "eval", i)):
-            returns[i] += t.reward
-            lengths[i] += 1
-        successes[i] = t.success
-    return (float(successes.mean()), float(returns.mean()),
-            float(lengths.mean()))
+    dialogues = (tuple(rollout(env, action_fn, rng_stream(seed, "eval", i)))
+                 for i in range(episodes))
+    rows = [(d[-1].success, sum(t.reward for t in d), len(d))
+            for d in dialogues]
+    return tuple(float(np.mean(column)) for column in zip(*rows))
 
 
 CURVE_HEADER = "dialogues,success_rate,mean_return,mean_length,wall_clock_s"

@@ -90,14 +90,12 @@ def _pick(values: tuple, rng: np.random.Generator) -> str:
     return values[int(rng.integers(len(values)))]
 
 
-def generate_db(n: int = 150,
-                rng: np.random.Generator | None = None) -> RestaurantDB:
-    """Synthesize a seeded restaurant database of ``n`` records.
+def generate_db(n: int, rng: np.random.Generator) -> RestaurantDB:
+    """Synthesize a restaurant database of ``n`` records drawn from ``rng``.
 
     Names are unique; constraint values are sampled uniformly from
     ``VALUES`` so every value is reachable by queries.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     combos = [f"the {a} {b}" for a in _NAME_ADJECTIVES for b in _NAME_NOUNS]
     order = rng.permutation(len(combos))
     records = []
@@ -201,11 +199,10 @@ class GoalConfig:
         object.__setattr__(self, "request_p", p / total)
 
 
-def sample_goal(db: RestaurantDB,
-                rng: np.random.Generator, cfg: GoalConfig | None = None) -> UserGoal:
+def sample_goal(db: RestaurantDB, rng: np.random.Generator,
+                cfg: GoalConfig) -> UserGoal:
     """Draw a goal; resampled against the DB so a ``satisfiable_frac`` share
     of goals has at least one matching restaurant."""
-    cfg = cfg or GoalConfig()
     slots = [s for s in CONSTRAINT_SLOTS
              if rng.random() < cfg.constraint_probs.get(s, 0.0)]
     if not slots:

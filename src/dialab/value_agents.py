@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, nets
-from .environment import Transition
+from .environment import Transition, same_state
 from .nets import AdadeltaState, FeedForwardNet, clone_net, copy_params
 from .ranges import ConfigError, bounded, check, check_ranges
 
@@ -29,10 +29,10 @@ class ReplayPool:
     Each state is stored once: row i's next state is the state of row
     ``(i + 1) % capacity``, and the newest row's is held beside the rows
     until the next row arrives. So after a row that is not terminal, ``add``
-    refuses any state but its next one, bit for bit (by its bytes: ``==``
-    takes -0.0 for 0.0 and no NaN for itself). After a terminal row any
-    state may follow; no target reads its next state. ``add`` is the one
-    way rows arrive, online and from a corpus (``corpus.fill_pool``).
+    refuses any state but its next one (``environment.same_state``). After
+    a terminal row any state may follow; no target reads its next state.
+    ``add`` is the one way rows arrive, online and from a corpus
+    (``corpus.fill_pool``).
     """
 
     def __init__(self, capacity: int, n_features: int):
@@ -50,8 +50,7 @@ class ReplayPool:
 
     def add(self, t: Transition) -> None:
         if (self._size and not self._terminal[self._cursor - 1]
-                and np.asarray(t.features, dtype=float).tobytes()
-                != self._newest_next.tobytes()):
+                and not same_state(t.features, self._newest_next)):
             raise ValueError("the newest row is not terminal, and the "
                              "incoming state is not its next state")
         i = self._cursor
@@ -194,7 +193,7 @@ class QAgent:
     """Online Q-network plus frozen target copy, replay pool and step counter."""
 
     def __init__(self, n_features: int, n_actions: int, config: AgentConfig,
-                 rng: np.random.Generator, gamma: float = 0.99,
+                 rng: np.random.Generator, gamma: float,
                  double_dqn: bool = False):
         self.config = config
         self.gamma = gamma

@@ -12,7 +12,7 @@ import numpy as np
 
 from dialab import checkpoint
 from dialab.corpus import fill_pool
-from dialab.environment import SPACES, EnvConfig, EpisodeLog, Transition
+from dialab.environment import SPACES, EnvConfig, Transition
 from dialab.nets import (CE_CLAMP, AdadeltaState, FeedForwardNet,
                          NonFiniteGradientError, ShapeError, add_l2_gradient,
                          layer_views)
@@ -94,13 +94,20 @@ def finite_difference_grads(objective: Callable[[], float],
     return grads
 
 
-def check_reward_decomposition(log: EpisodeLog, cfg: EnvConfig) -> bool:
+def check_reward_decomposition(turns, cfg: EnvConfig) -> bool:
     """Every episode return must equal length * turn_penalty plus the
     terminal bonus: +1 on success, -1 on timeout or hang-up."""
-    bonus = cfg.success_reward if log.success else cfg.failure_reward
-    expected = len(log.records) * cfg.turn_penalty + bonus
-    return math.isclose(sum(r.reward for r in log.records), expected,
+    bonus = cfg.success_reward if turns[-1].success else cfg.failure_reward
+    expected = len(turns) * cfg.turn_penalty + bonus
+    return math.isclose(sum(t.reward for t in turns), expected,
                         abs_tol=1e-9)
+
+
+def turn_lists(turns) -> list:
+    """The dialogue ``turns`` as comparable lists, each Transition's fields
+    in order, with its two states as lists of floats."""
+    return [(t.features.tolist(), t.action, t.reward,
+             t.next_features.tolist(), t.terminal, t.success) for t in turns]
 
 
 def render(act) -> str:
@@ -229,7 +236,7 @@ class PooledTurns:
 
 def pooled_turns(corpus) -> PooledTurns:
     """``fill_pool`` on ``corpus`` into a pool with a row for every turn."""
-    turns = sum(len(d.log.records) for d in corpus)
+    turns = sum(len(d.turns) for d in corpus)
     pool = ReplayPool(max(1, turns), len(corpus.feature_names))
     rating = fill_pool(corpus, pool)
     return PooledTurns(**{k: pool.rows(k) for k in ReplayPool.FIELDS},

@@ -17,7 +17,7 @@ from scipy import stats as scipy_stats
 
 from dialab import harness
 from dialab.corpus import HandcraftedPolicy, RandomPolicy
-from dialab.environment import Transition, run_episode
+from dialab.environment import Transition, rollout
 from dialab.gpsarsa import GPConfig, SparseGP
 from dialab.nets import FeedForwardNet, log_policy_gradient, softmax
 from dialab.seeding import rng_stream
@@ -176,10 +176,11 @@ def test_criterion_5_reward_accounting():
                 HandcraftedPolicy("original")]
     bad = 0
     for i in range(10000):
-        log = run_episode(env, policies[i % 3], rng_stream(52, "train", i))
-        if not check_reward_decomposition(log, env.config):
+        turns = tuple(rollout(env, policies[i % 3], rng_stream(52, "train",
+                                                               i)))
+        if not check_reward_decomposition(turns, env.config):
             bad += 1
-        if not 1 <= len(log.records) <= 30:
+        if not 1 <= len(turns) <= 30:
             bad += 1
     report("5 reward-accounting", bad == 0, f"violations={bad}/10000")
 

@@ -27,7 +27,8 @@ def make_agent(n_features=6, n_actions=4, explored=None, **kw):
                       minibatch=kw.pop("minibatch", 4),
                       warmup=kw.pop("warmup", 4), **kw)
     explored = tuple(range(n_actions)) if explored is None else explored
-    return ActorCriticAgent(n_features, n_actions, cfg, RNG(0), explored)
+    return ActorCriticAgent(n_features, n_actions, cfg, RNG(0), explored,
+                            gamma=0.99)
 
 
 def fixed_policy_net(logits, n_in=6):
@@ -420,7 +421,8 @@ class TestCheckpoint:
         # and so does pretraining's step count, which a resume never reads
         assert sorted(meta) == ["format", "kind", "policy.layer_sizes",
                                 "value.layer_sizes", "version"]
-        twin = ActorCriticAgent(6, 4, agent.config, RNG(99), (0, 1, 2, 3))
+        twin = ActorCriticAgent(6, 4, agent.config, RNG(99), (0, 1, 2, 3),
+                                gamma=0.99)
         twin.observe(dialogue(3)[0], None, 0.1)     # dropped by the load
         twin.load(path)
         assert state_bytes(twin.state()) == state_bytes(agent.state())
@@ -557,7 +559,7 @@ class TestPretrain:
                                 schedule=BlunderSchedule(((1.0, 0.0),)))
         agent = ActorCriticAgent(31, 11,
                                  AgentConfig(hidden=(48, 32), sup_epochs=12),
-                                 RNG(19), env.space.explored)
+                                 RNG(19), env.space.explored, gamma=0.99)
         fill_pool(built, agent.pool)
         stats = agent.imitate(np.arange(len(agent.pool)), RNG(20))
         assert stats["holdout_accuracy"] >= 0.95

@@ -29,7 +29,8 @@ def transition(i, dim=4, terminal=False):
 
 def q_agent(hidden, seed=0):
     cfg = AgentConfig(hidden=hidden, minibatch=4, warmup=4)
-    return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(seed))
+    return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(seed),
+                  gamma=0.99)
 
 
 @pytest.fixture
@@ -182,7 +183,7 @@ def test_written_bytes_are_np_savez_bytes(tmp_path, frozen_zip_clock):
 def ac_agent(hidden, seed=0):
     cfg = AgentConfig(hidden=hidden, minibatch=4, warmup=4, target_sync=5)
     return ActorCriticAgent(n_features=4, n_actions=3, config=cfg,
-                            rng=RNG(seed), explored=(0, 1, 2))
+                            rng=RNG(seed), explored=(0, 1, 2), gamma=0.99)
 
 
 # each agent's nets and Adadelta optimisers by snapshot part, as attributes

@@ -11,9 +11,10 @@ from dialab.corpus import (BlunderSchedule, CorpusFormatError,
                            CorpusReader, HandcraftedPolicy,
                            count_blunders, fill_pool, generate_corpus,
                            load_corpus, rate, save_corpus)
+from dialab.environment import Transition
 from dialab.value_agents import ReplayPool
 from reference import (check_reward_decomposition, noiseless_channel,
-                       pooled_turns)
+                       pooled_turns, turn_lists)
 
 CLEAN = BlunderSchedule(((1.0, 0.0),))
 
@@ -43,7 +44,7 @@ class TestGenerate:
 
     def test_clean_noiseless_corpus_all_successful(self, noiseless_env):
         built = generate_corpus(noiseless_env, 60, seed=2, schedule=CLEAN)
-        assert all(d.log.success for d in built.dialogues)
+        assert all(d.turns[-1].success for d in built.dialogues)
         assert all(d.rating == 3 for d in built.dialogues)
         assert all(d.provenance == "handcrafted" for d in built.dialogues)
 
@@ -55,31 +56,33 @@ class TestGenerate:
 
     def test_logs_satisfy_reward_decomposition(self, small_corpus, noisy_env):
         for d in small_corpus.dialogues:
-            assert check_reward_decomposition(d.log, noisy_env.config)
+            assert check_reward_decomposition(d.turns, noisy_env.config)
 
 
 class TestRate:
     def test_clean_success_rates_three(self, noiseless_env):
         built = generate_corpus(noiseless_env, 10, seed=4, schedule=CLEAN)
-        assert all(rate(d.log) == 3 for d in built.dialogues)
+        assert all(rate(d.turns, d.space) == 3 for d in built.dialogues)
 
     def test_rating_is_pure_function_of_log(self, small_corpus):
         for d in small_corpus.dialogues:
-            assert rate(d.log) == rate(d.log) == d.rating
+            assert rate(d.turns, d.space) == rate(d.turns, d.space) \
+                == d.rating
 
     def test_timeout_with_nothing_grounded_rates_zero(self, noiseless_env):
-        from dialab.environment import run_episode
+        from dialab.environment import rollout
         from dialab.seeding import rng_stream
         from reference import ORIGINAL_ACTIONS
         repeat = ORIGINAL_ACTIONS.index("repeat")
-        log = run_episode(noiseless_env, lambda f: repeat,
-                          rng_stream(5, "train", 0))
-        assert not log.success
-        assert rate(log) == 0
+        turns = tuple(rollout(noiseless_env, lambda f: repeat,
+                              rng_stream(5, "train", 0)))
+        assert not turns[-1].success
+        assert rate(turns, "original") == 0
 
     def test_blunder_counting_by_rule_replay(self, noiseless_env):
         built = generate_corpus(noiseless_env, 40, seed=6, schedule=CLEAN)
-        assert all(count_blunders(d.log) == 0 for d in built.dialogues)
+        assert all(count_blunders(d.turns, d.space) == 0
+                   for d in built.dialogues)
 
     def test_expert_fraction_calibrated(self, noisy_env):
         # default schedule: rating-3 share ~ 1/3 (+-5 points) across 5 seeds
@@ -113,8 +116,8 @@ class TestFilter:
         data = pooled_turns(small_corpus)
         expert = data.rating == 3
         assert expert.sum() + (~expert).sum() == len(data)
-        rows = [(rec.features, rec.action) for d in small_corpus.dialogues
-                if d.rating == 3 for rec in d.log.records]
+        rows = [(t.features, t.action) for d in small_corpus.dialogues
+                if d.rating == 3 for t in d.turns]
         assert np.array_equal(data.features[expert],
                               np.array([f for f, _ in rows]))
         assert data.actions[expert].tolist() == [a for _, a in rows]
@@ -129,7 +132,7 @@ class TestFilter:
 
 class TestConversion:
     def test_pair_and_transition_counts_match_turns(self, small_corpus):
-        turns = sum(len(d.log.records) for d in small_corpus.dialogues)
+        turns = sum(len(d.turns) for d in small_corpus.dialogues)
         data = pooled_turns(small_corpus)
         assert data.features.shape == data.next_features.shape == (
             turns, len(small_corpus.feature_names))
@@ -143,7 +146,7 @@ class TestConversion:
         ends = np.flatnonzero(data.terminal) + 1
         for d, rewards in zip(small_corpus.dialogues,
                               np.split(data.rewards, ends[:-1])):
-            assert abs(rewards.sum() - sum(r.reward for r in d.log.records)) \
+            assert abs(rewards.sum() - sum(t.reward for t in d.turns)) \
                 <= 1e-9
 
     def test_clean_pairs_match_rule_table_everywhere(self, noiseless_env):
@@ -154,22 +157,19 @@ class TestConversion:
             assert rule.decide(feats) == action
 
     def test_rows_match_the_logged_turns(self, small_corpus):
-        # reference: a loop over every dialogue's turn records
+        # reference: a loop over every dialogue's turns
         data = pooled_turns(small_corpus)
-        records = [(d, i) for d in small_corpus.dialogues
-                   for i in range(len(d.log.records))]
-        assert len(data) == len(records)
-        for row, (d, i) in enumerate(records):
-            rec, log = d.log.records[i], d.log
-            last = i + 1 == len(log.records)
-            nxt = log.final_features if last else log.records[i + 1].features
-            assert data.features[row].tolist() == rec.features.tolist()
+        turns = [(d, t) for d in small_corpus.dialogues for t in d.turns]
+        assert len(data) == len(turns)
+        for row, (d, t) in enumerate(turns):
+            assert data.features[row].tolist() == t.features.tolist()
             # a terminal row's next state is read only at the newest row
-            if not last or row + 1 == len(records):
-                assert data.next_features[row].tolist() == nxt.tolist()
+            if not t.terminal or row + 1 == len(turns):
+                assert (data.next_features[row].tolist()
+                        == t.next_features.tolist())
             assert (data.actions[row], data.rewards[row],
                     data.terminal[row], data.rating[row]) == (
-                        rec.action, rec.reward, last, d.rating)
+                        t.action, t.reward, t.terminal, d.rating)
 
     def test_streamed_file_gives_the_in_memory_arrays(self, tmp_path,
                                                       small_corpus):
@@ -196,7 +196,7 @@ class TestConversion:
         # every turn is rated; the pool keeps the dialogues that fit whole,
         # in order, and nothing after the first that does not
         data = pooled_turns(small_corpus)
-        first = len(small_corpus.dialogues[0].log.records)
+        first = len(small_corpus.dialogues[0].turns)
         pool = ReplayPool(len(data) - 1, len(small_corpus.feature_names))
         rating = fill_pool(small_corpus, pool)
         assert np.array_equal(rating, data.rating)
@@ -219,24 +219,35 @@ class TestConversion:
 class TestLogForm:
     def test_generated_and_reread_logs_share_one_form(self, tmp_path,
                                                       small_corpus):
+        # both are the rollout's Transitions: float64 states, each turn
+        # starting at the last one's next state, the same array
         path = tmp_path / "c.jsonl"
         save_corpus(small_corpus, path)
         n_features = len(small_corpus.feature_names)
+        generated = small_corpus.dialogues[0]
         reread = next(iter(CorpusReader(str(path))))
-        for log in (small_corpus.dialogues[0].log, reread.log):
-            for vec in [r.features for r in log.records] + [
-                    log.final_features]:
-                assert isinstance(vec, np.ndarray)
-                assert vec.dtype == np.float64
-                assert vec.shape == (n_features,)
-            as_dict = log.to_dict()
-            assert as_dict == json.loads(json.dumps(as_dict))
-        assert reread.log.to_dict() == small_corpus.dialogues[0].log.to_dict()
+        for d in (generated, reread):
+            assert isinstance(d.turns, tuple)
+            for t in d.turns:
+                assert isinstance(t, Transition)
+                for vec in (t.features, t.next_features):
+                    assert isinstance(vec, np.ndarray)
+                    assert vec.dtype == np.float64
+                    assert vec.shape == (n_features,)
+                assert (type(t.action), type(t.reward), type(t.terminal),
+                        type(t.success)) == (int, float, bool, bool)
+            for prev, t in zip(d.turns, d.turns[1:]):
+                assert t.features is prev.next_features
+        assert (reread.space, reread.provenance, reread.rating) == (
+            generated.space, generated.provenance, generated.rating)
+        assert turn_lists(reread.turns) == turn_lists(generated.turns)
 
     def test_traced_bytes_per_logged_turn(self, noisy_env):
         # a turn's features as a list of Python floats held about 2.1 KB
         # a turn; the environment's array and the interned rendered acts
-        # about 1.15 KB; the array without the acts about 0.58 KB
+        # about 1.15 KB; the array without the acts about 0.58 KB; the
+        # rollout's Transition, its next state the next turn's array,
+        # about 0.55 KB
         generate_corpus(noisy_env, 50, seed=2)
         tracemalloc.start()
         try:
@@ -244,7 +255,7 @@ class TestLogForm:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        turns = sum(len(d.log.records) for d in built.dialogues)
+        turns = sum(len(d.turns) for d in built.dialogues)
         assert held / turns < 800, held / turns
 
 
@@ -403,7 +414,7 @@ class TestRoundTrip:
         assert reader.feature_names == small_corpus.feature_names
         stream = iter(reader)
         for kept in small_corpus.dialogues:
-            assert next(stream).log.to_dict() == kept.log.to_dict()
+            assert turn_lists(next(stream).turns) == turn_lists(kept.turns)
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:{len(small_corpus) + 3}: "
                                            f"not JSON")):

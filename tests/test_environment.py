@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from dialab.actor_critic import ActorCriticAgent
 from dialab.corpus import (Corpus, CorpusDialogue, HandcraftedPolicy,
                            RandomPolicy)
 from dialab.environment import (SPACES, DialogueEnv, EnvConfig,
-                                EpisodeStateError, minmax_slot, realize,
-                                rollout, run_episode, understood_constraints)
+                                EpisodeStateError, Transition, minmax_slot,
+                                realize, rollout, understood_constraints)
 from dialab.ontology import UserAct, generate_db
 from dialab.seeding import rng_stream
 from dialab.tracker import ErrorModel, fresh_belief, update_belief
+from dialab.value_agents import AgentConfig, ReplayPool
 from reference import (ORIGINAL_ACTIONS, check_reward_decomposition,
-                       noiseless_channel, pooled_turns)
+                       noiseless_channel, pooled_turns, turn_lists)
 
 DB = generate_db(n=150, rng=np.random.default_rng(7))
 SUMMARY = SPACES["summary"]
@@ -22,11 +24,16 @@ def make_env(space="original", noiseless=True, **cfg_kw):
     return DialogueEnv(DB, cfg)
 
 
-def logged_rows(log):
-    """The log's turns as the replay pool stores them."""
+def dialogue(env, policy, rng):
+    """One dialogue's turns, as the corpus holds them."""
+    return tuple(rollout(env, policy, rng))
+
+
+def pooled_rows(turns, space="original"):
+    """The dialogue's turns as the replay pool stores them."""
     return pooled_turns(Corpus(
-        dialogues=[CorpusDialogue(log=log)], space=log.space,
-        feature_names=SPACES[log.space].feature_names))
+        dialogues=[CorpusDialogue(turns, space)], space=space,
+        feature_names=SPACES[space].feature_names))
 
 
 def belief_with(informs, db_count=0):
@@ -82,28 +89,28 @@ class TestStep:
     def test_success_return_accounting(self):
         env = make_env()
         policy = HandcraftedPolicy("original")
-        log = run_episode(env, policy, rng_stream(2, "train", 0))
-        assert log.success
-        assert abs(sum(r.reward for r in log.records)
-                   - (1.0 - 0.03 * len(log.records))) <= 1e-9
+        turns = dialogue(env, policy, rng_stream(2, "train", 0))
+        assert turns[-1].success
+        assert abs(sum(t.reward for t in turns)
+                   - (1.0 - 0.03 * len(turns))) <= 1e-9
 
     def test_always_repeat_times_out_at_minus_1_90(self):
         env = make_env()
         repeat = ORIGINAL_ACTIONS.index("repeat")
-        log = run_episode(env, lambda f: repeat, rng_stream(3, "train", 0))
-        assert not log.success
-        assert len(log.records) == 30
-        assert abs(sum(r.reward for r in log.records)
+        turns = dialogue(env, lambda f: repeat, rng_stream(3, "train", 0))
+        assert not turns[-1].success
+        assert len(turns) == 30
+        assert abs(sum(t.reward for t in turns)
                    - (-1.0 - 30 * 0.03)) <= 1e-9
 
     def test_hangup_return_accounting(self):
         # offering immediately omits every goal constraint: instant hang-up
         env = make_env()
         offer = ORIGINAL_ACTIONS.index("offer")
-        log = run_episode(env, lambda f: offer, rng_stream(4, "train", 0))
-        assert not log.success
-        assert len(log.records) == 1
-        assert abs(log.records[0].reward - (-1.0 - 0.03)) <= 1e-9
+        turns = dialogue(env, lambda f: offer, rng_stream(4, "train", 0))
+        assert not turns[-1].success
+        assert len(turns) == 1
+        assert abs(turns[0].reward - (-1.0 - 0.03)) <= 1e-9
 
 
 class TestRealization:
@@ -185,16 +192,16 @@ class TestEpisodes:
         env = make_env()
         policy = HandcraftedPolicy("original")
         for i in range(1000):
-            log = run_episode(env, policy, rng_stream(10, "train", i))
-            assert log.success, i
-            assert len(log.records) <= 12
+            turns = dialogue(env, policy, rng_stream(10, "train", i))
+            assert turns[-1].success, i
+            assert len(turns) <= 12
 
     def test_summary_handcrafted_noiseless_always_succeeds(self):
         env = make_env("summary")
         policy = HandcraftedPolicy("summary")
         for i in range(300):
-            log = run_episode(env, policy, rng_stream(11, "train", i))
-            assert log.success, i
+            turns = dialogue(env, policy, rng_stream(11, "train", i))
+            assert turns[-1].success, i
 
     def test_reward_decomposition_fuzz(self):
         env = make_env(noiseless=False)
@@ -203,70 +210,80 @@ class TestEpisodes:
         handcrafted = HandcraftedPolicy("original", p_blunder=0.2, rng=rng)
         for i in range(500):
             policy = random_policy if i % 2 else handcrafted
-            log = run_episode(env, policy, rng_stream(13, "train", i))
-            assert check_reward_decomposition(log, env.config)
-            assert 1 <= len(log.records) <= 30
+            turns = dialogue(env, policy, rng_stream(13, "train", i))
+            assert check_reward_decomposition(turns, env.config)
+            assert 1 <= len(turns) <= 30
 
     def test_success_flag_matches_simulator(self):
         from dialab import usersim
         env = make_env(noiseless=False)
         policy = HandcraftedPolicy("original")
         for i in range(200):
-            log = run_episode(env, policy, rng_stream(14, "train", i))
-            assert log.success == usersim.is_satisfied(env.user)
-
-    def test_log_replay_resums_to_return(self):
-        # the logged rewards are the rollout's, so they sum to its return
-        env = make_env(noiseless=False)
-        policy = HandcraftedPolicy("original")
-        got = list(rollout(env, policy, rng_stream(15, "train", 3)))
-        log = run_episode(env, policy, rng_stream(15, "train", 3))
-        assert [r.reward for r in log.records] == [t.reward for t in got]
+            turns = dialogue(env, policy, rng_stream(14, "train", i))
+            assert turns[-1].success == usersim.is_satisfied(env.user)
 
     @pytest.mark.parametrize("space", ["original", "summary"])
-    def test_rollout_yields_the_logged_transitions(self, space):
-        # a logged dialogue's corpus rows are the transitions rollout gave
+    def test_turns_chain_and_only_the_last_ends(self, space):
+        # each turn starts at the last one's next state, the same array,
+        # and only the last is terminal and may succeed
         env = make_env(space, noiseless=False)
         for i in range(20):
-            def policy():
-                return HandcraftedPolicy(space, p_blunder=0.3,
-                                         rng=np.random.default_rng(i))
-            got = list(rollout(env, policy(), rng_stream(19, "train", i)))
-            log = run_episode(env, policy(), rng_stream(19, "train", i))
-            want = logged_rows(log)
-            assert len(got) == len(want)
-            for name, column in (
-                    ("features", want.features), ("action", want.actions),
-                    ("reward", want.rewards),
-                    ("next_features", want.next_features),
-                    ("terminal", want.terminal)):
-                assert np.array_equal(
-                    np.array([getattr(t, name) for t in got]), column), (
-                        i, name)
-            assert [t.success for t in got] == [False] * (len(got) - 1) + [
-                log.success]
+            policy = HandcraftedPolicy(space, p_blunder=0.3,
+                                       rng=np.random.default_rng(i))
+            turns = dialogue(env, policy, rng_stream(19, "train", i))
+            for prev, t in zip(turns, turns[1:]):
+                assert t.features is prev.next_features, i
+            assert [t.terminal for t in turns] == [False] * (
+                len(turns) - 1) + [True]
+            assert not any(t.success for t in turns[:-1])
 
     def test_transitions_align_with_features(self):
         env = make_env()
         policy = HandcraftedPolicy("original")
-        log = run_episode(env, policy, rng_stream(16, "train", 0))
-        rows = logged_rows(log)
-        assert len(rows) == len(log.records)
+        turns = dialogue(env, policy, rng_stream(16, "train", 0))
+        rows = pooled_rows(turns)
+        assert len(rows) == len(turns)
         assert rows.terminal[-1] and not rows.terminal[:-1].any()
         assert np.array_equal(rows.next_features[:-1], rows.features[1:])
-        assert np.array_equal(rows.next_features[-1], log.final_features)
+        assert np.array_equal(rows.next_features[-1],
+                              turns[-1].next_features)
 
     def test_same_seed_same_episode(self):
         env = make_env(noiseless=False)
         policy = HandcraftedPolicy("original")
-        log1 = run_episode(env, policy, rng_stream(17, "train", 5))
-        log2 = run_episode(env, policy, rng_stream(17, "train", 5))
-        assert log1.to_dict() == log2.to_dict()
+        first = dialogue(env, policy, rng_stream(17, "train", 5))
+        second = dialogue(env, policy, rng_stream(17, "train", 5))
+        assert turn_lists(first) == turn_lists(second)
 
-    def test_log_dict_roundtrip(self):
-        from dialab.environment import EpisodeLog
-        env = make_env(noiseless=False)
-        policy = HandcraftedPolicy("original")
-        log = run_episode(env, policy, rng_stream(18, "train", 2))
-        again = EpisodeLog.from_dict(log.to_dict(), "original")
-        assert (again.space, again.to_dict()) == ("original", log.to_dict())
+
+# the two places that chain one turn to the next: the replay pool and the
+# actor-critic's dialogue buffer; a caller refuses a turn with its own
+# message
+def actor_critic_observe():
+    agent = ActorCriticAgent(2, 3, AgentConfig(hidden=(3,)),
+                             np.random.default_rng(0), (0, 1, 2), gamma=0.99)
+    return lambda t: agent.observe(t, None, 0.1)
+
+
+CHAIN_CALLERS = {
+    "pool": (lambda: ReplayPool(4, 2).add, "not its next state"),
+    "actor-critic": (actor_critic_observe, "last one's next state")}
+
+
+@pytest.mark.parametrize("caller", CHAIN_CALLERS)
+@pytest.mark.parametrize("nxt, start, continues", [
+    # equal in value, not bit for bit
+    ([0.0, 1.0], [-0.0, 1.0], False),
+    # a NaN is not equal to itself, but its copy is the same bits
+    ([np.nan, 1.0], [np.nan, 1.0], True)], ids=["minus-zero", "nan-copy"])
+def test_a_turn_continues_only_its_next_state_bit_for_bit(caller, nxt, start,
+                                                          continues):
+    make, message = CHAIN_CALLERS[caller]
+    observe = make()
+    observe(Transition(np.zeros(2), 0, 0.0, np.array(nxt), False, False))
+    turn = Transition(np.array(start), 1, 0.0, np.zeros(2), False, False)
+    if continues:
+        observe(turn)
+    else:
+        with pytest.raises(ValueError, match=message):
+            observe(turn)

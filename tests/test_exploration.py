@@ -75,7 +75,7 @@ EXCLUDED = (1, 2, 3)
 
 def trained_gp_agent():
     """A GP agent over 7 actions whose Q values differ between actions."""
-    agent = GPSarsaAgent(N_FEATURES, 7, GPConfig(nu=0.05))
+    agent = GPSarsaAgent(N_FEATURES, 7, GPConfig(nu=0.05), gamma=0.99)
     rng = RNG(5)
     for _ in range(30):
         b = rng.random(N_FEATURES)
@@ -87,12 +87,12 @@ def trained_gp_agent():
 ALLOWED = tuple(a for a in range(11) if a not in EXCLUDED)
 CASES = {   # old helper -> (agent, the helper's call on it, explored actions)
     "egreedy": (lambda: QAgent(N_FEATURES, 11, AgentConfig(hidden=(10,)),
-                               RNG(1)),
+                               RNG(1), gamma=0.99),
                 lambda agent, f, eps, rng: old_egreedy(
                     agent.qnet, f, eps, EXCLUDED, rng), ALLOWED),
     "policy": (lambda: ActorCriticAgent(N_FEATURES, 11,
                                         AgentConfig(hidden=(10,)), RNG(2),
-                                        ALLOWED),
+                                        ALLOWED, gamma=0.99),
                lambda agent, f, eps, rng: old_policy(
                    agent.policy, f, eps, EXCLUDED, rng), ALLOWED),
     "esoftmax": (trained_gp_agent,

@@ -248,8 +248,8 @@ class TestProjectionReuse:
             assert mine[name].tobytes() == theirs[name].tobytes(), name
 
     def test_load_forgets_cached_projections(self, tmp_path):
-        agents = [GPSarsaAgent(60, 2, replace(SPEC, nu=0.05, max_dictionary=8))
-                  for _ in range(2)]
+        agents = [GPSarsaAgent(60, 2, replace(SPEC, nu=0.05, max_dictionary=8),
+                               gamma=0.99) for _ in range(2)]
         for seed, agent in enumerate(agents):
             rng = RNG(40 + seed)
             for _ in range(20):
@@ -561,7 +561,8 @@ class TestPosterior:
 
 def esoftmax(gp, b, epsilon, rng):
     """The training loop's action for a GPSarsaAgent acting through ``gp``."""
-    agent = GPSarsaAgent(gp.points_b.shape[1], gp.n_actions, gp.config)
+    agent = GPSarsaAgent(gp.points_b.shape[1], gp.n_actions, gp.config,
+                         gamma=0.99)
     agent.gp = gp
     return behaviour_action(agent, b, epsilon, tuple(range(gp.n_actions)),
                             rng)

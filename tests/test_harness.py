@@ -17,13 +17,14 @@ from dialab import corpus as corpus_mod
 from dialab.checkpoint import CheckpointError
 from dialab.corpus import (CorpusReader, HandcraftedPolicy,
                            LayoutMismatchError, generate_corpus, save_corpus)
-from dialab.environment import SPACES, Transition, run_episode
+from dialab.environment import SPACES, Transition, rollout
 from dialab.harness import (ConfigError, EpsilonSchedule, ExperimentConfig,
                             compare_runs, config_from_dict, config_to_dict,
                             epsilon, evaluate, load_config, load_curve,
                             train_run)
 from dialab.seeding import rng_stream
-from reference import ORIGINAL_ACTIONS, noiseless_channel, pooled_turns
+from reference import (ORIGINAL_ACTIONS, noiseless_channel, pooled_turns,
+                       turn_lists)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -189,21 +190,21 @@ class TestEvaluate:
         cfg = ExperimentConfig(space="original", seed=4)
         _, _, env = harness.build_world(cfg)
         policy = HandcraftedPolicy("original")
-        logs = [run_episode(env, policy, rng_stream(4, "eval", i))
+        logs = [tuple(rollout(env, policy, rng_stream(4, "eval", i)))
                 for i in range(40)]
         assert evaluate(policy, env, 40, seed=4) == (
-            float(np.mean([x.success for x in logs])),
-            float(np.mean([sum(r.reward for r in x.records) for x in logs])),
-            float(np.mean([len(x.records) for x in logs])))
+            float(np.mean([x[-1].success for x in logs])),
+            float(np.mean([sum(t.reward for t in x) for x in logs])),
+            float(np.mean([len(x) for x in logs])))
 
     def test_training_stream_untouched_by_evaluation(self):
         # interleaving an evaluation must not change training episodes
         cfg = ExperimentConfig(space="original", seed=5)
         _, _, env = harness.build_world(cfg)
         policy = HandcraftedPolicy("original")
-        first = run_episode(env, policy, rng_stream(5, "train", 1)).to_dict()
+        first = turn_lists(rollout(env, policy, rng_stream(5, "train", 1)))
         evaluate(policy, env, 20, seed=5)
-        second = run_episode(env, policy, rng_stream(5, "train", 1)).to_dict()
+        second = turn_lists(rollout(env, policy, rng_stream(5, "train", 1)))
         assert first == second
 
 
@@ -654,6 +655,20 @@ harness.train_run(harness.config_from_dict(json.loads(sys.argv[1])))
         with open(os.path.join(cfg.out, "config.json")) as fh:
             assert config_from_dict(json.load(fh)) == cfg
 
+    def test_numpy_scalars_write_the_config_of_plain_ones(self, tmp_path):
+        # a config built in code may hold numpy scalars; config.json holds
+        # plain numbers, the same bytes as for the plain config
+        cfg = smoke_config(tmp_path, dialogues=20)
+        path = os.path.join(cfg.out, "config.json")
+        train_run(cfg)
+        with open(path, "rb") as fh:
+            plain = fh.read()
+        train_run(dataclasses.replace(cfg, seed=np.int64(3),
+                                      dialogues=np.int64(20),
+                                      gamma=np.float64(0.99)))
+        with open(path, "rb") as fh:
+            assert fh.read() == plain
+
     def test_gpsarsa_smoke(self, tmp_path):
         cfg = config_from_dict({
             "algorithm": "gpsarsa", "space": "summary", "seed": 1,
@@ -712,8 +727,7 @@ class TestPretraining:
             harness.run_pretraining(cfg, env, agent)
             snapshots.append(self.snapshot(agent, tmp_path / f"{source}.npz"))
         assert read == [path] and snapshots[0] == snapshots[1]
-        assert len(agent.pool) == sum(len(d.log.records)
-                                      for d in built.dialogues)
+        assert len(agent.pool) == sum(len(d.turns) for d in built.dialogues)
 
     @staticmethod
     def pretrain_in_agent(agent, data, supervised, rng):

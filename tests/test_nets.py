@@ -186,7 +186,7 @@ class TestLosses:
         assert clamped
         # the actor-critic agent owns the count, one per clamped example
         agent = ActorCriticAgent(4, 3, AgentConfig(hidden=(5,)), RNG(0),
-                                 (0, 1, 2))
+                                 (0, 1, 2), gamma=0.99)
         agent.policy.biases[-1][:] = [1e4, 0.0, -1e4]
         agent.supervised_step(np.zeros((2, 4)), np.array([0, 2]))
         assert agent.clamp_count == 1

@@ -110,8 +110,8 @@ class TestGoals:
         assert len(goal.constraints) == 3
 
     def test_same_seed_same_goal(self, db):
-        g1 = sample_goal(db, np.random.default_rng(42))
-        g2 = sample_goal(db, np.random.default_rng(42))
+        g1 = sample_goal(db, np.random.default_rng(42), GoalConfig())
+        g2 = sample_goal(db, np.random.default_rng(42), GoalConfig())
         assert g1 == g2
 
     def test_satisfiable_goals_match_db(self, db):
@@ -124,7 +124,7 @@ class TestGoals:
     def test_goal_values_exist_in_ontology(self, db):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            goal = sample_goal(db, rng)
+            goal = sample_goal(db, rng, GoalConfig())
             for slot, value in goal.constraints.items():
                 assert value in VALUES[slot]
 

@@ -1,12 +1,14 @@
 """``src/dialab`` holds only the program: every function, method and class
 it defines, and every name a module assigns at its top level, is used
-somewhere in ``src/dialab`` itself.
+somewhere in ``src/dialab`` itself, and every name a module imports is
+read in that module.
 
 A definition counts as used when some ``Name`` read, ``Attribute`` or
 import in the package names it; the search goes by name, so a method
-shares its use with any other attribute of that name. Code that only
-tests call belongs in ``tests/`` (the test oracles are in
-``tests/reference.py``).
+shares its use with any other attribute of that name. An import counts
+as read when a ``Name`` read in its module, or its module's ``__all__``,
+names it. Code that only tests call belongs in ``tests/`` (the test
+oracles are in ``tests/reference.py``).
 """
 
 import ast
@@ -75,3 +77,32 @@ def test_every_definition_in_src_is_used_by_src():
 
 def test_every_allowed_name_is_still_defined_and_unused():
     assert set(ALLOWED) <= set(unused_definitions())
+
+
+def unread_imports() -> list:
+    """Each name a module binds by an import (``__future__``'s aside) and
+    reads nowhere in that module, as ``file:line name``."""
+    unread = []
+    for name, tree in _trees():
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = f"{name}:{node.lineno}"
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                               ast.Store):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+                read.update(ast.literal_eval(node.value))
+        unread += [f"{where} {k}" for k, where in imported.items()
+                   if k not in read]
+    return unread
+
+
+def test_every_import_in_src_is_read():
+    unread = unread_imports()
+    assert not unread, (f"imported in src/dialab but never read there: "
+                        f"{unread}")

@@ -45,7 +45,8 @@ def fixed_output_net(values, n_in=4):
 
 def fixed_output_agent(values):
     """A QAgent whose Q-network is ``fixed_output_net(values)``."""
-    agent = QAgent(4, len(values), AgentConfig(hidden=(3,)), RNG(0))
+    agent = QAgent(4, len(values), AgentConfig(hidden=(3,)), RNG(0),
+                   gamma=0.99)
     agent.qnet = fixed_output_net(values)
     return agent
 
@@ -102,21 +103,16 @@ class TestReplayPool:
 
     @staticmethod
     def dialogues(lengths, n=4, seed=0):
-        """Logged dialogues of ``lengths`` turns, rated by their index, and
-        the transitions their turns are, dialogue by dialogue."""
+        """Dialogues of ``lengths`` turns, rated by their index, and the
+        transitions their turns are, dialogue by dialogue."""
         rng, logs, ts = RNG(seed), [], []
         for j, turns in enumerate(lengths):
             feats = rng.normal(size=(turns + 1, n))
-            records = [SimpleNamespace(features=feats[k], action=k % 3,
-                                       reward=float(rng.normal()))
-                       for k in range(turns)]
-            logs.append(SimpleNamespace(rating=j, log=SimpleNamespace(
-                records=records, final_features=feats[turns],
-                success=j % 2 == 0)))
-            ts.append([Transition(r.features, r.action, r.reward,
-                                  feats[k + 1], k == turns - 1,
-                                  k == turns - 1 and j % 2 == 0)
-                       for k, r in enumerate(records)])
+            ts.append(tuple(Transition(feats[k], k % 3, float(rng.normal()),
+                                       feats[k + 1], k == turns - 1,
+                                       k == turns - 1 and j % 2 == 0)
+                            for k in range(turns)))
+            logs.append(SimpleNamespace(rating=j, turns=ts[-1]))
         return logs, ts
 
     @pytest.mark.parametrize("lengths", [(3,), (3, 2), (5,), (2, 2, 2)],
@@ -367,10 +363,9 @@ class TestOneArrayPool:
         tracemalloc.start()
         try:
             if filled:
-                fill_pool((SimpleNamespace(rating=0, log=SimpleNamespace(
-                    records=[SimpleNamespace(features=s, action=0,
-                                             reward=0.0) for s in states[:-1]],
-                    final_features=states[-1], success=False))
+                fill_pool((SimpleNamespace(rating=0, turns=tuple(
+                    Transition(states[k], 0, 0.0, states[k + 1],
+                               k == turns - 1, False) for k in range(turns)))
                     for states in stream()), pool)
             else:
                 for states in stream():
@@ -474,7 +469,8 @@ class TestTrainStep:
     def make_agent(self, **kw):
         cfg = AgentConfig(hidden=(8, 6), minibatch=kw.pop("minibatch", 4),
                           warmup=kw.pop("warmup", 4), **kw)
-        return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(8))
+        return QAgent(n_features=4, n_actions=3, config=cfg, rng=RNG(8),
+                      gamma=0.99)
 
     def test_target_agrees_after_sync(self):
         agent = self.make_agent(target_sync=5)
