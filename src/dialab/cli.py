@@ -95,8 +95,8 @@ def cmd_generate_corpus(args) -> int:
             yield d
     # each dialogue is written, then dropped, as it is generated
     stream = corpus_mod.generate_dialogues(env, args.n, seed=cfg.seed)
-    corpus_mod.save_corpus(corpus_mod.Corpus(
-        counted(stream), cfg.space, list(env.space.feature_names)), args.out)
+    corpus_mod.save_corpus(corpus_mod.Corpus(counted(stream), cfg.space),
+                           args.out)
     print(f"wrote {sum(hist.values())} dialogues to {args.out}; "
           f"ratings {hist}")
     return EXIT_OK

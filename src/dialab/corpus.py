@@ -9,16 +9,16 @@ written by ``save_corpus`` and read by ``CorpusReader``, which streams it
 one dialogue at a time and is the one place a record is checked.
 ``fill_pool`` stores a reader's dialogues, or a generated corpus's, in a
 learner's replay pool, the input of pretraining, one turn at a time
-through the pool's ``add``, as online training does; ``check_layout``
-compares a corpus's feature names with the ones a learner expects.
-``load_corpus`` reads a whole file into memory, for code that needs every
-dialogue at once.
+through the pool's ``add``, as online training does. ``load_corpus`` reads
+a whole file into memory, for code that needs every dialogue at once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cache
 from numbers import Real
 from typing import Iterator
 
@@ -65,10 +65,6 @@ class CorpusDialogue:
 class Corpus:
     dialogues: list              # or a stream, for save_corpus alone
     space: str
-    feature_names: list
-
-    def __len__(self) -> int:
-        return len(self.dialogues)
 
     def __iter__(self) -> Iterator[CorpusDialogue]:
         return iter(self.dialogues)
@@ -147,8 +143,12 @@ def grounded_fraction(turns, space: str) -> float:
     return sum(1 for p in confidence if p >= GROUNDED) / len(CONSTRAINT_SLOTS)
 
 
+# each space's blunder-free rule table, built once: it draws nothing
+blunder_free_rule = cache(HandcraftedPolicy)
+
+
 def count_blunders(turns, space: str) -> int:
-    rule = HandcraftedPolicy(space)
+    rule = blunder_free_rule(space)
     return sum(1 for t in turns if t.action != rule.decide(t.features))
 
 
@@ -191,7 +191,7 @@ def generate_corpus(env: DialogueEnv, n: int, seed: int,
                     schedule: BlunderSchedule | None = None) -> Corpus:
     """The dialogues of ``generate_dialogues``, all held in memory."""
     return Corpus(list(generate_dialogues(env, n, seed, schedule)),
-                  env.config.space, list(env.space.feature_names))
+                  env.config.space)
 
 
 def fill_pool(corpus, pool) -> np.ndarray:
@@ -229,7 +229,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     def records():
         yield {"schema": CORPUS_SCHEMA, "version": SCHEMA_VERSION,
                "space": corpus.space,
-               "feature_names": list(corpus.feature_names)}
+               "feature_names": list(SPACES[corpus.space].feature_names)}
         for d in corpus.dialogues:
             last = d.turns[-1]
             yield {"provenance": d.provenance, "log": {
@@ -242,27 +242,11 @@ def save_corpus(corpus: Corpus, path: str) -> None:
         f"{json.dumps(record)}\n".encode() for record in records()))
 
 
-class LayoutMismatchError(ValueError):
-    """Corpus feature layout disagrees with the agent's expected layout."""
-
-
-def check_layout(expected_layout, corpus_layout) -> None:
-    """Raise LayoutMismatchError, naming the missing and extra features,
-    unless the corpus's feature names are the expected ones in order."""
-    if list(corpus_layout) != list(expected_layout):
-        missing = [n for n in expected_layout if n not in corpus_layout]
-        extra = [n for n in corpus_layout if n not in expected_layout]
-        raise LayoutMismatchError(
-            f"corpus layout mismatch; missing={missing} extra={extra} "
-            f"(corpus has {len(corpus_layout)} features, expected "
-            f"{len(expected_layout)})")
-
-
 class CorpusReader:
     """A corpus file, read one line at a time.
 
-    The header is read and checked on construction, so ``space`` and
-    ``feature_names`` are known before any record is read. Each iteration
+    The header is read and checked on construction, so ``space``, and with
+    it the feature layout, is known before any record is read. Each iteration
     reads the file afresh and yields one CorpusDialogue per record line. A
     malformed header or record raises CorpusFormatError naming
     ``path:line`` and the field at fault.
@@ -274,7 +258,7 @@ class CorpusReader:
             header = fh.readline()
         if not header:
             raise CorpusFormatError(f"{path}: empty corpus file")
-        self.space, self.feature_names = self._parse(1, header, _header)
+        self.space = self._parse(1, header, _header)
 
     def __iter__(self) -> Iterator[CorpusDialogue]:
         with open(self.path) as fh:
@@ -295,20 +279,18 @@ class CorpusReader:
             log, ("records", "success", "final_features"), "the log")
         turns = [_fields(turn, ("features", "action", "reward"), f"turn {k}")
                  for k, turn in enumerate(records)]
+        n_features = len(SPACES[self.space].feature_names)
         # turn k goes from state k to state k + 1, the last to the final one
-        states = [_vector("features", features) for features, _, _ in turns]
-        states.append(_vector("final_features", final))
+        states = [_vector("features", features, n_features, f" of turn {k}")
+                  for k, (features, _, _) in enumerate(turns)]
+        states.append(_vector("final_features", final, n_features))
         if type(success) is not bool:
             raise CorpusFormatError(f"field 'success': {success!r} is not a "
                                     f"boolean")
         if not turns:
             raise CorpusFormatError("field 'records': a dialogue with no turns")
-        n_features = len(self.feature_names)
         n_actions = len(SPACES[self.space].actions)
         for k, (_, action, reward) in enumerate(turns):
-            if len(states[k]) != n_features:
-                raise CorpusFormatError(f"feature length {len(states[k])} != "
-                                        f"manifest {n_features}")
             # an int, not a bool, a float or a string that reads as one
             if type(action) is not int or not 0 <= action < n_actions:
                 raise CorpusFormatError(f"field 'action' of turn {k}: "
@@ -317,15 +299,13 @@ class CorpusReader:
             if isinstance(reward, bool) or not isinstance(reward, Real):
                 raise CorpusFormatError(f"field 'reward' of turn {k}: "
                                         f"{reward!r} is not a number")
-            for name, value in (("features", states[k]), ("reward", reward)):
-                if not np.isfinite(value).all():    # json.loads reads NaN
-                    raise CorpusFormatError(f"field '{name}' of turn {k}: "
-                                            f"not finite")
-        if len(states[-1]) != n_features:
-            raise CorpusFormatError(f"final feature length {len(states[-1])} "
-                                    f"!= manifest {n_features}")
-        if not np.isfinite(states[-1]).all():
-            raise CorpusFormatError("field 'final_features': not finite")
+            try:
+                finite = math.isfinite(reward)
+            except OverflowError:       # an integer too large for a float
+                finite = False
+            if not finite:
+                raise CorpusFormatError(f"field 'reward' of turn {k}: "
+                                        f"not finite")
         last = len(turns) - 1
         return CorpusDialogue(tuple(
             Transition(states[k], action, reward, states[k + 1], k == last,
@@ -342,8 +322,8 @@ class CorpusReader:
             raise CorpusFormatError(f"{self.path}:{number}: not JSON: "
                                     f"{exc.msg} at column {exc.colno}") from exc
         except KeyError as exc:
-            raise CorpusFormatError(
-                f"{self.path}:{number}: missing field {exc}") from exc
+            raise CorpusFormatError(f"{self.path}:{number}: missing field "
+                                    f"{exc}") from exc
         except (ValueError, TypeError, AttributeError) as exc:
             raise CorpusFormatError(f"{self.path}:{number}: {exc}") from exc
 
@@ -357,18 +337,29 @@ def _fields(d: dict, names: tuple, where: str) -> list:
     return [d[name] for name in names]
 
 
-def _vector(name: str, values) -> np.ndarray:
-    """``values``, a JSON list of numbers, as a float64 vector; a boolean,
-    which numpy would take for 0 or 1, is refused."""
-    vec = np.asarray(values, dtype=float)
+def _vector(name: str, values, n: int, turn: str = "") -> np.ndarray:
+    """``values``, a JSON list of ``n`` finite numbers, as a float64 vector.
+    A boolean, which numpy would take for 0 or 1, is refused, and so are
+    NaN, Infinity and an integer too large for a float."""
+    try:
+        vec = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"field {name!r}{turn}: not finite") from None
     if vec.ndim != 1:
         raise ValueError(f"field {name!r}: not a flat list of numbers")
     if isinstance(values, list) and bool in map(type, values):
         raise ValueError(f"field {name!r}: a boolean is not a number")
+    if len(vec) != n:       # "feature length", "final feature length"
+        raise ValueError(f"{name[:-1].replace('_', ' ')} length {len(vec)} "
+                         f"!= manifest {n}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"field {name!r}{turn}: not finite")
     return vec
 
 
-def _header(rec: dict) -> tuple[str, list]:
+def _header(rec: dict) -> str:
+    """The space a header line's JSON value ``rec`` names; its
+    ``feature_names`` must be that space's, in order."""
     schema, version = rec.get("schema"), rec.get("version")
     if schema == CORPUS_SCHEMA and version in range(1, SCHEMA_VERSION):
         raise CorpusFormatError(
@@ -377,18 +368,26 @@ def _header(rec: dict) -> tuple[str, list]:
             f"generate-corpus'")
     if (schema, version) != (CORPUS_SCHEMA, SCHEMA_VERSION):
         raise CorpusFormatError(f"unrecognized corpus header {rec!r}")
-    space, feature_names = rec["space"], rec["feature_names"]
+    _, _, space, names = _fields(rec, ("schema", "version", "space",
+                                       "feature_names"), "the header")
     if space not in SPACES:
         raise CorpusFormatError(f"field 'space': unknown space {space!r}")
-    if not (isinstance(feature_names, list)
-            and all(isinstance(n, str) for n in feature_names)):
-        raise CorpusFormatError(f"field 'feature_names': {feature_names!r} "
-                                f"is not a list of strings")
-    return space, feature_names
+    if type(names) is not list or not all(type(n) is str for n in names):
+        raise CorpusFormatError(f"field 'feature_names': {names!r} is not a "
+                                f"list of strings")
+    expected = list(SPACES[space].feature_names)
+    if names != expected:
+        raise CorpusFormatError(
+            f"field 'feature_names': not the {space} space's layout; " + (
+                "the same names in another order"
+                if sorted(names) == sorted(expected) else
+                f"missing={[n for n in expected if n not in names]} "
+                f"extra={[n for n in names if n not in expected]} (corpus "
+                f"has {len(names)} features, expected {len(expected)})"))
+    return space
 
 
 def load_corpus(path: str) -> Corpus:
     """Read a whole corpus file into memory; see CorpusReader."""
     reader = CorpusReader(path)
-    return Corpus(dialogues=list(reader), space=reader.space,
-                  feature_names=reader.feature_names)
+    return Corpus(list(reader), reader.space)

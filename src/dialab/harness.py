@@ -226,15 +226,17 @@ def check_pretraining(cfg: ExperimentConfig, required: bool = False) -> None:
 
 def run_pretraining(cfg: ExperimentConfig, env: DialogueEnv, agent) -> dict:
     """Pretrain ``agent`` on the configured corpus file, streamed straight
-    into its replay pool, in order, after its header's feature names are
-    checked against the space. A supervised mode first runs the
-    actor-critic's ``imitate`` on every stored turn or on the rating-3
-    ones. Batch RL then sweeps the pool ``batch_sweeps`` times with the
-    agent's own replay step. Both stages draw from the ``pretrain`` stream;
-    an empty corpus runs neither. See ``check_pretraining`` for the modes."""
+    into its replay pool, in order, once its header names the run's space.
+    A supervised mode first runs the actor-critic's ``imitate`` on every
+    stored turn or on the rating-3 ones. Batch RL then sweeps the pool
+    ``batch_sweeps`` times with the agent's own replay step. Both stages
+    draw from the ``pretrain`` stream; an empty corpus runs neither. See
+    ``check_pretraining`` for the modes."""
     mode, path = cfg.pretrain.mode, cfg.pretrain.corpus
     reader = corpus_mod.CorpusReader(path)
-    corpus_mod.check_layout(env.space.feature_names, reader.feature_names)
+    if reader.space != cfg.space:
+        raise ConfigError(f"{path}: a corpus of the {reader.space} space; "
+                          f"this run's space is {cfg.space}")
     rating = corpus_mod.fill_pool(reader, agent.pool)
     if len(rating) > agent.pool.capacity:
         raise ConfigError(f"{path}: {len(rating)} turns, more than "
@@ -356,11 +358,9 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
     trained_seconds = 0.0
     rows: list[tuple] = []
     if resuming:
-        with open(config_path) as fh:
-            stored_text = fh.read()
-        stored = json.loads(stored_text) | {"out": cfg.out,
-                                            "dialogues": cfg.dialogues}
-        _require_unchanged(config_from_dict(stored), cfg)
+        stored = load_config(config_path)
+        _require_unchanged(dataclasses.replace(
+            stored, out=cfg.out, dialogues=cfg.dialogues), cfg)
         run = agent.load(ckpt_path, "episodes_done", "schedule_t")
         start_ep, schedule_t = run["episodes_done"], run["schedule_t"]
         if cfg.dialogues < start_ep:
@@ -383,7 +383,7 @@ def train_run(cfg: ExperimentConfig, resume: bool = False) -> list[tuple]:
                 "curve.csv", "checkpoint.npz", "pool.npz", "state.json"):
             os.remove(os.path.join(cfg.out, name))
     # a resume may extend the run; config.json describes it as now set up
-    if not resuming or stored_text != config_text:
+    if not resuming or stored != cfg:
         replace_file(config_path, lambda fh: fh.write(config_text.encode()))
     if resuming:
         write_curve(curve_path, rows)

@@ -237,7 +237,7 @@ class PooledTurns:
 def pooled_turns(corpus) -> PooledTurns:
     """``fill_pool`` on ``corpus`` into a pool with a row for every turn."""
     turns = sum(len(d.turns) for d in corpus)
-    pool = ReplayPool(max(1, turns), len(corpus.feature_names))
+    pool = ReplayPool(max(1, turns), len(SPACES[corpus.space].feature_names))
     rating = fill_pool(corpus, pool)
     return PooledTurns(**{k: pool.rows(k) for k in ReplayPool.FIELDS},
                        next_features=pool.batch(np.arange(len(pool)))[3],

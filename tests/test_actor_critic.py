@@ -9,8 +9,7 @@ import pytest
 from dialab import checkpoint, harness, nets
 from dialab.actor_critic import ActorCriticAgent, behaviour_weight, td_errors
 from dialab.checkpoint import CheckpointError
-from dialab.corpus import (Corpus, LayoutMismatchError, check_layout,
-                           fill_pool, save_corpus)
+from dialab.corpus import Corpus, fill_pool, save_corpus
 from dialab.environment import Transition
 from dialab.harness import behaviour_action
 from dialab.nets import (FeedForwardNet, NonFiniteGradientError, copy_params,
@@ -531,8 +530,7 @@ class TestPretrain:
             "pretrain": {"mode": "sup_full_batch",
                          "corpus": str(tmp_path / "empty.jsonl")}})
         _, _, env = harness.build_world(cfg)
-        save_corpus(Corpus(dialogues=[], space="original",
-                           feature_names=list(env.space.feature_names)),
+        save_corpus(Corpus(dialogues=[], space="original"),
                     cfg.pretrain.corpus)
         agent = harness.build_agent(cfg, env)
         with caplog.at_level(logging.WARNING):
@@ -545,10 +543,6 @@ class TestPretrain:
         drawn = rng.bit_generator.state
         assert agent.imitate(np.arange(0), rng)["supervised_examples"] == 0
         assert rng.bit_generator.state == drawn
-
-    def test_layout_mismatch_refused_with_diff(self):
-        with pytest.raises(LayoutMismatchError, match="missing"):
-            check_layout(["f0", "f1"], ["f0", "weird"])
 
     def test_imitation_of_handcrafted_rule(self):
         # corpus from the deterministic controller; >= 95% held-out agreement

@@ -11,12 +11,13 @@ from dialab.corpus import (BlunderSchedule, CorpusFormatError,
                            CorpusReader, HandcraftedPolicy,
                            count_blunders, fill_pool, generate_corpus,
                            load_corpus, rate, save_corpus)
-from dialab.environment import Transition
+from dialab.environment import SPACES, Transition
 from dialab.value_agents import ReplayPool
 from reference import (check_reward_decomposition, noiseless_channel,
                        pooled_turns, turn_lists)
 
 CLEAN = BlunderSchedule(((1.0, 0.0),))
+NAMES = list(SPACES["original"].feature_names)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def small_corpus(noisy_env):
 class TestGenerate:
     def test_requested_count(self, noisy_env):
         built = generate_corpus(noisy_env, 50, seed=0)
-        assert len(built) == 50
+        assert len(built.dialogues) == 50
 
     def test_clean_noiseless_corpus_all_successful(self, noiseless_env):
         built = generate_corpus(noiseless_env, 60, seed=2, schedule=CLEAN)
@@ -135,11 +136,11 @@ class TestConversion:
         turns = sum(len(d.turns) for d in small_corpus.dialogues)
         data = pooled_turns(small_corpus)
         assert data.features.shape == data.next_features.shape == (
-            turns, len(small_corpus.feature_names))
+            turns, len(NAMES))
         for column in (data.actions, data.rewards, data.terminal,
                        data.rating):
             assert column.shape == (turns,)
-        assert data.terminal.sum() == len(small_corpus)
+        assert data.terminal.sum() == len(small_corpus.dialogues)
 
     def test_transition_rewards_resum_to_returns(self, small_corpus):
         data = pooled_turns(small_corpus)
@@ -185,7 +186,7 @@ class TestConversion:
     def test_pool_of_exactly_the_turns_is_filled_to_the_last_row(
             self, small_corpus):
         data = pooled_turns(small_corpus)
-        pool = ReplayPool(len(data), len(small_corpus.feature_names))
+        pool = ReplayPool(len(data), len(NAMES))
         fill_pool(small_corpus, pool)
         assert (len(pool), pool._cursor) == (len(data), 0)
         assert np.array_equal(pool.batch(np.arange(len(pool)))[3],
@@ -197,7 +198,7 @@ class TestConversion:
         # in order, and nothing after the first that does not
         data = pooled_turns(small_corpus)
         first = len(small_corpus.dialogues[0].turns)
-        pool = ReplayPool(len(data) - 1, len(small_corpus.feature_names))
+        pool = ReplayPool(len(data) - 1, len(NAMES))
         rating = fill_pool(small_corpus, pool)
         assert np.array_equal(rating, data.rating)
         assert first <= len(pool) < len(data)
@@ -206,7 +207,7 @@ class TestConversion:
                                   getattr(data, name)[:len(pool)]), name
 
     def test_pool_holding_rows_is_refused_unchanged(self, small_corpus):
-        pool = ReplayPool(1000, len(small_corpus.feature_names))
+        pool = ReplayPool(1000, len(NAMES))
         fill_pool(small_corpus, pool)
         held = {name: pool.rows(name).copy() for name in ReplayPool.FIELDS}
         with pytest.raises(ValueError, match=f"^fill_pool needs an empty "
@@ -223,7 +224,7 @@ class TestLogForm:
         # starting at the last one's next state, the same array
         path = tmp_path / "c.jsonl"
         save_corpus(small_corpus, path)
-        n_features = len(small_corpus.feature_names)
+        n_features = len(NAMES)
         generated = small_corpus.dialogues[0]
         reread = next(iter(CorpusReader(str(path))))
         for d in (generated, reread):
@@ -268,8 +269,7 @@ class TestRoundTrip:
         save_corpus(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.space == small_corpus.space
-        assert loaded.feature_names == small_corpus.feature_names
-        assert len(loaded) == len(small_corpus)
+        assert len(loaded.dialogues) == len(small_corpus.dialogues)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -287,7 +287,7 @@ class TestRoundTrip:
             load_corpus(str(path))
 
     @pytest.mark.parametrize("features, message", [
-        ([0.0, 0.0], "feature length 2 != manifest 1"),
+        ([0.0, 0.0], "feature length 2 != manifest 31"),
         ([[0.0]], "field 'features': not a flat list of numbers")])
     def test_layout_errors_name_the_file_and_line(self, tmp_path, features,
                                                   message):
@@ -312,21 +312,29 @@ class TestRoundTrip:
         ({"success": "no"}, "field 'success': 'no' is not a boolean"),
         ({"success": 1}, "field 'success': 1 is not a boolean"),
         ({"final_features": [0.0, 0.0]},
-         "final feature length 2 != manifest 1"),
+         "final feature length 2 != manifest 31"),
         ({"n_turns": 0}, "field 'records': a dialogue with no turns"),
         # the NaN and Infinity literals json.loads reads
-        ({"features": [math.nan]}, "field 'features' of turn 0: not finite"),
-        ({"n_turns": 2, "features": [-math.inf]},
+        ({"features": [math.nan] * 31},
+         "field 'features' of turn 0: not finite"),
+        ({"n_turns": 2, "features": [-math.inf] * 31},
          "field 'features' of turn 0: not finite"),
         ({"reward": math.nan}, "field 'reward' of turn 0: not finite"),
         ({"reward": math.inf}, "field 'reward' of turn 0: not finite"),
-        ({"final_features": [math.nan]},
+        ({"final_features": [math.nan] * 31},
+         "field 'final_features': not finite"),
+        # a JSON integer too large for a float
+        ({"features": [10 ** 400] * 31},
+         "field 'features' of turn 0: not finite"),
+        ({"reward": -10 ** 400}, "field 'reward' of turn 0: not finite"),
+        ({"final_features": [10 ** 400] * 31},
          "field 'final_features': not finite"),
         # JSON's true and false, which numpy would take for 1 and 0
         ({"reward": True}, "field 'reward' of turn 0: True is not a number"),
         ({"reward": "-1"}, "field 'reward' of turn 0: '-1' is not a number"),
-        ({"features": [True]}, "field 'features': a boolean is not a number"),
-        ({"final_features": [False]},
+        ({"features": [True] * 31},
+         "field 'features': a boolean is not a number"),
+        ({"final_features": [False] * 31},
          "field 'final_features': a boolean is not a number")])
     def test_record_errors_name_the_file_and_line(self, tmp_path, change,
                                                   message):
@@ -394,7 +402,26 @@ class TestRoundTrip:
         *((json.dumps({"schema": "dialab-corpus", "version": 3,
                        "space": "original", "feature_names": names}),
            f":1: field 'feature_names': {names!r} is not a list of strings")
-          for names in (5, None, "f0", ["f0", 1]))])
+          for names in (5, None, "f0", ["f0", 1])),
+        # a key the format does not write
+        (json.dumps({"schema": "dialab-corpus", "version": 3,
+                     "space": "original", "feature_names": NAMES,
+                     "rating": 3}),
+         ":1: unexpected field 'rating' in the header"),
+        *((json.dumps({"schema": "dialab-corpus", "version": 3,
+                       "space": "original", "feature_names": names}),
+           f":1: field 'feature_names': not the original space's layout; "
+           f"{fault}")
+          for names, fault in (
+              (NAMES[::-1], "the same names in another order"),
+              (list(SPACES["summary"].feature_names),
+               f"missing={NAMES} extra={list(SPACES['summary'].feature_names)}"
+               f" (corpus has 60 features, expected 31)"),
+              (NAMES[:-1] + ["weird"],
+               f"missing={NAMES[-1:]} extra=['weird'] (corpus has 31 "
+               f"features, expected 31)"),
+              (NAMES + NAMES[:1], "missing=[] extra=[] (corpus has 32 "
+                                  "features, expected 31)")))])
     def test_empty_file_and_blank_header_rejected(self, tmp_path, text,
                                                   message):
         path = tmp_path / "corpus.jsonl"
@@ -411,25 +438,26 @@ class TestRoundTrip:
         with open(path, "a") as fh:
             fh.write("\nnot json\n")
         reader = CorpusReader(str(path))
-        assert reader.feature_names == small_corpus.feature_names
+        assert reader.space == small_corpus.space
         stream = iter(reader)
         for kept in small_corpus.dialogues:
             assert turn_lists(next(stream).turns) == turn_lists(kept.turns)
+        line = len(small_corpus.dialogues) + 3
         with pytest.raises(CorpusFormatError,
-                           match=re.escape(f"{path}:{len(small_corpus) + 3}: "
-                                           f"not JSON")):
+                           match=re.escape(f"{path}:{line}: not JSON")):
             next(stream)
 
 
-def write_one_dialogue(path, features=(0.0,), action=0, final_features=(0.0,),
-                       n_turns=1, success=False, version=3, record_fields=(),
-                       log_fields=(), **turn_fields) -> None:
-    """A one-feature corpus file of one dialogue of ``n_turns`` equal
+def write_one_dialogue(path, features=(0.0,) * 31, action=0,
+                       final_features=(0.0,) * 31, n_turns=1, success=False,
+                       version=3, record_fields=(), log_fields=(),
+                       **turn_fields) -> None:
+    """An original-space corpus file of one dialogue of ``n_turns`` equal
     turns, its record built from the arguments; ``record_fields`` are added
     to the record, ``log_fields`` to its log and ``turn_fields`` to each
     turn."""
     header = {"schema": "dialab-corpus", "version": version,
-              "space": "original", "feature_names": ["f0"]}
+              "space": "original", "feature_names": NAMES}
     turn = {"features": list(features), "action": action, "reward": -1.03,
             **turn_fields}
     log = {"success": success, "final_features": list(final_features),

@@ -32,8 +32,7 @@ def dialogue(env, policy, rng):
 def pooled_rows(turns, space="original"):
     """The dialogue's turns as the replay pool stores them."""
     return pooled_turns(Corpus(
-        dialogues=[CorpusDialogue(turns, space)], space=space,
-        feature_names=SPACES[space].feature_names))
+        dialogues=[CorpusDialogue(turns, space)], space=space))
 
 
 def belief_with(informs, db_count=0):

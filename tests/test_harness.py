@@ -15,8 +15,8 @@ import pytest
 from dialab import checkpoint, cli, harness, nets
 from dialab import corpus as corpus_mod
 from dialab.checkpoint import CheckpointError
-from dialab.corpus import (CorpusReader, HandcraftedPolicy,
-                           LayoutMismatchError, generate_corpus, save_corpus)
+from dialab.corpus import (CorpusReader, HandcraftedPolicy, generate_corpus,
+                           save_corpus)
 from dialab.environment import SPACES, Transition, rollout
 from dialab.harness import (ConfigError, EpsilonSchedule, ExperimentConfig,
                             compare_runs, config_from_dict, config_to_dict,
@@ -696,9 +696,10 @@ class TestPretraining:
         return built, path
 
     @staticmethod
-    def pretrained(corpus_path, mode="sup_full_batch", algorithm="tda2c"):
+    def pretrained(corpus_path, mode="sup_full_batch", algorithm="tda2c",
+                   space="original"):
         cfg = config_from_dict({
-            "algorithm": algorithm, "seed": 6,
+            "algorithm": algorithm, "space": space, "seed": 6,
             "agent": {"hidden": [16, 12], "sup_epochs": 2, "batch_sweeps": 1},
             "pretrain": {"mode": mode, "corpus": corpus_path}})
         _, _, env = harness.build_world(cfg)
@@ -821,11 +822,14 @@ class TestPretraining:
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({
             "schema": "dialab-corpus", "version": 3, "space": "original",
-            "feature_names": ["f0"]}) + "\nnot json\n")
-        cfg, env, agent = self.pretrained(str(path))
-        with pytest.raises(LayoutMismatchError,
-                           match=r"corpus layout mismatch; missing="):
+            "feature_names": list(SPACES["original"].feature_names)})
+            + "\nnot json\n")
+        cfg, env, agent = self.pretrained(str(path), space="summary")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: a corpus of the original space; this run's space "
+                f"is summary")):
             harness.run_pretraining(cfg, env, agent)
+        assert len(agent.pool) == 0
 
     def test_peak_memory_is_a_small_multiple_of_the_arrays(self,
                                                            corpus_file):
@@ -1178,6 +1182,29 @@ class TestCli:
             else:
                 assert not out.exists()
 
+    def test_corpus_of_another_space_exits_2_before_any_file(self, tmp_path,
+                                                             capsys):
+        corpus_cfg = tmp_path / "corpus-cfg.json"
+        corpus_cfg.write_text(json.dumps({"algorithm": "tda2c", "seed": 2}))
+        corpus_path = str(tmp_path / "original.jsonl")
+        assert cli.main(["generate-corpus", "--config", str(corpus_cfg),
+                         "--n", "2", "--out", corpus_path]) == cli.EXIT_OK
+        capsys.readouterr()
+        for command, algorithm, mode in (("pretrain", "dqn", "batch"),
+                                         ("train", "tda2c", "sup_full_batch")):
+            path = tmp_path / f"{algorithm}.json"
+            path.write_text(json.dumps({
+                "algorithm": algorithm, "space": "summary", "seed": 2,
+                "dialogues": 2,
+                "pretrain": {"mode": mode, "corpus": corpus_path}}))
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(out)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: {corpus_path}: a corpus of the original "
+                f"space; this run's space is summary\n")
+            assert not out.exists()
+
     def test_generate_corpus_writes_the_in_memory_corpus(self, tmp_path,
                                                          capsys):
         path = tmp_path / "cfg.json"
@@ -1443,6 +1470,15 @@ class TestCli:
     def resume_with_stored_keys(self, tmp_path, capsys, section, keys):
         """The error of resuming a finished run whose config.json adds
         ``keys`` to ``section``; the resume must touch no file."""
+        def edit(text):
+            stored = json.loads(text)
+            stored[section] |= keys
+            return json.dumps(stored)
+        return self.resume_with_stored_config(tmp_path, capsys, edit)
+
+    def resume_with_stored_config(self, tmp_path, capsys, edit):
+        """The error of resuming a finished run whose config.json's text is
+        replaced by ``edit(text)``; the resume must touch no file."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "algorithm": "dqn", "space": "original", "seed": 3,
@@ -1451,9 +1487,8 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(path), "--out",
                          str(out)]) == cli.EXIT_OK
-        stored = json.loads((out / "config.json").read_text())
-        stored[section] |= keys
-        (out / "config.json").write_text(json.dumps(stored))
+        stored = out / "config.json"
+        stored.write_text(edit(stored.read_text()))
         before = {name: (data, os.stat(out / name).st_mtime_ns)
                   for name, data in directory_bytes(out).items()}
         capsys.readouterr()
@@ -1484,18 +1519,35 @@ class TestCli:
         assert err == ("config error: unknown key(s) ['excluded'] under "
                        "'agent'\n")
 
-    @pytest.mark.parametrize("record, message", [
-        ('{"provenance": "handcrafted", "log": {}}',
-         "missing field 'records'"),
-        ('{"rating": 3,', "not JSON")])
-    def test_rate_rejects_a_malformed_corpus(self, tmp_path, capsys, record,
-                                             message):
+    @pytest.mark.parametrize("text, fault", [
+        ("not json", "not valid JSON: Expecting value: line 1 column 1 "
+                     "(char 0)"),
+        ("[1, 2]", "the config must be a JSON object, not list")],
+        ids=["not-json", "a-list"])
+    def test_resume_of_a_run_with_a_malformed_config_json_exits_2(
+            self, tmp_path, capsys, text, fault):
+        err = self.resume_with_stored_config(tmp_path, capsys,
+                                             lambda _: text)
+        assert err == (f"config error: {tmp_path / 'run' / 'config.json'}: "
+                       f"{fault}\n")
+
+    @pytest.mark.parametrize("order, record, message", [
+        (1, '{"provenance": "handcrafted", "log": {}}',
+         "2: missing field 'records'"),
+        (1, '{"rating": 3,', "2: not JSON"),
+        # the space's names reversed, as each vector would then be stored
+        (-1, '{"rating": 3,', "1: field 'feature_names': not the original "
+                              "space's layout; the same names in another "
+                              "order")])
+    def test_rate_rejects_a_malformed_corpus(self, tmp_path, capsys, order,
+                                             record, message):
         path = tmp_path / "corpus.jsonl"
+        names = list(SPACES["original"].feature_names)[::order]
         header = {"schema": "dialab-corpus", "version": 3,
-                  "space": "original", "feature_names": ["f0"]}
+                  "space": "original", "feature_names": names}
         path.write_text(json.dumps(header) + "\n" + record + "\n")
         assert cli.main(["rate", "--corpus", str(path)]) == cli.EXIT_RUN
-        assert f"{path}:2: {message}" in capsys.readouterr().err
+        assert f"{path}:{message}" in capsys.readouterr().err
 
     def test_report_csv(self, tmp_path):
         for seed, success in enumerate((0.2, 0.5, 0.25)):
